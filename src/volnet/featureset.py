@@ -122,25 +122,27 @@ def extract_network_features(ego: EgoNetwork) -> dict[str, float]:
     }
 
 
-def extract_raw_features(events: EventLog, u: str, cutoff: datetime) -> dict[str, float]:
-    """Activity-event counts (and mean rating) up to and including ``cutoff``."""
+def _count_events(user_events: Iterable, cutoff: datetime) -> dict[str, float]:
+    """Counts per kind (and mean rating, 0.0 when unrated) of one user's
+    time-sorted events up to and including ``cutoff``."""
     counts = {name: 0.0 for name in RAW_FEATURES}
     rating_sum = 0.0
-    for e in events.events:
+    for e in user_events:
         if e.at > cutoff:
-            break  # events are sorted by time
-        if e.user_id != u:
-            continue
+            break
         if e.kind == "rating":
             counts["rating_count"] += 1.0
             rating_sum += float(e.value)
         else:
             counts[_KIND_TO_COUNT[e.kind]] += 1.0
-    if counts["rating_count"] > 0:
-        counts["rating_current"] = rating_sum / counts["rating_count"]
-    else:
-        counts["rating_current"] = 0.0  # documented default when unrated
+    counts["rating_current"] = (rating_sum / counts["rating_count"]
+                                if counts["rating_count"] > 0 else 0.0)
     return counts
+
+
+def extract_raw_features(events: EventLog, u: str, cutoff: datetime) -> dict[str, float]:
+    """Activity-event counts (and mean rating) up to and including ``cutoff``."""
+    return _count_events((e for e in events.events if e.user_id == u), cutoff)
 
 
 def _label_and_case(u: str, model: ClusterModel,
@@ -229,19 +231,7 @@ def assemble_all(
         ego = EgoNetwork(ego=u, graph=TransactionGraph(nodes=frozenset(members), edges=edges))
         features = extract_network_features(ego)
 
-        counts = {name: 0.0 for name in RAW_FEATURES}
-        rating_sum = 0.0
-        for e in events_of.get(u, ()):
-            if e.at > cutoff:
-                break
-            if e.kind == "rating":
-                counts["rating_count"] += 1.0
-                rating_sum += float(e.value)
-            else:
-                counts[_KIND_TO_COUNT[e.kind]] += 1.0
-        counts["rating_current"] = (rating_sum / counts["rating_count"]
-                                    if counts["rating_count"] > 0 else 0.0)
-        features.update(counts)
+        features.update(_count_events(events_of.get(u, ()), cutoff))
 
         label, case = _label_and_case(u, model, labels)
         vectors[u] = FeatureVector(user=u, cutoff_months=t_months, features=features,

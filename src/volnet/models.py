@@ -9,6 +9,17 @@ Score semantics per family: naive Bayes and trees emit class-1
 posterior/leaf fractions; logistic regression and boosted trees emit a
 sigmoid probability; the linear SVM emits a sigmoid-squashed margin
 (monotone in the decision value, not calibrated).
+
+Trees (the decision tree, each forest tree, each boosting round) share one
+split search, ``_best_split``. A fit sorts every column once; each node
+carries its rows as its slice of those orders, so no node sorts again, and
+the search scores every cut of every feature at once from prefix sums of
+per-row statistics ``g`` and ``h``: Gini gain with ``g = y``, ``h = 1``
+for CART and the forest, the second-order gain with the logistic gradient
+and Hessian for boosting. The lowest threshold wins within a feature, and a
+later feature must beat it by more than 1e-12. A threshold is the midpoint
+of the two values around the cut, or the lower value where the midpoint
+rounds up to the upper one, so ``x <= threshold`` always separates them.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -125,74 +137,108 @@ def _constant_params(y: np.ndarray) -> dict:
 # decision trees (shared by the tree, forest, and boosting families)
 
 def _gini(counts1: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """Gini impurity given class-1 counts and totals (vectorized)."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p1 = np.where(total > 0, counts1 / total, 0.0)
+    """Gini impurity given class-1 counts and positive totals (vectorized)."""
+    p1 = counts1 / total
     return 1.0 - p1 ** 2 - (1.0 - p1) ** 2
 
 
-def _split_candidates(values: np.ndarray) -> np.ndarray:
-    """Indices i where a cut between sorted positions i and i+1 is real."""
-    return np.nonzero(values[:-1] < values[1:])[0]
+def _gini_gain(GL, HL, G, H):
+    """Gini gain of cuts sending ``GL`` class-1 rows of ``HL`` left, out of
+    ``G`` of ``H`` in the node."""
+    child = (HL * _gini(GL, HL) + (H - HL) * _gini(G - GL, H - HL)) / H
+    return _gini(G, H) - child
 
 
-def _best_gini_split(X, y, idx, features, min_leaf):
-    """Best (feature, threshold) by Gini gain; ties keep the lowest feature
-    then the lowest threshold. Returns None when no valid cut exists."""
-    n = idx.size
-    node_y = y[idx]
-    n1 = int(node_y.sum())
-    parent = _gini(np.array([n1]), np.array([n]))[0]
-    best = None  # (gain, feature, threshold)
-    for j in features:
-        order = np.argsort(X[idx, j], kind="stable")
-        sv = X[idx[order], j]
-        sy = node_y[order]
-        cuts = _split_candidates(sv)
-        if cuts.size == 0:
-            continue
-        left_n = cuts + 1
-        right_n = n - left_n
-        ok = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not ok.any():
-            continue
-        cum1 = np.cumsum(sy)
-        left1 = cum1[cuts]
-        right1 = n1 - left1
-        child = (left_n * _gini(left1, left_n) + right_n * _gini(right1, right_n)) / n
-        gain = np.where(ok, parent - child, -np.inf)
-        pick = int(np.argmax(gain))  # first max = lowest threshold
-        if gain[pick] == -np.inf:
-            continue
-        thr = float((sv[cuts[pick]] + sv[cuts[pick] + 1]) / 2.0)
-        if best is None or gain[pick] > best[0] + 1e-12:
-            best = (float(gain[pick]), int(j), thr)
-    return best
+def _second_order_gain(GL, HL, G, H, lam):
+    """XGBoost gain 0.5*(GL^2/(HL+lam) + GR^2/(HR+lam) - G^2/(H+lam))."""
+    return 0.5 * (GL ** 2 / (HL + lam) + (G - GL) ** 2 / (H - HL + lam) - G ** 2 / (H + lam))
 
 
-def _grow_tree(X, y, idx, depth, max_depth, min_leaf, rng, n_subsample):
-    """Recursive CART node builder; leaves store the class-1 fraction.
+def _best_split(X, ords, features, g, h, G, H, gain, min_leaf, min_gain):
+    """Best cut of one node as (gain, feature, threshold), or None.
+
+    ``ords[j]`` holds the node's rows sorted by column ``j``, so prefix sums
+    of ``g`` and ``h`` along it are the left-child sums of every cut; ``G``
+    and ``H`` are the node totals. A cut lies between distinct values,
+    leaves ``min_leaf`` rows per side and gains more than ``min_gain``."""
+    rows = ords[features]
+    m = rows.shape[1]
+    if m < 2:
+        return None
+    sv = X[rows, features[:, None]]
+    left_n = np.arange(1, m)
+    ok = (sv[:, :-1] < sv[:, 1:]) & (left_n >= min_leaf) & (m - left_n >= min_leaf)
+    scores = np.where(ok, gain(np.cumsum(g[rows], axis=1)[:, :-1],
+                               np.cumsum(h[rows], axis=1)[:, :-1], G, H), -np.inf)
+    best = None
+    for f, pick in enumerate(np.argmax(scores, axis=1)):  # first max = lowest threshold
+        top = scores[f, pick]
+        if top > min_gain and (best is None or top > best[0] + 1e-12):
+            best = (top, f, pick)
+    if best is None:
+        return None
+    top, f, pick = best
+    lo, hi = sv[f, pick], sv[f, pick + 1]
+    mid = (lo + hi) / 2.0  # can round up to ``hi`` when the two are adjacent floats
+    return float(top), int(features[f]), float(mid if mid < hi else lo)
+
+
+def _branch(X, idx, ords, j, thr, grow, depth):
+    """Internal node cutting at X[:, j] <= thr, children built by ``grow``
+    from their rows (ascending) and their slices of the sorted orders."""
+    mask = X[idx, j] <= thr
+    go_left = np.zeros(X.shape[0], dtype=bool)
+    go_left[idx[mask]] = True
+    keep = go_left[ords]
+    d = ords.shape[0]
+    return {"feature": j, "threshold": thr,
+            "left": grow(idx[mask], ords[keep].reshape(d, -1), depth + 1),
+            "right": grow(idx[~mask], ords[~keep].reshape(d, -1), depth + 1)}
+
+
+def _fit_tree(X, y, max_depth, min_leaf, rng=None, n_subsample=0):
+    """CART over all rows of ``(X, y)``; leaves store the class-1 fraction.
 
     Impure nodes split on the best Gini gain even when that gain is zero
     (a zero-gain cut can still enable a useful second-level split, as in
-    parity-structured data)."""
-    node_y = y[idx]
-    p1 = float(node_y.mean())
-    if depth >= max_depth or idx.size < 2 * min_leaf or p1 in (0.0, 1.0):
-        return {"leaf": p1, "n": int(idx.size)}
+    parity-structured data). With ``rng``, every node searches a fresh
+    subsample of ``n_subsample`` features (the random forest)."""
     d = X.shape[1]
-    if rng is not None and n_subsample < d:
-        features = np.sort(rng.choice(d, size=n_subsample, replace=False))
-    else:
-        features = np.arange(d)
-    best = _best_gini_split(X, y, idx, features, min_leaf)
-    if best is None:
-        return {"leaf": p1, "n": int(idx.size)}
-    _, j, thr = best
-    mask = X[idx, j] <= thr
-    left = _grow_tree(X, y, idx[mask], depth + 1, max_depth, min_leaf, rng, n_subsample)
-    right = _grow_tree(X, y, idx[~mask], depth + 1, max_depth, min_leaf, rng, n_subsample)
-    return {"feature": j, "threshold": thr, "left": left, "right": right}
+    g, h = y.astype(float), np.ones(y.size)
+    all_features = np.arange(d)
+
+    def grow(idx, ords, depth):
+        p1 = float(y[idx].mean())
+        if depth >= max_depth or idx.size < 2 * min_leaf or p1 in (0.0, 1.0):
+            return {"leaf": p1, "n": int(idx.size)}
+        features = all_features
+        if rng is not None and n_subsample < d:
+            features = np.sort(rng.choice(d, size=n_subsample, replace=False))
+        best = _best_split(X, ords, features, g, h, g[idx].sum(), h[idx].sum(),
+                           _gini_gain, min_leaf, -np.inf)
+        if best is None:
+            return {"leaf": p1, "n": int(idx.size)}
+        return _branch(X, idx, ords, best[1], best[2], grow, depth)
+
+    return grow(np.arange(y.size), np.argsort(X, axis=0, kind="stable").T, 0)
+
+
+def _fit_boost_tree(X, g, h, ords, max_depth, lam):
+    """Second-order regression tree on gradients ``g`` and Hessians ``h``
+    (``ords`` presorted as in :func:`_best_split`); leaves store the weight
+    -G/(H+lam), and only gains above 1e-12 split."""
+    features = np.arange(X.shape[1])
+    gain = partial(_second_order_gain, lam=lam)
+
+    def grow(idx, ords, depth):
+        G, H = g[idx].sum(), h[idx].sum()
+        best = None if depth >= max_depth else _best_split(
+            X, ords, features, g, h, G, H, gain, 1, 1e-12)
+        if best is None:
+            return {"leaf": float(-G / (H + lam)), "n": int(idx.size)}
+        return _branch(X, idx, ords, best[1], best[2], grow, depth)
+
+    return grow(np.arange(X.shape[0]), ords, 0)
 
 
 def _tree_scores(node: Mapping, X: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
@@ -237,9 +283,7 @@ def _score_naive_bayes(params, X):
 
 
 def _train_decision_tree(X, y, hp, seed):
-    root = _grow_tree(X, y, np.arange(X.shape[0]), 0, hp["max_depth"],
-                      hp["min_samples_leaf"], rng=None, n_subsample=X.shape[1])
-    return {"tree": root}
+    return {"tree": _fit_tree(X, y, hp["max_depth"], hp["min_samples_leaf"])}
 
 
 def _score_decision_tree(params, X):
@@ -274,9 +318,8 @@ def _train_random_forest(X, y, hp, seed):
     trees = []
     for _ in range(hp["n_trees"]):
         sample = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X[sample], y[sample], np.arange(n), 0,
-                                hp["max_depth"], hp["min_samples_leaf"],
-                                rng=rng, n_subsample=n_subsample))
+        trees.append(_fit_tree(X[sample], y[sample], hp["max_depth"],
+                               hp["min_samples_leaf"], rng, n_subsample))
     return {"trees": trees}
 
 
@@ -311,60 +354,18 @@ def _score_linear_svm(params, X):
     return _sigmoid(Z @ np.asarray(params["weights"]))
 
 
-def _best_second_order_split(X, g, h, idx, lam):
-    """XGBoost-style split: maximize 0.5*(GL^2/(HL+lam) + GR^2/(HR+lam)
-    - G^2/(H+lam)); only strictly positive gains split."""
-    n = idx.size
-    if n < 2:
-        return None
-    G = g[idx].sum()
-    H = h[idx].sum()
-    parent = G ** 2 / (H + lam)
-    best = None
-    for j in range(X.shape[1]):
-        order = np.argsort(X[idx, j], kind="stable")
-        sv = X[idx[order], j]
-        cuts = _split_candidates(sv)
-        if cuts.size == 0:
-            continue
-        cg = np.cumsum(g[idx[order]])[cuts]
-        ch = np.cumsum(h[idx[order]])[cuts]
-        gain = 0.5 * (cg ** 2 / (ch + lam)
-                      + (G - cg) ** 2 / (H - ch + lam)
-                      - parent)
-        pick = int(np.argmax(gain))
-        if gain[pick] <= 1e-12:
-            continue
-        if best is None or gain[pick] > best[0] + 1e-12:
-            thr = float((sv[cuts[pick]] + sv[cuts[pick] + 1]) / 2.0)
-            best = (float(gain[pick]), int(j), thr)
-    return best
-
-
-def _grow_boost_tree(X, g, h, idx, depth, max_depth, lam):
-    best = None if depth >= max_depth else _best_second_order_split(X, g, h, idx, lam)
-    if best is None:
-        weight = -g[idx].sum() / (h[idx].sum() + lam)
-        return {"leaf": float(weight), "n": int(idx.size)}
-    _, j, thr = best
-    mask = X[idx, j] <= thr
-    return {"feature": j, "threshold": thr,
-            "left": _grow_boost_tree(X, g, h, idx[mask], depth + 1, max_depth, lam),
-            "right": _grow_boost_tree(X, g, h, idx[~mask], depth + 1, max_depth, lam)}
-
-
 def _train_gbdt(X, y, hp, seed):
     n = X.shape[0]
     p_base = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
     f0 = float(np.log(p_base / (1.0 - p_base)))
     raw = np.full(n, f0)
     lam, lr = hp["l2"], hp["learning_rate"]
+    ords = np.argsort(X, axis=0, kind="stable").T  # sorted once for all rounds
     trees = []
     loss_history = []
     for _ in range(hp["n_rounds"]):
         p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)
-        tree = _grow_boost_tree(X, p - y, p * (1.0 - p), np.arange(n), 0,
-                                hp["max_depth"], lam)
+        tree = _fit_boost_tree(X, p - y, p * (1.0 - p), ords, hp["max_depth"], lam)
         trees.append(tree)
         raw = raw + lr * _eval_tree(tree, X)
         p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)

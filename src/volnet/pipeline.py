@@ -274,14 +274,6 @@ def _series_cache(cfg: PipelineConfig, log: ingest.TransactionLog,
         return cache
 
 
-def _pick_k(ch_scores: Mapping[int, float]) -> int:
-    best = min(ch_scores)
-    for k in sorted(ch_scores):
-        if ch_scores[k] > ch_scores[best]:
-            best = k
-    return best
-
-
 def _cluster_scope(cfg: PipelineConfig, scope: ScopeResult,
                    warnings_out: list[str]) -> None:
     n = len(scope.users)
@@ -292,11 +284,10 @@ def _cluster_scope(cfg: PipelineConfig, scope: ScopeResult,
         warnings_out.append(f"cluster: scope {scope.name} skipped: {scope.skipped}")
         return
     data = {u: scope.series[u].values for u in scope.users}
-    scope.ch_scores = tscluster.ch_scan(
+    scope.ch_scores, fitted = tscluster.ch_scan(
         data, (cfg.k_min, k_max_eff), metric=cfg.metric, seed=cfg.seed, gamma=cfg.gamma)
-    scope.chosen_k = _pick_k(scope.ch_scores)
-    scope.model = tscluster.kmeans_ts(
-        data, scope.chosen_k, metric=cfg.metric, seed=cfg.seed, gamma=cfg.gamma)
+    scope.chosen_k = tscluster.best_k(scope.ch_scores)
+    scope.model = fitted[scope.chosen_k]
     scope.labels = tscluster.label_archetypes(scope.model)
 
 

@@ -314,16 +314,28 @@ def ch_scan(
     seed: int = 0,
     max_iter: int = 100,
     gamma: float = 1.0,
-) -> dict[int, float]:
-    """Fit K-means for each k in the inclusive range and score it."""
+) -> tuple[dict[int, float], dict[int, ClusterModel]]:
+    """Fit K-means for each k in the inclusive range; return the score and
+    the fitted model of each k."""
     k_min, k_max = k_range
     if k_min > k_max or k_min < 2:
         raise ValueError(f"bad k range [{k_min}, {k_max}]")
     scores: dict[int, float] = {}
+    fitted: dict[int, ClusterModel] = {}
     for k in range(k_min, k_max + 1):
-        model = kmeans_ts(data, k, metric=metric, seed=seed, max_iter=max_iter, gamma=gamma)
-        scores[k] = calinski_harabasz(data, model)
-    return scores
+        fitted[k] = kmeans_ts(data, k, metric=metric, seed=seed, max_iter=max_iter, gamma=gamma)
+        scores[k] = calinski_harabasz(data, fitted[k])
+    return scores, fitted
+
+
+def best_k(scores: Mapping[int, float]) -> int:
+    """Argmax of the variance-ratio criterion; ties (and the all-degenerate
+    case where every k scores ``inf``) resolve to the smallest k."""
+    best = min(scores)
+    for k in sorted(scores):
+        if scores[k] > scores[best]:
+            best = k
+    return best
 
 
 def select_k(
@@ -334,15 +346,9 @@ def select_k(
     max_iter: int = 100,
     gamma: float = 1.0,
 ) -> int:
-    """Argmax of the variance-ratio criterion over ``k_range``; ties (and
-    the all-degenerate case where every k scores ``inf``) resolve to the
-    smallest k."""
-    scores = ch_scan(data, k_range, metric=metric, seed=seed, max_iter=max_iter, gamma=gamma)
-    best_k = min(scores)
-    for k in sorted(scores):
-        if scores[k] > scores[best_k]:
-            best_k = k
-    return best_k
+    """:func:`best_k` over a :func:`ch_scan` of ``k_range``."""
+    return best_k(ch_scan(data, k_range, metric=metric, seed=seed, max_iter=max_iter,
+                          gamma=gamma)[0])
 
 
 def label_archetypes(

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import warnings
+from functools import partial
+
 import numpy as np
 import pytest
 
 from volnet.models import (
+    _best_split,
+    _gini_gain,
+    _second_order_gain,
     ALGORITHMS,
     DEFAULT_HYPERPARAMS,
     kfold_cv,
@@ -135,6 +141,107 @@ class TestDecisionTree:
                       hyperparams={"max_depth": 6, "min_samples_leaf": 6})
         # No admissible cut: the root is a leaf at the class-1 prior.
         assert np.allclose(model.scores(X), y.mean())
+
+
+class TestAdjacentFloatThreshold:
+    # (a + b) / 2 rounds up to b for these two neighbouring floats.
+    LO, HI = 0.324332134658142, 0.32433213465814204
+
+    @pytest.mark.parametrize("algorithm", ["decision_tree", "gbdt"])
+    def test_cut_separates_neighbouring_values(self, algorithm):
+        assert (self.LO + self.HI) / 2 == self.HI
+        X = np.array([[self.LO], [self.HI]])
+        y = np.array([0, 1])
+        hp = {"min_samples_leaf": 1} if algorithm == "decision_tree" else {"n_rounds": 10}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train(algorithm, X, y, hyperparams=hp)
+        assert list(predict_labels(model, X)) == [0, 1]
+
+
+def brute_force_split(X, rows, features, gain_of, min_leaf, min_gain):
+    """Exhaustive search: every feature, every cut between distinct values."""
+    best = None
+    for j in features:
+        values = sorted(set(X[rows, j].tolist()))
+        top = None  # first maximum over this feature's cuts, lowest threshold first
+        for lo, hi in zip(values, values[1:]):
+            left = [r for r in rows if X[r, j] <= lo]
+            right = [r for r in rows if X[r, j] > lo]
+            if len(left) < min_leaf or len(right) < min_leaf:
+                continue
+            gain = gain_of(left, right)
+            if top is None or gain > top[0]:
+                top = (gain, int(j), lo, hi)
+        if top is None or not top[0] > min_gain:
+            continue
+        if best is None or top[0] > best[0] + 1e-12:
+            best = top
+    if best is None:
+        return None
+    gain, j, lo, hi = best
+    mid = (lo + hi) / 2
+    return gain, j, mid if mid < hi else lo
+
+
+def gini_of(labels):
+    p = sum(labels) / len(labels)
+    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+
+
+class TestSplitSearchOracle:
+    """The shared split search against an exhaustive loop. Statistics are
+    small dyadic numbers, so every sum is exact and ties in gain are real."""
+
+    def random_node(self, rng):
+        n, d = int(rng.integers(2, 14)), int(rng.integers(1, 5))
+        pool = rng.random(3)
+        pool = np.concatenate([pool, np.nextafter(pool, 1.0)])  # adjacent floats too
+        X = rng.choice(pool, size=(n, d))  # few distinct values: repeats
+        rows = np.flatnonzero(rng.random(n) < 0.8)
+        if rows.size == 0:
+            rows = np.arange(n)
+        features = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+        order = np.argsort(X, axis=0, kind="stable").T
+        ords = order[np.isin(order, rows)].reshape(d, -1)
+        return X, rows, features, ords
+
+    def test_gini_gain(self):
+        rng = np.random.default_rng(1)
+        for _ in range(400):
+            X, rows, features, ords = self.random_node(rng)
+            y = rng.integers(0, 2, size=X.shape[0])
+            min_leaf = int(rng.integers(1, 4))
+            g, h = y.astype(float), np.ones(y.size)
+
+            def gain_of(left, right):
+                n = len(left) + len(right)
+                child = (len(left) * gini_of(y[left]) + len(right) * gini_of(y[right])) / n
+                return gini_of(y[left + right]) - child
+
+            got = _best_split(X, ords, features, g, h, g[rows].sum(), h[rows].sum(),
+                              _gini_gain, min_leaf, -np.inf)
+            want = brute_force_split(X, rows.tolist(), features, gain_of, min_leaf, -np.inf)
+            assert got == want
+
+    def test_second_order_gain(self):
+        rng = np.random.default_rng(2)
+        lam = 1.0
+        for _ in range(400):
+            X, rows, features, ords = self.random_node(rng)
+            g = rng.integers(-4, 5, size=X.shape[0]) / 8.0
+            h = rng.integers(1, 5, size=X.shape[0]) / 8.0
+
+            def gain_of(left, right):
+                gl, hl = sum(g[left]), sum(h[left])
+                gr, hr = sum(g[right]), sum(h[right])
+                G, H = gl + gr, hl + hr
+                return 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam))
+
+            got = _best_split(X, ords, features, g, h, g[rows].sum(), h[rows].sum(),
+                              partial(_second_order_gain, lam=lam), 1, 1e-12)
+            want = brute_force_split(X, rows.tolist(), features, gain_of, 1, 1e-12)
+            assert got == want
 
 
 class TestNaiveBayes:

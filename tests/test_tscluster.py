@@ -13,6 +13,7 @@ from volnet.tscluster import (
     ARCHETYPES,
     ArchetypeLabel,
     ClusterModel,
+    best_k,
     calinski_harabasz,
     ch_scan,
     dtw,
@@ -269,9 +270,23 @@ class TestKSelection:
 
     def test_scan_covers_full_range(self):
         data = four_level_groups()
-        scores = ch_scan(data, k_range=(2, 6), seed=0)
+        scores, _ = ch_scan(data, k_range=(2, 6), seed=0)
         assert sorted(scores) == [2, 3, 4, 5, 6]
         assert all(np.isfinite(v) or v == float("inf") for v in scores.values())
+
+    def test_scan_returns_the_model_it_scored(self):
+        data = four_level_groups()
+        scores, fitted = ch_scan(data, k_range=(2, 4), seed=5)
+        assert sorted(fitted) == [2, 3, 4]
+        for k, model in fitted.items():
+            again = kmeans_ts(data, k, seed=5)
+            assert model.assignment == again.assignment
+            assert np.array_equal(model.centroids, again.centroids)
+            assert calinski_harabasz(data, model) == scores[k]
+
+    def test_best_k_ties_go_to_smallest(self):
+        assert best_k({4: 2.0, 5: 3.0, 6: 3.0}) == 5
+        assert best_k({4: float("inf"), 5: float("inf")}) == 4
 
     def test_all_degenerate_ties_resolve_to_smallest_k(self):
         data = {f"u{i}": [0.5, 0.5] for i in range(6)}
