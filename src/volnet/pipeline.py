@@ -286,6 +286,13 @@ def _cluster_scope(cfg: PipelineConfig, scope: ScopeResult,
     data = {u: scope.series[u].values for u in scope.users}
     scope.ch_scores, fitted = tscluster.ch_scan(
         data, (cfg.k_min, k_max_eff), metric=cfg.metric, seed=cfg.seed, gamma=cfg.gamma)
+    for k, fit in sorted(fitted.items()):
+        if not fit.converged:
+            warnings_out.append(f"cluster: scope {scope.name} k={k}: assignments still changing "
+                                f"after {len(fit.inertia_history)} sweeps (max_iter cap)")
+        if fit.dba_capped:
+            warnings_out.append(f"cluster: scope {scope.name} k={k}: {fit.dba_capped} DBA "
+                                f"update(s) stopped at the inner-iteration cap")
     scope.chosen_k = tscluster.best_k(scope.ch_scores)
     scope.model = fitted[scope.chosen_k]
     scope.labels = tscluster.label_archetypes(scope.model)

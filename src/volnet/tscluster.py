@@ -4,6 +4,17 @@ Distances are kept in squared form: ``euclidean_sq`` is the sum of squared
 differences and the DTW variants accumulate squared pointwise costs, so
 the three metrics are directly comparable and argmin-equivalent to their
 square-rooted counterparts.
+
+DTW and soft-DTW share one kernel (``_warp``) that fills the warping
+tables of many (series, centroid) pairs at once: NumPy operations run
+over all pairs and one anti-diagonal of cells at a time, doing the same
+float operations in the same order as a cell-by-cell loop over one pair,
+so results do not depend on how pairs are batched.  The k-means
+assignment step and each k-means++ pick are one call over all pairs,
+keeping three diagonals per pair; a DBA iteration fills the full tables
+of a cluster's members in one call and backtracks their paths together.
+The scalar ``dtw``, ``dtw_path`` and ``soft_dtw`` are the same kernel on
+a single pair.
 """
 
 from __future__ import annotations
@@ -35,6 +46,10 @@ class ClusterModel:
     inertia: float
     seed: int
     inertia_history: tuple[float, ...] = field(default=())
+    # Fit diagnostics, not serialized: whether assignments stabilized within
+    # max_iter sweeps, and how many DBA updates stopped at their inner cap.
+    converged: bool = True
+    dba_capped: int = 0
 
     def members(self, cluster: int) -> list[str]:
         return sorted(u for u, c in self.assignment.items() if c == cluster)
@@ -62,24 +77,87 @@ def euclidean_sq(a, b) -> float:
     return float(np.sum((a - b) ** 2))
 
 
-def _local_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.size == 0 or b.size == 0:
+def _warp(a: np.ndarray, b: np.ndarray, gamma: float | None = None,
+          keep: bool = False) -> np.ndarray:
+    """Accumulated warping cost of every pair of rows of ``a`` and ``b``.
+
+    ``a`` has shape (..., n) and ``b`` shape (..., m); their leading axes
+    broadcast to the batch of pairs.  Cell (i, j) costs ``(a_i - b_j)**2``;
+    the first row and column are cumulative sums, and every other cell adds
+    its cost to the minimum of its diagonal, up and left neighbours (the
+    soft minimum with temperature ``gamma`` when one is given).  Cells are
+    swept one anti-diagonal (i + j = d) at a time for all pairs at once.
+    Returns the final cell of each pair, holding only three diagonals; with
+    ``keep`` it returns every diagonal instead, ``out[i + j, ..., i]`` being
+    cell (i, j) (entries outside the table are 0).
+    """
+    n, m = a.shape[-1], b.shape[-1]
+    if n == 0 or m == 0:
         raise ValueError("empty series")
-    return (a[:, None] - b[None, :]) ** 2
+    batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    b_rev = b[..., ::-1]
+    slots = n + m - 1 if keep else 3
+    diags = np.zeros((slots,) + batch + (n,))
+    for d in range(n + m - 1):
+        cur, prev, prev2 = diags[d % slots], diags[(d - 1) % slots], diags[(d - 2) % slots]
+        if d < m:  # cell (0, d) of the first row
+            cur[..., :1] = (a[..., :1] - b[..., d:d + 1]) ** 2
+            if d:
+                cur[..., :1] += prev[..., :1]
+        if 0 < d < n:  # cell (d, 0) of the first column
+            cur[..., d:d + 1] = (a[..., d:d + 1] - b[..., :1]) ** 2 + prev[..., d - 1:d]
+        lo, hi = max(1, d - m + 1), min(n - 1, d - 1)
+        if lo > hi:
+            continue
+        cost = (a[..., lo:hi + 1] - b_rev[..., m - 1 - d + lo:m - d + hi]) ** 2
+        diag, up, left = prev2[..., lo - 1:hi], prev[..., lo - 1:hi], prev[..., lo:hi + 1]
+        if gamma is None:
+            np.add(cost, np.minimum(np.minimum(diag, up), left), out=cur[..., lo:hi + 1])
+        else:
+            cur[..., lo:hi + 1] = cost - gamma * np.logaddexp(
+                np.logaddexp(-diag / gamma, -up / gamma), -left / gamma)
+    return diags if keep else diags[(n + m - 2) % slots][..., n - 1].copy()
 
 
-def _dtw_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    cost = _local_cost(a, b)
-    n, m = cost.shape
-    acc = np.empty_like(cost)
-    acc[0, :] = np.cumsum(cost[0, :])
-    acc[:, 0] = np.cumsum(cost[:, 0])
-    for i in range(1, n):
-        row_prev = acc[i - 1]
-        row = acc[i]
-        for j in range(1, m):
-            row[j] = cost[i, j] + min(row_prev[j - 1], row_prev[j], row[j - 1])
-    return acc
+def _backtrack(tables: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One optimal path per pair through kept :func:`_warp` tables of batch
+    shape (P,), walked back from (n-1, m-1) for all pairs at once; ties
+    prefer the diagonal step, then up (i - 1), then left (j - 1).
+
+    Returns ``(pair, i, j)`` of every path cell, pair-major and in
+    ascending path order.
+    """
+    pairs = np.arange(tables.shape[1])
+    i = np.full(pairs.size, n - 1)
+    j = np.full(pairs.size, m - 1)
+    cells_i, cells_j, moved = [i], [j], [np.ones(pairs.size, dtype=bool)]
+    for _ in range(n + m - 2):
+        live = (i > 0) | (j > 0)
+        d = np.maximum(i + j - 1, 0)
+        back = np.maximum(i - 1, 0)
+        diag = tables[np.maximum(d - 1, 0), pairs, back]
+        up = tables[d, pairs, back]
+        left = tables[d, pairs, i]
+        best = np.minimum(np.minimum(diag, up), left)
+        go_diag = (i > 0) & (j > 0) & (diag == best)
+        go_up = (i > 0) & ~go_diag & ((j == 0) | (up == best))
+        go_left = live & ~go_diag & ~go_up
+        i = i - (go_diag | go_up)
+        j = j - (go_diag | go_left)
+        cells_i.append(i)
+        cells_j.append(j)
+        moved.append(live)
+    keep = np.stack(moved, axis=1)[:, ::-1]
+    return (np.nonzero(keep)[0], np.stack(cells_i, axis=1)[:, ::-1][keep],
+            np.stack(cells_j, axis=1)[:, ::-1][keep])
+
+
+def _series_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or b.ndim != 1:
+        raise ValueError("series must be one-dimensional")
+    return a, b
 
 
 def dtw(a, b) -> float:
@@ -89,34 +167,16 @@ def dtw(a, b) -> float:
     zero on identical series, and never above ``euclidean_sq`` for
     equal-length inputs (the diagonal path is admissible).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(_dtw_table(a, b)[-1, -1])
+    a, b = _series_pair(a, b)
+    return float(_warp(a, b))
 
 
 def dtw_path(a, b) -> tuple[float, list[tuple[int, int]]]:
     """DTW cost plus one optimal alignment path (ties prefer the diagonal)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    acc = _dtw_table(a, b)
-    i, j = acc.shape[0] - 1, acc.shape[1] - 1
-    path = [(i, j)]
-    while i > 0 or j > 0:
-        if i == 0:
-            j -= 1
-        elif j == 0:
-            i -= 1
-        else:
-            best = min(acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
-            if acc[i - 1, j - 1] == best:
-                i, j = i - 1, j - 1
-            elif acc[i - 1, j] == best:
-                i -= 1
-            else:
-                j -= 1
-        path.append((i, j))
-    path.reverse()
-    return float(acc[-1, -1]), path
+    a, b = _series_pair(a, b)
+    tables = _warp(a[None], b, keep=True)
+    _, i, j = _backtrack(tables, a.size, b.size)
+    return float(tables[-1, 0, -1]), list(zip(i.tolist(), j.tolist()))
 
 
 def soft_dtw(a, b, gamma: float = 1.0) -> float:
@@ -128,24 +188,8 @@ def soft_dtw(a, b, gamma: float = 1.0) -> float:
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    cost = _local_cost(a, b)
-    n, m = cost.shape
-    acc = np.empty_like(cost)
-    acc[0, 0] = cost[0, 0]
-    for i in range(1, n):
-        acc[i, 0] = cost[i, 0] + acc[i - 1, 0]
-    for j in range(1, m):
-        acc[0, j] = cost[0, j] + acc[0, j - 1]
-    for i in range(1, n):
-        for j in range(1, m):
-            stacked = np.logaddexp(
-                np.logaddexp(-acc[i - 1, j - 1] / gamma, -acc[i - 1, j] / gamma),
-                -acc[i, j - 1] / gamma,
-            )
-            acc[i, j] = cost[i, j] - gamma * stacked
-    return float(acc[-1, -1])
+    a, b = _series_pair(a, b)
+    return float(_warp(a, b, gamma))
 
 
 def _as_matrix(data) -> tuple[list[str], np.ndarray]:
@@ -163,25 +207,10 @@ def _as_matrix(data) -> tuple[list[str], np.ndarray]:
     return users, np.vstack([arr for _, arr in items])
 
 
-def _metric_fn(metric: str, gamma: float):
-    if metric == "euclidean":
-        return euclidean_sq
-    if metric == "dtw":
-        return dtw
-    if metric == "softdtw":
-        return lambda a, b: soft_dtw(a, b, gamma)
-    raise ValueError(f"unknown metric {metric!r} (expected one of {METRICS})")
-
-
 def _distances_to_centroids(X: np.ndarray, centroids: np.ndarray, metric: str, gamma: float) -> np.ndarray:
     if metric == "euclidean":
         return ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    fn = _metric_fn(metric, gamma)
-    out = np.empty((X.shape[0], centroids.shape[0]))
-    for i in range(X.shape[0]):
-        for c in range(centroids.shape[0]):
-            out[i, c] = fn(X[i], centroids[c])
-    return out
+    return _warp(X[:, None, :], centroids[None, :, :], gamma if metric == "softdtw" else None)
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, metric: str, gamma: float, rng: np.random.Generator) -> np.ndarray:
@@ -202,22 +231,22 @@ def _kmeans_pp_init(X: np.ndarray, k: int, metric: str, gamma: float, rng: np.ra
     return X[chosen].copy()
 
 
-def _dba_update(members: np.ndarray, init: np.ndarray, max_inner: int = 30) -> np.ndarray:
-    """DTW barycenter averaging started from ``init`` (capped iterations)."""
+def _dba_update(members: np.ndarray, init: np.ndarray,
+                max_inner: int = 30) -> tuple[np.ndarray, bool]:
+    """DTW barycenter averaging started from ``init``; also returns whether
+    it settled within ``max_inner`` iterations.  Each iteration aligns every
+    member to the centroid in one batched table fill and backtrack."""
+    n, m = members.shape[1], init.shape[0]
     centroid = init.copy()
     for _ in range(max_inner):
-        sums = np.zeros_like(centroid)
-        counts = np.zeros_like(centroid)
-        for row in members:
-            _, path = dtw_path(row, centroid)
-            for i, j in path:
-                sums[j] += row[i]
-                counts[j] += 1.0
+        owner, i, j = _backtrack(_warp(members, centroid, keep=True), n, m)
+        sums = np.bincount(j, weights=members[owner, i], minlength=m)
+        counts = np.bincount(j, minlength=m).astype(float)
         updated = np.where(counts > 0, sums / np.maximum(counts, 1.0), centroid)
         if np.max(np.abs(updated - centroid)) < 1e-8:
-            return updated
+            return updated, True
         centroid = updated
-    return centroid
+    return centroid, False
 
 
 def kmeans_ts(
@@ -232,28 +261,42 @@ def kmeans_ts(
 
     Initialization is seeded k-means++; the assignment step uses the chosen
     metric (ties toward the lower cluster id) and the update step is the
-    pointwise mean for ``euclidean`` or DTW barycenter averaging for the
-    warping metrics.  Stops when assignments stabilize or after
-    ``max_iter`` sweeps.  Deterministic for a fixed seed.
+    pointwise mean for ``euclidean`` or DTW barycenter averaging (at most
+    30 iterations per cluster and sweep) for the warping metrics.  For the
+    warping metrics each seeding pick and each assignment step is one
+    batched kernel call over all (series, centroid) pairs, and each DBA
+    iteration aligns all members of a cluster in one call.  Stops when
+    assignments stabilize or after ``max_iter`` sweeps; the model's
+    ``converged`` and ``dba_capped`` report whether either cap was hit.
+    Deterministic for a fixed seed.
 
     ``inertia`` is the metric-distance sum to assigned centroids; for
     ``softdtw`` it can be negative (soft minima admit negative values).
+    ``softdtw`` assigns by soft-DTW but still updates centroids with
+    hard-DTW DBA, which does not minimise soft-DTW, so its
+    ``inertia_history`` can rise between sweeps.
     """
     users, X = _as_matrix(data)
     n = X.shape[0]
     if not 2 <= k <= n:
         raise ValueError(f"k={k} outside [2, {n}]")
-    _metric_fn(metric, gamma)  # validate name early
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r} (expected one of {METRICS})")
+    if metric == "softdtw" and gamma <= 0:
+        raise ValueError("gamma must be > 0")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(X, k, metric, gamma, rng)
     history: list[float] = []
     prev: np.ndarray | None = None
     assign = np.zeros(n, dtype=int)
+    converged = False
+    dba_capped = 0
     for sweep in range(max_iter):
         dists = _distances_to_centroids(X, centroids, metric, gamma)
         assign = dists.argmin(axis=1)
         history.append(float(dists[np.arange(n), assign].sum()))
         if prev is not None and np.array_equal(assign, prev):
+            converged = True
             break
         prev = assign
         if sweep == max_iter - 1:
@@ -265,7 +308,8 @@ def kmeans_ts(
             if metric == "euclidean":
                 centroids[c] = members.mean(axis=0)
             else:
-                centroids[c] = _dba_update(members, centroids[c])
+                centroids[c], settled = _dba_update(members, centroids[c])
+                dba_capped += not settled
     return ClusterModel(
         k=k,
         metric=metric,
@@ -274,6 +318,8 @@ def kmeans_ts(
         inertia=history[-1],
         seed=seed,
         inertia_history=tuple(history),
+        converged=converged,
+        dba_capped=dba_capped,
     )
 
 

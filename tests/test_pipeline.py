@@ -389,6 +389,41 @@ class TestManifest:
             assert w in payload["warnings"]
 
 
+class TestIterationCapWarnings:
+    """A k-means fit that hits max_iter, or a DBA update that hits its inner
+    cap, leaves a ``cluster:`` line in the manifest warnings."""
+
+    def _cluster(self, data_dir, tmp_path) -> list[str]:
+        cfg_path = tmp_path / "warp.cfg"
+        cfg_path.write_text("metric = dtw\ninterval = monthly\n")
+        out = tmp_path / "out"
+        rc = cli.main(["cluster", "--transactions", data_dir["transactions"],
+                       "--events", data_dir["events"], "--config", str(cfg_path),
+                       "--seed", "11", "--out", str(out)])
+        assert rc == 0
+        with open(out / "manifest.json", encoding="utf-8") as fh:
+            return json.load(fh)["warnings"]
+
+    def test_default_caps_do_not_fire(self, run, data_dir, tmp_path):
+        _, m1, _, _ = run
+        assert not [w for w in m1.warnings if "cap" in w]
+        assert not [w for w in self._cluster(data_dir, tmp_path) if "cap" in w]
+
+    @pytest.mark.parametrize("name, force, needle", [
+        ("kmeans_ts", {"max_iter": 1}, "sweeps (max_iter cap)"),
+        ("kmeans_ts", {"max_iter": 2}, "sweeps (max_iter cap)"),
+        ("_dba_update", {"max_inner": 1}, "stopped at the inner-iteration cap"),
+    ])
+    def test_forced_cap_is_a_manifest_warning(self, data_dir, tmp_path, monkeypatch,
+                                              name, force, needle):
+        real = getattr(tscluster, name)
+        monkeypatch.setattr(tscluster, name,
+                            lambda *args, **kwargs: real(*args, **{**kwargs, **force}))
+        hits = [w for w in self._cluster(data_dir, tmp_path) if needle in w]
+        assert hits
+        assert all(w.startswith("cluster: scope ") for w in hits)
+
+
 # ---------------------------------------------------------------------------
 # best-model selection rule
 

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 import pytest
 
+from volnet import tscluster
 from volnet.behavior import DRSeries
 from volnet.tscluster import (
     ARCHETYPES,
     ArchetypeLabel,
     ClusterModel,
+    _dba_update,
+    _distances_to_centroids,
     best_k,
     calinski_harabasz,
     ch_scan,
@@ -30,30 +32,8 @@ from volnet.tscluster import (
     write_cluster_csv,
 )
 
+import dtw_reference as ref
 from conftest import at_day
-
-
-def dtw_brute(a, b) -> float:
-    """Exhaustive minimum over all monotone alignment paths."""
-    n, m = len(a), len(b)
-    best = [math.inf]
-
-    def walk(i: int, j: int, acc: float) -> None:
-        acc += (a[i] - b[j]) ** 2
-        if acc >= best[0]:
-            return
-        if i == n - 1 and j == m - 1:
-            best[0] = acc
-            return
-        if i + 1 < n and j + 1 < m:
-            walk(i + 1, j + 1, acc)
-        if i + 1 < n:
-            walk(i + 1, j, acc)
-        if j + 1 < m:
-            walk(i, j + 1, acc)
-
-    walk(0, 0, 0.0)
-    return best[0]
 
 
 class TestEuclidean:
@@ -97,7 +77,7 @@ class TestDTW:
         for _ in range(40):
             a = rng.integers(0, 4, size=int(rng.integers(2, 6))).astype(float)
             b = rng.integers(0, 4, size=int(rng.integers(2, 6))).astype(float)
-            assert dtw(a, b) == pytest.approx(dtw_brute(list(a), list(b)))
+            assert dtw(a, b) == pytest.approx(ref.dtw_brute(list(a), list(b)))
 
     def test_empty_series_raises(self):
         with pytest.raises(ValueError):
@@ -419,3 +399,76 @@ class TestWriters:
             "0,0,0.250000", "0,1,0.500000",
             "1,0,1.000000", "1,1,0.000000",
         ]
+
+
+def random_series(rng: np.random.Generator, shape, tied: bool) -> np.ndarray:
+    """Uniform values; ``tied`` quantises them to thirds so table cells tie."""
+    values = rng.random(shape)
+    return np.round(values * 3) / 3 if tied else values
+
+
+@pytest.mark.parametrize("tied", [False, True])
+class TestWarpKernelMatchesReference:
+    """The batched kernel against the per-pair loops in dtw_reference."""
+
+    def test_assignment_distances(self, tied):
+        rng = np.random.default_rng(101 + tied)
+        for _ in range(40):
+            length = int(rng.integers(1, 16))
+            X = random_series(rng, (int(rng.integers(1, 21)), length), tied)
+            C = random_series(rng, (int(rng.integers(1, 6)), length), tied)
+            want = np.array([[ref.dtw(x, c) for c in C] for x in X])
+            assert np.array_equal(_distances_to_centroids(X, C, "dtw", 1.0), want)
+
+    def test_dba_centroids(self, tied):
+        rng = np.random.default_rng(202 + tied)
+        for trial in range(30):
+            length = int(rng.integers(1, 16))
+            members = random_series(rng, (int(rng.integers(1, 21)), length), tied)
+            init = members[int(rng.integers(members.shape[0]))] if trial % 2 else (
+                random_series(rng, length, tied))
+            got, _ = _dba_update(members, init)
+            assert np.array_equal(got, ref.dba_update(members, init))
+
+    def test_paths_of_unequal_lengths(self, tied):
+        rng = np.random.default_rng(303 + tied)
+        for _ in range(100):
+            a = random_series(rng, int(rng.integers(1, 16)), tied)
+            b = random_series(rng, int(rng.integers(1, 16)), tied)
+            assert dtw_path(a, b) == ref.dtw_path(a, b)
+            assert dtw(a, b) == ref.dtw(a, b)
+
+    def test_soft_dtw_within_1e12(self, tied):
+        rng = np.random.default_rng(404 + tied)
+        for _ in range(30):
+            gamma = float(rng.choice([1.0, 0.3, 0.01]))
+            a = random_series(rng, int(rng.integers(1, 16)), tied)
+            b = random_series(rng, int(rng.integers(1, 16)), tied)
+            assert abs(soft_dtw(a, b, gamma) - ref.soft_dtw(a, b, gamma)) <= 1e-12
+            length = int(rng.integers(1, 16))
+            X = random_series(rng, (int(rng.integers(1, 21)), length), tied)
+            C = random_series(rng, (int(rng.integers(1, 6)), length), tied)
+            want = np.array([[ref.soft_dtw(x, c, gamma) for c in C] for x in X])
+            got = _distances_to_centroids(X, C, "softdtw", gamma)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestIterationCaps:
+    def test_settled_fit_reports_no_cap(self):
+        model = kmeans_ts(two_blobs(), k=2, metric="dtw", seed=0)
+        assert model.converged
+        assert model.dba_capped == 0
+
+    def test_max_iter_cap_is_reported(self):
+        model = kmeans_ts(two_blobs(n_per=10, seed=2), k=4, seed=3, max_iter=1)
+        assert not model.converged
+        assert len(model.inertia_history) == 1
+
+    def test_dba_inner_cap_is_reported(self, monkeypatch):
+        monkeypatch.setattr(tscluster, "_dba_update",
+                            lambda members, init: _dba_update(members, init, max_inner=1))
+        model = kmeans_ts(two_blobs(), k=2, metric="dtw", seed=0)
+        assert model.dba_capped > 0
+        members = np.array(list(two_blobs().values()))
+        assert _dba_update(members, members[0], max_inner=1)[1] is False
+        assert _dba_update(members, members[0])[1] is True
