@@ -6,7 +6,7 @@ predict from three months of early activity whether a user's giving trend
 will stay stable or change, with Shapley-value explanations.
 """
 
-from .behavior import DRSeries, donors_ratio, dr_series, detect_hubs
+from .behavior import DRSeries, dr_series, detect_hubs
 from .community import Partition, louvain, modularity
 from .graph import TransactionGraph, build_graph, ego_network, pagerank
 from .ingest import (
@@ -50,7 +50,6 @@ __all__ = [
     "build_graph",
     "calinski_harabasz",
     "detect_hubs",
-    "donors_ratio",
     "dr_series",
     "dtw",
     "ego_network",

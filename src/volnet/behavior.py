@@ -55,25 +55,6 @@ class DRSeries:
         return len(self.values)
 
 
-def donors_ratio(u: str, t1: datetime, t2: datetime, log: TransactionLog) -> float | None:
-    """DR of ``u`` over transactions with ``collected_at`` in [t1, t2);
-    None when the user has no transactions in the window."""
-    if not t1 < t2:
-        raise ValueError("window start must precede window end")
-    listings = 0
-    pickups = 0
-    for t in log.transactions:
-        if not t1 <= t.collected_at < t2:
-            continue
-        if t.lister_id == u:
-            listings += 1
-        elif t.collector_id == u:
-            pickups += 1
-    if listings + pickups == 0:
-        return None
-    return listings / (listings + pickups)
-
-
 def _interpolate(raw: list[float | None]) -> tuple[list[float], list[bool]]:
     """Fill gaps linearly between defined neighbors; boundary gaps copy the
     nearest defined value."""
@@ -123,11 +104,7 @@ def dr_series(
     if n_points < 1:
         raise ValueError("horizon shorter than one interval")
 
-    t0: datetime | None = None
-    for t in log.transactions:
-        if u in (t.lister_id, t.collector_id):
-            t0 = t.collected_at
-            break
+    t0 = log.first_activity.get(u)
     if t0 is None:
         raise SeriesError(f"user {u!r} has no transactions")
 

@@ -13,8 +13,7 @@ import argparse
 import os
 import sys
 
-from . import community, graph as graphmod, ingest, pipeline, synthgen
-from .behavior import write_series_csv
+from . import behavior, community, graph as graphmod, ingest, pipeline, synthgen
 from .pipeline import PipelineStageError
 
 
@@ -96,9 +95,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_communities(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     os.makedirs(cfg.out, exist_ok=True)
-    log = pipeline._load_log(cfg)
-    net = pipeline._build_network(log)
-    part = pipeline._detect_communities(cfg, net)
+    log = pipeline.load_log(cfg)
+    net = pipeline.build_network(log)
+    part = pipeline.detect_communities(cfg, net)
     community.write_partition_csv(part, os.path.join(cfg.out, "partition.csv"))
     graphmod.write_edges_csv(net, os.path.join(cfg.out, "edges.csv"))
     sizes = community.community_sizes(part)
@@ -113,20 +112,28 @@ def _cmd_communities(args: argparse.Namespace) -> int:
 def _cmd_behavior(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     os.makedirs(cfg.out, exist_ok=True)
-    log = pipeline._load_log(cfg)
-    net = pipeline._build_network(log)
-    key = pipeline._select_key_users(cfg, log, net)
+    log = pipeline.load_log(cfg)
+    net = pipeline.build_network(log)
+    key = pipeline.select_key_users(cfg, log, net)
     warnings_out: list[str] = []
-    cache = pipeline._series_cache(cfg, log, sorted(key.ids), warnings_out)
+    cache = pipeline.series_cache(cfg, log, sorted(key.ids), warnings_out)
     path = os.path.join(cfg.out, "dr_series_network.csv")
-    write_series_csv(list(cache.values()), path)
+    behavior.write_series_csv(list(cache.values()), path)
     print(f"{len(cache)} donors-ratio series ({cfg.interval}) -> {path}")
     for w in warnings_out:
         print(f"  warning: {w}")
     return 0
 
 
-def _print_method1(m1: pipeline.Method1Result) -> None:
+def _cmd_run(args: argparse.Namespace) -> int:
+    """Run the pipeline through the subcommand's last stage, then write the
+    manifest and summarize what each stage produced."""
+    cfg = _config_from(args)
+    m1 = pipeline.run_method1(cfg)
+    m2 = None if args.through == "cluster" else pipeline.run_method2(cfg, m1, through=args.through)
+    artifacts = {**m1.artifacts, **(m2.artifacts if m2 else {})}
+    warnings = m1.warnings + (m2.warnings if m2 else [])
+    manifest = pipeline.write_manifest(cfg, artifacts, warnings)
     for name, scope in m1.scopes.items():
         if scope.skipped:
             print(f"scope {name}: skipped ({scope.skipped})")
@@ -137,59 +144,18 @@ def _print_method1(m1: pipeline.Method1Result) -> None:
             counts[lab] = counts.get(lab, 0) + 1
         mix = ", ".join(f"{lab}={counts[lab]}" for lab in sorted(counts))
         print(f"scope {name}: {len(scope.users)} users, chose k={scope.chosen_k}, {mix}")
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    m1 = pipeline.run_method1(cfg)
-    pipeline.write_manifest(cfg, m1.artifacts, m1.warnings)
-    _print_method1(m1)
-    return 0
-
-
-def _run_through(args: argparse.Namespace, through: str) -> int:
-    cfg = _config_from(args)
-    m1 = pipeline.run_method1(cfg)
-    m2 = pipeline.run_method2(cfg, m1, through=through)
-    pipeline.write_manifest(cfg, {**m1.artifacts, **m2.artifacts},
-                            m1.warnings + m2.warnings)
-    _print_method1(m1)
-    for name, vecs in m2.vectors.items():
-        print(f"scope {name}: {len(vecs)} feature vectors")
-    if through in ("train", "explain"):
+    if m2:
+        for name, vecs in m2.vectors.items():
+            print(f"scope {name}: {len(vecs)} feature vectors")
         for (name, case), alg in sorted(m2.best.items()):
             rows = [r for a, c, r in m2.eval_rows[name] if c == case and a == alg]
             print(f"scope {name} case {case}: best {alg} "
                   f"(accuracy {rows[0].mean_accuracy:.3f}, f1 {rows[0].mean_f1:.3f})")
-    if through == "explain":
         for (name, case), ranked in sorted(m2.importances.items()):
             top = ", ".join(f"{f}={v:.4f}" for f, v in ranked[:3])
             print(f"scope {name} case {case}: top features {top}")
-    for w in m1.warnings + m2.warnings:
+    for w in warnings:
         print(f"  warning: {w}")
-    return 0
-
-
-def _cmd_features(args: argparse.Namespace) -> int:
-    return _run_through(args, "features")
-
-
-def _cmd_train(args: argparse.Namespace) -> int:
-    return _run_through(args, "train")
-
-
-def _cmd_explain(args: argparse.Namespace) -> int:
-    return _run_through(args, "explain")
-
-
-def _cmd_run_all(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    m1, m2, manifest = pipeline.run_all(cfg)
-    _print_method1(m1)
-    for (name, case), alg in sorted(m2.best.items()):
-        print(f"scope {name} case {case}: best model {alg}")
-    for (name, case), ranked in sorted(m2.importances.items()):
-        print(f"scope {name} case {case}: top feature {ranked[0][0]}")
     print(f"manifest: {manifest}")
     return 0
 
@@ -233,30 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
     _data_args(p)
     p.set_defaults(func=_cmd_behavior)
 
-    p = sub.add_parser("cluster", parents=[common],
-                       help="full Method 1: communities, series, clustering, archetypes")
-    _data_args(p)
-    p.set_defaults(func=_cmd_cluster)
-
-    p = sub.add_parser("features", parents=[common],
-                       help="Method 1 plus feature assembly at the cutoff")
-    _data_args(p)
-    p.set_defaults(func=_cmd_features)
-
-    p = sub.add_parser("train", parents=[common],
-                       help="Method 1 + features + cross-validated model training")
-    _data_args(p)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("explain", parents=[common],
-                       help="full Method 2 including Shapley attributions")
-    _data_args(p)
-    p.set_defaults(func=_cmd_explain)
-
-    p = sub.add_parser("run-all", parents=[common],
-                       help="both methods end to end with a verified manifest")
-    _data_args(p)
-    p.set_defaults(func=_cmd_run_all)
+    for command, through, text in (
+            ("cluster", "cluster", "full Method 1: communities, series, clustering, archetypes"),
+            ("features", "features", "Method 1 plus feature assembly at the cutoff"),
+            ("train", "train", "Method 1 + features + cross-validated model training"),
+            ("explain", "explain", "full Method 2 including Shapley attributions"),
+            ("run-all", "explain", "both methods end to end with a verified manifest")):
+        p = sub.add_parser(command, parents=[common], help=text)
+        _data_args(p)
+        p.set_defaults(func=_cmd_run, through=through)
     return parser
 
 
@@ -265,10 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PipelineStageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (PipelineStageError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

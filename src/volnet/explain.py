@@ -21,6 +21,7 @@ import numpy as np
 from .models import TrainedClassifier
 
 EXACT_MAX_FEATURES = 12
+MIN_PERMUTATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,8 @@ def shapley_mc(
     is the score change when it flips. Deterministic per seed.
     """
     x, background = _check_inputs(model, x, background)
-    if n_permutations < 100:
-        raise ValueError("need at least 100 permutations")
+    if n_permutations < MIN_PERMUTATIONS:
+        raise ValueError(f"need at least {MIN_PERMUTATIONS} permutations")
     d = x.shape[0]
     rng = np.random.default_rng(seed)
 
@@ -148,38 +149,41 @@ def importance_from_attributions(
     return [(name, float(value)) for name, value in ranked]
 
 
-def global_importance(
-    model: TrainedClassifier,
-    X,
-    background,
-    seed: int = 0,
-    n_permutations: int = 300,
-    max_rows: int | None = None,
-) -> list[tuple[str, float]]:
-    """Mean |attribution| per feature over the rows of ``X``, descending.
-
-    Ties order alphabetically. Rows beyond ``max_rows`` (when set) are
-    skipped via a seeded subsample, keeping large runs cheap.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    rng = np.random.default_rng(seed)
-    if max_rows is not None and X.shape[0] > max_rows:
-        keep = np.sort(rng.choice(X.shape[0], size=max_rows, replace=False))
-        X = X[keep]
-    atts = [shapley_mc(model, X[i], background,
-                       n_permutations=n_permutations, seed=seed + 1 + i)
-            for i in range(X.shape[0])]
-    return importance_from_attributions(atts, model.feature_names)
+def _seeded_rows(n: int, size: int, seed: int) -> np.ndarray:
+    """Sorted indices of ``size`` of ``n`` rows drawn without replacement;
+    every row when ``n <= size``."""
+    if n <= size:
+        return np.arange(n)
+    return np.sort(np.random.default_rng(seed).choice(n, size=size, replace=False))
 
 
 def background_sample(X, size: int = 100, seed: int = 0) -> np.ndarray:
     """Seeded background subsample (at most ``size`` rows) for the value function."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] <= size:
-        return X.copy()
-    rng = np.random.default_rng(seed)
-    keep = np.sort(rng.choice(X.shape[0], size=size, replace=False))
-    return X[keep]
+    return X[_seeded_rows(X.shape[0], size, seed)]
+
+
+def attribute_rows(
+    model: TrainedClassifier,
+    X,
+    users: Sequence[str],
+    seed: int = 0,
+    n_permutations: int = 300,
+    max_rows: int = 40,
+) -> tuple[list[Attribution], list[tuple[str, float]]]:
+    """Attributions of up to ``max_rows`` rows of ``X`` and their importance ranking.
+
+    The rows are a seeded draw (all rows when there are few enough), each
+    explained by :func:`shapley_mc` against :func:`background_sample` of
+    ``X`` with seed ``seed + 1 + i``, ``i`` being the row's index in ``X``.
+    The ranking is :func:`importance_from_attributions` over those rows.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    background = background_sample(X, seed=seed)
+    atts = [shapley_mc(model, X[i], background, n_permutations=n_permutations,
+                       seed=seed + 1 + int(i), user=users[i])
+            for i in _seeded_rows(X.shape[0], max_rows, seed)]
+    return atts, importance_from_attributions(atts, model.feature_names)
 
 
 def write_attribution_csv(attributions: Sequence[Attribution], path: str) -> None:

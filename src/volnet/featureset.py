@@ -19,16 +19,14 @@ import numpy as np
 from .graph import (
     EgoNetwork,
     TransactionGraph,
-    build_graph,
     clustering_coefficient,
     closeness_centrality,
     degrees,
     density,
-    ego_network,
     pagerank,
 )
 from .ingest import EventLog, TransactionLog
-from .tscluster import ArchetypeLabel, ClusterModel, _STABLE, _STARTING_HIGH
+from .tscluster import ArchetypeLabel, ClusterModel, case_and_trend
 
 NETWORK_FEATURES = (
     "nodes_number",
@@ -87,21 +85,6 @@ class FeatureVector:
         return np.array([self.features[name] for name in FEATURE_NAMES], dtype=float)
 
 
-def first_activity(log: TransactionLog, u: str) -> datetime:
-    """Timestamp of the user's first transaction in either role."""
-    for t in log.transactions:
-        if u in (t.lister_id, t.collector_id):
-            return t.collected_at
-    raise KeyError(f"user {u!r} has no transactions")
-
-
-def cutoff_time(log: TransactionLog, u: str, t_months: int) -> datetime:
-    """First activity plus ``t_months`` 30-day months."""
-    if t_months < 1:
-        raise ValueError("cutoff months must be >= 1")
-    return first_activity(log, u) + timedelta(days=DAYS_PER_MONTH * t_months)
-
-
 def extract_network_features(ego: EgoNetwork) -> dict[str, float]:
     """Structural features of the user within their (cutoff-limited) ego net."""
     g = ego.graph
@@ -140,40 +123,6 @@ def _count_events(user_events: Iterable, cutoff: datetime) -> dict[str, float]:
     return counts
 
 
-def extract_raw_features(events: EventLog, u: str, cutoff: datetime) -> dict[str, float]:
-    """Activity-event counts (and mean rating) up to and including ``cutoff``."""
-    return _count_events((e for e in events.events if e.user_id == u), cutoff)
-
-
-def _label_and_case(u: str, model: ClusterModel,
-                    labels: Mapping[int, ArchetypeLabel]) -> tuple[str, str]:
-    if u not in model.assignment:
-        raise KeyError(f"user {u!r} missing from cluster assignment")
-    archetype = labels[model.assignment[u]].label
-    case = "starting_high" if archetype in _STARTING_HIGH else "starting_low"
-    label = "stable" if archetype in _STABLE else "changes"
-    return label, case
-
-
-def assemble(
-    u: str,
-    log: TransactionLog,
-    events: EventLog,
-    model: ClusterModel,
-    labels: Mapping[int, ArchetypeLabel],
-    t_months: int = 3,
-) -> FeatureVector:
-    """Full feature vector for one clustered user at their cutoff."""
-    label, case = _label_and_case(u, model, labels)
-    cutoff = cutoff_time(log, u, t_months)
-    g = build_graph(log, until=cutoff)
-    ego = ego_network(g, u)
-    features = extract_network_features(ego)
-    features.update(extract_raw_features(events, u, cutoff))
-    return FeatureVector(user=u, cutoff_months=t_months, features=features,
-                         label=label, case=case)
-
-
 def assemble_all(
     users: Iterable[str],
     log: TransactionLog,
@@ -182,27 +131,26 @@ def assemble_all(
     labels: Mapping[int, ArchetypeLabel],
     t_months: int = 3,
 ) -> list[FeatureVector]:
-    """Vectors for many users, sharing one incremental pass over the log.
+    """Feature vectors of ``users`` at their cutoffs, in the order given.
 
-    Equivalent to calling :func:`assemble` per user (the no-leakage cutoff
-    semantics are identical) but builds adjacency incrementally in cutoff
-    order instead of rebuilding the graph for every user.
+    A user's cutoff is their first activity plus ``t_months`` 30-day
+    months.  Network features come from the ego network of the graph of
+    transactions collected up to the cutoff, raw features from the events
+    up to it, so nothing after the cutoff leaks in.  Users are visited in
+    cutoff order and the adjacency grows incrementally in one pass over
+    the log, instead of a graph rebuilt per user.  The label and case come
+    from the user's cluster archetype (:func:`tscluster.case_and_trend`).
     """
     users = list(users)
     if not users:
         return []
-    first_seen: dict[str, datetime] = {}
-    for t in log.transactions:
-        for who in (t.lister_id, t.collector_id):
-            if who not in first_seen:
-                first_seen[who] = t.collected_at
+    if t_months < 1:
+        raise ValueError("cutoff months must be >= 1")
     cutoffs: dict[str, datetime] = {}
     for u in users:
-        if u not in first_seen:
+        if u not in log.first_activity:
             raise KeyError(f"user {u!r} has no transactions")
-        if t_months < 1:
-            raise ValueError("cutoff months must be >= 1")
-        cutoffs[u] = first_seen[u] + timedelta(days=DAYS_PER_MONTH * t_months)
+        cutoffs[u] = log.first_activity[u] + timedelta(days=DAYS_PER_MONTH * t_months)
 
     events_of: dict[str, list] = defaultdict(list)
     wanted = set(users)
@@ -233,7 +181,9 @@ def assemble_all(
 
         features.update(_count_events(events_of.get(u, ()), cutoff))
 
-        label, case = _label_and_case(u, model, labels)
+        if u not in model.assignment:
+            raise KeyError(f"user {u!r} missing from cluster assignment")
+        case, label = case_and_trend(labels[model.assignment[u]].label)
         vectors[u] = FeatureVector(user=u, cutoff_months=t_months, features=features,
                                    label=label, case=case)
     return [vectors[u] for u in users]

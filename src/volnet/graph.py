@@ -32,11 +32,10 @@ class PageRankError(RuntimeError):
 
 @dataclass(frozen=True)
 class TransactionGraph:
-    """Snapshot of the network up to ``horizon`` (immutable once built)."""
+    """Immutable snapshot of the network: users and weighted directed edges."""
 
     nodes: frozenset[str]
     edges: Mapping[tuple[str, str], int]
-    horizon: datetime | None = None
 
     def __post_init__(self):
         for (a, b), w in self.edges.items():
@@ -105,13 +104,7 @@ def build_graph(log: TransactionLog, until: datetime) -> TransactionGraph:
         weights[(t.lister_id, t.collector_id)] += 1
         nodes.add(t.lister_id)
         nodes.add(t.collector_id)
-    return TransactionGraph(nodes=frozenset(nodes), edges=dict(weights), horizon=until)
-
-
-def subgraph(g: TransactionGraph, keep: set[str]) -> TransactionGraph:
-    """Restrict to ``keep`` nodes and the edges among them."""
-    edges = {(a, b): w for (a, b), w in g.edges.items() if a in keep and b in keep}
-    return TransactionGraph(nodes=frozenset(keep & g.nodes), edges=edges, horizon=g.horizon)
+    return TransactionGraph(nodes=frozenset(nodes), edges=dict(weights))
 
 
 def ego_network(g: TransactionGraph, u: str) -> EgoNetwork:
@@ -124,7 +117,7 @@ def ego_network(g: TransactionGraph, u: str) -> EgoNetwork:
         for (a, b), w in g.edges.items()
         if a == u or b == u or (a in members and b in members)
     }
-    restricted = TransactionGraph(nodes=frozenset(members), edges=edges, horizon=g.horizon)
+    restricted = TransactionGraph(nodes=frozenset(members), edges=edges)
     return EgoNetwork(ego=u, graph=restricted)
 
 

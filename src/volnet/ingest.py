@@ -26,7 +26,7 @@ EVENT_COLUMNS = ("user_id", "kind", "at", "value")
 
 
 class ParseError(ValueError):
-    """Raised in strict mode when a file contains malformed rows."""
+    """Raised when a file contains malformed rows."""
 
     def __init__(self, path: str, bad_rows: tuple["RowError", ...]):
         lines = ", ".join(str(r.line) for r in bad_rows[:20])
@@ -109,6 +109,15 @@ class TransactionLog:
 
     def __len__(self) -> int:
         return len(self.transactions)
+
+    @cached_property
+    def first_activity(self) -> dict[str, datetime]:
+        """Each user's first ``collected_at``, in either role."""
+        first: dict[str, datetime] = {}
+        for t in self.transactions:
+            first.setdefault(t.lister_id, t.collected_at)
+            first.setdefault(t.collector_id, t.collected_at)
+        return first
 
     @cached_property
     def _collected_order(self) -> list[datetime]:
@@ -220,61 +229,52 @@ def _iter_rows(path: str, fmt: str, columns: tuple[str, ...]):
         raise ValueError(f"unknown format {fmt!r} (expected csv or jsonl)")
 
 
-def parse_transactions_with_report(path: str, fmt: str = "csv") -> tuple[TransactionLog, ParseReport]:
-    """Parse a transaction file, collecting malformed rows instead of failing."""
-    good: list[Transaction] = []
+def _parse(path: str, fmt: str, columns: tuple[str, ...], build_row, collect):
+    """Build one item per well-formed row; malformed rows go to the report."""
+    good = []
     bad: list[RowError] = []
     total = 0
-    for line, fields, reason in _iter_rows(path, fmt, TRANSACTION_COLUMNS):
+    for line, fields, reason in _iter_rows(path, fmt, columns):
         total += 1
         if fields is None:
             bad.append(RowError(line, reason))
             continue
         try:
-            good.append(_transaction_from_fields(fields))
+            good.append(build_row(fields))
         except ValueError as exc:
             bad.append(RowError(line, str(exc)))
-    return TransactionLog.from_transactions(good), ParseReport(path, total, tuple(bad))
+    return collect(good), ParseReport(path, total, tuple(bad))
 
 
-def parse_transactions(path: str, fmt: str = "csv", strict: bool = True) -> TransactionLog:
-    """Parse transactions; in strict mode any malformed row aborts the parse.
-
-    With ``strict=False`` malformed rows are logged and dropped; use
-    :func:`parse_transactions_with_report` to inspect them.
-    """
-    parsed, report = parse_transactions_with_report(path, fmt)
+def _without_bad_rows(parsed, report: ParseReport):
     if report.bad_rows:
-        if strict:
-            raise ParseError(path, report.bad_rows)
-        log.warning("%s: dropped %d malformed row(s)", path, len(report.bad_rows))
+        raise ParseError(report.path, report.bad_rows)
     return parsed
+
+
+def parse_transactions_with_report(path: str, fmt: str = "csv") -> tuple[TransactionLog, ParseReport]:
+    """Parse a transaction file, collecting malformed rows instead of failing."""
+    return _parse(path, fmt, TRANSACTION_COLUMNS, _transaction_from_fields,
+                  TransactionLog.from_transactions)
+
+
+def parse_transactions(path: str, fmt: str = "csv") -> TransactionLog:
+    """Parse transactions; any malformed row raises :class:`ParseError`.
+
+    Use :func:`parse_transactions_with_report` to keep the good rows and
+    inspect the bad ones.
+    """
+    return _without_bad_rows(*parse_transactions_with_report(path, fmt))
 
 
 def parse_events_with_report(path: str, fmt: str = "csv") -> tuple[EventLog, ParseReport]:
-    good: list[ActivityEvent] = []
-    bad: list[RowError] = []
-    total = 0
-    for line, fields, reason in _iter_rows(path, fmt, EVENT_COLUMNS):
-        total += 1
-        if fields is None:
-            bad.append(RowError(line, reason))
-            continue
-        try:
-            good.append(_event_from_fields(fields))
-        except ValueError as exc:
-            bad.append(RowError(line, str(exc)))
-    return EventLog.from_events(good), ParseReport(path, total, tuple(bad))
+    """Parse an activity-event file, collecting malformed rows instead of failing."""
+    return _parse(path, fmt, EVENT_COLUMNS, _event_from_fields, EventLog.from_events)
 
 
-def parse_events(path: str, fmt: str = "csv", strict: bool = True) -> EventLog:
+def parse_events(path: str, fmt: str = "csv") -> EventLog:
     """Parse activity events; mirrors :func:`parse_transactions` semantics."""
-    parsed, report = parse_events_with_report(path, fmt)
-    if report.bad_rows:
-        if strict:
-            raise ParseError(path, report.bad_rows)
-        log.warning("%s: dropped %d malformed row(s)", path, len(report.bad_rows))
-    return parsed
+    return _without_bad_rows(*parse_events_with_report(path, fmt))
 
 
 def write_transactions(log_: TransactionLog, path: str, fmt: str = "csv") -> None:

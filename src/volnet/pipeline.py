@@ -4,6 +4,9 @@ trend predictors out.
 The run is staged (ingest → filter → graph → communities → key users →
 behavior → cluster, then features → train → explain); any failure is
 re-raised as :class:`PipelineStageError` tagged with the stage name.
+The stages before clustering are public functions (``load_log``,
+``build_network``, ``detect_communities``, ``select_key_users``,
+``series_cache``), so a caller can run a prefix of the pipeline.
 Analysis happens per *scope*: the whole network plus the largest
 communities.  With a fixed config and seed, every emitted artifact is
 byte-identical across reruns.
@@ -20,35 +23,7 @@ from dataclasses import dataclass, field, fields
 from datetime import timedelta
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import behavior, community, explain, featureset, graph, ingest, models, tscluster, viz
-
-CONFIG_DEFAULTS: dict[str, str] = {
-    "transactions": "",
-    "events": "",
-    "format": "csv",
-    "key_users": "hub",
-    "hub_multiplier": "1.0",
-    "min_transactions": "1",
-    "interval": "weekly",
-    "horizon_days": "365",
-    "min_span_days": "365",
-    "min_listing_weeks": "6",
-    "k_min": "4",
-    "k_max": "10",
-    "metric": "euclidean",
-    "gamma": "1.0",
-    "cutoff_months": "3",
-    "models": ",".join(models.ALGORITHMS),
-    "cv_folds": "10",
-    "seed": "0",
-    "out": "out",
-    "top_communities": "2",
-    "n_permutations": "300",
-    "explain_rows": "40",
-}
-
 
 class PipelineStageError(RuntimeError):
     """A pipeline stage failed; the message carries the stage tag."""
@@ -96,6 +71,8 @@ class PipelineConfig:
     explain_rows: int = 40
 
     def __post_init__(self):
+        if self.format not in ("csv", "jsonl"):
+            raise ValueError(f"unknown format {self.format!r} (expected csv or jsonl)")
         if self.interval not in behavior.INTERVAL_DAYS:
             raise ValueError(f"unknown interval {self.interval!r}")
         if self.metric not in tscluster.METRICS:
@@ -107,6 +84,32 @@ class PipelineConfig:
             raise ValueError(f"unknown model(s): {sorted(unknown)}")
         if not self.models:
             raise ValueError("at least one model required")
+        minimums = {
+            "hub_multiplier": 1,
+            "min_transactions": 1,
+            "horizon_days": behavior.INTERVAL_DAYS[self.interval],
+            "cutoff_months": 1,
+            "cv_folds": 2,
+            "top_communities": 0,
+            "n_permutations": explain.MIN_PERMUTATIONS,
+            "explain_rows": 1,
+        }
+        for name, low in minimums.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.gamma > 0:
+            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+
+
+# Config keys with their defaults; each value is parsed to its default's type.
+_FIELDS = {f.name: f for f in fields(PipelineConfig)}
+
+
+def _parse_value(key: str, text: str):
+    kind = type(_FIELDS[key].default)
+    if kind is tuple:  # models: a comma list
+        return tuple(m.strip() for m in text.split(",") if m.strip())
+    return kind(text)
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -121,7 +124,7 @@ def load_config_file(path: str) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in CONFIG_DEFAULTS:
+            if key not in _FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             mapping[key] = value.strip()
     return mapping
@@ -129,31 +132,12 @@ def load_config_file(path: str) -> dict[str, str]:
 
 def build_config(file_mapping: Mapping[str, str] | None = None, **overrides) -> PipelineConfig:
     """Merge defaults, a config-file mapping, and keyword overrides."""
-    raw = dict(CONFIG_DEFAULTS)
-    if file_mapping:
-        raw.update(file_mapping)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in CONFIG_DEFAULTS:
-            raise ValueError(f"unknown config key {key!r}")
-        raw[key] = str(value)
-    ints = {"min_transactions", "horizon_days", "min_span_days", "min_listing_weeks",
-            "k_min", "k_max", "cutoff_months", "cv_folds", "seed", "top_communities",
-            "n_permutations", "explain_rows"}
-    floats = {"hub_multiplier", "gamma"}
-    kwargs: dict = {}
-    for f in fields(PipelineConfig):
-        text = raw[f.name]
-        if f.name in ints:
-            kwargs[f.name] = int(text)
-        elif f.name in floats:
-            kwargs[f.name] = float(text)
-        elif f.name == "models":
-            kwargs[f.name] = tuple(m.strip() for m in text.split(",") if m.strip())
-        else:
-            kwargs[f.name] = text
-    return PipelineConfig(**kwargs)
+    raw = dict(file_mapping or {})
+    raw.update((key, str(value)) for key, value in overrides.items() if value is not None)
+    unknown = sorted(set(raw) - set(_FIELDS))
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
+    return PipelineConfig(**{key: _parse_value(key, text) for key, text in raw.items()})
 
 
 @dataclass
@@ -195,7 +179,8 @@ def _out_path(cfg: PipelineConfig, name: str) -> str:
     return os.path.join(cfg.out, name)
 
 
-def _load_log(cfg: PipelineConfig) -> ingest.TransactionLog:
+def load_log(cfg: PipelineConfig) -> ingest.TransactionLog:
+    """Stages ingest and filter: the configured transaction log."""
     with _stage("ingest"):
         if not cfg.transactions:
             raise ValueError("no transactions path configured")
@@ -210,18 +195,21 @@ def _load_log(cfg: PipelineConfig) -> ingest.TransactionLog:
     return log
 
 
-def _build_network(log: ingest.TransactionLog) -> graph.TransactionGraph:
+def build_network(log: ingest.TransactionLog) -> graph.TransactionGraph:
+    """Stage graph: the transaction graph over the whole log."""
     with _stage("graph"):
         return graph.build_graph(log, until=log.transactions[-1].collected_at)
 
 
-def _detect_communities(cfg: PipelineConfig, net: graph.TransactionGraph) -> community.Partition:
+def detect_communities(cfg: PipelineConfig, net: graph.TransactionGraph) -> community.Partition:
+    """Stage communities: the seeded Louvain partition."""
     with _stage("communities"):
         return community.louvain(net, seed=cfg.seed)
 
 
-def _select_key_users(cfg: PipelineConfig, log: ingest.TransactionLog,
-                      net: graph.TransactionGraph) -> ingest.KeyUserSet:
+def select_key_users(cfg: PipelineConfig, log: ingest.TransactionLog,
+                     net: graph.TransactionGraph) -> ingest.KeyUserSet:
+    """Stage key_users: hubs (or the configured id list) that pass the activity filter."""
     with _stage("key_users"):
         if cfg.key_users == "hub":
             key = behavior.detect_hubs(net, behavior.HubRuleParams(cfg.hub_multiplier))
@@ -250,8 +238,10 @@ def _scope_users(cfg: PipelineConfig, part: community.Partition,
     return scopes
 
 
-def _series_cache(cfg: PipelineConfig, log: ingest.TransactionLog,
-                  users: Sequence[str], warnings_out: list[str]) -> dict[str, behavior.DRSeries]:
+def series_cache(cfg: PipelineConfig, log: ingest.TransactionLog,
+                 users: Sequence[str], warnings_out: list[str]) -> dict[str, behavior.DRSeries]:
+    """Stage behavior: the DR series of each of ``users``; unusable users
+    are dropped with a warning."""
     with _stage("behavior"):
         per_user: dict[str, list] = defaultdict(list)
         wanted = set(users)
@@ -347,15 +337,15 @@ def run_method1(cfg: PipelineConfig) -> Method1Result:
     warnings_out: list[str] = []
     artifacts: dict[str, str] = {}
 
-    log = _load_log(cfg)
-    net = _build_network(log)
-    part = _detect_communities(cfg, net)
+    log = load_log(cfg)
+    net = build_network(log)
+    part = detect_communities(cfg, net)
     community.write_partition_csv(part, _out_path(cfg, "partition.csv"))
     artifacts["partition.csv"] = "partition.csv"
-    key = _select_key_users(cfg, log, net)
+    key = select_key_users(cfg, log, net)
 
     scope_users = _scope_users(cfg, part, key)
-    cache = _series_cache(cfg, log, scope_users["network"], warnings_out)
+    cache = series_cache(cfg, log, scope_users["network"], warnings_out)
 
     scopes: dict[str, ScopeResult] = {}
     with _stage("cluster"):
@@ -446,19 +436,12 @@ def run_method2(cfg: PipelineConfig, m1: Method1Result,
             models.save_model(model, _out_path(cfg, fname))
             artifacts[fname] = fname
 
-            background = explain.background_sample(X, size=100, seed=cfg.seed)
-            rng = np.random.default_rng(cfg.seed)
-            n = X.shape[0]
-            picked = (np.arange(n) if n <= cfg.explain_rows else
-                      np.sort(rng.choice(n, size=cfg.explain_rows, replace=False)))
-            atts = [explain.shapley_mc(model, X[i], background,
-                                       n_permutations=cfg.n_permutations,
-                                       seed=cfg.seed + 1 + int(i), user=users[i])
-                    for i in picked]
+            atts, ranked = explain.attribute_rows(
+                model, X, users, seed=cfg.seed, n_permutations=cfg.n_permutations,
+                max_rows=cfg.explain_rows)
             fname = f"attributions_{name}_{case}.csv"
             explain.write_attribution_csv(atts, _out_path(cfg, fname))
             artifacts[fname] = fname
-            ranked = explain.importance_from_attributions(atts, featureset.FEATURE_NAMES)
             result.importances[(name, case)] = ranked
             fname = f"importance_{name}_{case}.csv"
             explain.write_importance_csv(ranked, _out_path(cfg, fname))

@@ -30,9 +30,13 @@ from .behavior import DRSeries
 METRICS = ("euclidean", "dtw", "softdtw")
 ARCHETYPES = ("FPD", "SAD", "FAD", "SPD")
 
-# archetype -> (starts high?, stable?)
-_STARTING_HIGH = ("FPD", "SAD")
-_STABLE = ("SAD", "SPD")
+# archetype -> (prediction case, trend): FPD and SAD start high, SAD and SPD stay stable
+_CASE_AND_TREND = {
+    "FPD": ("starting_high", "changes"),
+    "SAD": ("starting_high", "stable"),
+    "FAD": ("starting_low", "changes"),
+    "SPD": ("starting_low", "stable"),
+}
 
 
 @dataclass(frozen=True)
@@ -432,16 +436,11 @@ def label_archetypes(
     return out
 
 
-def split_cases(model: ClusterModel, labels: Mapping[int, ArchetypeLabel]) -> dict[str, set[str]]:
-    """Partition clustered users into the starting-high (FPD+SAD) and
-    starting-low (FAD+SPD) prediction cases."""
-    clusters = set(model.assignment.values())
-    missing = clusters - set(labels)
-    if missing:
-        raise ValueError(f"labels missing for cluster(s) {sorted(missing)}")
-    high = {u for u, c in model.assignment.items() if labels[c].label in _STARTING_HIGH}
-    low = {u for u, c in model.assignment.items() if labels[c].label not in _STARTING_HIGH}
-    return {"starting_high": high, "starting_low": low}
+def case_and_trend(label: str) -> tuple[str, str]:
+    """The prediction case and trend label of an archetype."""
+    if label not in _CASE_AND_TREND:
+        raise ValueError(f"unknown archetype {label!r}")
+    return _CASE_AND_TREND[label]
 
 
 def model_to_dict(model: ClusterModel) -> dict:

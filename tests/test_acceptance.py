@@ -330,10 +330,9 @@ def test_cross_cutting_invariants(fullscale, gate):
                   for t in (tx(u, "drifter", 500), tx("drifter", u, 501))]
         extended = ingest.TransactionLog.from_transactions(
             list(fullscale.m1.log.transactions) + future)
-        for u in probes:
-            again = featureset.assemble(u, extended, events, scope.model,
-                                        scope.labels, t_months=3)
-            assert again.features == before[u]
+        for again in featureset.assemble_all(probes, extended, events, scope.model,
+                                             scope.labels, t_months=3):
+            assert again.features == before[again.user]
 
         # pagerank is a probability distribution over the whole network
         pr = graph.pagerank(fullscale.m1.net)

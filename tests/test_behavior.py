@@ -12,7 +12,6 @@ from volnet.behavior import (
     HubRuleParams,
     SeriesError,
     detect_hubs,
-    donors_ratio,
     dr_series,
     write_series_csv,
 )
@@ -22,38 +21,45 @@ from conftest import at_day, make_log, tx
 
 
 class TestDonorsRatio:
+    """The ratio of one window, read from ``dr_series``: ``u`` trades on
+    the given days and lists once more on day 30, which is window 4 with
+    weekly windows from ``u``'s first transaction."""
+
+    @staticmethod
+    def first_window(*transactions) -> tuple[float, bool]:
+        s = dr_series("u", make_log(*transactions, tx("u", "z", 30)))
+        return s.values[0], s.imputed_mask[0]
+
     def test_pure_donor_is_one(self):
-        log = make_log(tx("u", "a", 1), tx("u", "b", 2))
-        assert donors_ratio("u", at_day(0), at_day(10), log) == 1.0
+        assert self.first_window(tx("u", "a", 1), tx("u", "b", 2)) == (1.0, False)
 
     def test_pure_recipient_is_zero(self):
-        log = make_log(tx("a", "u", 1), tx("b", "u", 2))
-        assert donors_ratio("u", at_day(0), at_day(10), log) == 0.0
+        assert self.first_window(tx("a", "u", 1), tx("b", "u", 2)) == (0.0, False)
 
     def test_mixed_activity(self):
-        log = make_log(tx("u", "a", 1), tx("u", "b", 2), tx("u", "c", 3),
-                       tx("d", "u", 4))
-        assert donors_ratio("u", at_day(0), at_day(10), log) == pytest.approx(0.75)
+        value, _ = self.first_window(tx("u", "a", 1), tx("u", "b", 2), tx("u", "c", 3),
+                                     tx("d", "u", 4))
+        assert value == pytest.approx(0.75)
 
     def test_window_is_half_open(self):
-        log = make_log(tx("u", "a", 1), tx("u", "b", 5))
-        # [1, 5): the day-5 pickup is outside, the day-1 listing inside.
-        assert donors_ratio("u", at_day(1), at_day(5), log) == 1.0
-        assert donors_ratio("u", at_day(5), at_day(6), log) == 1.0
+        # monthly windows from day 1: the day-31 pickup opens window 1
+        log = make_log(tx("u", "a", 1), tx("b", "u", 31))
+        s = dr_series("u", log, interval="monthly")
+        assert s.values[:2] == (1.0, 0.0)
 
     def test_no_activity_is_none(self):
-        log = make_log(tx("a", "b", 1))
-        assert donors_ratio("u", at_day(0), at_day(10), log) is None
-        assert donors_ratio("a", at_day(5), at_day(10), log) is None
+        # an empty window has no ratio of its own: it is imputed and flagged
+        s = dr_series("u", make_log(tx("u", "a", 0), tx("b", "u", 14)))
+        assert s.values[:3] == pytest.approx((1.0, 0.5, 0.0))
+        assert s.imputed_mask[:3] == (False, True, False)
 
     def test_third_party_transactions_ignored(self):
-        log = make_log(tx("a", "b", 1), tx("u", "c", 2))
-        assert donors_ratio("u", at_day(0), at_day(10), log) == 1.0
+        assert self.first_window(tx("u", "c", 2), tx("a", "b", 3), tx("b", "a", 4)) == (1.0, False)
 
     def test_invalid_window_raises(self):
-        log = make_log(tx("a", "b", 1))
+        log = make_log(tx("u", "a", 1), tx("u", "b", 9))
         with pytest.raises(ValueError):
-            donors_ratio("a", at_day(5), at_day(5), log)
+            dr_series("u", log, horizon=timedelta(days=6))
 
 
 class TestInterpolation:

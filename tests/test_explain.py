@@ -7,8 +7,8 @@ import pytest
 
 from volnet.explain import (
     Attribution,
+    attribute_rows,
     background_sample,
-    global_importance,
     importance_from_attributions,
     shapley_exact,
     shapley_mc,
@@ -174,7 +174,8 @@ class TestImportance:
         model = LinearStub([4.0, 0.2, -0.1])
         rng = np.random.default_rng(4)
         X = rng.normal(size=(6, 3))
-        ranked = global_importance(model, X, X, seed=0, n_permutations=200)
+        atts, ranked = attribute_rows(model, X, list("abcdef"), seed=0, n_permutations=200)
+        assert [att.user for att in atts] == list("abcdef")
         assert ranked[0][0] == "f0"
         assert len(ranked) == 3
 
@@ -182,9 +183,17 @@ class TestImportance:
         model = LinearStub([1.0, -1.0])
         rng = np.random.default_rng(8)
         X = rng.normal(size=(9, 2))
-        r1 = global_importance(model, X, X, seed=3, n_permutations=120, max_rows=4)
-        r2 = global_importance(model, X, X, seed=3, n_permutations=120, max_rows=4)
-        assert r1 == r2
+        users = [f"u{i}" for i in range(9)]
+        a1, r1 = attribute_rows(model, X, users, seed=3, n_permutations=120, max_rows=4)
+        a2, r2 = attribute_rows(model, X, users, seed=3, n_permutations=120, max_rows=4)
+        assert a1 == a2 and r1 == r2
+        picked = np.sort(np.random.default_rng(3).choice(9, size=4, replace=False))
+        assert [att.user for att in a1] == [users[i] for i in picked]
+        # row i is explained with seed 3 + 1 + i, against the seed-3 background
+        background = background_sample(X, seed=3)
+        for att, i in zip(a1, picked):
+            assert att == shapley_mc(model, X[i], background, n_permutations=120,
+                                     seed=4 + int(i), user=users[i])
 
 
 class TestBackgroundSample:

@@ -13,13 +13,9 @@ from volnet.featureset import (
     NETWORK_FEATURES,
     RAW_FEATURES,
     FeatureVector,
-    assemble,
     assemble_all,
-    cutoff_time,
     extract_network_features,
-    extract_raw_features,
     feature_matrix,
-    first_activity,
     read_features_csv,
     write_features_csv,
 )
@@ -28,6 +24,7 @@ from volnet.graph import TransactionGraph, build_graph, ego_network
 from volnet.tscluster import ArchetypeLabel, ClusterModel
 
 from conftest import at_day, make_log, tx
+from featureset_reference import assemble
 
 
 def hand_cluster(assignment: dict[str, int], archetype_by_cluster: dict[int, str]) -> tuple[ClusterModel, dict[int, ArchetypeLabel]]:
@@ -47,25 +44,45 @@ def events_from(*events: ActivityEvent) -> EventLog:
     return EventLog.from_events(events)
 
 
+def assemble_one(u, log, events, model, labels, t_months=3) -> FeatureVector:
+    return assemble_all([u], log, events, model, labels, t_months=t_months)[0]
+
+
+def raw_features(events: EventLog) -> dict[str, float]:
+    """Raw features of "u", first active on day 0, at a one-month cutoff (day 30)."""
+    model, labels = hand_cluster({"u": 0}, {0: "SPD"})
+    v = assemble_one("u", make_log(tx("u", "a", 0)), events, model, labels, t_months=1)
+    return {name: v.features[name] for name in RAW_FEATURES}
+
+
 class TestCutoff:
     def test_first_activity_in_either_role(self):
         log = make_log(tx("a", "u", 5), tx("u", "b", 9))
-        assert first_activity(log, "u") == at_day(5)
+        assert log.first_activity == {"a": at_day(5), "u": at_day(5), "b": at_day(9)}
 
     def test_cutoff_is_thirty_day_months(self):
         log = make_log(tx("u", "a", 2), tx("u", "b", 40))
-        assert cutoff_time(log, "u", 3) == at_day(2 + 90)
-        assert cutoff_time(log, "u", 1) == at_day(2 + 30)
+        events = events_from(ActivityEvent("u", "message", at_day(2 + 30)),
+                             ActivityEvent("u", "message", at_day(2 + 30, hour=1)),
+                             ActivityEvent("u", "message", at_day(2 + 90)),
+                             ActivityEvent("u", "message", at_day(2 + 90, hour=1)))
+        model, labels = hand_cluster({"u": 0}, {0: "SPD"})
+        one = assemble_one("u", log, events, model, labels, t_months=1).features
+        three = assemble_one("u", log, events, model, labels, t_months=3).features
+        assert (one["messages_count"], one["nodes_number"]) == (1.0, 2.0)
+        assert (three["messages_count"], three["nodes_number"]) == (3.0, 3.0)
 
     def test_nonpositive_months_rejected(self):
         log = make_log(tx("u", "a", 2))
+        model, labels = hand_cluster({"u": 0}, {0: "SPD"})
         with pytest.raises(ValueError):
-            cutoff_time(log, "u", 0)
+            assemble_one("u", log, events_from(), model, labels, t_months=0)
 
     def test_unknown_user_raises(self):
         log = make_log(tx("a", "b", 1))
+        model, labels = hand_cluster({"zz": 0}, {0: "SPD"})
         with pytest.raises(KeyError):
-            first_activity(log, "zz")
+            assemble_one("zz", log, events_from(), model, labels)
 
 
 class TestNetworkFeatures:
@@ -124,7 +141,7 @@ class TestRawFeatures:
             ActivityEvent("u", "story", at_day(7)),
             ActivityEvent("u", "comment", at_day(8)),
         )
-        got = extract_raw_features(events, "u", cutoff=at_day(50))
+        got = raw_features(events)
         assert got == {
             "articles_count": 1.0, "messages_count": 2.0,
             "rating_current": 8.0, "rating_count": 2.0,
@@ -133,10 +150,10 @@ class TestRawFeatures:
 
     def test_cutoff_is_inclusive(self):
         events = events_from(
-            ActivityEvent("u", "like", at_day(10)),
-            ActivityEvent("u", "like", at_day(10, hour=1)),
+            ActivityEvent("u", "like", at_day(30)),
+            ActivityEvent("u", "like", at_day(30, hour=1)),
         )
-        got = extract_raw_features(events, "u", cutoff=at_day(10))
+        got = raw_features(events)
         assert got["likes_count"] == 1.0
 
     def test_events_after_cutoff_excluded(self):
@@ -145,13 +162,13 @@ class TestRawFeatures:
             ActivityEvent("u", "message", at_day(99)),
             ActivityEvent("u", "rating", at_day(98), value=2.0),
         )
-        got = extract_raw_features(events, "u", cutoff=at_day(50))
+        got = raw_features(events)
         assert got["messages_count"] == 1.0
         assert got["rating_count"] == 0.0
 
     def test_unrated_user_defaults_to_zero(self):
         events = events_from(ActivityEvent("u", "message", at_day(1)))
-        got = extract_raw_features(events, "u", cutoff=at_day(50))
+        got = raw_features(events)
         assert got["rating_current"] == 0.0
 
     def test_other_users_ignored(self):
@@ -159,7 +176,7 @@ class TestRawFeatures:
             ActivityEvent("v", "message", at_day(1)),
             ActivityEvent("u", "message", at_day(2)),
         )
-        got = extract_raw_features(events, "u", cutoff=at_day(50))
+        got = raw_features(events)
         assert got["messages_count"] == 1.0
 
 
@@ -187,7 +204,7 @@ class TestAssemble:
     def test_hand_checked_vector(self):
         log, events = hand_scene()
         model, labels = hand_cluster({"u": 0}, {0: "FPD"})
-        v = assemble("u", log, events, model, labels, t_months=3)
+        v = assemble_one("u", log, events, model, labels, t_months=3)
         assert v.user == "u"
         assert v.label == "changes"
         assert v.case == "starting_high"
@@ -214,26 +231,26 @@ class TestAssemble:
     def test_label_and_case_mapping(self, archetype, label, case):
         log, events = hand_scene()
         model, labels = hand_cluster({"u": 0}, {0: archetype})
-        v = assemble("u", log, events, model, labels)
+        v = assemble_one("u", log, events, model, labels)
         assert (v.label, v.case) == (label, case)
 
     def test_future_data_cannot_leak(self):
         log, events = hand_scene()
         model, labels = hand_cluster({"u": 0}, {0: "FPD"})
-        baseline = assemble("u", log, events, model, labels)
+        baseline = assemble_one("u", log, events, model, labels)
 
         extended_log = make_log(*log.transactions,
                                 tx("u", "q", 200), tx("q", "u", 300))
         extended_events = events_from(*events.events,
                                       ActivityEvent("u", "message", at_day(250)))
-        extended = assemble("u", extended_log, extended_events, model, labels)
+        extended = assemble_one("u", extended_log, extended_events, model, labels)
         assert extended.features == baseline.features
 
     def test_unclustered_user_raises(self):
         log, events = hand_scene()
         model, labels = hand_cluster({"other": 0}, {0: "FPD"})
         with pytest.raises(KeyError):
-            assemble("u", log, events, model, labels)
+            assemble_one("u", log, events, model, labels)
 
     def test_batch_matches_single_user_path(self, small_synth):
         log, events, truth = small_synth
@@ -302,7 +319,7 @@ class TestValidationAndCsv:
     def test_round_trip(self, tmp_path):
         log, events = hand_scene()
         model, labels = hand_cluster({"u": 0}, {0: "SPD"})
-        vectors = [assemble("u", log, events, model, labels)]
+        vectors = [assemble_one("u", log, events, model, labels)]
         path = tmp_path / "features.csv"
         write_features_csv(vectors, str(path))
         back = read_features_csv(str(path))

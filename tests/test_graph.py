@@ -17,7 +17,6 @@ from volnet.graph import (
     density,
     ego_network,
     pagerank,
-    subgraph,
     write_edges_csv,
 )
 
@@ -40,7 +39,6 @@ class TestConstruction:
         log = make_log(tx("a", "b", 1), tx("a", "c", 5), tx("a", "d", 9))
         g = build_graph(log, until=at_day(5))
         assert g.nodes == frozenset({"a", "b", "c"})
-        assert g.horizon == at_day(5)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -61,12 +59,6 @@ class TestConstruction:
         assert g.undirected_adj["a"] == {"b": 3}
         assert g.undirected_adj["b"] == {"a": 3, "c": 3}
         assert g.neighbors("b") == {"a", "c"}
-
-    def test_subgraph_keeps_induced_edges_only(self):
-        g = g_from({("a", "b"): 1, ("b", "c"): 1, ("c", "a"): 1})
-        sub = subgraph(g, {"a", "b", "z"})
-        assert sub.nodes == frozenset({"a", "b"})
-        assert sub.edges == {("a", "b"): 1}
 
 
 class TestEgoNetwork:

@@ -1,0 +1,97 @@
+"""Differential tests of the graph metrics and modularity against networkx
+on seeded random directed multigraphs (skipped without networkx/scipy)."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+nx = pytest.importorskip("networkx")
+pytest.importorskip("scipy")  # networkx's pagerank runs on scipy
+
+from volnet import community, graph  # noqa: E402
+from volnet.graph import build_graph  # noqa: E402
+
+from conftest import at_day, make_log, tx  # noqa: E402
+
+SEEDS = range(12)
+
+
+def random_graph(seed: int) -> graph.TransactionGraph:
+    """2-30 users; repeated pairs become edge weights, and the last fifth
+    of the users never list, so PageRank meets dangling nodes."""
+    rng = random.Random(seed)
+    users = [f"u{i}" for i in range(rng.randint(2, 30))]
+    listers = users[: len(users) - max(1, len(users) // 5)]
+    rows = []
+    for day in range(rng.randint(1, 4 * len(users))):
+        lister = rng.choice(listers)
+        collector = rng.choice([u for u in users if u != lister])
+        rows.append(tx(lister, collector, day))
+    return build_graph(make_log(*rows), until=at_day(10_000))
+
+
+def directed(g: graph.TransactionGraph):
+    G = nx.DiGraph()
+    G.add_nodes_from(g.nodes)
+    G.add_weighted_edges_from((a, b, w) for (a, b), w in g.edges.items())
+    return G
+
+
+def undirected(g: graph.TransactionGraph):
+    """Weighted undirected projection: weights of both directions summed."""
+    G = nx.Graph()
+    G.add_nodes_from(g.nodes)
+    for (a, b), w in g.edges.items():
+        previous = G.get_edge_data(a, b, {"weight": 0})["weight"]
+        G.add_edge(a, b, weight=previous + w)
+    return G
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_weighted_pagerank(seed):
+    g = random_graph(seed)
+    want = nx.pagerank(directed(g), alpha=0.85, weight="weight", tol=1e-13, max_iter=10_000)
+    got = graph.pagerank(g)
+    assert got.keys() == want.keys()
+    for v in got:
+        assert got[v] == pytest.approx(want[v], abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_closeness_on_undirected_projection(seed):
+    g = random_graph(seed)
+    G = nx.Graph(undirected(g).edges())  # unweighted
+    G.add_nodes_from(g.nodes)
+    for v in sorted(g.nodes):
+        want = nx.closeness_centrality(G, u=v, wf_improved=True)
+        assert graph.closeness_centrality(g, v) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_clustering_on_undirected_projection(seed):
+    g = random_graph(seed)
+    G = nx.Graph(undirected(g).edges())  # unweighted
+    G.add_nodes_from(g.nodes)
+    want = nx.clustering(G)
+    for v in sorted(g.nodes):
+        assert graph.clustering_coefficient(g, v) == pytest.approx(want[v], abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_modularity_on_weighted_projection(seed):
+    g = random_graph(seed)
+    rng = random.Random(1000 + seed)
+    nodes = sorted(g.nodes)
+    k = rng.randint(1, min(5, len(nodes)))
+    assignment = {v: rng.randrange(k) for v in nodes}
+    part = community.Partition(assignment=assignment, count=k, modularity=0.0)
+    groups = [{v for v in nodes if assignment[v] == c} for c in range(k)]
+    want = nx.community.modularity(undirected(g), [s for s in groups if s], weight="weight")
+    assert community.modularity(g, part) == pytest.approx(want, abs=1e-12)
+    # and for the partition Louvain itself returns
+    found = community.louvain(g, seed=seed)
+    blocks = [{v for v, c in found.assignment.items() if c == i} for i in range(found.count)]
+    assert found.modularity == pytest.approx(
+        nx.community.modularity(undirected(g), blocks, weight="weight"), abs=1e-9)

@@ -134,8 +134,9 @@ class TestParseErrors:
             "item_id,lister_id,collector_id,listed_at,collected_at\n"
             "i1,a,b,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z\n"
             "i2,a,a,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z\n")
-        log = ingest.parse_transactions(str(path), strict=False)
+        log, report = ingest.parse_transactions_with_report(str(path))
         assert len(log) == 1
+        assert [bad.line for bad in report.bad_rows] == [3]
 
     def test_missing_column_is_an_error(self, tmp_path):
         path = tmp_path / "t.csv"

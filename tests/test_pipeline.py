@@ -88,10 +88,41 @@ class TestConfig:
         {"k_min": "8", "k_max": "4"},
         {"models": "gbdt,perceptron"},
         {"models": " , "},
+        {"cv_folds": "1"},
+        {"cutoff_months": "0"},
+        {"top_communities": "-1"},
+        {"n_permutations": "50"},
+        {"explain_rows": "0"},
+        {"hub_multiplier": "0.5"},
+        {"min_transactions": "0"},
+        {"gamma": "-1.0"},
+        {"gamma": "0"},
+        {"horizon_days": "6"},
+        {"horizon_days": "29", "interval": "monthly"},
+        {"format": "xml"},
     ])
-    def test_invalid_settings_rejected(self, overrides):
+    def test_invalid_settings_rejected(self, overrides, tmp_path, capsys):
         with pytest.raises(ValueError):
             build_config(**overrides)
+        # the CLI rejects them before any stage runs or writes
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in overrides.items()))
+        out = tmp_path / "out"
+        rc = cli.main(["cluster", "--config", str(cfg_file), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"cv_folds": "2", "cutoff_months": "1", "top_communities": "0",
+         "n_permutations": "100", "explain_rows": "1", "hub_multiplier": "1",
+         "min_transactions": "1", "gamma": "0.001", "horizon_days": "7"},
+        {"metric": "dtw", "interval": "monthly", "horizon_days": "30", "format": "jsonl"},
+    ])
+    def test_boundary_values_accepted(self, overrides):
+        cfg = build_config(**overrides)
+        assert {k: getattr(cfg, k) for k in overrides} == {
+            k: type(getattr(cfg, k))(v) for k, v in overrides.items()}
 
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -531,6 +562,21 @@ class TestCLI:
         assert (out / "manifest.json").stat().st_size > 0
         text = capsys.readouterr().out
         assert "scope network: 40 users, chose k=4" in text
+
+    @pytest.mark.parametrize("command, written, absent", [
+        ("features", "features_network.csv", "eval_network.csv"),
+        ("train", "eval_network.csv", "model_network_starting_high.json"),
+    ])
+    def test_stage_cap_stops_after_its_stage(self, command, written, absent,
+                                             tmp_path, data_dir):
+        out = tmp_path / command
+        rc = cli.main([command, "--transactions", data_dir["transactions"],
+                       "--events", data_dir["events"], "--seed", "11", "--out", str(out)])
+        assert rc == 0
+        with open(out / "manifest.json", encoding="utf-8") as fh:
+            declared = json.load(fh)["artifacts"]
+        assert written in declared and absent not in declared
+        assert sorted(os.listdir(out)) == sorted([*declared, "manifest.json"])
 
     def test_bad_config_file_is_reported_not_raised(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

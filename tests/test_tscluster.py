@@ -17,6 +17,7 @@ from volnet.tscluster import (
     _distances_to_centroids,
     best_k,
     calinski_harabasz,
+    case_and_trend,
     ch_scan,
     dtw,
     dtw_path,
@@ -27,7 +28,6 @@ from volnet.tscluster import (
     model_to_dict,
     select_k,
     soft_dtw,
-    split_cases,
     write_centroid_csv,
     write_cluster_csv,
 )
@@ -347,16 +347,19 @@ class TestSplitCases:
             2: ArchetypeLabel("FAD", 0.15, 0.8),
             3: ArchetypeLabel("SPD", 0.15, 0.15),
         }
-        cases = split_cases(model, labels)
+        cases: dict[str, set[str]] = {"starting_high": set(), "starting_low": set()}
+        for u, c in model.assignment.items():
+            cases[case_and_trend(labels[c].label)[0]].add(u)
         assert cases == {
             "starting_high": {"u1", "u2", "u5"},
             "starting_low": {"u3", "u4"},
         }
+        assert [case_and_trend(a)[1] for a in ARCHETYPES] == [
+            "changes", "stable", "changes", "stable"]
 
-    def test_missing_label_raises(self):
-        model = hand_model({"u1": 0, "u2": 1}, k=2)
+    def test_unknown_label_raises(self):
         with pytest.raises(ValueError):
-            split_cases(model, {0: ArchetypeLabel("FPD", 0.9, 0.2)})
+            case_and_trend("XXX")
 
 
 class TestSerialization:
