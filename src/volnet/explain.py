@@ -103,28 +103,24 @@ def shapley_mc(
     d = x.shape[0]
     rng = np.random.default_rng(seed)
 
-    rows = np.empty((n_permutations * (d + 1), d))
+    picks = np.empty(n_permutations, dtype=int)
     orders = np.empty((n_permutations, d), dtype=int)
-    for t in range(n_permutations):
-        base_row = background[int(rng.integers(background.shape[0]))]
-        order = rng.permutation(d)
-        orders[t] = order
-        z = base_row.copy()
-        block = t * (d + 1)
-        rows[block] = z
-        for step, j in enumerate(order):
-            z[j] = x[j]
-            rows[block + step + 1] = z
-    scores = model.scores(rows).reshape(n_permutations, d + 1)
+    for t in range(n_permutations):  # one (background row, order) pair per permutation
+        picks[t] = rng.integers(background.shape[0])
+        orders[t] = rng.permutation(d)
+    perm = np.arange(n_permutations)[:, None]
+    rank = np.empty_like(orders)
+    rank[perm, orders] = np.arange(d)  # the step at which each feature flips
+    # Row s of a permutation has the features of rank < s flipped to ``x``.
+    rows = np.where(rank[:, None, :] < np.arange(d + 1)[None, :, None],
+                    x, background[picks][:, None, :])
+    scores = model.scores(rows.reshape(-1, d)).reshape(n_permutations, d + 1)
 
-    deltas = np.diff(scores, axis=1)  # contribution of the feature flipped at each step
     contrib = np.empty((n_permutations, d))
-    for t in range(n_permutations):
-        contrib[t, orders[t]] = deltas[t]
+    contrib[perm, orders] = np.diff(scores, axis=1)  # each flip's score change
 
     phi = contrib.mean(axis=0)
-    spread = contrib.std(axis=0, ddof=1) if n_permutations > 1 else np.zeros(d)
-    std_err = spread / math.sqrt(n_permutations)
+    std_err = contrib.std(axis=0, ddof=1) / math.sqrt(n_permutations)
 
     per_feature = {name: float(p) for name, p in zip(model.feature_names, phi)}
     errs = {name: float(e) for name, e in zip(model.feature_names, std_err)}

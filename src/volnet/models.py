@@ -20,6 +20,20 @@ and Hessian for boosting. The lowest threshold wins within a feature, and a
 later feature must beat it by more than 1e-12. A threshold is the midpoint
 of the two values around the cut, or the lower value where the midpoint
 rounds up to the upper one, so ``x <= threshold`` always separates them.
+Boosting updates the training scores of a round from the rows each leaf
+received as the tree grew, which are the rows scoring routes there.
+
+The linear families fit folds in lockstep: ``kfold_cv`` hands the training
+splits of all its non-degenerate folds to one fitter, ``_fit_linear_svm``
+or ``_fit_logistic_regression``, and ``train`` is that fitter's one-split
+call. Every split sees the float operations its own fit would, so each
+result is bit-identical to fitting it alone. Pegasos splits share the step
+size 1/(lambda*t) at step t and draw one permutation per epoch from their
+own ``default_rng(seed)``; their margins are ``np.vecdot`` of row and
+weights (bit-equal to the 1-D dot product, which ``einsum`` and
+``(z * w).sum()`` are not), and only splits inside the margin are written,
+so no ``+0`` is added over a ``-0.0``. Logistic-regression splits of one
+length descend as a stack of matrix-vector products.
 """
 
 from __future__ import annotations
@@ -50,9 +64,6 @@ DEFAULT_HYPERPARAMS: dict[str, dict] = {
     "linear_svm": {"l2": 1e-3, "epochs": 500},
     "gbdt": {"n_rounds": 100, "max_depth": 3, "learning_rate": 0.1, "l2": 1.0},
 }
-
-#: Families that z-score features internally (fitted on training data only).
-_STANDARDIZED = ("logistic_regression", "linear_svm")
 
 
 @dataclass(frozen=True)
@@ -226,19 +237,24 @@ def _fit_tree(X, y, max_depth, min_leaf, rng=None, n_subsample=0):
 def _fit_boost_tree(X, g, h, ords, max_depth, lam):
     """Second-order regression tree on gradients ``g`` and Hessians ``h``
     (``ords`` presorted as in :func:`_best_split`); leaves store the weight
-    -G/(H+lam), and only gains above 1e-12 split."""
+    -G/(H+lam), and only gains above 1e-12 split.
+
+    Returns the tree and each training row's leaf weight, taken from the
+    rows each leaf received, which are the rows the tree routes there."""
     features = np.arange(X.shape[1])
     gain = partial(_second_order_gain, lam=lam)
+    values = np.empty(X.shape[0])
 
     def grow(idx, ords, depth):
         G, H = g[idx].sum(), h[idx].sum()
         best = None if depth >= max_depth else _best_split(
             X, ords, features, g, h, G, H, gain, 1, 1e-12)
         if best is None:
-            return {"leaf": float(-G / (H + lam)), "n": int(idx.size)}
+            values[idx] = leaf = float(-G / (H + lam))
+            return {"leaf": leaf, "n": int(idx.size)}
         return _branch(X, idx, ords, best[1], best[2], grow, depth)
 
-    return grow(np.arange(X.shape[0]), ords, 0)
+    return grow(np.arange(X.shape[0]), ords, 0), values
 
 
 def _tree_scores(node: Mapping, X: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
@@ -290,20 +306,30 @@ def _score_decision_tree(params, X):
     return _eval_tree(params["tree"], X)
 
 
-def _train_logistic_regression(X, y, hp, seed):
-    scaler = _fit_scaler(X)
-    Z = _apply_scaler(scaler, X)
-    n, d = Z.shape
-    w = np.zeros(d)
-    b = 0.0
+def _fit_logistic_regression(splits, hp, seed):
+    """Full-batch gradient descent on the L2-penalized log loss, one fit per
+    ``(X, y)`` split, each z-scored by its own scaler; splits of one length
+    are stacked."""
     lr, lam = hp["learning_rate"], hp["l2"]
-    for _ in range(hp["epochs"]):
-        p = _sigmoid(Z @ w + b)
-        grad_w = Z.T @ (p - y) / n + lam * w
-        grad_b = float((p - y).mean())
-        w -= lr * grad_w
-        b -= lr * grad_b
-    return {"weights": w.tolist(), "bias": b, "scaler": scaler}
+    scalers = [_fit_scaler(X) for X, _ in splits]
+    by_length: dict[int, list[int]] = {}
+    for f, (X, _) in enumerate(splits):
+        by_length.setdefault(X.shape[0], []).append(f)
+    fits: list = [None] * len(splits)
+    for n, group in by_length.items():
+        Z = np.stack([_apply_scaler(scalers[f], splits[f][0]) for f in group])
+        Zt = Z.transpose(0, 2, 1)
+        Y = np.stack([splits[f][1] for f in group])
+        W = np.zeros((len(group), Z.shape[2]))
+        B = np.zeros(len(group))
+        for _ in range(hp["epochs"]):
+            R = _sigmoid((Z @ W[:, :, None])[:, :, 0] + B[:, None]) - Y
+            grad_w = (Zt @ R[:, :, None])[:, :, 0] / n + lam * W
+            W -= lr * grad_w
+            B -= lr * R.mean(axis=1)
+        for f, w, b in zip(group, W, B):
+            fits[f] = {"weights": w.tolist(), "bias": float(b), "scaler": scalers[f]}
+    return fits
 
 
 def _score_logistic_regression(params, X):
@@ -328,25 +354,53 @@ def _score_random_forest(params, X):
     return np.mean(votes, axis=0)
 
 
-def _train_linear_svm(X, y, hp, seed):
-    """Hinge-loss SGD with 1/(lambda*t) steps; the intercept rides along as
-    an augmented constant feature, so it shares the light L2 penalty."""
-    scaler = _fit_scaler(X)
-    Z = np.hstack([_apply_scaler(scaler, X), np.ones((X.shape[0], 1))])
-    target = np.where(y == 1, 1.0, -1.0)
-    rng = np.random.default_rng(seed)
-    n, d = Z.shape
-    lam = hp["l2"]
-    w = np.zeros(d)
+_SVM_CHUNK = 256  # Pegasos steps whose rows are gathered at once
+
+
+def _fit_linear_svm(splits, hp, seed):
+    """Hinge-loss SGD with 1/(lambda*t) steps, one fit per ``(X, y)`` split;
+    the intercept rides along as an augmented constant feature, so it
+    shares the light L2 penalty. The splits are the rows of one weight
+    array, longest first, so the splits still running are a prefix."""
+    lam, epochs = hp["l2"], hp["epochs"]
+    scalers, signed = [], []
+    for X, y in splits:
+        scaler = _fit_scaler(X)
+        Z = np.hstack([_apply_scaler(scaler, X), np.ones((X.shape[0], 1))])
+        scalers.append(scaler)
+        # Rows times their +-1 target: only signs flip, so margins and
+        # updates equal the one-split loop's ``target * (z @ w)`` and
+        # ``eta * target * z`` bit for bit.
+        signed.append(np.where(y == 1, 1.0, -1.0)[:, None] * Z)
+    order = sorted(range(len(splits)), key=lambda f: -signed[f].shape[0])
+    ends = [epochs * signed[f].shape[0] for f in order]  # non-increasing
+    rngs = [np.random.default_rng(seed) for _ in order]
+    pending = [np.empty(0, dtype=int) for _ in order]
+    W = np.zeros((len(order), signed[0].shape[1]))
     t = 0
-    for _ in range(hp["epochs"]):
-        for i in rng.permutation(n):
+    while t < ends[0]:
+        m = sum(end > t for end in ends)  # active splits, a prefix of ``order``
+        size = min(_SVM_CHUNK, ends[m - 1] - t)
+        chunk = []
+        for a in range(m):
+            Z, rng = signed[order[a]], rngs[a]
+            while pending[a].size < size:  # a new epoch starts within the chunk
+                pending[a] = np.concatenate([pending[a], rng.permutation(Z.shape[0])])
+            chunk.append(Z[pending[a][:size]])
+            pending[a] = pending[a][size:]
+        rows = np.stack(chunk, axis=1)  # (step, split, feature)
+        Wa, step = W[:m], np.empty((m, W.shape[1]))
+        for r in rows:
             t += 1
             eta = 1.0 / (lam * t)
-            w *= 1.0 - eta * lam
-            if target[i] * (Z[i] @ w) < 1.0:
-                w += eta * target[i] * Z[i]
-    return {"weights": w.tolist(), "scaler": scaler}
+            Wa *= 1.0 - eta * lam
+            hit = np.vecdot(r, Wa) < 1.0
+            if hit.any():  # splits off the margin are not written, so -0.0 stays
+                np.add(Wa, np.multiply(r, eta, out=step), out=Wa, where=hit[:, None])
+    fits: list = [None] * len(splits)
+    for a, f in enumerate(order):
+        fits[f] = {"weights": W[a].tolist(), "scaler": scalers[f]}
+    return fits
 
 
 def _score_linear_svm(params, X):
@@ -365,9 +419,9 @@ def _train_gbdt(X, y, hp, seed):
     loss_history = []
     for _ in range(hp["n_rounds"]):
         p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)
-        tree = _fit_boost_tree(X, p - y, p * (1.0 - p), ords, hp["max_depth"], lam)
+        tree, values = _fit_boost_tree(X, p - y, p * (1.0 - p), ords, hp["max_depth"], lam)
         trees.append(tree)
-        raw = raw + lr * _eval_tree(tree, X)
+        raw = raw + lr * values
         p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)
         loss_history.append(float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean()))
     return {"f0": f0, "learning_rate": lr, "trees": trees, "loss_history": loss_history}
@@ -380,13 +434,19 @@ def _score_gbdt(params, X):
     return _sigmoid(raw)
 
 
+#: Fitters that take a list of ``(X, y)`` splits and fit them all at once.
+_FOLD_FITTERS = {
+    "logistic_regression": _fit_logistic_regression,
+    "linear_svm": _fit_linear_svm,
+}
+
 _TRAINERS = {
     "naive_bayes": _train_naive_bayes,
     "decision_tree": _train_decision_tree,
-    "logistic_regression": _train_logistic_regression,
     "random_forest": _train_random_forest,
-    "linear_svm": _train_linear_svm,
     "gbdt": _train_gbdt,
+    **{name: (lambda X, y, hp, seed, fit=fit: fit([(X, y)], hp, seed)[0])
+       for name, fit in _FOLD_FITTERS.items()},
 }
 
 _SCORERS = {
@@ -399,6 +459,19 @@ _SCORERS = {
 }
 
 
+def _hyperparams(algorithm: str, hyperparams: Mapping | None) -> dict:
+    """The family's defaults updated with ``hyperparams``."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r} (expected one of {ALGORITHMS})")
+    hp = dict(DEFAULT_HYPERPARAMS[algorithm])
+    if hyperparams:
+        unknown = set(hyperparams) - set(hp)
+        if unknown:
+            raise ValueError(f"unknown hyperparameter(s) for {algorithm}: {sorted(unknown)}")
+        hp.update(hyperparams)
+    return hp
+
+
 def train(
     algorithm: str,
     X,
@@ -406,21 +479,19 @@ def train(
     hyperparams: Mapping | None = None,
     seed: int = 0,
     feature_names: Sequence[str] | None = None,
+    *,
+    parameters: dict | None = None,
 ) -> TrainedClassifier:
     """Fit one model family on a 0/1-labeled feature matrix.
 
     A single-class ``y`` yields a constant predictor (with a warning)
-    instead of failing, so degenerate folds stay survivable.
+    instead of failing, so degenerate folds stay survivable. ``parameters``
+    are this split's parameters when a fold-batched fitter has already
+    fitted them (:func:`kfold_cv` passes them): they are checked against
+    the inputs like a fresh fit and wrapped, not fitted again.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r} (expected one of {ALGORITHMS})")
+    hp = _hyperparams(algorithm, hyperparams)
     X, y = _validate_xy(X, y)
-    hp = dict(DEFAULT_HYPERPARAMS[algorithm])
-    if hyperparams:
-        unknown = set(hyperparams) - set(hp)
-        if unknown:
-            raise ValueError(f"unknown hyperparameter(s) for {algorithm}: {sorted(unknown)}")
-        hp.update(hyperparams)
     names = tuple(feature_names) if feature_names is not None else tuple(
         f"f{i}" for i in range(X.shape[1]))
     if len(names) != X.shape[1]:
@@ -429,6 +500,8 @@ def train(
         warnings.warn(f"single-class training data; {algorithm} degenerates to a "
                       "constant predictor", stacklevel=2)
         params = _constant_params(y)
+    elif parameters is not None:
+        params = parameters
     else:
         params = _TRAINERS[algorithm](X, y, hp, seed)
     return TrainedClassifier(algorithm=algorithm, parameters=params,
@@ -503,24 +576,28 @@ def kfold_cv(
     """
     X, y = _validate_xy(X, y)
     folds = stratified_folds(y, k, seed)
+    splits = []
+    for test_idx in folds:
+        train_mask = np.ones(y.size, dtype=bool)
+        train_mask[test_idx] = False
+        splits.append((X[train_mask], y[train_mask]))
+    degenerate = [f for f, (_, y_tr) in enumerate(splits) if np.unique(y_tr).size < 2]
+    live = [f for f in range(k) if f not in degenerate]
+    fitted: dict[int, dict] = {}
+    if algorithm in _FOLD_FITTERS and live:  # degenerate folds stay constant predictors
+        fitted = dict(zip(live, _FOLD_FITTERS[algorithm](
+            [splits[f] for f in live], _hyperparams(algorithm, hyperparams), seed)))
     accs: list[float] = []
     f1s: list[float] = []
     confusion = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
-    degenerate: list[int] = []
     scaler_stats: list = []
-    for fold_no, test_idx in enumerate(folds):
-        train_mask = np.ones(y.size, dtype=bool)
-        train_mask[test_idx] = False
-        X_tr, y_tr = X[train_mask], y[train_mask]
-        if np.unique(y_tr).size < 2:
-            degenerate.append(fold_no)
-            with warnings.catch_warnings():
+    for fold_no, (test_idx, (X_tr, y_tr)) in enumerate(zip(folds, splits)):
+        with warnings.catch_warnings():
+            if fold_no in degenerate:
                 warnings.simplefilter("ignore")
-                model = train(algorithm, X_tr, y_tr, hyperparams, seed, feature_names)
-        else:
-            model = train(algorithm, X_tr, y_tr, hyperparams, seed, feature_names)
-        scaler_stats.append(model.parameters.get("scaler")
-                            if algorithm in _STANDARDIZED else None)
+            model = train(algorithm, X_tr, y_tr, hyperparams, seed, feature_names,
+                          parameters=fitted.get(fold_no))
+        scaler_stats.append(model.parameters.get("scaler"))
         y_hat = predict_labels(model, X[test_idx])
         y_tst = y[test_idx]
         m = metrics(y_tst, y_hat)

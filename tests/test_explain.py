@@ -15,7 +15,9 @@ from volnet.explain import (
     write_attribution_csv,
     write_importance_csv,
 )
-from volnet.models import train
+from volnet.models import ALGORITHMS, train
+
+import models_reference as ref
 
 
 class LinearStub:
@@ -150,6 +152,36 @@ class TestMonteCarlo:
         model = LinearStub([1.0])
         with pytest.raises(ValueError):
             shapley_mc(model, [0.0], [[1.0]], n_permutations=99)
+
+
+class TestMonteCarloMatchesReference:
+    """The rank-mask row builder against the flip-by-flip loop, exactly."""
+
+    FAST = {"logistic_regression": {"epochs": 30}, "random_forest": {"n_trees": 5},
+            "linear_svm": {"epochs": 5}, "gbdt": {"n_rounds": 5}}
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_every_family(self, algorithm, d):
+        X, y = separable(n_per=12, d=d, seed=d)
+        model = train(algorithm, X, y, hyperparams=self.FAST.get(algorithm), seed=1)
+        att = shapley_mc(model, X[3], X[::2], n_permutations=120, seed=d)
+        phi, std_err, base_value, prediction = ref.shapley_mc(
+            model, X[3], X[::2], n_permutations=120, seed=d)
+        assert list(att.per_feature.values()) == phi.tolist()
+        assert list(att.std_err.values()) == std_err.tolist()
+        assert att.base_value == base_value
+        assert att.prediction == prediction
+
+    def test_constant_model(self):
+        X = np.arange(12, dtype=float).reshape(4, 3)
+        with pytest.warns(UserWarning):
+            model = train("naive_bayes", X, np.ones(4, dtype=int))
+        att = shapley_mc(model, X[0], X, n_permutations=100, seed=3)
+        phi, std_err, base_value, prediction = ref.shapley_mc(
+            model, X[0], X, n_permutations=100, seed=3)
+        assert list(att.per_feature.values()) == phi.tolist()
+        assert (att.base_value, att.prediction) == (base_value, prediction)
 
 
 class TestImportance:

@@ -10,6 +10,9 @@ import pytest
 
 from volnet.models import (
     _best_split,
+    _eval_tree,
+    _fit_boost_tree,
+    _fit_linear_svm,
     _gini_gain,
     _second_order_gain,
     ALGORITHMS,
@@ -24,6 +27,8 @@ from volnet.models import (
     train,
     write_eval_csv,
 )
+
+import models_reference as ref
 
 
 def separable(n_per: int = 20, d: int = 3, seed: int = 0, gap: float = 3.0):
@@ -299,6 +304,116 @@ class TestGBDT:
         report = kfold_cv("gbdt", X, y, k=5, seed=0,
                           hyperparams={"n_rounds": 30})
         assert report.mean_accuracy >= 0.95
+
+    def test_round_update_matches_scoring_the_new_tree(self):
+        # The per-round update reads each training row's leaf from the grower;
+        # scoring the finished tree must send every row to the same leaf.
+        rng = np.random.default_rng(2)
+        X = rng.integers(0, 4, size=(60, 3)).astype(float) / 3.0  # repeated values
+        y = (X[:, 0] + rng.normal(0.0, 0.3, 60) > 0.5).astype(int)
+        p = np.full(60, 0.5)
+        ords = np.argsort(X, axis=0, kind="stable").T
+        for depth in (1, 3, 6):
+            tree, values = _fit_boost_tree(X, p - y, p * (1.0 - p), ords, depth, 1.0)
+            assert np.array_equal(values, _eval_tree(tree, X))
+
+
+def lockstep_data(k: int, seed: int, degenerate: bool):
+    """Rows not divisible by ``k``, repeated values and a constant column;
+    with ``degenerate`` a single positive, so one fold trains on one class."""
+    rng = np.random.default_rng(seed)
+    n = 4 * k + 1 + k % 3
+    X = np.round(rng.normal(size=(n, 4)), 1)
+    X[:, 2] = 1.5
+    y = (X[:, 0] + rng.normal(0.0, 0.7, n) > 0).astype(int)
+    y[:2] = (0, 1)
+    if degenerate:
+        y[:] = 0
+        y[n // 2] = 1
+    return X, y
+
+
+def assert_same_parameters(got: dict, want: dict):
+    assert got == want  # weights, bias and scaler lists, compared with ==
+    for key in ("weights", "bias"):
+        if key in want:
+            assert np.array_equal(np.signbit(got[key]), np.signbit(want[key]))
+
+
+class TestFoldFittersMatchReference:
+    """The fold-batched Pegasos and gradient-descent fitters against the
+    one-split loops in ``models_reference``, bit for bit."""
+
+    @pytest.mark.parametrize("algorithm", ["linear_svm", "logistic_regression"])
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_cv_folds(self, algorithm, k):
+        for degenerate in (False, True):
+            X, y = lockstep_data(k, seed=k, degenerate=degenerate)
+            for epochs in (1, 3, 17):
+                hp = {"epochs": epochs}
+                got = ref.cv_fold_parameters(algorithm, X, y, k, seed=k, hyperparams=hp)
+                want = ref.fold_parameters(algorithm, X, y, k, seed=k, hyperparams=hp)
+                assert len(got) == len(want) == k
+                for g, w in zip(got, want):
+                    assert_same_parameters(g, w)
+            if degenerate:
+                assert sum("constant" in w for w in want) == 1
+
+    @pytest.mark.parametrize("algorithm", ["linear_svm", "logistic_regression"])
+    def test_default_epochs(self, algorithm):
+        X, y = separable(n_per=23, d=5, seed=31)
+        got = ref.cv_fold_parameters(algorithm, X, y, 10, seed=4)
+        want = ref.fold_parameters(algorithm, X, y, 10, seed=4)
+        for g, w in zip(got, want):
+            assert_same_parameters(g, w)
+
+    @pytest.mark.parametrize("algorithm", ["linear_svm", "logistic_regression"])
+    def test_train_is_the_one_split_fit(self, algorithm):
+        X, y = lockstep_data(5, seed=8, degenerate=False)
+        for epochs in (1, 4, 40):
+            hp = dict(DEFAULT_HYPERPARAMS[algorithm], epochs=epochs)
+            got = train(algorithm, X, y, hyperparams={"epochs": epochs}, seed=3)
+            assert_same_parameters(got.parameters, ref.TRAINERS[algorithm](X, y, hp, 3))
+
+    def test_signed_zero_survives_a_step_off_the_margin(self):
+        # In the first split, step 1 writes a subnormal weight that step 2's
+        # shrink rounds to -0.0; at step 2 the first split's positive row
+        # stays outside the margin while the second split hits, and the
+        # first split must not get that row's +0.0 feature value added.
+        X = np.zeros((10, 2))
+        X[0] = (5e-324, -10.0)
+        X[9, 1] = 10.0
+        first = np.array([0] * 9 + [1])
+        second = np.array([0] * 5 + [1] + [0] * 4)
+        hp = dict(DEFAULT_HYPERPARAMS["linear_svm"], l2=1.0, epochs=1)
+        want = [ref.train_linear_svm(X, y, hp, 252) for y in (first, second)]
+        assert want[0]["weights"][0] == 0.0 and np.signbit(want[0]["weights"][0])
+        got = _fit_linear_svm([(X, first), (X, second)], hp, 252)
+        for g, w in zip(got, want):
+            assert_same_parameters(g, w)
+
+    @pytest.mark.parametrize("rows", [
+        [(5.0, 4.315894611749433), (1.8715500397864788, 0.1), (-0.54, 0.36), (1.3, 0.95),
+         (-0.7, -1.27), (-0.62, 0.04), (-2.33, -0.22), (-1.25, -0.73)],
+        [(5.0, 3.765249949328382), (1.6360217441586447, 0.64), (0.75, -0.96), (0.56, -0.29),
+         (0.3, -1.26), (0.83, 1.2), (0.64, 0.56), (-3.77, 0.26)],
+    ])
+    def test_margin_exactly_on_the_boundary(self, rows):
+        # Seed 220 visits rows 0 and 1 first, and the second step's margin
+        # ``Z[1] @ (Z[0] * 0.5)`` is exactly 1.0 as the 1-D dot product of
+        # NumPy's bundled OpenBLAS on x86-64 computes it, so it does not hit;
+        # ``einsum`` or ``(z * w).sum()`` land an ulp below, and hit.
+        X = np.array(rows)
+        y = np.array([0, 0, 1, 1, 1, 1, 0, 0])
+        hp = dict(DEFAULT_HYPERPARAMS["linear_svm"], l2=1.0, epochs=1)
+        got = train("linear_svm", X, y, hyperparams={"l2": 1.0, "epochs": 1}, seed=220)
+        assert_same_parameters(got.parameters, ref.train_linear_svm(X, y, hp, 220))
+
+    def test_scaler_stats_match_the_fold_models(self):
+        X, y = lockstep_data(7, seed=1, degenerate=False)
+        report = kfold_cv("linear_svm", X, y, k=7, seed=2, hyperparams={"epochs": 2})
+        want = ref.fold_parameters("linear_svm", X, y, 7, seed=2, hyperparams={"epochs": 2})
+        assert list(report.fold_scaler_stats) == [w["scaler"] for w in want]
 
 
 class TestMetrics:
