@@ -104,16 +104,17 @@ def dr_series(
     if n_points < 1:
         raise ValueError("horizon shorter than one interval")
 
-    t0 = log.first_activity.get(u)
-    if t0 is None:
+    rows = log.by_user.get(u)
+    if not rows:
         raise SeriesError(f"user {u!r} has no transactions")
 
+    t0 = rows[0].collected_at
     listings = [0] * n_points
     pickups = [0] * n_points
     end = t0 + n_points * step
-    for t in log.transactions:
-        if not t0 <= t.collected_at < end:
-            continue
+    for t in rows:  # in log order, from t0
+        if t.collected_at >= end:
+            break
         idx = int((t.collected_at - t0) / step)
         if t.lister_id == u:
             listings[idx] += 1

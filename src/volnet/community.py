@@ -1,8 +1,10 @@
 """Louvain community detection on the weighted undirected projection.
 
-The directed transaction graph is symmetrized (weights from both
-directions summed) before partitioning; the optimizer is the classic
-two-phase scheme of seeded local moves followed by graph aggregation.
+Partitioning reads the graph's undirected projection
+(``TransactionGraph.undirected_adj``, weights from both directions
+summed); the optimizer is the classic two-phase scheme of seeded local
+moves followed by graph aggregation, and one objective (``_phase_q``)
+scores every level and the final partition.
 """
 
 from __future__ import annotations
@@ -29,19 +31,13 @@ class Partition:
 
 
 def _undirected_weights(g: TransactionGraph) -> tuple[list[str], dict[int, dict[int, float]], float]:
-    """Index nodes and symmetrize edge weights; returns (nodes, adj, m)."""
+    """Index the undirected projection's nodes; returns (nodes, adj, m)."""
     nodes = sorted(g.nodes)
     index = {v: i for i, v in enumerate(nodes)}
-    adj: dict[int, dict[int, float]] = {i: {} for i in range(len(nodes))}
-    m = 0.0
-    for (a, b), w in g.edges.items():
-        ia, ib = index[a], index[b]
-        adj[ia][ib] = adj[ia].get(ib, 0.0) + w
-        adj[ib][ia] = adj[ib].get(ia, 0.0) + w
-    for i in adj:
-        for j, w in adj[i].items():
-            if i < j:
-                m += w
+    # integer weights, so every float sum over them is exact
+    adj = {index[v]: {index[w]: float(x) for w, x in g.undirected_adj[v].items()}
+           for v in nodes}
+    m = sum((w for i, row in adj.items() for j, w in row.items() if i < j), 0.0)
     return nodes, adj, m
 
 
@@ -54,18 +50,7 @@ def modularity(g: TransactionGraph, p: Partition) -> float:
     if m == 0.0:
         return 0.0
     com = {i: p.assignment[v] for i, v in enumerate(nodes)}
-    intra: dict[int, float] = {}
-    degree: dict[int, float] = {}
-    for i in adj:
-        ci = com[i]
-        degree[ci] = degree.get(ci, 0.0) + sum(adj[i].values())
-        for j, w in adj[i].items():
-            if i < j and com[j] == ci:
-                intra[ci] = intra.get(ci, 0.0) + w
-    q = 0.0
-    for c in degree:
-        q += intra.get(c, 0.0) / m - (degree[c] / (2.0 * m)) ** 2
-    return q
+    return _phase_q(adj, dict.fromkeys(adj, 0.0), com, m, 1.0)
 
 
 def _phase_q(adj, selfw, node2com, m, resolution) -> float:
@@ -155,6 +140,7 @@ def louvain(g: TransactionGraph, seed: int = 0, resolution: float = 1.0) -> Part
         return Partition(assignment=assignment, count=n, modularity=0.0)
 
     rng = random.Random(seed)
+    base = adj  # the original graph's level scores the final partition
     selfw = {i: 0.0 for i in adj}
     # node index on the original graph -> community on the current level
     level_com = {i: i for i in range(n)}
@@ -172,22 +158,11 @@ def louvain(g: TransactionGraph, seed: int = 0, resolution: float = 1.0) -> Part
 
     # dense final ids by first appearance over sorted node names
     relabel: dict[int, int] = {}
-    assignment: dict[str, int] = {}
-    for i, v in enumerate(nodes):
-        c = level_com[i]
-        if c not in relabel:
-            relabel[c] = len(relabel)
-        assignment[v] = relabel[c]
-    partition = Partition(
-        assignment=assignment,
-        count=len(relabel),
-        modularity=0.0,
-        phase_modularity=tuple(history),
-    )
+    com = {i: relabel.setdefault(level_com[i], len(relabel)) for i in range(n)}
     return Partition(
-        assignment=assignment,
+        assignment={v: com[i] for i, v in enumerate(nodes)},
         count=len(relabel),
-        modularity=modularity(g, partition),
+        modularity=_phase_q(base, dict.fromkeys(base, 0.0), com, m, 1.0),
         phase_modularity=tuple(history),
     )
 

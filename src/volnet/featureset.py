@@ -9,7 +9,7 @@ stage, so each vector is ready for supervised training.
 from __future__ import annotations
 
 import csv
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Mapping, Sequence
@@ -18,11 +18,11 @@ import numpy as np
 
 from .graph import (
     EgoNetwork,
-    TransactionGraph,
     clustering_coefficient,
     closeness_centrality,
     degrees,
     density,
+    ego_networks,
     pagerank,
 )
 from .ingest import EventLog, TransactionLog
@@ -134,12 +134,11 @@ def assemble_all(
     """Feature vectors of ``users`` at their cutoffs, in the order given.
 
     A user's cutoff is their first activity plus ``t_months`` 30-day
-    months.  Network features come from the ego network of the graph of
-    transactions collected up to the cutoff, raw features from the events
-    up to it, so nothing after the cutoff leaks in.  Users are visited in
-    cutoff order and the adjacency grows incrementally in one pass over
-    the log, instead of a graph rebuilt per user.  The label and case come
-    from the user's cluster archetype (:func:`tscluster.case_and_trend`).
+    months.  Network features come from the user's ego network over the
+    transactions collected up to the cutoff (:func:`graph.ego_networks`),
+    raw features from the events up to it, so nothing after the cutoff
+    leaks in.  The label and case come from the user's cluster archetype
+    (:func:`tscluster.case_and_trend`).
     """
     users = list(users)
     if not users:
@@ -158,28 +157,10 @@ def assemble_all(
         if e.user_id in wanted:
             events_of[e.user_id].append(e)
 
-    out_adj: dict[str, Counter] = defaultdict(Counter)
-    in_adj: dict[str, Counter] = defaultdict(Counter)
-    ptr = 0
-    ordered = sorted(users, key=lambda u: (cutoffs[u], u))
     vectors: dict[str, FeatureVector] = {}
-    for u in ordered:
-        cutoff = cutoffs[u]
-        while ptr < len(log.transactions) and log.transactions[ptr].collected_at <= cutoff:
-            t = log.transactions[ptr]
-            out_adj[t.lister_id][t.collector_id] += 1
-            in_adj[t.collector_id][t.lister_id] += 1
-            ptr += 1
-        members = {u} | set(out_adj[u]) | set(in_adj[u])
-        edges = {}
-        for a in members:
-            for b, w in out_adj[a].items():
-                if b in members:
-                    edges[(a, b)] = w
-        ego = EgoNetwork(ego=u, graph=TransactionGraph(nodes=frozenset(members), edges=edges))
+    for u, ego in ego_networks(log, cutoffs):
         features = extract_network_features(ego)
-
-        features.update(_count_events(events_of.get(u, ()), cutoff))
+        features.update(_count_events(events_of.get(u, ()), cutoffs[u]))
 
         if u not in model.assignment:
             raise KeyError(f"user {u!r} missing from cluster assignment")

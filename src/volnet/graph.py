@@ -4,16 +4,21 @@ Edges point lister -> collector, so out-degree counts listings and
 in-degree counts pickups.  Edge weight is the transaction count for the
 pair.  Closeness and the clustering coefficient are computed on the
 undirected, unweighted projection.
+
+This module owns the edge aggregate of a log: :func:`build_graph` is the
+one place that sums transactions into weighted edges and adjacencies, and
+one ego cut, shared by :func:`ego_network` and :func:`ego_networks`,
+reads them.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .ingest import TransactionLog
 
@@ -69,10 +74,6 @@ class TransactionGraph:
             adj[b][a] = adj[b].get(a, 0) + w
         return adj
 
-    def neighbors(self, v: str) -> set[str]:
-        """Distinct counterparties of ``v`` (either direction)."""
-        return set(self.out_adj[v]) | set(self.in_adj[v])
-
     def _require(self, v: str) -> None:
         if v not in self.nodes:
             raise KeyError(f"unknown user {v!r}")
@@ -107,18 +108,44 @@ def build_graph(log: TransactionLog, until: datetime) -> TransactionGraph:
     return TransactionGraph(nodes=frozenset(nodes), edges=dict(weights))
 
 
+def _ego_cut(u: str, out_adj: Mapping[str, Mapping[str, int]],
+             in_adj: Mapping[str, Mapping[str, int]]) -> EgoNetwork:
+    """Members are ``u`` and its out- and in-neighbors; edges are the
+    members' out-edges that stay inside the members."""
+    members = {u, *out_adj.get(u, ()), *in_adj.get(u, ())}
+    edges = {(a, b): w for a in members for b, w in out_adj.get(a, {}).items()
+             if b in members}
+    return EgoNetwork(ego=u, graph=TransactionGraph(nodes=frozenset(members), edges=edges))
+
+
 def ego_network(g: TransactionGraph, u: str) -> EgoNetwork:
     """Ego network of ``u``: nodes are {u} plus direct neighbors; edges are
     every edge incident to ``u`` plus every edge between two neighbors."""
     g._require(u)
-    members = g.neighbors(u) | {u}
-    edges = {
-        (a, b): w
-        for (a, b), w in g.edges.items()
-        if a == u or b == u or (a in members and b in members)
-    }
-    restricted = TransactionGraph(nodes=frozenset(members), edges=edges)
-    return EgoNetwork(ego=u, graph=restricted)
+    return _ego_cut(u, g.out_adj, g.in_adj)
+
+
+def ego_networks(log: TransactionLog,
+                 cutoffs: Mapping[str, datetime]) -> Iterator[tuple[str, EgoNetwork]]:
+    """Yield ``(user, ego network)`` for each user in ``cutoffs``, in cutoff
+    order, over the transactions with ``collected_at`` up to that user's
+    cutoff.
+
+    The adjacency grows in one pass over the log, instead of a graph
+    rebuilt per user, and each ego network is built only when its turn
+    comes, so a caller holds one at a time.  A user with no transaction
+    by their cutoff gets an ego network of just themselves.
+    """
+    out_adj: dict[str, Counter[str]] = defaultdict(Counter)
+    in_adj: dict[str, Counter[str]] = defaultdict(Counter)
+    ptr = 0
+    for u in sorted(cutoffs, key=lambda u: (cutoffs[u], u)):
+        n = log.count_until(cutoffs[u])
+        for t in log.transactions[ptr:n]:
+            out_adj[t.lister_id][t.collector_id] += 1
+            in_adj[t.collector_id][t.lister_id] += 1
+        ptr = n
+        yield u, _ego_cut(u, out_adj, in_adj)
 
 
 def density(g: TransactionGraph) -> float:

@@ -4,6 +4,10 @@ Input files are plain CSV or JSONL.  Transactions carry the exact columns
 ``item_id,lister_id,collector_id,listed_at,collected_at`` and activity events
 ``user_id,kind,at,value`` (``value`` empty unless ``kind`` is ``rating``).
 Timestamps are RFC 3339, normalized to UTC at parse time.
+
+This module owns the per-user view of a log: :attr:`TransactionLog.by_user`
+is the one index of each user's rows, and first activity, the activity
+filters and the donors-ratio series read it instead of scanning the log.
 """
 
 from __future__ import annotations
@@ -111,13 +115,18 @@ class TransactionLog:
         return len(self.transactions)
 
     @cached_property
+    def by_user(self) -> dict[str, list[Transaction]]:
+        """Each user's transactions, in either role, in log order."""
+        rows: dict[str, list[Transaction]] = {}
+        for t in self.transactions:
+            rows.setdefault(t.lister_id, []).append(t)
+            rows.setdefault(t.collector_id, []).append(t)
+        return rows
+
+    @cached_property
     def first_activity(self) -> dict[str, datetime]:
         """Each user's first ``collected_at``, in either role."""
-        first: dict[str, datetime] = {}
-        for t in self.transactions:
-            first.setdefault(t.lister_id, t.collected_at)
-            first.setdefault(t.collector_id, t.collected_at)
-        return first
+        return {u: rows[0].collected_at for u, rows in self.by_user.items()}
 
     @cached_property
     def _collected_order(self) -> list[datetime]:
@@ -277,50 +286,32 @@ def parse_events(path: str, fmt: str = "csv") -> EventLog:
     return _without_bad_rows(*parse_events_with_report(path, fmt))
 
 
+def _write_rows(path: str, fmt: str, columns: tuple[str, ...], rows: Iterable[tuple]) -> None:
+    """Write value tuples under ``columns``; the mirror of :func:`_parse`."""
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unknown format {fmt!r}")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if fmt == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for values in rows:
+                writer.writerow(["" if v is None else str(v) for v in values])
+        else:
+            for values in rows:
+                fh.write(json.dumps(dict(zip(columns, values)), separators=(",", ":")) + "\n")
+
+
 def write_transactions(log_: TransactionLog, path: str, fmt: str = "csv") -> None:
     """Serialize a log in the canonical on-disk form (round-trips exactly)."""
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRANSACTION_COLUMNS)
-            for t in log_.transactions:
-                writer.writerow([
-                    t.item_id, t.lister_id, t.collector_id,
-                    format_timestamp(t.listed_at), format_timestamp(t.collected_at),
-                ])
-    elif fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for t in log_.transactions:
-                fh.write(json.dumps({
-                    "item_id": t.item_id,
-                    "lister_id": t.lister_id,
-                    "collector_id": t.collector_id,
-                    "listed_at": format_timestamp(t.listed_at),
-                    "collected_at": format_timestamp(t.collected_at),
-                }, separators=(",", ":")) + "\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    _write_rows(path, fmt, TRANSACTION_COLUMNS, (
+        (t.item_id, t.lister_id, t.collector_id,
+         format_timestamp(t.listed_at), format_timestamp(t.collected_at))
+        for t in log_.transactions))
 
 
 def write_events(events: EventLog, path: str, fmt: str = "csv") -> None:
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(EVENT_COLUMNS)
-            for e in events.events:
-                value = "" if e.value is None else repr(e.value)
-                writer.writerow([e.user_id, e.kind, format_timestamp(e.at), value])
-    elif fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for e in events.events:
-                fh.write(json.dumps({
-                    "user_id": e.user_id,
-                    "kind": e.kind,
-                    "at": format_timestamp(e.at),
-                    "value": e.value,
-                }, separators=(",", ":")) + "\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    _write_rows(path, fmt, EVENT_COLUMNS, (
+        (e.user_id, e.kind, format_timestamp(e.at), e.value) for e in events.events))
 
 
 def filter_min_transactions(log_: TransactionLog, min_count: int) -> TransactionLog:
@@ -333,11 +324,7 @@ def filter_min_transactions(log_: TransactionLog, min_count: int) -> Transaction
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts: dict[str, int] = {}
-    for t in log_.transactions:
-        counts[t.lister_id] = counts.get(t.lister_id, 0) + 1
-        counts[t.collector_id] = counts.get(t.collector_id, 0) + 1
-    retained = {u for u, c in counts.items() if c >= min_count}
+    retained = {u for u, rows in log_.by_user.items() if len(rows) >= min_count}
     kept = [t for t in log_.transactions
             if t.lister_id in retained and t.collector_id in retained]
     return TransactionLog.from_transactions(kept)
@@ -356,25 +343,14 @@ def select_active_key_users(
     ``min_listing_weeks`` distinct ISO calendar weeks (UTC).  Transactions
     are attributed to weeks by ``collected_at``.
     """
-    first: dict[str, datetime] = {}
-    last: dict[str, datetime] = {}
-    listing_weeks: dict[str, set[tuple[int, int]]] = {}
-    for t in log_.transactions:
-        for u in (t.lister_id, t.collector_id):
-            if u not in key.ids:
-                continue
-            if u not in first:
-                first[u] = t.collected_at
-            last[u] = t.collected_at
-        if t.lister_id in key.ids:
-            iso = t.collected_at.isocalendar()
-            listing_weeks.setdefault(t.lister_id, set()).add((iso[0], iso[1]))
-    retained = frozenset(
-        u for u in key.ids
-        if u in first
-        and last[u] - first[u] >= min_span
-        and len(listing_weeks.get(u, ())) >= min_listing_weeks
-    )
+    def active(u: str) -> bool:
+        rows = log_.by_user.get(u)
+        if not rows or rows[-1].collected_at - rows[0].collected_at < min_span:
+            return False
+        weeks = {t.collected_at.isocalendar()[:2] for t in rows if t.lister_id == u}
+        return len(weeks) >= min_listing_weeks
+
+    retained = frozenset(u for u in key.ids if active(u))
     if not retained:
         log.warning("no key users passed the activity criteria")
     return KeyUserSet(ids=retained, origin=key.origin)

@@ -110,14 +110,17 @@ class EvalReport:
 
 def _validate_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=int).ravel()
+    y = np.asarray(y).ravel()
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"{X.shape[0]} rows vs {y.shape[0]} labels")
     if X.shape[0] < 2:
         raise ValueError("need at least 2 samples")
-    if not set(np.unique(y)) <= {0, 1}:
+    # checked before the int cast, which would truncate 0.5 to 0
+    if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0/1")
-    return X, y
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite (no nan or inf)")
+    return X, y.astype(int)
 
 
 def _fit_scaler(X: np.ndarray) -> dict:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import timedelta
@@ -243,19 +242,11 @@ def series_cache(cfg: PipelineConfig, log: ingest.TransactionLog,
     """Stage behavior: the DR series of each of ``users``; unusable users
     are dropped with a warning."""
     with _stage("behavior"):
-        per_user: dict[str, list] = defaultdict(list)
-        wanted = set(users)
-        for t in log.transactions:
-            if t.lister_id in wanted:
-                per_user[t.lister_id].append(t)
-            if t.collector_id in wanted:
-                per_user[t.collector_id].append(t)
         horizon = timedelta(days=cfg.horizon_days)
         cache: dict[str, behavior.DRSeries] = {}
-        for u in sorted(wanted):
-            sublog = ingest.TransactionLog.from_transactions(per_user[u])
+        for u in sorted(set(users)):
             try:
-                cache[u] = behavior.dr_series(u, sublog, interval=cfg.interval,
+                cache[u] = behavior.dr_series(u, log, interval=cfg.interval,
                                               horizon=horizon)
             except behavior.SeriesError as exc:
                 warnings_out.append(f"behavior: dropped {u}: {exc}")

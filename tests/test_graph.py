@@ -58,7 +58,7 @@ class TestConstruction:
         assert g.in_adj["a"] == {"b": 1}
         assert g.undirected_adj["a"] == {"b": 3}
         assert g.undirected_adj["b"] == {"a": 3, "c": 3}
-        assert g.neighbors("b") == {"a", "c"}
+        assert set(g.out_adj["b"]) | set(g.in_adj["b"]) == {"a", "c"}
 
 
 class TestEgoNetwork:

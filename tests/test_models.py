@@ -78,6 +78,31 @@ class TestTrainValidation:
         with pytest.raises(ValueError):
             train("decision_tree", X[:1], y[:1])
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_fractional_labels_are_rejected_not_truncated(self, algorithm):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        with pytest.raises(ValueError, match="labels"):
+            train(algorithm, X, [0.5, 0.7, 1.0, 1.2])
+        X, y = separable(n_per=10)
+        with pytest.raises(ValueError, match="labels"):
+            kfold_cv(algorithm, X, y + 0.25, k=2, hyperparams=FAST[algorithm])
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_are_rejected(self, algorithm, bad):
+        X, y = separable(n_per=10)
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            train(algorithm, X, y, hyperparams=FAST[algorithm])
+        with pytest.raises(ValueError, match="finite"):
+            kfold_cv(algorithm, X, y, k=2, hyperparams=FAST[algorithm])
+
+    def test_float_and_bool_labels_of_zero_and_one_are_accepted(self):
+        X, y = separable(n_per=10)
+        as_int = train("naive_bayes", X, y)
+        assert train("naive_bayes", X, y.astype(float)).parameters == as_int.parameters
+        assert train("naive_bayes", X, y.astype(bool)).parameters == as_int.parameters
+
     def test_feature_names(self):
         X, y = separable(d=3)
         named = train("decision_tree", X, y, feature_names=("a", "b", "c"))
