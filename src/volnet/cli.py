@@ -145,8 +145,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         mix = ", ".join(f"{lab}={counts[lab]}" for lab in sorted(counts))
         print(f"scope {name}: {len(scope.users)} users, chose k={scope.chosen_k}, {mix}")
     if m2:
-        for name, vecs in m2.vectors.items():
-            print(f"scope {name}: {len(vecs)} feature vectors")
+        for name, table in m2.features.items():
+            print(f"scope {name}: {len(table.users)} feature vectors")
         for (name, case), alg in sorted(m2.best.items()):
             rows = [r for a, c, r in m2.eval_rows[name] if c == case and a == alg]
             print(f"scope {name} case {case}: best {alg} "

@@ -1,9 +1,11 @@
-"""Per-key-user feature vectors at an activity cutoff.
+"""Per-key-user features at an activity cutoff, and per-scope training tables.
 
 Network features come from the user's ego network built over transactions
 up to the cutoff; raw features count the user's activity events up to the
-same cutoff. The trend label and prediction case come from the clustering
-stage, so each vector is ready for supervised training.
+same cutoff.  Neither depends on the analysis scope, so a run assembles
+each key user's row once (:func:`assemble_all`).  The trend label and
+prediction case come from a scope's own clustering, so each scope selects
+its users' rows and attaches them (:func:`label_scope`).
 """
 
 from __future__ import annotations
@@ -62,27 +64,25 @@ LABELS = ("stable", "changes")
 DAYS_PER_MONTH = 30
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """One labeled training example for the trend-prediction stage."""
+@dataclass(frozen=True, eq=False)
+class ScopeFeatures:
+    """One scope's training table: row ``i`` of ``X`` (columns in
+    :data:`FEATURE_NAMES` order) belongs to ``users[i]``, whose label is
+    ``y[i]`` (1 for "changes", 0 for "stable") and whose case is ``cases[i]``."""
 
-    user: str
-    cutoff_months: int
-    features: Mapping[str, float]
-    label: str
-    case: str
+    users: tuple[str, ...]
+    X: np.ndarray
+    y: np.ndarray
+    cases: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.label not in LABELS:
-            raise ValueError(f"unknown label {self.label!r}")
-        if self.case not in CASES:
-            raise ValueError(f"unknown case {self.case!r}")
-        missing = set(FEATURE_NAMES) - set(self.features)
-        if missing:
-            raise ValueError(f"feature vector missing {sorted(missing)}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.features[name] for name in FEATURE_NAMES], dtype=float)
+    def rows(self, case: str | None = None) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """``(X, y, users)``, restricted to the rows of ``case`` when given."""
+        if case is not None and case not in CASES:
+            raise ValueError(f"unknown case {case!r}")
+        keep = [i for i, c in enumerate(self.cases) if case is None or c == case]
+        if not keep:
+            raise ValueError(f"no feature vectors{' for case ' + case if case else ''}")
+        return self.X[keep], self.y[keep], [self.users[i] for i in keep]
 
 
 def extract_network_features(ego: EgoNetwork) -> dict[str, float]:
@@ -127,22 +127,20 @@ def assemble_all(
     users: Iterable[str],
     log: TransactionLog,
     events: EventLog,
-    model: ClusterModel,
-    labels: Mapping[int, ArchetypeLabel],
     t_months: int = 3,
-) -> list[FeatureVector]:
-    """Feature vectors of ``users`` at their cutoffs, in the order given.
+) -> np.ndarray:
+    """Feature matrix of ``users`` at their cutoffs: row ``i`` is ``users[i]``,
+    columns follow :data:`FEATURE_NAMES`.
 
     A user's cutoff is their first activity plus ``t_months`` 30-day
     months.  Network features come from the user's ego network over the
     transactions collected up to the cutoff (:func:`graph.ego_networks`),
     raw features from the events up to it, so nothing after the cutoff
-    leaks in.  The label and case come from the user's cluster archetype
-    (:func:`tscluster.case_and_trend`).
+    leaks in, and a user's row does not depend on who else is assembled.
     """
     users = list(users)
     if not users:
-        return []
+        return np.zeros((0, len(FEATURE_NAMES)))
     if t_months < 1:
         raise ValueError("cutoff months must be >= 1")
     cutoffs: dict[str, datetime] = {}
@@ -152,63 +150,46 @@ def assemble_all(
         cutoffs[u] = log.first_activity[u] + timedelta(days=DAYS_PER_MONTH * t_months)
 
     events_of: dict[str, list] = defaultdict(list)
-    wanted = set(users)
     for e in events.events:
-        if e.user_id in wanted:
+        if e.user_id in cutoffs:
             events_of[e.user_id].append(e)
 
-    vectors: dict[str, FeatureVector] = {}
+    row_of: dict[str, list[float]] = {}
     for u, ego in ego_networks(log, cutoffs):
         features = extract_network_features(ego)
         features.update(_count_events(events_of.get(u, ()), cutoffs[u]))
+        row_of[u] = [features[name] for name in FEATURE_NAMES]
+    return np.array([row_of[u] for u in users], dtype=float)
 
+
+def label_scope(
+    users: Sequence[str],
+    X: np.ndarray,
+    model: ClusterModel,
+    labels: Mapping[int, ArchetypeLabel],
+) -> ScopeFeatures:
+    """The scope's table: ``X``'s rows (one per user, in order) with each
+    user's label and case from their cluster archetype
+    (:func:`tscluster.case_and_trend`)."""
+    cases, y = [], []
+    for u in users:
         if u not in model.assignment:
             raise KeyError(f"user {u!r} missing from cluster assignment")
         case, label = case_and_trend(labels[model.assignment[u]].label)
-        vectors[u] = FeatureVector(user=u, cutoff_months=t_months, features=features,
-                                   label=label, case=case)
-    return [vectors[u] for u in users]
-
-
-def feature_matrix(
-    vectors: Sequence[FeatureVector],
-    case: str | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Stack vectors into (X, y, users); y is 1 for "changes", 0 for "stable".
-
-    With ``case`` given, only vectors of that prediction case are kept.
-    """
-    if case is not None and case not in CASES:
-        raise ValueError(f"unknown case {case!r}")
-    picked = [v for v in vectors if case is None or v.case == case]
-    if not picked:
-        raise ValueError(f"no feature vectors{' for case ' + case if case else ''}")
-    X = np.vstack([v.as_array() for v in picked])
-    y = np.array([1 if v.label == "changes" else 0 for v in picked], dtype=int)
-    return X, y, [v.user for v in picked]
+        cases.append(case)
+        y.append(LABELS.index(label))
+    return ScopeFeatures(users=tuple(users), X=X, y=np.array(y, dtype=int),
+                         cases=tuple(cases))
 
 
 def _format_value(v: float) -> str:
     return str(int(v)) if float(v).is_integer() else f"{v:.6f}"
 
 
-def write_features_csv(vectors: Sequence[FeatureVector], path: str) -> None:
+def write_features_csv(table: ScopeFeatures, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_id", *FEATURE_NAMES, "label", "case"])
-        for v in sorted(vectors, key=lambda v: v.user):
-            row = [v.user]
-            row.extend(_format_value(v.features[name]) for name in FEATURE_NAMES)
-            row.extend([v.label, v.case])
-            writer.writerow(row)
-
-
-def read_features_csv(path: str, cutoff_months: int = 3) -> list[FeatureVector]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        out = []
-        for row in reader:
-            features = {name: float(row[name]) for name in FEATURE_NAMES}
-            out.append(FeatureVector(user=row["user_id"], cutoff_months=cutoff_months,
-                                     features=features, label=row["label"], case=row["case"]))
-    return out
+        for i in sorted(range(len(table.users)), key=table.users.__getitem__):
+            writer.writerow([table.users[i], *map(_format_value, table.X[i]),
+                             LABELS[table.y[i]], table.cases[i]])

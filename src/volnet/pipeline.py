@@ -88,6 +88,9 @@ class PipelineConfig:
             "min_transactions": 1,
             "horizon_days": behavior.INTERVAL_DAYS[self.interval],
             "cutoff_months": 1,
+            "min_span_days": 0,
+            "min_listing_weeks": 0,
+            "seed": 0,
             "cv_folds": 2,
             "top_communities": 0,
             "n_permutations": explain.MIN_PERMUTATIONS,
@@ -166,7 +169,7 @@ class Method1Result:
 
 @dataclass
 class Method2Result:
-    vectors: dict[str, list[featureset.FeatureVector]]  # per scope
+    features: dict[str, featureset.ScopeFeatures]  # per clustered scope
     eval_rows: dict[str, list[tuple[str, str, models.EvalReport]]]
     best: dict[tuple[str, str], str]  # (scope, case) -> algorithm
     importances: dict[tuple[str, str], list[tuple[str, float]]]
@@ -374,36 +377,37 @@ def run_method2(cfg: PipelineConfig, m1: Method1Result,
         if not cfg.events:
             raise ValueError("no events path configured (required for feature assembly)")
         events = ingest.parse_events(cfg.events, fmt=cfg.format)
-        vectors: dict[str, list[featureset.FeatureVector]] = {}
-        for name, scope in m1.scopes.items():
-            if scope.model is None:
-                continue
-            vecs = featureset.assemble_all(
-                list(scope.users), m1.log, events, scope.model, scope.labels,
-                t_months=cfg.cutoff_months)
-            vectors[name] = vecs
+        clustered = {name: scope for name, scope in m1.scopes.items()
+                     if scope.model is not None}
+        # features do not depend on the scope: assemble each user once
+        users = sorted({u for scope in clustered.values() for u in scope.users})
+        X = featureset.assemble_all(users, m1.log, events, t_months=cfg.cutoff_months)
+        row_of = {u: i for i, u in enumerate(users)}
+        tables: dict[str, featureset.ScopeFeatures] = {}
+        for name, scope in clustered.items():
+            table = featureset.label_scope(
+                scope.users, X[[row_of[u] for u in scope.users]], scope.model, scope.labels)
+            tables[name] = table
             fname = f"features_{name}.csv"
-            featureset.write_features_csv(vecs, _out_path(cfg, fname))
+            featureset.write_features_csv(table, _out_path(cfg, fname))
             artifacts[fname] = fname
 
-    result = Method2Result(vectors=vectors, eval_rows={}, best={}, importances={},
+    result = Method2Result(features=tables, eval_rows={}, best={}, importances={},
                            artifacts=artifacts, warnings=warnings_out)
     if through == "features":
         return result
 
-    trained_inputs: dict[tuple[str, str], tuple] = {}
     with _stage("train"):
-        for name, vecs in vectors.items():
+        for name, table in tables.items():
             rows: list[tuple[str, str, models.EvalReport]] = []
             for case in featureset.CASES:
-                case_vecs = [v for v in vecs if v.case == case]
-                if len(case_vecs) < 2 * cfg.cv_folds:
+                n = table.cases.count(case)
+                if n < 2 * cfg.cv_folds:
                     warnings_out.append(
                         f"train: scope {name} case {case} skipped "
-                        f"({len(case_vecs)} samples < {2 * cfg.cv_folds})")
+                        f"({n} samples < {2 * cfg.cv_folds})")
                     continue
-                X, y, users = featureset.feature_matrix(case_vecs)
-                trained_inputs[(name, case)] = (X, y, users)
+                X, y, _ = table.rows(case)
                 for alg in cfg.models:
                     rows.append((alg, case, models.kfold_cv(
                         alg, X, y, k=cfg.cv_folds, seed=cfg.seed,
@@ -420,7 +424,7 @@ def run_method2(cfg: PipelineConfig, m1: Method1Result,
 
     with _stage("explain"):
         for (name, case), alg in sorted(result.best.items()):
-            X, y, users = trained_inputs[(name, case)]
+            X, y, users = tables[name].rows(case)
             model = models.train(alg, X, y, seed=cfg.seed,
                                  feature_names=featureset.FEATURE_NAMES)
             fname = f"model_{name}_{case}.json"

@@ -3,7 +3,8 @@
 This is the single-user path ``volnet.featureset`` used to ship: each
 user's cutoff comes from a scan of the log, the graph is rebuilt from the
 log up to that cutoff, and the raw features filter the whole event log.
-``assemble_all`` must give the same vectors from its one incremental pass.
+``assemble_all`` must give the same rows from its one incremental pass, and
+``label_scope`` the same label and case.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from collections import Counter
 from datetime import datetime, timedelta
 from typing import Mapping
 
-from volnet.featureset import DAYS_PER_MONTH, FeatureVector, extract_network_features
+import numpy as np
+
+from volnet.featureset import DAYS_PER_MONTH, FEATURE_NAMES, extract_network_features
 from volnet.graph import build_graph, ego_network
 from volnet.ingest import EventLog, TransactionLog
 from volnet.tscluster import ArchetypeLabel, ClusterModel, case_and_trend
@@ -54,11 +57,11 @@ def assemble(
     model: ClusterModel,
     labels: Mapping[int, ArchetypeLabel],
     t_months: int = 3,
-) -> FeatureVector:
-    """Full feature vector for one clustered user at their cutoff."""
+) -> tuple[np.ndarray, tuple[str, str]]:
+    """One clustered user's feature row (columns in ``FEATURE_NAMES`` order)
+    at their cutoff, and their ``(case, label)``."""
     case, label = case_and_trend(labels[model.assignment[u]].label)
     cutoff = cutoff_time(log, u, t_months)
     features = extract_network_features(ego_network(build_graph(log, until=cutoff), u))
     features.update(extract_raw_features(events, u, cutoff))
-    return FeatureVector(user=u, cutoff_months=t_months, features=features,
-                         label=label, case=case)
+    return np.array([features[name] for name in FEATURE_NAMES]), (case, label)

@@ -117,8 +117,7 @@ def test_trend_prediction_accuracy_and_dominant_feature(fullscale, gate):
         for report in gbdt_reports.values():
             assert report.mean_accuracy >= 0.85
         for case in featureset.CASES:
-            vecs = [v for v in fullscale.m2.vectors["network"] if v.case == case]
-            X, y, users = featureset.feature_matrix(vecs)
+            X, y, users = fullscale.m2.features["network"].rows(case)
             model = models.train("gbdt", X, y, seed=7,
                                  feature_names=featureset.FEATURE_NAMES)
             background = explain.background_sample(X, 100, seed=7)
@@ -324,15 +323,15 @@ def test_cross_cutting_invariants(fullscale, gate):
         # appending strictly post-cutoff transactions leaves features alone
         events = ingest.parse_events(fullscale.paths["events"])
         probes = sorted(scope.users)[:5]
-        before = {v.user: v.features for v in fullscale.m2.vectors["network"]
-                  if v.user in probes}
+        table = fullscale.m2.features["network"]
+        before = {u: table.X[i] for i, u in enumerate(table.users) if u in probes}
         future = [t for u in probes
                   for t in (tx(u, "drifter", 500), tx("drifter", u, 501))]
         extended = ingest.TransactionLog.from_transactions(
             list(fullscale.m1.log.transactions) + future)
-        for again in featureset.assemble_all(probes, extended, events, scope.model,
-                                             scope.labels, t_months=3):
-            assert again.features == before[again.user]
+        again = featureset.assemble_all(probes, extended, events, t_months=3)
+        for u, row in zip(probes, again):
+            assert np.array_equal(row, before[u])
 
         # pagerank is a probability distribution over the whole network
         pr = graph.pagerank(fullscale.m1.net)

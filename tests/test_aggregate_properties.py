@@ -1,6 +1,7 @@
 """Brute-force oracles for the log aggregates and their one owner each:
 per-user rows (``ingest``), edges and ego cuts (``graph``) and the Louvain
-objective (``community``), on small random logs (skipped without
+objective (``community``), plus the scope independence of the feature rows
+built on them (``featureset``), on small random logs (skipped without
 Hypothesis)."""
 
 from __future__ import annotations
@@ -14,14 +15,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from volnet import community, graph, ingest  # noqa: E402
+import numpy as np  # noqa: E402
+
+from volnet import community, featureset, graph, ingest  # noqa: E402
 from volnet.behavior import INTERVAL_DAYS, SeriesError, dr_series  # noqa: E402
-from volnet.ingest import KeyUserSet  # noqa: E402
+from volnet.ingest import ActivityEvent, EventLog, KeyUserSet  # noqa: E402
 
 from conftest import at_day, make_log, tx  # noqa: E402
 
 USERS = "abcdefg"
 PAIRS = [(a, b) for a in USERS for b in USERS if a != b]
+KINDS = ("article", "message", "like", "story", "comment", "rating")
 
 
 def logs(max_size=40, max_day=800):
@@ -145,3 +149,21 @@ def test_louvain_is_seeded_and_reports_its_own_modularity(log, seed):
                     reached.add(w)
                     stack.append(w)
         assert reached == members
+
+
+def event_logs(max_size=30, max_day=200):
+    """Up to ``max_size`` activity events of the same users; ratings carry a value."""
+    rows = st.tuples(st.sampled_from(USERS), st.sampled_from(KINDS), st.integers(0, max_day))
+    return st.lists(rows, max_size=max_size).map(lambda drawn: EventLog.from_events(
+        ActivityEvent(u, kind, at_day(day), value=float(day % 10) if kind == "rating" else None)
+        for u, kind, day in drawn))
+
+
+@settings(max_examples=100, deadline=None)
+@given(log=logs(max_day=200), events=event_logs(), t_months=st.integers(1, 3), data=st.data())
+def test_feature_rows_do_not_depend_on_who_else_is_assembled(log, events, t_months, data):
+    users = sorted(log.users)
+    subset = data.draw(st.lists(st.sampled_from(users), unique=True) if users else st.just([]))
+    everyone = featureset.assemble_all(users, log, events, t_months=t_months)
+    some = featureset.assemble_all(subset, log, events, t_months=t_months)
+    assert np.array_equal(some, everyone[[users.index(u) for u in subset]])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,10 @@ from volnet.featureset import (
     LABELS,
     NETWORK_FEATURES,
     RAW_FEATURES,
-    FeatureVector,
+    ScopeFeatures,
     assemble_all,
     extract_network_features,
-    feature_matrix,
-    read_features_csv,
+    label_scope,
     write_features_csv,
 )
 from volnet.ingest import ActivityEvent, EventLog
@@ -44,8 +45,13 @@ def events_from(*events: ActivityEvent) -> EventLog:
     return EventLog.from_events(events)
 
 
-def assemble_one(u, log, events, model, labels, t_months=3) -> FeatureVector:
-    return assemble_all([u], log, events, model, labels, t_months=t_months)[0]
+def assemble_one(u, log, events, model, labels, t_months=3) -> SimpleNamespace:
+    """One user's assembled row, labelled by ``model``: ``user``, ``features``
+    (name -> value), ``label`` and ``case``."""
+    table = label_scope([u], assemble_all([u], log, events, t_months=t_months), model, labels)
+    return SimpleNamespace(user=table.users[0],
+                           features=dict(zip(FEATURE_NAMES, table.X[0].tolist())),
+                           label=LABELS[table.y[0]], case=table.cases[0])
 
 
 def raw_features(events: EventLog) -> dict[str, float]:
@@ -256,90 +262,75 @@ class TestAssemble:
         log, events, truth = small_synth
         users = sorted(truth)[:10]
         model, labels = hand_cluster({u: 0 for u in users}, {0: "FAD"})
-        batch = assemble_all(users, log, events, model, labels)
-        for u, got in zip(users, batch):
-            want = assemble(u, log, events, model, labels)
-            assert got.user == u == want.user
-            assert got.features == want.features
-            assert (got.label, got.case) == (want.label, want.case)
+        X = assemble_all(users, log, events)
+        table = label_scope(users, X, model, labels)
+        assert X.shape == (len(users), len(FEATURE_NAMES))
+        for i, u in enumerate(users):
+            row, (case, label) = assemble(u, log, events, model, labels)
+            assert table.users[i] == u
+            assert np.array_equal(X[i], row)
+            assert (LABELS[table.y[i]], table.cases[i]) == (label, case)
+
+    def test_no_users_gives_empty_matrix(self):
+        log, events = hand_scene()
+        assert assemble_all([], log, events).shape == (0, len(FEATURE_NAMES))
+
+    def test_repeated_user_gets_a_row_at_each_position(self):
+        log = make_log(tx("u", "a", 0), tx("b", "u", 3), tx("a", "b", 5))
+        X = assemble_all(["u", "a", "u"], log, events_from())
+        assert X.shape == (3, len(FEATURE_NAMES))
+        assert np.array_equal(X[0], X[2])
+        assert np.array_equal(X[1], assemble_all(["a"], log, events_from())[0])
 
 
 class TestFeatureMatrix:
     @staticmethod
-    def vectors():
-        def vec(user, label, case, seed):
-            features = {name: float(i + seed) for i, name in enumerate(FEATURE_NAMES)}
-            return FeatureVector(user=user, cutoff_months=3, features=features,
-                                 label=label, case=case)
-        return [
-            vec("u1", "changes", "starting_high", 1),
-            vec("u2", "stable", "starting_high", 2),
-            vec("u3", "changes", "starting_low", 3),
-        ]
+    def table():
+        X = np.array([[float(i + seed) for i in range(len(FEATURE_NAMES))]
+                      for seed in (1, 2, 3)])
+        return ScopeFeatures(users=("u1", "u2", "u3"), X=X, y=np.array([1, 0, 1]),
+                             cases=("starting_high", "starting_high", "starting_low"))
 
     def test_encoding_and_order(self):
-        X, y, users = feature_matrix(self.vectors())
+        X, y, users = self.table().rows()
         assert X.shape == (3, len(FEATURE_NAMES))
         assert list(y) == [1, 0, 1]
         assert users == ["u1", "u2", "u3"]
         assert X[0, 0] == 1.0  # first feature of u1
 
     def test_case_filter(self):
-        X, y, users = feature_matrix(self.vectors(), case="starting_high")
+        X, y, users = self.table().rows(case="starting_high")
         assert users == ["u1", "u2"]
         assert list(y) == [1, 0]
 
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError):
-            feature_matrix(self.vectors(), case="sideways")
+            self.table().rows(case="sideways")
 
     def test_empty_selection_rejected(self):
-        vecs = [v for v in self.vectors() if v.case == "starting_high"]
+        t = self.table()
+        high = ScopeFeatures(users=t.users[:2], X=t.X[:2], y=t.y[:2], cases=t.cases[:2])
         with pytest.raises(ValueError):
-            feature_matrix(vecs, case="starting_low")
+            high.rows(case="starting_low")
 
 
 class TestValidationAndCsv:
-    def test_vector_validation(self):
-        features = {name: 0.0 for name in FEATURE_NAMES}
-        with pytest.raises(ValueError):
-            FeatureVector("u", 3, features, label="meh", case="starting_high")
-        with pytest.raises(ValueError):
-            FeatureVector("u", 3, features, label="stable", case="upward")
-        with pytest.raises(ValueError):
-            FeatureVector("u", 3, dict(list(features.items())[:-1]),
-                          label="stable", case="starting_high")
-
     def test_column_layout(self):
         assert FEATURE_NAMES == NETWORK_FEATURES + RAW_FEATURES
         assert len(FEATURE_NAMES) == 15
         assert CASES == ("starting_high", "starting_low")
         assert LABELS == ("stable", "changes")
 
-    def test_round_trip(self, tmp_path):
-        log, events = hand_scene()
-        model, labels = hand_cluster({"u": 0}, {0: "SPD"})
-        vectors = [assemble_one("u", log, events, model, labels)]
-        path = tmp_path / "features.csv"
-        write_features_csv(vectors, str(path))
-        back = read_features_csv(str(path))
-        assert len(back) == 1
-        assert back[0].user == "u"
-        assert back[0].label == vectors[0].label
-        assert back[0].case == vectors[0].case
-        for name in FEATURE_NAMES:
-            assert back[0].features[name] == pytest.approx(
-                vectors[0].features[name], abs=1e-6)
-
     def test_csv_header_and_int_formatting(self, tmp_path):
-        features = {name: 0.0 for name in FEATURE_NAMES}
-        features["nodes_number"] = 7.0
-        features["density"] = 0.125
-        v = FeatureVector("u", 3, features, label="stable", case="starting_low")
+        row = np.zeros((1, len(FEATURE_NAMES)))
+        row[0, FEATURE_NAMES.index("nodes_number")] = 7.0
+        row[0, FEATURE_NAMES.index("density")] = 0.125
+        table = ScopeFeatures(users=("u",), X=row, y=np.array([0]), cases=("starting_low",))
         path = tmp_path / "features.csv"
-        write_features_csv([v], str(path))
+        write_features_csv(table, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "user_id," + ",".join(FEATURE_NAMES) + ",label,case"
         cells = lines[1].split(",")
         assert cells[1 + FEATURE_NAMES.index("nodes_number")] == "7"
         assert cells[1 + FEATURE_NAMES.index("density")] == "0.125000"
+        assert cells[-2:] == ["stable", "starting_low"]

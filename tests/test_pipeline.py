@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from volnet import cli, featureset, ingest, models, pipeline, synthgen, tscluster
@@ -100,6 +102,9 @@ class TestConfig:
         {"horizon_days": "6"},
         {"horizon_days": "29", "interval": "monthly"},
         {"format": "xml"},
+        {"seed": "-1"},
+        {"min_span_days": "-1"},
+        {"min_listing_weeks": "-1"},
     ])
     def test_invalid_settings_rejected(self, overrides, tmp_path, capsys):
         with pytest.raises(ValueError):
@@ -116,7 +121,8 @@ class TestConfig:
     @pytest.mark.parametrize("overrides", [
         {"cv_folds": "2", "cutoff_months": "1", "top_communities": "0",
          "n_permutations": "100", "explain_rows": "1", "hub_multiplier": "1",
-         "min_transactions": "1", "gamma": "0.001", "horizon_days": "7"},
+         "min_transactions": "1", "gamma": "0.001", "horizon_days": "7",
+         "seed": "0", "min_span_days": "0", "min_listing_weeks": "0"},
         {"metric": "dtw", "interval": "monthly", "horizon_days": "30", "format": "jsonl"},
     ])
     def test_boundary_values_accepted(self, overrides):
@@ -276,11 +282,30 @@ class TestMethodOneRun:
 class TestMethodTwoRun:
     def test_feature_vectors_per_scope(self, run):
         _, m1, m2, _ = run
-        assert set(m2.vectors) == set(m1.scopes)
-        assert len(m2.vectors["network"]) == 40
-        for vecs in m2.vectors.values():
-            for v in vecs:
-                assert set(v.features) == set(featureset.FEATURE_NAMES)
+        assert set(m2.features) == set(m1.scopes)
+        assert len(m2.features["network"].users) == 40
+        for name, table in m2.features.items():
+            assert table.users == m1.scopes[name].users
+            assert table.X.shape == (len(table.users), len(featureset.FEATURE_NAMES))
+            assert len(table.y) == len(table.cases) == len(table.users)
+
+    def test_features_assembled_once_and_shared_by_scopes(self, run, monkeypatch, tmp_path):
+        cfg, m1, _, _ = run
+        calls = []
+        assemble_all = featureset.assemble_all
+
+        def counting(users, *args, **kwargs):
+            calls.append(list(users))
+            return assemble_all(calls[-1], *args, **kwargs)
+
+        monkeypatch.setattr(featureset, "assemble_all", counting)
+        m2 = pipeline.run_method2(replace(cfg, out=str(tmp_path)), m1, through="features")
+        assert calls == [sorted(m1.scopes["network"].users)]
+        assert len(m2.features) == len(m1.scopes) > 1
+        network = m2.features["network"]
+        row_of = {u: i for i, u in enumerate(network.users)}
+        for table in m2.features.values():
+            assert np.array_equal(table.X, network.X[[row_of[u] for u in table.users]])
 
     def test_network_eval_covers_every_model_and_case(self, run):
         cfg, _, m2, _ = run
@@ -352,8 +377,7 @@ class TestMethodTwoRun:
         for (scope, case), alg in m2.best.items():
             model = models.load_model(os.path.join(cfg.out, f"model_{scope}_{case}.json"))
             assert model.algorithm == alg
-            vecs = [v for v in m2.vectors[scope] if v.case == case]
-            X, y, _ = featureset.feature_matrix(vecs)
+            X, y, _ = m2.features[scope].rows(case)
             scores = model.scores(X)
             assert scores.shape == (len(y),)
             assert ((scores >= 0.0) & (scores <= 1.0)).all()
