@@ -24,17 +24,6 @@ class SeriesError(ValueError):
 
 
 @dataclass(frozen=True)
-class HubRuleParams:
-    """Threshold config: hub iff distinct degree > multiplier * average."""
-
-    multiplier: float = 1.0
-
-    def __post_init__(self):
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-
-
-@dataclass(frozen=True)
 class DRSeries:
     """Per-user donors-ratio samples at fixed intervals from ``t0``."""
 
@@ -128,15 +117,22 @@ def dr_series(
                     values=tuple(values), imputed_mask=tuple(mask))
 
 
-def detect_hubs(g: TransactionGraph, params: HubRuleParams = HubRuleParams()) -> KeyUserSet:
+def detect_hubs(g: TransactionGraph, multiplier: float = 1.0) -> KeyUserSet:
     """Users whose distinct total degree exceeds ``multiplier`` times the
     network average.  Degree counts distinct in- plus out-neighbors, so the
     result is invariant under edge-weight scaling."""
+    if multiplier < 1.0:
+        raise ValueError("multiplier must be >= 1")
     if not g.nodes:
         raise ValueError("hub detection needs a non-empty graph")
-    degree = {v: len(g.in_adj[v]) + len(g.out_adj[v]) for v in g.nodes}
+    # each distinct directed edge is one out-neighbor of its source and one
+    # in-neighbor of its target
+    degree = dict.fromkeys(g.nodes, 0)
+    for a, b in g.edges:
+        degree[a] += 1
+        degree[b] += 1
     avg = sum(degree.values()) / len(degree)
-    hubs = frozenset(v for v, d in degree.items() if d > params.multiplier * avg)
+    hubs = frozenset(v for v, d in degree.items() if d > multiplier * avg)
     return KeyUserSet(ids=hubs, origin="hub_rule")
 
 

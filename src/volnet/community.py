@@ -1,10 +1,10 @@
 """Louvain community detection on the weighted undirected projection.
 
 Partitioning reads the graph's undirected projection
-(``TransactionGraph.undirected_adj``, weights from both directions
-summed); the optimizer is the classic two-phase scheme of seeded local
-moves followed by graph aggregation, and one objective (``_phase_q``)
-scores every level and the final partition.
+(``graph.adjacency(g, "both")``, weights from both directions summed);
+the optimizer is the classic two-phase scheme of seeded local moves
+followed by graph aggregation, and one objective (``_phase_q``) scores
+every level and the final partition.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import csv
 import random
 from dataclasses import dataclass, field
 
-from .graph import TransactionGraph
+from .graph import TransactionGraph, adjacency
 
 # Stop once a full local-move + aggregation phase improves the objective
 # by less than this.
@@ -34,9 +34,9 @@ def _undirected_weights(g: TransactionGraph) -> tuple[list[str], dict[int, dict[
     """Index the undirected projection's nodes; returns (nodes, adj, m)."""
     nodes = sorted(g.nodes)
     index = {v: i for i, v in enumerate(nodes)}
+    both = adjacency(g, "both")
     # integer weights, so every float sum over them is exact
-    adj = {index[v]: {index[w]: float(x) for w, x in g.undirected_adj[v].items()}
-           for v in nodes}
+    adj = {index[v]: {index[w]: float(x) for w, x in both[v].items()} for v in nodes}
     m = sum((w for i, row in adj.items() for j, w in row.items() if i < j), 0.0)
     return nodes, adj, m
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graph import (
-    EgoNetwork,
+    TransactionGraph,
     clustering_coefficient,
     closeness_centrality,
     degrees,
@@ -85,10 +85,8 @@ class ScopeFeatures:
         return self.X[keep], self.y[keep], [self.users[i] for i in keep]
 
 
-def extract_network_features(ego: EgoNetwork) -> dict[str, float]:
-    """Structural features of the user within their (cutoff-limited) ego net."""
-    g = ego.graph
-    u = ego.ego
+def extract_network_features(g: TransactionGraph, u: str) -> dict[str, float]:
+    """Structural features of ``u`` within their (cutoff-limited) ego net ``g``."""
     deg = degrees(g, u)
     flow = deg.in_weighted + deg.out_weighted
     if flow == 0:
@@ -156,7 +154,7 @@ def assemble_all(
 
     row_of: dict[str, list[float]] = {}
     for u, ego in ego_networks(log, cutoffs):
-        features = extract_network_features(ego)
+        features = extract_network_features(ego, u)
         features.update(_count_events(events_of.get(u, ()), cutoffs[u]))
         row_of[u] = [features[name] for name in FEATURE_NAMES]
     return np.array([row_of[u] for u in users], dtype=float)

@@ -5,10 +5,12 @@ in-degree counts pickups.  Edge weight is the transaction count for the
 pair.  Closeness and the clustering coefficient are computed on the
 undirected, unweighted projection.
 
-This module owns the edge aggregate of a log: :func:`build_graph` is the
-one place that sums transactions into weighted edges and adjacencies, and
-one ego cut, shared by :func:`ego_network` and :func:`ego_networks`,
-reads them.
+A graph is a plain value of nodes and weighted edges.  :func:`adjacency`
+is the one place that turns edges into neighbour dicts, built when an
+algorithm reads them and never cached on the graph.  :func:`build_graph`
+sums a log's transactions into edges; :func:`ego_networks` sums them
+incrementally, one cutoff at a time, and shares one ego cut with
+:func:`ego_network`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import csv
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from datetime import datetime
-from functools import cached_property
 from typing import Iterator, Mapping
 
 from .ingest import TransactionLog
@@ -35,7 +36,7 @@ class PageRankError(RuntimeError):
         self.last = last
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransactionGraph:
     """Immutable snapshot of the network: users and weighted directed edges."""
 
@@ -51,41 +52,9 @@ class TransactionGraph:
             if a not in self.nodes or b not in self.nodes:
                 raise ValueError(f"edge ({a!r}, {b!r}) endpoint outside node set")
 
-    @cached_property
-    def out_adj(self) -> dict[str, dict[str, int]]:
-        adj: dict[str, dict[str, int]] = {v: {} for v in self.nodes}
-        for (a, b), w in self.edges.items():
-            adj[a][b] = w
-        return adj
-
-    @cached_property
-    def in_adj(self) -> dict[str, dict[str, int]]:
-        adj: dict[str, dict[str, int]] = {v: {} for v in self.nodes}
-        for (a, b), w in self.edges.items():
-            adj[b][a] = w
-        return adj
-
-    @cached_property
-    def undirected_adj(self) -> dict[str, dict[str, int]]:
-        """Undirected projection; weights sum both directions."""
-        adj: dict[str, dict[str, int]] = {v: {} for v in self.nodes}
-        for (a, b), w in self.edges.items():
-            adj[a][b] = adj[a].get(b, 0) + w
-            adj[b][a] = adj[b].get(a, 0) + w
-        return adj
-
     def _require(self, v: str) -> None:
         if v not in self.nodes:
             raise KeyError(f"unknown user {v!r}")
-
-
-@dataclass(frozen=True)
-class EgoNetwork:
-    """``ego`` plus its direct neighbors, with all incident and
-    neighbor-neighbor edges."""
-
-    ego: str
-    graph: TransactionGraph
 
 
 @dataclass(frozen=True)
@@ -94,6 +63,21 @@ class DegreeRecord:
     out_weighted: int
     in_distinct: int
     out_distinct: int
+
+
+def adjacency(g: TransactionGraph, direction: str = "out") -> dict[str, dict[str, int]]:
+    """Every node's weighted neighbours, filled in edge order: ``"out"``
+    follows the edges, ``"in"`` reverses them, and ``"both"`` is the
+    undirected projection with the two directions' weights summed."""
+    if direction not in ("out", "in", "both"):
+        raise ValueError(f"unknown direction {direction!r}")
+    adj: dict[str, dict[str, int]] = {v: {} for v in g.nodes}
+    for (a, b), w in g.edges.items():
+        if direction != "in":
+            adj[a][b] = adj[a].get(b, 0) + w
+        if direction != "out":
+            adj[b][a] = adj[b].get(a, 0) + w
+    return adj
 
 
 def build_graph(log: TransactionLog, until: datetime) -> TransactionGraph:
@@ -108,25 +92,25 @@ def build_graph(log: TransactionLog, until: datetime) -> TransactionGraph:
     return TransactionGraph(nodes=frozenset(nodes), edges=dict(weights))
 
 
-def _ego_cut(u: str, out_adj: Mapping[str, Mapping[str, int]],
-             in_adj: Mapping[str, Mapping[str, int]]) -> EgoNetwork:
+def _ego_cut(u: str, succ: Mapping[str, Mapping[str, int]],
+             pred: Mapping[str, Mapping[str, int]]) -> TransactionGraph:
     """Members are ``u`` and its out- and in-neighbors; edges are the
     members' out-edges that stay inside the members."""
-    members = {u, *out_adj.get(u, ()), *in_adj.get(u, ())}
-    edges = {(a, b): w for a in members for b, w in out_adj.get(a, {}).items()
+    members = {u, *succ.get(u, ()), *pred.get(u, ())}
+    edges = {(a, b): w for a in members for b, w in succ.get(a, {}).items()
              if b in members}
-    return EgoNetwork(ego=u, graph=TransactionGraph(nodes=frozenset(members), edges=edges))
+    return TransactionGraph(nodes=frozenset(members), edges=edges)
 
 
-def ego_network(g: TransactionGraph, u: str) -> EgoNetwork:
+def ego_network(g: TransactionGraph, u: str) -> TransactionGraph:
     """Ego network of ``u``: nodes are {u} plus direct neighbors; edges are
     every edge incident to ``u`` plus every edge between two neighbors."""
     g._require(u)
-    return _ego_cut(u, g.out_adj, g.in_adj)
+    return _ego_cut(u, adjacency(g, "out"), adjacency(g, "in"))
 
 
 def ego_networks(log: TransactionLog,
-                 cutoffs: Mapping[str, datetime]) -> Iterator[tuple[str, EgoNetwork]]:
+                 cutoffs: Mapping[str, datetime]) -> Iterator[tuple[str, TransactionGraph]]:
     """Yield ``(user, ego network)`` for each user in ``cutoffs``, in cutoff
     order, over the transactions with ``collected_at`` up to that user's
     cutoff.
@@ -136,16 +120,16 @@ def ego_networks(log: TransactionLog,
     comes, so a caller holds one at a time.  A user with no transaction
     by their cutoff gets an ego network of just themselves.
     """
-    out_adj: dict[str, Counter[str]] = defaultdict(Counter)
-    in_adj: dict[str, Counter[str]] = defaultdict(Counter)
+    succ: dict[str, Counter[str]] = defaultdict(Counter)
+    pred: dict[str, Counter[str]] = defaultdict(Counter)
     ptr = 0
     for u in sorted(cutoffs, key=lambda u: (cutoffs[u], u)):
         n = log.count_until(cutoffs[u])
         for t in log.transactions[ptr:n]:
-            out_adj[t.lister_id][t.collector_id] += 1
-            in_adj[t.collector_id][t.lister_id] += 1
+            succ[t.lister_id][t.collector_id] += 1
+            pred[t.collector_id][t.lister_id] += 1
         ptr = n
-        yield u, _ego_cut(u, out_adj, in_adj)
+        yield u, _ego_cut(u, succ, pred)
 
 
 def density(g: TransactionGraph) -> float:
@@ -158,11 +142,12 @@ def density(g: TransactionGraph) -> float:
 
 def degrees(g: TransactionGraph, v: str) -> DegreeRecord:
     g._require(v)
+    ins, outs = adjacency(g, "in")[v], adjacency(g, "out")[v]
     return DegreeRecord(
-        in_weighted=sum(g.in_adj[v].values()),
-        out_weighted=sum(g.out_adj[v].values()),
-        in_distinct=len(g.in_adj[v]),
-        out_distinct=len(g.out_adj[v]),
+        in_weighted=sum(ins.values()),
+        out_weighted=sum(outs.values()),
+        in_distinct=len(ins),
+        out_distinct=len(outs),
     )
 
 
@@ -190,7 +175,8 @@ def pagerank(
     n = len(order)
     if n == 0:
         return {}
-    out_weight = {v: sum(g.out_adj[v].values()) for v in order}
+    succ = adjacency(g, "out")
+    out_weight = {v: sum(succ[v].values()) for v in order}
     dangling = [v for v in order if out_weight[v] == 0]
     rank = {v: 1.0 / n for v in order}
     delta = float("inf")
@@ -201,7 +187,7 @@ def pagerank(
             if out_weight[v] == 0:
                 continue
             share = damping * rank[v] / out_weight[v]
-            for w, weight in g.out_adj[v].items():
+            for w, weight in succ[v].items():
                 nxt[w] += share * weight
         delta = sum(abs(nxt[v] - rank[v]) for v in order)
         rank = nxt
@@ -229,7 +215,7 @@ def closeness_centrality(g: TransactionGraph, v: str) -> float:
     n = len(g.nodes)
     if n <= 1:
         return 0.0
-    dist = _bfs_distances(g.undirected_adj, v)
+    dist = _bfs_distances(adjacency(g, "both"), v)
     r = len(dist)  # reachable nodes, v included
     total = sum(dist.values())
     if r <= 1 or total == 0:
@@ -240,11 +226,11 @@ def closeness_centrality(g: TransactionGraph, v: str) -> float:
 def clustering_coefficient(g: TransactionGraph, v: str) -> float:
     """Fraction of neighbor pairs (undirected projection) that are linked."""
     g._require(v)
-    neighbors = sorted(g.undirected_adj[v])
+    adj = adjacency(g, "both")
+    neighbors = sorted(adj[v])
     k = len(neighbors)
     if k < 2:
         return 0.0
-    adj = g.undirected_adj
     links = 0
     for i, a in enumerate(neighbors):
         for b in neighbors[i + 1:]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -142,12 +143,10 @@ class EventLog:
     """Immutable activity-event sequence, sorted by ``at``."""
 
     events: tuple[ActivityEvent, ...]
-    users: frozenset[str]
 
     @classmethod
     def from_events(cls, events: Iterable[ActivityEvent]) -> "EventLog":
-        ordered = tuple(sorted(events, key=lambda e: e.at))
-        return cls(events=ordered, users=frozenset(e.user_id for e in ordered))
+        return cls(events=tuple(sorted(events, key=lambda e: e.at)))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -183,11 +182,13 @@ class ParseReport:
     bad_rows: tuple[RowError, ...] = field(default=())
 
 
+# User ids repeat on every row a user appears in; interning keeps one
+# string per id instead of one per cell.
 def _transaction_from_fields(fields: dict[str, str]) -> Transaction:
     return Transaction(
         item_id=fields["item_id"],
-        lister_id=fields["lister_id"],
-        collector_id=fields["collector_id"],
+        lister_id=sys.intern(fields["lister_id"]),
+        collector_id=sys.intern(fields["collector_id"]),
         listed_at=parse_timestamp(fields["listed_at"]),
         collected_at=parse_timestamp(fields["collected_at"]),
     )
@@ -196,7 +197,7 @@ def _transaction_from_fields(fields: dict[str, str]) -> Transaction:
 def _event_from_fields(fields: dict[str, str]) -> ActivityEvent:
     raw_value = fields.get("value") or None
     return ActivityEvent(
-        user_id=fields["user_id"],
+        user_id=sys.intern(fields["user_id"]),
         kind=fields["kind"],
         at=parse_timestamp(fields["at"]),
         value=float(raw_value) if raw_value is not None else None,

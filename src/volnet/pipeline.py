@@ -111,7 +111,10 @@ def _parse_value(key: str, text: str):
     kind = type(_FIELDS[key].default)
     if kind is tuple:  # models: a comma list
         return tuple(m.strip() for m in text.split(",") if m.strip())
-    return kind(text)
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{key} must be {kind.__name__}, got {text!r}") from None
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -128,6 +131,8 @@ def load_config_file(path: str) -> dict[str, str]:
             key = key.strip()
             if key not in _FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in mapping:
+                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
             mapping[key] = value.strip()
     return mapping
 
@@ -214,7 +219,7 @@ def select_key_users(cfg: PipelineConfig, log: ingest.TransactionLog,
     """Stage key_users: hubs (or the configured id list) that pass the activity filter."""
     with _stage("key_users"):
         if cfg.key_users == "hub":
-            key = behavior.detect_hubs(net, behavior.HubRuleParams(cfg.hub_multiplier))
+            key = behavior.detect_hubs(net, cfg.hub_multiplier)
         else:
             with open(cfg.key_users, encoding="utf-8") as fh:
                 ids = frozenset(line.strip() for line in fh if line.strip())

@@ -90,6 +90,8 @@ class SynthConfig:
             raise ValueError("n_regulars_per_hero must be >= 1")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         unknown = set(self.archetype_mix) - set(ARCHETYPES)
         if unknown:
             raise ValueError(f"unknown archetype(s) in mix: {sorted(unknown)}")

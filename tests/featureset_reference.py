@@ -62,6 +62,6 @@ def assemble(
     at their cutoff, and their ``(case, label)``."""
     case, label = case_and_trend(labels[model.assignment[u]].label)
     cutoff = cutoff_time(log, u, t_months)
-    features = extract_network_features(ego_network(build_graph(log, until=cutoff), u))
+    features = extract_network_features(ego_network(build_graph(log, until=cutoff), u), u)
     features.update(extract_raw_features(events, u, cutoff))
     return np.array([features[name] for name in FEATURE_NAMES]), (case, label)

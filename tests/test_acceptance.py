@@ -141,8 +141,9 @@ def _dense_pagerank(g: TransactionGraph, damping: float = 0.85) -> dict[str, flo
     n = len(nodes)
     index = {v: i for i, v in enumerate(nodes)}
     M = np.zeros((n, n))
+    succ = graph.adjacency(g)
     for i, v in enumerate(nodes):
-        out = g.out_adj[v]
+        out = succ[v]
         total = sum(out.values())
         if total == 0:
             M[i, :] = 1.0 / n
@@ -411,5 +412,5 @@ def test_degenerate_inputs_fail_soft(tmp_path, gate):
         assert graph.closeness_centrality(g, "z") == 0.0
         assert graph.clustering_coefficient(g, "z") == 0.0
         ego = graph.ego_network(g, "z")
-        assert ego.graph.nodes == frozenset({"z"})
-        assert graph.density(ego.graph) == 0.0
+        assert ego.nodes == frozenset({"z"})
+        assert graph.density(ego) == 0.0

@@ -120,14 +120,13 @@ def test_ego_networks_match_per_cutoff_graphs_and_oracle(log, cut_days):
         weights = Counter((t.lister_id, t.collector_id) for t in seen
                           if t.lister_id in members and t.collector_id in members)
         ego = egos[u]
-        assert ego.ego == u
-        assert ego.graph.nodes == frozenset(members)
-        assert ego.graph.edges == dict(weights)
+        assert ego.nodes == frozenset(members)
+        assert ego.edges == dict(weights)
         g = graph.build_graph(log, cutoff)
         if u in g.nodes:
             single = graph.ego_network(g, u)
-            assert single.graph.nodes == ego.graph.nodes
-            assert single.graph.edges == ego.graph.edges
+            assert single.nodes == ego.nodes
+            assert single.edges == ego.edges
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,12 +138,13 @@ def test_louvain_is_seeded_and_reports_its_own_modularity(log, seed):
     assert p.modularity == community.modularity(g, p)
     assert sorted(set(p.assignment.values())) == list(range(p.count))
     # no community falls apart (Louvain can leave one disconnected in general)
+    both = graph.adjacency(g, "both")
     for c in range(p.count):
         members = {v for v, cc in p.assignment.items() if cc == c}
         start = next(iter(members))
         reached, stack = {start}, [start]
         while stack:
-            for w in g.undirected_adj[stack.pop()]:
+            for w in both[stack.pop()]:
                 if w in members and w not in reached:
                     reached.add(w)
                     stack.append(w)

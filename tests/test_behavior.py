@@ -9,7 +9,6 @@ import pytest
 from volnet import behavior
 from volnet.behavior import (
     DRSeries,
-    HubRuleParams,
     SeriesError,
     detect_hubs,
     dr_series,
@@ -167,7 +166,7 @@ class TestHubRule:
 
     def test_multiplier_tightens_threshold(self):
         # avg distinct degree is 8/5; the center (4) fails 3 * avg.
-        found = detect_hubs(self.star(), HubRuleParams(multiplier=3.0))
+        found = detect_hubs(self.star(), multiplier=3.0)
         assert found.ids == frozenset()
 
     def test_strict_inequality(self):
@@ -177,7 +176,7 @@ class TestHubRule:
 
     def test_multiplier_below_one_rejected(self):
         with pytest.raises(ValueError):
-            HubRuleParams(multiplier=0.5)
+            detect_hubs(self.star(), multiplier=0.5)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):

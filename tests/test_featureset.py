@@ -95,7 +95,7 @@ class TestNetworkFeatures:
     def test_pure_donor_star(self):
         log = make_log(*(tx("u", p, d) for d, p in enumerate("abcd", start=1)))
         g = build_graph(log, until=at_day(100))
-        got = extract_network_features(ego_network(g, "u"))
+        got = extract_network_features(ego_network(g, "u"), "u")
         assert got["nodes_number"] == 5.0
         assert got["edges_number"] == 4.0
         assert got["density"] == pytest.approx(4 / 20)
@@ -106,7 +106,7 @@ class TestNetworkFeatures:
     def test_triangle_clustering_is_one(self):
         log = make_log(tx("u", "a", 1), tx("b", "u", 2), tx("a", "b", 3))
         g = build_graph(log, until=at_day(100))
-        got = extract_network_features(ego_network(g, "u"))
+        got = extract_network_features(ego_network(g, "u"), "u")
         assert got["clustering_coefficient"] == pytest.approx(1.0)
         assert got["percent_of_listing_items"] == pytest.approx(0.5)
         assert got["pickups_count"] == 1.0
@@ -115,7 +115,7 @@ class TestNetworkFeatures:
         log = make_log(tx("u", "a", 1), tx("u", "b", 2), tx("u", "a", 3),
                        tx("c", "u", 4))
         g = build_graph(log, until=at_day(100))
-        got = extract_network_features(ego_network(g, "u"))
+        got = extract_network_features(ego_network(g, "u"), "u")
         assert got["pickups_count"] == 1.0
         assert got["percent_of_listing_items"] == pytest.approx(0.75)
 
@@ -124,15 +124,15 @@ class TestNetworkFeatures:
                        tx("z", "q", 4))
         g = build_graph(log, until=at_day(100))
         ego = ego_network(g, "u")
-        got = extract_network_features(ego)
-        assert got["pagerank"] == pytest.approx(graph.pagerank(ego.graph)["u"])
+        got = extract_network_features(ego, "u")
+        assert got["pagerank"] == pytest.approx(graph.pagerank(ego)["u"])
         assert got["nodes_number"] == 2.0
 
     def test_isolated_user_rejected(self):
         g = TransactionGraph(nodes=frozenset({"u", "a", "b"}),
                              edges={("a", "b"): 1})
         with pytest.raises(ValueError):
-            extract_network_features(ego_network(g, "u"))
+            extract_network_features(ego_network(g, "u"), "u")
 
 
 class TestRawFeatures:

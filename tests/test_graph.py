@@ -54,30 +54,34 @@ class TestConstruction:
 
     def test_adjacency_views_are_consistent(self):
         g = g_from({("a", "b"): 2, ("b", "a"): 1, ("b", "c"): 3})
-        assert g.out_adj["a"] == {"b": 2}
-        assert g.in_adj["a"] == {"b": 1}
-        assert g.undirected_adj["a"] == {"b": 3}
-        assert g.undirected_adj["b"] == {"a": 3, "c": 3}
-        assert set(g.out_adj["b"]) | set(g.in_adj["b"]) == {"a", "c"}
+        out, into, both = (graph.adjacency(g, d) for d in ("out", "in", "both"))
+        assert out["a"] == {"b": 2}
+        assert into["a"] == {"b": 1}
+        assert both["a"] == {"b": 3}
+        assert both["b"] == {"a": 3, "c": 3}
+        assert set(out["b"]) | set(into["b"]) == {"a", "c"}
+
+    def test_adjacency_rejects_unknown_direction(self):
+        with pytest.raises(ValueError, match="unknown direction 'undirected'"):
+            graph.adjacency(g_from({("a", "b"): 1}), "undirected")
 
 
 class TestEgoNetwork:
     def test_members_are_ego_plus_neighbors(self):
         g = g_from({("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1})
         ego = ego_network(g, "b")
-        assert ego.ego == "b"
-        assert ego.graph.nodes == frozenset({"a", "b", "c"})
+        assert ego.nodes == frozenset({"a", "b", "c"})
 
     def test_includes_neighbor_neighbor_edges(self):
         g = g_from({("u", "x"): 1, ("u", "y"): 1, ("x", "y"): 4, ("y", "z"): 1})
         ego = ego_network(g, "u")
-        assert ego.graph.nodes == frozenset({"u", "x", "y"})
-        assert ego.graph.edges == {("u", "x"): 1, ("u", "y"): 1, ("x", "y"): 4}
+        assert ego.nodes == frozenset({"u", "x", "y"})
+        assert ego.edges == {("u", "x"): 1, ("u", "y"): 1, ("x", "y"): 4}
 
     def test_direction_does_not_matter_for_membership(self):
         g = g_from({("x", "u"): 2})
         ego = ego_network(g, "u")
-        assert ego.graph.nodes == frozenset({"u", "x"})
+        assert ego.nodes == frozenset({"u", "x"})
 
     def test_unknown_user_raises(self):
         g = g_from({("a", "b"): 1})
@@ -114,8 +118,9 @@ def dense_pagerank(g: TransactionGraph, damping: float = 0.85) -> dict[str, floa
     n = len(order)
     idx = {v: i for i, v in enumerate(order)}
     m = np.zeros((n, n))
+    succ = graph.adjacency(g)
     for v in order:
-        out = g.out_adj[v]
+        out = succ[v]
         total = sum(out.values())
         if total == 0:
             m[idx[v], :] = 1.0 / n

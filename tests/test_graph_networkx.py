@@ -10,7 +10,7 @@ import pytest
 nx = pytest.importorskip("networkx")
 pytest.importorskip("scipy")  # networkx's pagerank runs on scipy
 
-from volnet import community, graph  # noqa: E402
+from volnet import behavior, community, graph  # noqa: E402
 from volnet.graph import build_graph  # noqa: E402
 
 from conftest import at_day, make_log, tx  # noqa: E402
@@ -47,6 +47,30 @@ def undirected(g: graph.TransactionGraph):
         previous = G.get_edge_data(a, b, {"weight": 0})["weight"]
         G.add_edge(a, b, weight=previous + w)
     return G
+
+
+def weighted(view) -> dict[str, dict[str, int]]:
+    """A networkx adjacency view as plain ``{node: {neighbour: weight}}``."""
+    return {v: {w: d["weight"] for w, d in nbrs.items()} for v, nbrs in view.items()}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_adjacency_views(seed):
+    g = random_graph(seed)
+    G = directed(g)
+    assert graph.adjacency(g) == weighted(G.succ)
+    assert graph.adjacency(g, "in") == weighted(G.pred)
+    assert graph.adjacency(g, "both") == weighted(undirected(g).adj)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hubs_exceed_mean_total_degree(seed):
+    g = random_graph(seed)
+    G = directed(g)
+    degree = {v: G.in_degree(v) + G.out_degree(v) for v in G}
+    mean = sum(degree.values()) / len(degree)
+    want = frozenset(v for v, d in degree.items() if d > mean)
+    assert behavior.detect_hubs(g).ids == want
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -7,9 +7,12 @@ The tracer patches volnet's modules in place, so it runs in a subprocess.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+
+from volnet import synthgen
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -37,3 +40,33 @@ def test_traced_assemble_all_counts_one_vector_per_user():
     done = subprocess.run([sys.executable, "-c", SCRIPT], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_traced_run_all_reports_every_layer(tmp_path):
+    """A traced ``run-all`` fills every per-layer metric the benchmark declares
+    (bar the two that ``run.py`` derives from the wall time), and every timed
+    layer reads above zero, so a wrapped function that the pipeline stops
+    calling through its module fails here instead of zeroing a layer."""
+    log, events, truth = synthgen.generate(synthgen.SynthConfig(n_heroes=40, seed=5))
+    paths = synthgen.write_dataset(str(tmp_path / "data"), log, events, truth)
+    config = tmp_path / "run.cfg"
+    config.write_text("cv_folds = 2\nn_permutations = 100\nexplain_rows = 2\nk_max = 5\n")
+    report_path = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]))
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "traced.py"), str(report_path),
+         "run-all", "--config", str(config), "--transactions", paths["transactions"],
+         "--events", paths["events"], "--out", str(tmp_path / "out")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(report_path.read_text())
+    assert report["exit_code"] == 0
+    metrics = report["metrics"]
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = {layer["name"] for layer in json.load(fh)["per_layer"]}
+    missing = declared - {"pipeline.self_s", "trace.overhead_s"} - metrics.keys()
+    assert not missing, sorted(missing)
+    idle = sorted(name for name, value in metrics.items()
+                  if name.endswith("_s") and not value > 0)
+    assert not idle, idle

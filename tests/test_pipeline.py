@@ -157,6 +157,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"run\.cfg:3: unknown config key"):
             load_config_file(str(path))
 
+    @pytest.mark.parametrize("text, message", [
+        ("cv_folds = ten\n", "cv_folds must be int, got 'ten'"),
+        ("gamma = x\n", "gamma must be float, got 'x'"),
+        ("seed = 1\nseed = 2\n", "bad.cfg:2: duplicate config key 'seed'"),
+    ])
+    def test_bad_config_value_names_its_key(self, text, message, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(text)
+        out = tmp_path / "out"
+        rc = cli.main(["cluster", "--config", str(cfg_file), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_override_beats_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed = 3\nout = from_file\n")
@@ -525,6 +539,13 @@ class TestCLI:
         for fname in ("transactions.csv", "events.csv", "truth.csv"):
             assert (out / fname).stat().st_size > 0
         assert "8 heroes" in capsys.readouterr().out
+
+    def test_synth_rejects_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        rc = cli.main(["synth", "--seed", "-1", "--heroes", "5", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_synth_rejects_malformed_signal(self):
         with pytest.raises(SystemExit):

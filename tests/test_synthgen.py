@@ -39,6 +39,7 @@ class TestConfig:
         {"archetype_mix": {"FPD": 0.5, "XXX": 0.5}},
         {"archetype_mix": {"FPD": 1.5, "SAD": -0.5}},
         {"feature_signal": {"unknown_count": 1.0}},
+        {"seed": -1},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
