@@ -19,7 +19,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable
 
 log = logging.getLogger(__name__)
@@ -183,23 +183,24 @@ class ParseReport:
 
 
 # User ids repeat on every row a user appears in; interning keeps one
-# string per id instead of one per cell.
-def _transaction_from_fields(fields: dict[str, str]) -> Transaction:
+# string per id instead of one per cell.  ``stamp`` is the parse's
+# memoized :func:`parse_timestamp`, so timestamps are shared the same way.
+def _transaction_from_fields(fields: dict[str, str], stamp) -> Transaction:
     return Transaction(
         item_id=fields["item_id"],
         lister_id=sys.intern(fields["lister_id"]),
         collector_id=sys.intern(fields["collector_id"]),
-        listed_at=parse_timestamp(fields["listed_at"]),
-        collected_at=parse_timestamp(fields["collected_at"]),
+        listed_at=stamp(fields["listed_at"]),
+        collected_at=stamp(fields["collected_at"]),
     )
 
 
-def _event_from_fields(fields: dict[str, str]) -> ActivityEvent:
+def _event_from_fields(fields: dict[str, str], stamp) -> ActivityEvent:
     raw_value = fields.get("value") or None
     return ActivityEvent(
         user_id=sys.intern(fields["user_id"]),
         kind=fields["kind"],
-        at=parse_timestamp(fields["at"]),
+        at=stamp(fields["at"]),
         value=float(raw_value) if raw_value is not None else None,
     )
 
@@ -240,7 +241,12 @@ def _iter_rows(path: str, fmt: str, columns: tuple[str, ...]):
 
 
 def _parse(path: str, fmt: str, columns: tuple[str, ...], build_row, collect):
-    """Build one item per well-formed row; malformed rows go to the report."""
+    """Build one item per well-formed row; malformed rows go to the report.
+
+    Each distinct timestamp string is parsed once per call: the cache lives
+    only as long as the parse, and a malformed value, which raises and so is
+    never cached, raises again on every row that holds it."""
+    stamp = cache(parse_timestamp)
     good = []
     bad: list[RowError] = []
     total = 0
@@ -250,7 +256,7 @@ def _parse(path: str, fmt: str, columns: tuple[str, ...], build_row, collect):
             bad.append(RowError(line, reason))
             continue
         try:
-            good.append(build_row(fields))
+            good.append(build_row(fields, stamp))
         except ValueError as exc:
             bad.append(RowError(line, str(exc)))
     return collect(good), ParseReport(path, total, tuple(bad))

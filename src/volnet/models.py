@@ -10,24 +10,36 @@ posterior/leaf fractions; logistic regression and boosted trees emit a
 sigmoid probability; the linear SVM emits a sigmoid-squashed margin
 (monotone in the decision value, not calibrated).
 
-Trees (the decision tree, each forest tree, each boosting round) share one
-split search, ``_best_split``. A fit sorts every column once; each node
-carries its rows as its slice of those orders, so no node sorts again, and
-the search scores every cut of every feature at once from prefix sums of
-per-row statistics ``g`` and ``h``: Gini gain with ``g = y``, ``h = 1``
-for CART and the forest, the second-order gain with the logistic gradient
-and Hessian for boosting. The lowest threshold wins within a feature, and a
-later feature must beat it by more than 1e-12. A threshold is the midpoint
-of the two values around the cut, or the lower value where the midpoint
-rounds up to the upper one, so ``x <= threshold`` always separates them.
-Boosting updates the training scores of a round from the rows each leaf
-received as the tree grew, which are the rows scoring routes there.
+Every family's fitter takes a list of ``(X, y)`` splits and fits them all
+at once: ``kfold_cv`` hands it the training splits of its non-degenerate
+folds, and ``train`` is its one-split call. Every split sees the float
+operations its own fit would, so each result is bit-identical to fitting it
+alone.
 
-The linear families fit folds in lockstep: ``kfold_cv`` hands the training
-splits of all its non-degenerate folds to one fitter, ``_fit_linear_svm``
-or ``_fit_logistic_regression``, and ``train`` is that fitter's one-split
-call. Every split sees the float operations its own fit would, so each
-result is bit-identical to fitting it alone. Pegasos splits share the step
+Trees (the decision tree, each forest tree, each boosting round) share one
+grower, ``_grow``, and one split search, ``_split_lanes``. Each split is a
+lane: a generator that grows its trees one after another in depth-first
+preorder and yields every node that may split. ``_lockstep`` answers the
+pending node of every lane with one search padded over (lane, feature,
+row), and each lane keeps its own order: a forest lane draws each tree's
+bootstrap, then that tree's node feature subsamples, from its own
+``default_rng(seed)``; a boosting lane finishes a round, updating its scores
+from the leaf value the grower wrote for each training row, before the
+next. A node stably sorts its candidate columns over its ascending rows,
+the order a sort of all rows sliced to the node gives; the keys are the
+values' dense ranks, ranked once per split, which are small integers that
+a stable argsort orders by radix sort. It scores its valid cuts from prefix
+sums of ``g`` and ``h``: Gini gain with ``g = y``, ``h = 1`` for CART and
+the forest, the second-order gain with the logistic gradient and Hessian
+for boosting. The lowest threshold wins within a feature, and a later
+feature must beat it by more than 1e-12. A threshold is the midpoint of the
+two values around the cut, or the lower value where the midpoint rounds up
+to the upper one, so ``x <= threshold`` always separates them. A Gini
+child's class-1 count and size, exact integers, come from its parent's
+prefix sums, so its leaf ``G / H`` is its label mean; a boosting node sums
+its own ``g`` and ``h``.
+
+The linear families fit folds in lockstep too. Pegasos splits share the step
 size 1/(lambda*t) at step t and draw one permutation per epoch from their
 own ``default_rng(seed)``; their margins are ``np.vecdot`` of row and
 weights (bit-equal to the 1-D dot product, which ``einsum`` and
@@ -40,10 +52,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -168,96 +182,149 @@ def _second_order_gain(GL, HL, G, H, lam):
     return 0.5 * (GL ** 2 / (HL + lam) + (G - GL) ** 2 / (H - HL + lam) - G ** 2 / (H + lam))
 
 
-def _best_split(X, ords, features, g, h, G, H, gain, min_leaf, min_gain):
-    """Best cut of one node as (gain, feature, threshold), or None.
+@dataclass(frozen=True)
+class _TreeRule:
+    """How a family grows its trees: the cut score, the depth and leaf-size
+    limits and the gain a cut must exceed. With ``lam`` (boosting) a node
+    sums its own ``g`` and ``h`` and its leaf is -G/(H+lam); without it the
+    totals are class-1 counts and sizes, a leaf is the class-1 fraction G/H,
+    and a pure node does not split."""
 
-    ``ords[j]`` holds the node's rows sorted by column ``j``, so prefix sums
-    of ``g`` and ``h`` along it are the left-child sums of every cut; ``G``
-    and ``H`` are the node totals. A cut lies between distinct values,
-    leaves ``min_leaf`` rows per side and gains more than ``min_gain``."""
-    rows = ords[features]
-    m = rows.shape[1]
-    if m < 2:
-        return None
-    sv = X[rows, features[:, None]]
-    left_n = np.arange(1, m)
-    ok = (sv[:, :-1] < sv[:, 1:]) & (left_n >= min_leaf) & (m - left_n >= min_leaf)
-    scores = np.where(ok, gain(np.cumsum(g[rows], axis=1)[:, :-1],
-                               np.cumsum(h[rows], axis=1)[:, :-1], G, H), -np.inf)
-    best = None
-    for f, pick in enumerate(np.argmax(scores, axis=1)):  # first max = lowest threshold
-        top = scores[f, pick]
-        if top > min_gain and (best is None or top > best[0] + 1e-12):
-            best = (top, f, pick)
-    if best is None:
-        return None
-    top, f, pick = best
-    lo, hi = sv[f, pick], sv[f, pick + 1]
-    mid = (lo + hi) / 2.0  # can round up to ``hi`` when the two are adjacent floats
-    return float(top), int(features[f]), float(mid if mid < hi else lo)
+    gain: Callable
+    max_depth: int
+    min_leaf: int
+    min_gain: float
+    lam: float | None = None
 
 
-def _branch(X, idx, ords, j, thr, grow, depth):
-    """Internal node cutting at X[:, j] <= thr, children built by ``grow``
-    from their rows (ascending) and their slices of the sorted orders."""
-    mask = X[idx, j] <= thr
-    go_left = np.zeros(X.shape[0], dtype=bool)
-    go_left[idx[mask]] = True
-    keep = go_left[ords]
-    d = ords.shape[0]
-    return {"feature": j, "threshold": thr,
-            "left": grow(idx[mask], ords[keep].reshape(d, -1), depth + 1),
-            "right": grow(idx[~mask], ords[~keep].reshape(d, -1), depth + 1)}
+def _ranks(X):
+    """Each column's dense ranks: equal values share one, and ranks rise
+    with the value, so a stable sort by rank is a stable sort by value."""
+    order = np.argsort(X, axis=0, kind="stable")
+    sx = np.take_along_axis(X, order, axis=0)
+    steps = np.vstack((np.zeros((1, X.shape[1])), sx[1:] > sx[:-1]))
+    ranks = np.empty(X.shape)
+    np.put_along_axis(ranks, order, np.cumsum(steps, axis=0), axis=0)
+    return ranks
 
 
-def _fit_tree(X, y, max_depth, min_leaf, rng=None, n_subsample=0):
-    """CART over all rows of ``(X, y)``; leaves store the class-1 fraction.
+def _split_lanes(nodes, rule: _TreeRule) -> list:
+    """Best cut of one node per lane, as (gain, feature, threshold, GL, HL)
+    with ``GL`` and ``HL`` the left child's sums, or None.
 
-    Impure nodes split on the best Gini gain even when that gain is zero
-    (a zero-gain cut can still enable a useful second-level split, as in
-    parity-structured data). With ``rng``, every node searches a fresh
-    subsample of ``n_subsample`` features (the random forest)."""
-    d = X.shape[1]
-    g, h = y.astype(float), np.ones(y.size)
-    all_features = np.arange(d)
+    A node is ``(W, rows, cols, G, H)``: its tree's table (the ``d``
+    features' ranks, their values, then ``g`` and ``h``), its rows
+    ascending, the columns it reads (the ranks of the features it may cut,
+    then ``g`` and ``h``) and its totals. Lanes are padded to the longest
+    node with a rank above every rank; a valid cut lies between distinct
+    values and leaves ``min_leaf`` rows per side, and only valid cuts are
+    scored."""
+    L, C, M = len(nodes), nodes[0][2].size, max(node[1].size for node in nodes)
+    F = C - 2
+    if M < 2:
+        return [None] * L
+    # per lane: F rank rows, then g and h; prefix sums past a lane's rows
+    # reach the padding but are never read, as no valid cut lies there
+    pad = max(node[0].shape[0] for node in nodes)
+    P = np.full((L, C, M), float(pad))
+    sizes = np.empty((L, 1, 1), dtype=int)
+    for a, (W, rows, cols, _, _) in enumerate(nodes):
+        sizes[a] = rows.size
+        P[a, :, :rows.size] = W[rows[:, None], cols].T
+    # ranks below ``pad`` fit the smallest unsigned type, radix-sorted up to 16 bits
+    order = np.argsort(P[:, :F].astype(np.min_scalar_type(pad)), axis=2, kind="stable")
+    flat = order + np.arange(0, P.size, C * M).reshape(L, 1, 1)  # indices into P
+    keys = P.take(flat + np.arange(0, F * M, M).reshape(F, 1))  # sorted ranks
+    left = np.cumsum(P.take(flat + np.array([F * M, C * M - M]).reshape(2, 1, 1, 1)),
+                     axis=3)  # (g or h, lane, feature, cut)
+    left_n = np.arange(1, M)
+    ok = ((keys[..., :-1] < keys[..., 1:])
+          & ((left_n >= rule.min_leaf) & (sizes - left_n >= rule.min_leaf)))
+    cut = np.flatnonzero(ok)
+    at = cut + cut // (M - 1)  # the same cuts indexed over all M prefix sums
+    lane = cut // (F * (M - 1))
+    totals = np.array([node[3:] for node in nodes], dtype=float).T
+    scores = np.full(ok.size, -np.inf)
+    scores[cut] = rule.gain(left[0].take(at), left[1].take(at),
+                            totals[0].take(lane), totals[1].take(lane))
+    scores = scores.reshape(ok.shape)
+    out: list = [None] * L
+    for a, (tops, picks) in enumerate(zip(scores.max(axis=2).tolist(),
+                                          scores.argmax(axis=2).tolist())):
+        f = None  # first max = lowest threshold; a later feature must beat it by 1e-12
+        for c, top in enumerate(tops):
+            if top > rule.min_gain and (f is None or top > tops[f] + 1e-12):
+                f = c
+        if f is not None:
+            W, rows, cols, _, _ = nodes[a]
+            j, p = cols.item(f), picks[f]
+            x = j + (W.shape[1] - 2) // 2  # the feature's value column
+            lo = W.item(rows.item(order.item(a, f, p)), x)
+            hi = W.item(rows.item(order.item(a, f, p + 1)), x)
+            mid = (lo + hi) / 2.0  # can round up to ``hi`` when the two are adjacent floats
+            out[a] = (tops[f], j, mid if mid < hi else lo,
+                      left.item(0, a, f, p), left.item(1, a, f, p))
+    return out
 
-    def grow(idx, ords, depth):
-        p1 = float(y[idx].mean())
-        if depth >= max_depth or idx.size < 2 * min_leaf or p1 in (0.0, 1.0):
-            return {"leaf": p1, "n": int(idx.size)}
-        features = all_features
-        if rng is not None and n_subsample < d:
-            features = np.sort(rng.choice(d, size=n_subsample, replace=False))
-        best = _best_split(X, ords, features, g, h, g[idx].sum(), h[idx].sum(),
-                           _gini_gain, min_leaf, -np.inf)
+
+def _grow(W, rule: _TreeRule, rng=None, n_subsample=0, values=None):
+    """Generator that grows one tree over all rows of the table ``W`` (the
+    ``d`` features' ranks, their values, then ``g`` and ``h``) in
+    depth-first preorder and returns it.
+
+    Every node that may split yields its search request (a node of
+    :func:`_split_lanes`) and is sent back its best cut or None. With
+    ``rng``, each such node first draws a sorted subsample of
+    ``n_subsample`` features (the random forest); ``values`` receives each
+    training row's leaf value, the rows a leaf received being the rows
+    scoring routes there."""
+    d = (W.shape[1] - 2) // 2
+    stats = np.array([2 * d, 2 * d + 1])
+    all_cols = np.concatenate((np.arange(d), stats))
+
+    def grow(idx, G, H, depth):
+        if rule.lam is None:
+            leaf, pure = G / H, G in (0.0, H)
+        else:
+            G, H = W[idx, 2 * d].sum(), W[idx, 2 * d + 1].sum()
+            leaf, pure = float(-G / (H + rule.lam)), False
+        best = None
+        if not (pure or depth >= rule.max_depth or idx.size < 2 * rule.min_leaf):
+            cols = all_cols
+            if rng is not None and n_subsample < d:
+                features = rng.choice(d, size=n_subsample, replace=False)
+                features.sort()
+                cols = np.concatenate((features, stats))
+            best = yield W, idx, cols, G, H
         if best is None:
-            return {"leaf": p1, "n": int(idx.size)}
-        return _branch(X, idx, ords, best[1], best[2], grow, depth)
-
-    return grow(np.arange(y.size), np.argsort(X, axis=0, kind="stable").T, 0)
-
-
-def _fit_boost_tree(X, g, h, ords, max_depth, lam):
-    """Second-order regression tree on gradients ``g`` and Hessians ``h``
-    (``ords`` presorted as in :func:`_best_split`); leaves store the weight
-    -G/(H+lam), and only gains above 1e-12 split.
-
-    Returns the tree and each training row's leaf weight, taken from the
-    rows each leaf received, which are the rows the tree routes there."""
-    features = np.arange(X.shape[1])
-    gain = partial(_second_order_gain, lam=lam)
-    values = np.empty(X.shape[0])
-
-    def grow(idx, ords, depth):
-        G, H = g[idx].sum(), h[idx].sum()
-        best = None if depth >= max_depth else _best_split(
-            X, ords, features, g, h, G, H, gain, 1, 1e-12)
-        if best is None:
-            values[idx] = leaf = float(-G / (H + lam))
+            if values is not None:
+                values[idx] = leaf
             return {"leaf": leaf, "n": int(idx.size)}
-        return _branch(X, idx, ords, best[1], best[2], grow, depth)
+        _, j, thr, GL, HL = best
+        mask = W[idx, d + j] <= thr
+        return {"feature": j, "threshold": thr,
+                "left": (yield from grow(idx[mask], GL, HL, depth + 1)),
+                "right": (yield from grow(idx[~mask], G - GL, H - HL, depth + 1))}
 
-    return grow(np.arange(X.shape[0]), ords, 0), values
+    n = W.shape[0]
+    return (yield from grow(np.arange(n), float(W[:, 2 * d].sum()), float(n), 0))
+
+
+def _lockstep(lanes, rule: _TreeRule) -> list:
+    """Run lane generators (each yielding split requests, as :func:`_grow`
+    does) side by side: every step answers the pending request of each lane
+    with one :func:`_split_lanes` call. Returns the lanes' results in order."""
+    out: list = [None] * len(lanes)
+    replies = dict.fromkeys(range(len(lanes)))
+    while replies:
+        pending = {}
+        for a, reply in replies.items():
+            try:
+                pending[a] = lanes[a].send(reply)
+            except StopIteration as stop:
+                out[a] = stop.value
+        replies = dict(zip(pending, _split_lanes(list(pending.values()), rule))) if pending else {}
+    return out
 
 
 def _tree_scores(node: Mapping, X: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
@@ -278,16 +345,18 @@ def _eval_tree(node: Mapping, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # training per family
 
-def _train_naive_bayes(X, y, hp, seed):
-    floor = hp["var_floor"]
-    params = {"classes": [], "log_prior": [], "mean": [], "var": []}
-    for c in (0, 1):
-        rows = X[y == c]
-        params["classes"].append(c)
-        params["log_prior"].append(float(np.log(rows.shape[0] / X.shape[0])))
-        params["mean"].append(rows.mean(axis=0).tolist())
-        params["var"].append(np.maximum(rows.var(axis=0), floor).tolist())
-    return params
+def _fit_naive_bayes(splits, hp, seed):
+    fits = []
+    for X, y in splits:
+        params = {"classes": [], "log_prior": [], "mean": [], "var": []}
+        for c in (0, 1):
+            rows = X[y == c]
+            params["classes"].append(c)
+            params["log_prior"].append(float(np.log(rows.shape[0] / X.shape[0])))
+            params["mean"].append(rows.mean(axis=0).tolist())
+            params["var"].append(np.maximum(rows.var(axis=0), hp["var_floor"]).tolist())
+        fits.append(params)
+    return fits
 
 
 def _score_naive_bayes(params, X):
@@ -301,8 +370,19 @@ def _score_naive_bayes(params, X):
     return np.exp(joint[1] - np.logaddexp(joint[0], joint[1]))
 
 
-def _train_decision_tree(X, y, hp, seed):
-    return {"tree": _fit_tree(X, y, hp["max_depth"], hp["min_samples_leaf"])}
+def _gini_table(X, y):
+    """The CART table: ranks and values of the features, ``g = y``, ``h = 1``."""
+    return np.column_stack((_ranks(X), X, y, np.ones(y.size)))
+
+
+def _gini_rule(hp) -> _TreeRule:
+    return _TreeRule(_gini_gain, hp["max_depth"], hp["min_samples_leaf"], -np.inf)
+
+
+def _fit_decision_tree(splits, hp, seed):
+    rule = _gini_rule(hp)
+    lanes = [_grow(_gini_table(X, y), rule) for X, y in splits]
+    return [{"tree": tree} for tree in _lockstep(lanes, rule)]
 
 
 def _score_decision_tree(params, X):
@@ -340,16 +420,23 @@ def _score_logistic_regression(params, X):
     return _sigmoid(Z @ np.asarray(params["weights"]) + params["bias"])
 
 
-def _train_random_forest(X, y, hp, seed):
-    rng = np.random.default_rng(seed)
+def _forest_lane(X, y, hp, rule, rng):
+    """One split's forest: each tree draws its bootstrap and then its nodes'
+    feature subsamples from ``rng``, before the next tree draws."""
     n, d = X.shape
     n_subsample = max(1, int(np.sqrt(d)))
+    table = _gini_table(X, y)
     trees = []
     for _ in range(hp["n_trees"]):
         sample = rng.integers(0, n, size=n)
-        trees.append(_fit_tree(X[sample], y[sample], hp["max_depth"],
-                               hp["min_samples_leaf"], rng, n_subsample))
+        trees.append((yield from _grow(table[sample], rule, rng, n_subsample)))
     return {"trees": trees}
+
+
+def _fit_random_forest(splits, hp, seed):
+    rule = _gini_rule(hp)
+    return _lockstep([_forest_lane(X, y, hp, rule, np.random.default_rng(seed))
+                      for X, y in splits], rule)
 
 
 def _score_random_forest(params, X):
@@ -411,23 +498,31 @@ def _score_linear_svm(params, X):
     return _sigmoid(Z @ np.asarray(params["weights"]))
 
 
-def _train_gbdt(X, y, hp, seed):
+def _gbdt_lane(X, y, hp, rule):
+    """One split's boosted ensemble, one round's tree after another; each
+    round updates the training scores from the leaf values it grew."""
     n = X.shape[0]
     p_base = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
     f0 = float(np.log(p_base / (1.0 - p_base)))
     raw = np.full(n, f0)
-    lam, lr = hp["l2"], hp["learning_rate"]
-    ords = np.argsort(X, axis=0, kind="stable").T  # sorted once for all rounds
+    lr = hp["learning_rate"]
+    features = np.column_stack((_ranks(X), X))
     trees = []
     loss_history = []
     for _ in range(hp["n_rounds"]):
         p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)
-        tree, values = _fit_boost_tree(X, p - y, p * (1.0 - p), ords, hp["max_depth"], lam)
-        trees.append(tree)
+        table, values = np.column_stack((features, p - y, p * (1.0 - p))), np.empty(n)
+        trees.append((yield from _grow(table, rule, values=values)))
         raw = raw + lr * values
         p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)
         loss_history.append(float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean()))
     return {"f0": f0, "learning_rate": lr, "trees": trees, "loss_history": loss_history}
+
+
+def _fit_gbdt(splits, hp, seed):
+    lam = hp["l2"]
+    rule = _TreeRule(partial(_second_order_gain, lam=lam), hp["max_depth"], 1, 1e-12, lam)
+    return _lockstep([_gbdt_lane(X, y, hp, rule) for X, y in splits], rule)
 
 
 def _score_gbdt(params, X):
@@ -437,19 +532,15 @@ def _score_gbdt(params, X):
     return _sigmoid(raw)
 
 
-#: Fitters that take a list of ``(X, y)`` splits and fit them all at once.
-_FOLD_FITTERS = {
+#: Each family's fitter: it takes a list of ``(X, y)`` splits and fits them
+#: all at once, returning their parameters in order.
+_FITTERS = {
+    "naive_bayes": _fit_naive_bayes,
+    "decision_tree": _fit_decision_tree,
     "logistic_regression": _fit_logistic_regression,
+    "random_forest": _fit_random_forest,
     "linear_svm": _fit_linear_svm,
-}
-
-_TRAINERS = {
-    "naive_bayes": _train_naive_bayes,
-    "decision_tree": _train_decision_tree,
-    "random_forest": _train_random_forest,
-    "gbdt": _train_gbdt,
-    **{name: (lambda X, y, hp, seed, fit=fit: fit([(X, y)], hp, seed)[0])
-       for name, fit in _FOLD_FITTERS.items()},
+    "gbdt": _fit_gbdt,
 }
 
 _SCORERS = {
@@ -462,8 +553,15 @@ _SCORERS = {
 }
 
 
+_COUNTS = ("n_trees", "n_rounds", "epochs", "max_depth", "min_samples_leaf")
+
+
 def _hyperparams(algorithm: str, hyperparams: Mapping | None) -> dict:
-    """The family's defaults updated with ``hyperparams``."""
+    """The family's defaults updated with ``hyperparams``, range-checked.
+
+    Counts are ints >= 1 (not bools); ``linear_svm``'s ``l2`` is > 0 (its
+    step size is 1/(l2*t)), every other ``l2`` >= 0, and ``learning_rate``
+    and ``var_floor`` > 0."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r} (expected one of {ALGORITHMS})")
     hp = dict(DEFAULT_HYPERPARAMS[algorithm])
@@ -472,6 +570,16 @@ def _hyperparams(algorithm: str, hyperparams: Mapping | None) -> dict:
         if unknown:
             raise ValueError(f"unknown hyperparameter(s) for {algorithm}: {sorted(unknown)}")
         hp.update(hyperparams)
+    for key, value in hp.items():
+        if key in _COUNTS:
+            ok, want = isinstance(value, numbers.Integral) and value >= 1, "an int >= 1"
+        else:
+            positive = key != "l2" or algorithm == "linear_svm"
+            ok = isinstance(value, numbers.Real) and math.isfinite(value) and (
+                value > 0 if positive else value >= 0)
+            want = "a finite number " + ("> 0" if positive else ">= 0")
+        if isinstance(value, bool) or not ok:
+            raise ValueError(f"{algorithm} hyperparameter {key} must be {want}, got {value!r}")
     return hp
 
 
@@ -506,7 +614,7 @@ def train(
     elif parameters is not None:
         params = parameters
     else:
-        params = _TRAINERS[algorithm](X, y, hp, seed)
+        params = _FITTERS[algorithm]([(X, y)], hp, seed)[0]
     return TrainedClassifier(algorithm=algorithm, parameters=params,
                              hyperparams=hp, seed=seed, feature_names=names)
 
@@ -587,8 +695,8 @@ def kfold_cv(
     degenerate = [f for f, (_, y_tr) in enumerate(splits) if np.unique(y_tr).size < 2]
     live = [f for f in range(k) if f not in degenerate]
     fitted: dict[int, dict] = {}
-    if algorithm in _FOLD_FITTERS and live:  # degenerate folds stay constant predictors
-        fitted = dict(zip(live, _FOLD_FITTERS[algorithm](
+    if live:  # degenerate folds stay constant predictors
+        fitted = dict(zip(live, _FITTERS[algorithm](
             [splits[f] for f in live], _hyperparams(algorithm, hyperparams), seed)))
     accs: list[float] = []
     f1s: list[float] = []

@@ -138,6 +138,28 @@ class TestParseErrors:
         assert len(log) == 1
         assert [bad.line for bad in report.bad_rows] == [3]
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_repeated_timestamps_parse_alike_and_fail_on_every_row(self, tmp_path, fmt):
+        # Each distinct timestamp is parsed once per file; a malformed one
+        # is never remembered, so each row holding it is reported again.
+        good, naive = "2022-01-01T00:00:00Z", "2022-01-01T00:00:00"
+        rows = [("i1", "a", "b", good, "2022-01-01T01:00:00Z"),
+                ("i2", "a", "b", "bad", "2022-01-01T01:00:00Z"),
+                ("i3", "b", "a", good, "2022-01-01T01:00:00Z"),
+                ("i4", "b", "a", "bad", "2022-01-01T02:00:00Z"),
+                ("i5", "a", "b", naive, "2022-01-01T02:00:00Z"),
+                ("i6", "b", "a", naive, "2022-01-01T02:00:00Z")]
+        path = tmp_path / f"t.{fmt}"
+        ingest._write_rows(str(path), fmt, ingest.TRANSACTION_COLUMNS, rows)
+        log, report = ingest.parse_transactions_with_report(str(path), fmt)
+        first = 2 if fmt == "csv" else 1
+        assert [(bad.line - first, bad.reason) for bad in report.bad_rows] == [
+            (1, "Invalid isoformat string: 'bad'"), (3, "Invalid isoformat string: 'bad'"),
+            (4, f"timestamp without offset: {naive!r}"),
+            (5, f"timestamp without offset: {naive!r}")]
+        assert [t.item_id for t in log.transactions] == ["i1", "i3"]
+        assert {t.listed_at for t in log.transactions} == {parse_timestamp(good)}
+
     def test_missing_column_is_an_error(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("item_id,lister_id,collector_id,listed_at\n")

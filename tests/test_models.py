@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import warnings
 from functools import partial
 
@@ -9,12 +10,15 @@ import numpy as np
 import pytest
 
 from volnet.models import (
-    _best_split,
+    _TreeRule,
     _eval_tree,
-    _fit_boost_tree,
     _fit_linear_svm,
     _gini_gain,
+    _grow,
+    _lockstep,
+    _ranks,
     _second_order_gain,
+    _split_lanes,
     ALGORITHMS,
     DEFAULT_HYPERPARAMS,
     kfold_cv,
@@ -68,6 +72,35 @@ class TestTrainValidation:
         X, y = separable()
         with pytest.raises(ValueError):
             train("decision_tree", X, y, hyperparams={"depth": 3})
+
+    @pytest.mark.parametrize("algorithm, key, value", [
+        ("random_forest", "n_trees", 0),
+        ("gbdt", "n_rounds", -3),
+        ("linear_svm", "epochs", 2.0),
+        ("decision_tree", "max_depth", True),
+        ("random_forest", "min_samples_leaf", 0),
+        ("linear_svm", "l2", 0),
+        ("gbdt", "l2", -1),
+        ("logistic_regression", "learning_rate", 0.0),
+        ("naive_bayes", "var_floor", -1e-9),
+        ("gbdt", "learning_rate", float("inf")),
+    ])
+    def test_out_of_range_hyperparameter_names_family_and_key(self, algorithm, key, value):
+        # one case per rule: counts are ints >= 1 and not bools; linear_svm's
+        # l2 > 0, other l2 >= 0; learning_rate and var_floor > 0; all finite
+        X, y = separable(n_per=10)
+        for fit in (train, kfold_cv):
+            with pytest.raises(ValueError, match=f"{algorithm} hyperparameter {key} "):
+                fit(algorithm, X, y, hyperparams={key: value})
+
+    def test_in_range_hyperparameter_edges_are_accepted(self):
+        X, y = separable(n_per=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for algorithm, hp in [("gbdt", {"l2": 0.0, "n_rounds": 1, "max_depth": 1}),
+                                  ("logistic_regression", {"l2": 0, "epochs": np.int64(2)}),
+                                  ("random_forest", {"n_trees": 1, "min_samples_leaf": 1})]:
+                kfold_cv(algorithm, X, y, k=2, hyperparams=hp)
 
     def test_shape_and_label_checks(self):
         X, y = separable()
@@ -214,64 +247,103 @@ def brute_force_split(X, rows, features, gain_of, min_leaf, min_gain):
     return gain, j, mid if mid < hi else lo
 
 
+def table(X, g, h):
+    """A tree table: the features' ranks and values, then ``g`` and ``h``."""
+    return np.column_stack((_ranks(X), X, g, h))
+
+
 def gini_of(labels):
     p = sum(labels) / len(labels)
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
 class TestSplitSearchOracle:
-    """The shared split search against an exhaustive loop. Statistics are
-    small dyadic numbers, so every sum is exact and ties in gain are real."""
+    """The lane split search against an exhaustive loop, every lane of a
+    batch checked on its own. Statistics are small dyadic numbers, so every
+    sum is exact and ties in gain are real."""
 
-    def random_node(self, rng):
-        n, d = int(rng.integers(2, 14)), int(rng.integers(1, 5))
+    def random_lane(self, rng, d):
+        n = int(rng.integers(2, 14))
         pool = rng.random(3)
         pool = np.concatenate([pool, np.nextafter(pool, 1.0)])  # adjacent floats too
         X = rng.choice(pool, size=(n, d))  # few distinct values: repeats
         rows = np.flatnonzero(rng.random(n) < 0.8)
         if rows.size == 0:
             rows = np.arange(n)
-        features = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
-        order = np.argsort(X, axis=0, kind="stable").T
-        ords = order[np.isin(order, rows)].reshape(d, -1)
-        return X, rows, features, ords
+        return X, rows
+
+    def check(self, rng, stats, gain, gain_of, min_leaf, min_gain):
+        d = int(rng.integers(1, 5))
+        n_features = int(rng.integers(1, d + 1))
+        lanes = []
+        for _ in range(int(rng.integers(1, 6))):  # lanes of different sizes
+            X, rows = self.random_lane(rng, d)
+            g, h = stats(X.shape[0])
+            features = np.sort(rng.choice(d, size=n_features, replace=False))
+            lanes.append((X, rows, features, g, h))
+        rule = _TreeRule(gain, 6, min_leaf, min_gain)
+        got = _split_lanes([(table(X, g, h), rows, np.append(features, (2 * d, 2 * d + 1)),
+                             g[rows].sum(), h[rows].sum())
+                            for X, rows, features, g, h in lanes], rule)
+        for (X, rows, features, g, h), best in zip(lanes, got):
+            want = brute_force_split(X, rows.tolist(), features,
+                                     partial(gain_of, g, h), min_leaf, min_gain)
+            assert (best and best[:3]) == want
+            if best is not None:
+                left = rows[X[rows, best[1]] <= best[2]]
+                assert best[3:] == (g[left].sum(), h[left].sum())
 
     def test_gini_gain(self):
         rng = np.random.default_rng(1)
-        for _ in range(400):
-            X, rows, features, ords = self.random_node(rng)
-            y = rng.integers(0, 2, size=X.shape[0])
-            min_leaf = int(rng.integers(1, 4))
-            g, h = y.astype(float), np.ones(y.size)
 
-            def gain_of(left, right):
-                n = len(left) + len(right)
-                child = (len(left) * gini_of(y[left]) + len(right) * gini_of(y[right])) / n
-                return gini_of(y[left + right]) - child
+        def stats(n):
+            return rng.integers(0, 2, size=n).astype(float), np.ones(n)
 
-            got = _best_split(X, ords, features, g, h, g[rows].sum(), h[rows].sum(),
-                              _gini_gain, min_leaf, -np.inf)
-            want = brute_force_split(X, rows.tolist(), features, gain_of, min_leaf, -np.inf)
-            assert got == want
+        def gain_of(g, h, left, right):
+            n = len(left) + len(right)
+            child = (len(left) * gini_of(g[left]) + len(right) * gini_of(g[right])) / n
+            return gini_of(g[left + right]) - child
+
+        for _ in range(200):
+            self.check(rng, stats, _gini_gain, gain_of, int(rng.integers(1, 4)), -np.inf)
 
     def test_second_order_gain(self):
         rng = np.random.default_rng(2)
         lam = 1.0
-        for _ in range(400):
-            X, rows, features, ords = self.random_node(rng)
-            g = rng.integers(-4, 5, size=X.shape[0]) / 8.0
-            h = rng.integers(1, 5, size=X.shape[0]) / 8.0
 
-            def gain_of(left, right):
-                gl, hl = sum(g[left]), sum(h[left])
-                gr, hr = sum(g[right]), sum(h[right])
-                G, H = gl + gr, hl + hr
-                return 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam))
+        def stats(n):
+            return rng.integers(-4, 5, size=n) / 8.0, rng.integers(1, 5, size=n) / 8.0
 
-            got = _best_split(X, ords, features, g, h, g[rows].sum(), h[rows].sum(),
-                              partial(_second_order_gain, lam=lam), 1, 1e-12)
-            want = brute_force_split(X, rows.tolist(), features, gain_of, 1, 1e-12)
-            assert got == want
+        def gain_of(g, h, left, right):
+            gl, hl = sum(g[left]), sum(h[left])
+            gr, hr = sum(g[right]), sum(h[right])
+            G, H = gl + gr, hl + hr
+            return 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam))
+
+        for _ in range(200):
+            self.check(rng, stats, partial(_second_order_gain, lam=lam), gain_of, 1, 1e-12)
+
+    def test_prefix_sums_add_tied_rows_in_row_order(self):
+        # With inexact statistics the order of addition shows in the last
+        # bits: tied values must be added in ascending row order, as a
+        # stable sort of all rows sliced to the node adds them.
+        rng = np.random.default_rng(3)
+        rule = _TreeRule(partial(_second_order_gain, lam=1.0), 6, 1, -np.inf)
+        for _ in range(50):
+            lanes = []
+            for _ in range(int(rng.integers(1, 6))):
+                n = int(rng.integers(20, 60))
+                X = rng.integers(0, 3, size=(n, 2)).astype(float)  # many ties
+                g, h = rng.normal(size=n), rng.random(n) + 0.5
+                rows = np.flatnonzero(rng.random(n) < 0.9)
+                lanes.append((table(X, g, h), rows, np.array([0, 1, 4, 5]),
+                              g[rows].sum(), h[rows].sum()))
+            for (W, rows, _, _, _), best in zip(lanes, _split_lanes(lanes, rule)):
+                x, thr = W[:, 2 + best[1]], best[2]
+                ranked = rows[np.lexsort((rows, x[rows]))]  # by value, then row
+                n_left = int((x[rows] <= thr).sum())
+                assert best[3:] == (np.cumsum(W[ranked, 4])[n_left - 1],
+                                    np.cumsum(W[ranked, 5])[n_left - 1])
 
 
 class TestNaiveBayes:
@@ -337,10 +409,15 @@ class TestGBDT:
         X = rng.integers(0, 4, size=(60, 3)).astype(float) / 3.0  # repeated values
         y = (X[:, 0] + rng.normal(0.0, 0.3, 60) > 0.5).astype(int)
         p = np.full(60, 0.5)
-        ords = np.argsort(X, axis=0, kind="stable").T
         for depth in (1, 3, 6):
-            tree, values = _fit_boost_tree(X, p - y, p * (1.0 - p), ords, depth, 1.0)
+            rule = _TreeRule(partial(_second_order_gain, lam=1.0), depth, 1, 1e-12, 1.0)
+            values = np.empty(60)
+            tree, = _lockstep([_grow(table(X, p - y, p * (1.0 - p)), rule, values=values)],
+                              rule)
             assert np.array_equal(values, _eval_tree(tree, X))
+            want, want_values = ref._fit_boost_tree(
+                X, p - y, p * (1.0 - p), np.argsort(X, axis=0, kind="stable").T, depth, 1.0)
+            assert tree == want and np.array_equal(values, want_values)
 
 
 def lockstep_data(k: int, seed: int, degenerate: bool):
@@ -439,6 +516,63 @@ class TestFoldFittersMatchReference:
         report = kfold_cv("linear_svm", X, y, k=7, seed=2, hyperparams={"epochs": 2})
         want = ref.fold_parameters("linear_svm", X, y, 7, seed=2, hyperparams={"epochs": 2})
         assert list(report.fold_scaler_stats) == [w["scaler"] for w in want]
+
+
+def same_json(got, want) -> bool:
+    return json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+TREE_CASES = [
+    ("decision_tree", {}),
+    ("decision_tree", {"max_depth": 2, "min_samples_leaf": 1}),
+    ("random_forest", {"n_trees": 1}),
+    ("random_forest", {"n_trees": 7, "min_samples_leaf": 1}),
+    ("gbdt", {"n_rounds": 12}),
+    ("gbdt", {"n_rounds": 5, "max_depth": 5, "l2": 0.0}),
+]
+
+
+class TestTreeLanesMatchReference:
+    """The lane-batched tree grower against the recursive per-fit growers in
+    ``models_reference`` (presorted columns, one fit at a time): the same
+    parameters down to the last bit, as their JSON text."""
+
+    @pytest.mark.parametrize("algorithm, hp", TREE_CASES)
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_cv_folds(self, algorithm, hp, k):
+        for degenerate in (False, True):
+            X, y = lockstep_data(k, seed=k + 20, degenerate=degenerate)
+            got = ref.cv_fold_parameters(algorithm, X, y, k, seed=k, hyperparams=hp)
+            want = ref.fold_parameters(algorithm, X, y, k, seed=k, hyperparams=hp)
+            assert len(got) == len(want) == k
+            assert same_json(got, want)
+            if degenerate:
+                assert sum("constant" in w for w in want) == 1
+
+    @pytest.mark.parametrize("algorithm", ["decision_tree", "random_forest", "gbdt"])
+    def test_default_hyperparameters(self, algorithm):
+        X, y = separable(n_per=23, d=5, seed=31, gap=1.0)
+        X[:, 3] = np.round(X[:, 3])  # repeated values
+        got = ref.cv_fold_parameters(algorithm, X, y, 10, seed=4)
+        assert same_json(got, ref.fold_parameters(algorithm, X, y, 10, seed=4))
+
+    @pytest.mark.parametrize("algorithm, hp", [("decision_tree", {}), ("gbdt", {"n_rounds": 3}),
+                                               ("random_forest", {"n_trees": 2})])
+    def test_ranks_wider_than_a_byte(self, algorithm, hp):
+        # over 255 distinct values the sort keys are 16-bit
+        rng = np.random.default_rng(8)
+        X = np.column_stack((rng.normal(size=600), rng.integers(0, 3, 600)))
+        y = (X[:, 0] + rng.normal(0.0, 0.5, 600) > 0).astype(int)
+        got = ref.cv_fold_parameters(algorithm, X, y, 2, seed=1, hyperparams=hp)
+        assert same_json(got, ref.fold_parameters(algorithm, X, y, 2, seed=1, hyperparams=hp))
+
+    @pytest.mark.parametrize("algorithm, hp", TREE_CASES)
+    def test_train_is_the_one_lane_fit(self, algorithm, hp):
+        X, y = lockstep_data(4, seed=9, degenerate=False)
+        full = dict(DEFAULT_HYPERPARAMS[algorithm], **hp)
+        for seed in (0, 5):
+            got = train(algorithm, X, y, hyperparams=hp, seed=seed)
+            assert same_json(got.parameters, ref.TRAINERS[algorithm](X, y, full, seed))
 
 
 class TestMetrics:
