@@ -18,7 +18,7 @@ from .ingest import (
     parse_transactions,
 )
 from .models import TrainedClassifier, kfold_cv, predict, train
-from .pipeline import PipelineConfig, build_config, run_all, run_method1, run_method2
+from .pipeline import PipelineConfig, build_config, run, run_method1, run_method2
 from .synthgen import SynthConfig, adjusted_rand_index, generate
 from .tscluster import (
     ClusterModel,
@@ -26,7 +26,6 @@ from .tscluster import (
     dtw,
     kmeans_ts,
     label_archetypes,
-    select_k,
     soft_dtw,
 )
 
@@ -63,10 +62,9 @@ __all__ = [
     "parse_events",
     "parse_transactions",
     "predict",
-    "run_all",
+    "run",
     "run_method1",
     "run_method2",
-    "select_k",
     "soft_dtw",
     "train",
 ]

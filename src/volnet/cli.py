@@ -1,39 +1,28 @@
 """Command-line entry point for the volunteer-network analysis pipeline.
 
-Subcommands cover the synthetic-data harness, stage-wise runs, and the
-full two-method pipeline.  Common flags (``--config``, ``--seed``,
-``--out``) follow the subcommand; config-file keys are overridden by
-flags.  Exit status is 0 on success and 2 on any failure, with a
-stage-tagged message on stderr.
+``synth`` writes a synthetic dataset and takes only ``--seed`` and
+``--out`` of the run flags.  Every other subcommand is a stage cap of
+:func:`volnet.pipeline.run`, from ``ingest`` to ``run-all``: it runs the
+stages up to its cap, writes their artifacts and a verified
+``manifest.json``, and prints a summary of each stage it reached.  These
+take ``--config``, ``--seed`` and ``--out``; config-file keys are
+overridden by flags.  Exit status is 0 on success and 2 on any failure,
+with a stage-tagged message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from collections import Counter
 
-from . import behavior, community, graph as graphmod, ingest, pipeline, synthgen
+from . import community, pipeline, synthgen
 from .pipeline import PipelineStageError
-
-
-def _common_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a key = value config file")
-    common.add_argument("--seed", type=int, help="seed override")
-    common.add_argument("--out", help="output directory override")
-    return common
-
-
-def _data_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--transactions", help="transaction log (CSV or JSONL)")
-    sub.add_argument("--events", help="activity-event log (CSV or JSONL)")
-    sub.add_argument("--format", choices=("csv", "jsonl"), help="input format")
 
 
 def _config_from(args: argparse.Namespace) -> pipeline.PipelineConfig:
     mapping = pipeline.load_config_file(args.config) if args.config else None
-    overrides = {key: getattr(args, key, None)
+    overrides = {key: getattr(args, key)
                  for key in ("transactions", "events", "format", "seed", "out")}
     return pipeline.build_config(mapping, **overrides)
 
@@ -48,13 +37,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         community_count=args.communities,
         noise_sd=args.noise,
         feature_signal=dict(args.signal or [("messages_count", -1.2)]),
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
-    out = args.out or "synth_out"
     log, events, truth = synthgen.generate(config)
-    paths = synthgen.write_dataset(out, log, events, truth, fmt=args.format or "csv")
+    paths = synthgen.write_dataset(args.out, log, events, truth, fmt=args.format)
     print(f"wrote {len(log)} transactions, {len(events)} events, "
-          f"{len(truth)} heroes under {out}/")
+          f"{len(truth)} heroes under {args.out}/")
     for kind, path in sorted(paths.items()):
         print(f"  {kind}: {path}")
     return 0
@@ -67,83 +55,31 @@ def _parse_signal(text: str) -> tuple[str, float]:
     return name.strip(), float(value)
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    strict = not args.lenient
-    if not cfg.transactions:
-        raise PipelineStageError("ingest", "no transactions path given")
-    log, report = ingest.parse_transactions_with_report(cfg.transactions, fmt=cfg.format)
-    if report.bad_rows and strict:
-        raise PipelineStageError(
-            "ingest", f"{len(report.bad_rows)} bad transaction row(s); "
-            "rerun with --lenient to drop them")
-    print(f"transactions: {report.total_rows} rows, {len(log)} parsed, "
-          f"{len(report.bad_rows)} rejected")
-    for bad in report.bad_rows[:10]:
-        print(f"  line {bad.line}: {bad.reason}")
-    if cfg.events:
-        events, ereport = ingest.parse_events_with_report(cfg.events, fmt=cfg.format)
-        if ereport.bad_rows and strict:
-            raise PipelineStageError(
-                "ingest", f"{len(ereport.bad_rows)} bad event row(s); "
-                "rerun with --lenient to drop them")
-        print(f"events: {ereport.total_rows} rows, {len(events)} parsed, "
-              f"{len(ereport.bad_rows)} rejected")
-    return 0
-
-
-def _cmd_communities(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    os.makedirs(cfg.out, exist_ok=True)
-    log = pipeline.load_log(cfg)
-    net = pipeline.build_network(log)
-    part = pipeline.detect_communities(cfg, net)
-    community.write_partition_csv(part, os.path.join(cfg.out, "partition.csv"))
-    graphmod.write_edges_csv(net, os.path.join(cfg.out, "edges.csv"))
-    sizes = community.community_sizes(part)
-    top = sorted(sizes.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-    print(f"{part.count} communities over {len(net.nodes)} users, "
-          f"modularity {part.modularity:.4f}")
-    for cid, size in top:
-        print(f"  community {cid}: {size} users")
-    return 0
-
-
-def _cmd_behavior(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    os.makedirs(cfg.out, exist_ok=True)
-    log = pipeline.load_log(cfg)
-    net = pipeline.build_network(log)
-    key = pipeline.select_key_users(cfg, log, net)
-    warnings_out: list[str] = []
-    cache = pipeline.series_cache(cfg, log, sorted(key.ids), warnings_out)
-    path = os.path.join(cfg.out, "dr_series_network.csv")
-    behavior.write_series_csv(list(cache.values()), path)
-    print(f"{len(cache)} donors-ratio series ({cfg.interval}) -> {path}")
-    for w in warnings_out:
-        print(f"  warning: {w}")
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    """Run the pipeline through the subcommand's last stage, then write the
-    manifest and summarize what each stage produced."""
+    """Run the pipeline through the subcommand's stage cap, then summarize
+    each stage the run reached."""
     cfg = _config_from(args)
-    m1 = pipeline.run_method1(cfg)
-    m2 = None if args.through == "cluster" else pipeline.run_method2(cfg, m1, through=args.through)
-    artifacts = {**m1.artifacts, **(m2.artifacts if m2 else {})}
-    warnings = m1.warnings + (m2.warnings if m2 else [])
-    manifest = pipeline.write_manifest(cfg, artifacts, warnings)
+    m1, m2, manifest = pipeline.run(cfg, through=args.through, lenient=args.lenient)
+    for kind, report in m1.reports.items():
+        rejected = len(report.bad_rows)
+        print(f"{kind}: {report.total_rows} rows, {report.total_rows - rejected} parsed, "
+              f"{rejected} rejected")
+    if m1.partition is not None:
+        sizes = community.community_sizes(m1.partition)
+        print(f"{m1.partition.count} communities over {len(m1.net.nodes)} users, "
+              f"modularity {m1.partition.modularity:.4f}")
+        for cid, size in sorted(sizes.items(), key=lambda kv: (-kv[1], kv[0]))[:10]:
+            print(f"  community {cid}: {size} users")
+    if m1.scopes:
+        print(f"{len(m1.scopes['network'].users)} donors-ratio series ({cfg.interval}) -> "
+              + ", ".join(f"dr_series_{name}.csv" for name in m1.scopes))
     for name, scope in m1.scopes.items():
         if scope.skipped:
             print(f"scope {name}: skipped ({scope.skipped})")
-            continue
-        counts: dict[str, int] = {}
-        for u, c in scope.model.assignment.items():
-            lab = scope.labels[c].label
-            counts[lab] = counts.get(lab, 0) + 1
-        mix = ", ".join(f"{lab}={counts[lab]}" for lab in sorted(counts))
-        print(f"scope {name}: {len(scope.users)} users, chose k={scope.chosen_k}, {mix}")
+        elif scope.model is not None:
+            counts = Counter(scope.labels[c].label for c in scope.model.assignment.values())
+            mix = ", ".join(f"{lab}={counts[lab]}" for lab in sorted(counts))
+            print(f"scope {name}: {len(scope.users)} users, chose k={scope.chosen_k}, {mix}")
     if m2:
         for name, table in m2.features.items():
             print(f"scope {name}: {len(table.users)} feature vectors")
@@ -154,7 +90,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for (name, case), ranked in sorted(m2.importances.items()):
             top = ", ".join(f"{f}={v:.4f}" for f, v in ranked[:3])
             print(f"scope {name} case {case}: top features {top}")
-    for w in warnings:
+    for w in m1.warnings + (m2.warnings if m2 else []):
         print(f"  warning: {w}")
     print(f"manifest: {manifest}")
     return 0
@@ -165,11 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="volnet",
         description="Volunteer-network behavior analysis: archetype clustering "
                     "and trend prediction.")
-    common = _common_parser()
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a synthetic dataset with planted archetypes")
+    p = sub.add_parser("synth", help="generate a synthetic dataset with planted archetypes")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default="synth_out", help="output directory")
     p.add_argument("--heroes", type=int, default=200)
     p.add_argument("--regulars", type=int, default=8)
     p.add_argument("--weeks", type=int, default=52)
@@ -182,32 +118,28 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default messages_count=-1.2)")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("ingest", parents=[common],
-                       help="validate input files and report bad rows")
-    _data_args(p)
-    p.add_argument("--lenient", action="store_true",
-                   help="drop bad rows instead of failing")
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("communities", parents=[common],
-                       help="build the transaction graph and detect communities")
-    _data_args(p)
-    p.set_defaults(func=_cmd_communities)
-
-    p = sub.add_parser("behavior", parents=[common],
-                       help="emit donors-ratio series for the key users")
-    _data_args(p)
-    p.set_defaults(func=_cmd_behavior)
-
+    # every data subcommand is one stage cap of the same staged run
     for command, through, text in (
+            ("ingest", "ingest", "validate input files and report bad rows"),
+            ("communities", "communities", "build the transaction graph and detect communities"),
+            ("behavior", "behavior", "emit the donors-ratio series of every scope's key users"),
             ("cluster", "cluster", "full Method 1: communities, series, clustering, archetypes"),
             ("features", "features", "Method 1 plus feature assembly at the cutoff"),
             ("train", "train", "Method 1 + features + cross-validated model training"),
             ("explain", "explain", "full Method 2 including Shapley attributions"),
-            ("run-all", "explain", "both methods end to end with a verified manifest")):
-        p = sub.add_parser(command, parents=[common], help=text)
-        _data_args(p)
-        p.set_defaults(func=_cmd_run, through=through)
+            ("run-all", "explain", "both methods end to end")):
+        p = sub.add_parser(command, help=f"{text}; writes a verified manifest.json")
+        p.add_argument("--config", help="path to a key = value config file")
+        p.add_argument("--seed", type=int, help="seed override")
+        p.add_argument("--out", help="output directory override")
+        p.add_argument("--transactions", help="transaction log (CSV or JSONL)")
+        p.add_argument("--events", help="activity-event log (CSV or JSONL)")
+        p.add_argument("--format", choices=("csv", "jsonl"), help="input format")
+        p.set_defaults(func=_cmd_run, through=through, lenient=False)
+        if command == "ingest":
+            p.add_argument("--lenient", action="store_true",
+                           help="drop bad rows, each listed as a manifest warning, "
+                                "instead of failing")
     return parser
 
 

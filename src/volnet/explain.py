@@ -2,11 +2,10 @@
 
 The value function is interventional: v(S) is the model's mean score over
 background rows whose features in S are replaced by the explained row's
-values. Exact enumeration covers up to 12 features; the permutation
-Monte-Carlo estimator handles wider models and reports standard errors.
-Both estimators satisfy efficiency (attributions plus base equal the
-prediction) — exactly for enumeration, and by telescoping for the
-permutation estimator.
+values. The permutation Monte-Carlo estimator samples that value
+function and reports per-feature standard errors; it satisfies efficiency
+(attributions plus base equal the prediction) by telescoping. The exact
+enumeration it is checked against lives with the tests, not here.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 
 from .models import TrainedClassifier
 
-EXACT_MAX_FEATURES = 12
 MIN_PERMUTATIONS = 100
 
 
@@ -46,41 +44,6 @@ def _check_inputs(model: TrainedClassifier, x, background) -> tuple[np.ndarray, 
     if background.shape[1] != d:
         raise ValueError(f"background has {background.shape[1]} features, model expects {d}")
     return x, background
-
-
-def shapley_exact(model: TrainedClassifier, x, background, user: str = "") -> Attribution:
-    """Exact Shapley attributions by full subset enumeration (d <= 12)."""
-    x, background = _check_inputs(model, x, background)
-    d = x.shape[0]
-    if d > EXACT_MAX_FEATURES:
-        raise ValueError(
-            f"{d} features exceeds the exact-enumeration cap of {EXACT_MAX_FEATURES}; "
-            "use shapley_mc")
-    m = background.shape[0]
-    n_subsets = 1 << d
-
-    # v[mask] = mean score over background rows with masked features from x.
-    composite = np.repeat(background, n_subsets, axis=0).reshape(m, n_subsets, d)
-    for j in range(d):
-        masks_with_j = [s for s in range(n_subsets) if s >> j & 1]
-        composite[:, masks_with_j, j] = x[j]
-    v = model.scores(composite.reshape(m * n_subsets, d)).reshape(m, n_subsets).mean(axis=0)
-
-    # weight of a coalition of size s when adding one more feature
-    fact = [math.factorial(i) for i in range(d + 1)]
-    weight = [fact[s] * fact[d - s - 1] / fact[d] for s in range(d)]
-    popcount = np.array([bin(s).count("1") for s in range(n_subsets)])
-
-    phi = np.zeros(d)
-    for j in range(d):
-        bit = 1 << j
-        without = np.array([s for s in range(n_subsets) if not s & bit])
-        w = np.array([weight[c] for c in popcount[without]])
-        phi[j] = float(np.sum(w * (v[without | bit] - v[without])))
-
-    per_feature = {name: float(p) for name, p in zip(model.feature_names, phi)}
-    return Attribution(user=user, per_feature=per_feature,
-                       base_value=float(v[0]), prediction=float(v[n_subsets - 1]))
 
 
 def shapley_mc(

@@ -1,13 +1,16 @@
 """End-to-end orchestration: data in, clustered archetypes and trained
 trend predictors out.
 
-The run is staged (ingest → filter → graph → communities → key users →
-behavior → cluster, then features → train → explain); any failure is
-re-raised as :class:`PipelineStageError` tagged with the stage name.
-The stages before clustering are public functions (``load_log``,
-``build_network``, ``detect_communities``, ``select_key_users``,
-``series_cache``), so a caller can run a prefix of the pipeline.
-Analysis happens per *scope*: the whole network plus the largest
+The run is staged.  Method 1 runs ingest (and filter) → graph →
+communities → key users → behavior → cluster; Method 2 runs features →
+train → explain.  :func:`run` runs every stage up to a cap from
+:data:`STAGES`, which is how each data subcommand of the CLI runs, and
+writes one verified ``manifest.json``.  Each stage writes its own
+artifacts whatever the cap: communities ``partition.csv`` (and
+``edges.csv`` when the run stops there), behavior ``dr_series_<scope>.csv``
+for every scope, cluster the per-scope cluster files, and so on.  Any
+failure is re-raised as :class:`PipelineStageError` tagged with the stage
+name.  Analysis happens per *scope*: the whole network plus the largest
 communities.  With a fixed config and seed, every emitted artifact is
 byte-identical across reruns.
 """
@@ -23,6 +26,11 @@ from datetime import timedelta
 from typing import Mapping, Sequence
 
 from . import behavior, community, explain, featureset, graph, ingest, models, tscluster, viz
+
+METHOD1_STAGES = ("ingest", "communities", "behavior", "cluster")
+METHOD2_STAGES = ("features", "train", "explain")
+STAGES = METHOD1_STAGES + METHOD2_STAGES  # the stage caps, in run order
+
 
 class PipelineStageError(RuntimeError):
     """A pipeline stage failed; the message carries the stage tag."""
@@ -149,7 +157,7 @@ def build_config(file_mapping: Mapping[str, str] | None = None, **overrides) -> 
 
 @dataclass
 class ScopeResult:
-    """Clustering outcome for one analysis scope (network or community)."""
+    """Series and clustering outcome for one analysis scope (network or community)."""
 
     name: str
     users: tuple[str, ...]
@@ -163,13 +171,16 @@ class ScopeResult:
 
 @dataclass
 class Method1Result:
-    log: ingest.TransactionLog
-    net: graph.TransactionGraph
-    partition: community.Partition
-    key_users: ingest.KeyUserSet
-    scopes: dict[str, ScopeResult]
-    artifacts: dict[str, str]
-    warnings: list[str]
+    """What Method 1 produced up to its stage cap; later stages' fields stay empty."""
+
+    log: ingest.TransactionLog | None = None
+    reports: dict[str, ingest.ParseReport] = field(default_factory=dict)  # "transactions", "events"
+    net: graph.TransactionGraph | None = None
+    partition: community.Partition | None = None
+    key_users: ingest.KeyUserSet | None = None
+    scopes: dict[str, ScopeResult] = field(default_factory=dict)
+    artifacts: dict[str, str] = field(default_factory=dict)
+    warnings: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -186,51 +197,44 @@ def _out_path(cfg: PipelineConfig, name: str) -> str:
     return os.path.join(cfg.out, name)
 
 
-def load_log(cfg: PipelineConfig) -> ingest.TransactionLog:
-    """Stages ingest and filter: the configured transaction log."""
-    with _stage("ingest"):
-        if not cfg.transactions:
-            raise ValueError("no transactions path configured")
-        log = ingest.parse_transactions(cfg.transactions, fmt=cfg.format)
-        if len(log) == 0:
-            raise ValueError(f"{cfg.transactions} holds no transactions")
-    with _stage("filter"):
-        if cfg.min_transactions > 1:
-            log = ingest.filter_min_transactions(log, cfg.min_transactions)
-            if len(log) == 0:
-                raise ValueError("no transactions survive the minimum-count filter")
-    return log
+def _emit(cfg: PipelineConfig, artifacts: dict[str, str], name: str, write,
+          *args, **kwargs) -> None:
+    """Write artifact ``name`` with ``write(*args, path, **kwargs)`` and declare it."""
+    write(*args, _out_path(cfg, name), **kwargs)
+    artifacts[name] = name
 
 
-def build_network(log: ingest.TransactionLog) -> graph.TransactionGraph:
-    """Stage graph: the transaction graph over the whole log."""
-    with _stage("graph"):
-        return graph.build_graph(log, until=log.transactions[-1].collected_at)
+def _read(cfg: PipelineConfig, kind: str, lenient: bool, m1: Method1Result):
+    """Parse the configured ``kind`` file ("transactions" or "events"); a
+    lenient parse drops malformed rows, each as a warning."""
+    path = getattr(cfg, kind)
+    if lenient:
+        parsed, report = getattr(ingest, f"parse_{kind}_with_report")(path, fmt=cfg.format)
+        m1.warnings += [f"ingest: dropped {path} line {bad.line}: {bad.reason}"
+                        for bad in report.bad_rows]
+    else:
+        parsed = getattr(ingest, f"parse_{kind}")(path, fmt=cfg.format)
+        report = ingest.ParseReport(path, len(parsed))
+    m1.reports[kind] = report
+    return parsed
 
 
-def detect_communities(cfg: PipelineConfig, net: graph.TransactionGraph) -> community.Partition:
-    """Stage communities: the seeded Louvain partition."""
-    with _stage("communities"):
-        return community.louvain(net, seed=cfg.seed)
-
-
-def select_key_users(cfg: PipelineConfig, log: ingest.TransactionLog,
-                     net: graph.TransactionGraph) -> ingest.KeyUserSet:
-    """Stage key_users: hubs (or the configured id list) that pass the activity filter."""
-    with _stage("key_users"):
-        if cfg.key_users == "hub":
-            key = behavior.detect_hubs(net, cfg.hub_multiplier)
-        else:
-            with open(cfg.key_users, encoding="utf-8") as fh:
-                ids = frozenset(line.strip() for line in fh if line.strip())
-            key = ingest.KeyUserSet(ids=ids, origin="predefined")
-        active = ingest.select_active_key_users(
-            log, key, min_span=timedelta(days=cfg.min_span_days),
-            min_listing_weeks=cfg.min_listing_weeks)
-        if not active.ids:
-            raise ValueError("key-user set is empty after activity filtering — "
-                             "nothing to analyze (lower the thresholds or check the data)")
-        return active
+def _key_users(cfg: PipelineConfig, log: ingest.TransactionLog,
+               net: graph.TransactionGraph) -> ingest.KeyUserSet:
+    """Hubs (or the configured id list) that pass the activity filter."""
+    if cfg.key_users == "hub":
+        key = behavior.detect_hubs(net, cfg.hub_multiplier)
+    else:
+        with open(cfg.key_users, encoding="utf-8") as fh:
+            ids = frozenset(line.strip() for line in fh if line.strip())
+        key = ingest.KeyUserSet(ids=ids, origin="predefined")
+    active = ingest.select_active_key_users(
+        log, key, min_span=timedelta(days=cfg.min_span_days),
+        min_listing_weeks=cfg.min_listing_weeks)
+    if not active.ids:
+        raise ValueError("key-user set is empty after activity filtering — "
+                         "nothing to analyze (lower the thresholds or check the data)")
+    return active
 
 
 def _scope_users(cfg: PipelineConfig, part: community.Partition,
@@ -245,22 +249,19 @@ def _scope_users(cfg: PipelineConfig, part: community.Partition,
     return scopes
 
 
-def series_cache(cfg: PipelineConfig, log: ingest.TransactionLog,
-                 users: Sequence[str], warnings_out: list[str]) -> dict[str, behavior.DRSeries]:
-    """Stage behavior: the DR series of each of ``users``; unusable users
-    are dropped with a warning."""
-    with _stage("behavior"):
-        horizon = timedelta(days=cfg.horizon_days)
-        cache: dict[str, behavior.DRSeries] = {}
-        for u in sorted(set(users)):
-            try:
-                cache[u] = behavior.dr_series(u, log, interval=cfg.interval,
-                                              horizon=horizon)
-            except behavior.SeriesError as exc:
-                warnings_out.append(f"behavior: dropped {u}: {exc}")
-        if not cache:
-            raise ValueError("no key user yields a usable donors-ratio series")
-        return cache
+def _series(cfg: PipelineConfig, log: ingest.TransactionLog, users: Sequence[str],
+            warnings_out: list[str]) -> dict[str, behavior.DRSeries]:
+    """The DR series of each of ``users``; unusable users are dropped with a warning."""
+    horizon = timedelta(days=cfg.horizon_days)
+    cache: dict[str, behavior.DRSeries] = {}
+    for u in sorted(set(users)):
+        try:
+            cache[u] = behavior.dr_series(u, log, interval=cfg.interval, horizon=horizon)
+        except behavior.SeriesError as exc:
+            warnings_out.append(f"behavior: dropped {u}: {exc}")
+    if not cache:
+        raise ValueError("no key user yields a usable donors-ratio series")
+    return cache
 
 
 def _cluster_scope(cfg: PipelineConfig, scope: ScopeResult,
@@ -287,29 +288,16 @@ def _cluster_scope(cfg: PipelineConfig, scope: ScopeResult,
     scope.labels = tscluster.label_archetypes(scope.model)
 
 
-def _write_scope_artifacts(cfg: PipelineConfig, scope: ScopeResult,
-                           artifacts: dict[str, str]) -> None:
-    name = f"dr_series_{scope.name}.csv"
-    behavior.write_series_csv([scope.series[u] for u in scope.users],
-                              _out_path(cfg, name))
-    artifacts[name] = name
-    if scope.model is None:
-        return
-    name = f"clusters_{scope.name}.csv"
-    tscluster.write_cluster_csv(scope.model, scope.labels, _out_path(cfg, name))
-    artifacts[name] = name
-    name = f"centroids_{scope.name}.csv"
-    tscluster.write_centroid_csv(scope.model, _out_path(cfg, name))
-    artifacts[name] = name
-    name = f"centroids_{scope.name}.svg"
-    curves = {
-        f"cluster {c} ({scope.labels[c].label})": list(scope.model.centroids[c])
-        for c in range(scope.model.k)
-    }
-    viz.svg_line_chart(curves, _out_path(cfg, name),
-                       title=f"Donors-ratio centroids — {scope.name}",
-                       y_range=(0.0, 1.0))
-    artifacts[name] = name
+def _write_cluster_artifacts(cfg: PipelineConfig, scope: ScopeResult,
+                             artifacts: dict[str, str]) -> None:
+    model, labels = scope.model, scope.labels
+    _emit(cfg, artifacts, f"clusters_{scope.name}.csv", tscluster.write_cluster_csv,
+          model, labels)
+    _emit(cfg, artifacts, f"centroids_{scope.name}.csv", tscluster.write_centroid_csv, model)
+    curves = {f"cluster {c} ({labels[c].label})": list(model.centroids[c])
+              for c in range(model.k)}
+    _emit(cfg, artifacts, f"centroids_{scope.name}.svg", viz.svg_line_chart, curves,
+          title=f"Donors-ratio centroids — {scope.name}", y_range=(0.0, 1.0))
     name = f"cluster_model_{scope.name}.json"
     payload = {
         "version": 1,
@@ -321,8 +309,8 @@ def _write_scope_artifacts(cfg: PipelineConfig, scope: ScopeResult,
         "labels": {str(c): {"label": lab.label,
                             "initial_level": lab.initial_level,
                             "final_level": lab.final_level}
-                   for c, lab in sorted(scope.labels.items())},
-        "model": tscluster.model_to_dict(scope.model),
+                   for c, lab in sorted(labels.items())},
+        "model": tscluster.model_to_dict(model),
     }
     with open(_out_path(cfg, name), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -330,34 +318,68 @@ def _write_scope_artifacts(cfg: PipelineConfig, scope: ScopeResult,
     artifacts[name] = name
 
 
-def run_method1(cfg: PipelineConfig) -> Method1Result:
-    """Ingest through archetype labeling; writes per-scope artifacts."""
+def run_method1(cfg: PipelineConfig, through: str = "cluster",
+                lenient: bool = False) -> Method1Result:
+    """Ingest through archetype labeling, stopping after the stage cap
+    ``through``; each stage writes its own artifacts.
+
+    ``lenient`` makes the ingest stage drop malformed rows, each as a
+    warning, instead of failing.  The event log is parsed here only when
+    ``through`` is "ingest"; longer runs parse it once, strictly, in the
+    features stage.
+    """
+    if through not in METHOD1_STAGES:
+        raise ValueError(f"unknown stage cap {through!r}")
     os.makedirs(cfg.out, exist_ok=True)
-    warnings_out: list[str] = []
-    artifacts: dict[str, str] = {}
+    m1 = Method1Result()
 
-    log = load_log(cfg)
-    net = build_network(log)
-    part = detect_communities(cfg, net)
-    community.write_partition_csv(part, _out_path(cfg, "partition.csv"))
-    artifacts["partition.csv"] = "partition.csv"
-    key = select_key_users(cfg, log, net)
+    with _stage("ingest"):
+        if not cfg.transactions:
+            raise ValueError("no transactions path configured")
+        log = _read(cfg, "transactions", lenient, m1)
+        if len(log) == 0:
+            raise ValueError(f"{cfg.transactions} holds no transactions")
+        if through == "ingest" and cfg.events:
+            _read(cfg, "events", lenient, m1)
+    with _stage("filter"):
+        if cfg.min_transactions > 1:
+            log = ingest.filter_min_transactions(log, cfg.min_transactions)
+            if len(log) == 0:
+                raise ValueError("no transactions survive the minimum-count filter")
+    m1.log = log
+    if through == "ingest":
+        return m1
 
-    scope_users = _scope_users(cfg, part, key)
-    cache = series_cache(cfg, log, scope_users["network"], warnings_out)
+    with _stage("graph"):
+        m1.net = graph.build_graph(log, until=log.transactions[-1].collected_at)
+    with _stage("communities"):
+        m1.partition = community.louvain(m1.net, seed=cfg.seed)
+        _emit(cfg, m1.artifacts, "partition.csv", community.write_partition_csv, m1.partition)
+        if through == "communities":
+            # only a run that stops here writes the edge list (~0.3 s, 1.5 MB at 200 heroes)
+            _emit(cfg, m1.artifacts, "edges.csv", graph.write_edges_csv, m1.net)
+            return m1
 
-    scopes: dict[str, ScopeResult] = {}
-    with _stage("cluster"):
+    with _stage("key_users"):
+        m1.key_users = _key_users(cfg, log, m1.net)
+    with _stage("behavior"):
+        scope_users = _scope_users(cfg, m1.partition, m1.key_users)
+        cache = _series(cfg, log, scope_users["network"], m1.warnings)
         for name, users in scope_users.items():
             usable = tuple(u for u in users if u in cache)
-            scope = ScopeResult(name=name, users=usable,
-                                series={u: cache[u] for u in usable})
-            _cluster_scope(cfg, scope, warnings_out)
-            _write_scope_artifacts(cfg, scope, artifacts)
-            scopes[name] = scope
+            m1.scopes[name] = ScopeResult(name=name, users=usable,
+                                          series={u: cache[u] for u in usable})
+            _emit(cfg, m1.artifacts, f"dr_series_{name}.csv", behavior.write_series_csv,
+                  [cache[u] for u in usable])
+    if through == "behavior":
+        return m1
 
-    return Method1Result(log=log, net=net, partition=part, key_users=key,
-                         scopes=scopes, artifacts=artifacts, warnings=warnings_out)
+    with _stage("cluster"):
+        for scope in m1.scopes.values():
+            _cluster_scope(cfg, scope, m1.warnings)
+            if scope.model is not None:
+                _write_cluster_artifacts(cfg, scope, m1.artifacts)
+    return m1
 
 
 def _best_algorithm(rows: Sequence[tuple[str, str, models.EvalReport]], case: str) -> str:
@@ -368,11 +390,9 @@ def _best_algorithm(rows: Sequence[tuple[str, str, models.EvalReport]], case: st
 
 def run_method2(cfg: PipelineConfig, m1: Method1Result,
                 through: str = "explain") -> Method2Result:
-    """Feature assembly, cross-validated training, and attribution.
-
-    ``through`` stops early at "features" or "train" for partial runs.
-    """
-    if through not in ("features", "train", "explain"):
+    """Feature assembly, cross-validated training, and attribution over a
+    clustered Method 1 result, stopping after the stage cap ``through``."""
+    if through not in METHOD2_STAGES:
         raise ValueError(f"unknown stage cap {through!r}")
     os.makedirs(cfg.out, exist_ok=True)
     warnings_out: list[str] = []
@@ -390,12 +410,10 @@ def run_method2(cfg: PipelineConfig, m1: Method1Result,
         row_of = {u: i for i, u in enumerate(users)}
         tables: dict[str, featureset.ScopeFeatures] = {}
         for name, scope in clustered.items():
-            table = featureset.label_scope(
+            tables[name] = featureset.label_scope(
                 scope.users, X[[row_of[u] for u in scope.users]], scope.model, scope.labels)
-            tables[name] = table
-            fname = f"features_{name}.csv"
-            featureset.write_features_csv(table, _out_path(cfg, fname))
-            artifacts[fname] = fname
+            _emit(cfg, artifacts, f"features_{name}.csv", featureset.write_features_csv,
+                  tables[name])
 
     result = Method2Result(features=tables, eval_rows={}, best={}, importances={},
                            artifacts=artifacts, warnings=warnings_out)
@@ -418,9 +436,7 @@ def run_method2(cfg: PipelineConfig, m1: Method1Result,
                         alg, X, y, k=cfg.cv_folds, seed=cfg.seed,
                         feature_names=featureset.FEATURE_NAMES)))
             result.eval_rows[name] = rows
-            fname = f"eval_{name}.csv"
-            models.write_eval_csv(rows, _out_path(cfg, fname))
-            artifacts[fname] = fname
+            _emit(cfg, artifacts, f"eval_{name}.csv", models.write_eval_csv, rows)
             for case in featureset.CASES:
                 if any(c == case for _, c, _ in rows):
                     result.best[(name, case)] = _best_algorithm(rows, case)
@@ -432,25 +448,17 @@ def run_method2(cfg: PipelineConfig, m1: Method1Result,
             X, y, users = tables[name].rows(case)
             model = models.train(alg, X, y, seed=cfg.seed,
                                  feature_names=featureset.FEATURE_NAMES)
-            fname = f"model_{name}_{case}.json"
-            models.save_model(model, _out_path(cfg, fname))
-            artifacts[fname] = fname
-
+            _emit(cfg, artifacts, f"model_{name}_{case}.json", models.save_model, model)
             atts, ranked = explain.attribute_rows(
                 model, X, users, seed=cfg.seed, n_permutations=cfg.n_permutations,
                 max_rows=cfg.explain_rows)
-            fname = f"attributions_{name}_{case}.csv"
-            explain.write_attribution_csv(atts, _out_path(cfg, fname))
-            artifacts[fname] = fname
+            _emit(cfg, artifacts, f"attributions_{name}_{case}.csv",
+                  explain.write_attribution_csv, atts)
             result.importances[(name, case)] = ranked
-            fname = f"importance_{name}_{case}.csv"
-            explain.write_importance_csv(ranked, _out_path(cfg, fname))
-            artifacts[fname] = fname
-            fname = f"importance_{name}_{case}.svg"
-            viz.svg_importance_bars(
-                ranked, _out_path(cfg, fname),
-                title=f"Mean |attribution| — {name}, {case} ({alg})")
-            artifacts[fname] = fname
+            _emit(cfg, artifacts, f"importance_{name}_{case}.csv",
+                  explain.write_importance_csv, ranked)
+            _emit(cfg, artifacts, f"importance_{name}_{case}.svg", viz.svg_importance_bars,
+                  ranked, title=f"Mean |attribution| — {name}, {case} ({alg})")
     return result
 
 
@@ -479,10 +487,17 @@ def write_manifest(cfg: PipelineConfig, artifacts: Mapping[str, str],
         return path
 
 
-def run_all(cfg: PipelineConfig) -> tuple[Method1Result, Method2Result, str]:
-    """Method 1 then Method 2, plus the verified run manifest."""
-    m1 = run_method1(cfg)
-    m2 = run_method2(cfg, m1)
-    manifest = write_manifest(cfg, {**m1.artifacts, **m2.artifacts},
-                              m1.warnings + m2.warnings)
+def run(cfg: PipelineConfig, through: str = "explain", lenient: bool = False,
+        ) -> tuple[Method1Result, Method2Result | None, str]:
+    """Every stage up to and including ``through`` (one of :data:`STAGES`),
+    then the verified run manifest; ``lenient`` is passed to
+    :func:`run_method1`.  Method 2 is ``None`` when the cap stops within
+    Method 1."""
+    if through not in STAGES:
+        raise ValueError(f"unknown stage cap {through!r}")
+    m1 = run_method1(cfg, through if through in METHOD1_STAGES else "cluster", lenient)
+    m2 = run_method2(cfg, m1, through) if through in METHOD2_STAGES else None
+    done = [m for m in (m1, m2) if m is not None]
+    manifest = write_manifest(cfg, {k: v for m in done for k, v in m.artifacts.items()},
+                              [w for m in done for w in m.warnings])
     return m1, m2, manifest

