@@ -11,8 +11,9 @@ over all pairs and one anti-diagonal of cells at a time, doing the same
 float operations in the same order as a cell-by-cell loop over one pair,
 so results do not depend on how pairs are batched.  The k-means
 assignment step and each k-means++ pick are one call over all pairs,
-keeping three diagonals per pair; a DBA iteration fills the full tables
-of a cluster's members in one call and backtracks their paths together.
+keeping three diagonals per pair; a DBA iteration aligns the members of
+all clusters of a sweep, each to its own centroid, in one call that fills
+their full tables and backtracks their paths together.
 The scalar ``dtw``, ``dtw_path`` and ``soft_dtw`` are the same kernel on
 a single pair.
 """
@@ -235,22 +236,34 @@ def _kmeans_pp_init(X: np.ndarray, k: int, metric: str, gamma: float, rng: np.ra
     return X[chosen].copy()
 
 
-def _dba_update(members: np.ndarray, init: np.ndarray,
-                max_inner: int = 30) -> tuple[np.ndarray, bool]:
-    """DTW barycenter averaging started from ``init``; also returns whether
-    it settled within ``max_inner`` iterations.  Each iteration aligns every
-    member to the centroid in one batched table fill and backtrack."""
-    n, m = members.shape[1], init.shape[0]
-    centroid = init.copy()
+def _dba_update(X: np.ndarray, assign: np.ndarray, centroids: np.ndarray,
+                max_inner: int = 30) -> int:
+    """DTW barycenter averaging of every non-empty cluster, in place; returns
+    how many clusters stopped at ``max_inner`` iterations before their
+    largest change fell below 1e-8.  An empty cluster keeps its centroid.
+    Each iteration aligns the members of every cluster still moving to
+    their own centroid in one table fill and backtrack; paths come back
+    pair-major with members in row order, so each cluster's sums add in
+    the order of a cluster-by-cluster update."""
+    k, m = centroids.shape
+    n = X.shape[1]
+    # the non-empty clusters; np.unique would page in NumPy's sort kernels,
+    # ~0.8 MB of peak RSS that a clustering run otherwise never touches
+    moving = np.flatnonzero(np.bincount(assign, minlength=k))
     for _ in range(max_inner):
-        owner, i, j = _backtrack(_warp(members, centroid, keep=True), n, m)
-        sums = np.bincount(j, weights=members[owner, i], minlength=m)
-        counts = np.bincount(j, minlength=m).astype(float)
-        updated = np.where(counts > 0, sums / np.maximum(counts, 1.0), centroid)
-        if np.max(np.abs(updated - centroid)) < 1e-8:
-            return updated, True
-        centroid = updated
-    return centroid, False
+        if moving.size == 0:
+            break
+        rows = np.flatnonzero(np.isin(assign, moving))
+        own = assign[rows]
+        owner, i, j = _backtrack(_warp(X[rows], centroids[own], keep=True), n, m)
+        bins = own[owner] * m + j
+        sums = np.bincount(bins, weights=X[rows[owner], i], minlength=k * m).reshape(k, m)
+        counts = np.bincount(bins, minlength=k * m).reshape(k, m)
+        updated = sums[moving] / counts[moving]  # every path visits every column
+        settled = np.max(np.abs(updated - centroids[moving]), axis=1) < 1e-8
+        centroids[moving] = updated
+        moving = moving[~settled]
+    return int(moving.size)
 
 
 def kmeans_ts(
@@ -269,7 +282,8 @@ def kmeans_ts(
     30 iterations per cluster and sweep) for the warping metrics.  For the
     warping metrics each seeding pick and each assignment step is one
     batched kernel call over all (series, centroid) pairs, and each DBA
-    iteration aligns all members of a cluster in one call.  Stops when
+    iteration aligns the members of every cluster of the sweep that is
+    still moving to their own centroids in one call.  Stops when
     assignments stabilize or after ``max_iter`` sweeps; the model's
     ``converged`` and ``dba_capped`` report whether either cap was hit.
     Deterministic for a fixed seed.
@@ -305,15 +319,14 @@ def kmeans_ts(
         prev = assign
         if sweep == max_iter - 1:
             break
+        if metric != "euclidean":
+            dba_capped += _dba_update(X, assign, centroids)
+            continue
         for c in range(k):
             members = X[assign == c]
             if members.shape[0] == 0:
                 continue  # empty cluster keeps its centroid
-            if metric == "euclidean":
-                centroids[c] = members.mean(axis=0)
-            else:
-                centroids[c], settled = _dba_update(members, centroids[c])
-                dba_capped += not settled
+            centroids[c] = members.mean(axis=0)
     return ClusterModel(
         k=k,
         metric=metric,

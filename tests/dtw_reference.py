@@ -2,8 +2,10 @@
 
 These are the cell-by-cell DTW table, path backtrack, soft-DTW loop and
 DBA update that ``volnet.tscluster`` used before its batched kernel; the
-tests require the kernel to reproduce them exactly.  ``dtw_brute`` is
-the exhaustive oracle over all alignment paths.
+tests require the kernel to reproduce them exactly.  ``kmeans_ts`` is the
+k-means loop that updated one cluster at a time before the DBA step was
+batched over all clusters of a sweep.  ``dtw_brute`` is the exhaustive
+oracle over all alignment paths.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from volnet.tscluster import ClusterModel, _as_matrix, _distances_to_centroids, _kmeans_pp_init
 
 
 def dtw_table(a, b) -> np.ndarray:
@@ -76,9 +80,12 @@ def soft_dtw(a, b, gamma: float = 1.0) -> float:
     return float(acc[-1, -1])
 
 
-def dba_update(members: np.ndarray, init: np.ndarray, max_inner: int = 30) -> np.ndarray:
+def dba_update(members: np.ndarray, init: np.ndarray,
+               max_inner: int = 30) -> tuple[np.ndarray, int, bool]:
+    """DBA of one cluster: the centroid, the iterations run, and whether it
+    settled within ``max_inner`` of them."""
     centroid = init.copy()
-    for _ in range(max_inner):
+    for it in range(1, max_inner + 1):
         sums = np.zeros_like(centroid)
         counts = np.zeros_like(centroid)
         for row in members:
@@ -88,9 +95,49 @@ def dba_update(members: np.ndarray, init: np.ndarray, max_inner: int = 30) -> np
                 counts[j] += 1.0
         updated = np.where(counts > 0, sums / np.maximum(counts, 1.0), centroid)
         if np.max(np.abs(updated - centroid)) < 1e-8:
-            return updated
+            return updated, it, True
         centroid = updated
-    return centroid
+    return centroid, max_inner, False
+
+
+def kmeans_ts(data, k: int, metric: str, seed: int = 0, max_iter: int = 100,
+              gamma: float = 1.0, max_inner: int = 30) -> tuple[ClusterModel, list[list[int]]]:
+    """Warping k-means with one :func:`dba_update` per non-empty cluster and
+    sweep; seeding and assignment are volnet's.  Also returns, per sweep
+    with an update step, the DBA iterations each non-empty cluster ran."""
+    users, X = _as_matrix(data)
+    n = X.shape[0]
+    centroids = _kmeans_pp_init(X, k, metric, gamma, np.random.default_rng(seed))
+    history: list[float] = []
+    rounds: list[list[int]] = []
+    prev = None
+    converged = False
+    dba_capped = 0
+    for sweep in range(max_iter):
+        dists = _distances_to_centroids(X, centroids, metric, gamma)
+        assign = dists.argmin(axis=1)
+        history.append(float(dists[np.arange(n), assign].sum()))
+        if prev is not None and np.array_equal(assign, prev):
+            converged = True
+            break
+        prev = assign
+        if sweep == max_iter - 1:
+            break
+        rounds.append([])
+        for c in range(k):
+            members = X[assign == c]
+            if members.shape[0] == 0:
+                continue
+            centroids[c], iterations, settled = dba_update(members, centroids[c], max_inner)
+            dba_capped += not settled
+            rounds[-1].append(iterations)
+    model = ClusterModel(
+        k=k, metric=metric, centroids=centroids,
+        assignment={u: int(c) for u, c in zip(users, assign)},
+        inertia=history[-1], seed=seed, inertia_history=tuple(history),
+        converged=converged, dba_capped=dba_capped,
+    )
+    return model, rounds
 
 
 def dtw_brute(a, b) -> float:

@@ -373,7 +373,7 @@ def test_degenerate_inputs_fail_soft(tmp_path, gate):
         # an empty transaction file stops with a stage-tagged error
         empty = tmp_path / "empty.csv"
         empty.write_text("item_id,lister_id,collector_id,listed_at,collected_at\n")
-        cfg = pipeline.build_config(transactions=str(empty))
+        cfg = pipeline.build_config(transactions=str(empty), out=str(tmp_path / "out"))
         with pytest.raises(pipeline.PipelineStageError) as err:
             pipeline.run_method1(cfg)
         assert err.value.stage == "ingest"

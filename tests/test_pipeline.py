@@ -183,29 +183,29 @@ class TestConfig:
 # stage error tagging
 
 class TestStageErrors:
-    def test_missing_transactions_path(self):
-        cfg = build_config()
+    def test_missing_transactions_path(self, tmp_path):
+        cfg = build_config(out=str(tmp_path / "out"))
         with pytest.raises(PipelineStageError, match=r"\[ingest\] no transactions path"):
             pipeline.run_method1(cfg)
 
     def test_unreadable_transactions_file(self, tmp_path):
-        cfg = build_config(transactions=str(tmp_path / "nope.csv"))
+        cfg = build_config(transactions=str(tmp_path / "nope.csv"), out=str(tmp_path / "out"))
         with pytest.raises(PipelineStageError) as err:
             pipeline.run_method1(cfg)
         assert err.value.stage == "ingest"
         assert str(err.value).startswith("[ingest] ")
 
-    def test_filter_removing_everything(self, data_dir):
+    def test_filter_removing_everything(self, data_dir, tmp_path):
         cfg = build_config(transactions=data_dir["transactions"],
-                           min_transactions=10**6)
+                           min_transactions=10**6, out=str(tmp_path / "out"))
         with pytest.raises(PipelineStageError) as err:
             pipeline.run_method1(cfg)
         assert err.value.stage == "filter"
         assert "no transactions survive" in str(err.value)
 
-    def test_no_key_users_is_actionable(self, data_dir):
+    def test_no_key_users_is_actionable(self, data_dir, tmp_path):
         cfg = build_config(transactions=data_dir["transactions"],
-                           min_listing_weeks=500)
+                           min_listing_weeks=500, out=str(tmp_path / "out"))
         with pytest.raises(PipelineStageError) as err:
             pipeline.run_method1(cfg)
         assert err.value.stage == "key_users"
@@ -573,7 +573,7 @@ class TestCLI:
             "item_id,lister_id,collector_id,listed_at,collected_at\n"
             "i1,a,b,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z\n"
             "i2,a,b,not-a-date,2022-01-02T01:00:00Z\n")
-        rc = cli.main(["ingest", "--transactions", str(path)])
+        rc = cli.main(["ingest", "--transactions", str(path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "[ingest]" in capsys.readouterr().err
 
@@ -657,6 +657,7 @@ class TestCLI:
         assert "expected 'key = value'" in capsys.readouterr().err
 
     def test_stage_errors_exit_with_status_two(self, tmp_path, capsys):
-        rc = cli.main(["communities", "--transactions", str(tmp_path / "none.csv")])
+        rc = cli.main(["communities", "--transactions", str(tmp_path / "none.csv"),
+                       "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "[ingest]" in capsys.readouterr().err

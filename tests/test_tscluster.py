@@ -429,8 +429,33 @@ class TestWarpKernelMatchesReference:
             members = random_series(rng, (int(rng.integers(1, 21)), length), tied)
             init = members[int(rng.integers(members.shape[0]))] if trial % 2 else (
                 random_series(rng, length, tied))
-            got, _ = _dba_update(members, init)
-            assert np.array_equal(got, ref.dba_update(members, init))
+            centroids = init[None].copy()
+            _dba_update(members, np.zeros(members.shape[0], dtype=int), centroids)
+            assert np.array_equal(centroids[0], ref.dba_update(members, init)[0])
+
+    def test_dba_batch_equals_each_cluster_alone(self, tied):
+        rng = np.random.default_rng(505 + tied)
+        for trial in range(20):
+            length = int(rng.integers(1, 13))
+            k = int(rng.integers(3, 7))
+            empty, single = rng.choice(k, size=2, replace=False)
+            others = [c for c in range(k) if c not in (empty, single)]
+            assign = rng.choice(others, size=int(rng.integers(1, 18)))
+            assign = np.insert(assign, int(rng.integers(assign.size + 1)), single)
+            X = random_series(rng, (assign.size, length), tied)
+            init = random_series(rng, (k, length), tied)
+            if trial % 2:  # start some centroids on a member
+                init[assign] = X
+            max_inner = (1, 3, 30)[trial % 3]
+            centroids = init.copy()
+            capped = _dba_update(X, assign, centroids, max_inner)
+            assert np.array_equal(centroids[empty], init[empty])
+            unsettled = 0
+            for c in set(range(k)) - {empty}:
+                want, _, settled = ref.dba_update(X[assign == c], init[c], max_inner)
+                assert np.array_equal(centroids[c], want)
+                unsettled += not settled
+            assert capped == unsettled
 
     def test_paths_of_unequal_lengths(self, tied):
         rng = np.random.default_rng(303 + tied)
@@ -468,9 +493,56 @@ class TestIterationCaps:
 
     def test_dba_inner_cap_is_reported(self, monkeypatch):
         monkeypatch.setattr(tscluster, "_dba_update",
-                            lambda members, init: _dba_update(members, init, max_inner=1))
+                            lambda X, assign, centroids: _dba_update(X, assign, centroids,
+                                                                     max_inner=1))
         model = kmeans_ts(two_blobs(), k=2, metric="dtw", seed=0)
         assert model.dba_capped > 0
         members = np.array(list(two_blobs().values()))
-        assert _dba_update(members, members[0], max_inner=1)[1] is False
-        assert _dba_update(members, members[0])[1] is True
+        one = np.zeros(members.shape[0], dtype=int)
+        assert _dba_update(members, one, members[:1].copy(), max_inner=1) == 1
+        assert _dba_update(members, one, members[:1].copy()) == 0
+
+
+def random_panel(seed: int) -> dict[str, np.ndarray]:
+    """30 uniform series of 10 points, quantised to thirds at odd seeds."""
+    X = random_series(np.random.default_rng(seed), (30, 10), tied=bool(seed % 2))
+    return {f"u{i:02d}": row for i, row in enumerate(X)}
+
+
+class TestBatchedDBAFits:
+    """Fits with the batched DBA step against the cluster-by-cluster loop."""
+
+    # (metric, seed, k, max_iter, DBA inner cap): multi-sweep fits, softdtw
+    # fits with empty clusters, one stopped at max_iter, and two whose DBA
+    # updates hit a lowered inner cap
+    @pytest.mark.parametrize("metric, seed, k, max_iter, max_inner", [
+        ("dtw", 20, 3, 100, 30), ("dtw", 3, 5, 100, 30), ("softdtw", 46, 7, 100, 30),
+        ("softdtw", 5, 7, 8, 30), ("dtw", 20, 3, 100, 2), ("softdtw", 0, 5, 100, 2),
+    ])
+    def test_fit_equals_per_cluster_loop(self, monkeypatch, metric, seed, k, max_iter,
+                                         max_inner):
+        monkeypatch.setattr(tscluster, "_dba_update",
+                            lambda X, assign, centroids: _dba_update(X, assign, centroids,
+                                                                     max_inner=max_inner))
+        data = random_panel(seed)
+        got = kmeans_ts(data, k, metric=metric, seed=seed, max_iter=max_iter)
+        want, _ = ref.kmeans_ts(data, k, metric, seed, max_iter, max_inner=max_inner)
+        assert np.array_equal(got.centroids, want.centroids)
+        assert got.inertia_history == want.inertia_history
+        assert got.assignment == want.assignment
+        assert (got.converged, got.dba_capped) == (want.converged, want.dba_capped)
+
+    def test_one_backtrack_per_iteration_of_the_slowest_cluster(self, monkeypatch):
+        data = random_panel(3)
+        calls = []
+        backtrack = tscluster._backtrack
+
+        def counting(*args):
+            calls.append(args[0].shape[1])
+            return backtrack(*args)
+
+        monkeypatch.setattr(tscluster, "_backtrack", counting)
+        kmeans_ts(data, 5, metric="dtw", seed=3)
+        _, rounds = ref.kmeans_ts(data, 5, "dtw", 3)
+        assert len(calls) == sum(map(max, rounds)) < sum(map(sum, rounds))
+        assert max(calls) == len(data)  # the first iteration aligns every series
