@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable
 
+import numpy as np
+
 from .graph import TransactionGraph
-from .ingest import KeyUserSet, TransactionLog
+from .ingest import MICROSECOND, KeyUserSet, TransactionLog, from_micros
 
 INTERVAL_DAYS = {"weekly": 7, "monthly": 30}
 
@@ -83,7 +85,8 @@ def dr_series(
 
     ``t0`` is the user's first transaction.  Weekly windows are 7 days and
     monthly windows 30 days; the series holds ``horizon // window`` points
-    (52 weekly or 12 monthly over a year).  Windows with no transactions
+    (52 weekly or 12 monthly over a year), and a row collected at
+    ``t0 + k * window`` opens window ``k``.  Windows with no transactions
     are imputed and flagged in ``imputed_mask``.
     """
     if interval not in INTERVAL_DAYS:
@@ -93,22 +96,17 @@ def dr_series(
     if n_points < 1:
         raise ValueError("horizon shorter than one interval")
 
-    rows = log.by_user.get(u)
-    if not rows:
+    rows = log.rows_of(u)
+    if not len(rows):
         raise SeriesError(f"user {u!r} has no transactions")
 
-    t0 = rows[0].collected_at
-    listings = [0] * n_points
-    pickups = [0] * n_points
-    end = t0 + n_points * step
-    for t in rows:  # in log order, from t0
-        if t.collected_at >= end:
-            break
-        idx = int((t.collected_at - t0) / step)
-        if t.lister_id == u:
-            listings[idx] += 1
-        elif t.collector_id == u:
-            pickups[idx] += 1
+    at = log.collected_at[rows]  # in log order, from t0
+    window = (at - at[0]) // (step // MICROSECOND)
+    inside = window < n_points
+    lists = log.lister[rows] == log.code_of[u]
+    listings = np.bincount(window[inside & lists], minlength=n_points).tolist()
+    pickups = np.bincount(window[inside & ~lists], minlength=n_points).tolist()
+    t0 = from_micros(at[0])
     raw: list[float | None] = [
         (l / (l + p)) if l + p > 0 else None for l, p in zip(listings, pickups)
     ]

@@ -18,15 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import (
-    TransactionGraph,
-    clustering_coefficient,
-    closeness_centrality,
-    degrees,
-    density,
-    ego_networks,
-    pagerank,
-)
+from .graph import TransactionGraph, density, ego_networks, node_metrics
 from .ingest import EventLog, TransactionLog
 from .tscluster import ArchetypeLabel, ClusterModel, case_and_trend
 
@@ -87,7 +79,7 @@ class ScopeFeatures:
 
 def extract_network_features(g: TransactionGraph, u: str) -> dict[str, float]:
     """Structural features of ``u`` within their (cutoff-limited) ego net ``g``."""
-    deg = degrees(g, u)
+    deg, rank, closeness, clustering = node_metrics(g, u)
     flow = deg.in_weighted + deg.out_weighted
     if flow == 0:
         raise ValueError(f"user {u!r} has no transactions inside the ego network")
@@ -95,9 +87,9 @@ def extract_network_features(g: TransactionGraph, u: str) -> dict[str, float]:
         "nodes_number": float(len(g.nodes)),
         "edges_number": float(len(g.edges)),
         "density": density(g),
-        "pagerank": pagerank(g)[u],
-        "closeness_centrality": closeness_centrality(g, u),
-        "clustering_coefficient": clustering_coefficient(g, u),
+        "pagerank": rank,
+        "closeness_centrality": closeness,
+        "clustering_coefficient": clustering,
         "pickups_count": float(deg.in_weighted),
         "percent_of_listing_items": deg.out_weighted / flow,
     }

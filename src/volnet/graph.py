@@ -7,10 +7,12 @@ undirected, unweighted projection.
 
 A graph is a plain value of nodes and weighted edges.  :func:`adjacency`
 is the one place that turns edges into neighbour dicts, built when an
-algorithm reads them and never cached on the graph.  :func:`build_graph`
-sums a log's transactions into edges; :func:`ego_networks` sums them
-incrementally, one cutoff at a time, and shares one ego cut with
-:func:`ego_network`.
+algorithm reads them and never cached on the graph; :func:`node_metrics`
+builds each of the three views once for all of a node's metrics.
+:func:`build_graph`
+counts a log's (lister, collector) code pairs into edges with one
+``np.unique``; :func:`ego_networks` sums them incrementally, one cutoff at
+a time, and shares one ego cut with :func:`ego_network`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from .ingest import TransactionLog
 
@@ -80,16 +84,19 @@ def adjacency(g: TransactionGraph, direction: str = "out") -> dict[str, dict[str
     return adj
 
 
-def build_graph(log: TransactionLog, until: datetime) -> TransactionGraph:
-    """Aggregate transactions with ``collected_at <= until`` into a graph."""
-    n = log.count_until(until)
-    weights: Counter[tuple[str, str]] = Counter()
-    nodes: set[str] = set()
-    for t in log.transactions[:n]:
-        weights[(t.lister_id, t.collector_id)] += 1
-        nodes.add(t.lister_id)
-        nodes.add(t.collector_id)
-    return TransactionGraph(nodes=frozenset(nodes), edges=dict(weights))
+def build_graph(log: TransactionLog, until: datetime | None = None) -> TransactionGraph:
+    """Aggregate transactions with ``collected_at <= until`` (all of them
+    by default) into a graph; edges follow their pair's first transaction."""
+    n = len(log) if until is None else log.count_until(until)
+    lister, collector = log.lister[:n], log.collector[:n]
+    names = np.array(log.user_ids, dtype=object)
+    pairs, first, counts = np.unique(lister.astype(np.int64) * len(names) + collector,
+                                     return_index=True, return_counts=True)
+    order = np.argsort(first)
+    a, b = np.divmod(pairs[order], len(names))
+    edges = dict(zip(zip(names[a].tolist(), names[b].tolist()), counts[order].tolist()))
+    nodes = frozenset(names[np.unique(np.concatenate([lister, collector]))].tolist())
+    return TransactionGraph(nodes=nodes, edges=edges)
 
 
 def _ego_cut(u: str, succ: Mapping[str, Mapping[str, int]],
@@ -120,14 +127,15 @@ def ego_networks(log: TransactionLog,
     comes, so a caller holds one at a time.  A user with no transaction
     by their cutoff gets an ego network of just themselves.
     """
+    names = log.user_ids
     succ: dict[str, Counter[str]] = defaultdict(Counter)
     pred: dict[str, Counter[str]] = defaultdict(Counter)
     ptr = 0
     for u in sorted(cutoffs, key=lambda u: (cutoffs[u], u)):
         n = log.count_until(cutoffs[u])
-        for t in log.transactions[ptr:n]:
-            succ[t.lister_id][t.collector_id] += 1
-            pred[t.collector_id][t.lister_id] += 1
+        for a, b in zip(log.lister[ptr:n].tolist(), log.collector[ptr:n].tolist()):
+            succ[names[a]][names[b]] += 1
+            pred[names[b]][names[a]] += 1
         ptr = n
         yield u, _ego_cut(u, succ, pred)
 
@@ -140,15 +148,46 @@ def density(g: TransactionGraph) -> float:
     return len(g.edges) / (n * (n - 1))
 
 
-def degrees(g: TransactionGraph, v: str) -> DegreeRecord:
-    g._require(v)
-    ins, outs = adjacency(g, "in")[v], adjacency(g, "out")[v]
+def _degrees(succ: Mapping[str, Mapping[str, int]], pred: Mapping[str, Mapping[str, int]],
+             v: str) -> DegreeRecord:
+    ins, outs = pred[v], succ[v]
     return DegreeRecord(
         in_weighted=sum(ins.values()),
         out_weighted=sum(outs.values()),
         in_distinct=len(ins),
         out_distinct=len(outs),
     )
+
+
+def degrees(g: TransactionGraph, v: str) -> DegreeRecord:
+    g._require(v)
+    return _degrees(adjacency(g, "out"), adjacency(g, "in"), v)
+
+
+def _pagerank(succ: Mapping[str, Mapping[str, int]], damping: float = 0.85,
+              tol: float = 1e-9, max_iter: int = 500) -> dict[str, float]:
+    order = sorted(succ)
+    n = len(order)
+    if n == 0:
+        return {}
+    out_weight = {v: sum(succ[v].values()) for v in order}
+    dangling = [v for v in order if out_weight[v] == 0]
+    rank = {v: 1.0 / n for v in order}
+    delta = float("inf")
+    for _ in range(max_iter):
+        dangling_mass = sum(rank[v] for v in dangling)
+        nxt = {v: (1.0 - damping) / n + damping * dangling_mass / n for v in order}
+        for v in order:
+            if out_weight[v] == 0:
+                continue
+            share = damping * rank[v] / out_weight[v]
+            for w, weight in succ[v].items():
+                nxt[w] += share * weight
+        delta = sum(abs(nxt[v] - rank[v]) for v in order)
+        rank = nxt
+        if delta < tol:
+            return rank
+    raise PageRankError(max_iter, delta, rank)
 
 
 def pagerank(
@@ -171,29 +210,7 @@ def pagerank(
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0, 1)")
-    order = sorted(g.nodes)
-    n = len(order)
-    if n == 0:
-        return {}
-    succ = adjacency(g, "out")
-    out_weight = {v: sum(succ[v].values()) for v in order}
-    dangling = [v for v in order if out_weight[v] == 0]
-    rank = {v: 1.0 / n for v in order}
-    delta = float("inf")
-    for _ in range(max_iter):
-        dangling_mass = sum(rank[v] for v in dangling)
-        nxt = {v: (1.0 - damping) / n + damping * dangling_mass / n for v in order}
-        for v in order:
-            if out_weight[v] == 0:
-                continue
-            share = damping * rank[v] / out_weight[v]
-            for w, weight in succ[v].items():
-                nxt[w] += share * weight
-        delta = sum(abs(nxt[v] - rank[v]) for v in order)
-        rank = nxt
-        if delta < tol:
-            return rank
-    raise PageRankError(max_iter, delta, rank)
+    return _pagerank(adjacency(g, "out"), damping, tol, max_iter)
 
 
 def _bfs_distances(adj: Mapping[str, Mapping[str, int]], source: str) -> dict[str, int]:
@@ -208,14 +225,11 @@ def _bfs_distances(adj: Mapping[str, Mapping[str, int]], source: str) -> dict[st
     return dist
 
 
-def closeness_centrality(g: TransactionGraph, v: str) -> float:
-    """Closeness on the undirected unweighted projection, with the
-    reachable-fraction correction for disconnected graphs."""
-    g._require(v)
-    n = len(g.nodes)
+def _closeness(both: Mapping[str, Mapping[str, int]], v: str) -> float:
+    n = len(both)
     if n <= 1:
         return 0.0
-    dist = _bfs_distances(adjacency(g, "both"), v)
+    dist = _bfs_distances(both, v)
     r = len(dist)  # reachable nodes, v included
     total = sum(dist.values())
     if r <= 1 or total == 0:
@@ -223,20 +237,40 @@ def closeness_centrality(g: TransactionGraph, v: str) -> float:
     return ((r - 1) / total) * ((r - 1) / (n - 1))
 
 
-def clustering_coefficient(g: TransactionGraph, v: str) -> float:
-    """Fraction of neighbor pairs (undirected projection) that are linked."""
+def closeness_centrality(g: TransactionGraph, v: str) -> float:
+    """Closeness on the undirected unweighted projection, with the
+    reachable-fraction correction for disconnected graphs."""
     g._require(v)
-    adj = adjacency(g, "both")
-    neighbors = sorted(adj[v])
+    return _closeness(adjacency(g, "both"), v)
+
+
+def _clustering(both: Mapping[str, Mapping[str, int]], v: str) -> float:
+    neighbors = sorted(both[v])
     k = len(neighbors)
     if k < 2:
         return 0.0
     links = 0
     for i, a in enumerate(neighbors):
         for b in neighbors[i + 1:]:
-            if b in adj[a]:
+            if b in both[a]:
                 links += 1
     return 2.0 * links / (k * (k - 1))
+
+
+def clustering_coefficient(g: TransactionGraph, v: str) -> float:
+    """Fraction of neighbor pairs (undirected projection) that are linked."""
+    g._require(v)
+    return _clustering(adjacency(g, "both"), v)
+
+
+def node_metrics(g: TransactionGraph, v: str) -> tuple[DegreeRecord, float, float, float]:
+    """:func:`degrees`, :func:`pagerank` (at its defaults),
+    :func:`closeness_centrality` and :func:`clustering_coefficient` of
+    ``v``, from one build each of the three adjacency views."""
+    g._require(v)
+    succ, pred, both = (adjacency(g, d) for d in ("out", "in", "both"))
+    return (_degrees(succ, pred, v), _pagerank(succ)[v], _closeness(both, v),
+            _clustering(both, v))
 
 
 def write_edges_csv(g: TransactionGraph, path: str) -> None:

@@ -5,9 +5,16 @@ Input files are plain CSV or JSONL.  Transactions carry the exact columns
 ``user_id,kind,at,value`` (``value`` empty unless ``kind`` is ``rating``).
 Timestamps are RFC 3339, normalized to UTC at parse time.
 
-This module owns the per-user view of a log: :attr:`TransactionLog.by_user`
-is the one index of each user's rows, and first activity, the activity
-filters and the donors-ratio series read it instead of scanning the log.
+A :class:`TransactionLog` is columnar: one table of user ids, ``int32``
+lister and collector codes into it, ``int64`` epoch-microsecond
+``listed_at``/``collected_at`` arrays and the item ids, with rows sorted
+by ``collected_at``.  The parser appends each row's fields straight to the
+column buffers and validates whole columns at once.  Every stage reads the
+arrays: :attr:`TransactionLog.by_user` is the one per-user index, offsets
+into a row-index array, and first activity, the activity filters and the
+donors-ratio series slice it instead of scanning the log.
+:class:`Transaction` stays the row value type for logs built by hand
+(:meth:`TransactionLog.from_transactions`).
 """
 
 from __future__ import annotations
@@ -16,11 +23,13 @@ import csv
 import json
 import logging
 import sys
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cache, cached_property
 from typing import Iterable
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -28,6 +37,10 @@ EVENT_KINDS = ("article", "message", "rating", "like", "story", "comment")
 
 TRANSACTION_COLUMNS = ("item_id", "lister_id", "collector_id", "listed_at", "collected_at")
 EVENT_COLUMNS = ("user_id", "kind", "at", "value")
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+MICROSECOND = timedelta(microseconds=1)
+_DAY_US = timedelta(days=1) // MICROSECOND
 
 
 class ParseError(ValueError):
@@ -55,6 +68,16 @@ def parse_timestamp(text: str) -> datetime:
 def format_timestamp(dt: datetime) -> str:
     """Canonical second-precision UTC rendering used by every writer."""
     return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def to_micros(dt: datetime) -> int:
+    """Epoch microseconds of an aware datetime, exactly."""
+    return (dt - _EPOCH) // MICROSECOND
+
+
+def from_micros(us: int) -> datetime:
+    """The aware UTC datetime ``us`` epoch microseconds after 1970-01-01."""
+    return _EPOCH + timedelta(microseconds=int(us))
 
 
 @dataclass(frozen=True)
@@ -99,43 +122,110 @@ class ActivityEvent:
             raise ValueError(f"{self.kind} event must not carry a value")
 
 
-@dataclass(frozen=True)
-class TransactionLog:
-    """Immutable transaction sequence, sorted by ``collected_at``."""
+_ROW_COLUMNS = ("item_ids", "lister", "collector", "listed_at", "collected_at")
 
-    transactions: tuple[Transaction, ...]
-    users: frozenset[str]
+
+@dataclass(frozen=True, eq=False)
+class TransactionLog:
+    """Immutable columnar transaction table, rows sorted by ``collected_at``.
+
+    ``lister`` and ``collector`` are ``int32`` codes into ``user_ids``,
+    numbered by first appearance in log order (lister before collector);
+    ``listed_at`` and ``collected_at`` are ``int64`` epoch microseconds;
+    ``item_ids`` is an object array of strings.  Logs holding the same rows
+    hold equal columns.
+    """
+
+    user_ids: tuple[str, ...]
+    item_ids: np.ndarray
+    lister: np.ndarray
+    collector: np.ndarray
+    listed_at: np.ndarray
+    collected_at: np.ndarray
+
+    @classmethod
+    def from_columns(cls, user_ids, item_ids, lister, collector, listed_at,
+                     collected_at) -> "TransactionLog":
+        """Sort the rows stably by ``collected_at`` and renumber the users
+        they name by first appearance; users no row names are dropped."""
+        order = np.argsort(collected_at, kind="stable")
+        lister, collector = lister[order], collector[order]
+        used, first = np.unique(np.stack([lister, collector], axis=1).ravel(),
+                                return_index=True)
+        by_first = used[np.argsort(first)]
+        code = np.zeros(len(user_ids), dtype=np.int32)
+        code[by_first] = np.arange(len(by_first), dtype=np.int32)
+        return cls(user_ids=tuple(user_ids[c] for c in by_first.tolist()),
+                   item_ids=item_ids[order], lister=code[lister], collector=code[collector],
+                   listed_at=listed_at[order], collected_at=collected_at[order])
 
     @classmethod
     def from_transactions(cls, transactions: Iterable[Transaction]) -> "TransactionLog":
-        ordered = tuple(sorted(transactions, key=lambda t: t.collected_at))
-        users = frozenset(u for t in ordered for u in (t.lister_id, t.collector_id))
-        return cls(transactions=ordered, users=users)
+        rows = list(transactions)
+        code: dict[str, int] = {}
+        lister = [code.setdefault(t.lister_id, len(code)) for t in rows]
+        collector = [code.setdefault(t.collector_id, len(code)) for t in rows]
+        return cls.from_columns(
+            list(code), np.array([t.item_id for t in rows], dtype=object),
+            np.array(lister, dtype=np.int32), np.array(collector, dtype=np.int32),
+            np.array([to_micros(t.listed_at) for t in rows], dtype=np.int64),
+            np.array([to_micros(t.collected_at) for t in rows], dtype=np.int64))
 
     def __len__(self) -> int:
-        return len(self.transactions)
+        return len(self.collected_at)
+
+    def __eq__(self, other):
+        if not isinstance(other, TransactionLog):
+            return NotImplemented
+        return self.user_ids == other.user_ids and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in _ROW_COLUMNS)
+
+    @property
+    def transactions(self) -> tuple[Transaction, ...]:
+        """The rows as :class:`Transaction` values, built on every access.
+        For tests and hand inspection; no stage reads it."""
+        names = self.user_ids
+        return tuple(
+            Transaction(item, names[a], names[b], from_micros(listed), from_micros(collected))
+            for item, a, b, listed, collected in zip(*(getattr(self, c).tolist()
+                                                      for c in _ROW_COLUMNS)))
 
     @cached_property
-    def by_user(self) -> dict[str, list[Transaction]]:
-        """Each user's transactions, in either role, in log order."""
-        rows: dict[str, list[Transaction]] = {}
-        for t in self.transactions:
-            rows.setdefault(t.lister_id, []).append(t)
-            rows.setdefault(t.collector_id, []).append(t)
-        return rows
+    def users(self) -> frozenset[str]:
+        return frozenset(self.user_ids)
+
+    @cached_property
+    def code_of(self) -> dict[str, int]:
+        """Each user id's code."""
+        return {u: c for c, u in enumerate(self.user_ids)}
+
+    @cached_property
+    def by_user(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(offsets, rows)``: ``rows[offsets[c]:offsets[c + 1]]`` are the
+        indices of user ``c``'s rows, in either role, in log order."""
+        ends = np.stack([self.lister, self.collector], axis=1).ravel()
+        offsets = np.zeros(len(self.user_ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=len(self.user_ids)), out=offsets[1:])
+        return offsets, (np.argsort(ends, kind="stable") // 2).astype(np.int32)
+
+    def rows_of(self, u: str) -> np.ndarray:
+        """Indices of ``u``'s rows in log order (empty for an unknown user)."""
+        c = self.code_of.get(u)
+        if c is None:
+            return np.zeros(0, dtype=np.int32)
+        offsets, rows = self.by_user
+        return rows[offsets[c]:offsets[c + 1]]
 
     @cached_property
     def first_activity(self) -> dict[str, datetime]:
         """Each user's first ``collected_at``, in either role."""
-        return {u: rows[0].collected_at for u, rows in self.by_user.items()}
-
-    @cached_property
-    def _collected_order(self) -> list[datetime]:
-        return [t.collected_at for t in self.transactions]
+        offsets, rows = self.by_user
+        firsts = self.collected_at[rows[offsets[:-1]]].tolist()
+        return {u: from_micros(us) for u, us in zip(self.user_ids, firsts)}
 
     def count_until(self, until: datetime) -> int:
         """Number of leading transactions with ``collected_at <= until``."""
-        return bisect_right(self._collected_order, until)
+        return int(np.searchsorted(self.collected_at, to_micros(until), side="right"))
 
 
 @dataclass(frozen=True)
@@ -182,84 +272,38 @@ class ParseReport:
     bad_rows: tuple[RowError, ...] = field(default=())
 
 
-# User ids repeat on every row a user appears in; interning keeps one
-# string per id instead of one per cell.  ``stamp`` is the parse's
-# memoized :func:`parse_timestamp`, so timestamps are shared the same way.
-def _transaction_from_fields(fields: dict[str, str], stamp) -> Transaction:
-    return Transaction(
-        item_id=fields["item_id"],
-        lister_id=sys.intern(fields["lister_id"]),
-        collector_id=sys.intern(fields["collector_id"]),
-        listed_at=stamp(fields["listed_at"]),
-        collected_at=stamp(fields["collected_at"]),
-    )
-
-
-def _event_from_fields(fields: dict[str, str], stamp) -> ActivityEvent:
-    raw_value = fields.get("value") or None
-    return ActivityEvent(
-        user_id=sys.intern(fields["user_id"]),
-        kind=fields["kind"],
-        at=stamp(fields["at"]),
-        value=float(raw_value) if raw_value is not None else None,
-    )
-
-
 def _iter_rows(path: str, fmt: str, columns: tuple[str, ...]):
-    """Yield (line_number, fields | None, reason) triples for each data row."""
+    """Yield (line_number, values | None, reason) triples for each data row;
+    ``values`` holds the row's fields in ``columns`` order."""
     if fmt == "csv":
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(h.strip() for h in header) != columns:
                 raise ParseError(path, (RowError(1, f"expected header {','.join(columns)}"),))
-            for i, row in enumerate(reader):
-                line = i + 2
+            for line, row in enumerate(reader, 2):
                 if not row:
                     continue
                 if len(row) != len(columns):
                     yield line, None, f"expected {len(columns)} columns, got {len(row)}"
                     continue
-                yield line, dict(zip(columns, row)), ""
+                yield line, row, ""
     elif fmt == "jsonl":
+        keys = set(columns)
         with open(path, encoding="utf-8") as fh:
-            for i, raw in enumerate(fh):
-                line = i + 1
-                if not raw.strip():
-                    continue
+            for line, raw in enumerate(fh, 1):
                 try:
                     obj = json.loads(raw)
                 except json.JSONDecodeError as exc:
-                    yield line, None, f"invalid JSON: {exc.msg}"
+                    if raw.strip():  # a blank line is skipped, not reported
+                        yield line, None, f"invalid JSON: {exc.msg}"
                     continue
-                if not isinstance(obj, dict) or set(obj) != set(columns):
+                if not isinstance(obj, dict) or obj.keys() != keys:
                     yield line, None, f"expected keys {','.join(columns)}"
                     continue
-                yield line, {k: ("" if obj[k] is None else str(obj[k])) for k in columns}, ""
+                yield line, ["" if v is None else str(v) for v in map(obj.__getitem__, columns)], ""
     else:
         raise ValueError(f"unknown format {fmt!r} (expected csv or jsonl)")
-
-
-def _parse(path: str, fmt: str, columns: tuple[str, ...], build_row, collect):
-    """Build one item per well-formed row; malformed rows go to the report.
-
-    Each distinct timestamp string is parsed once per call: the cache lives
-    only as long as the parse, and a malformed value, which raises and so is
-    never cached, raises again on every row that holds it."""
-    stamp = cache(parse_timestamp)
-    good = []
-    bad: list[RowError] = []
-    total = 0
-    for line, fields, reason in _iter_rows(path, fmt, columns):
-        total += 1
-        if fields is None:
-            bad.append(RowError(line, reason))
-            continue
-        try:
-            good.append(build_row(fields, stamp))
-        except ValueError as exc:
-            bad.append(RowError(line, str(exc)))
-    return collect(good), ParseReport(path, total, tuple(bad))
 
 
 def _without_bad_rows(parsed, report: ParseReport):
@@ -269,9 +313,59 @@ def _without_bad_rows(parsed, report: ParseReport):
 
 
 def parse_transactions_with_report(path: str, fmt: str = "csv") -> tuple[TransactionLog, ParseReport]:
-    """Parse a transaction file, collecting malformed rows instead of failing."""
-    return _parse(path, fmt, TRANSACTION_COLUMNS, _transaction_from_fields,
-                  TransactionLog.from_transactions)
+    """Parse a transaction file, collecting malformed rows instead of failing.
+
+    Each row's fields go straight into column buffers; each distinct
+    timestamp string is parsed once per call (a malformed one, which raises
+    and so is never cached, raises again on every row that holds it).  The
+    parsed columns are then validated at once, and each rejected row keeps
+    the reason and precedence of :class:`Transaction`'s own checks."""
+    stamp = cache(lambda text: to_micros(parse_timestamp(text)))
+    code: dict[str, int] = {}
+    items: list[str] = []
+    lines, listed_buf, collected_buf = array("q"), array("q"), array("q")
+    lister_buf, collector_buf = array("i"), array("i")
+    bad: list[RowError] = []
+    total = 0
+    for line, values, reason in _iter_rows(path, fmt, TRANSACTION_COLUMNS):
+        total += 1
+        if values is None:
+            bad.append(RowError(line, reason))
+            continue
+        item, a, b, listed_text, collected_text = values
+        try:
+            listed_us, collected_us = stamp(listed_text), stamp(collected_text)
+        except ValueError as exc:
+            bad.append(RowError(line, str(exc)))
+            continue
+        lines.append(line)
+        items.append(item)
+        lister_buf.append(code.setdefault(a, len(code)))
+        collector_buf.append(code.setdefault(b, len(code)))
+        listed_buf.append(listed_us)
+        collected_buf.append(collected_us)
+
+    names = list(code)
+    item_ids = np.array(items, dtype=object)
+    lister, collector = np.frombuffer(lister_buf, np.int32), np.frombuffer(collector_buf, np.int32)
+    listed, collected = np.frombuffer(listed_buf, np.int64), np.frombuffer(collected_buf, np.int64)
+    empty_user = np.array([not u for u in names], dtype=bool)
+    empty = (item_ids == "") | empty_user[lister] | empty_user[collector]
+    self_tx = lister == collector
+    invalid = empty | self_tx | (collected < listed)
+    for i in np.flatnonzero(invalid).tolist():
+        if empty[i]:
+            reason = "transaction ids must be non-empty"
+        elif self_tx[i]:
+            reason = f"self-transaction for user {names[lister[i]]!r}"
+        else:
+            reason = f"item {items[i]!r} collected before it was listed"
+        bad.append(RowError(lines[i], reason))
+    bad.sort(key=lambda r: r.line)
+    keep = ~invalid
+    parsed = TransactionLog.from_columns(names, item_ids[keep], lister[keep], collector[keep],
+                                         listed[keep], collected[keep])
+    return parsed, ParseReport(path, total, tuple(bad))
 
 
 def parse_transactions(path: str, fmt: str = "csv") -> TransactionLog:
@@ -284,8 +378,26 @@ def parse_transactions(path: str, fmt: str = "csv") -> TransactionLog:
 
 
 def parse_events_with_report(path: str, fmt: str = "csv") -> tuple[EventLog, ParseReport]:
-    """Parse an activity-event file, collecting malformed rows instead of failing."""
-    return _parse(path, fmt, EVENT_COLUMNS, _event_from_fields, EventLog.from_events)
+    """Parse an activity-event file, collecting malformed rows instead of failing.
+
+    User ids are interned, and each distinct timestamp string is parsed
+    once per call, as for transactions."""
+    stamp = cache(parse_timestamp)
+    good: list[ActivityEvent] = []
+    bad: list[RowError] = []
+    total = 0
+    for line, values, reason in _iter_rows(path, fmt, EVENT_COLUMNS):
+        total += 1
+        if values is None:
+            bad.append(RowError(line, reason))
+            continue
+        user_id, kind, at, raw_value = values
+        try:
+            good.append(ActivityEvent(user_id=sys.intern(user_id), kind=kind, at=stamp(at),
+                                      value=float(raw_value) if raw_value else None))
+        except ValueError as exc:
+            bad.append(RowError(line, str(exc)))
+    return EventLog.from_events(good), ParseReport(path, total, tuple(bad))
 
 
 def parse_events(path: str, fmt: str = "csv") -> EventLog:
@@ -294,26 +406,34 @@ def parse_events(path: str, fmt: str = "csv") -> EventLog:
 
 
 def _write_rows(path: str, fmt: str, columns: tuple[str, ...], rows: Iterable[tuple]) -> None:
-    """Write value tuples under ``columns``; the mirror of :func:`_parse`."""
+    """Write value tuples under ``columns`` (``None`` as an empty CSV field);
+    the mirror of the parsers."""
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if fmt == "csv":
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for values in rows:
-                writer.writerow(["" if v is None else str(v) for v in values])
+            writer.writerows(rows)
         else:
+            encode = json.JSONEncoder(separators=(",", ":")).encode
             for values in rows:
-                fh.write(json.dumps(dict(zip(columns, values)), separators=(",", ":")) + "\n")
+                fh.write(encode(dict(zip(columns, values))) + "\n")
 
 
 def write_transactions(log_: TransactionLog, path: str, fmt: str = "csv") -> None:
-    """Serialize a log in the canonical on-disk form (round-trips exactly)."""
-    _write_rows(path, fmt, TRANSACTION_COLUMNS, (
-        (t.item_id, t.lister_id, t.collector_id,
-         format_timestamp(t.listed_at), format_timestamp(t.collected_at))
-        for t in log_.transactions))
+    """Serialize a log in the canonical on-disk form (round-trips exactly).
+
+    Each distinct timestamp is formatted once."""
+    n = len(log_)
+    stamps, inverse = np.unique(np.concatenate([log_.listed_at, log_.collected_at]),
+                                return_inverse=True)
+    text = np.array([format_timestamp(from_micros(us)) for us in stamps.tolist()],
+                    dtype=object)[inverse]
+    names = np.array(log_.user_ids, dtype=object)
+    _write_rows(path, fmt, TRANSACTION_COLUMNS, zip(
+        log_.item_ids.tolist(), names[log_.lister].tolist(), names[log_.collector].tolist(),
+        text[:n].tolist(), text[n:].tolist()))
 
 
 def write_events(events: EventLog, path: str, fmt: str = "csv") -> None:
@@ -331,10 +451,12 @@ def filter_min_transactions(log_: TransactionLog, min_count: int) -> Transaction
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    retained = {u for u, rows in log_.by_user.items() if len(rows) >= min_count}
-    kept = [t for t in log_.transactions
-            if t.lister_id in retained and t.collector_id in retained]
-    return TransactionLog.from_transactions(kept)
+    counts = np.bincount(np.concatenate([log_.lister, log_.collector]),
+                         minlength=len(log_.user_ids))
+    retained = counts >= min_count
+    keep = retained[log_.lister] & retained[log_.collector]
+    return TransactionLog.from_columns(log_.user_ids, *(getattr(log_, c)[keep]
+                                                        for c in _ROW_COLUMNS))
 
 
 def select_active_key_users(
@@ -348,16 +470,22 @@ def select_active_key_users(
     A user passes when (a) the gap between their first and last transaction
     is at least ``min_span`` and (b) they listed in at least
     ``min_listing_weeks`` distinct ISO calendar weeks (UTC).  Transactions
-    are attributed to weeks by ``collected_at``.
+    are attributed to weeks by ``collected_at``; ISO weeks start on Monday,
+    so week ``(days since 1970-01-01, a Thursday, + 3) // 7`` is one ISO week.
     """
-    def active(u: str) -> bool:
-        rows = log_.by_user.get(u)
-        if not rows or rows[-1].collected_at - rows[0].collected_at < min_span:
-            return False
-        weeks = {t.collected_at.isocalendar()[:2] for t in rows if t.lister_id == u}
-        return len(weeks) >= min_listing_weeks
-
-    retained = frozenset(u for u in key.ids if active(u))
+    offsets, rows = log_.by_user
+    at = log_.collected_at
+    span = at[rows[offsets[1:] - 1]] - at[rows[offsets[:-1]]]
+    week = (at // _DAY_US + 3) // 7
+    weeks = np.zeros(len(log_.user_ids), dtype=np.int64)
+    if len(week):
+        week -= week.min()
+        n_weeks = int(week.max()) + 1
+        listed = np.unique(log_.lister.astype(np.int64) * n_weeks + week)
+        weeks = np.bincount(listed // n_weeks, minlength=len(log_.user_ids))
+    active = (span >= min_span // MICROSECOND) & (weeks >= min_listing_weeks)
+    retained = frozenset(u for u in key.ids
+                         if (c := log_.code_of.get(u)) is not None and active[c])
     if not retained:
         log.warning("no key users passed the activity criteria")
     return KeyUserSet(ids=retained, origin=key.origin)

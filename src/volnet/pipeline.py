@@ -351,7 +351,7 @@ def run_method1(cfg: PipelineConfig, through: str = "cluster",
         return m1
 
     with _stage("graph"):
-        m1.net = graph.build_graph(log, until=log.transactions[-1].collected_at)
+        m1.net = graph.build_graph(log)
     with _stage("communities"):
         m1.partition = community.louvain(m1.net, seed=cfg.seed)
         _emit(cfg, m1.artifacts, "partition.csv", community.write_partition_csv, m1.partition)

@@ -103,6 +103,8 @@ def _warp(a: np.ndarray, b: np.ndarray, gamma: float | None = None,
     b_rev = b[..., ::-1]
     slots = n + m - 1 if keep else 3
     diags = np.zeros((slots,) + batch + (n,))
+    if gamma is not None:  # each finished diagonal divided by -gamma, once
+        scaled = np.zeros((3,) + batch + (n,))
     for d in range(n + m - 1):
         cur, prev, prev2 = diags[d % slots], diags[(d - 1) % slots], diags[(d - 2) % slots]
         if d < m:  # cell (0, d) of the first row
@@ -112,15 +114,17 @@ def _warp(a: np.ndarray, b: np.ndarray, gamma: float | None = None,
         if 0 < d < n:  # cell (d, 0) of the first column
             cur[..., d:d + 1] = (a[..., d:d + 1] - b[..., :1]) ** 2 + prev[..., d - 1:d]
         lo, hi = max(1, d - m + 1), min(n - 1, d - 1)
-        if lo > hi:
-            continue
-        cost = (a[..., lo:hi + 1] - b_rev[..., m - 1 - d + lo:m - d + hi]) ** 2
-        diag, up, left = prev2[..., lo - 1:hi], prev[..., lo - 1:hi], prev[..., lo:hi + 1]
-        if gamma is None:
-            np.add(cost, np.minimum(np.minimum(diag, up), left), out=cur[..., lo:hi + 1])
-        else:
-            cur[..., lo:hi + 1] = cost - gamma * np.logaddexp(
-                np.logaddexp(-diag / gamma, -up / gamma), -left / gamma)
+        if lo <= hi:
+            cost = (a[..., lo:hi + 1] - b_rev[..., m - 1 - d + lo:m - d + hi]) ** 2
+            if gamma is None:
+                diag, up, left = prev2[..., lo - 1:hi], prev[..., lo - 1:hi], prev[..., lo:hi + 1]
+                np.add(cost, np.minimum(np.minimum(diag, up), left), out=cur[..., lo:hi + 1])
+            else:
+                s1, s2 = scaled[(d - 1) % 3], scaled[(d - 2) % 3]
+                cur[..., lo:hi + 1] = cost - gamma * np.logaddexp(
+                    np.logaddexp(s2[..., lo - 1:hi], s1[..., lo - 1:hi]), s1[..., lo:hi + 1])
+        if gamma is not None:
+            np.divide(cur, -gamma, out=scaled[d % 3])
     return diags if keep else diags[(n + m - 2) % slots][..., n - 1].copy()
 
 

@@ -1,5 +1,5 @@
 """Brute-force oracles for the log aggregates and their one owner each:
-per-user rows (``ingest``), edges and ego cuts (``graph``) and the Louvain
+per-user row offsets (``ingest``), edges and ego cuts (``graph``) and the Louvain
 objective (``community``), plus the scope independence of the feature rows
 built on them (``featureset``), on small random logs (skipped without
 Hypothesis)."""
@@ -44,9 +44,13 @@ def rows_of(log, u):
 @settings(max_examples=100, deadline=None)
 @given(log=logs())
 def test_by_user_holds_each_users_rows_in_log_order(log):
-    assert set(log.by_user) == log.users
-    for u in log.users:
-        assert log.by_user[u] == rows_of(log, u)
+    offsets, rows = log.by_user
+    view = log.transactions
+    assert len(offsets) == len(log.user_ids) + 1
+    assert set(log.user_ids) == log.users == {u for t in view for u in (t.lister_id, t.collector_id)}
+    for c, u in enumerate(log.user_ids):
+        assert [view[i] for i in rows[offsets[c]:offsets[c + 1]]] == rows_of(log, u)
+        assert [view[i] for i in log.rows_of(u)] == rows_of(log, u)
         assert log.first_activity[u] == min(t.collected_at for t in rows_of(log, u))
 
 

@@ -15,6 +15,7 @@ from volnet.behavior import (
     write_series_csv,
 )
 from volnet.graph import TransactionGraph
+from volnet.ingest import Transaction
 
 from conftest import at_day, make_log, tx
 
@@ -101,6 +102,18 @@ class TestDRSeries:
         s = dr_series("u", log)
         assert s.values[0] == 1.0
         assert s.values[1] == 0.0
+
+    def test_window_edges_open_their_window_and_the_end_is_excluded(self):
+        # rows exactly at t0 + k * step open window k; one a microsecond
+        # before t0 + 2 * step stays in window 1; a listing and a pickup at
+        # t0 + 4 * step, the end of a four-window horizon, are left out
+        before_edge = at_day(14) - timedelta(microseconds=1)
+        log = make_log(tx("u", "a", 0), tx("v", "u", 7),
+                       Transaction("edge", "u", "b", before_edge, before_edge),
+                       tx("u", "a", 21), tx("v", "u", 28), tx("u", "b", 28))
+        s = dr_series("u", log, horizon=timedelta(days=28))
+        assert s.values == (1.0, 0.5, 0.75, 1.0)
+        assert s.imputed_mask == (False, False, True, False)
 
     def test_mixed_week_ratio(self):
         log = make_log(tx("u", "a", 0), tx("u", "b", 0, hour=5),

@@ -234,6 +234,24 @@ class TestActiveKeyUsers:
         key = KeyUserSet(ids=frozenset({"u"}), origin="predefined")
         assert select_active_key_users(log, key).ids == frozenset()
 
+    def test_listing_weeks_are_iso_weeks_across_a_year_end(self):
+        # 2020-12-31 (Thursday) and 2021-01-03 (Sunday) are both in ISO
+        # week 2020-W53; 2021-01-04 (Monday) opens 2021-W01
+        days = [datetime(2020, 12, 31, 23, tzinfo=timezone.utc),
+                datetime(2021, 1, 3, 23, 59, 59, 999999, tzinfo=timezone.utc),
+                datetime(2021, 1, 4, tzinfo=timezone.utc)]
+        assert [d.isocalendar()[:2] for d in days] == [(2020, 53), (2020, 53), (2021, 1)]
+        log = make_log(*(Transaction(f"i{k}", "u", "p", d, d) for k, d in enumerate(days)))
+        key = KeyUserSet(ids=frozenset({"u"}), origin="predefined")
+        for weeks, expected in ((2, {"u"}), (3, set())):
+            active = select_active_key_users(log, key, min_span=timedelta(0),
+                                             min_listing_weeks=weeks)
+            assert active.ids == expected
+        first_two = make_log(*(Transaction(f"i{k}", "u", "p", d, d)
+                               for k, d in enumerate(days[:2])))
+        assert select_active_key_users(first_two, key, min_span=timedelta(0),
+                                       min_listing_weeks=2).ids == frozenset()
+
     def test_empty_result_warns_but_does_not_raise(self, caplog):
         log = make_log(tx("a", "b", 1))
         key = KeyUserSet(ids=frozenset({"a"}), origin="predefined")

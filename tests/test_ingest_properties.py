@@ -1,8 +1,11 @@
-"""Write → parse round-trip properties of the CSV and JSONL formats
-(skipped without Hypothesis)."""
+"""Write → parse round-trip properties of the CSV and JSONL formats, and
+the columnar parser against the per-row reference parser on random mixes
+of good and bad rows (skipped without Hypothesis)."""
 
 from __future__ import annotations
 
+import csv
+import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -13,6 +16,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from volnet import ingest  # noqa: E402
 from volnet.ingest import EVENT_KINDS, ActivityEvent, EventLog, Transaction, TransactionLog  # noqa: E402
+
+import ingest_reference  # noqa: E402
 
 FORMATS = ("csv", "jsonl")
 
@@ -66,3 +71,94 @@ def test_events_round_trip(scratch, fmt, rows):
     assert back == log
     # rating values come back bit for bit, not just equal as numbers
     assert [repr(e.value) for e in back.events] == [repr(e.value) for e in log.events]
+
+
+# --- the columnar parser against the per-row reference parser ---------------
+
+# ids that collide (self-transactions), are empty, or need CSV quoting
+mixed_ids = st.sampled_from(["a", "b", "c", "d", "é x", 'q"r', "a,b", ""])
+offsets = st.sampled_from([0, 90, -300, 13 * 60])
+
+
+def stamp_at(us: int, minutes: int) -> str:
+    """RFC 3339 text of 2022-01-01 UTC plus ``us`` microseconds, at a UTC offset."""
+    at = datetime(2022, 1, 1, tzinfo=timezone.utc) + timedelta(microseconds=us)
+    return at.astimezone(timezone(timedelta(minutes=minutes))).isoformat()
+
+
+# offset, lower-case "z", padded and fractional-second stamps, and drawn ones ...
+good_stamps = st.one_of(
+    st.sampled_from(["2022-01-01T00:00:00Z", "2022-01-01T00:00:00z", "2022-01-01T01:00:00+02:00",
+                     "2021-12-31T23:59:59.5Z", "2022-01-01T00:00:00.123456-05:30",
+                     " 2022-01-02T00:00:00Z "]),
+    st.builds(stamp_at, st.integers(-10**11, 10**11), offsets))
+# ... and naive or malformed ones
+stamps = st.one_of(good_stamps, good_stamps,
+                   st.sampled_from(["2022-01-01T00:00:00", "not-a-time", "", "7"]))
+fields_of_a_row = st.tuples(mixed_ids, mixed_ids, mixed_ids, stamps, stamps)
+# rows that pass every check: distinct non-empty ids, collected no earlier than listed
+valid_rows = st.builds(
+    lambda item, pair, us, wait, tz1, tz2: ("row", (item, *pair, stamp_at(us, tz1),
+                                                    stamp_at(us + wait, tz2))),
+    mixed_ids.filter(bool), st.lists(mixed_ids.filter(bool), min_size=2, max_size=2, unique=True),
+    st.integers(-10**11, 10**11), st.integers(0, 10**10), offsets, offsets)
+entries = st.one_of(
+    valid_rows, valid_rows,
+    fields_of_a_row.map(lambda f: ("row", f)),
+    st.sampled_from(["\n", " \t\n"]).map(lambda text: ("blank", text)),
+    st.integers(1, 6).map(lambda k: ("width", k)),
+    st.sampled_from(["[1, 2]", "3", '"text"', "{nope", '{"item_id": "x"}']).map(
+        lambda text: ("json", text)),
+    st.tuples(fields_of_a_row, st.sets(st.integers(0, 4), min_size=1)).map(
+        lambda fn: ("nulls", fn)),
+    st.tuples(fields_of_a_row, st.integers(0, 4)).map(lambda fk: ("number", fk)))
+
+
+def write_mix(path: str, fmt: str, drawn) -> None:
+    """One file of ``drawn`` entries: data rows, empty or blank lines, rows of the
+    wrong width or keys, non-object or broken JSON, null and number values."""
+    cols = ingest.TRANSACTION_COLUMNS
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if fmt == "csv":
+            writer.writerow(cols)
+        for kind, spec in drawn:
+            if kind == "blank":
+                fh.write(spec)
+            elif fmt == "csv":
+                if kind == "width":
+                    writer.writerow(["x"] * spec)
+                elif kind == "row":
+                    writer.writerow(spec)
+                elif kind == "nulls":
+                    fields, gone = spec
+                    writer.writerow(["" if i in gone else v for i, v in enumerate(fields)])
+            else:
+                if kind == "width":
+                    obj = {c: "x" for c in (cols + ("extra",))[:spec]}
+                elif kind == "json":
+                    fh.write(spec + "\n")
+                    continue
+                elif kind == "nulls":
+                    fields, gone = spec
+                    obj = {c: (None if i in gone else v) for i, (c, v) in enumerate(zip(cols, fields))}
+                elif kind == "number":
+                    fields, at = spec
+                    obj = dict(zip(cols, fields))
+                    obj[cols[at]] = 7
+                else:
+                    obj = dict(zip(cols, spec))
+                fh.write(json.dumps(obj) + "\n")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@settings(max_examples=150, deadline=None)
+@given(drawn=st.lists(entries, max_size=25))
+def test_columnar_parse_matches_per_row_reference(scratch, fmt, drawn):
+    path = str(scratch / f"mix.{fmt}")
+    write_mix(path, fmt, drawn)
+    rows, expected = ingest_reference.parse_transactions_with_report(path, fmt)
+    log, report = ingest.parse_transactions_with_report(path, fmt)
+    assert log.transactions == rows
+    assert report == expected
+    assert log == TransactionLog.from_transactions(rows)

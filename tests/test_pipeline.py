@@ -321,6 +321,18 @@ class TestMethodTwoRun:
         for table in m2.features.values():
             assert np.array_equal(table.X, network.X[[row_of[u] for u in table.users]])
 
+    def test_no_stage_builds_transaction_rows(self, data_dir, monkeypatch, tmp_path):
+        # every stage through feature assembly reads the log's columns
+        def refuse(self, *args, **kwargs):
+            raise RuntimeError("a stage built a Transaction row object")
+
+        monkeypatch.setattr(ingest.Transaction, "__init__", refuse)
+        cfg = build_config(transactions=data_dir["transactions"], events=data_dir["events"],
+                           out=str(tmp_path), seed=11)
+        m1, m2, _ = pipeline.run(cfg, through="features")
+        assert len(m1.log) > 0
+        assert m2.features["network"].X.shape[0] == len(m1.scopes["network"].users) > 0
+
     def test_network_eval_covers_every_model_and_case(self, run):
         cfg, _, m2, _ = run
         rows = m2.eval_rows["network"]
