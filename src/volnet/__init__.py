@@ -10,9 +10,7 @@ from .behavior import DRSeries, dr_series, detect_hubs
 from .community import Partition, louvain, modularity
 from .graph import TransactionGraph, build_graph, ego_network, pagerank
 from .ingest import (
-    ActivityEvent,
     EventLog,
-    Transaction,
     TransactionLog,
     parse_events,
     parse_transactions,
@@ -32,7 +30,6 @@ from .tscluster import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivityEvent",
     "ClusterModel",
     "DRSeries",
     "EventLog",
@@ -40,7 +37,6 @@ __all__ = [
     "PipelineConfig",
     "SynthConfig",
     "TrainedClassifier",
-    "Transaction",
     "TransactionGraph",
     "TransactionLog",
     "__version__",

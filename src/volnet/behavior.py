@@ -119,8 +119,8 @@ def detect_hubs(g: TransactionGraph, multiplier: float = 1.0) -> KeyUserSet:
     """Users whose distinct total degree exceeds ``multiplier`` times the
     network average.  Degree counts distinct in- plus out-neighbors, so the
     result is invariant under edge-weight scaling."""
-    if multiplier < 1.0:
-        raise ValueError("multiplier must be >= 1")
+    if not 1.0 <= multiplier < np.inf:
+        raise ValueError(f"multiplier must be finite and >= 1, got {multiplier}")
     if not g.nodes:
         raise ValueError("hub detection needs a non-empty graph")
     # each distinct directed edge is one out-neighbor of its source and one

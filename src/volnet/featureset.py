@@ -2,16 +2,16 @@
 
 Network features come from the user's ego network built over transactions
 up to the cutoff; raw features count the user's activity events up to the
-same cutoff.  Neither depends on the analysis scope, so a run assembles
-each key user's row once (:func:`assemble_all`).  The trend label and
-prediction case come from a scope's own clustering, so each scope selects
-its users' rows and attaches them (:func:`label_scope`).
+same cutoff, in one bincount over the event log's user and kind codes.
+Neither depends on the analysis scope, so a run assembles each key user's
+row once (:func:`assemble_all`).  The trend label and prediction case come
+from a scope's own clustering, so each scope selects its users' rows and
+attaches them (:func:`label_scope`).
 """
 
 from __future__ import annotations
 
 import csv
-from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Mapping, Sequence
@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graph import TransactionGraph, density, ego_networks, node_metrics
-from .ingest import EventLog, TransactionLog
+from .ingest import EVENT_KINDS, EventLog, TransactionLog, to_micros
 from .tscluster import ArchetypeLabel, ClusterModel, case_and_trend
 
 NETWORK_FEATURES = (
@@ -43,13 +43,9 @@ RAW_FEATURES = (
 )
 FEATURE_NAMES = NETWORK_FEATURES + RAW_FEATURES
 
-_KIND_TO_COUNT = {
-    "article": "articles_count",
-    "message": "messages_count",
-    "like": "likes_count",
-    "story": "stories_count",
-    "comment": "comments_count",
-}
+#: The raw feature that counts each kind of :data:`ingest.EVENT_KINDS`, in its order.
+_KIND_COUNTS = ("articles_count", "messages_count", "rating_count", "likes_count",
+                "stories_count", "comments_count")
 
 CASES = ("starting_high", "starting_low")
 LABELS = ("stable", "changes")
@@ -95,22 +91,28 @@ def extract_network_features(g: TransactionGraph, u: str) -> dict[str, float]:
     }
 
 
-def _count_events(user_events: Iterable, cutoff: datetime) -> dict[str, float]:
-    """Counts per kind (and mean rating, 0.0 when unrated) of one user's
-    time-sorted events up to and including ``cutoff``."""
-    counts = {name: 0.0 for name in RAW_FEATURES}
-    rating_sum = 0.0
-    for e in user_events:
-        if e.at > cutoff:
-            break
-        if e.kind == "rating":
-            counts["rating_count"] += 1.0
-            rating_sum += float(e.value)
-        else:
-            counts[_KIND_TO_COUNT[e.kind]] += 1.0
-    counts["rating_current"] = (rating_sum / counts["rating_count"]
-                                if counts["rating_count"] > 0 else 0.0)
-    return counts
+def _raw_features(events: EventLog, cutoffs: Mapping[str, datetime]) -> np.ndarray:
+    """:data:`RAW_FEATURES` of each user of ``cutoffs``, in its order: the
+    counts per kind of their events up to and including their cutoff, and
+    their mean rating (0.0 when unrated).
+
+    Each rating sum is one weighted bincount over the events in time order,
+    so it adds the same floats in the same order as a running sum."""
+    n, n_kinds = len(cutoffs), len(EVENT_KINDS)
+    slot_of = {u: s for s, u in enumerate(cutoffs)}
+    slot = np.array([slot_of.get(u, n) for u in events.user_ids], dtype=np.int64)[events.user]
+    cut = np.array([to_micros(c) for c in cutoffs.values()] + [0], dtype=np.int64)
+    seen = (slot < n) & (events.at <= cut[slot])
+    slot, kind = slot[seen], events.kind[seen]
+    raw = np.zeros((n, len(RAW_FEATURES)))
+    raw[:, [RAW_FEATURES.index(name) for name in _KIND_COUNTS]] = np.bincount(
+        slot * n_kinds + kind, minlength=n * n_kinds).reshape(n, n_kinds)
+    rated = kind == EVENT_KINDS.index("rating")
+    rating_sum = np.bincount(slot[rated], weights=events.value[seen][rated], minlength=n)
+    rated_count = raw[:, RAW_FEATURES.index("rating_count")]
+    np.divide(rating_sum, rated_count, out=raw[:, RAW_FEATURES.index("rating_current")],
+              where=rated_count > 0)
+    return raw
 
 
 def assemble_all(
@@ -139,17 +141,10 @@ def assemble_all(
             raise KeyError(f"user {u!r} has no transactions")
         cutoffs[u] = log.first_activity[u] + timedelta(days=DAYS_PER_MONTH * t_months)
 
-    events_of: dict[str, list] = defaultdict(list)
-    for e in events.events:
-        if e.user_id in cutoffs:
-            events_of[e.user_id].append(e)
-
-    row_of: dict[str, list[float]] = {}
-    for u, ego in ego_networks(log, cutoffs):
-        features = extract_network_features(ego, u)
-        features.update(_count_events(events_of.get(u, ()), cutoffs[u]))
-        row_of[u] = [features[name] for name in FEATURE_NAMES]
-    return np.array([row_of[u] for u in users], dtype=float)
+    network = {u: extract_network_features(ego, u) for u, ego in ego_networks(log, cutoffs)}
+    raw = dict(zip(cutoffs, _raw_features(events, cutoffs).tolist()))
+    return np.array([[network[u][name] for name in NETWORK_FEATURES] + raw[u] for u in users],
+                    dtype=float)
 
 
 def label_scope(

@@ -5,16 +5,18 @@ Input files are plain CSV or JSONL.  Transactions carry the exact columns
 ``user_id,kind,at,value`` (``value`` empty unless ``kind`` is ``rating``).
 Timestamps are RFC 3339, normalized to UTC at parse time.
 
-A :class:`TransactionLog` is columnar: one table of user ids, ``int32``
-lister and collector codes into it, ``int64`` epoch-microsecond
-``listed_at``/``collected_at`` arrays and the item ids, with rows sorted
-by ``collected_at``.  The parser appends each row's fields straight to the
-column buffers and validates whole columns at once.  Every stage reads the
-arrays: :attr:`TransactionLog.by_user` is the one per-user index, offsets
-into a row-index array, and first activity, the activity filters and the
+Both logs are columnar, with one design: a table of user ids, ``int32``
+user codes into it numbered by first appearance, ``int64``
+epoch-microsecond stamps and the other fields as arrays, rows stably
+sorted by one stamp (:class:`TransactionLog` by ``collected_at``,
+:class:`EventLog` by ``at``).  No row is ever an object: the parsers
+stream each row's fields into column lists and check whole columns at
+once, and a log built by hand goes through the same checks
+(:meth:`TransactionLog.pack`, :meth:`EventLog.pack`), so each log's row
+rules live in one place.  Every stage reads the arrays:
+:attr:`TransactionLog.by_user` is the one per-user index, offsets into a
+row-index array, and first activity, the activity filters and the
 donors-ratio series slice it instead of scanning the log.
-:class:`Transaction` stays the row value type for logs built by hand
-(:meth:`TransactionLog.from_transactions`).
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import sys
 from array import array
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from functools import cache, cached_property
+from itertools import count
+from sys import intern
 from typing import Iterable
 
 import numpy as np
@@ -80,60 +84,64 @@ def from_micros(us: int) -> datetime:
     return _EPOCH + timedelta(microseconds=int(us))
 
 
-@dataclass(frozen=True)
-class Transaction:
-    """One listing-pickup exchange: the lister gave, the collector took."""
+class _Columns:
+    """The design both logs share: after ``user_ids``, every field is a row
+    column of equal length, in the order of the file's columns; the
+    ``_USERS`` columns hold ``int32`` codes into ``user_ids``, numbered by
+    first appearance in row order, and the rows are stably sorted by the
+    ``_ORDER`` column."""
 
-    item_id: str
-    lister_id: str
-    collector_id: str
-    listed_at: datetime
-    collected_at: datetime
+    @classmethod
+    def from_columns(cls, user_ids, **columns):
+        """Sort the rows stably by the order column and renumber the users
+        they name by first appearance (within a row, in ``_USERS`` order);
+        users no row names are dropped."""
+        order = np.argsort(columns[cls._ORDER], kind="stable")
+        columns = {name: col[order] for name, col in columns.items()}
+        used, first = np.unique(np.stack([columns[c] for c in cls._USERS], axis=1).ravel(),
+                                return_index=True)
+        by_first = used[np.argsort(first)]
+        code = np.zeros(len(user_ids), dtype=np.int32)
+        code[by_first] = np.arange(len(by_first), dtype=np.int32)
+        columns.update((c, code[columns[c]]) for c in cls._USERS)
+        return cls(user_ids=tuple(user_ids[c] for c in by_first.tolist()), **columns)
 
-    def __post_init__(self):
-        if not self.item_id or not self.lister_id or not self.collector_id:
-            raise ValueError("transaction ids must be non-empty")
-        if self.lister_id == self.collector_id:
-            raise ValueError(f"self-transaction for user {self.lister_id!r}")
-        if self.collected_at < self.listed_at:
-            raise ValueError(f"item {self.item_id!r} collected before it was listed")
+    @classmethod
+    def pack(cls, *columns):
+        """The log of rows given column by column, in the file's column
+        order: ids and kinds as strings, stamps as epoch microseconds,
+        event values as floats or ``None``.  An invalid row raises
+        ValueError with the reason the parser gives it."""
+        code = defaultdict(count().__next__)  # a new user id gets the next code
+        columns = [np.fromiter(map(code.__getitem__, col), np.int32, len(col))
+                   if f.name in cls._USERS else col for f, col in zip(fields(cls)[1:], columns)]
+        log_, errors = cls._checked(list(code), *columns)
+        if errors:
+            raise ValueError(errors[0][1])
+        return log_
 
+    def __len__(self) -> int:
+        return len(getattr(self, self._ORDER))
 
-@dataclass(frozen=True)
-class ActivityEvent:
-    """A non-transactional user action (message, rating, like, ...)."""
-
-    user_id: str
-    kind: str
-    at: datetime
-    value: float | None = None
-
-    def __post_init__(self):
-        if not self.user_id:
-            raise ValueError("event user_id must be non-empty")
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.kind == "rating":
-            if self.value is None:
-                raise ValueError("rating event without a value")
-            if not 0.0 <= self.value <= 10.0:
-                raise ValueError(f"rating {self.value} outside [0, 10]")
-        elif self.value is not None:
-            raise ValueError(f"{self.kind} event must not carry a value")
-
-
-_ROW_COLUMNS = ("item_ids", "lister", "collector", "listed_at", "collected_at")
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.user_ids == other.user_ids and all(
+            np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+            for a, b in ((getattr(self, f.name), getattr(other, f.name))
+                         for f in fields(self)[1:]))
 
 
 @dataclass(frozen=True, eq=False)
-class TransactionLog:
+class TransactionLog(_Columns):
     """Immutable columnar transaction table, rows sorted by ``collected_at``.
 
-    ``lister`` and ``collector`` are ``int32`` codes into ``user_ids``,
-    numbered by first appearance in log order (lister before collector);
-    ``listed_at`` and ``collected_at`` are ``int64`` epoch microseconds;
-    ``item_ids`` is an object array of strings.  Logs holding the same rows
-    hold equal columns.
+    Each row is one listing-pickup exchange: the lister gave, the collector
+    took.  ``lister`` and ``collector`` are ``int32`` codes into
+    ``user_ids``, numbered by first appearance in log order (lister before
+    collector); ``listed_at`` and ``collected_at`` are ``int64`` epoch
+    microseconds; ``item_ids`` is an object array of strings.  Logs holding
+    the same rows hold equal columns.
     """
 
     user_ids: tuple[str, ...]
@@ -143,52 +151,32 @@ class TransactionLog:
     listed_at: np.ndarray
     collected_at: np.ndarray
 
-    @classmethod
-    def from_columns(cls, user_ids, item_ids, lister, collector, listed_at,
-                     collected_at) -> "TransactionLog":
-        """Sort the rows stably by ``collected_at`` and renumber the users
-        they name by first appearance; users no row names are dropped."""
-        order = np.argsort(collected_at, kind="stable")
-        lister, collector = lister[order], collector[order]
-        used, first = np.unique(np.stack([lister, collector], axis=1).ravel(),
-                                return_index=True)
-        by_first = used[np.argsort(first)]
-        code = np.zeros(len(user_ids), dtype=np.int32)
-        code[by_first] = np.arange(len(by_first), dtype=np.int32)
-        return cls(user_ids=tuple(user_ids[c] for c in by_first.tolist()),
-                   item_ids=item_ids[order], lister=code[lister], collector=code[collector],
-                   listed_at=listed_at[order], collected_at=collected_at[order])
+    _USERS = ("lister", "collector")
+    _ORDER = "collected_at"
 
     @classmethod
-    def from_transactions(cls, transactions: Iterable[Transaction]) -> "TransactionLog":
-        rows = list(transactions)
-        code: dict[str, int] = {}
-        lister = [code.setdefault(t.lister_id, len(code)) for t in rows]
-        collector = [code.setdefault(t.collector_id, len(code)) for t in rows]
+    def _checked(cls, names, item_id, lister, collector, listed_at, collected_at):
+        """The log of the valid rows, and ``(row, reason)`` for each invalid
+        one in row order; user fields are codes into ``names``.  A row's ids
+        must be non-empty, its two users distinct, and its item collected no
+        earlier than listed, checked in that order."""
+        lister = np.asarray(lister, dtype=np.int32)
+        collector = np.asarray(collector, dtype=np.int32)
+        items = np.asarray(item_id, dtype=object)
+        listed = np.asarray(listed_at, dtype=np.int64)
+        collected = np.asarray(collected_at, dtype=np.int64)
+        empty_user = np.array([not u for u in names], dtype=bool)
+        empty = (items == "") | empty_user[lister] | empty_user[collector]
+        self_tx = lister == collector
+        invalid = empty | self_tx | (collected < listed)
+        errors = [(i, "transaction ids must be non-empty" if empty[i]
+                   else f"self-transaction for user {names[lister[i]]!r}" if self_tx[i]
+                   else f"item {items[i]!r} collected before it was listed")
+                  for i in np.flatnonzero(invalid).tolist()]
+        keep = ~invalid
         return cls.from_columns(
-            list(code), np.array([t.item_id for t in rows], dtype=object),
-            np.array(lister, dtype=np.int32), np.array(collector, dtype=np.int32),
-            np.array([to_micros(t.listed_at) for t in rows], dtype=np.int64),
-            np.array([to_micros(t.collected_at) for t in rows], dtype=np.int64))
-
-    def __len__(self) -> int:
-        return len(self.collected_at)
-
-    def __eq__(self, other):
-        if not isinstance(other, TransactionLog):
-            return NotImplemented
-        return self.user_ids == other.user_ids and all(
-            np.array_equal(getattr(self, c), getattr(other, c)) for c in _ROW_COLUMNS)
-
-    @property
-    def transactions(self) -> tuple[Transaction, ...]:
-        """The rows as :class:`Transaction` values, built on every access.
-        For tests and hand inspection; no stage reads it."""
-        names = self.user_ids
-        return tuple(
-            Transaction(item, names[a], names[b], from_micros(listed), from_micros(collected))
-            for item, a, b, listed, collected in zip(*(getattr(self, c).tolist()
-                                                      for c in _ROW_COLUMNS)))
+            names, item_ids=items[keep], lister=lister[keep], collector=collector[keep],
+            listed_at=listed[keep], collected_at=collected[keep]), errors
 
     @cached_property
     def users(self) -> frozenset[str]:
@@ -228,18 +216,52 @@ class TransactionLog:
         return int(np.searchsorted(self.collected_at, to_micros(until), side="right"))
 
 
-@dataclass(frozen=True)
-class EventLog:
-    """Immutable activity-event sequence, sorted by ``at``."""
+@dataclass(frozen=True, eq=False)
+class EventLog(_Columns):
+    """Immutable columnar table of non-transactional user actions (message,
+    rating, like, ...), rows stably sorted by ``at``.
 
-    events: tuple[ActivityEvent, ...]
+    ``user`` holds ``int32`` codes into ``user_ids``, numbered by first
+    appearance in log order; ``kind`` ``int8`` codes into
+    :data:`EVENT_KINDS`; ``at`` ``int64`` epoch microseconds; ``value`` the
+    rating of a rating event and NaN for every other kind.
+    """
+
+    user_ids: tuple[str, ...]
+    user: np.ndarray
+    kind: np.ndarray
+    at: np.ndarray
+    value: np.ndarray
+
+    _USERS = ("user",)
+    _ORDER = "at"
 
     @classmethod
-    def from_events(cls, events: Iterable[ActivityEvent]) -> "EventLog":
-        return cls(events=tuple(sorted(events, key=lambda e: e.at)))
-
-    def __len__(self) -> int:
-        return len(self.events)
+    def _checked(cls, names, user, kind, at, value):
+        """The log of the valid rows, and ``(row, reason)`` for each invalid
+        one in row order; user fields are codes into ``names``.  A row's user
+        must be non-empty and its kind known; a rating needs a value in
+        [0, 10] and no other kind may carry one, checked in that order."""
+        user = np.asarray(user, dtype=np.int32)
+        kind_code = {k: c for c, k in enumerate(EVENT_KINDS)}  # unknown kinds are coded after these
+        kinds = np.array([kind_code.setdefault(k, len(kind_code)) for k in kind], dtype=np.int64)
+        has_value = np.array([v is not None for v in value], dtype=bool)
+        values = np.array([np.nan if v is None else v for v in value], dtype=float)
+        empty = np.array([not u for u in names], dtype=bool)[user]
+        unknown = kinds >= len(EVENT_KINDS)
+        rating = kinds == EVENT_KINDS.index("rating")
+        out_of_range = ~((values >= 0) & (values <= 10))  # NaN too
+        invalid = empty | unknown | (rating != has_value) | (rating & out_of_range)
+        errors = [(i, "event user_id must be non-empty" if empty[i]
+                   else f"unknown event kind {kind[i]!r}" if unknown[i]
+                   else f"{kind[i]} event must not carry a value" if not rating[i]
+                   else "rating event without a value" if not has_value[i]
+                   else f"rating {value[i]} outside [0, 10]")
+                  for i in np.flatnonzero(invalid).tolist()]
+        keep = ~invalid
+        return cls.from_columns(
+            names, user=user[keep], kind=kinds[keep].astype(np.int8),
+            at=np.asarray(at, dtype=np.int64)[keep], value=values[keep]), errors
 
 
 @dataclass(frozen=True)
@@ -312,60 +334,45 @@ def _without_bad_rows(parsed, report: ParseReport):
     return parsed
 
 
-def parse_transactions_with_report(path: str, fmt: str = "csv") -> tuple[TransactionLog, ParseReport]:
-    """Parse a transaction file, collecting malformed rows instead of failing.
+def _parse_with_report(path: str, fmt: str, columns: tuple[str, ...], convert, checked):
+    """Stream each row's fields, as ``convert(fields, stamp, user)`` turns
+    them, into one list per column; ``checked`` (a log's row rules) then
+    checks the columns at once.  ``user`` gives each user id its code.
 
-    Each row's fields go straight into column buffers; each distinct
-    timestamp string is parsed once per call (a malformed one, which raises
-    and so is never cached, raises again on every row that holds it).  The
-    parsed columns are then validated at once, and each rejected row keeps
-    the reason and precedence of :class:`Transaction`'s own checks."""
+    Each distinct timestamp string is parsed once per call (a malformed
+    one, which raises and so is never cached, raises again on every row
+    that holds it).  A row that ``convert`` rejects is reported with its
+    reason, before any of the row rules."""
     stamp = cache(lambda text: to_micros(parse_timestamp(text)))
-    code: dict[str, int] = {}
-    items: list[str] = []
-    lines, listed_buf, collected_buf = array("q"), array("q"), array("q")
-    lister_buf, collector_buf = array("i"), array("i")
+    user = defaultdict(count().__next__)  # a new user id gets the next code
+    buffers = tuple([] for _ in columns)
+    lines = array("q")
     bad: list[RowError] = []
     total = 0
-    for line, values, reason in _iter_rows(path, fmt, TRANSACTION_COLUMNS):
+    for line, values, reason in _iter_rows(path, fmt, columns):
         total += 1
+        if values is not None:
+            try:
+                values = convert(values, stamp, user.__getitem__)
+            except ValueError as exc:
+                values, reason = None, str(exc)
         if values is None:
             bad.append(RowError(line, reason))
             continue
-        item, a, b, listed_text, collected_text = values
-        try:
-            listed_us, collected_us = stamp(listed_text), stamp(collected_text)
-        except ValueError as exc:
-            bad.append(RowError(line, str(exc)))
-            continue
         lines.append(line)
-        items.append(item)
-        lister_buf.append(code.setdefault(a, len(code)))
-        collector_buf.append(code.setdefault(b, len(code)))
-        listed_buf.append(listed_us)
-        collected_buf.append(collected_us)
-
-    names = list(code)
-    item_ids = np.array(items, dtype=object)
-    lister, collector = np.frombuffer(lister_buf, np.int32), np.frombuffer(collector_buf, np.int32)
-    listed, collected = np.frombuffer(listed_buf, np.int64), np.frombuffer(collected_buf, np.int64)
-    empty_user = np.array([not u for u in names], dtype=bool)
-    empty = (item_ids == "") | empty_user[lister] | empty_user[collector]
-    self_tx = lister == collector
-    invalid = empty | self_tx | (collected < listed)
-    for i in np.flatnonzero(invalid).tolist():
-        if empty[i]:
-            reason = "transaction ids must be non-empty"
-        elif self_tx[i]:
-            reason = f"self-transaction for user {names[lister[i]]!r}"
-        else:
-            reason = f"item {items[i]!r} collected before it was listed"
-        bad.append(RowError(lines[i], reason))
+        any(map(list.append, buffers, values))  # each field onto its column
+    parsed, invalid = checked(list(user), *buffers)
+    bad.extend(RowError(lines[i], reason) for i, reason in invalid)
     bad.sort(key=lambda r: r.line)
-    keep = ~invalid
-    parsed = TransactionLog.from_columns(names, item_ids[keep], lister[keep], collector[keep],
-                                         listed[keep], collected[keep])
     return parsed, ParseReport(path, total, tuple(bad))
+
+
+def parse_transactions_with_report(path: str, fmt: str = "csv") -> tuple[TransactionLog, ParseReport]:
+    """Parse a transaction file, collecting malformed rows instead of failing."""
+    return _parse_with_report(
+        path, fmt, TRANSACTION_COLUMNS,
+        lambda f, stamp, user: (f[0], user(f[1]), user(f[2]), stamp(f[3]), stamp(f[4])),
+        TransactionLog._checked)
 
 
 def parse_transactions(path: str, fmt: str = "csv") -> TransactionLog:
@@ -378,26 +385,12 @@ def parse_transactions(path: str, fmt: str = "csv") -> TransactionLog:
 
 
 def parse_events_with_report(path: str, fmt: str = "csv") -> tuple[EventLog, ParseReport]:
-    """Parse an activity-event file, collecting malformed rows instead of failing.
-
-    User ids are interned, and each distinct timestamp string is parsed
-    once per call, as for transactions."""
-    stamp = cache(parse_timestamp)
-    good: list[ActivityEvent] = []
-    bad: list[RowError] = []
-    total = 0
-    for line, values, reason in _iter_rows(path, fmt, EVENT_COLUMNS):
-        total += 1
-        if values is None:
-            bad.append(RowError(line, reason))
-            continue
-        user_id, kind, at, raw_value = values
-        try:
-            good.append(ActivityEvent(user_id=sys.intern(user_id), kind=kind, at=stamp(at),
-                                      value=float(raw_value) if raw_value else None))
-        except ValueError as exc:
-            bad.append(RowError(line, str(exc)))
-    return EventLog.from_events(good), ParseReport(path, total, tuple(bad))
+    """Parse an activity-event file, collecting malformed rows instead of failing."""
+    return _parse_with_report(
+        path, fmt, EVENT_COLUMNS,
+        lambda f, stamp, user: (user(f[0]), intern(f[1]), stamp(f[2]),
+                                float(f[3]) if f[3] else None),
+        EventLog._checked)
 
 
 def parse_events(path: str, fmt: str = "csv") -> EventLog:
@@ -421,24 +414,29 @@ def _write_rows(path: str, fmt: str, columns: tuple[str, ...], rows: Iterable[tu
                 fh.write(encode(dict(zip(columns, values))) + "\n")
 
 
-def write_transactions(log_: TransactionLog, path: str, fmt: str = "csv") -> None:
-    """Serialize a log in the canonical on-disk form (round-trips exactly).
-
-    Each distinct timestamp is formatted once."""
-    n = len(log_)
-    stamps, inverse = np.unique(np.concatenate([log_.listed_at, log_.collected_at]),
-                                return_inverse=True)
-    text = np.array([format_timestamp(from_micros(us)) for us in stamps.tolist()],
+def _stamp_texts(*stamps: np.ndarray) -> list[list[str]]:
+    """Each epoch-microsecond column in the canonical text form; each
+    distinct stamp is formatted once."""
+    distinct, inverse = np.unique(np.concatenate(stamps), return_inverse=True)
+    text = np.array([format_timestamp(from_micros(us)) for us in distinct.tolist()],
                     dtype=object)[inverse]
+    return [part.tolist() for part in np.split(text, np.cumsum([len(s) for s in stamps[:-1]]))]
+
+
+def write_transactions(log_: TransactionLog, path: str, fmt: str = "csv") -> None:
+    """Serialize a log in the canonical on-disk form (round-trips exactly)."""
     names = np.array(log_.user_ids, dtype=object)
     _write_rows(path, fmt, TRANSACTION_COLUMNS, zip(
         log_.item_ids.tolist(), names[log_.lister].tolist(), names[log_.collector].tolist(),
-        text[:n].tolist(), text[n:].tolist()))
+        *_stamp_texts(log_.listed_at, log_.collected_at)))
 
 
 def write_events(events: EventLog, path: str, fmt: str = "csv") -> None:
-    _write_rows(path, fmt, EVENT_COLUMNS, (
-        (e.user_id, e.kind, format_timestamp(e.at), e.value) for e in events.events))
+    """Serialize an event log in the canonical on-disk form (round-trips exactly)."""
+    names, kinds = np.array(events.user_ids, dtype=object), np.array(EVENT_KINDS, dtype=object)
+    _write_rows(path, fmt, EVENT_COLUMNS, zip(
+        names[events.user].tolist(), kinds[events.kind].tolist(), *_stamp_texts(events.at),
+        [None if v != v else v for v in events.value.tolist()]))
 
 
 def filter_min_transactions(log_: TransactionLog, min_count: int) -> TransactionLog:
@@ -455,8 +453,8 @@ def filter_min_transactions(log_: TransactionLog, min_count: int) -> Transaction
                          minlength=len(log_.user_ids))
     retained = counts >= min_count
     keep = retained[log_.lister] & retained[log_.collector]
-    return TransactionLog.from_columns(log_.user_ids, *(getattr(log_, c)[keep]
-                                                        for c in _ROW_COLUMNS))
+    return TransactionLog.from_columns(log_.user_ids, **{f.name: getattr(log_, f.name)[keep]
+                                                         for f in fields(log_)[1:]})
 
 
 def select_active_key_users(

@@ -161,6 +161,14 @@ def _constant_params(y: np.ndarray) -> dict:
     return {"constant": float(y[0])}
 
 
+def _feature_names(feature_names: Sequence[str] | None, d: int) -> tuple[str, ...]:
+    names = tuple(feature_names) if feature_names is not None else tuple(
+        f"f{i}" for i in range(d))
+    if len(names) != d:
+        raise ValueError(f"{len(names)} feature names for {d} columns")
+    return names
+
+
 # ---------------------------------------------------------------------------
 # decision trees (shared by the tree, forest, and boosting families)
 
@@ -590,29 +598,19 @@ def train(
     hyperparams: Mapping | None = None,
     seed: int = 0,
     feature_names: Sequence[str] | None = None,
-    *,
-    parameters: dict | None = None,
 ) -> TrainedClassifier:
     """Fit one model family on a 0/1-labeled feature matrix.
 
     A single-class ``y`` yields a constant predictor (with a warning)
-    instead of failing, so degenerate folds stay survivable. ``parameters``
-    are this split's parameters when a fold-batched fitter has already
-    fitted them (:func:`kfold_cv` passes them): they are checked against
-    the inputs like a fresh fit and wrapped, not fitted again.
+    instead of failing, so degenerate folds stay survivable.
     """
     hp = _hyperparams(algorithm, hyperparams)
     X, y = _validate_xy(X, y)
-    names = tuple(feature_names) if feature_names is not None else tuple(
-        f"f{i}" for i in range(X.shape[1]))
-    if len(names) != X.shape[1]:
-        raise ValueError(f"{len(names)} feature names for {X.shape[1]} columns")
+    names = _feature_names(feature_names, X.shape[1])
     if np.unique(y).size < 2:
         warnings.warn(f"single-class training data; {algorithm} degenerates to a "
                       "constant predictor", stacklevel=2)
         params = _constant_params(y)
-    elif parameters is not None:
-        params = parameters
     else:
         params = _FITTERS[algorithm]([(X, y)], hp, seed)[0]
     return TrainedClassifier(algorithm=algorithm, parameters=params,
@@ -692,23 +690,22 @@ def kfold_cv(
         train_mask = np.ones(y.size, dtype=bool)
         train_mask[test_idx] = False
         splits.append((X[train_mask], y[train_mask]))
+    hp = _hyperparams(algorithm, hyperparams)
+    names = _feature_names(feature_names, X.shape[1])
     degenerate = [f for f, (_, y_tr) in enumerate(splits) if np.unique(y_tr).size < 2]
     live = [f for f in range(k) if f not in degenerate]
     fitted: dict[int, dict] = {}
     if live:  # degenerate folds stay constant predictors
-        fitted = dict(zip(live, _FITTERS[algorithm](
-            [splits[f] for f in live], _hyperparams(algorithm, hyperparams), seed)))
+        fitted = dict(zip(live, _FITTERS[algorithm]([splits[f] for f in live], hp, seed)))
     accs: list[float] = []
     f1s: list[float] = []
     confusion = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
     scaler_stats: list = []
-    for fold_no, (test_idx, (X_tr, y_tr)) in enumerate(zip(folds, splits)):
-        with warnings.catch_warnings():
-            if fold_no in degenerate:
-                warnings.simplefilter("ignore")
-            model = train(algorithm, X_tr, y_tr, hyperparams, seed, feature_names,
-                          parameters=fitted.get(fold_no))
-        scaler_stats.append(model.parameters.get("scaler"))
+    for fold_no, (test_idx, (_, y_tr)) in enumerate(zip(folds, splits)):
+        params = fitted[fold_no] if fold_no in fitted else _constant_params(y_tr)
+        model = TrainedClassifier(algorithm=algorithm, parameters=params, hyperparams=hp,
+                                  seed=seed, feature_names=names)
+        scaler_stats.append(params.get("scaler"))
         y_hat = predict_labels(model, X[test_idx])
         y_tst = y[test_idx]
         m = metrics(y_tst, y_hat)

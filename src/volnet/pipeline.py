@@ -91,6 +91,9 @@ class PipelineConfig:
             raise ValueError(f"unknown model(s): {sorted(unknown)}")
         if not self.models:
             raise ValueError("at least one model required")
+        for name in ("hub_multiplier", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         minimums = {
             "hub_multiplier": 1,
             "min_transactions": 1,

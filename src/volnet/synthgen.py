@@ -19,10 +19,10 @@ from typing import Mapping
 import numpy as np
 
 from .ingest import (
-    ActivityEvent,
+    MICROSECOND,
     EventLog,
-    Transaction,
     TransactionLog,
+    to_micros,
     write_events,
     write_transactions,
 )
@@ -59,7 +59,10 @@ _FEATURE_TO_KIND = {
     "comments_count": "comment",
 }
 
-_EPOCH = datetime(2021, 1, 1, tzinfo=timezone.utc)
+_SECOND_US = 1_000_000  # stamps are epoch microseconds
+_HOUR_US = 3600 * _SECOND_US
+_DAY_US = 24 * _HOUR_US
+_EPOCH_US = to_micros(datetime(2021, 1, 1, tzinfo=timezone.utc))
 _EVENT_WINDOW_DAYS = 84  # all events land well inside a 3-month cutoff
 _CLOSING_DAY = 372  # guarantees every hero spans >= 365 days of activity
 
@@ -152,7 +155,9 @@ def generate(config: SynthConfig) -> tuple[TransactionLog, EventLog, dict[str, P
     A closing transaction at day ~372 keeps every hero's activity span
     above one year. Event counts are Poisson with rates scaled by
     ``exp(signal * is_changing)`` so configured raw features separate the
-    stable and changing heroes. Deterministic per seed.
+    stable and changing heroes. Both logs are appended to column by column
+    and packed once (:meth:`TransactionLog.pack`, :meth:`EventLog.pack`).
+    Deterministic per seed.
     """
     counts = _allocate_counts(config)
     rng = np.random.default_rng(config.seed)
@@ -173,9 +178,8 @@ def generate(config: SynthConfig) -> tuple[TransactionLog, EventLog, dict[str, P
         regulars_of[h] = pool
         community_pool[community_of[h]].extend(pool)
 
-    transactions: list[Transaction] = []
-    hero_t0: dict[str, datetime] = {}
-    serial = 0
+    lister, collector, collected = [], [], []  # transaction columns, stamps in epoch µs
+    hero_t0: dict[str, int] = {}
 
     def pick_partner(hero: str) -> str:
         home = community_of[hero]
@@ -188,7 +192,7 @@ def generate(config: SynthConfig) -> tuple[TransactionLog, EventLog, dict[str, P
         return pool[int(rng.integers(len(pool)))]
 
     for idx, hero in enumerate(heroes):
-        t0 = _EPOCH + timedelta(days=int(rng.integers(0, 29)))
+        t0 = _EPOCH_US + int(rng.integers(0, 29)) * _DAY_US
         hero_t0[hero] = t0
         archetype = archetype_of[idx]
         for week in range(config.weeks):
@@ -197,48 +201,39 @@ def generate(config: SynthConfig) -> tuple[TransactionLog, EventLog, dict[str, P
                 dr = float(np.clip(dr + rng.normal(0.0, config.noise_sd), 0.0, 1.0))
             n_trans = int(rng.integers(6, 13))
             n_listings = int(np.clip(round(dr * n_trans), 0, n_trans))
-            week_start = t0 + timedelta(days=7 * week)
-            step = timedelta(days=7) / n_trans
+            week_start = t0 + 7 * week * _DAY_US
+            step = timedelta(days=7) / n_trans // MICROSECOND  # rounded half to even
             for j in range(n_trans):
+                at = week_start + step * j
                 # whole seconds: the canonical file format is second-precision
-                collected = (week_start + step * j).replace(microsecond=0)
-                listed = collected - timedelta(hours=2)
+                collected.append(at - at % _SECOND_US)
                 partner = pick_partner(hero)
-                serial += 1
-                if j < n_listings:
-                    lister, collector = hero, partner
-                else:
-                    lister, collector = partner, hero
-                transactions.append(Transaction(
-                    item_id=f"it{serial:07d}", lister_id=lister, collector_id=collector,
-                    listed_at=listed, collected_at=collected))
-        closing = t0 + timedelta(days=_CLOSING_DAY)
-        serial += 1
-        transactions.append(Transaction(
-            item_id=f"it{serial:07d}", lister_id=hero,
-            collector_id=regulars_of[hero][0],
-            listed_at=closing - timedelta(hours=2), collected_at=closing))
+                lister.append(hero if j < n_listings else partner)
+                collector.append(partner if j < n_listings else hero)
+        lister.append(hero)
+        collector.append(regulars_of[hero][0])
+        collected.append(t0 + _CLOSING_DAY * _DAY_US)
+    collected = np.array(collected, dtype=np.int64)
+    item_ids = [f"it{serial:07d}" for serial in range(1, len(collected) + 1)]
+    log = TransactionLog.pack(item_ids, lister, collector, collected - 2 * _HOUR_US, collected)
 
-    events: list[ActivityEvent] = []
+    ev_columns = ([], [], [], [])  # in EVENT_COLUMNS order
     for idx, hero in enumerate(heroes):
         changing = 1.0 if archetype_of[idx] in CHANGING else 0.0
-        t0 = hero_t0[hero]
         for feature, base in _EVENT_BASE_RATES.items():
             rate = base * math.exp(config.feature_signal.get(feature, 0.0) * changing)
             n_events = int(rng.poisson(rate))
             kind = _FEATURE_TO_KIND[feature]
             for _ in range(n_events):
-                at = t0 + timedelta(
-                    seconds=int(rng.uniform(0, _EVENT_WINDOW_DAYS * 86400)))
+                at = hero_t0[hero] + int(rng.uniform(0, _EVENT_WINDOW_DAYS * 86400)) * _SECOND_US
                 value = None
                 if kind == "rating":
                     mean = 8.0 + config.feature_signal.get("rating_current", 0.0) * changing
                     value = float(np.clip(rng.normal(mean, 1.0), 0.0, 10.0))
-                events.append(ActivityEvent(user_id=hero, kind=kind, at=at, value=value))
+                for column, field_value in zip(ev_columns, (hero, kind, at, value)):
+                    column.append(field_value)
 
-    return (TransactionLog.from_transactions(transactions),
-            EventLog.from_events(events),
-            truth)
+    return log, EventLog.pack(*ev_columns), truth
 
 
 def adjusted_rand_index(a: Mapping[str, object], b: Mapping[str, object]) -> float:

@@ -195,8 +195,8 @@ def soft_dtw(a, b, gamma: float = 1.0) -> float:
     below zero (even on identical series) and converges to :func:`dtw` as
     ``gamma`` goes to 0.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     a, b = _series_pair(a, b)
     return float(_warp(a, b, gamma))
 
@@ -304,8 +304,8 @@ def kmeans_ts(
         raise ValueError(f"k={k} outside [2, {n}]")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r} (expected one of {METRICS})")
-    if metric == "softdtw" and gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    if metric == "softdtw" and not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(X, k, metric, gamma, rng)
     history: list[float] = []

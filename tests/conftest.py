@@ -6,8 +6,10 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from volnet.ingest import Transaction, TransactionLog
+from volnet.ingest import TransactionLog
 from volnet import synthgen
+
+from ingest_reference import Transaction, transaction_log
 
 EPOCH = datetime(2022, 1, 1, tzinfo=timezone.utc)
 
@@ -25,7 +27,7 @@ def tx(lister: str, collector: str, day: float, hour: float = 0.0,
 
 
 def make_log(*transactions: Transaction) -> TransactionLog:
-    return TransactionLog.from_transactions(transactions)
+    return transaction_log(transactions)
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,8 @@ from volnet.graph import build_graph, ego_network
 from volnet.ingest import EventLog, TransactionLog
 from volnet.tscluster import ArchetypeLabel, ClusterModel, case_and_trend
 
+from ingest_reference import event_rows, transaction_rows
+
 _KIND_TO_COUNT = {
     "article": "articles_count",
     "message": "messages_count",
@@ -33,7 +35,7 @@ def cutoff_time(log: TransactionLog, u: str, t_months: int) -> datetime:
     """First transaction of ``u`` in either role plus ``t_months`` 30-day months."""
     if t_months < 1:
         raise ValueError("cutoff months must be >= 1")
-    for t in log.transactions:
+    for t in transaction_rows(log):
         if u in (t.lister_id, t.collector_id):
             return t.collected_at + timedelta(days=DAYS_PER_MONTH * t_months)
     raise KeyError(f"user {u!r} has no transactions")
@@ -41,7 +43,7 @@ def cutoff_time(log: TransactionLog, u: str, t_months: int) -> datetime:
 
 def extract_raw_features(events: EventLog, u: str, cutoff: datetime) -> dict[str, float]:
     """Activity-event counts (and mean rating) up to and including ``cutoff``."""
-    mine = [e for e in events.events if e.user_id == u and e.at <= cutoff]
+    mine = [e for e in event_rows(events) if e.user_id == u and e.at <= cutoff]
     kinds = Counter(e.kind for e in mine)
     ratings = [float(e.value) for e in mine if e.kind == "rating"]
     out = {name: float(kinds[kind]) for kind, name in _KIND_TO_COUNT.items()}

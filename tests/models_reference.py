@@ -12,7 +12,6 @@ library to reproduce them exactly.
 from __future__ import annotations
 
 import math
-import warnings
 from functools import partial
 
 import numpy as np
@@ -202,22 +201,20 @@ def fold_parameters(algorithm, X, y, k, seed, hyperparams=None):
 
 def cv_fold_parameters(algorithm, X, y, k, seed, hyperparams=None):
     """The fold models' parameters as ``models.kfold_cv`` fits them (the
-    fitted models are captured from its calls to ``models.train``)."""
+    fold models are captured from its calls to ``models.predict_labels``,
+    one per fold in fold order)."""
     fitted = []
-    real_train = models.train
+    real_predict = models.predict_labels
 
-    def capture(*args, **kwargs):
-        model = real_train(*args, **kwargs)
+    def capture(model, X_test):
         fitted.append(model.parameters)
-        return model
+        return real_predict(model, X_test)
 
-    models.train = capture
+    models.predict_labels = capture
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            models.kfold_cv(algorithm, X, y, k=k, seed=seed, hyperparams=hyperparams)
+        models.kfold_cv(algorithm, X, y, k=k, seed=seed, hyperparams=hyperparams)
     finally:
-        models.train = real_train
+        models.predict_labels = real_predict
     return fitted
 
 

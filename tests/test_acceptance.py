@@ -34,6 +34,7 @@ from volnet import (
 from volnet.graph import TransactionGraph
 
 from conftest import tx
+from ingest_reference import transaction_log, transaction_rows
 from explain_reference import shapley_exact
 
 
@@ -329,8 +330,7 @@ def test_cross_cutting_invariants(fullscale, gate):
         before = {u: table.X[i] for i, u in enumerate(table.users) if u in probes}
         future = [t for u in probes
                   for t in (tx(u, "drifter", 500), tx("drifter", u, 501))]
-        extended = ingest.TransactionLog.from_transactions(
-            list(fullscale.m1.log.transactions) + future)
+        extended = transaction_log(list(transaction_rows(fullscale.m1.log)) + future)
         again = featureset.assemble_all(probes, extended, events, t_months=3)
         for u, row in zip(probes, again):
             assert np.array_equal(row, before[u])

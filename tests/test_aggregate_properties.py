@@ -19,9 +19,10 @@ import numpy as np  # noqa: E402
 
 from volnet import community, featureset, graph, ingest  # noqa: E402
 from volnet.behavior import INTERVAL_DAYS, SeriesError, dr_series  # noqa: E402
-from volnet.ingest import ActivityEvent, EventLog, KeyUserSet  # noqa: E402
+from volnet.ingest import KeyUserSet  # noqa: E402
 
 from conftest import at_day, make_log, tx  # noqa: E402
+from ingest_reference import ActivityEvent, event_log, transaction_rows  # noqa: E402
 
 USERS = "abcdefg"
 PAIRS = [(a, b) for a in USERS for b in USERS if a != b]
@@ -38,14 +39,14 @@ def logs(max_size=40, max_day=800):
 
 
 def rows_of(log, u):
-    return [t for t in log.transactions if u in (t.lister_id, t.collector_id)]
+    return [t for t in transaction_rows(log) if u in (t.lister_id, t.collector_id)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(log=logs())
 def test_by_user_holds_each_users_rows_in_log_order(log):
     offsets, rows = log.by_user
-    view = log.transactions
+    view = transaction_rows(log)
     assert len(offsets) == len(log.user_ids) + 1
     assert set(log.user_ids) == log.users == {u for t in view for u in (t.lister_id, t.collector_id)}
     for c, u in enumerate(log.user_ids):
@@ -57,10 +58,10 @@ def test_by_user_holds_each_users_rows_in_log_order(log):
 @settings(max_examples=100, deadline=None)
 @given(log=logs(), min_count=st.integers(1, 6))
 def test_filter_min_transactions_matches_oracle(log, min_count):
-    counts = Counter(u for t in log.transactions for u in (t.lister_id, t.collector_id))
-    kept = [t for t in log.transactions
+    counts = Counter(u for t in transaction_rows(log) for u in (t.lister_id, t.collector_id))
+    kept = [t for t in transaction_rows(log)
             if counts[t.lister_id] >= min_count and counts[t.collector_id] >= min_count]
-    assert ingest.filter_min_transactions(log, min_count).transactions == tuple(kept)
+    assert transaction_rows(ingest.filter_min_transactions(log, min_count)) == tuple(kept)
 
 
 @settings(max_examples=100, deadline=None)
@@ -96,7 +97,7 @@ def test_dr_series_matches_window_count_over_the_whole_log(log, interval, window
     t0 = min(t.collected_at for t in mine)
     raw = []
     for i in range(windows):
-        inside = [t for t in log.transactions if t0 + i * step <= t.collected_at < t0 + (i + 1) * step]
+        inside = [t for t in transaction_rows(log) if t0 + i * step <= t.collected_at < t0 + (i + 1) * step]
         listed = sum(t.lister_id == user for t in inside)
         picked = sum(t.collector_id == user for t in inside)
         raw.append(listed / (listed + picked) if listed + picked else None)
@@ -118,7 +119,7 @@ def test_ego_networks_match_per_cutoff_graphs_and_oracle(log, cut_days):
     egos = dict(graph.ego_networks(log, cutoffs))
     assert set(egos) == set(cutoffs)
     for u, cutoff in cutoffs.items():
-        seen = [t for t in log.transactions if t.collected_at <= cutoff]
+        seen = [t for t in transaction_rows(log) if t.collected_at <= cutoff]
         members = {u} | {v for t in seen if u in (t.lister_id, t.collector_id)
                          for v in (t.lister_id, t.collector_id)}
         weights = Counter((t.lister_id, t.collector_id) for t in seen
@@ -158,7 +159,7 @@ def test_louvain_is_seeded_and_reports_its_own_modularity(log, seed):
 def event_logs(max_size=30, max_day=200):
     """Up to ``max_size`` activity events of the same users; ratings carry a value."""
     rows = st.tuples(st.sampled_from(USERS), st.sampled_from(KINDS), st.integers(0, max_day))
-    return st.lists(rows, max_size=max_size).map(lambda drawn: EventLog.from_events(
+    return st.lists(rows, max_size=max_size).map(lambda drawn: event_log(
         ActivityEvent(u, kind, at_day(day), value=float(day % 10) if kind == "rating" else None)
         for u, kind, day in drawn))
 

@@ -15,9 +15,9 @@ from volnet.behavior import (
     write_series_csv,
 )
 from volnet.graph import TransactionGraph
-from volnet.ingest import Transaction
 
 from conftest import at_day, make_log, tx
+from ingest_reference import Transaction
 
 
 class TestDonorsRatio:
@@ -190,6 +190,12 @@ class TestHubRule:
     def test_multiplier_below_one_rejected(self):
         with pytest.raises(ValueError):
             detect_hubs(self.star(), multiplier=0.5)
+
+    @pytest.mark.parametrize("multiplier", [float("inf"), float("nan")])
+    def test_non_finite_multiplier_rejected(self, multiplier):
+        # nan passes ">= 1" and selects no hubs; inf selects none either
+        with pytest.raises(ValueError, match="multiplier must be finite and >= 1"):
+            detect_hubs(self.star(), multiplier=multiplier)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):

@@ -20,12 +20,13 @@ from volnet.featureset import (
     label_scope,
     write_features_csv,
 )
-from volnet.ingest import ActivityEvent, EventLog
+from volnet.ingest import EventLog
 from volnet.graph import TransactionGraph, build_graph, ego_network
 from volnet.tscluster import ArchetypeLabel, ClusterModel
 
 from conftest import at_day, make_log, tx
 from featureset_reference import assemble
+from ingest_reference import ActivityEvent, event_log, event_rows, transaction_rows
 
 
 def hand_cluster(assignment: dict[str, int], archetype_by_cluster: dict[int, str]) -> tuple[ClusterModel, dict[int, ArchetypeLabel]]:
@@ -42,7 +43,7 @@ def hand_cluster(assignment: dict[str, int], archetype_by_cluster: dict[int, str
 
 
 def events_from(*events: ActivityEvent) -> EventLog:
-    return EventLog.from_events(events)
+    return event_log(events)
 
 
 def assemble_one(u, log, events, model, labels, t_months=3) -> SimpleNamespace:
@@ -245,9 +246,9 @@ class TestAssemble:
         model, labels = hand_cluster({"u": 0}, {0: "FPD"})
         baseline = assemble_one("u", log, events, model, labels)
 
-        extended_log = make_log(*log.transactions,
+        extended_log = make_log(*transaction_rows(log),
                                 tx("u", "q", 200), tx("q", "u", 300))
-        extended_events = events_from(*events.events,
+        extended_events = events_from(*event_rows(events),
                                       ActivityEvent("u", "message", at_day(250)))
         extended = assemble_one("u", extended_log, extended_events, model, labels)
         assert extended.features == baseline.features

@@ -2,22 +2,40 @@
 
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from conftest import at_day, make_log, tx
 from volnet import ingest
 from volnet.ingest import (
-    ActivityEvent,
     EventLog,
     KeyUserSet,
     ParseError,
-    Transaction,
     TransactionLog,
     filter_min_transactions,
     format_timestamp,
     parse_timestamp,
     select_active_key_users,
+    to_micros,
 )
+from ingest_reference import (
+    ActivityEvent,
+    Transaction,
+    event_log,
+    event_rows,
+    transaction_rows,
+)
+
+
+def pack_transaction(item="i", lister="a", collector="b", listed=1.0, collected=1.0):
+    """A one-row transaction log, through the packer (stamps in days)."""
+    return TransactionLog.pack([item], [lister], [collector], [to_micros(at_day(listed))],
+                               [to_micros(at_day(collected))])
+
+
+def pack_event(user="u", kind="message", value=None):
+    """A one-row event log, through the packer."""
+    return EventLog.pack([user], [kind], [to_micros(at_day(1))], [value])
 
 
 class TestTimestamps:
@@ -40,24 +58,26 @@ class TestTimestamps:
 
 class TestTransactionValidation:
     def test_self_transaction_rejected(self):
-        with pytest.raises(ValueError, match="self-transaction"):
-            tx("a", "a", 1)
+        with pytest.raises(ValueError, match="self-transaction for user 'a'"):
+            pack_transaction(lister="a", collector="a")
 
     def test_collection_before_listing_rejected(self):
-        when = at_day(1)
         with pytest.raises(ValueError, match="collected before"):
-            Transaction(item_id="i", lister_id="a", collector_id="b",
-                        listed_at=when, collected_at=when - timedelta(hours=2))
+            pack_transaction(listed=1.0, collected=1.0 - 2 / 24)
 
     def test_empty_ids_rejected(self):
-        when = at_day(1)
-        with pytest.raises(ValueError):
-            Transaction(item_id="", lister_id="a", collector_id="b",
-                        listed_at=when, collected_at=when)
+        for ids in ({"item": ""}, {"lister": ""}, {"collector": ""}):
+            with pytest.raises(ValueError, match="ids must be non-empty"):
+                pack_transaction(**ids)
+
+    def test_first_invalid_row_is_reported(self):
+        with pytest.raises(ValueError, match="self-transaction for user 'c'"):
+            TransactionLog.pack(["i1", "i2", "i3"], ["a", "c", "a"], ["b", "c", "a"],
+                                [0, 0, 0], [0, 0, 0])
 
     def test_log_sorted_by_collection_time(self):
         log = make_log(tx("a", "b", 5), tx("a", "b", 1), tx("b", "c", 3))
-        days = [t.collected_at for t in log.transactions]
+        days = [t.collected_at for t in transaction_rows(log)]
         assert days == sorted(days)
         assert log.users == frozenset({"a", "b", "c"})
 
@@ -70,20 +90,36 @@ class TestTransactionValidation:
 
 class TestEventValidation:
     def test_rating_requires_value_in_range(self):
-        with pytest.raises(ValueError):
-            ActivityEvent(user_id="u", kind="rating", at=at_day(1))
-        with pytest.raises(ValueError):
-            ActivityEvent(user_id="u", kind="rating", at=at_day(1), value=11.0)
-        ok = ActivityEvent(user_id="u", kind="rating", at=at_day(1), value=9.5)
-        assert ok.value == 9.5
+        with pytest.raises(ValueError, match="rating event without a value"):
+            pack_event(kind="rating")
+        with pytest.raises(ValueError, match=r"rating 11.0 outside \[0, 10\]"):
+            pack_event(kind="rating", value=11.0)
+        with pytest.raises(ValueError, match=r"rating nan outside \[0, 10\]"):
+            pack_event(kind="rating", value=float("nan"))
+        ok = pack_event(kind="rating", value=9.5)
+        assert ok.value.tolist() == [9.5]
 
     def test_non_rating_must_not_carry_value(self):
-        with pytest.raises(ValueError):
-            ActivityEvent(user_id="u", kind="message", at=at_day(1), value=1.0)
+        with pytest.raises(ValueError, match="message event must not carry a value"):
+            pack_event(kind="message", value=1.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown event kind"):
-            ActivityEvent(user_id="u", kind="poke", at=at_day(1))
+            pack_event(kind="poke")
+
+    def test_empty_user_rejected(self):
+        with pytest.raises(ValueError, match="user_id must be non-empty"):
+            pack_event(user="")
+
+    def test_columns(self):
+        events = EventLog.pack(["v", "u", "v"], ["like", "rating", "message"],
+                               [30, 10, 20], [None, 8.0, None])
+        assert events.user_ids == ("u", "v")
+        assert events.user.tolist() == [0, 1, 1]
+        assert events.kind.tolist() == [2, 1, 3]
+        assert events.at.tolist() == [10, 20, 30]
+        assert np.array_equal(events.value, [8.0, np.nan, np.nan], equal_nan=True)
+        assert len(events) == 3
 
 
 class TestFileRoundTrips:
@@ -93,11 +129,11 @@ class TestFileRoundTrips:
         path = str(tmp_path / f"t.{fmt}")
         ingest.write_transactions(log, path, fmt=fmt)
         back = ingest.parse_transactions(path, fmt=fmt)
-        assert back.transactions == log.transactions
+        assert transaction_rows(back) == transaction_rows(log)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_events_round_trip(self, tmp_path, fmt):
-        events = EventLog.from_events([
+        events = event_log([
             ActivityEvent(user_id="u", kind="message", at=at_day(1)),
             ActivityEvent(user_id="u", kind="rating", at=at_day(2), value=8.0),
             ActivityEvent(user_id="v", kind="like", at=at_day(3)),
@@ -105,7 +141,7 @@ class TestFileRoundTrips:
         path = str(tmp_path / f"e.{fmt}")
         ingest.write_events(events, path, fmt=fmt)
         back = ingest.parse_events(path, fmt=fmt)
-        assert back.events == events.events
+        assert event_rows(back) == event_rows(events)
 
     def test_canonical_write_is_byte_stable(self, tmp_path):
         log = make_log(tx("a", "b", 1), tx("b", "c", 2))
@@ -157,8 +193,8 @@ class TestParseErrors:
             (1, "Invalid isoformat string: 'bad'"), (3, "Invalid isoformat string: 'bad'"),
             (4, f"timestamp without offset: {naive!r}"),
             (5, f"timestamp without offset: {naive!r}")]
-        assert [t.item_id for t in log.transactions] == ["i1", "i3"]
-        assert {t.listed_at for t in log.transactions} == {parse_timestamp(good)}
+        assert [t.item_id for t in transaction_rows(log)] == ["i1", "i3"]
+        assert {t.listed_at for t in transaction_rows(log)} == {parse_timestamp(good)}
 
     def test_missing_column_is_an_error(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -202,7 +238,7 @@ class TestFilterMinTransactions:
 
     def test_min_count_one_keeps_everything(self):
         log = make_log(tx("a", "b", 1))
-        assert filter_min_transactions(log, 1).transactions == log.transactions
+        assert transaction_rows(filter_min_transactions(log, 1)) == transaction_rows(log)
 
     def test_invalid_min_count(self):
         with pytest.raises(ValueError):

@@ -15,9 +15,17 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from volnet import ingest  # noqa: E402
-from volnet.ingest import EVENT_KINDS, ActivityEvent, EventLog, Transaction, TransactionLog  # noqa: E402
+from volnet.ingest import EVENT_KINDS  # noqa: E402
 
 import ingest_reference  # noqa: E402
+from ingest_reference import (  # noqa: E402
+    ActivityEvent,
+    Transaction,
+    event_log,
+    event_rows,
+    transaction_log,
+    transaction_rows,
+)
 
 FORMATS = ("csv", "jsonl")
 
@@ -54,7 +62,7 @@ def scratch(tmp_path_factory):
 @settings(max_examples=100, deadline=None)
 @given(rows=st.lists(transactions(), max_size=12))
 def test_transactions_round_trip(scratch, fmt, rows):
-    log = TransactionLog.from_transactions(rows)
+    log = transaction_log(rows)
     path = str(scratch / f"transactions.{fmt}")
     ingest.write_transactions(log, path, fmt=fmt)
     assert ingest.parse_transactions(path, fmt=fmt) == log
@@ -64,13 +72,13 @@ def test_transactions_round_trip(scratch, fmt, rows):
 @settings(max_examples=100, deadline=None)
 @given(rows=st.lists(events(), max_size=12))
 def test_events_round_trip(scratch, fmt, rows):
-    log = EventLog.from_events(rows)
+    log = event_log(rows)
     path = str(scratch / f"events.{fmt}")
     ingest.write_events(log, path, fmt=fmt)
     back = ingest.parse_events(path, fmt=fmt)
     assert back == log
     # rating values come back bit for bit, not just equal as numbers
-    assert [repr(e.value) for e in back.events] == [repr(e.value) for e in log.events]
+    assert [repr(e.value) for e in event_rows(back)] == [repr(e.value) for e in event_rows(log)]
 
 
 # --- the columnar parser against the per-row reference parser ---------------
@@ -98,26 +106,47 @@ stamps = st.one_of(good_stamps, good_stamps,
 fields_of_a_row = st.tuples(mixed_ids, mixed_ids, mixed_ids, stamps, stamps)
 # rows that pass every check: distinct non-empty ids, collected no earlier than listed
 valid_rows = st.builds(
-    lambda item, pair, us, wait, tz1, tz2: ("row", (item, *pair, stamp_at(us, tz1),
-                                                    stamp_at(us + wait, tz2))),
+    lambda item, pair, us, wait, tz1, tz2: (item, *pair, stamp_at(us, tz1),
+                                            stamp_at(us + wait, tz2)),
     mixed_ids.filter(bool), st.lists(mixed_ids.filter(bool), min_size=2, max_size=2, unique=True),
     st.integers(-10**11, 10**11), st.integers(0, 10**10), offsets, offsets)
-entries = st.one_of(
-    valid_rows, valid_rows,
-    fields_of_a_row.map(lambda f: ("row", f)),
-    st.sampled_from(["\n", " \t\n"]).map(lambda text: ("blank", text)),
-    st.integers(1, 6).map(lambda k: ("width", k)),
-    st.sampled_from(["[1, 2]", "3", '"text"', "{nope", '{"item_id": "x"}']).map(
-        lambda text: ("json", text)),
-    st.tuples(fields_of_a_row, st.sets(st.integers(0, 4), min_size=1)).map(
-        lambda fn: ("nulls", fn)),
-    st.tuples(fields_of_a_row, st.integers(0, 4)).map(lambda fk: ("number", fk)))
+
+# event fields: unknown or empty kinds; ratings that are not numbers, not
+# finite or out of range; values on kinds that take none
+kinds = st.sampled_from(EVENT_KINDS + ("poke", "", "Rating", " like"))
+raw_values = st.one_of(
+    st.sampled_from(["", "", "5", "0", "10", "-0", "-0.5", "10.5", "nan", "NaN", "inf", "-inf",
+                     "1e400", "abc", " 7 ", "  ", "0x1"]),
+    st.floats(min_value=0.0, max_value=10.0).map(repr))
+event_fields = st.tuples(mixed_ids, kinds, stamps, raw_values)
+valid_events = st.builds(
+    lambda user, kind, us, tz, rating: (user, kind, stamp_at(us, tz),
+                                        repr(rating) if kind == "rating" else ""),
+    mixed_ids.filter(bool), st.sampled_from(EVENT_KINDS), st.integers(-10**11, 10**11), offsets,
+    st.floats(min_value=0.0, max_value=10.0))
+# JSON values that are not strings
+numbers = st.sampled_from([7, 7.5, 11, -1, 0, True, float("nan"), float("inf"), 1e400])
 
 
-def write_mix(path: str, fmt: str, drawn) -> None:
-    """One file of ``drawn`` entries: data rows, empty or blank lines, rows of the
-    wrong width or keys, non-object or broken JSON, null and number values."""
-    cols = ingest.TRANSACTION_COLUMNS
+def entries(valid, fields_of_a_row, width):
+    """File entries of ``width`` columns: data rows, empty or blank lines, rows
+    of the wrong width or keys, non-object or broken JSON, null and number
+    values."""
+    return st.one_of(
+        valid.map(lambda f: ("row", f)), valid.map(lambda f: ("row", f)),
+        fields_of_a_row.map(lambda f: ("row", f)),
+        st.sampled_from(["\n", " \t\n"]).map(lambda text: ("blank", text)),
+        st.integers(1, width + 1).map(lambda k: ("width", k)),
+        st.sampled_from(["[1, 2]", "3", '"text"', "{nope", '{"item_id": "x"}']).map(
+            lambda text: ("json", text)),
+        st.tuples(fields_of_a_row, st.sets(st.integers(0, width - 1), min_size=1)).map(
+            lambda fn: ("nulls", fn)),
+        st.tuples(fields_of_a_row, st.integers(0, width - 1), numbers).map(
+            lambda fkv: ("number", fkv)))
+
+
+def write_mix(path: str, fmt: str, cols: tuple[str, ...], drawn) -> None:
+    """One file of ``drawn`` entries under the columns ``cols``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if fmt == "csv":
@@ -143,9 +172,9 @@ def write_mix(path: str, fmt: str, drawn) -> None:
                     fields, gone = spec
                     obj = {c: (None if i in gone else v) for i, (c, v) in enumerate(zip(cols, fields))}
                 elif kind == "number":
-                    fields, at = spec
+                    fields, at, number = spec
                     obj = dict(zip(cols, fields))
-                    obj[cols[at]] = 7
+                    obj[cols[at]] = number
                 else:
                     obj = dict(zip(cols, spec))
                 fh.write(json.dumps(obj) + "\n")
@@ -153,12 +182,27 @@ def write_mix(path: str, fmt: str, drawn) -> None:
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @settings(max_examples=150, deadline=None)
-@given(drawn=st.lists(entries, max_size=25))
+@given(drawn=st.lists(entries(valid_rows, fields_of_a_row, 5), max_size=25))
 def test_columnar_parse_matches_per_row_reference(scratch, fmt, drawn):
     path = str(scratch / f"mix.{fmt}")
-    write_mix(path, fmt, drawn)
+    write_mix(path, fmt, ingest.TRANSACTION_COLUMNS, drawn)
     rows, expected = ingest_reference.parse_transactions_with_report(path, fmt)
     log, report = ingest.parse_transactions_with_report(path, fmt)
-    assert log.transactions == rows
+    assert transaction_rows(log) == rows
     assert report == expected
-    assert log == TransactionLog.from_transactions(rows)
+    assert log == transaction_log(rows)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@settings(max_examples=150, deadline=None)
+@given(drawn=st.lists(entries(valid_events, event_fields, 4), max_size=25))
+def test_columnar_event_parse_matches_per_row_reference(scratch, fmt, drawn):
+    path = str(scratch / f"events_mix.{fmt}")
+    write_mix(path, fmt, ingest.EVENT_COLUMNS, drawn)
+    rows, expected = ingest_reference.parse_events_with_report(path, fmt)
+    events, report = ingest.parse_events_with_report(path, fmt)
+    assert event_rows(events) == rows
+    # rating values come back bit for bit, not just equal as numbers
+    assert [repr(e.value) for e in event_rows(events)] == [repr(e.value) for e in rows]
+    assert report == expected
+    assert events == event_log(rows)

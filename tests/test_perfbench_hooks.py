@@ -18,17 +18,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCRIPT = """
 import traced
-from datetime import datetime, timedelta, timezone
 from volnet import featureset
-from volnet.ingest import EventLog, Transaction, TransactionLog
+from volnet.ingest import EventLog, TransactionLog
 
 tracer = traced.Tracer()
 traced.install(tracer)
-day0 = datetime(2022, 1, 1, tzinfo=timezone.utc)
-log = TransactionLog.from_transactions([
-    Transaction(item_id="i0", lister_id="a", collector_id="b",
-                listed_at=day0, collected_at=day0 + timedelta(days=1))])
-featureset.assemble_all(["a", "b"], log, EventLog.from_events([]))
+day0 = 1_640_995_200_000_000  # 2022-01-01 in epoch microseconds
+log = TransactionLog.pack(["i0"], ["a"], ["b"], [day0], [day0 + 86_400_000_000])
+featureset.assemble_all(["a", "b"], log, EventLog.pack([], [], [], []))
 assert tracer.counts["featureset.vectors"] == 2, dict(tracer.counts)
 assert tracer.seconds["featureset.assemble_all_s"] > 0, dict(tracer.seconds)
 """

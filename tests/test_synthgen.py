@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from datetime import timedelta
 
 import pytest
 
-from volnet import ingest, synthgen
+from volnet import cli, ingest, synthgen
 from volnet.behavior import dr_series
 from volnet.ingest import KeyUserSet, select_active_key_users
 from volnet.synthgen import (
@@ -21,6 +22,8 @@ from volnet.synthgen import (
     write_dataset,
     write_truth_csv,
 )
+
+from ingest_reference import event_rows, transaction_rows
 
 
 class TestConfig:
@@ -101,14 +104,14 @@ class TestGenerate:
     def test_deterministic_per_seed(self):
         log1, ev1, truth1 = generate(tiny_config())
         log2, ev2, truth2 = generate(tiny_config())
-        assert log1.transactions == log2.transactions
-        assert ev1.events == ev2.events
+        assert transaction_rows(log1) == transaction_rows(log2)
+        assert event_rows(ev1) == event_rows(ev2)
         assert truth1 == truth2
 
     def test_different_seeds_differ(self):
         log1, _, _ = generate(tiny_config(seed=1))
         log2, _, _ = generate(tiny_config(seed=2))
-        assert log1.transactions != log2.transactions
+        assert transaction_rows(log1) != transaction_rows(log2)
 
     def test_truth_covers_heroes_with_round_robin_communities(self):
         _, _, truth = generate(tiny_config())
@@ -121,7 +124,7 @@ class TestGenerate:
     def test_every_hero_spans_a_year(self):
         log, _, truth = generate(tiny_config())
         for hero in truth:
-            times = [t.collected_at for t in log.transactions
+            times = [t.collected_at for t in transaction_rows(log)
                      if hero in (t.lister_id, t.collector_id)]
             assert max(times) - min(times) >= timedelta(days=365)
 
@@ -134,9 +137,9 @@ class TestGenerate:
     def test_closing_transaction_to_first_regular(self):
         log, _, truth = generate(tiny_config())
         for i, hero in enumerate(sorted(truth)):
-            t0 = min(t.collected_at for t in log.transactions
+            t0 = min(t.collected_at for t in transaction_rows(log)
                      if hero in (t.lister_id, t.collector_id))
-            closing = [t for t in log.transactions
+            closing = [t for t in transaction_rows(log)
                        if t.lister_id == hero
                        and t.collected_at == t0 + timedelta(days=372)]
             assert len(closing) == 1
@@ -146,7 +149,7 @@ class TestGenerate:
         cfg = tiny_config(n_heroes=20, weeks=10, seed=5)
         log, _, truth = generate(cfg)
         home = cross = 0
-        for t in log.transactions:
+        for t in transaction_rows(log):
             hero, partner = ((t.lister_id, t.collector_id)
                              if t.lister_id.startswith("hero")
                              else (t.collector_id, t.lister_id))
@@ -171,10 +174,10 @@ class TestGenerate:
 
     def test_events_sit_inside_the_cutoff_window(self):
         log, events, truth = generate(tiny_config())
-        t0 = {h: min(t.collected_at for t in log.transactions
+        t0 = {h: min(t.collected_at for t in transaction_rows(log)
                      if h in (t.lister_id, t.collector_id)) for h in truth}
         assert len(events) > 0
-        for e in events.events:
+        for e in event_rows(events):
             assert e.user_id in truth
             assert t0[e.user_id] <= e.at <= t0[e.user_id] + timedelta(days=84)
             if e.kind == "rating":
@@ -185,7 +188,7 @@ class TestGenerate:
     def test_planted_message_signal_separates_outcomes(self, small_synth):
         _, events, truth = small_synth
         messages = Counter()
-        for e in events.events:
+        for e in event_rows(events):
             if e.kind == "message":
                 messages[e.user_id] += 1
         changing = [messages[h] for h, rec in truth.items() if rec.archetype in CHANGING]
@@ -221,6 +224,21 @@ class TestAdjustedRandIndex:
             adjusted_rand_index({}, {})
 
 
+#: sha256 of the files ``volnet synth --seed 7 --heroes 20`` writes, per format
+PINNED_SHA256 = {
+    "csv": {
+        "transactions.csv": "c5eb60ec410ca30375ea6580e366975e8a7ad277d8b83277b9fbc57fc8bd7cb7",
+        "events.csv": "4c2bdb1233c17a54efbbe202ebab52d552122528507ff30a15303c0f47f87d22",
+        "truth.csv": "6cd6a527cd885e092e784889fc3cd17d77935756d053bb42b57d81e66ba0e513",
+    },
+    "jsonl": {
+        "transactions.jsonl": "3e80233e10e31a681fb2127da84a2b6dccd0f313d13996613c459734475d0981",
+        "events.jsonl": "8c1090ea8a0fef1c775e7099d33a6155e3b80b46d002e9665347910346405128",
+        "truth.csv": "6cd6a527cd885e092e784889fc3cd17d77935756d053bb42b57d81e66ba0e513",
+    },
+}
+
+
 class TestWriters:
     def test_truth_csv(self, tmp_path):
         truth = {"b": synthgen.PlantedTruth("SAD", 1),
@@ -231,6 +249,16 @@ class TestWriters:
             "user_id,archetype,community", "a,FPD,0", "b,SAD,1",
         ]
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_synth_outputs_are_pinned(self, tmp_path, fmt):
+        # the generator's rng stream and the canonical writers, byte for byte
+        out = tmp_path / fmt
+        assert cli.main(["synth", "--seed", "7", "--heroes", "20", "--format", fmt,
+                         "--out", str(out)]) == 0
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in PINNED_SHA256[fmt]}
+        assert got == PINNED_SHA256[fmt]
+
     @pytest.mark.parametrize("fmt, ext", [("csv", "csv"), ("jsonl", "jsonl")])
     def test_dataset_round_trip(self, tmp_path, fmt, ext):
         log, events, truth = generate(tiny_config(n_heroes=4, weeks=8))
@@ -238,5 +266,5 @@ class TestWriters:
         assert paths["transactions"].endswith(f"transactions.{ext}")
         back_log = ingest.parse_transactions(paths["transactions"], fmt=fmt)
         back_events = ingest.parse_events(paths["events"], fmt=fmt)
-        assert back_log.transactions == log.transactions
-        assert back_events.events == events.events
+        assert transaction_rows(back_log) == transaction_rows(log)
+        assert event_rows(back_events) == event_rows(events)

@@ -116,6 +116,11 @@ class TestSoftDTW:
         with pytest.raises(ValueError):
             soft_dtw([1.0], [1.0], gamma=0.0)
 
+    @pytest.mark.parametrize("gamma", [float("inf"), float("nan")])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            soft_dtw([1.0], [1.0], gamma=gamma)
+
 
 def two_blobs(n_per: int = 6, length: int = 10, seed: int = 5) -> dict[str, list[float]]:
     rng = np.random.default_rng(seed)
@@ -127,6 +132,11 @@ def two_blobs(n_per: int = 6, length: int = 10, seed: int = 5) -> dict[str, list
 
 
 class TestKMeans:
+    @pytest.mark.parametrize("gamma", [0.0, float("inf"), float("nan")])
+    def test_softdtw_rejects_a_gamma_that_is_not_finite_and_positive(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            kmeans_ts(two_blobs(), k=2, metric="softdtw", gamma=gamma)
+
     def test_separates_two_blobs(self):
         data = two_blobs()
         model = kmeans_ts(data, k=2, seed=0)
