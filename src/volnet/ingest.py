@@ -294,9 +294,17 @@ class ParseReport:
     bad_rows: tuple[RowError, ...] = field(default=())
 
 
+# The field text of each JSON value a JSONL row may hold: a string as it is,
+# null as an empty field, and a number (not a boolean) only in ``value``.
+_JSON_TEXT = {str: str, type(None): lambda v: ""}
+_JSON_NUMBER = {**_JSON_TEXT, int: str, float: str}
+
+
 def _iter_rows(path: str, fmt: str, columns: tuple[str, ...]):
     """Yield (line_number, values | None, reason) triples for each data row;
-    ``values`` holds the row's fields in ``columns`` order."""
+    ``values`` holds the row's fields in ``columns`` order.  A JSONL value of
+    any other type than :data:`_JSON_TEXT` and :data:`_JSON_NUMBER` allow
+    rejects its row, and the reason spells it as JSON."""
     if fmt == "csv":
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -312,6 +320,7 @@ def _iter_rows(path: str, fmt: str, columns: tuple[str, ...]):
                 yield line, row, ""
     elif fmt == "jsonl":
         keys = set(columns)
+        texts = [_JSON_NUMBER if c == "value" else _JSON_TEXT for c in columns]
         with open(path, encoding="utf-8") as fh:
             for line, raw in enumerate(fh, 1):
                 try:
@@ -323,7 +332,16 @@ def _iter_rows(path: str, fmt: str, columns: tuple[str, ...]):
                 if not isinstance(obj, dict) or obj.keys() != keys:
                     yield line, None, f"expected keys {','.join(columns)}"
                     continue
-                yield line, ["" if v is None else str(v) for v in map(obj.__getitem__, columns)], ""
+                values = list(map(obj.__getitem__, columns))
+                try:
+                    fields = [text[type(v)](v) for text, v in zip(texts, values)]
+                except KeyError:
+                    name, v = next((c, v) for c, text, v in zip(columns, texts, values)
+                                   if type(v) not in text)
+                    kinds = "number, string or null" if name == "value" else "string or null"
+                    yield line, None, f"{name} must be a JSON {kinds}, got {json.dumps(v)}"
+                    continue
+                yield line, fields, ""
     else:
         raise ValueError(f"unknown format {fmt!r} (expected csv or jsonl)")
 

@@ -9,18 +9,28 @@ DTW and soft-DTW share one kernel (``_warp``) that fills the warping
 tables of many (series, centroid) pairs at once: NumPy operations run
 over all pairs and one anti-diagonal of cells at a time, doing the same
 float operations in the same order as a cell-by-cell loop over one pair,
-so results do not depend on how pairs are batched.  The k-means
-assignment step and each k-means++ pick are one call over all pairs,
-keeping three diagonals per pair; a DBA iteration aligns the members of
-all clusters of a sweep, each to its own centroid, in one call that fills
-their full tables and backtracks their paths together.
-The scalar ``dtw``, ``dtw_path`` and ``soft_dtw`` are the same kernel on
-a single pair.
+so results do not depend on how pairs are batched.  Its tables are
+batch-last (``[d, i, pair]``), so every step works on contiguous blocks
+with the pairs as the long inner axis, and it holds three diagonals of
+costs; for alignments it also keeps one byte per cell, the step that
+reached it, which ``_backtrack`` follows.  The scalar ``dtw``,
+``dtw_path`` and ``soft_dtw`` are the same kernel on a single pair.
+
+A k-means fit is a lane: a generator that yields two kinds of request,
+the distances of every series to some centroids (each k-means++ pick and
+each assignment step) and the DBA alignments of cluster members to their
+own centroids, and returns its model.  ``_lockstep`` runs lanes side by
+side and answers all pending requests of one kind with one kernel call
+(split between pairs where a call would pass ``_MAX_TABLE_BYTES``), so
+``ch_scan`` fits every k of its range in the same calls; ``kmeans_ts`` is
+the one-lane call.  Each lane draws from its own ``default_rng(seed)``, so
+a fit does not depend on the lanes beside it.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -82,8 +92,16 @@ def euclidean_sq(a, b) -> float:
     return float(np.sum((a - b) ** 2))
 
 
+# The step into each cell of a warping table, as :func:`_warp` keeps it: 0
+# from the diagonal, 1 from above (i - 1), 2 or 3 from the left (j - 1), and
+# 4 at (0, 0); and how far each step moves i and j.
+_UP, _LEFT, _START = 1, 2, 4
+_DI = np.array([1, 1, 0, 0, 0])
+_DJ = np.array([1, 0, 1, 1, 0])
+
+
 def _warp(a: np.ndarray, b: np.ndarray, gamma: float | None = None,
-          keep: bool = False) -> np.ndarray:
+          keep: bool = False):
     """Accumulated warping cost of every pair of rows of ``a`` and ``b``.
 
     ``a`` has shape (..., n) and ``b`` shape (..., m); their leading axes
@@ -91,74 +109,85 @@ def _warp(a: np.ndarray, b: np.ndarray, gamma: float | None = None,
     the first row and column are cumulative sums, and every other cell adds
     its cost to the minimum of its diagonal, up and left neighbours (the
     soft minimum with temperature ``gamma`` when one is given).  Cells are
-    swept one anti-diagonal (i + j = d) at a time for all pairs at once.
-    Returns the final cell of each pair, holding only three diagonals; with
-    ``keep`` it returns every diagonal instead, ``out[i + j, ..., i]`` being
-    cell (i, j) (entries outside the table are 0).
+    swept one anti-diagonal (i + j = d) at a time for all pairs at once,
+    holding three diagonals; they are batch-last, ``[d, i, pair]``, so one
+    step works on contiguous blocks with the pairs as the inner axis.
+    Returns the final cell of each pair.  With ``keep`` (hard DTW only) it
+    also returns the step into every cell, ``steps[i + j, i, pair]``, for
+    :func:`_backtrack`; a tie prefers the diagonal, then up, then left.
     """
     n, m = a.shape[-1], b.shape[-1]
     if n == 0 or m == 0:
         raise ValueError("empty series")
     batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    b_rev = b[..., ::-1]
-    slots = n + m - 1 if keep else 3
-    diags = np.zeros((slots,) + batch + (n,))
+    pairs = math.prod(batch)
+    a = np.moveaxis(np.broadcast_to(a, batch + (n,)), -1, 0).reshape(n, pairs)
+    b_rev = np.moveaxis(np.broadcast_to(b[..., ::-1], batch + (m,)), -1, 0).reshape(m, pairs)
+    diags = np.zeros((3, n, pairs))
+    cost, least = np.empty((n, pairs)), np.empty((n, pairs))  # reused by every diagonal
+    if keep:
+        steps = np.empty((n + m - 1, n, pairs), dtype=np.int8)
+        steps[0, 0] = _START
+        wins = np.empty((n, pairs), dtype=bool)
     if gamma is not None:  # each finished diagonal divided by -gamma, once
-        scaled = np.zeros((3,) + batch + (n,))
+        scaled = np.zeros((3, n, pairs))
     for d in range(n + m - 1):
-        cur, prev, prev2 = diags[d % slots], diags[(d - 1) % slots], diags[(d - 2) % slots]
+        cur, prev, prev2 = diags[d % 3], diags[(d - 1) % 3], diags[(d - 2) % 3]
         if d < m:  # cell (0, d) of the first row
-            cur[..., :1] = (a[..., :1] - b[..., d:d + 1]) ** 2
+            cur[0] = (a[0] - b_rev[m - 1 - d]) ** 2
             if d:
-                cur[..., :1] += prev[..., :1]
+                cur[0] += prev[0]
+                if keep:
+                    steps[d, 0] = _LEFT
         if 0 < d < n:  # cell (d, 0) of the first column
-            cur[..., d:d + 1] = (a[..., d:d + 1] - b[..., :1]) ** 2 + prev[..., d - 1:d]
+            cur[d] = (a[d] - b_rev[m - 1]) ** 2 + prev[d - 1]
+            if keep:
+                steps[d, d] = _UP
         lo, hi = max(1, d - m + 1), min(n - 1, d - 1)
         if lo <= hi:
-            cost = (a[..., lo:hi + 1] - b_rev[..., m - 1 - d + lo:m - d + hi]) ** 2
+            c, low = cost[:hi + 1 - lo], least[:hi + 1 - lo]  # one row per cell
+            np.square(np.subtract(a[lo:hi + 1], b_rev[m - 1 - d + lo:m - d + hi], out=c), out=c)
             if gamma is None:
-                diag, up, left = prev2[..., lo - 1:hi], prev[..., lo - 1:hi], prev[..., lo:hi + 1]
-                np.add(cost, np.minimum(np.minimum(diag, up), left), out=cur[..., lo:hi + 1])
+                diag, up, left = prev2[lo - 1:hi], prev[lo - 1:hi], prev[lo:hi + 1]
+                np.minimum(diag, up, out=low)
+                if keep:  # 2 if left beats both, plus 1 if up beats the diagonal
+                    step, won = steps[d, lo:hi + 1], wins[:hi + 1 - lo]
+                    np.less(left, low, out=won)
+                    np.add(won, won, out=step, dtype=np.int8)
+                    np.add(step, np.less(up, diag, out=won), out=step)
+                np.minimum(low, left, out=low)
+                np.add(c, low, out=cur[lo:hi + 1])
             else:
                 s1, s2 = scaled[(d - 1) % 3], scaled[(d - 2) % 3]
-                cur[..., lo:hi + 1] = cost - gamma * np.logaddexp(
-                    np.logaddexp(s2[..., lo - 1:hi], s1[..., lo - 1:hi]), s1[..., lo:hi + 1])
+                np.logaddexp(s2[lo - 1:hi], s1[lo - 1:hi], out=low)
+                np.logaddexp(low, s1[lo:hi + 1], out=low)
+                np.subtract(c, np.multiply(low, gamma, out=low), out=cur[lo:hi + 1])
         if gamma is not None:
             np.divide(cur, -gamma, out=scaled[d % 3])
-    return diags if keep else diags[(n + m - 2) % slots][..., n - 1].copy()
+    final = diags[(n + m - 2) % 3][n - 1].reshape(batch).copy()
+    return (final, steps.reshape((n + m - 1, n) + batch)) if keep else final
 
 
-def _backtrack(tables: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One optimal path per pair through kept :func:`_warp` tables of batch
-    shape (P,), walked back from (n-1, m-1) for all pairs at once; ties
-    prefer the diagonal step, then up (i - 1), then left (j - 1).
+def _backtrack(steps: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One optimal path per pair through the kept steps of :func:`_warp`
+    (batch shape (P,)), walked back from (n-1, m-1) for all pairs at once.
 
     Returns ``(pair, i, j)`` of every path cell, pair-major and in
     ascending path order.
     """
-    pairs = np.arange(tables.shape[1])
-    i = np.full(pairs.size, n - 1)
-    j = np.full(pairs.size, m - 1)
-    cells_i, cells_j, moved = [i], [j], [np.ones(pairs.size, dtype=bool)]
-    for _ in range(n + m - 2):
-        live = (i > 0) | (j > 0)
-        d = np.maximum(i + j - 1, 0)
-        back = np.maximum(i - 1, 0)
-        diag = tables[np.maximum(d - 1, 0), pairs, back]
-        up = tables[d, pairs, back]
-        left = tables[d, pairs, i]
-        best = np.minimum(np.minimum(diag, up), left)
-        go_diag = (i > 0) & (j > 0) & (diag == best)
-        go_up = (i > 0) & ~go_diag & ((j == 0) | (up == best))
-        go_left = live & ~go_diag & ~go_up
-        i = i - (go_diag | go_up)
-        j = j - (go_diag | go_left)
-        cells_i.append(i)
-        cells_j.append(j)
-        moved.append(live)
-    keep = np.stack(moved, axis=1)[:, ::-1]
-    return (np.nonzero(keep)[0], np.stack(cells_i, axis=1)[:, ::-1][keep],
-            np.stack(cells_j, axis=1)[:, ::-1][keep])
+    size = steps.shape[2]
+    flat = steps.reshape(-1)
+    # the flat offset each step moves back: (d, i) to (d-2, i-1), (d-1, i-1) or (d-1, i)
+    back = np.array([2 * n + 1, n + 1, n, n, 0]) * size
+    at = ((n + m - 2) * n + n - 1) * size + np.arange(size)
+    taken = np.empty((n + m - 2, size), dtype=np.int8)
+    for s in range(n + m - 2):
+        taken[s] = flat[at]
+        at -= back[taken[s]]
+    i = np.vstack([np.full(size, n - 1), n - 1 - np.cumsum(_DI[taken], axis=0)]).T[:, ::-1]
+    j = np.vstack([np.full(size, m - 1), m - 1 - np.cumsum(_DJ[taken], axis=0)]).T[:, ::-1]
+    moved = np.vstack([np.ones(size, dtype=bool), taken != _START]).T[:, ::-1]
+    return np.nonzero(moved)[0], i[moved], j[moved]
 
 
 def _series_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -183,9 +212,9 @@ def dtw(a, b) -> float:
 def dtw_path(a, b) -> tuple[float, list[tuple[int, int]]]:
     """DTW cost plus one optimal alignment path (ties prefer the diagonal)."""
     a, b = _series_pair(a, b)
-    tables = _warp(a[None], b, keep=True)
-    _, i, j = _backtrack(tables, a.size, b.size)
-    return float(tables[-1, 0, -1]), list(zip(i.tolist(), j.tolist()))
+    cost, steps = _warp(a[None], b, keep=True)
+    _, i, j = _backtrack(steps, a.size, b.size)
+    return float(cost[0]), list(zip(i.tolist(), j.tolist()))
 
 
 def soft_dtw(a, b, gamma: float = 1.0) -> float:
@@ -222,11 +251,12 @@ def _distances_to_centroids(X: np.ndarray, centroids: np.ndarray, metric: str, g
     return _warp(X[:, None, :], centroids[None, :, :], gamma if metric == "softdtw" else None)
 
 
-def _kmeans_pp_init(X: np.ndarray, k: int, metric: str, gamma: float, rng: np.random.Generator) -> np.ndarray:
-    """Seeded k-means++ seeding; negative soft-DTW weights are clipped to 0."""
+def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator):
+    """Seeded k-means++ seeding, one distance request per pick; negative
+    soft-DTW weights are clipped to 0.  Returns the k centroids."""
     n = X.shape[0]
     chosen = [int(rng.integers(n))]
-    d = np.maximum(_distances_to_centroids(X, X[chosen[-1:]], metric, gamma)[:, 0], 0.0)
+    d = np.maximum((yield "dist", X[chosen[-1:]])[:, 0], 0.0)
     while len(chosen) < k:
         total = d.sum()
         if total <= 0.0:
@@ -235,20 +265,19 @@ def _kmeans_pp_init(X: np.ndarray, k: int, metric: str, gamma: float, rng: np.ra
         else:
             nxt = int(rng.choice(n, p=d / total))
         chosen.append(nxt)
-        d = np.minimum(d, np.maximum(
-            _distances_to_centroids(X, X[nxt:nxt + 1], metric, gamma)[:, 0], 0.0))
+        d = np.minimum(d, np.maximum((yield "dist", X[nxt:nxt + 1])[:, 0], 0.0))
     return X[chosen].copy()
 
 
 def _dba_update(X: np.ndarray, assign: np.ndarray, centroids: np.ndarray,
-                max_inner: int = 30) -> int:
+                max_inner: int = 30):
     """DTW barycenter averaging of every non-empty cluster, in place; returns
     how many clusters stopped at ``max_inner`` iterations before their
     largest change fell below 1e-8.  An empty cluster keeps its centroid.
-    Each iteration aligns the members of every cluster still moving to
-    their own centroid in one table fill and backtrack; paths come back
-    pair-major with members in row order, so each cluster's sums add in
-    the order of a cluster-by-cluster update."""
+    Each iteration requests the alignment of the members of every cluster
+    still moving to their own centroid; paths come back pair-major with
+    members in row order, so each cluster's sums add in the order of a
+    cluster-by-cluster update."""
     k, m = centroids.shape
     n = X.shape[1]
     # the non-empty clusters; np.unique would page in NumPy's sort kernels,
@@ -259,10 +288,11 @@ def _dba_update(X: np.ndarray, assign: np.ndarray, centroids: np.ndarray,
             break
         rows = np.flatnonzero(np.isin(assign, moving))
         own = assign[rows]
-        owner, i, j = _backtrack(_warp(X[rows], centroids[own], keep=True), n, m)
+        owner, i, j = yield "align", rows, centroids[own]
         bins = own[owner] * m + j
         sums = np.bincount(bins, weights=X[rows[owner], i], minlength=k * m).reshape(k, m)
         counts = np.bincount(bins, minlength=k * m).reshape(k, m)
+        del owner, i, j, bins  # no path is held while the other lanes run
         updated = sums[moving] / counts[moving]  # every path visits every column
         settled = np.max(np.abs(updated - centroids[moving]), axis=1) < 1e-8
         centroids[moving] = updated
@@ -270,51 +300,18 @@ def _dba_update(X: np.ndarray, assign: np.ndarray, centroids: np.ndarray,
     return int(moving.size)
 
 
-def kmeans_ts(
-    data,
-    k: int,
-    metric: str = "euclidean",
-    seed: int = 0,
-    max_iter: int = 100,
-    gamma: float = 1.0,
-) -> ClusterModel:
-    """Time-series K-means over equally long series.
-
-    Initialization is seeded k-means++; the assignment step uses the chosen
-    metric (ties toward the lower cluster id) and the update step is the
-    pointwise mean for ``euclidean`` or DTW barycenter averaging (at most
-    30 iterations per cluster and sweep) for the warping metrics.  For the
-    warping metrics each seeding pick and each assignment step is one
-    batched kernel call over all (series, centroid) pairs, and each DBA
-    iteration aligns the members of every cluster of the sweep that is
-    still moving to their own centroids in one call.  Stops when
-    assignments stabilize or after ``max_iter`` sweeps; the model's
-    ``converged`` and ``dba_capped`` report whether either cap was hit.
-    Deterministic for a fixed seed.
-
-    ``inertia`` is the metric-distance sum to assigned centroids; for
-    ``softdtw`` it can be negative (soft minima admit negative values).
-    ``softdtw`` assigns by soft-DTW but still updates centroids with
-    hard-DTW DBA, which does not minimise soft-DTW, so its
-    ``inertia_history`` can rise between sweeps.
-    """
-    users, X = _as_matrix(data)
+def _fit(users: list[str], X: np.ndarray, k: int, metric: str, seed: int, max_iter: int):
+    """One k-means fit as a lane of :func:`_lockstep`: it yields distance
+    and alignment requests and returns its :class:`ClusterModel`."""
     n = X.shape[0]
-    if not 2 <= k <= n:
-        raise ValueError(f"k={k} outside [2, {n}]")
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r} (expected one of {METRICS})")
-    if metric == "softdtw" and not 0 < gamma < np.inf:
-        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
-    rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(X, k, metric, gamma, rng)
+    centroids = yield from _kmeans_pp_init(X, k, np.random.default_rng(seed))
     history: list[float] = []
     prev: np.ndarray | None = None
     assign = np.zeros(n, dtype=int)
     converged = False
     dba_capped = 0
     for sweep in range(max_iter):
-        dists = _distances_to_centroids(X, centroids, metric, gamma)
+        dists = yield "dist", centroids
         assign = dists.argmin(axis=1)
         history.append(float(dists[np.arange(n), assign].sum()))
         if prev is not None and np.array_equal(assign, prev):
@@ -324,7 +321,7 @@ def kmeans_ts(
         if sweep == max_iter - 1:
             break
         if metric != "euclidean":
-            dba_capped += _dba_update(X, assign, centroids)
+            dba_capped += yield from _dba_update(X, assign, centroids)
             continue
         for c in range(k):
             members = X[assign == c]
@@ -342,6 +339,124 @@ def kmeans_ts(
         converged=converged,
         dba_capped=dba_capped,
     )
+
+
+# Table bytes one kernel call may fill: three float diagonals per pair, and
+# for alignments one step byte per cell.  The pending requests of one kind
+# are answered in calls of at most this size, split between pairs.
+_MAX_TABLE_BYTES = 1 << 21
+
+
+def _answer(kind: str, requests: list, X: np.ndarray, metric: str, gamma: float):
+    """Answer requests of one kind, in order, with as few kernel calls over
+    all their pairs as ``_MAX_TABLE_BYTES`` allows.  Yields ``(index, reply)`` as
+    soon as the call holding a request's last pair returns: the distances of
+    every series to the request's centroids, or the (pair, i, j) path cells
+    of its alignments, pairs numbered within the request."""
+    n, length = X.shape
+    diagonals = 3 * length * 8
+    if kind == "dist":  # a unit is a centroid: n pairs
+        units = np.concatenate([r[1] for r in requests])
+        step = max(1, _MAX_TABLE_BYTES // (n * diagonals))
+    else:  # a unit is a (series, centroid) pair and its steps
+        rows = np.concatenate([r[1] for r in requests])
+        units = np.concatenate([r[2] for r in requests])
+        step = max(1, _MAX_TABLE_BYTES // (diagonals + (2 * length - 1) * length))
+    ends = np.cumsum([r[1].shape[0] for r in requests]).tolist()
+    a, parts = 0, []
+    for lo in range(0, units.shape[0], step):
+        hi = min(lo + step, units.shape[0])
+        if kind == "dist":
+            got = _distances_to_centroids(X, units[lo:hi], metric, gamma)
+        else:
+            pair, i, j = _backtrack(_warp(X[rows[lo:hi]], units[lo:hi], keep=True)[1],
+                                    length, length)
+            pair += lo
+        while a < len(ends):
+            start = ends[a - 1] if a else 0
+            first, last = max(start, lo), min(ends[a], hi)
+            if kind == "dist":
+                parts.append(got[:, first - lo:last - lo])
+            else:
+                x, y = np.searchsorted(pair, [first, last])
+                parts.append((pair[x:y] - start, i[x:y], j[x:y]))
+            if ends[a] > hi:
+                break
+            if kind == "dist":
+                yield a, np.concatenate(parts, axis=1)
+            else:
+                yield a, tuple(np.concatenate(cells) for cells in zip(*parts))
+            a, parts = a + 1, []
+
+
+def _lockstep(lanes: list, X: np.ndarray, metric: str, gamma: float) -> list:
+    """Run fit lanes over the series ``X`` side by side.  Every step answers
+    the pending requests of each kind with one :func:`_answer`, and a lane
+    advances as soon as its reply is complete.  Returns the lanes' results."""
+    out: list = [None] * len(lanes)
+    pending: dict[int, tuple] = {}
+
+    def advance(a: int, reply) -> None:
+        try:
+            pending[a] = lanes[a].send(reply)
+        except StopIteration as stop:
+            out[a] = stop.value
+
+    for a in range(len(lanes)):
+        advance(a, None)
+    while pending:
+        requests, pending = pending, {}
+        for kind in ("dist", "align"):
+            asked = [a for a, r in requests.items() if r[0] == kind]
+            if asked:
+                for b, reply in _answer(kind, [requests.pop(a) for a in asked], X, metric, gamma):
+                    advance(asked[b], reply)
+    return out
+
+
+def _check_fit(n: int, k: int, metric: str, max_iter: int, gamma: float) -> None:
+    if not 2 <= k <= n:
+        raise ValueError(f"k={k} outside [2, {n}]")
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r} (expected one of {METRICS})")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if metric == "softdtw" and not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
+
+
+def kmeans_ts(
+    data,
+    k: int,
+    metric: str = "euclidean",
+    seed: int = 0,
+    max_iter: int = 100,
+    gamma: float = 1.0,
+) -> ClusterModel:
+    """Time-series K-means over equally long series.
+
+    Initialization is seeded k-means++; the assignment step uses the chosen
+    metric (ties toward the lower cluster id) and the update step is the
+    pointwise mean for ``euclidean`` or DTW barycenter averaging (at most
+    30 iterations per cluster and sweep) for the warping metrics.  The fit
+    is one lane of the lockstep driver that :func:`ch_scan` runs with a lane
+    per k: each seeding pick and each assignment step is a request for the
+    distances of all series to some centroids, and each DBA iteration a
+    request to align the members of every cluster still moving to their
+    own centroids; the kernel's tables are batch-last and a call stays under
+    ``_MAX_TABLE_BYTES``.  Stops when assignments stabilize or after ``max_iter``
+    sweeps (at least 1); the model's ``converged`` and ``dba_capped`` report
+    whether either cap was hit.  Deterministic for a fixed seed.
+
+    ``inertia`` is the metric-distance sum to assigned centroids; for
+    ``softdtw`` it can be negative (soft minima admit negative values).
+    ``softdtw`` assigns by soft-DTW but still updates centroids with
+    hard-DTW DBA, which does not minimise soft-DTW, so its
+    ``inertia_history`` can rise between sweeps.
+    """
+    users, X = _as_matrix(data)
+    _check_fit(X.shape[0], k, metric, max_iter, gamma)
+    return _lockstep([_fit(users, X, k, metric, seed, max_iter)], X, metric, gamma)[0]
 
 
 def calinski_harabasz(data, model: ClusterModel) -> float:
@@ -383,16 +498,25 @@ def ch_scan(
     gamma: float = 1.0,
 ) -> tuple[dict[int, float], dict[int, ClusterModel]]:
     """Fit K-means for each k in the inclusive range; return the score and
-    the fitted model of each k."""
+    the fitted model of each k.
+
+    The fits run in lockstep, one lane per k with its own
+    ``default_rng(seed)``, so each k's model equals its :func:`kmeans_ts`
+    fit.  Each step answers the distance requests of all lanes with one
+    kernel call, and their alignment requests with one more; a call whose
+    tables would pass ``_MAX_TABLE_BYTES`` (2 MiB) is split between pairs,
+    which bounds memory and changes no result.  Every argument is checked
+    before any fit starts."""
     k_min, k_max = k_range
     if k_min > k_max or k_min < 2:
         raise ValueError(f"bad k range [{k_min}, {k_max}]")
-    scores: dict[int, float] = {}
-    fitted: dict[int, ClusterModel] = {}
-    for k in range(k_min, k_max + 1):
-        fitted[k] = kmeans_ts(data, k, metric=metric, seed=seed, max_iter=max_iter, gamma=gamma)
-        scores[k] = calinski_harabasz(data, fitted[k])
-    return scores, fitted
+    users, X = _as_matrix(data)
+    ks = range(k_min, k_max + 1)
+    for k in ks:
+        _check_fit(X.shape[0], k, metric, max_iter, gamma)
+    lanes = [_fit(users, X, k, metric, seed, max_iter) for k in ks]
+    fitted = dict(zip(ks, _lockstep(lanes, X, metric, gamma)))
+    return {k: calinski_harabasz(data, fitted[k]) for k in ks}, fitted
 
 
 def best_k(scores: Mapping[int, float]) -> int:

@@ -3,9 +3,10 @@
 These are the cell-by-cell DTW table, path backtrack, soft-DTW loop and
 DBA update that ``volnet.tscluster`` used before its batched kernel; the
 tests require the kernel to reproduce them exactly.  ``kmeans_ts`` is the
-k-means loop that updated one cluster at a time before the DBA step was
-batched over all clusters of a sweep.  ``dtw_brute`` is the exhaustive
-oracle over all alignment paths.
+k-means loop that fitted one k at a time, seeding with ``kmeans_pp_init``
+and updating one cluster at a time, before the fits of a scan ran in
+lockstep and the DBA step was batched over all clusters of a sweep.
+``dtw_brute`` is the exhaustive oracle over all alignment paths.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from volnet.tscluster import ClusterModel, _as_matrix, _distances_to_centroids, _kmeans_pp_init
+from volnet.tscluster import ClusterModel, _as_matrix, _distances_to_centroids
 
 
 def dtw_table(a, b) -> np.ndarray:
@@ -100,14 +101,34 @@ def dba_update(members: np.ndarray, init: np.ndarray,
     return centroid, max_inner, False
 
 
+def kmeans_pp_init(X: np.ndarray, k: int, metric: str, gamma: float,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Seeded k-means++ seeding; negative soft-DTW weights are clipped to 0."""
+    n = X.shape[0]
+    chosen = [int(rng.integers(n))]
+    d = np.maximum(_distances_to_centroids(X, X[chosen[-1:]], metric, gamma)[:, 0], 0.0)
+    while len(chosen) < k:
+        total = d.sum()
+        if total <= 0.0:
+            taken = set(chosen)
+            nxt = next(i for i in range(n) if i not in taken)
+        else:
+            nxt = int(rng.choice(n, p=d / total))
+        chosen.append(nxt)
+        d = np.minimum(d, np.maximum(
+            _distances_to_centroids(X, X[nxt:nxt + 1], metric, gamma)[:, 0], 0.0))
+    return X[chosen].copy()
+
+
 def kmeans_ts(data, k: int, metric: str, seed: int = 0, max_iter: int = 100,
               gamma: float = 1.0, max_inner: int = 30) -> tuple[ClusterModel, list[list[int]]]:
-    """Warping k-means with one :func:`dba_update` per non-empty cluster and
-    sweep; seeding and assignment are volnet's.  Also returns, per sweep
-    with an update step, the DBA iterations each non-empty cluster ran."""
+    """K-means with one update per non-empty cluster and sweep: the member
+    mean for ``euclidean``, one :func:`dba_update` for the warping metrics;
+    assignment distances are volnet's.  Also returns, per sweep with an
+    update step, the DBA iterations each non-empty cluster ran."""
     users, X = _as_matrix(data)
     n = X.shape[0]
-    centroids = _kmeans_pp_init(X, k, metric, gamma, np.random.default_rng(seed))
+    centroids = kmeans_pp_init(X, k, metric, gamma, np.random.default_rng(seed))
     history: list[float] = []
     rounds: list[list[int]] = []
     prev = None
@@ -127,6 +148,9 @@ def kmeans_ts(data, k: int, metric: str, seed: int = 0, max_iter: int = 100,
         for c in range(k):
             members = X[assign == c]
             if members.shape[0] == 0:
+                continue
+            if metric == "euclidean":
+                centroids[c] = members.mean(axis=0)
                 continue
             centroids[c], iterations, settled = dba_update(members, centroids[c], max_inner)
             dba_capped += not settled

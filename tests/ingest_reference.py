@@ -164,7 +164,21 @@ def _iter_rows(path: str, fmt: str, columns: tuple[str, ...]):
                 if not isinstance(obj, dict) or set(obj) != set(columns):
                     yield line, None, f"expected keys {','.join(columns)}"
                     continue
-                yield line, {k: ("" if obj[k] is None else str(obj[k])) for k in columns}, ""
+                fields = {}
+                for k in columns:
+                    v = obj[k]
+                    if v is None:
+                        fields[k] = ""
+                    elif isinstance(v, str):
+                        fields[k] = v
+                    elif k == "value" and isinstance(v, (int, float)) and not isinstance(v, bool):
+                        fields[k] = str(v)
+                    else:
+                        kinds = "number, string or null" if k == "value" else "string or null"
+                        yield line, None, f"{k} must be a JSON {kinds}, got {json.dumps(v)}"
+                        break
+                else:
+                    yield line, fields, ""
     else:
         raise ValueError(f"unknown format {fmt!r} (expected csv or jsonl)")
 

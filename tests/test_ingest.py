@@ -196,6 +196,28 @@ class TestParseErrors:
         assert [t.item_id for t in transaction_rows(log)] == ["i1", "i3"]
         assert {t.listed_at for t in transaction_rows(log)} == {parse_timestamp(good)}
 
+    def test_jsonl_values_keep_their_json_types(self, tmp_path):
+        # ids, kinds and stamps must be JSON strings; a value may also be a
+        # number, but not a boolean; a rejected value is spelled as in the file
+        stamp = '"at": "2021-01-05T00:00:00Z"'
+        path = tmp_path / "e.jsonl"
+        path.write_text("\n".join([
+            '{"user_id": "u", "kind": "rating", %s, "value": 4}' % stamp,
+            '{"user_id": "u", "kind": "rating", %s, "value": "4.5"}' % stamp,
+            '{"user_id": "u", "kind": "rating", %s, "value": true}' % stamp,
+            '{"user_id": 7.0, "kind": "like", %s, "value": null}' % stamp,
+            '{"user_id": "u", "kind": ["like"], %s, "value": null}' % stamp,
+            '{"user_id": "u", "kind": "like", "at": 1609804800, "value": null}',
+            '{"user_id": null, "kind": "like", %s, "value": null}' % stamp]) + "\n")
+        events, report = ingest.parse_events_with_report(str(path), "jsonl")
+        assert [e.value for e in event_rows(events)] == [4.0, 4.5]
+        assert [(bad.line, bad.reason) for bad in report.bad_rows] == [
+            (3, "value must be a JSON number, string or null, got true"),
+            (4, "user_id must be a JSON string or null, got 7.0"),
+            (5, 'kind must be a JSON string or null, got ["like"]'),
+            (6, "at must be a JSON string or null, got 1609804800"),
+            (7, "event user_id must be non-empty")]
+
     def test_missing_column_is_an_error(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("item_id,lister_id,collector_id,listed_at\n")

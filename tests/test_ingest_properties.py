@@ -124,13 +124,17 @@ valid_events = st.builds(
                                         repr(rating) if kind == "rating" else ""),
     mixed_ids.filter(bool), st.sampled_from(EVENT_KINDS), st.integers(-10**11, 10**11), offsets,
     st.floats(min_value=0.0, max_value=10.0))
-# JSON values that are not strings
-numbers = st.sampled_from([7, 7.5, 11, -1, 0, True, float("nan"), float("inf"), 1e400])
+# JSON values that are not strings: numbers, which only ``value`` accepts,
+# and booleans, arrays and objects, which no field accepts
+non_strings = st.one_of(
+    st.sampled_from([7, 7.5, 11, -1, 0, -0.0, float("nan"), float("inf"), 1e400, 10**30]),
+    st.sampled_from([True, False, [], [1, "a"], {}, {"value": 5}]),
+    st.floats(allow_nan=False), st.integers())
 
 
 def entries(valid, fields_of_a_row, width):
     """File entries of ``width`` columns: data rows, empty or blank lines, rows
-    of the wrong width or keys, non-object or broken JSON, null and number
+    of the wrong width or keys, non-object or broken JSON, null and non-string
     values."""
     return st.one_of(
         valid.map(lambda f: ("row", f)), valid.map(lambda f: ("row", f)),
@@ -141,8 +145,8 @@ def entries(valid, fields_of_a_row, width):
             lambda text: ("json", text)),
         st.tuples(fields_of_a_row, st.sets(st.integers(0, width - 1), min_size=1)).map(
             lambda fn: ("nulls", fn)),
-        st.tuples(fields_of_a_row, st.integers(0, width - 1), numbers).map(
-            lambda fkv: ("number", fkv)))
+        st.tuples(fields_of_a_row, st.integers(0, width - 1), non_strings).map(
+            lambda fkv: ("non-string", fkv)))
 
 
 def write_mix(path: str, fmt: str, cols: tuple[str, ...], drawn) -> None:
@@ -171,10 +175,10 @@ def write_mix(path: str, fmt: str, cols: tuple[str, ...], drawn) -> None:
                 elif kind == "nulls":
                     fields, gone = spec
                     obj = {c: (None if i in gone else v) for i, (c, v) in enumerate(zip(cols, fields))}
-                elif kind == "number":
-                    fields, at, number = spec
+                elif kind == "non-string":
+                    fields, at, value = spec
                     obj = dict(zip(cols, fields))
-                    obj[cols[at]] = number
+                    obj[cols[at]] = value
                 else:
                     obj = dict(zip(cols, spec))
                 fh.write(json.dumps(obj) + "\n")

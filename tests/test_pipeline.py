@@ -491,8 +491,8 @@ class TestIterationCapWarnings:
         assert not [w for w in self._cluster(data_dir, tmp_path) if "cap" in w]
 
     @pytest.mark.parametrize("name, force, needle", [
-        ("kmeans_ts", {"max_iter": 1}, "sweeps (max_iter cap)"),
-        ("kmeans_ts", {"max_iter": 2}, "sweeps (max_iter cap)"),
+        ("ch_scan", {"max_iter": 1}, "sweeps (max_iter cap)"),
+        ("ch_scan", {"max_iter": 2}, "sweeps (max_iter cap)"),
         ("_dba_update", {"max_inner": 1}, "stopped at the inner-iteration cap"),
     ])
     def test_forced_cap_is_a_manifest_warning(self, data_dir, tmp_path, monkeypatch,

@@ -11,6 +11,7 @@ from volnet import tscluster
 from volnet.behavior import DRSeries
 from volnet.tscluster import (
     ARCHETYPES,
+    METRICS,
     ArchetypeLabel,
     ClusterModel,
     _dba_update,
@@ -413,6 +414,12 @@ class TestWriters:
         ]
 
 
+def dba_update(X, assign, centroids, max_inner: int = 30) -> int:
+    """The DBA step of one sweep, run alone through the lockstep driver."""
+    lane = _dba_update(X, assign, centroids, max_inner)
+    return tscluster._lockstep([lane], X, "dtw", 1.0)[0]
+
+
 def random_series(rng: np.random.Generator, shape, tied: bool) -> np.ndarray:
     """Uniform values; ``tied`` quantises them to thirds so table cells tie."""
     values = rng.random(shape)
@@ -440,7 +447,7 @@ class TestWarpKernelMatchesReference:
             init = members[int(rng.integers(members.shape[0]))] if trial % 2 else (
                 random_series(rng, length, tied))
             centroids = init[None].copy()
-            _dba_update(members, np.zeros(members.shape[0], dtype=int), centroids)
+            dba_update(members, np.zeros(members.shape[0], dtype=int), centroids)
             assert np.array_equal(centroids[0], ref.dba_update(members, init)[0])
 
     def test_dba_batch_equals_each_cluster_alone(self, tied):
@@ -458,7 +465,7 @@ class TestWarpKernelMatchesReference:
                 init[assign] = X
             max_inner = (1, 3, 30)[trial % 3]
             centroids = init.copy()
-            capped = _dba_update(X, assign, centroids, max_inner)
+            capped = dba_update(X, assign, centroids, max_inner)
             assert np.array_equal(centroids[empty], init[empty])
             unsettled = 0
             for c in set(range(k)) - {empty}:
@@ -501,6 +508,18 @@ class TestIterationCaps:
         assert not model.converged
         assert len(model.inertia_history) == 1
 
+    @pytest.mark.parametrize("metric", ["euclidean", "dtw"])
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_is_rejected_before_fitting(self, monkeypatch, metric, max_iter):
+        def no_fit(*args):
+            raise AssertionError("fitting started")
+
+        monkeypatch.setattr(tscluster, "_lockstep", no_fit)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            kmeans_ts(two_blobs(), k=2, metric=metric, max_iter=max_iter)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            ch_scan(two_blobs(), (2, 4), metric=metric, max_iter=max_iter)
+
     def test_dba_inner_cap_is_reported(self, monkeypatch):
         monkeypatch.setattr(tscluster, "_dba_update",
                             lambda X, assign, centroids: _dba_update(X, assign, centroids,
@@ -509,8 +528,8 @@ class TestIterationCaps:
         assert model.dba_capped > 0
         members = np.array(list(two_blobs().values()))
         one = np.zeros(members.shape[0], dtype=int)
-        assert _dba_update(members, one, members[:1].copy(), max_inner=1) == 1
-        assert _dba_update(members, one, members[:1].copy()) == 0
+        assert dba_update(members, one, members[:1].copy(), max_inner=1) == 1
+        assert dba_update(members, one, members[:1].copy()) == 0
 
 
 def random_panel(seed: int) -> dict[str, np.ndarray]:
@@ -548,7 +567,7 @@ class TestBatchedDBAFits:
         backtrack = tscluster._backtrack
 
         def counting(*args):
-            calls.append(args[0].shape[1])
+            calls.append(args[0].shape[2])  # the steps' batch axis
             return backtrack(*args)
 
         monkeypatch.setattr(tscluster, "_backtrack", counting)
@@ -556,3 +575,71 @@ class TestBatchedDBAFits:
         _, rounds = ref.kmeans_ts(data, 5, "dtw", 3)
         assert len(calls) == sum(map(max, rounds)) < sum(map(sum, rounds))
         assert max(calls) == len(data)  # the first iteration aligns every series
+
+
+def assert_same_fit(got: ClusterModel, want: ClusterModel) -> None:
+    assert np.array_equal(got.centroids, want.centroids)
+    assert got.inertia_history == want.inertia_history
+    assert got.assignment == want.assignment
+    assert (got.converged, got.dba_capped) == (want.converged, want.dba_capped)
+
+
+class TestLockstepScan:
+    """The fits of a scan, run as lanes in lockstep, against one k at a time."""
+
+    # (metric, seed, k range, max_iter, DBA inner cap, what the scan reaches)
+    @pytest.mark.parametrize("metric, seed, k_range, max_iter, max_inner, reaches", [
+        ("dtw", 3, (2, 7), 100, 30, None),
+        ("dtw", 20, (2, 6), 100, 2, "inner cap"),
+        ("softdtw", 46, (4, 8), 100, 30, "empty cluster"),
+        ("softdtw", 5, (4, 8), 8, 30, "max_iter"),
+        ("euclidean", 7, (2, 8), 100, 30, None),
+        ("euclidean", 8, (2, 8), 2, 30, "max_iter"),
+    ])
+    def test_each_k_equals_its_reference_fit(self, monkeypatch, metric, seed, k_range,
+                                             max_iter, max_inner, reaches):
+        monkeypatch.setattr(tscluster, "_dba_update",
+                            lambda X, assign, centroids: _dba_update(X, assign, centroids,
+                                                                     max_inner=max_inner))
+        data = random_panel(seed)
+        scores, fitted = ch_scan(data, k_range, metric=metric, seed=seed, max_iter=max_iter)
+        assert sorted(fitted) == list(range(k_range[0], k_range[1] + 1))
+        for k, got in fitted.items():
+            want, _ = ref.kmeans_ts(data, k, metric, seed, max_iter, max_inner=max_inner)
+            assert_same_fit(got, want)
+            assert scores[k] == calinski_harabasz(data, want)
+        reached = {
+            "inner cap": any(m.dba_capped for m in fitted.values()),
+            "empty cluster": any(len(set(m.assignment.values())) < m.k for m in fitted.values()),
+            "max_iter": any(not m.converged for m in fitted.values()),
+        }
+        assert reached.get(reaches, True)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_a_lower_table_cap_changes_nothing(self, monkeypatch, metric):
+        data = random_panel(3)
+        scores, fitted = ch_scan(data, (2, 6), metric=metric, seed=3)
+        # one centroid per distance call, six pairs per alignment call
+        monkeypatch.setattr(tscluster, "_MAX_TABLE_BYTES", 3000)
+        capped_scores, capped = ch_scan(data, (2, 6), metric=metric, seed=3)
+        assert capped_scores == scores
+        for k in fitted:
+            assert_same_fit(capped[k], fitted[k])
+
+    def test_a_scan_backtracks_less_often_than_its_fits(self, monkeypatch):
+        data = random_panel(3)
+        calls = []
+        backtrack = tscluster._backtrack
+
+        def counting(*args):
+            calls.append(args[0].shape[2])
+            return backtrack(*args)
+
+        monkeypatch.setattr(tscluster, "_backtrack", counting)
+        for k in range(2, 8):
+            kmeans_ts(data, k, metric="dtw", seed=3)
+        one_lane = len(calls)
+        calls.clear()
+        ch_scan(data, (2, 7), metric="dtw", seed=3)
+        assert len(calls) < one_lane
+        assert max(calls) > len(data)  # some call aligns the members of several lanes
