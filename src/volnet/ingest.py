@@ -10,13 +10,20 @@ user codes into it numbered by first appearance, ``int64``
 epoch-microsecond stamps and the other fields as arrays, rows stably
 sorted by one stamp (:class:`TransactionLog` by ``collected_at``,
 :class:`EventLog` by ``at``).  No row is ever an object: the parsers
-stream each row's fields into column lists and check whole columns at
-once, and a log built by hand goes through the same checks
+build one list per column and check whole columns at once, and a log
+built by hand goes through the same checks
 (:meth:`TransactionLog.pack`, :meth:`EventLog.pack`), so each log's row
 rules live in one place.  Every stage reads the arrays:
 :attr:`TransactionLog.by_user` is the one per-user index, offsets into a
 row-index array, and first activity, the activity filters and the
 donors-ratio series slice it instead of scanning the log.
+
+A JSONL file is read column-first: ``_CHUNK_LINES`` lines at a time are
+decoded by one ``json.loads`` of a JSON array, and each column is built
+and converted as a whole.  A file with any line that is not one object of
+the log's keys and field types, or whose fields do not convert, is read
+again line by line, the way a CSV file is read, so that every rejected
+row gets its own line number and reason.
 """
 
 from __future__ import annotations
@@ -29,8 +36,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from functools import cache, cached_property
-from itertools import count
-from sys import intern
+from itertools import count, islice
 from typing import Iterable
 
 import numpy as np
@@ -325,9 +331,9 @@ def _iter_rows(path: str, fmt: str, columns: tuple[str, ...]):
             for line, raw in enumerate(fh, 1):
                 try:
                     obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:  # too long a number, too deep
                     if raw.strip():  # a blank line is skipped, not reported
-                        yield line, None, f"invalid JSON: {exc.msg}"
+                        yield line, None, f"invalid JSON: {getattr(exc, 'msg', exc)}"
                     continue
                 if not isinstance(obj, dict) or obj.keys() != keys:
                     yield line, None, f"expected keys {','.join(columns)}"
@@ -352,33 +358,84 @@ def _without_bad_rows(parsed, report: ParseReport):
     return parsed
 
 
-def _parse_with_report(path: str, fmt: str, columns: tuple[str, ...], convert, checked):
-    """Stream each row's fields, as ``convert(fields, stamp, user)`` turns
-    them, into one list per column; ``checked`` (a log's row rules) then
-    checks the columns at once.  ``user`` gives each user id its code.
+def _number(text: str) -> float | None:
+    return float(text) if text else None
 
-    Each distinct timestamp string is parsed once per call (a malformed
-    one, which raises and so is never cached, raises again on every row
-    that holds it).  A row that ``convert`` rejects is reported with its
-    reason, before any of the row rules."""
+
+# Lines decoded at once by the column-first JSONL reader: enough to amortize
+# the decoder's call, few enough that a chunk's row dicts stay small.
+_CHUNK_LINES = 1024
+
+
+def _jsonl_columns(path: str, columns: tuple[str, ...], convert, helpers):
+    """The columns of a JSONL file, as ``convert`` turns them given the
+    column-wise form of each of ``helpers``; None if any line is not one
+    object of ``columns`` with fields :data:`_JSON_TEXT` and
+    :data:`_JSON_NUMBER` allow, or if a field does not convert."""
+    texts = [_JSON_NUMBER if c == "value" else _JSON_TEXT for c in columns]
+    helpers = [lambda col, f=f: list(map(f, col)) for f in helpers]
+    buffers = tuple([] for _ in columns)
+    with open(path, encoding="utf-8") as fh:
+        while pieces := list(islice(fh, _CHUNK_LINES)):
+            # a piece holds one "\n", at its end (the file's last may hold
+            # none), so no string spans two pieces and "}\n,{" occurs only
+            # where two join: the check passes iff every line is "{...}"
+            text = "[" + ",".join(pieces) + "]"
+            if not (text.startswith("[{") and text.endswith(("}]", "}\n]"))
+                    and text.count("}\n,{") == len(pieces) - 1):
+                return None
+            try:
+                objs = json.loads(text)
+                if (len(objs) != len(pieces) or set(map(type, objs)) != {dict}
+                        or set(map(len, objs)) != {len(columns)}):
+                    return None
+                cols = [[o[c] for o in objs] for c in columns]  # KeyError: a wrong key
+                for i, (col, to_text) in enumerate(zip(cols, texts)):
+                    if set(map(type, col)) != {str}:  # KeyError: a type the field may not hold
+                        cols[i] = [to_text[type(v)](v) for v in col]
+                any(map(list.extend, buffers, convert(cols, *helpers)))
+            except (ValueError, KeyError, RecursionError):
+                return None
+    return buffers
+
+
+def _parse_with_report(path: str, fmt: str, columns: tuple[str, ...], convert, checked):
+    """Build one list per column, as ``convert(fields, stamp, user, number)``
+    turns a row's fields (or, given column-wise helpers, a JSONL chunk's
+    columns); ``checked`` (a log's row rules) then checks the columns at
+    once.  ``user`` gives each user id its code.
+
+    Each distinct timestamp string is parsed once per call, through one
+    cache shared by all chunks of a file (a malformed one, which raises and
+    so is never cached, raises again on every row that holds it).  A JSONL
+    file the column-first reader declines is read line by line, and a row
+    that ``convert`` rejects there is reported with its reason, before any
+    of the row rules."""
     stamp = cache(lambda text: to_micros(parse_timestamp(text)))
     user = defaultdict(count().__next__)  # a new user id gets the next code
-    buffers = tuple([] for _ in columns)
-    lines = array("q")
-    bad: list[RowError] = []
-    total = 0
-    for line, values, reason in _iter_rows(path, fmt, columns):
-        total += 1
-        if values is not None:
-            try:
-                values = convert(values, stamp, user.__getitem__)
-            except ValueError as exc:
-                values, reason = None, str(exc)
-        if values is None:
-            bad.append(RowError(line, reason))
-            continue
-        lines.append(line)
-        any(map(list.append, buffers, values))  # each field onto its column
+    buffers = (_jsonl_columns(path, columns, convert, (stamp, user.__getitem__, _number))
+               if fmt == "jsonl" else None)
+    if buffers is not None:
+        total = len(buffers[0])
+        lines, bad = range(1, total + 1), []
+    else:
+        user = defaultdict(count().__next__)  # forget the declined chunks' users
+        buffers = tuple([] for _ in columns)
+        lines = array("q")
+        bad: list[RowError] = []
+        total = 0
+        for line, values, reason in _iter_rows(path, fmt, columns):
+            total += 1
+            if values is not None:
+                try:
+                    values = convert(values, stamp, user.__getitem__, _number)
+                except ValueError as exc:
+                    values, reason = None, str(exc)
+            if values is None:
+                bad.append(RowError(line, reason))
+                continue
+            lines.append(line)
+            any(map(list.append, buffers, values))  # each field onto its column
     parsed, invalid = checked(list(user), *buffers)
     bad.extend(RowError(lines[i], reason) for i, reason in invalid)
     bad.sort(key=lambda r: r.line)
@@ -389,7 +446,7 @@ def parse_transactions_with_report(path: str, fmt: str = "csv") -> tuple[Transac
     """Parse a transaction file, collecting malformed rows instead of failing."""
     return _parse_with_report(
         path, fmt, TRANSACTION_COLUMNS,
-        lambda f, stamp, user: (f[0], user(f[1]), user(f[2]), stamp(f[3]), stamp(f[4])),
+        lambda f, stamp, user, number: (f[0], user(f[1]), user(f[2]), stamp(f[3]), stamp(f[4])),
         TransactionLog._checked)
 
 
@@ -406,8 +463,7 @@ def parse_events_with_report(path: str, fmt: str = "csv") -> tuple[EventLog, Par
     """Parse an activity-event file, collecting malformed rows instead of failing."""
     return _parse_with_report(
         path, fmt, EVENT_COLUMNS,
-        lambda f, stamp, user: (user(f[0]), intern(f[1]), stamp(f[2]),
-                                float(f[3]) if f[3] else None),
+        lambda f, stamp, user, number: (user(f[0]), f[1], stamp(f[2]), number(f[3])),
         EventLog._checked)
 
 

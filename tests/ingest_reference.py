@@ -158,8 +158,8 @@ def _iter_rows(path: str, fmt: str, columns: tuple[str, ...]):
                     continue
                 try:
                     obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    yield line, None, f"invalid JSON: {exc.msg}"
+                except (ValueError, RecursionError) as exc:  # too long a number, too deep
+                    yield line, None, f"invalid JSON: {getattr(exc, 'msg', exc)}"
                     continue
                 if not isinstance(obj, dict) or set(obj) != set(columns):
                     yield line, None, f"expected keys {','.join(columns)}"

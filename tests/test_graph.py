@@ -16,6 +16,7 @@ from volnet.graph import (
     degrees,
     density,
     ego_network,
+    node_metrics,
     pagerank,
     write_edges_csv,
 )
@@ -244,6 +245,31 @@ class TestClusteringCoefficient:
     def test_reciprocal_edges_count_once(self):
         g = g_from({("a", "b"): 1, ("b", "a"): 1, ("b", "c"): 1, ("a", "c"): 1})
         assert clustering_coefficient(g, "c") == pytest.approx(1.0)
+
+
+class TestNodeMetrics:
+    GRAPHS = {
+        "path": {("a", "b"): 1, ("b", "c"): 2},
+        "star": {("c", x): i + 1 for i, x in enumerate("abde")},
+        "reciprocal triangle": {("a", "b"): 2, ("b", "a"): 1, ("b", "c"): 3, ("c", "a"): 1},
+        "two components": {("a", "b"): 1, ("c", "d"): 4, ("d", "e"): 1, ("e", "c"): 2},
+    }
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_matches_the_single_metric_functions(self, name):
+        g = g_from(self.GRAPHS[name], extra_nodes=("lonely",))
+        rank = pagerank(g)
+        for v in sorted(g.nodes):
+            assert node_metrics(g, v) == (degrees(g, v), rank[v], closeness_centrality(g, v),
+                                          clustering_coefficient(g, v))
+
+    def test_unknown_node_raises_like_degrees(self):
+        g = g_from({("a", "b"): 1})
+        with pytest.raises(KeyError) as expected:
+            degrees(g, "z")
+        with pytest.raises(KeyError) as got:
+            node_metrics(g, "z")
+        assert str(got.value) == str(expected.value)
 
 
 class TestEdgeListWriter:

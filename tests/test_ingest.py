@@ -18,11 +18,13 @@ from volnet.ingest import (
     select_active_key_users,
     to_micros,
 )
+import ingest_reference
 from ingest_reference import (
     ActivityEvent,
     Transaction,
     event_log,
     event_rows,
+    transaction_log,
     transaction_rows,
 )
 
@@ -230,6 +232,92 @@ class TestParseErrors:
         log = ingest.parse_transactions(str(path))
         assert len(log) == 0
         assert log.users == frozenset()
+
+
+ROW = ('{"item_id": "%s", "lister_id": "a", "collector_id": "b", '
+       '"listed_at": "2022-01-01T00:00:00Z", "collected_at": "%s"}')
+LATER = "2022-01-02T00:00:00Z"
+
+
+class TestJsonlReader:
+    """The column-first JSONL reader takes a file whole or declines it, and
+    either way the log and the report are those of the per-line loop."""
+
+    @staticmethod
+    def parse_both(monkeypatch, parse, path):
+        """``parse(path)``, whether the column-first reader took the file, and
+        ``parse(path)`` with that reader declining every file."""
+        entered, iter_rows = [], ingest._iter_rows
+        monkeypatch.setattr(ingest, "_iter_rows", lambda *a: entered.append(a) or iter_rows(*a))
+        got = parse(str(path), "jsonl")
+        monkeypatch.setattr(ingest, "_jsonl_columns", lambda *a: None)
+        return got, not entered, parse(str(path), "jsonl")
+
+    @pytest.mark.parametrize("text, whole, bad_lines", [
+        # two objects on one line and one over two: as many objects as lines
+        (ROW % ("i1", LATER) + "," + ROW % ("i2", LATER) + "\n"
+         + (ROW % ("i3", LATER)).replace(", ", "\n", 1) + "\n", False, [1, 2, 3]),
+        (ROW % ("i1", LATER) + "\r\n" + ROW % ("i2", LATER) + "\r\n", True, []),
+        # line separators that str.splitlines would split on, inside a value
+        (ROW % ("i\u2028x", LATER) + "\n" + ROW % ("i\x85y", LATER) + "\n", True, []),
+        (ROW % ("i1", LATER) + "\n\n" + ROW % ("i2", LATER), False, []),
+        ("\ufeff" + ROW % ("i1", LATER) + "\n" + ROW % ("i2", LATER) + "\n", False, [1]),
+        # a malformed stamp in the second chunk of four lines
+        ("\n".join(ROW % (f"i{k}", "bad" if k == 4 else LATER) for k in range(6)), False, [5]),
+        (ROW % ("i1", LATER) + "\n" + ROW.replace("}", ', "note": "x"}') % ("i2", LATER) + "\n",
+         False, [2]),
+        # four lines that each start with "{" and end with "}" hold four values,
+        # a number among them, and the last three lines hold one object
+        (ROW % ("i1", LATER) + ", 5, " + ROW % ("i2", LATER) + '\n{"a": [{}\n{}, {}\n{}]}\n',
+         False, [1, 2, 3, 4]),
+        # rows that break only the row rules
+        (ROW.replace('"b"', '"a"') % ("i1", LATER) + "\n" + ROW % ("", LATER) + "\n"
+         + ROW % ("i3", "2021-12-31T00:00:00Z") + "\n", True, [1, 2, 3]),
+    ], ids=["merged-lines", "crlf", "unicode-line-separators", "blank-line", "bom",
+            "bad-stamp-in-second-chunk", "extra-key", "non-objects", "row-rules"])
+    def test_transactions(self, tmp_path, monkeypatch, text, whole, bad_lines):
+        monkeypatch.setattr(ingest, "_CHUNK_LINES", 4)
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        got, took_whole, per_line = self.parse_both(
+            monkeypatch, ingest.parse_transactions_with_report, path)
+        assert took_whole == whole
+        assert got == per_line
+        assert [bad.line for bad in got[1].bad_rows] == bad_lines
+        assert got == ingest_reference_log(path)
+
+    def test_event_values_of_every_json_type(self, tmp_path, monkeypatch):
+        # a number is read through its text, so 10**400 is inf, as a string
+        # "1e400" would be; null is no value
+        values = ["4", "4.5", '"4.5"', "null", str(10**400), '" 7 "']
+        path = tmp_path / "e.jsonl"
+        path.write_text("".join('{"user_id": "u", "kind": "rating", "at": "2021-01-05T00:00:00Z", '
+                                '"value": %s}\n' % v for v in values))
+        (events, report), took_whole, per_line = self.parse_both(
+            monkeypatch, ingest.parse_events_with_report, path)
+        assert took_whole
+        assert (events, report) == per_line
+        assert [e.value for e in event_rows(events)] == [4.0, 4.5, 4.5, 7.0]
+        assert [(bad.line, bad.reason) for bad in report.bad_rows] == [
+            (4, "rating event without a value"), (5, "rating inf outside [0, 10]")]
+
+    def test_too_long_a_number_or_too_deep_a_nesting_rejects_just_its_row(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join([ROW % ("i1", LATER), '{"item_id": %s}' % ("9" * 5000),
+                                    "[" * 100_000, ROW % ("i4", LATER)]) + "\n")
+        log, report = ingest.parse_transactions_with_report(str(path), "jsonl")
+        assert [t.item_id for t in transaction_rows(log)] == ["i1", "i4"]
+        assert [bad.line for bad in report.bad_rows] == [2, 3]
+        reasons = [bad.reason for bad in report.bad_rows]
+        assert reasons[0].startswith("invalid JSON: Exceeds the limit (4300 digits)")
+        assert reasons[1].startswith("invalid JSON: maximum recursion depth exceeded")
+        assert (log, report) == ingest_reference_log(path)
+
+
+def ingest_reference_log(path):
+    """The reference parser's log and report of a JSONL transaction file."""
+    rows, report = ingest_reference.parse_transactions_with_report(str(path), "jsonl")
+    return transaction_log(rows), report
 
 
 class TestFilterMinTransactions:

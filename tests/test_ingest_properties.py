@@ -210,3 +210,53 @@ def test_columnar_event_parse_matches_per_row_reference(scratch, fmt, drawn):
     assert [repr(e.value) for e in event_rows(events)] == [repr(e.value) for e in rows]
     assert report == expected
     assert events == event_log(rows)
+
+
+# --- the column-first JSONL reader on files it must take whole ---------------
+
+# ids that collide (self-transactions) or are empty, as "" or null
+rule_ids = st.sampled_from(["a", "b", "é x", 'q"r', "a,b", "", None])
+# rows that break at most the row rules, here also by collecting before listing
+rule_rows = st.tuples(rule_ids, rule_ids, rule_ids, good_stamps, good_stamps)
+# events that break at most the row rules, with values of every JSON type
+# that converts: numbers (10**400 reads as inf), numeric strings and null
+rule_values = st.one_of(
+    st.none(), st.floats(), st.integers(-5, 15), st.just(10**400),
+    st.sampled_from(["", "5", " 7 ", "-0.5", "10.5", "nan", "1e400", "1_0"]))
+rule_events = st.tuples(rule_ids, kinds, good_stamps, rule_values)
+
+
+def parse_whole(parse, path):
+    """``parse(path, "jsonl")`` in chunks of three lines; it fails if the file
+    is read line by line."""
+    def per_line(*args):
+        raise AssertionError("the column-first reader declined the file")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_CHUNK_LINES", 3)
+        mp.setattr(ingest, "_iter_rows", per_line)
+        return parse(path, "jsonl")
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=st.lists(st.one_of(valid_rows, rule_rows), max_size=25))
+def test_jsonl_chunks_match_per_row_reference(scratch, drawn):
+    path = str(scratch / "whole.jsonl")
+    write_mix(path, "jsonl", ingest.TRANSACTION_COLUMNS, [("row", f) for f in drawn])
+    rows, expected = ingest_reference.parse_transactions_with_report(path, "jsonl")
+    log, report = parse_whole(ingest.parse_transactions_with_report, path)
+    assert transaction_rows(log) == rows
+    assert report == expected
+    assert log == transaction_log(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=st.lists(st.one_of(valid_events, rule_events), max_size=25))
+def test_jsonl_event_chunks_match_per_row_reference(scratch, drawn):
+    path = str(scratch / "events_whole.jsonl")
+    write_mix(path, "jsonl", ingest.EVENT_COLUMNS, [("row", f) for f in drawn])
+    rows, expected = ingest_reference.parse_events_with_report(path, "jsonl")
+    events, report = parse_whole(ingest.parse_events_with_report, path)
+    assert event_rows(events) == rows
+    assert [repr(e.value) for e in event_rows(events)] == [repr(e.value) for e in rows]
+    assert report == expected
+    assert events == event_log(rows)

@@ -604,6 +604,26 @@ class TestCLI:
         assert len(warnings) == 1
         assert warnings[0].startswith(f"ingest: dropped {path} line 3: ")
 
+    def test_ingest_lenient_drops_jsonl_lines_the_decoder_cannot_take(self, tmp_path, capsys):
+        # too long an integer literal raises ValueError and too deep a nesting
+        # RecursionError, not JSONDecodeError; each drops just its line
+        row = ('{"item_id": "i1", "lister_id": "a", "collector_id": "b", '
+               '"listed_at": "2022-01-01T00:00:00Z", "collected_at": "2022-01-01T01:00:00Z"}')
+        path = tmp_path / "tx.jsonl"
+        path.write_text("\n".join([row, "1" * 5000, "[" * 100_000]) + "\n")
+        out = tmp_path / "out"
+        rc = cli.main(["ingest", "--lenient", "--format", "jsonl", "--transactions", str(path),
+                       "--out", str(out)])
+        assert rc == 0
+        assert "2 rejected" in capsys.readouterr().out
+        with open(out / "manifest.json", encoding="utf-8") as fh:
+            warnings = json.load(fh)["warnings"]
+        assert [w.split(": ", 2)[1] for w in warnings] == [
+            f"dropped {path} line 2", f"dropped {path} line 3"]
+        reasons = [w.split(": ", 2)[2] for w in warnings]
+        assert reasons[0].startswith("invalid JSON: Exceeds the limit (4300 digits)")
+        assert reasons[1].startswith("invalid JSON: maximum recursion depth exceeded")
+
     def test_communities_with_config_file_and_flag_override(self, tmp_path, data_dir, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"transactions = {data_dir['transactions']}\n"

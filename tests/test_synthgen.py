@@ -259,6 +259,23 @@ class TestWriters:
                for name in PINNED_SHA256[fmt]}
         assert got == PINNED_SHA256[fmt]
 
+    def test_csv_and_jsonl_of_a_seed_parse_alike(self, tmp_path, monkeypatch):
+        # the two parsers agree on real data, and the JSONL one reads it
+        # column-first, over more than one chunk
+        read_per_line, iter_rows = [], ingest._iter_rows
+        monkeypatch.setattr(ingest, "_iter_rows", lambda path, fmt, cols: (
+            read_per_line.append(fmt) or iter_rows(path, fmt, cols)))
+        logs = {}
+        for fmt in ("csv", "jsonl"):
+            out = tmp_path / fmt
+            assert cli.main(["synth", "--seed", "5", "--heroes", "20", "--format", fmt,
+                             "--out", str(out)]) == 0
+            logs[fmt] = (ingest.parse_transactions(str(out / f"transactions.{fmt}"), fmt),
+                         ingest.parse_events(str(out / f"events.{fmt}"), fmt))
+        assert read_per_line == ["csv", "csv"]
+        assert len(logs["jsonl"][0]) > ingest._CHUNK_LINES
+        assert logs["csv"] == logs["jsonl"]
+
     @pytest.mark.parametrize("fmt, ext", [("csv", "csv"), ("jsonl", "jsonl")])
     def test_dataset_round_trip(self, tmp_path, fmt, ext):
         log, events, truth = generate(tiny_config(n_heroes=4, weeks=8))
