@@ -129,8 +129,10 @@ def louvain(g: TransactionGraph, seed: int = 0, resolution: float = 1.0) -> Part
     equal-gain moves break toward the lowest community id.  Phases repeat
     until the objective gain drops below 1e-7.  For ``resolution`` != 1 the
     optimizer targets the scaled objective but the reported ``modularity``
-    field is always standard Q.
+    field is always standard Q.  ``resolution`` must be finite and > 0.
     """
+    if not 0 < resolution < float("inf"):
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     nodes, adj, m = _undirected_weights(g)
     n = len(nodes)
     if n == 0:

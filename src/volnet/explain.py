@@ -136,8 +136,11 @@ def attribute_rows(
     explained by :func:`shapley_mc` against :func:`background_sample` of
     ``X`` with seed ``seed + 1 + i``, ``i`` being the row's index in ``X``.
     The ranking is :func:`importance_from_attributions` over those rows.
+    ``users`` names the rows of ``X``, one user per row.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if len(users) != X.shape[0]:
+        raise ValueError(f"{len(users)} users for {X.shape[0]} rows")
     background = background_sample(X, seed=seed)
     atts = [shapley_mc(model, X[i], background, n_permutations=n_permutations,
                        seed=seed + 1 + int(i), user=users[i])

@@ -19,25 +19,25 @@ alone.
 Trees (the decision tree, each forest tree, each boosting round) share one
 grower, ``_grow``, and one split search, ``_split_lanes``. Each split is a
 lane: a generator that grows its trees one after another in depth-first
-preorder and yields every node that may split. ``_lockstep`` answers the
-pending node of every lane with one search padded over (lane, feature,
-row), and each lane keeps its own order: a forest lane draws each tree's
-bootstrap, then that tree's node feature subsamples, from its own
-``default_rng(seed)``; a boosting lane finishes a round, updating its scores
-from the leaf value the grower wrote for each training row, before the
-next. A node stably sorts its candidate columns over its ascending rows,
-the order a sort of all rows sliced to the node gives; the keys are the
-values' dense ranks, ranked once per split, which are small integers that
-a stable argsort orders by radix sort. It scores its valid cuts from prefix
-sums of ``g`` and ``h``: Gini gain with ``g = y``, ``h = 1`` for CART and
-the forest, the second-order gain with the logistic gradient and Hessian
-for boosting. The lowest threshold wins within a feature, and a later
-feature must beat it by more than 1e-12. A threshold is the midpoint of the
-two values around the cut, or the lower value where the midpoint rounds up
-to the upper one, so ``x <= threshold`` always separates them. A Gini
-child's class-1 count and size, exact integers, come from its parent's
-prefix sums, so its leaf ``G / H`` is its label mean; a boosting node sums
-its own ``g`` and ``h``.
+preorder and yields every node that may split. The shared lane driver,
+``_lanes.lockstep``, answers the pending node of every lane with one search
+padded over (lane, feature, row), and each lane keeps its own order: a
+forest lane draws each tree's bootstrap, then that tree's node feature
+subsamples, from its own ``default_rng(seed)``; a boosting lane finishes a
+round, updating its scores from the leaf value the grower wrote for each
+training row, before the next. A node stably sorts its candidate columns
+over its ascending rows, the order a sort of all rows sliced to the node
+gives; the keys are the values' dense ranks, ranked once per split, which
+are small integers that a stable argsort orders by radix sort. It scores its
+valid cuts from prefix sums of ``g`` and ``h``: Gini gain with ``g = y``,
+``h = 1`` for CART and the forest, the second-order gain with the logistic
+gradient and Hessian for boosting. The lowest threshold wins within a
+feature, and a later feature must beat it by more than 1e-12. A threshold is
+the midpoint of the two values around the cut, or the lower value where the
+midpoint rounds up to the upper one, so ``x <= threshold`` always separates
+them. A Gini child's class-1 count and size, exact integers, come from its
+parent's prefix sums, so its leaf ``G / H`` is its label mean; a boosting
+node sums its own ``g`` and ``h``.
 
 The linear families fit folds in lockstep too. Pegasos splits share the step
 size 1/(lambda*t) at step t and draw one permutation per epoch from their
@@ -60,6 +60,8 @@ from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+
+from ._lanes import lockstep
 
 ALGORITHMS = (
     "naive_bayes",
@@ -318,23 +320,6 @@ def _grow(W, rule: _TreeRule, rng=None, n_subsample=0, values=None):
     return (yield from grow(np.arange(n), float(W[:, 2 * d].sum()), float(n), 0))
 
 
-def _lockstep(lanes, rule: _TreeRule) -> list:
-    """Run lane generators (each yielding split requests, as :func:`_grow`
-    does) side by side: every step answers the pending request of each lane
-    with one :func:`_split_lanes` call. Returns the lanes' results in order."""
-    out: list = [None] * len(lanes)
-    replies = dict.fromkeys(range(len(lanes)))
-    while replies:
-        pending = {}
-        for a, reply in replies.items():
-            try:
-                pending[a] = lanes[a].send(reply)
-            except StopIteration as stop:
-                out[a] = stop.value
-        replies = dict(zip(pending, _split_lanes(list(pending.values()), rule))) if pending else {}
-    return out
-
-
 def _tree_scores(node: Mapping, X: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
     if "leaf" in node:
         out[idx] = node["leaf"]
@@ -390,7 +375,8 @@ def _gini_rule(hp) -> _TreeRule:
 def _fit_decision_tree(splits, hp, seed):
     rule = _gini_rule(hp)
     lanes = [_grow(_gini_table(X, y), rule) for X, y in splits]
-    return [{"tree": tree} for tree in _lockstep(lanes, rule)]
+    trees = lockstep(lanes, lambda nodes: enumerate(_split_lanes(nodes, rule)))
+    return [{"tree": tree} for tree in trees]
 
 
 def _score_decision_tree(params, X):
@@ -443,8 +429,8 @@ def _forest_lane(X, y, hp, rule, rng):
 
 def _fit_random_forest(splits, hp, seed):
     rule = _gini_rule(hp)
-    return _lockstep([_forest_lane(X, y, hp, rule, np.random.default_rng(seed))
-                      for X, y in splits], rule)
+    return lockstep([_forest_lane(X, y, hp, rule, np.random.default_rng(seed))
+                     for X, y in splits], lambda nodes: enumerate(_split_lanes(nodes, rule)))
 
 
 def _score_random_forest(params, X):
@@ -530,7 +516,8 @@ def _gbdt_lane(X, y, hp, rule):
 def _fit_gbdt(splits, hp, seed):
     lam = hp["l2"]
     rule = _TreeRule(partial(_second_order_gain, lam=lam), hp["max_depth"], 1, 1e-12, lam)
-    return _lockstep([_gbdt_lane(X, y, hp, rule) for X, y in splits], rule)
+    return lockstep([_gbdt_lane(X, y, hp, rule) for X, y in splits],
+                    lambda nodes: enumerate(_split_lanes(nodes, rule)))
 
 
 def _score_gbdt(params, X):

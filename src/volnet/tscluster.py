@@ -19,12 +19,13 @@ reached it, which ``_backtrack`` follows.  The scalar ``dtw``,
 A k-means fit is a lane: a generator that yields two kinds of request,
 the distances of every series to some centroids (each k-means++ pick and
 each assignment step) and the DBA alignments of cluster members to their
-own centroids, and returns its model.  ``_lockstep`` runs lanes side by
-side and answers all pending requests of one kind with one kernel call
-(split between pairs where a call would pass ``_MAX_TABLE_BYTES``), so
-``ch_scan`` fits every k of its range in the same calls; ``kmeans_ts`` is
-the one-lane call.  Each lane draws from its own ``default_rng(seed)``, so
-a fit does not depend on the lanes beside it.
+own centroids, and returns its model.  The package's one lane driver,
+``_lanes.lockstep`` (which also grows the trees of ``models``), runs the
+lanes side by side, and ``_answer`` answers all pending requests of one
+kind with one kernel call (split between pairs where a call would pass
+``_MAX_TABLE_BYTES``), so ``ch_scan`` fits every k of its range in the same
+calls; ``kmeans_ts`` is the one-lane call.  Each lane draws from its own
+``default_rng(seed)``, so a fit does not depend on the lanes beside it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from ._lanes import lockstep
 from .behavior import DRSeries
 
 METRICS = ("euclidean", "dtw", "softdtw")
@@ -231,7 +233,8 @@ def soft_dtw(a, b, gamma: float = 1.0) -> float:
 
 
 def _as_matrix(data) -> tuple[list[str], np.ndarray]:
-    """Normalize input series to (sorted user list, value matrix)."""
+    """Normalize input series to (sorted user list, value matrix); every
+    value must be finite."""
     if isinstance(data, Mapping):
         items = sorted((str(u), np.asarray(v, dtype=float)) for u, v in data.items())
     else:
@@ -242,7 +245,11 @@ def _as_matrix(data) -> tuple[list[str], np.ndarray]:
     lengths = {arr.shape for _, arr in items}
     if len(lengths) != 1 or len(next(iter(lengths))) != 1:
         raise ValueError("all series must be one-dimensional and equally long")
-    return users, np.vstack([arr for _, arr in items])
+    X = np.vstack([arr for _, arr in items])
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"series of user {users[bad[0]]!r} holds a non-finite value")
+    return users, X
 
 
 def _distances_to_centroids(X: np.ndarray, centroids: np.ndarray, metric: str, gamma: float) -> np.ndarray:
@@ -301,7 +308,7 @@ def _dba_update(X: np.ndarray, assign: np.ndarray, centroids: np.ndarray,
 
 
 def _fit(users: list[str], X: np.ndarray, k: int, metric: str, seed: int, max_iter: int):
-    """One k-means fit as a lane of :func:`_lockstep`: it yields distance
+    """One k-means fit as a lane of :func:`lockstep`: it yields distance
     and alignment requests and returns its :class:`ClusterModel`."""
     n = X.shape[0]
     centroids = yield from _kmeans_pp_init(X, k, np.random.default_rng(seed))
@@ -347,71 +354,43 @@ def _fit(users: list[str], X: np.ndarray, k: int, metric: str, seed: int, max_it
 _MAX_TABLE_BYTES = 1 << 21
 
 
-def _answer(kind: str, requests: list, X: np.ndarray, metric: str, gamma: float):
-    """Answer requests of one kind, in order, with as few kernel calls over
-    all their pairs as ``_MAX_TABLE_BYTES`` allows.  Yields ``(index, reply)`` as
-    soon as the call holding a request's last pair returns: the distances of
-    every series to the request's centroids, or the (pair, i, j) path cells
-    of its alignments, pairs numbered within the request."""
+def _answer(requests: list, X: np.ndarray, metric: str, gamma: float):
+    """Answer the pending requests of the fit lanes over the series ``X``:
+    first every distance request, then every alignment request, each kind
+    with as few kernel calls over all its pairs as ``_MAX_TABLE_BYTES``
+    allows.  Yields ``(position, reply)``: the distances of every series to
+    the request's centroids once all distance calls are done, and the
+    (pair, i, j) path cells of a request's alignments, pairs numbered within
+    the request, as soon as the call holding its last pair returns."""
     n, length = X.shape
     diagonals = 3 * length * 8
-    if kind == "dist":  # a unit is a centroid: n pairs
-        units = np.concatenate([r[1] for r in requests])
+    dist = [a for a, r in enumerate(requests) if r[0] == "dist"]
+    if dist:  # a unit is a centroid: n pairs
+        units = np.concatenate([requests[a][1] for a in dist])
         step = max(1, _MAX_TABLE_BYTES // (n * diagonals))
-    else:  # a unit is a (series, centroid) pair and its steps
-        rows = np.concatenate([r[1] for r in requests])
-        units = np.concatenate([r[2] for r in requests])
-        step = max(1, _MAX_TABLE_BYTES // (diagonals + (2 * length - 1) * length))
-    ends = np.cumsum([r[1].shape[0] for r in requests]).tolist()
-    a, parts = 0, []
-    for lo in range(0, units.shape[0], step):
-        hi = min(lo + step, units.shape[0])
-        if kind == "dist":
-            got = _distances_to_centroids(X, units[lo:hi], metric, gamma)
-        else:
-            pair, i, j = _backtrack(_warp(X[rows[lo:hi]], units[lo:hi], keep=True)[1],
-                                    length, length)
-            pair += lo
-        while a < len(ends):
-            start = ends[a - 1] if a else 0
-            first, last = max(start, lo), min(ends[a], hi)
-            if kind == "dist":
-                parts.append(got[:, first - lo:last - lo])
-            else:
-                x, y = np.searchsorted(pair, [first, last])
-                parts.append((pair[x:y] - start, i[x:y], j[x:y]))
-            if ends[a] > hi:
+        got = np.concatenate([_distances_to_centroids(X, units[lo:lo + step], metric, gamma)
+                              for lo in range(0, units.shape[0], step)], axis=1)
+        ends = np.cumsum([requests[a][1].shape[0] for a in dist[:-1]])
+        yield from zip(dist, np.split(got, ends, axis=1))
+    align = [a for a, r in enumerate(requests) if r[0] == "align"]
+    if not align:
+        return
+    # a unit is a (series, centroid) pair and its steps; align[b] asks for units ends[b]:ends[b + 1]
+    rows, units = (np.concatenate([requests[a][c] for a in align]) for c in (1, 2))
+    step = max(1, _MAX_TABLE_BYTES // (diagonals + (2 * length - 1) * length))
+    ends = np.cumsum([0] + [requests[a][1].size for a in align]).tolist()
+    b, parts = 0, []
+    for lo in range(0, ends[-1], step):
+        hi = min(lo + step, ends[-1])
+        pair, i, j = _backtrack(_warp(X[rows[lo:hi]], units[lo:hi], keep=True)[1], length, length)
+        pair += lo
+        while b < len(align):
+            x, y = np.searchsorted(pair, [max(ends[b], lo), min(ends[b + 1], hi)])
+            parts.append((pair[x:y] - ends[b], i[x:y], j[x:y]))
+            if ends[b + 1] > hi:
                 break
-            if kind == "dist":
-                yield a, np.concatenate(parts, axis=1)
-            else:
-                yield a, tuple(np.concatenate(cells) for cells in zip(*parts))
-            a, parts = a + 1, []
-
-
-def _lockstep(lanes: list, X: np.ndarray, metric: str, gamma: float) -> list:
-    """Run fit lanes over the series ``X`` side by side.  Every step answers
-    the pending requests of each kind with one :func:`_answer`, and a lane
-    advances as soon as its reply is complete.  Returns the lanes' results."""
-    out: list = [None] * len(lanes)
-    pending: dict[int, tuple] = {}
-
-    def advance(a: int, reply) -> None:
-        try:
-            pending[a] = lanes[a].send(reply)
-        except StopIteration as stop:
-            out[a] = stop.value
-
-    for a in range(len(lanes)):
-        advance(a, None)
-    while pending:
-        requests, pending = pending, {}
-        for kind in ("dist", "align"):
-            asked = [a for a, r in requests.items() if r[0] == kind]
-            if asked:
-                for b, reply in _answer(kind, [requests.pop(a) for a in asked], X, metric, gamma):
-                    advance(asked[b], reply)
-    return out
+            yield align[b], tuple(np.concatenate(cells) for cells in zip(*parts))
+            b, parts = b + 1, []
 
 
 def _check_fit(n: int, k: int, metric: str, max_iter: int, gamma: float) -> None:
@@ -439,12 +418,8 @@ def kmeans_ts(
     metric (ties toward the lower cluster id) and the update step is the
     pointwise mean for ``euclidean`` or DTW barycenter averaging (at most
     30 iterations per cluster and sweep) for the warping metrics.  The fit
-    is one lane of the lockstep driver that :func:`ch_scan` runs with a lane
-    per k: each seeding pick and each assignment step is a request for the
-    distances of all series to some centroids, and each DBA iteration a
-    request to align the members of every cluster still moving to their
-    own centroids; the kernel's tables are batch-last and a call stays under
-    ``_MAX_TABLE_BYTES``.  Stops when assignments stabilize or after ``max_iter``
+    is the one-lane case of :func:`ch_scan`'s lockstep (see the module
+    docstring).  Stops when assignments stabilize or after ``max_iter``
     sweeps (at least 1); the model's ``converged`` and ``dba_capped`` report
     whether either cap was hit.  Deterministic for a fixed seed.
 
@@ -456,7 +431,8 @@ def kmeans_ts(
     """
     users, X = _as_matrix(data)
     _check_fit(X.shape[0], k, metric, max_iter, gamma)
-    return _lockstep([_fit(users, X, k, metric, seed, max_iter)], X, metric, gamma)[0]
+    lane = _fit(users, X, k, metric, seed, max_iter)
+    return lockstep([lane], lambda requests: _answer(requests, X, metric, gamma))[0]
 
 
 def calinski_harabasz(data, model: ClusterModel) -> float:
@@ -503,10 +479,9 @@ def ch_scan(
     The fits run in lockstep, one lane per k with its own
     ``default_rng(seed)``, so each k's model equals its :func:`kmeans_ts`
     fit.  Each step answers the distance requests of all lanes with one
-    kernel call, and their alignment requests with one more; a call whose
-    tables would pass ``_MAX_TABLE_BYTES`` (2 MiB) is split between pairs,
-    which bounds memory and changes no result.  Every argument is checked
-    before any fit starts."""
+    kernel call, and their alignment requests with one more, each split
+    between pairs at ``_MAX_TABLE_BYTES`` (2 MiB), which bounds memory and
+    changes no result.  Every argument is checked before any fit starts."""
     k_min, k_max = k_range
     if k_min > k_max or k_min < 2:
         raise ValueError(f"bad k range [{k_min}, {k_max}]")
@@ -515,7 +490,8 @@ def ch_scan(
     for k in ks:
         _check_fit(X.shape[0], k, metric, max_iter, gamma)
     lanes = [_fit(users, X, k, metric, seed, max_iter) for k in ks]
-    fitted = dict(zip(ks, _lockstep(lanes, X, metric, gamma)))
+    fits = lockstep(lanes, lambda requests: _answer(requests, X, metric, gamma))
+    fitted = dict(zip(ks, fits))
     return {k: calinski_harabasz(data, fitted[k]) for k in ks}, fitted
 
 

@@ -228,6 +228,14 @@ class TestImportance:
             assert att == shapley_mc(model, X[i], background, n_permutations=120,
                                      seed=4 + int(i), user=users[i])
 
+    @pytest.mark.parametrize("n_users", [19, 21])
+    def test_one_user_per_row_is_required(self, n_users):
+        # 19 users for 20 rows used to end in an IndexError
+        X = np.random.default_rng(1).normal(size=(20, 2))
+        users = [f"u{i}" for i in range(n_users)]
+        with pytest.raises(ValueError, match=f"{n_users} users for 20 rows"):
+            attribute_rows(LinearStub([1.0, -1.0]), X, users, n_permutations=10)
+
 
 class TestBackgroundSample:
     def test_small_input_copied_whole(self):

@@ -9,13 +9,13 @@ from functools import partial
 import numpy as np
 import pytest
 
+from volnet._lanes import lockstep
 from volnet.models import (
     _TreeRule,
     _eval_tree,
     _fit_linear_svm,
     _gini_gain,
     _grow,
-    _lockstep,
     _ranks,
     _second_order_gain,
     _split_lanes,
@@ -412,8 +412,8 @@ class TestGBDT:
         for depth in (1, 3, 6):
             rule = _TreeRule(partial(_second_order_gain, lam=1.0), depth, 1, 1e-12, 1.0)
             values = np.empty(60)
-            tree, = _lockstep([_grow(table(X, p - y, p * (1.0 - p)), rule, values=values)],
-                              rule)
+            tree, = lockstep([_grow(table(X, p - y, p * (1.0 - p)), rule, values=values)],
+                             lambda nodes: enumerate(_split_lanes(nodes, rule)))
             assert np.array_equal(values, _eval_tree(tree, X))
             want, want_values = ref._fit_boost_tree(
                 X, p - y, p * (1.0 - p), np.argsort(X, axis=0, kind="stable").T, depth, 1.0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from volnet import tscluster
+from volnet._lanes import lockstep
 from volnet.behavior import DRSeries
 from volnet.tscluster import (
     ARCHETYPES,
@@ -137,6 +138,17 @@ class TestKMeans:
     def test_softdtw_rejects_a_gamma_that_is_not_finite_and_positive(self, gamma):
         with pytest.raises(ValueError, match="gamma must be finite and > 0"):
             kmeans_ts(two_blobs(), k=2, metric="softdtw", gamma=gamma)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "dtw"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_a_non_finite_value_is_rejected_naming_the_user(self, metric, value):
+        # a nan used to end in k-means++ seeding as "Probabilities contain NaN"
+        data = two_blobs()
+        data["hi3"][4] = value
+        with pytest.raises(ValueError, match="series of user 'hi3' holds a non-finite value"):
+            kmeans_ts(data, k=2, metric=metric)
+        with pytest.raises(ValueError, match="series of user 'hi3' holds a non-finite value"):
+            ch_scan(data, (2, 4), metric=metric)
 
     def test_separates_two_blobs(self):
         data = two_blobs()
@@ -417,7 +429,7 @@ class TestWriters:
 def dba_update(X, assign, centroids, max_inner: int = 30) -> int:
     """The DBA step of one sweep, run alone through the lockstep driver."""
     lane = _dba_update(X, assign, centroids, max_inner)
-    return tscluster._lockstep([lane], X, "dtw", 1.0)[0]
+    return lockstep([lane], lambda requests: tscluster._answer(requests, X, "dtw", 1.0))[0]
 
 
 def random_series(rng: np.random.Generator, shape, tied: bool) -> np.ndarray:
@@ -514,7 +526,7 @@ class TestIterationCaps:
         def no_fit(*args):
             raise AssertionError("fitting started")
 
-        monkeypatch.setattr(tscluster, "_lockstep", no_fit)
+        monkeypatch.setattr(tscluster, "lockstep", no_fit)
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             kmeans_ts(two_blobs(), k=2, metric=metric, max_iter=max_iter)
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
