@@ -58,7 +58,10 @@ def shapley_mc(
 
     Each permutation draws one background row and flips features to the
     explained row's values in permutation order; a feature's contribution
-    is the score change when it flips. Deterministic per seed.
+    is the score change when it flips. Deterministic per seed. Each
+    distinct row is scored once, in one batch: the partly flipped rows, the
+    background and ``x``; a model's score of a row does not depend on its
+    batch, so this equals scoring every permutation's rows.
     """
     x, background = _check_inputs(model, x, background)
     if n_permutations < MIN_PERMUTATIONS:
@@ -74,10 +77,18 @@ def shapley_mc(
     perm = np.arange(n_permutations)[:, None]
     rank = np.empty_like(orders)
     rank[perm, orders] = np.arange(d)  # the step at which each feature flips
-    # Row s of a permutation has the features of rank < s flipped to ``x``.
-    rows = np.where(rank[:, None, :] < np.arange(d + 1)[None, :, None],
-                    x, background[picks][:, None, :])
-    scores = model.scores(rows.reshape(-1, d)).reshape(n_permutations, d + 1)
+    # Row s of a permutation has the features of rank < s flipped to ``x``:
+    # row 0 is its background row and row d is ``x``, so only rows 1 to d - 1
+    # are its own. One call scores them all, as a tree ensemble's scoring
+    # costs more per call than per row.
+    flipped = np.where(rank[:, None, :] < np.arange(1, d)[None, :, None],
+                       x, background[picks][:, None, :]).reshape(-1, d)
+    scored = model.scores(np.vstack([flipped, background, x]))
+    prediction = float(scored[-1])
+    scores = np.empty((n_permutations, d + 1))
+    scores[:, 0] = scored[flipped.shape[0]:-1][picks]
+    scores[:, 1:d] = scored[:flipped.shape[0]].reshape(n_permutations, d - 1)
+    scores[:, d] = prediction
 
     contrib = np.empty((n_permutations, d))
     contrib[perm, orders] = np.diff(scores, axis=1)  # each flip's score change
@@ -88,8 +99,7 @@ def shapley_mc(
     per_feature = {name: float(p) for name, p in zip(model.feature_names, phi)}
     errs = {name: float(e) for name, e in zip(model.feature_names, std_err)}
     return Attribution(user=user, per_feature=per_feature,
-                       base_value=float(scores[:, 0].mean()),
-                       prediction=float(model.scores(x.reshape(1, -1))[0]),
+                       base_value=float(scores[:, 0].mean()), prediction=prediction,
                        std_err=errs)
 
 
@@ -138,6 +148,8 @@ def attribute_rows(
     The ranking is :func:`importance_from_attributions` over those rows.
     ``users`` names the rows of ``X``, one user per row.
     """
+    if max_rows < 1:
+        raise ValueError(f"max_rows must be >= 1, got {max_rows}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if len(users) != X.shape[0]:
         raise ValueError(f"{len(users)} users for {X.shape[0]} rows")

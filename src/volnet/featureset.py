@@ -4,7 +4,9 @@ Network features come from the user's ego network built over transactions
 up to the cutoff; raw features count the user's activity events up to the
 same cutoff, in one bincount over the event log's user and kind codes.
 Neither depends on the analysis scope, so a run assembles each key user's
-row once (:func:`assemble_all`).  The trend label and prediction case come
+row once (:func:`assemble_all`).  It streams the ego networks, keeps each
+one's scalar metrics and PageRank lane, and ranks the lanes in blocks with
+:func:`graph.pagerank_lanes`.  The trend label and prediction case come
 from a scope's own clustering, so each scope selects its users' rows and
 attaches them (:func:`label_scope`).
 """
@@ -12,13 +14,16 @@ attaches them (:func:`label_scope`).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import TransactionGraph, density, ego_networks, node_metrics
+from .graph import (RankLane, TransactionGraph, density, ego_networks, node_metrics_lane,
+                    pagerank_lanes)
 from .ingest import EVENT_KINDS, EventLog, TransactionLog, to_micros
 from .tscluster import ArchetypeLabel, ClusterModel, case_and_trend
 
@@ -51,6 +56,9 @@ CASES = ("starting_high", "starting_low")
 LABELS = ("stable", "changes")
 DAYS_PER_MONTH = 30
 
+#: Ego networks per :func:`graph.pagerank_lanes` block in :func:`assemble_all`.
+_PAGERANK_BLOCK = 256
+
 
 @dataclass(frozen=True, eq=False)
 class ScopeFeatures:
@@ -73,9 +81,10 @@ class ScopeFeatures:
         return self.X[keep], self.y[keep], [self.users[i] for i in keep]
 
 
-def extract_network_features(g: TransactionGraph, u: str) -> dict[str, float]:
-    """Structural features of ``u`` within their (cutoff-limited) ego net ``g``."""
-    deg, rank, closeness, clustering = node_metrics(g, u)
+def _network_features(g: TransactionGraph, u: str) -> tuple[dict[str, float], RankLane]:
+    """:func:`extract_network_features` with ``"pagerank"`` left as NaN, and
+    the lane that ranks ``g``."""
+    deg, lane, closeness, clustering = node_metrics_lane(g, u)
     flow = deg.in_weighted + deg.out_weighted
     if flow == 0:
         raise ValueError(f"user {u!r} has no transactions inside the ego network")
@@ -83,12 +92,25 @@ def extract_network_features(g: TransactionGraph, u: str) -> dict[str, float]:
         "nodes_number": float(len(g.nodes)),
         "edges_number": float(len(g.edges)),
         "density": density(g),
-        "pagerank": rank,
+        "pagerank": math.nan,
         "closeness_centrality": closeness,
         "clustering_coefficient": clustering,
         "pickups_count": float(deg.in_weighted),
         "percent_of_listing_items": deg.out_weighted / flow,
-    }
+    }, lane
+
+
+def _fill_pagerank(block: Sequence[tuple[str, dict[str, float], RankLane]]) -> None:
+    """Each ``(user, features, lane)``'s ``"pagerank"``, from one block."""
+    for (u, features, lane), ranks in zip(block, pagerank_lanes([lane for *_, lane in block])):
+        features["pagerank"] = lane.rank_of(u, ranks)
+
+
+def extract_network_features(g: TransactionGraph, u: str) -> dict[str, float]:
+    """Structural features of ``u`` within their (cutoff-limited) ego net ``g``."""
+    features, lane = _network_features(g, u)
+    _fill_pagerank([(u, features, lane)])
+    return features
 
 
 def _raw_features(events: EventLog, cutoffs: Mapping[str, datetime]) -> np.ndarray:
@@ -141,7 +163,12 @@ def assemble_all(
             raise KeyError(f"user {u!r} has no transactions")
         cutoffs[u] = log.first_activity[u] + timedelta(days=DAYS_PER_MONTH * t_months)
 
-    network = {u: extract_network_features(ego, u) for u, ego in ego_networks(log, cutoffs)}
+    # each ego network is dropped once its lane and scalar features are taken
+    pending = ((u, *_network_features(ego, u)) for u, ego in ego_networks(log, cutoffs))
+    network: dict[str, dict[str, float]] = {}
+    while block := list(islice(pending, _PAGERANK_BLOCK)):
+        _fill_pagerank(block)
+        network.update((u, features) for u, features, _ in block)
     raw = dict(zip(cutoffs, _raw_features(events, cutoffs).tolist()))
     return np.array([[network[u][name] for name in NETWORK_FEATURES] + raw[u] for u in users],
                     dtype=float)

@@ -13,6 +13,11 @@ builds each of the three views once for all of a node's metrics.
 counts a log's (lister, collector) code pairs into edges with one
 ``np.unique``; :func:`ego_networks` sums them incrementally, one cutoff at
 a time, and shares one ego cut with :func:`ego_network`.
+
+PageRank has one kernel, :func:`pagerank_lanes`: one power iteration over
+a block of graphs, each a lane (:class:`RankLane`) whose ranks do not depend
+on the block.  :func:`pagerank` and :func:`node_metrics` are one-lane calls;
+feature assembly ranks its ego networks in blocks (:func:`node_metrics_lane`).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import csv
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -164,30 +169,80 @@ def degrees(g: TransactionGraph, v: str) -> DegreeRecord:
     return _degrees(adjacency(g, "out"), adjacency(g, "in"), v)
 
 
-def _pagerank(succ: Mapping[str, Mapping[str, int]], damping: float = 0.85,
-              tol: float = 1e-9, max_iter: int = 500) -> dict[str, float]:
-    order = sorted(succ)
-    n = len(order)
-    if n == 0:
-        return {}
-    out_weight = {v: sum(succ[v].values()) for v in order}
-    dangling = [v for v in order if out_weight[v] == 0]
-    rank = {v: 1.0 / n for v in order}
-    delta = float("inf")
+class RankLane(NamedTuple):
+    """One graph coded for :func:`pagerank_lanes`: its nodes in sorted
+    order, and its out-edges as ``(source, target, weight)`` rows of node
+    codes, grouped by source in node order and in adjacency order within a
+    source, the order in which the power iteration visits them. Weights are
+    positive, as in a :class:`TransactionGraph`."""
+
+    members: list[str]
+    edges: np.ndarray
+
+    @classmethod
+    def of(cls, succ: Mapping[str, Mapping[str, int]]) -> RankLane:
+        members = sorted(succ)
+        code = {v: i for i, v in enumerate(members)}
+        edges = [(i, code[w], weight) for i, v in enumerate(members)
+                 for w, weight in succ[v].items()]
+        return cls(members, np.array(edges, dtype=np.int64).reshape(-1, 3))
+
+    def rank_of(self, v: str, ranks: np.ndarray) -> float:
+        """``v``'s entry of this lane's :func:`pagerank_lanes` result."""
+        return ranks.item(self.members.index(v))
+
+
+def pagerank_lanes(lanes: Sequence[RankLane], damping: float = 0.85, tol: float = 1e-9,
+                   max_iter: int = 500) -> list[np.ndarray]:
+    """Weighted PageRank of every lane (each with at least one node), in
+    sorted node order, from one power iteration over the block.
+
+    Lanes are the rows of arrays padded to the largest lane with zeros, and
+    each row sees the float operations of a one-graph loop in its order:
+    ``nxt`` starts from the teleport plus dangling term, ``np.add.at``
+    over the edges replays ``nxt[w] += share * weight`` edge by edge, and
+    the dangling mass and the L1 delta are left-to-right sums (``cumsum``
+    along the padded rows). A lane leaves the block once its delta drops
+    below ``tol``; if one is still in it after ``max_iter`` iterations, the
+    first such lane raises :class:`PageRankError` with its own last iterate."""
+    if not lanes:
+        return []
+    sizes = np.array([len(lane.members) for lane in lanes])
+    width = int(sizes.max())
+    live = np.arange(len(lanes))  # the lane of each row
+    edge_lane = np.repeat(live, [lane.edges.shape[0] for lane in lanes])
+    src, dst, weight = np.concatenate([lane.edges for lane in lanes]).T
+    weight = weight.astype(float)
+    at = edge_lane * width  # each edge's row start in the flattened block
+    out_weight = np.bincount(at + src, weight, len(lanes) * width).reshape(-1, width)
+    valid = np.arange(width) < sizes[:, None]
+    dangling = valid & (out_weight == 0)
+    rank = np.where(valid, 1.0 / sizes[:, None], 0.0)
+    delta = np.full(len(lanes), np.inf)
+    ranks: list = [None] * len(lanes)
     for _ in range(max_iter):
-        dangling_mass = sum(rank[v] for v in dangling)
-        nxt = {v: (1.0 - damping) / n + damping * dangling_mass / n for v in order}
-        for v in order:
-            if out_weight[v] == 0:
-                continue
-            share = damping * rank[v] / out_weight[v]
-            for w, weight in succ[v].items():
-                nxt[w] += share * weight
-        delta = sum(abs(nxt[v] - rank[v]) for v in order)
+        dangling_mass = np.cumsum(np.where(dangling, rank, 0.0), axis=1)[:, -1]
+        base = (1.0 - damping) / sizes + damping * dangling_mass / sizes
+        nxt = np.where(valid, base[:, None], 0.0)
+        share = damping * rank.take(at + src) / out_weight.take(at + src)
+        np.add.at(nxt.reshape(-1), at + dst, share * weight)
+        delta = np.cumsum(np.abs(nxt - rank), axis=1)[:, -1]
         rank = nxt
-        if delta < tol:
-            return rank
-    raise PageRankError(max_iter, delta, rank)
+        done = delta < tol
+        if done.any():
+            for row in np.flatnonzero(done).tolist():
+                ranks[live[row]] = rank[row, :sizes[row]].copy()
+            keep = ~done
+            if not keep.any():
+                return ranks
+            on = keep[edge_lane]
+            edge_lane = (np.cumsum(keep) - 1)[edge_lane[on]]
+            src, dst, weight, at = src[on], dst[on], weight[on], edge_lane * width
+            live, sizes, valid, dangling, out_weight, rank, delta = (
+                a[keep] for a in (live, sizes, valid, dangling, out_weight, rank, delta))
+    members = lanes[live[0]].members
+    raise PageRankError(max_iter, float(delta[0]),
+                        dict(zip(members, rank[0, :len(members)].tolist())))
 
 
 def pagerank(
@@ -196,7 +251,7 @@ def pagerank(
     tol: float = 1e-9,
     max_iter: int = 500,
 ) -> dict[str, float]:
-    """Weighted PageRank by power iteration.
+    """Weighted PageRank by power iteration: :func:`pagerank_lanes` of one lane.
 
     The walk follows out-edges with probability proportional to edge
     weight; dangling mass is redistributed uniformly.  Converged when the
@@ -210,7 +265,10 @@ def pagerank(
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0, 1)")
-    return _pagerank(adjacency(g, "out"), damping, tol, max_iter)
+    if not g.nodes:
+        return {}
+    lane = RankLane.of(adjacency(g, "out"))
+    return dict(zip(lane.members, pagerank_lanes([lane], damping, tol, max_iter)[0].tolist()))
 
 
 def _bfs_distances(adj: Mapping[str, Mapping[str, int]], source: str) -> dict[str, int]:
@@ -263,14 +321,21 @@ def clustering_coefficient(g: TransactionGraph, v: str) -> float:
     return _clustering(adjacency(g, "both"), v)
 
 
+def node_metrics_lane(g: TransactionGraph,
+                      v: str) -> tuple[DegreeRecord, RankLane, float, float]:
+    """:func:`node_metrics` with PageRank left as ``g``'s lane, so that a
+    caller can rank many graphs in one :func:`pagerank_lanes` block."""
+    g._require(v)
+    succ, pred, both = (adjacency(g, d) for d in ("out", "in", "both"))
+    return _degrees(succ, pred, v), RankLane.of(succ), _closeness(both, v), _clustering(both, v)
+
+
 def node_metrics(g: TransactionGraph, v: str) -> tuple[DegreeRecord, float, float, float]:
     """:func:`degrees`, :func:`pagerank` (at its defaults),
     :func:`closeness_centrality` and :func:`clustering_coefficient` of
     ``v``, from one build each of the three adjacency views."""
-    g._require(v)
-    succ, pred, both = (adjacency(g, d) for d in ("out", "in", "both"))
-    return (_degrees(succ, pred, v), _pagerank(succ)[v], _closeness(both, v),
-            _clustering(both, v))
+    deg, lane, closeness, clustering = node_metrics_lane(g, v)
+    return deg, lane.rank_of(v, pagerank_lanes([lane])[0]), closeness, clustering
 
 
 def write_edges_csv(g: TransactionGraph, path: str) -> None:

@@ -424,8 +424,8 @@ def run_method2(cfg: PipelineConfig, m1: Method1Result,
         return result
 
     with _stage("train"):
+        jobs = []  # (scope, case, X, y), in the order of the eval rows
         for name, table in tables.items():
-            rows: list[tuple[str, str, models.EvalReport]] = []
             for case in featureset.CASES:
                 n = table.cases.count(case)
                 if n < 2 * cfg.cv_folds:
@@ -433,11 +433,14 @@ def run_method2(cfg: PipelineConfig, m1: Method1Result,
                         f"train: scope {name} case {case} skipped "
                         f"({n} samples < {2 * cfg.cv_folds})")
                     continue
-                X, y, _ = table.rows(case)
-                for alg in cfg.models:
-                    rows.append((alg, case, models.kfold_cv(
-                        alg, X, y, k=cfg.cv_folds, seed=cfg.seed,
-                        feature_names=featureset.FEATURE_NAMES)))
+                jobs.append((name, case, *table.rows(case)[:2]))
+        # one call per family fits every job's folds
+        reports = {alg: models.kfold_cv(alg, [(X, y) for _, _, X, y in jobs], k=cfg.cv_folds,
+                                         seed=cfg.seed, feature_names=featureset.FEATURE_NAMES)
+                   for alg in cfg.models}
+        for name in tables:
+            rows = [(alg, case, reports[alg][j]) for j, (scope, case, _, _) in enumerate(jobs)
+                    if scope == name for alg in cfg.models]
             result.eval_rows[name] = rows
             _emit(cfg, artifacts, f"eval_{name}.csv", models.write_eval_csv, rows)
             for case in featureset.CASES:

@@ -443,7 +443,10 @@ def calinski_harabasz(data, model: ClusterModel) -> float:
     centroids).  Returns ``inf`` when every cluster is perfectly tight
     (W = 0).
     """
-    users, X = _as_matrix(data)
+    return _calinski_harabasz(*_as_matrix(data), model)
+
+
+def _calinski_harabasz(users: list[str], X: np.ndarray, model: ClusterModel) -> float:
     n, k = X.shape[0], model.k
     if k < 2:
         raise ValueError("criterion needs k >= 2")
@@ -492,7 +495,7 @@ def ch_scan(
     lanes = [_fit(users, X, k, metric, seed, max_iter) for k in ks]
     fits = lockstep(lanes, lambda requests: _answer(requests, X, metric, gamma))
     fitted = dict(zip(ks, fits))
-    return {k: calinski_harabasz(data, fitted[k]) for k in ks}, fitted
+    return {k: _calinski_harabasz(users, X, fitted[k]) for k in ks}, fitted
 
 
 def best_k(scores: Mapping[int, float]) -> int:

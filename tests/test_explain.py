@@ -228,6 +228,13 @@ class TestImportance:
             assert att == shapley_mc(model, X[i], background, n_permutations=120,
                                      seed=4 + int(i), user=users[i])
 
+    @pytest.mark.parametrize("max_rows", [0, -1])
+    def test_max_rows_below_one_is_named(self, max_rows):
+        # -1 used to fail inside NumPy with "negative dimensions are not allowed"
+        X = np.random.default_rng(1).normal(size=(5, 2))
+        with pytest.raises(ValueError, match=f"max_rows must be >= 1, got {max_rows}"):
+            attribute_rows(LinearStub([1.0, -1.0]), X, list("abcde"), max_rows=max_rows)
+
     @pytest.mark.parametrize("n_users", [19, 21])
     def test_one_user_per_row_is_required(self, n_users):
         # 19 users for 20 rows used to end in an IndexError

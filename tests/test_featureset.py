@@ -272,6 +272,13 @@ class TestAssemble:
             assert np.array_equal(X[i], row)
             assert (LABELS[table.y[i]], table.cases[i]) == (label, case)
 
+    def test_pagerank_blocks_do_not_change_the_rows(self, small_synth, monkeypatch):
+        log, events, truth = small_synth
+        users = sorted(truth)
+        whole = assemble_all(users, log, events)
+        monkeypatch.setattr(featureset, "_PAGERANK_BLOCK", 3)  # 40 users: a short last block
+        assert np.array_equal(assemble_all(users, log, events), whole)
+
     def test_no_users_gives_empty_matrix(self):
         log, events = hand_scene()
         assert assemble_all([], log, events).shape == (0, len(FEATURE_NAMES))

@@ -21,6 +21,7 @@ from volnet.graph import (
     write_edges_csv,
 )
 
+import graph_reference
 from conftest import at_day, make_log, tx
 
 
@@ -192,6 +193,23 @@ class TestPageRank:
         assert err.iterations == 3
         assert set(err.last) == {"a", "b", "c"}
         assert sum(err.last.values()) == pytest.approx(1.0, abs=1e-6)
+
+    def test_a_block_raises_for_its_first_unconverged_lane(self):
+        # the one-node lane converges at once (delta 0) and leaves the block;
+        # the path a -> b -> c cannot reach the tolerance in four iterations,
+        # and the error carries its own last iterate, not the star's after it
+        solo, path, star = ({"u": {}}, {"a": {"b": 1}, "b": {"c": 1}, "c": {}},
+                            {"c": {"a": 1, "b": 2}, "a": {}, "b": {}})
+        lanes = [graph.RankLane.of(succ) for succ in (solo, path, star)]
+        with pytest.raises(PageRankError) as got:
+            graph.pagerank_lanes(lanes, tol=1e-300, max_iter=4)
+        with pytest.raises(PageRankError) as want:
+            graph_reference.pagerank(path, tol=1e-300, max_iter=4)
+        assert got.value.iterations == 4
+        assert got.value.last == want.value.last and got.value.delta == want.value.delta
+
+    def test_an_empty_block_ranks_nothing(self):
+        assert graph.pagerank_lanes([]) == []
 
 
 class TestClosenessCentrality:

@@ -89,9 +89,10 @@ class TestTrainValidation:
         # one case per rule: counts are ints >= 1 and not bools; linear_svm's
         # l2 > 0, other l2 >= 0; learning_rate and var_floor > 0; all finite
         X, y = separable(n_per=10)
-        for fit in (train, kfold_cv):
-            with pytest.raises(ValueError, match=f"{algorithm} hyperparameter {key} "):
-                fit(algorithm, X, y, hyperparams={key: value})
+        with pytest.raises(ValueError, match=f"{algorithm} hyperparameter {key} "):
+            train(algorithm, X, y, hyperparams={key: value})
+        with pytest.raises(ValueError, match=f"{algorithm} hyperparameter {key} "):
+            kfold_cv(algorithm, [(X, y)], hyperparams={key: value})
 
     def test_in_range_hyperparameter_edges_are_accepted(self):
         X, y = separable(n_per=10)
@@ -100,7 +101,7 @@ class TestTrainValidation:
             for algorithm, hp in [("gbdt", {"l2": 0.0, "n_rounds": 1, "max_depth": 1}),
                                   ("logistic_regression", {"l2": 0, "epochs": np.int64(2)}),
                                   ("random_forest", {"n_trees": 1, "min_samples_leaf": 1})]:
-                kfold_cv(algorithm, X, y, k=2, hyperparams=hp)
+                kfold_cv(algorithm, [(X, y)], k=2, hyperparams=hp)
 
     def test_shape_and_label_checks(self):
         X, y = separable()
@@ -118,7 +119,7 @@ class TestTrainValidation:
             train(algorithm, X, [0.5, 0.7, 1.0, 1.2])
         X, y = separable(n_per=10)
         with pytest.raises(ValueError, match="labels"):
-            kfold_cv(algorithm, X, y + 0.25, k=2, hyperparams=FAST[algorithm])
+            kfold_cv(algorithm, [(X, y + 0.25)], k=2, hyperparams=FAST[algorithm])
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -128,7 +129,7 @@ class TestTrainValidation:
         with pytest.raises(ValueError, match="finite"):
             train(algorithm, X, y, hyperparams=FAST[algorithm])
         with pytest.raises(ValueError, match="finite"):
-            kfold_cv(algorithm, X, y, k=2, hyperparams=FAST[algorithm])
+            kfold_cv(algorithm, [(X, y)], k=2, hyperparams=FAST[algorithm])
 
     def test_float_and_bool_labels_of_zero_and_one_are_accepted(self):
         X, y = separable(n_per=10)
@@ -182,6 +183,23 @@ class TestAllFamilies:
         s1 = train(algorithm, X, y, hyperparams=FAST[algorithm], seed=4).scores(probe)
         s2 = train(algorithm, X, y, hyperparams=FAST[algorithm], seed=4).scores(probe)
         assert np.array_equal(s1, s2)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_rows_score_does_not_depend_on_its_batch(self, algorithm):
+        # BLAS ``@`` and a pairwise mean over one row gave other bits for a
+        # row scored alone than inside a batch, and by its position in it
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(200, 15))
+        y = (X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(0.0, 0.5, 200) > 0).astype(int)
+        hp = {"random_forest": {"n_trees": 40}, "gbdt": {"n_rounds": 20}}.get(algorithm)
+        model = train(algorithm, X, y, hyperparams=hp, seed=1)
+        B = rng.normal(0.0, 1.5, size=(4800, 15))
+        batch = model.scores(B)
+        for i in (0, 1, 7, 2399, 4798, 4799):
+            assert model.scores(B[i:i + 1])[0] == batch[i]
+        assert np.array_equal(model.scores(B[::7]), batch[::7])
+        assert np.array_equal(model.scores(B[::-1]), batch[::-1])
+        assert np.array_equal(model.scores(B[13:613]), batch[13:613])
 
 
 class TestDecisionTree:
@@ -398,8 +416,8 @@ class TestGBDT:
 
     def test_cv_on_separable_data(self):
         X, y = separable(n_per=25, seed=8)
-        report = kfold_cv("gbdt", X, y, k=5, seed=0,
-                          hyperparams={"n_rounds": 30})
+        report = kfold_cv("gbdt", [(X, y)], k=5, seed=0,
+                          hyperparams={"n_rounds": 30})[0]
         assert report.mean_accuracy >= 0.95
 
     def test_round_update_matches_scoring_the_new_tree(self):
@@ -513,7 +531,7 @@ class TestFoldFittersMatchReference:
 
     def test_scaler_stats_match_the_fold_models(self):
         X, y = lockstep_data(7, seed=1, degenerate=False)
-        report = kfold_cv("linear_svm", X, y, k=7, seed=2, hyperparams={"epochs": 2})
+        report = kfold_cv("linear_svm", [(X, y)], k=7, seed=2, hyperparams={"epochs": 2})[0]
         want = ref.fold_parameters("linear_svm", X, y, 7, seed=2, hyperparams={"epochs": 2})
         assert list(report.fold_scaler_stats) == [w["scaler"] for w in want]
 
@@ -630,7 +648,7 @@ class TestStratifiedFolds:
 class TestKFoldCV:
     def test_every_sample_tested_once(self):
         X, y = separable(n_per=15, seed=4)
-        report = kfold_cv("decision_tree", X, y, k=6, seed=1)
+        report = kfold_cv("decision_tree", [(X, y)], k=6, seed=1)[0]
         assert sum(report.confusion.values()) == 30
         assert report.k == 6
         assert len(report.fold_accuracy) == 6
@@ -639,13 +657,13 @@ class TestKFoldCV:
         rng = np.random.default_rng(21)
         X = rng.normal(size=(40, 4))
         y = np.array([0, 1] * 20)  # labels carry no signal about X
-        report = kfold_cv("decision_tree", X, y, k=5, seed=0)
+        report = kfold_cv("decision_tree", [(X, y)], k=5, seed=0)[0]
         assert 0.3 <= report.mean_accuracy <= 0.7
 
     def test_degenerate_fold_flagged_not_fatal(self):
         X = np.arange(18, dtype=float).reshape(9, 2)
         y = np.array([0] * 8 + [1])
-        report = kfold_cv("naive_bayes", X, y, k=3, seed=0)
+        report = kfold_cv("naive_bayes", [(X, y)], k=3, seed=0)[0]
         assert len(report.degenerate_folds) == 1
         assert len(report.fold_accuracy) == 3
 
@@ -658,8 +676,8 @@ class TestKFoldCV:
         X[0, 0] = 1000.0
         y = np.array([0, 1] * (n // 2))
         k, seed = 3, 5
-        report = kfold_cv("logistic_regression", X, y, k=k, seed=seed,
-                          hyperparams={"epochs": 10})
+        report = kfold_cv("logistic_regression", [(X, y)], k=k, seed=seed,
+                          hyperparams={"epochs": 10})[0]
         folds = stratified_folds(y, k, seed)
         holdout = next(i for i, f in enumerate(folds) if 0 in f)
         for fold_no, scaler in enumerate(report.fold_scaler_stats):
@@ -669,9 +687,32 @@ class TestKFoldCV:
             else:
                 assert mean0 > 50.0
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_many_jobs_equal_one_call_per_job(self, algorithm):
+        # different lengths, two of one length (stacked together by
+        # logistic regression), and a job with a degenerate fold
+        jobs = [separable(n_per=9, d=4, seed=1), lockstep_data(3, seed=2, degenerate=True),
+                separable(n_per=12, d=4, seed=3), separable(n_per=9, d=4, seed=4)]
+        hp = FAST[algorithm]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            together = kfold_cv(algorithm, jobs, k=3, seed=5, hyperparams=hp)
+            alone = [kfold_cv(algorithm, [job], k=3, seed=5, hyperparams=hp)[0]
+                     for job in jobs]
+        assert together == alone
+        assert [len(r.degenerate_folds) for r in together] == [0, 1, 0, 0]
+        assert kfold_cv(algorithm, [], k=3, hyperparams=hp) == []
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_jobs_of_different_widths_are_rejected(self, algorithm):
+        # the linear fitters stack every job's splits into shared arrays
+        jobs = [separable(n_per=9, d=4, seed=1), separable(n_per=9, d=3, seed=2)]
+        with pytest.raises(ValueError, match="same number of features"):
+            kfold_cv(algorithm, jobs, k=3, hyperparams=FAST[algorithm])
+
     def test_mean_matches_folds(self):
         X, y = separable(n_per=10, seed=12)
-        report = kfold_cv("naive_bayes", X, y, k=4, seed=2)
+        report = kfold_cv("naive_bayes", [(X, y)], k=4, seed=2)[0]
         assert report.mean_accuracy == pytest.approx(np.mean(report.fold_accuracy))
         assert report.std_f1 == pytest.approx(np.std(report.fold_f1))
 
@@ -710,7 +751,7 @@ class TestPersistence:
 class TestEvalCsv:
     def test_format(self, tmp_path):
         X, y = separable(n_per=10)
-        report = kfold_cv("naive_bayes", X, y, k=4, seed=0)
+        report = kfold_cv("naive_bayes", [(X, y)], k=4, seed=0)[0]
         path = tmp_path / "eval.csv"
         write_eval_csv([("naive_bayes", "starting_high", report)], str(path))
         lines = path.read_text().splitlines()

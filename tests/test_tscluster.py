@@ -286,6 +286,14 @@ class TestKSelection:
             assert np.array_equal(model.centroids, again.centroids)
             assert calinski_harabasz(data, model) == scores[k]
 
+    def test_scan_normalizes_its_input_once(self, monkeypatch):
+        calls = []
+        as_matrix = tscluster._as_matrix
+        monkeypatch.setattr(tscluster, "_as_matrix",
+                            lambda data: calls.append(1) or as_matrix(data))
+        ch_scan(four_level_groups(), k_range=(2, 6), seed=0)
+        assert len(calls) == 1
+
     def test_best_k_ties_go_to_smallest(self):
         assert best_k({4: 2.0, 5: 3.0, 6: 3.0}) == 5
         assert best_k({4: float("inf"), 5: float("inf")}) == 4
