@@ -8,7 +8,6 @@ are filled by linear interpolation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable
@@ -16,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .graph import TransactionGraph
-from .ingest import MICROSECOND, KeyUserSet, TransactionLog, from_micros
+from .ingest import MICROSECOND, KeyUserSet, TransactionLog, from_micros, write_rows
 
 INTERVAL_DAYS = {"weekly": 7, "monthly": 30}
 
@@ -135,9 +134,7 @@ def detect_hubs(g: TransactionGraph, multiplier: float = 1.0) -> KeyUserSet:
 
 
 def write_series_csv(series: Iterable[DRSeries], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "index", "value", "imputed"])
-        for s in sorted(series, key=lambda s: s.user):
-            for i, (v, imp) in enumerate(zip(s.values, s.imputed_mask)):
-                writer.writerow([s.user, i, f"{v:.6f}", int(imp)])
+    write_rows(path, "csv", ("user_id", "index", "value", "imputed"), (
+        (s.user, i, f"{v:.6f}", int(imp))
+        for s in sorted(series, key=lambda s: s.user)
+        for i, (v, imp) in enumerate(zip(s.values, s.imputed_mask))))

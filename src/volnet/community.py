@@ -9,11 +9,11 @@ every level and the final partition.
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass, field
 
 from .graph import TransactionGraph, adjacency
+from .ingest import write_rows
 
 # Stop once a full local-move + aggregation phase improves the objective
 # by less than this.
@@ -177,8 +177,4 @@ def community_sizes(p: Partition) -> dict[int, int]:
 
 
 def write_partition_csv(p: Partition, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "community_id"])
-        for user in sorted(p.assignment):
-            writer.writerow([user, p.assignment[user]])
+    write_rows(path, "csv", ("user_id", "community_id"), sorted(p.assignment.items()))

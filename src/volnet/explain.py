@@ -10,13 +10,13 @@ enumeration it is checked against lives with the tests, not here.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .ingest import write_rows
 from .models import TrainedClassifier
 
 MIN_PERMUTATIONS = 100
@@ -161,20 +161,11 @@ def attribute_rows(
 
 
 def write_attribution_csv(attributions: Sequence[Attribution], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "feature", "phi", "std_err"])
-        for att in attributions:
-            errs = att.std_err or {}
-            for feature in att.per_feature:
-                writer.writerow([att.user, feature,
-                                 f"{att.per_feature[feature]:.6f}",
-                                 f"{errs.get(feature, 0.0):.6f}"])
+    write_rows(path, "csv", ("user_id", "feature", "phi", "std_err"), (
+        (att.user, feature, f"{phi:.6f}", f"{(att.std_err or {}).get(feature, 0.0):.6f}")
+        for att in attributions for feature, phi in att.per_feature.items()))
 
 
 def write_importance_csv(ranked: Sequence[tuple[str, float]], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "mean_abs_phi", "rank"])
-        for rank, (feature, value) in enumerate(ranked, start=1):
-            writer.writerow([feature, f"{value:.6f}", rank])
+    write_rows(path, "csv", ("feature", "mean_abs_phi", "rank"),
+               ((feature, f"{value:.6f}", rank) for rank, (feature, value) in enumerate(ranked, 1)))

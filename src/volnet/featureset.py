@@ -13,7 +13,6 @@ attaches them (:func:`label_scope`).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -24,7 +23,7 @@ import numpy as np
 
 from .graph import (RankLane, TransactionGraph, density, ego_networks, node_metrics_lane,
                     pagerank_lanes)
-from .ingest import EVENT_KINDS, EventLog, TransactionLog, to_micros
+from .ingest import EVENT_KINDS, EventLog, TransactionLog, to_micros, write_rows
 from .tscluster import ArchetypeLabel, ClusterModel, case_and_trend
 
 NETWORK_FEATURES = (
@@ -199,9 +198,6 @@ def _format_value(v: float) -> str:
 
 
 def write_features_csv(table: ScopeFeatures, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", *FEATURE_NAMES, "label", "case"])
-        for i in sorted(range(len(table.users)), key=table.users.__getitem__):
-            writer.writerow([table.users[i], *map(_format_value, table.X[i]),
-                             LABELS[table.y[i]], table.cases[i]])
+    write_rows(path, "csv", ("user_id", *FEATURE_NAMES, "label", "case"), (
+        (table.users[i], *map(_format_value, table.X[i]), LABELS[table.y[i]], table.cases[i])
+        for i in sorted(range(len(table.users)), key=table.users.__getitem__)))

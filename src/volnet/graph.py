@@ -22,7 +22,6 @@ feature assembly ranks its ego networks in blocks (:func:`node_metrics_lane`).
 
 from __future__ import annotations
 
-import csv
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from datetime import datetime
@@ -30,7 +29,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .ingest import TransactionLog
+from .ingest import TransactionLog, write_rows
 
 
 class PageRankError(RuntimeError):
@@ -339,8 +338,4 @@ def node_metrics(g: TransactionGraph, v: str) -> tuple[DegreeRecord, float, floa
 
 
 def write_edges_csv(g: TransactionGraph, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "weight"])
-        for (a, b), w in sorted(g.edges.items()):
-            writer.writerow([a, b, w])
+    write_rows(path, "csv", ("src", "dst", "weight"), sorted((*e, w) for e, w in g.edges.items()))

@@ -24,6 +24,10 @@ and converted as a whole.  A file with any line that is not one object of
 the log's keys and field types, or whose fields do not convert, is read
 again line by line, the way a CSV file is read, so that every rejected
 row gets its own line number and reason.
+
+This module owns the on-disk format of every table and JSON file the
+package writes: tables go through :func:`write_rows` and JSON files through
+:func:`write_json`; the other modules choose only columns and value text.
 """
 
 from __future__ import annotations
@@ -72,7 +76,10 @@ def parse_timestamp(text: str) -> datetime:
     dt = datetime.fromisoformat(raw)
     if dt.tzinfo is None:
         raise ValueError(f"timestamp without offset: {text!r}")
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:  # e.g. 0001-01-01T00:00:00+01:00 falls before year 1 in UTC
+        raise ValueError(f"timestamp out of range in UTC: {text!r}") from None
 
 
 def format_timestamp(dt: datetime) -> str:
@@ -472,9 +479,9 @@ def parse_events(path: str, fmt: str = "csv") -> EventLog:
     return _without_bad_rows(*parse_events_with_report(path, fmt))
 
 
-def _write_rows(path: str, fmt: str, columns: tuple[str, ...], rows: Iterable[tuple]) -> None:
+def write_rows(path: str, fmt: str, columns: tuple[str, ...], rows: Iterable[tuple]) -> None:
     """Write value tuples under ``columns`` (``None`` as an empty CSV field);
-    the mirror of the parsers."""
+    the mirror of the parsers, and the one writer of every table."""
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -486,6 +493,13 @@ def _write_rows(path: str, fmt: str, columns: tuple[str, ...], rows: Iterable[tu
             encode = json.JSONEncoder(separators=(",", ":")).encode
             for values in rows:
                 fh.write(encode(dict(zip(columns, values))) + "\n")
+
+
+def write_json(payload, path: str) -> None:
+    """Write ``payload`` as JSON: sorted keys, a two-space indent, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _stamp_texts(*stamps: np.ndarray) -> list[list[str]]:
@@ -500,7 +514,7 @@ def _stamp_texts(*stamps: np.ndarray) -> list[list[str]]:
 def write_transactions(log_: TransactionLog, path: str, fmt: str = "csv") -> None:
     """Serialize a log in the canonical on-disk form (round-trips exactly)."""
     names = np.array(log_.user_ids, dtype=object)
-    _write_rows(path, fmt, TRANSACTION_COLUMNS, zip(
+    write_rows(path, fmt, TRANSACTION_COLUMNS, zip(
         log_.item_ids.tolist(), names[log_.lister].tolist(), names[log_.collector].tolist(),
         *_stamp_texts(log_.listed_at, log_.collected_at)))
 
@@ -508,7 +522,7 @@ def write_transactions(log_: TransactionLog, path: str, fmt: str = "csv") -> Non
 def write_events(events: EventLog, path: str, fmt: str = "csv") -> None:
     """Serialize an event log in the canonical on-disk form (round-trips exactly)."""
     names, kinds = np.array(events.user_ids, dtype=object), np.array(EVENT_KINDS, dtype=object)
-    _write_rows(path, fmt, EVENT_COLUMNS, zip(
+    write_rows(path, fmt, EVENT_COLUMNS, zip(
         names[events.user].tolist(), kinds[events.kind].tolist(), *_stamp_texts(events.at),
         [None if v != v else v for v in events.value.tolist()]))
 

@@ -58,7 +58,6 @@ length descend as a stack of matrix-vector products.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -70,6 +69,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ._lanes import lockstep
+from .ingest import write_json, write_rows
 
 ALGORITHMS = (
     "naive_bayes",
@@ -772,17 +772,14 @@ def _report(algorithm, k, seed, hp, names, X, y, folds, splits, fitted) -> EvalR
 
 
 def save_model(model: TrainedClassifier, path: str) -> None:
-    payload = {
+    write_json({
         "version": 1,
         "algorithm": model.algorithm,
         "hyperparams": model.hyperparams,
         "seed": model.seed,
-        "feature_names": list(model.feature_names),
+        "feature_names": model.feature_names,
         "parameters": model.parameters,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    }, path)
 
 
 def load_model(path: str) -> TrainedClassifier:
@@ -803,9 +800,6 @@ def load_model(path: str) -> TrainedClassifier:
 
 def write_eval_csv(rows: Sequence[tuple[str, str, EvalReport]], path: str) -> None:
     """Rows of (model, case, report) to the model,case,accuracy,f1 table."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "case", "accuracy", "f1"])
-        for algorithm, case, report in rows:
-            writer.writerow([algorithm, case,
-                             f"{report.mean_accuracy:.6f}", f"{report.mean_f1:.6f}"])
+    write_rows(path, "csv", ("model", "case", "accuracy", "f1"),
+               ((algorithm, case, f"{report.mean_accuracy:.6f}", f"{report.mean_f1:.6f}")
+                for algorithm, case, report in rows))

@@ -17,7 +17,6 @@ byte-identical across reruns.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from contextlib import contextmanager
@@ -301,8 +300,7 @@ def _write_cluster_artifacts(cfg: PipelineConfig, scope: ScopeResult,
               for c in range(model.k)}
     _emit(cfg, artifacts, f"centroids_{scope.name}.svg", viz.svg_line_chart, curves,
           title=f"Donors-ratio centroids — {scope.name}", y_range=(0.0, 1.0))
-    name = f"cluster_model_{scope.name}.json"
-    payload = {
+    _emit(cfg, artifacts, f"cluster_model_{scope.name}.json", ingest.write_json, {
         "version": 1,
         "scope": scope.name,
         "k_range": [cfg.k_min, max(scope.ch_scores)],
@@ -314,11 +312,7 @@ def _write_cluster_artifacts(cfg: PipelineConfig, scope: ScopeResult,
                             "final_level": lab.final_level}
                    for c, lab in sorted(labels.items())},
         "model": tscluster.model_to_dict(model),
-    }
-    with open(_out_path(cfg, name), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    artifacts[name] = name
+    })
 
 
 def run_method1(cfg: PipelineConfig, through: str = "cluster",
@@ -476,20 +470,16 @@ def write_manifest(cfg: PipelineConfig, artifacts: Mapping[str, str],
             full = _out_path(cfg, rel)
             if not os.path.exists(full) or os.path.getsize(full) == 0:
                 raise ValueError(f"declared artifact missing or empty: {rel}")
-        payload = {
+        path = _out_path(cfg, "manifest.json")
+        ingest.write_json({
             "version": 1,
             # 'out' is omitted: the manifest's own location implies it, and
             # leaving it out keeps artifacts byte-identical across output dirs
-            "config": {f.name: (list(getattr(cfg, f.name))
-                                if f.name == "models" else getattr(cfg, f.name))
-                       for f in fields(PipelineConfig) if f.name != "out"},
-            "artifacts": dict(sorted(artifacts.items())),
+            "config": {f.name: getattr(cfg, f.name) for f in fields(PipelineConfig)
+                       if f.name != "out"},
+            "artifacts": dict(artifacts),
             "warnings": list(warnings_list),
-        }
-        path = _out_path(cfg, "manifest.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        }, path)
         return path
 
 

@@ -9,7 +9,6 @@ outcome so that chosen raw features become predictive by construction.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ from .ingest import (
     TransactionLog,
     to_micros,
     write_events,
+    write_rows,
     write_transactions,
 )
 from .tscluster import ARCHETYPES
@@ -65,6 +65,7 @@ _DAY_US = 24 * _HOUR_US
 _EPOCH_US = to_micros(datetime(2021, 1, 1, tzinfo=timezone.utc))
 _EVENT_WINDOW_DAYS = 84  # all events land well inside a 3-month cutoff
 _CLOSING_DAY = 372  # guarantees every hero spans >= 365 days of activity
+_MAX_EXPONENT = math.log(np.finfo(float).max)  # the largest x whose exp(x) is finite
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,8 @@ class SynthConfig:
             raise ValueError("community_count must be >= 1")
         if self.n_regulars_per_hero < 1:
             raise ValueError("n_regulars_per_hero must be >= 1")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be >= 0")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         unknown = set(self.archetype_mix) - set(ARCHETYPES)
@@ -106,6 +107,9 @@ class SynthConfig:
         bad = set(self.feature_signal) - set(_EVENT_BASE_RATES) - {"rating_current"}
         if bad:
             raise ValueError(f"feature_signal refers to unknown raw feature(s): {sorted(bad)}")
+        for name, effect in self.feature_signal.items():  # a rate scales by exp(effect)
+            if not math.isfinite(effect) or (name in _EVENT_BASE_RATES and effect > _MAX_EXPONENT):
+                raise ValueError(f"feature_signal {name}={effect} must be finite, with a finite exp")
 
 
 @dataclass(frozen=True)
@@ -272,11 +276,8 @@ def adjusted_rand_index(a: Mapping[str, object], b: Mapping[str, object]) -> flo
 
 
 def write_truth_csv(truth: Mapping[str, PlantedTruth], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "archetype", "community"])
-        for user in sorted(truth):
-            writer.writerow([user, truth[user].archetype, truth[user].community])
+    write_rows(path, "csv", ("user_id", "archetype", "community"),
+               ((user, t.archetype, t.community) for user, t in sorted(truth.items())))
 
 
 def write_dataset(out_dir: str, log: TransactionLog, events: EventLog,

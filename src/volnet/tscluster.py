@@ -30,7 +30,6 @@ calls; ``kmeans_ts`` is the one-lane call.  Each lane draws from its own
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -39,6 +38,7 @@ import numpy as np
 
 from ._lanes import lockstep
 from .behavior import DRSeries
+from .ingest import write_rows
 
 METRICS = ("euclidean", "dtw", "softdtw")
 ARCHETYPES = ("FPD", "SAD", "FAD", "SPD")
@@ -578,18 +578,11 @@ def model_from_dict(payload: Mapping) -> ClusterModel:
 
 
 def write_cluster_csv(model: ClusterModel, labels: Mapping[int, ArchetypeLabel], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "cluster_id", "archetype"])
-        for user in sorted(model.assignment):
-            c = model.assignment[user]
-            writer.writerow([user, c, labels[c].label])
+    write_rows(path, "csv", ("user_id", "cluster_id", "archetype"),
+               ((user, c, labels[c].label) for user, c in sorted(model.assignment.items())))
 
 
 def write_centroid_csv(model: ClusterModel, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster_id", "index", "value"])
-        for c in range(model.k):
-            for i, v in enumerate(model.centroids[c]):
-                writer.writerow([c, i, f"{float(v):.6f}"])
+    write_rows(path, "csv", ("cluster_id", "index", "value"),
+               ((c, i, f"{float(v):.6f}")
+                for c in range(model.k) for i, v in enumerate(model.centroids[c])))

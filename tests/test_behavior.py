@@ -217,9 +217,8 @@ class TestSeriesWriter:
                        values=(0.25,), imputed_mask=(False,))
         path = tmp_path / "series.csv"
         write_series_csv([s_b, s_a], str(path))
-        assert path.read_text().splitlines() == [
-            "user_id,index,value,imputed",
-            "a,0,0.250000,0",
-            "b,0,0.500000,0",
-            "b,1,1.000000,1",
-        ]
+        assert path.read_bytes() == (
+            b"user_id,index,value,imputed\r\n"
+            b"a,0,0.250000,0\r\n"
+            b"b,0,0.500000,0\r\n"
+            b"b,1,1.000000,1\r\n")

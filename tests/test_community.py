@@ -175,6 +175,4 @@ class TestPartitionHelpers:
         p = partition_of([["b", "a"], ["c"]])
         path = tmp_path / "partition.csv"
         write_partition_csv(p, str(path))
-        assert path.read_text().splitlines() == [
-            "user_id,community_id", "a,0", "b,0", "c,1",
-        ]
+        assert path.read_bytes() == b"user_id,community_id\r\na,0\r\nb,0\r\nc,1\r\n"

@@ -273,23 +273,18 @@ class TestWriters:
                           std_err={"a": 0.01, "b": 0.02})
         path = tmp_path / "attr.csv"
         write_attribution_csv([att], str(path))
-        assert path.read_text().splitlines() == [
-            "user_id,feature,phi,std_err",
-            "u9,a,0.125000,0.010000",
-            "u9,b,-0.500000,0.020000",
-        ]
+        assert path.read_bytes() == (
+            b"user_id,feature,phi,std_err\r\n"
+            b"u9,a,0.125000,0.010000\r\n"
+            b"u9,b,-0.500000,0.020000\r\n")
 
     def test_attribution_csv_without_errors(self, tmp_path):
         att = Attribution("u", {"a": 1.0}, 0.0, 1.0)
         path = tmp_path / "attr.csv"
         write_attribution_csv([att], str(path))
-        assert path.read_text().splitlines()[1] == "u,a,1.000000,0.000000"
+        assert path.read_bytes() == b"user_id,feature,phi,std_err\r\nu,a,1.000000,0.000000\r\n"
 
     def test_importance_csv(self, tmp_path):
         path = tmp_path / "imp.csv"
         write_importance_csv([("b", 2.0), ("a", 1.5)], str(path))
-        assert path.read_text().splitlines() == [
-            "feature,mean_abs_phi,rank",
-            "b,2.000000,1",
-            "a,1.500000,2",
-        ]
+        assert path.read_bytes() == b"feature,mean_abs_phi,rank\r\nb,2.000000,1\r\na,1.500000,2\r\n"

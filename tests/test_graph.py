@@ -295,6 +295,4 @@ class TestEdgeListWriter:
         g = g_from({("b", "a"): 2, ("a", "b"): 1})
         path = tmp_path / "edges.csv"
         write_edges_csv(g, str(path))
-        assert path.read_text().splitlines() == [
-            "src,dst,weight", "a,b,1", "b,a,2",
-        ]
+        assert path.read_bytes() == b"src,dst,weight\r\na,b,1\r\nb,a,2\r\n"

@@ -188,7 +188,7 @@ class TestParseErrors:
                 ("i5", "a", "b", naive, "2022-01-01T02:00:00Z"),
                 ("i6", "b", "a", naive, "2022-01-01T02:00:00Z")]
         path = tmp_path / f"t.{fmt}"
-        ingest._write_rows(str(path), fmt, ingest.TRANSACTION_COLUMNS, rows)
+        ingest.write_rows(str(path), fmt, ingest.TRANSACTION_COLUMNS, rows)
         log, report = ingest.parse_transactions_with_report(str(path), fmt)
         first = 2 if fmt == "csv" else 1
         assert [(bad.line - first, bad.reason) for bad in report.bad_rows] == [
@@ -197,6 +197,33 @@ class TestParseErrors:
             (5, f"timestamp without offset: {naive!r}")]
         assert [t.item_id for t in transaction_rows(log)] == ["i1", "i3"]
         assert {t.listed_at for t in transaction_rows(log)} == {parse_timestamp(good)}
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_out_of_range_timestamp_rejects_just_its_row(self, tmp_path, fmt):
+        # each stamp is a valid local time that falls outside years 1-9999 in UTC
+        early, late, good = "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00", LATER
+        first = 2 if fmt == "csv" else 1
+        files = {
+            "transactions": (ingest.TRANSACTION_COLUMNS, [
+                ("i1", "a", "b", good, good), ("i2", "a", "b", early, good),
+                ("i3", "b", "a", good, late)]),
+            "events": (ingest.EVENT_COLUMNS, [
+                ("u", "like", good, None), ("u", "like", early, None),
+                ("v", "like", late, None)]),
+        }
+        for kind, (columns, rows) in files.items():
+            path = str(tmp_path / f"{kind}.{fmt}")
+            ingest.write_rows(path, fmt, columns, rows)
+            parsed, report = getattr(ingest, f"parse_{kind}_with_report")(path, fmt)
+            assert [(bad.line, bad.reason) for bad in report.bad_rows] == [
+                (first + 1, f"timestamp out of range in UTC: {early!r}"),
+                (first + 2, f"timestamp out of range in UTC: {late!r}")]
+            assert len(parsed) == 1
+            ref_rows, ref_report = getattr(ingest_reference, f"parse_{kind}_with_report")(path, fmt)
+            to_log = transaction_log if kind == "transactions" else event_log
+            assert (parsed, report) == (to_log(ref_rows), ref_report)
+            with pytest.raises(ParseError, match=rf"at line\(s\) {first + 1}, {first + 2}$"):
+                getattr(ingest, f"parse_{kind}")(path, fmt)
 
     def test_jsonl_values_keep_their_json_types(self, tmp_path):
         # ids, kinds and stamps must be JSON strings; a value may also be a

@@ -21,6 +21,7 @@ from volnet.models import (
     _split_lanes,
     ALGORITHMS,
     DEFAULT_HYPERPARAMS,
+    TrainedClassifier,
     kfold_cv,
     load_model,
     metrics,
@@ -730,6 +731,31 @@ class TestPersistence:
         assert back.feature_names == ("alpha", "beta", "gamma")
         assert np.allclose(back.scores(X), model.scores(X))
 
+    def test_file_bytes(self, tmp_path):
+        # sorted keys at every depth, a two-space indent and a final newline
+        model = TrainedClassifier("naive_bayes", {"prior": [0.5, 0.5], "constant": 0.25},
+                                  {}, 3, ("b", "a"))
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        assert path.read_bytes() == (
+            b'{\n'
+            b'  "algorithm": "naive_bayes",\n'
+            b'  "feature_names": [\n'
+            b'    "b",\n'
+            b'    "a"\n'
+            b'  ],\n'
+            b'  "hyperparams": {},\n'
+            b'  "parameters": {\n'
+            b'    "constant": 0.25,\n'
+            b'    "prior": [\n'
+            b'      0.5,\n'
+            b'      0.5\n'
+            b'    ]\n'
+            b'  },\n'
+            b'  "seed": 3,\n'
+            b'  "version": 1\n'
+            b'}\n')
+
     def test_unsupported_version_rejected(self, tmp_path):
         X, y = separable()
         path = tmp_path / "model.json"
@@ -754,9 +780,7 @@ class TestEvalCsv:
         report = kfold_cv("naive_bayes", [(X, y)], k=4, seed=0)[0]
         path = tmp_path / "eval.csv"
         write_eval_csv([("naive_bayes", "starting_high", report)], str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "model,case,accuracy,f1"
-        cells = lines[1].split(",")
-        assert cells[:2] == ["naive_bayes", "starting_high"]
-        assert cells[2] == f"{report.mean_accuracy:.6f}"
-        assert cells[3] == f"{report.mean_f1:.6f}"
+        assert path.read_bytes() == (
+            "model,case,accuracy,f1\r\n"
+            f"naive_bayes,starting_high,{report.mean_accuracy:.6f},{report.mean_f1:.6f}\r\n"
+        ).encode()

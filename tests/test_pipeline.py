@@ -462,6 +462,51 @@ class TestManifest:
         with pytest.raises(PipelineStageError, match="missing or empty: empty.csv"):
             pipeline.write_manifest(cfg, {"empty.csv": "empty.csv"}, [])
 
+    def test_manifest_file_bytes(self, tmp_path):
+        # sorted keys, artifacts sorted by name, warnings kept in order
+        for name in ("a.csv", "b.csv"):
+            (tmp_path / name).write_text("x\n")
+        cfg = build_config(out=str(tmp_path), models="naive_bayes", seed=5)
+        path = pipeline.write_manifest(cfg, {"b.csv": "b.csv", "a.csv": "a.csv"}, ["w2", "w1"])
+        assert path == str(tmp_path / "manifest.json")
+        assert (tmp_path / "manifest.json").read_bytes() == (
+            b'{\n'
+            b'  "artifacts": {\n'
+            b'    "a.csv": "a.csv",\n'
+            b'    "b.csv": "b.csv"\n'
+            b'  },\n'
+            b'  "config": {\n'
+            b'    "cutoff_months": 3,\n'
+            b'    "cv_folds": 10,\n'
+            b'    "events": "",\n'
+            b'    "explain_rows": 40,\n'
+            b'    "format": "csv",\n'
+            b'    "gamma": 1.0,\n'
+            b'    "horizon_days": 365,\n'
+            b'    "hub_multiplier": 1.0,\n'
+            b'    "interval": "weekly",\n'
+            b'    "k_max": 10,\n'
+            b'    "k_min": 4,\n'
+            b'    "key_users": "hub",\n'
+            b'    "metric": "euclidean",\n'
+            b'    "min_listing_weeks": 6,\n'
+            b'    "min_span_days": 365,\n'
+            b'    "min_transactions": 1,\n'
+            b'    "models": [\n'
+            b'      "naive_bayes"\n'
+            b'    ],\n'
+            b'    "n_permutations": 300,\n'
+            b'    "seed": 5,\n'
+            b'    "top_communities": 2,\n'
+            b'    "transactions": ""\n'
+            b'  },\n'
+            b'  "version": 1,\n'
+            b'  "warnings": [\n'
+            b'    "w2",\n'
+            b'    "w1"\n'
+            b'  ]\n'
+            b'}\n')
+
     def test_manifest_records_warnings(self, run):
         _, _, m2, manifest_path = run
         with open(manifest_path, encoding="utf-8") as fh:

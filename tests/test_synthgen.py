@@ -48,6 +48,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             SynthConfig(**kwargs)
 
+    @pytest.mark.parametrize("args, field", [
+        (["--noise", "nan"], "noise_sd"),
+        (["--noise", "inf"], "noise_sd"),
+        (["--signal", "messages_count=nan"], "messages_count"),
+        (["--signal", "likes_count=-inf"], "likes_count"),
+        (["--signal", "rating_current=inf"], "rating_current"),
+        (["--signal", "messages_count=1000"], "messages_count"),  # exp overflows
+    ])
+    def test_non_finite_knobs_exit_2_naming_the_field(self, tmp_path, capsys, args, field):
+        assert cli.main(["synth", "--heroes", "4", "--out", str(tmp_path / "out"), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_finite_rate_effect_is_accepted(self):
+        cfg = SynthConfig(feature_signal={"messages_count": synthgen._MAX_EXPONENT})
+        assert cfg.feature_signal["messages_count"] == synthgen._MAX_EXPONENT
+
     def test_rating_level_signal_is_allowed(self):
         cfg = SynthConfig(feature_signal={"rating_current": -2.0})
         assert cfg.feature_signal["rating_current"] == -2.0
@@ -245,9 +263,7 @@ class TestWriters:
                  "a": synthgen.PlantedTruth("FPD", 0)}
         path = tmp_path / "truth.csv"
         write_truth_csv(truth, str(path))
-        assert path.read_text().splitlines() == [
-            "user_id,archetype,community", "a,FPD,0", "b,SAD,1",
-        ]
+        assert path.read_bytes() == b"user_id,archetype,community\r\na,FPD,0\r\nb,SAD,1\r\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_synth_outputs_are_pinned(self, tmp_path, fmt):

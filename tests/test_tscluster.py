@@ -419,19 +419,16 @@ class TestWriters:
                   1: ArchetypeLabel("SPD", 0.1, 0.1)}
         path = tmp_path / "clusters.csv"
         write_cluster_csv(model, labels, str(path))
-        assert path.read_text().splitlines() == [
-            "user_id,cluster_id,archetype", "a,0,FPD", "b,1,SPD",
-        ]
+        assert path.read_bytes() == b"user_id,cluster_id,archetype\r\na,0,FPD\r\nb,1,SPD\r\n"
 
     def test_centroid_csv(self, tmp_path):
         model = model_with_centroids([[0.25, 0.5], [1.0, 0.0]])
         path = tmp_path / "centroids.csv"
         write_centroid_csv(model, str(path))
-        assert path.read_text().splitlines() == [
-            "cluster_id,index,value",
-            "0,0,0.250000", "0,1,0.500000",
-            "1,0,1.000000", "1,1,0.000000",
-        ]
+        assert path.read_bytes() == (
+            b"cluster_id,index,value\r\n"
+            b"0,0,0.250000\r\n0,1,0.500000\r\n"
+            b"1,0,1.000000\r\n1,1,0.000000\r\n")
 
 
 def dba_update(X, assign, centroids, max_inner: int = 30) -> int:
