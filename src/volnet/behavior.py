@@ -120,16 +120,14 @@ def detect_hubs(g: TransactionGraph, multiplier: float = 1.0) -> KeyUserSet:
     result is invariant under edge-weight scaling."""
     if not 1.0 <= multiplier < np.inf:
         raise ValueError(f"multiplier must be finite and >= 1, got {multiplier}")
-    if not g.nodes:
+    n = len(g.names)
+    if not n:
         raise ValueError("hub detection needs a non-empty graph")
     # each distinct directed edge is one out-neighbor of its source and one
     # in-neighbor of its target
-    degree = dict.fromkeys(g.nodes, 0)
-    for a, b in g.edges:
-        degree[a] += 1
-        degree[b] += 1
-    avg = sum(degree.values()) / len(degree)
-    hubs = frozenset(v for v, d in degree.items() if d > multiplier * avg)
+    degree = np.bincount(g.src, minlength=n) + np.bincount(g.dst, minlength=n)
+    avg = int(degree.sum()) / n
+    hubs = frozenset(np.array(g.names, dtype=object)[degree > multiplier * avg].tolist())
     return KeyUserSet(ids=hubs, origin="hub_rule")
 
 

@@ -66,7 +66,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"{rejected} rejected")
     if m1.partition is not None:
         sizes = community.community_sizes(m1.partition)
-        print(f"{m1.partition.count} communities over {len(m1.net.nodes)} users, "
+        print(f"{m1.partition.count} communities over {len(m1.net.names)} users, "
               f"modularity {m1.partition.modularity:.4f}")
         for cid, size in sorted(sizes.items(), key=lambda kv: (-kv[1], kv[0]))[:10]:
             print(f"  community {cid}: {size} users")

@@ -1,18 +1,26 @@
 """Louvain community detection on the weighted undirected projection.
 
-Partitioning reads the graph's undirected projection
-(``graph.adjacency(g, "both")``, weights from both directions summed);
-the optimizer is the classic two-phase scheme of seeded local moves
-followed by graph aggregation, and one objective (``_phase_q``) scores
-every level and the final partition.
+Every level of the optimizer is one weighted undirected graph in arrays:
+node pairs ``lo < hi`` with their summed weights, and each node's self
+weight.  :func:`_collapse` builds one level from the one below with an
+``np.unique`` over community-pair codes; the first level collapses the
+directed :class:`~volnet.graph.TransactionGraph` itself, each node its own
+community, so both edge directions' weights are summed.  The optimizer is
+the classic two-phase scheme of seeded local moves, which read per-node
+neighbour lists, followed by aggregation, and one objective
+(:func:`_phase_q`) scores every level and the final partition.  Weights
+are integers, so every sum of them is exact in any order.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .graph import TransactionGraph, adjacency
+import numpy as np
+
+from .graph import TransactionGraph
 from .ingest import write_rows
 
 # Stop once a full local-move + aggregation phase improves the objective
@@ -30,52 +38,66 @@ class Partition:
     phase_modularity: tuple[float, ...] = field(default=())
 
 
-def _undirected_weights(g: TransactionGraph) -> tuple[list[str], dict[int, dict[int, float]], float]:
-    """Index the undirected projection's nodes; returns (nodes, adj, m)."""
-    nodes = sorted(g.nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    both = adjacency(g, "both")
-    # integer weights, so every float sum over them is exact
-    adj = {index[v]: {index[w]: float(x) for w, x in both[v].items()} for v in nodes}
-    m = sum((w for i, row in adj.items() for j, w in row.items() if i < j), 0.0)
-    return nodes, adj, m
+def _collapse(a, b, w, selfw, com, count):
+    """The level whose ``count`` nodes are the communities ``com`` of the
+    nodes of edges ``(a, b, w)`` (in either direction) and self weights
+    ``selfw``: ``(lo, hi, w, selfw)``, pairs sorted by code."""
+    ca, cb = com[a], com[b]
+    inside = ca == cb
+    selfw = np.bincount(com, selfw, count) + np.bincount(ca[inside], w[inside], count)
+    lo, hi = np.minimum(ca, cb)[~inside], np.maximum(ca, cb)[~inside]
+    pairs, at = np.unique(lo * count + hi, return_inverse=True)
+    return pairs // count, pairs % count, np.bincount(at, w[~inside], len(pairs)), selfw
+
+
+def _first_seen(labels: np.ndarray) -> tuple[np.ndarray, int]:
+    """``labels`` renumbered densely in order of first appearance, and their count."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse], len(first)
+
+
+def _phase_q(lo, hi, w, selfw, node2com, m, resolution) -> float:
+    """Objective on the current (possibly aggregated) level: one term per
+    community, added left to right in order of first appearance."""
+    com, count = _first_seen(node2com)
+    k = np.bincount(lo, w, len(com)) + np.bincount(hi, w, len(com)) + 2.0 * selfw
+    inside = com[lo] == com[hi]
+    intra = np.bincount(com, selfw, count) + np.bincount(com[lo[inside]], w[inside], count)
+    # Python's float ** (libm pow) can differ from NumPy's square in the last bit
+    spread = np.array([x ** 2 for x in (np.bincount(com, k, count) / (2.0 * m)).tolist()])
+    return float(np.cumsum(intra / m - resolution * spread)[-1])
+
+
+def _first_level(g: TransactionGraph):
+    """``g``'s undirected projection as Louvain's first level, and its total weight."""
+    n = len(g.names)
+    level = _collapse(g.src, g.dst, g.weight, np.zeros(n), np.arange(n), n)
+    return level, float(level[2].sum())
 
 
 def modularity(g: TransactionGraph, p: Partition) -> float:
     """Newman modularity Q = sum_c (e_c/m - (d_c/2m)^2) of ``p`` on ``g``."""
-    missing = g.nodes - p.assignment.keys()
+    missing = [v for v in g.names if v not in p.assignment]
     if missing:
         raise ValueError(f"partition does not cover {len(missing)} node(s)")
-    nodes, adj, m = _undirected_weights(g)
+    level, m = _first_level(g)
     if m == 0.0:
         return 0.0
-    com = {i: p.assignment[v] for i, v in enumerate(nodes)}
-    return _phase_q(adj, dict.fromkeys(adj, 0.0), com, m, 1.0)
+    return _phase_q(*level, np.array([p.assignment[v] for v in g.names]), m, 1.0)
 
 
-def _phase_q(adj, selfw, node2com, m, resolution) -> float:
-    """Objective on the current (possibly aggregated) graph."""
-    intra: dict[int, float] = {}
-    degree: dict[int, float] = {}
-    for i in adj:
-        ci = node2com[i]
-        degree[ci] = degree.get(ci, 0.0) + sum(adj[i].values()) + 2.0 * selfw[i]
-        intra[ci] = intra.get(ci, 0.0) + selfw[i]
-        for j, w in adj[i].items():
-            if i < j and node2com[j] == ci:
-                intra[ci] = intra.get(ci, 0.0) + w
-    q = 0.0
-    for c in degree:
-        q += intra.get(c, 0.0) / m - resolution * (degree[c] / (2.0 * m)) ** 2
-    return q
-
-
-def _local_moves(adj, selfw, m, resolution, rng) -> dict[int, int]:
-    """One local-move phase; returns the final node -> community map."""
-    node2com = {i: i for i in adj}
-    k = {i: sum(adj[i].values()) + 2.0 * selfw[i] for i in adj}
-    sigma_tot = {i: k[i] for i in adj}
-    order = sorted(adj)
+def _local_moves(lo, hi, weight, selfw, m, resolution, rng) -> np.ndarray:
+    """One local-move phase over the level's per-node neighbour lists;
+    returns the final node -> community map."""
+    ends = np.concatenate([lo, hi])
+    by_end = np.argsort(ends, kind="stable")
+    bounds = np.cumsum(np.bincount(ends, minlength=len(selfw)))[:-1]
+    nbrs = [a.tolist() for a in np.split(np.concatenate([hi, lo])[by_end], bounds)]
+    wts = [a.tolist() for a in np.split(np.concatenate([weight, weight])[by_end], bounds)]
+    node2com = list(range(len(selfw)))
+    k = [sum(ws) + 2.0 * s for ws, s in zip(wts, selfw.tolist())]
+    sigma_tot = k.copy()
+    order = node2com.copy()
     moved = True
     while moved:
         moved = False
@@ -84,10 +106,9 @@ def _local_moves(adj, selfw, m, resolution, rng) -> dict[int, int]:
             old = node2com[i]
             # weight from i to each adjacent community
             links: dict[int, float] = {}
-            for j, w in adj[i].items():
+            for j, w in zip(nbrs[i], wts[i]):
                 links[node2com[j]] = links.get(node2com[j], 0.0) + w
             sigma_tot[old] -= k[i]
-            node2com[i] = -1
             best_com, best_gain = old, links.get(old, 0.0) - resolution * sigma_tot[old] * k[i] / (2.0 * m)
             for c in sorted(links):
                 if c == old:
@@ -99,27 +120,7 @@ def _local_moves(adj, selfw, m, resolution, rng) -> dict[int, int]:
             sigma_tot[best_com] += k[i]
             if best_com != old:
                 moved = True
-    return node2com
-
-
-def _aggregate(adj, selfw, node2com):
-    """Collapse communities into super-nodes (dense re-indexing by id)."""
-    coms = sorted(set(node2com.values()))
-    remap = {c: i for i, c in enumerate(coms)}
-    new_adj: dict[int, dict[int, float]] = {i: {} for i in range(len(coms))}
-    new_self = {i: 0.0 for i in range(len(coms))}
-    for i in adj:
-        ci = remap[node2com[i]]
-        new_self[ci] += selfw[i]
-        for j, w in adj[i].items():
-            cj = remap[node2com[j]]
-            if i < j:
-                if ci == cj:
-                    new_self[ci] += w
-                else:
-                    new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
-                    new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
-    return new_adj, new_self, remap
+    return np.array(node2com)
 
 
 def louvain(g: TransactionGraph, seed: int = 0, resolution: float = 1.0) -> Partition:
@@ -133,47 +134,42 @@ def louvain(g: TransactionGraph, seed: int = 0, resolution: float = 1.0) -> Part
     """
     if not 0 < resolution < float("inf"):
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")
-    nodes, adj, m = _undirected_weights(g)
-    n = len(nodes)
+    n = len(g.names)
     if n == 0:
         return Partition(assignment={}, count=0, modularity=0.0)
+    base, m = _first_level(g)  # the original graph's level scores the final partition
     if m == 0.0:
-        assignment = {v: i for i, v in enumerate(nodes)}
-        return Partition(assignment=assignment, count=n, modularity=0.0)
+        return Partition(assignment=dict(zip(g.names, range(n))), count=n, modularity=0.0)
 
     rng = random.Random(seed)
-    base = adj  # the original graph's level scores the final partition
-    selfw = {i: 0.0 for i in adj}
+    level = base
     # node index on the original graph -> community on the current level
-    level_com = {i: i for i in range(n)}
+    level_com = np.arange(n)
     history: list[float] = []
     prev_q = -1.0
     while True:
-        node2com = _local_moves(adj, selfw, m, resolution, rng)
-        q = _phase_q(adj, selfw, node2com, m, resolution)
+        node2com = _local_moves(*level, m, resolution, rng)
+        q = _phase_q(*level, node2com, m, resolution)
         history.append(q)
-        adj, selfw, remap = _aggregate(adj, selfw, node2com)
-        level_com = {i: remap[node2com[level_com[i]]] for i in level_com}
+        coms, remap = np.unique(node2com, return_inverse=True)  # dense by id
+        level = _collapse(*level, remap, len(coms))
+        level_com = remap[level_com]
         if q - prev_q < _MIN_PHASE_GAIN:
             break
         prev_q = q
 
     # dense final ids by first appearance over sorted node names
-    relabel: dict[int, int] = {}
-    com = {i: relabel.setdefault(level_com[i], len(relabel)) for i in range(n)}
+    com, count = _first_seen(level_com)
     return Partition(
-        assignment={v: com[i] for i, v in enumerate(nodes)},
-        count=len(relabel),
-        modularity=_phase_q(base, dict.fromkeys(base, 0.0), com, m, 1.0),
+        assignment=dict(zip(g.names, com.tolist())),
+        count=count,
+        modularity=_phase_q(*base, com, m, 1.0),
         phase_modularity=tuple(history),
     )
 
 
 def community_sizes(p: Partition) -> dict[int, int]:
-    sizes: dict[int, int] = {}
-    for c in p.assignment.values():
-        sizes[c] = sizes.get(c, 0) + 1
-    return sizes
+    return dict(Counter(p.assignment.values()))
 
 
 def write_partition_csv(p: Partition, path: str) -> None:

@@ -88,8 +88,8 @@ def _network_features(g: TransactionGraph, u: str) -> tuple[dict[str, float], Ra
     if flow == 0:
         raise ValueError(f"user {u!r} has no transactions inside the ego network")
     return {
-        "nodes_number": float(len(g.nodes)),
-        "edges_number": float(len(g.edges)),
+        "nodes_number": float(len(g.names)),
+        "edges_number": float(len(g.src)),
         "density": density(g),
         "pagerank": math.nan,
         "closeness_centrality": closeness,

@@ -5,14 +5,14 @@ in-degree counts pickups.  Edge weight is the transaction count for the
 pair.  Closeness and the clustering coefficient are computed on the
 undirected, unweighted projection.
 
-A graph is a plain value of nodes and weighted edges.  :func:`adjacency`
-is the one place that turns edges into neighbour dicts, built when an
-algorithm reads them and never cached on the graph; :func:`node_metrics`
-builds each of the three views once for all of a node's metrics.
-:func:`build_graph`
-counts a log's (lister, collector) code pairs into edges with one
-``np.unique``; :func:`ego_networks` sums them incrementally, one cutoff at
-a time, and shares one ego cut with :func:`ego_network`.
+A graph has one form, :class:`TransactionGraph`: the sorted node names,
+whose indices are the node codes, and three integer arrays that list the
+edges as (source, target, weight) codes.  Every algorithm reads those
+arrays: degrees and the hub rule are bincounts or masks, closeness is a
+frontier BFS, and Louvain (``community``) and :class:`RankLane` sort them.
+:func:`build_graph` keeps the pair codes of one ``np.unique`` over a log,
+in first-transaction order; :func:`ego_networks` sums them incrementally,
+one cutoff at a time, and shares one ego cut with :func:`ego_network`.
 
 PageRank has one kernel, :func:`pagerank_lanes`: one power iteration over
 a block of graphs, each a lane (:class:`RankLane`) whose ranks do not depend
@@ -22,7 +22,8 @@ feature assembly ranks its ego networks in blocks (:func:`node_metrics_lane`).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from bisect import bisect_left
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -44,25 +45,42 @@ class PageRankError(RuntimeError):
         self.last = last
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False)
 class TransactionGraph:
-    """Immutable snapshot of the network: users and weighted directed edges."""
+    """Immutable snapshot of the network.  ``names`` holds the users in
+    sorted order, and a user's code is its index there; edge ``e`` runs
+    from ``src[e]`` to ``dst[e]`` with integer ``weight[e] >= 1``, and no
+    ordered pair repeats."""
 
-    nodes: frozenset[str]
-    edges: Mapping[tuple[str, str], int]
+    names: tuple[str, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
 
     def __post_init__(self):
-        for (a, b), w in self.edges.items():
-            if a == b:
-                raise ValueError(f"self-loop on {a!r}")
-            if w < 1:
-                raise ValueError(f"edge ({a!r}, {b!r}) with weight {w}")
-            if a not in self.nodes or b not in self.nodes:
-                raise ValueError(f"edge ({a!r}, {b!r}) endpoint outside node set")
+        names, n, src, dst, weight = self.names, len(self.names), self.src, self.dst, self.weight
+        if any(a >= b for a, b in zip(names, names[1:])):
+            raise ValueError("node names must be sorted and distinct")
+        if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"
+                   for a in (src, dst, weight)):
+            raise ValueError("src, dst and weight must be one-dimensional integer arrays")
+        if not len(src) == len(dst) == len(weight):
+            raise ValueError("src, dst and weight differ in length")
+        if len(src) and not (min(src.min(), dst.min()) >= 0 and max(src.max(), dst.max()) < n):
+            raise ValueError(f"an edge endpoint code is outside [0, {n})")
+        if (src == dst).any():
+            raise ValueError("an edge is a self-loop")
+        if (weight < 1).any():
+            raise ValueError("an edge weight is below 1")
+        if len(np.unique(src.astype(np.int64) * n + dst)) < len(src):
+            raise ValueError("an edge repeats")
 
-    def _require(self, v: str) -> None:
-        if v not in self.nodes:
+    def code(self, v: str) -> int:
+        """``v``'s index in ``names``."""
+        i = bisect_left(self.names, v)
+        if i == len(self.names) or self.names[i] != v:
             raise KeyError(f"unknown user {v!r}")
+        return i
 
 
 @dataclass(frozen=True)
@@ -73,51 +91,44 @@ class DegreeRecord:
     out_distinct: int
 
 
-def adjacency(g: TransactionGraph, direction: str = "out") -> dict[str, dict[str, int]]:
-    """Every node's weighted neighbours, filled in edge order: ``"out"``
-    follows the edges, ``"in"`` reverses them, and ``"both"`` is the
-    undirected projection with the two directions' weights summed."""
-    if direction not in ("out", "in", "both"):
-        raise ValueError(f"unknown direction {direction!r}")
-    adj: dict[str, dict[str, int]] = {v: {} for v in g.nodes}
-    for (a, b), w in g.edges.items():
-        if direction != "in":
-            adj[a][b] = adj[a].get(b, 0) + w
-        if direction != "out":
-            adj[b][a] = adj[b].get(a, 0) + w
-    return adj
-
-
 def build_graph(log: TransactionLog, until: datetime | None = None) -> TransactionGraph:
     """Aggregate transactions with ``collected_at <= until`` (all of them
     by default) into a graph; edges follow their pair's first transaction."""
     n = len(log) if until is None else log.count_until(until)
-    lister, collector = log.lister[:n], log.collector[:n]
-    names = np.array(log.user_ids, dtype=object)
-    pairs, first, counts = np.unique(lister.astype(np.int64) * len(names) + collector,
+    width = len(log.user_ids)
+    pairs, first, counts = np.unique(log.lister[:n].astype(np.int64) * width + log.collector[:n],
                                      return_index=True, return_counts=True)
     order = np.argsort(first)
-    a, b = np.divmod(pairs[order], len(names))
-    edges = dict(zip(zip(names[a].tolist(), names[b].tolist()), counts[order].tolist()))
-    nodes = frozenset(names[np.unique(np.concatenate([lister, collector]))].tolist())
-    return TransactionGraph(nodes=nodes, edges=edges)
+    a, b = np.divmod(pairs[order], width)
+    by_name = sorted(np.unique(np.concatenate([a, b])).tolist(), key=log.user_ids.__getitem__)
+    code = np.zeros(width, dtype=np.int64)
+    code[by_name] = np.arange(len(by_name))
+    return TransactionGraph(tuple(log.user_ids[c] for c in by_name), code[a], code[b],
+                            counts[order])
 
 
-def _ego_cut(u: str, succ: Mapping[str, Mapping[str, int]],
-             pred: Mapping[str, Mapping[str, int]]) -> TransactionGraph:
-    """Members are ``u`` and its out- and in-neighbors; edges are the
-    members' out-edges that stay inside the members."""
-    members = {u, *succ.get(u, ()), *pred.get(u, ())}
-    edges = {(a, b): w for a in members for b, w in succ.get(a, {}).items()
-             if b in members}
-    return TransactionGraph(nodes=frozenset(members), edges=edges)
+def _ego_cut(u: int, names: Sequence[str], succ: Mapping[int, Mapping[int, int]],
+             pred: Mapping[int, Mapping[int, int]]) -> TransactionGraph:
+    """The ego network of node ``u`` of the graph whose out- and
+    in-neighbours ``succ`` and ``pred`` hold, in codes of ``names`` (sorted):
+    its members are ``u`` and its neighbours, and its edges the members'
+    out-edges that stay inside the members, grouped by source and in
+    ``succ`` order within a source."""
+    members = sorted({u, *succ.get(u, ()), *pred.get(u, ())})
+    local = {c: i for i, c in enumerate(members)}
+    rows = [(i, j, w) for i, a in enumerate(members) for b, w in succ.get(a, {}).items()
+            if (j := local.get(b)) is not None]
+    src, dst, weight = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    return TransactionGraph(tuple(names[c] for c in members), src, dst, weight)
 
 
 def ego_network(g: TransactionGraph, u: str) -> TransactionGraph:
     """Ego network of ``u``: nodes are {u} plus direct neighbors; edges are
     every edge incident to ``u`` plus every edge between two neighbors."""
-    g._require(u)
-    return _ego_cut(u, adjacency(g, "out"), adjacency(g, "in"))
+    i, succ, pred = g.code(u), defaultdict(dict), defaultdict(dict)
+    for a, b, w in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()):
+        succ[a][b] = pred[b][a] = w
+    return _ego_cut(i, g.names, succ, pred)
 
 
 def ego_networks(log: TransactionLog,
@@ -126,65 +137,61 @@ def ego_networks(log: TransactionLog,
     order, over the transactions with ``collected_at`` up to that user's
     cutoff.
 
-    The adjacency grows in one pass over the log, instead of a graph
-    rebuilt per user, and each ego network is built only when its turn
-    comes, so a caller holds one at a time.  A user with no transaction
-    by their cutoff gets an ego network of just themselves.
+    The adjacency grows in one pass over the log, keyed by each user's rank
+    among the log's sorted names, instead of a graph rebuilt per user, and
+    each ego network is cut only when its turn comes, so a caller holds one
+    at a time.  A user with no transaction by their cutoff gets an ego
+    network of just themselves.
     """
-    names = log.user_ids
-    succ: dict[str, Counter[str]] = defaultdict(Counter)
-    pred: dict[str, Counter[str]] = defaultdict(Counter)
+    names = sorted(log.user_ids)
+    rank = {u: i for i, u in enumerate(names)}
+    code = np.array([rank[u] for u in log.user_ids], dtype=np.int64)
+    lister, collector = code[log.lister], code[log.collector]
+    succ: dict[int, Counter[int]] = defaultdict(Counter)
+    pred: dict[int, Counter[int]] = defaultdict(Counter)
     ptr = 0
     for u in sorted(cutoffs, key=lambda u: (cutoffs[u], u)):
         n = log.count_until(cutoffs[u])
-        for a, b in zip(log.lister[ptr:n].tolist(), log.collector[ptr:n].tolist()):
-            succ[names[a]][names[b]] += 1
-            pred[names[b]][names[a]] += 1
+        for a, b in zip(lister[ptr:n].tolist(), collector[ptr:n].tolist()):
+            succ[a][b] += 1
+            pred[b][a] += 1
         ptr = n
-        yield u, _ego_cut(u, succ, pred)
+        yield u, (_ego_cut(rank[u], names, succ, pred) if u in rank
+                  else TransactionGraph((u,), *np.zeros((3, 0), dtype=np.int64)))
 
 
 def density(g: TransactionGraph) -> float:
     """Distinct directed edges over n*(n-1); 0 for graphs with <= 1 node."""
-    n = len(g.nodes)
+    n = len(g.names)
     if n <= 1:
         return 0.0
-    return len(g.edges) / (n * (n - 1))
-
-
-def _degrees(succ: Mapping[str, Mapping[str, int]], pred: Mapping[str, Mapping[str, int]],
-             v: str) -> DegreeRecord:
-    ins, outs = pred[v], succ[v]
-    return DegreeRecord(
-        in_weighted=sum(ins.values()),
-        out_weighted=sum(outs.values()),
-        in_distinct=len(ins),
-        out_distinct=len(outs),
-    )
+    return len(g.src) / (n * (n - 1))
 
 
 def degrees(g: TransactionGraph, v: str) -> DegreeRecord:
-    g._require(v)
-    return _degrees(adjacency(g, "out"), adjacency(g, "in"), v)
+    i = g.code(v)
+    ins, outs = g.dst == i, g.src == i
+    return DegreeRecord(
+        in_weighted=int(g.weight[ins].sum()),
+        out_weighted=int(g.weight[outs].sum()),
+        in_distinct=int(ins.sum()),
+        out_distinct=int(outs.sum()),
+    )
 
 
 class RankLane(NamedTuple):
     """One graph coded for :func:`pagerank_lanes`: its nodes in sorted
-    order, and its out-edges as ``(source, target, weight)`` rows of node
-    codes, grouped by source in node order and in adjacency order within a
-    source, the order in which the power iteration visits them. Weights are
-    positive, as in a :class:`TransactionGraph`."""
+    order, and its edges as ``(source, target, weight)`` rows of node
+    codes, grouped by source in node order and in the graph's edge order
+    within a source, the order in which the power iteration visits them."""
 
     members: list[str]
     edges: np.ndarray
 
     @classmethod
-    def of(cls, succ: Mapping[str, Mapping[str, int]]) -> RankLane:
-        members = sorted(succ)
-        code = {v: i for i, v in enumerate(members)}
-        edges = [(i, code[w], weight) for i, v in enumerate(members)
-                 for w, weight in succ[v].items()]
-        return cls(members, np.array(edges, dtype=np.int64).reshape(-1, 3))
+    def of(cls, g: TransactionGraph) -> RankLane:
+        order = np.argsort(g.src, kind="stable")
+        return cls(list(g.names), np.stack([g.src, g.dst, g.weight], axis=1)[order].astype(np.int64))
 
     def rank_of(self, v: str, ranks: np.ndarray) -> float:
         """``v``'s entry of this lane's :func:`pagerank_lanes` result."""
@@ -264,78 +271,62 @@ def pagerank(
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0, 1)")
-    if not g.nodes:
+    if not g.names:
         return {}
-    lane = RankLane.of(adjacency(g, "out"))
+    lane = RankLane.of(g)
     return dict(zip(lane.members, pagerank_lanes([lane], damping, tol, max_iter)[0].tolist()))
-
-
-def _bfs_distances(adj: Mapping[str, Mapping[str, int]], source: str) -> dict[str, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
-def _closeness(both: Mapping[str, Mapping[str, int]], v: str) -> float:
-    n = len(both)
-    if n <= 1:
-        return 0.0
-    dist = _bfs_distances(both, v)
-    r = len(dist)  # reachable nodes, v included
-    total = sum(dist.values())
-    if r <= 1 or total == 0:
-        return 0.0
-    return ((r - 1) / total) * ((r - 1) / (n - 1))
 
 
 def closeness_centrality(g: TransactionGraph, v: str) -> float:
     """Closeness on the undirected unweighted projection, with the
-    reachable-fraction correction for disconnected graphs."""
-    g._require(v)
-    return _closeness(adjacency(g, "both"), v)
-
-
-def _clustering(both: Mapping[str, Mapping[str, int]], v: str) -> float:
-    neighbors = sorted(both[v])
-    k = len(neighbors)
-    if k < 2:
+    reachable-fraction correction for disconnected graphs; hops come from a
+    BFS that visits one frontier at a time."""
+    n = len(g.names)
+    dist = np.full(n, -1)
+    dist[g.code(v)] = 0
+    frontier = dist == 0
+    while frontier.any():
+        reached = np.zeros_like(frontier)
+        reached[g.dst[frontier[g.src]]] = reached[g.src[frontier[g.dst]]] = True
+        frontier = reached & (dist < 0)
+        dist[frontier] = dist.max() + 1
+    r, total = int((dist >= 0).sum()), int(dist[dist > 0].sum())  # r counts v too
+    if total == 0:  # nothing reachable, so r == 1
         return 0.0
-    links = 0
-    for i, a in enumerate(neighbors):
-        for b in neighbors[i + 1:]:
-            if b in both[a]:
-                links += 1
-    return 2.0 * links / (k * (k - 1))
+    return ((r - 1) / total) * ((r - 1) / (n - 1))
 
 
 def clustering_coefficient(g: TransactionGraph, v: str) -> float:
     """Fraction of neighbor pairs (undirected projection) that are linked."""
-    g._require(v)
-    return _clustering(adjacency(g, "both"), v)
+    i, near = g.code(v), np.zeros(len(g.names), dtype=bool)
+    near[g.dst[g.src == i]] = near[g.src[g.dst == i]] = True
+    k = int(near.sum())
+    if k < 2:
+        return 0.0
+    inside = near[g.src] & near[g.dst]
+    lo, hi = np.minimum(g.src, g.dst)[inside], np.maximum(g.src, g.dst)[inside]
+    links = len(np.unique(lo * len(g.names) + hi))  # each linked pair once
+    return 2.0 * links / (k * (k - 1))
 
 
 def node_metrics_lane(g: TransactionGraph,
                       v: str) -> tuple[DegreeRecord, RankLane, float, float]:
     """:func:`node_metrics` with PageRank left as ``g``'s lane, so that a
     caller can rank many graphs in one :func:`pagerank_lanes` block."""
-    g._require(v)
-    succ, pred, both = (adjacency(g, d) for d in ("out", "in", "both"))
-    return _degrees(succ, pred, v), RankLane.of(succ), _closeness(both, v), _clustering(both, v)
+    return (degrees(g, v), RankLane.of(g), closeness_centrality(g, v),
+            clustering_coefficient(g, v))
 
 
 def node_metrics(g: TransactionGraph, v: str) -> tuple[DegreeRecord, float, float, float]:
     """:func:`degrees`, :func:`pagerank` (at its defaults),
-    :func:`closeness_centrality` and :func:`clustering_coefficient` of
-    ``v``, from one build each of the three adjacency views."""
+    :func:`closeness_centrality` and :func:`clustering_coefficient` of ``v``."""
     deg, lane, closeness, clustering = node_metrics_lane(g, v)
     return deg, lane.rank_of(v, pagerank_lanes([lane])[0]), closeness, clustering
 
 
 def write_edges_csv(g: TransactionGraph, path: str) -> None:
-    write_rows(path, "csv", ("src", "dst", "weight"), sorted((*e, w) for e, w in g.edges.items()))
+    """One row per edge, sorted by source and then target name."""
+    order = np.lexsort((g.dst, g.src))
+    names = np.array(g.names, dtype=object)
+    write_rows(path, "csv", ("src", "dst", "weight"), zip(
+        names[g.src[order]].tolist(), names[g.dst[order]].tolist(), g.weight[order].tolist()))

@@ -3,7 +3,8 @@
 Input files are plain CSV or JSONL.  Transactions carry the exact columns
 ``item_id,lister_id,collector_id,listed_at,collected_at`` and activity events
 ``user_id,kind,at,value`` (``value`` empty unless ``kind`` is ``rating``).
-Timestamps are RFC 3339, normalized to UTC at parse time.
+Timestamps are RFC 3339, read by one grammar on every Python
+(:func:`parse_timestamp`) and normalized to UTC at parse time.
 
 Both logs are columnar, with one design: a table of user ids, ``int32``
 user codes into it numbered by first appearance, ``int64``
@@ -35,6 +36,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import re
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
@@ -55,6 +57,8 @@ EVENT_COLUMNS = ("user_id", "kind", "at", "value")
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 MICROSECOND = timedelta(microseconds=1)
 _DAY_US = timedelta(days=1) // MICROSECOND
+_RFC3339 = re.compile(r"(\d{4})-(\d{2})-(\d{2})[Tt ](\d{2}):(\d{2}):(\d{2})(?:\.(\d+))?"
+                      r"(?:([Zz])|([+-])([01]\d|2[0-3]):([0-5]\d))?", re.ASCII)
 
 
 class ParseError(ValueError):
@@ -69,15 +73,24 @@ class ParseError(ValueError):
 
 
 def parse_timestamp(text: str) -> datetime:
-    """Parse an RFC 3339 timestamp into an aware UTC datetime."""
-    raw = text.strip()
-    if raw.endswith(("Z", "z")):
-        raw = raw[:-1] + "+00:00"
-    dt = datetime.fromisoformat(raw)
-    if dt.tzinfo is None:
+    """Parse an RFC 3339 (section 5.6) timestamp into an aware UTC datetime.
+
+    The grammar is the same on every Python: a date, ``T``, ``t`` or a
+    space, a time with seconds and an optional fraction (truncated to
+    microseconds past 6 digits), then ``Z``, ``z`` or ``+HH:MM``/``-HH:MM``.
+    Surrounding whitespace is ignored."""
+    match = _RFC3339.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"not an RFC 3339 timestamp: {text!r}")
+    *fields, fraction, utc, sign, hours, minutes = match.groups()
+    if not (utc or sign):
         raise ValueError(f"timestamp without offset: {text!r}")
+    offset = timedelta(hours=int(hours), minutes=int(minutes)) if sign else timedelta(0)
     try:
-        return dt.astimezone(timezone.utc)
+        return datetime(*map(int, fields), int((fraction or "0")[:6].ljust(6, "0")),
+                        tzinfo=timezone(-offset if sign == "-" else offset)).astimezone(timezone.utc)
+    except ValueError as exc:  # e.g. a day past the month's end, or second 60
+        raise ValueError(f"not an RFC 3339 timestamp: {text!r} ({exc})") from None
     except OverflowError:  # e.g. 0001-01-01T00:00:00+01:00 falls before year 1 in UTC
         raise ValueError(f"timestamp out of range in UTC: {text!r}") from None
 

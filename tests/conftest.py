@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
+from typing import Iterable, Mapping
 
+import numpy as np
 import pytest
 
+from volnet.graph import RankLane, TransactionGraph
 from volnet.ingest import TransactionLog
 from volnet import synthgen
 
@@ -28,6 +31,35 @@ def tx(lister: str, collector: str, day: float, hour: float = 0.0,
 
 def make_log(*transactions: Transaction) -> TransactionLog:
     return transaction_log(transactions)
+
+
+def graph_of(edges: Mapping[tuple[str, str], object],
+             nodes: Iterable[str] = ()) -> TransactionGraph:
+    """The graph of named ``edges`` (in their order, with their weights as
+    given) over their endpoints and ``nodes``."""
+    names = tuple(sorted({*nodes, *(v for pair in edges for v in pair)}))
+    code = {v: i for i, v in enumerate(names)}
+    weights = list(edges.values())
+    return TransactionGraph(names, np.array([code[a] for a, _ in edges], dtype=np.int64),
+                            np.array([code[b] for _, b in edges], dtype=np.int64),
+                            np.array(weights) if weights else np.zeros(0, dtype=np.int64))
+
+
+def edges_of(g: TransactionGraph) -> dict[tuple[str, str], int]:
+    """``g``'s edges as ``{(source, target): weight}``, in its edge order."""
+    return {(g.names[a], g.names[b]): w
+            for a, b, w in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())}
+
+
+def lane_of(succ: Mapping[str, Mapping[str, int]]) -> RankLane:
+    """The PageRank lane of the graph whose out-adjacency is ``succ``, edges in its order."""
+    return RankLane.of(graph_of({(v, w): x for v in succ for w, x in succ[v].items()}, succ))
+
+
+@pytest.fixture(scope="session")
+def seed7_log():
+    """The transaction log of the default 200-hero dataset at seed 7."""
+    return synthgen.generate(synthgen.SynthConfig(seed=7))[0]
 
 
 @pytest.fixture(scope="session")

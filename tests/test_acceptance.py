@@ -33,7 +33,8 @@ from volnet import (
 )
 from volnet.graph import TransactionGraph
 
-from conftest import tx
+import graph_reference
+from conftest import edges_of, graph_of, tx
 from ingest_reference import transaction_log, transaction_rows
 from explain_reference import shapley_exact
 
@@ -139,11 +140,11 @@ def test_trend_prediction_accuracy_and_dominant_feature(fullscale, gate):
 
 def _dense_pagerank(g: TransactionGraph, damping: float = 0.85) -> dict[str, float]:
     """Direct linear solve of the stationary equations (test oracle)."""
-    nodes = sorted(g.nodes)
+    nodes = sorted(g.names)
     n = len(nodes)
     index = {v: i for i, v in enumerate(nodes)}
     M = np.zeros((n, n))
-    succ = graph.adjacency(g)
+    succ = graph_reference.adjacency(nodes, edges_of(g))
     for i, v in enumerate(nodes):
         out = succ[v]
         total = sum(out.values())
@@ -165,15 +166,15 @@ def _two_cliques_with_bridge(size: int) -> TransactionGraph:
         for a, b in combinations(group, 2):
             edges[(a, b)] = 1
     edges[(left[0], right[0])] = 1
-    return TransactionGraph(nodes=frozenset(left + right), edges=edges)
+    return graph_of(edges, frozenset(left + right))
 
 
 def _brute_force_best_modularity(g: TransactionGraph) -> float:
     """Exhaustive maximum of Newman Q over every partition of the nodes."""
-    nodes = sorted(g.nodes)
+    nodes = sorted(g.names)
     n = len(nodes)
     index = {v: i for i, v in enumerate(nodes)}
-    edge_list = [(index[a], index[b], w) for (a, b), w in g.edges.items()]
+    edge_list = [(index[a], index[b], w) for (a, b), w in edges_of(g).items()]
     degree = [0.0] * n
     for a, b, w in edge_list:
         degree[a] += w
@@ -216,7 +217,7 @@ def test_reference_oracle_equivalence(gate):
         while len(edges) < 160:
             a, b = rng.choice(50, size=2, replace=False)
             edges[(names[a], names[b])] = int(rng.integers(1, 6))
-        g = TransactionGraph(nodes=frozenset(names), edges=edges)
+        g = graph_of(edges, frozenset(names))
         pr = graph.pagerank(g)
         oracle = _dense_pagerank(g)
         assert max(abs(pr[v] - oracle[v]) for v in names) <= 1e-8
@@ -229,7 +230,7 @@ def test_reference_oracle_equivalence(gate):
         assert found.modularity >= 0.95 * optimum
         # the inline oracle's arithmetic agrees with the package's scorer
         natural = community.Partition(
-            assignment={v: 0 if v.startswith("l") else 1 for v in cliques.nodes},
+            assignment={v: 0 if v.startswith("l") else 1 for v in cliques.names},
             count=2, modularity=0.0)
         assert abs(community.modularity(cliques, natural) - 19.0 / 42.0) <= 1e-12
         assert optimum >= 19.0 / 42.0 - 1e-12
@@ -405,13 +406,12 @@ def test_degenerate_inputs_fail_soft(tmp_path, gate):
         assert np.isfinite(score) and score >= 0.0
 
         # isolated nodes get the documented zero-valued metrics
-        g = TransactionGraph(nodes=frozenset({"a", "b", "z"}),
-                             edges={("a", "b"): 1})
+        g = graph_of({("a", "b"): 1}, frozenset({"a", "b", "z"}))
         pr = graph.pagerank(g)
         assert abs(sum(pr.values()) - 1.0) <= 1e-9
         assert "z" in pr
         assert graph.closeness_centrality(g, "z") == 0.0
         assert graph.clustering_coefficient(g, "z") == 0.0
         ego = graph.ego_network(g, "z")
-        assert ego.nodes == frozenset({"z"})
+        assert frozenset(ego.names) == frozenset({"z"})
         assert graph.density(ego) == 0.0

@@ -21,7 +21,9 @@ from volnet import community, featureset, graph, ingest  # noqa: E402
 from volnet.behavior import INTERVAL_DAYS, SeriesError, dr_series  # noqa: E402
 from volnet.ingest import KeyUserSet  # noqa: E402
 
-from conftest import at_day, make_log, tx  # noqa: E402
+import community_reference  # noqa: E402
+import graph_reference  # noqa: E402
+from conftest import at_day, edges_of, make_log, tx  # noqa: E402
 from ingest_reference import ActivityEvent, event_log, transaction_rows  # noqa: E402
 
 USERS = "abcdefg"
@@ -125,13 +127,15 @@ def test_ego_networks_match_per_cutoff_graphs_and_oracle(log, cut_days):
         weights = Counter((t.lister_id, t.collector_id) for t in seen
                           if t.lister_id in members and t.collector_id in members)
         ego = egos[u]
-        assert ego.nodes == frozenset(members)
-        assert ego.edges == dict(weights)
+        assert ego.names == tuple(sorted(members))
+        assert edges_of(ego) == dict(weights)
         g = graph.build_graph(log, cutoff)
-        if u in g.nodes:
+        if u in g.names:
             single = graph.ego_network(g, u)
-            assert single.nodes == ego.nodes
-            assert single.edges == ego.edges
+            assert single.names == ego.names
+            for got, want in zip((single.src, single.dst, single.weight),
+                                 (ego.src, ego.dst, ego.weight)):
+                assert got.tolist() == want.tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -143,7 +147,10 @@ def test_louvain_is_seeded_and_reports_its_own_modularity(log, seed):
     assert p.modularity == community.modularity(g, p)
     assert sorted(set(p.assignment.values())) == list(range(p.count))
     # no community falls apart (Louvain can leave one disconnected in general)
-    both = graph.adjacency(g, "both")
+    both: dict[str, set[str]] = {v: set() for v in g.names}
+    for a, b in zip(g.src.tolist(), g.dst.tolist()):
+        both[g.names[a]].add(g.names[b])
+        both[g.names[b]].add(g.names[a])
     for c in range(p.count):
         members = {v for v, cc in p.assignment.items() if cc == c}
         start = next(iter(members))
@@ -154,6 +161,34 @@ def test_louvain_is_seeded_and_reports_its_own_modularity(log, seed):
                     reached.add(w)
                     stack.append(w)
         assert reached == members
+
+
+@settings(max_examples=100, deadline=None)
+@given(log=logs(max_size=60), seed=st.integers(0, 50),
+       resolution=st.sampled_from([0.5, 1.0, 2.0]), data=st.data())
+def test_louvain_equals_the_dict_reference_bit_for_bit(log, seed, resolution, data):
+    g = graph.build_graph(log, at_day(10_000))
+    edges = edges_of(g)
+    assert community.louvain(g, seed, resolution) == community_reference.louvain(
+        g.names, edges, seed, resolution)
+    labels = data.draw(st.lists(st.integers(-3, 3), min_size=len(g.names),
+                                max_size=len(g.names)))
+    p = community.Partition(dict(zip(g.names, labels)), len(set(labels)), 0.0)
+    assert community.modularity(g, p) == community_reference.modularity(
+        g.names, edges, p.assignment)
+
+
+@settings(max_examples=100, deadline=None)
+@given(log=logs(), cut_days=st.dictionaries(st.sampled_from(USERS), st.integers(0, 800)))
+def test_ego_metrics_equal_the_dict_reference(log, cut_days):
+    cutoffs = {u: at_day(d) for u, d in cut_days.items()}
+    for (u, ego), (v, members, edges) in zip(graph.ego_networks(log, cutoffs),
+                                             graph_reference.ego_networks(log, cutoffs),
+                                             strict=True):
+        assert u == v and ego.names == tuple(sorted(members)) and edges_of(ego) == edges
+        deg, lane, closeness, clustering = graph.node_metrics_lane(ego, u)
+        want = graph_reference.node_metrics(members, edges, u)
+        assert (deg, lane.members, lane.edges.tolist(), closeness, clustering) == want
 
 
 def event_logs(max_size=30, max_day=200):

@@ -16,7 +16,7 @@ from volnet.behavior import (
 )
 from volnet.graph import TransactionGraph
 
-from conftest import at_day, make_log, tx
+from conftest import at_day, graph_of, make_log, tx
 from ingest_reference import Transaction
 
 
@@ -167,7 +167,7 @@ class TestHubRule:
     def star(weight: int = 1) -> TransactionGraph:
         edges = {("hub", s): weight for s in ("a", "b", "c", "d")}
         nodes = frozenset({"hub", "a", "b", "c", "d"})
-        return TransactionGraph(nodes=nodes, edges=edges)
+        return graph_of(edges, nodes)
 
     def test_star_center_detected(self):
         found = detect_hubs(self.star())
@@ -184,7 +184,7 @@ class TestHubRule:
 
     def test_strict_inequality(self):
         # Symmetric pair: both degrees equal the average, so no hubs.
-        g = TransactionGraph(nodes=frozenset({"a", "b"}), edges={("a", "b"): 1})
+        g = graph_of({("a", "b"): 1}, frozenset({"a", "b"}))
         assert detect_hubs(g).ids == frozenset()
 
     def test_multiplier_below_one_rejected(self):
@@ -199,12 +199,12 @@ class TestHubRule:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            detect_hubs(TransactionGraph(nodes=frozenset(), edges={}))
+            detect_hubs(graph_of({}, frozenset()))
 
     def test_counts_distinct_not_weighted_degree(self):
         # "v" trades heavily with one partner; "w" lightly with three.
         edges = {("v", "x"): 30, ("w", "x"): 1, ("w", "y"): 1, ("w", "z"): 1}
-        g = TransactionGraph(nodes=frozenset({"v", "w", "x", "y", "z"}), edges=edges)
+        g = graph_of(edges, frozenset({"v", "w", "x", "y", "z"}))
         found = detect_hubs(g)
         assert "w" in found.ids and "v" not in found.ids
 

@@ -14,12 +14,10 @@ from volnet.community import (
     modularity,
     write_partition_csv,
 )
-from volnet.graph import TransactionGraph
+from volnet.graph import TransactionGraph, build_graph
 
-
-def g_from(edges: dict[tuple[str, str], int]) -> TransactionGraph:
-    nodes = {a for a, _ in edges} | {b for _, b in edges}
-    return TransactionGraph(nodes=frozenset(nodes), edges=edges)
+import community_reference
+from conftest import edges_of, graph_of as g_from
 
 
 def clique(names: list[str]) -> dict[tuple[str, str], int]:
@@ -111,7 +109,7 @@ class TestLouvain:
         g = g_from(edges)
         best = max(
             modularity(g, partition_of(groups))
-            for groups in all_partitions(sorted(g.nodes))
+            for groups in all_partitions(list(g.names))
         )
         p = louvain(g, seed=0)
         assert best == pytest.approx(5 / 14)
@@ -137,12 +135,12 @@ class TestLouvain:
             assert later >= earlier - 1e-9
 
     def test_empty_graph(self):
-        p = louvain(TransactionGraph(nodes=frozenset(), edges={}))
+        p = louvain(g_from({}))
         assert p.count == 0
         assert p.assignment == {}
 
     def test_edgeless_graph_gives_singletons(self):
-        g = TransactionGraph(nodes=frozenset({"a", "b", "c"}), edges={})
+        g = g_from({}, ("a", "b", "c"))
         p = louvain(g)
         assert p.count == 3
         assert p.modularity == 0.0
@@ -164,6 +162,15 @@ class TestLouvain:
         path = g_from({("a", "b"): 1, ("b", "c"): 1})
         with pytest.raises(ValueError, match="resolution must be finite and > 0"):
             louvain(path, resolution=resolution)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_seed7_partition_equals_the_dict_reference(seed7_log, seed):
+    g = build_graph(seed7_log)
+    want = community_reference.louvain(g.names, edges_of(g), seed)
+    assert louvain(g, seed) == want  # modularity and phase_modularity bit for bit
+    assert modularity(g, want) == community_reference.modularity(g.names, edges_of(g),
+                                                                 want.assignment)
 
 
 class TestPartitionHelpers:

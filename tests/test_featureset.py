@@ -21,10 +21,10 @@ from volnet.featureset import (
     write_features_csv,
 )
 from volnet.ingest import EventLog
-from volnet.graph import TransactionGraph, build_graph, ego_network
+from volnet.graph import build_graph, ego_network
 from volnet.tscluster import ArchetypeLabel, ClusterModel
 
-from conftest import at_day, make_log, tx
+from conftest import at_day, graph_of, make_log, tx
 from featureset_reference import assemble
 from ingest_reference import ActivityEvent, event_log, event_rows, transaction_rows
 
@@ -130,8 +130,7 @@ class TestNetworkFeatures:
         assert got["nodes_number"] == 2.0
 
     def test_isolated_user_rejected(self):
-        g = TransactionGraph(nodes=frozenset({"u", "a", "b"}),
-                             edges={("a", "b"): 1})
+        g = graph_of({("a", "b"): 1}, frozenset({"u", "a", "b"}))
         with pytest.raises(ValueError):
             extract_network_features(ego_network(g, "u"), "u")
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from datetime import timedelta
+
 import numpy as np
 import pytest
 
-from volnet import graph
+from volnet import community, graph
+from volnet.behavior import detect_hubs
 from volnet.graph import (
     DegreeRecord,
     PageRankError,
@@ -22,68 +25,101 @@ from volnet.graph import (
 )
 
 import graph_reference
-from conftest import at_day, make_log, tx
+from conftest import at_day, edges_of, graph_of as g_from, lane_of, make_log, tx
 
 
-def g_from(edges: dict[tuple[str, str], int], extra_nodes: tuple[str, ...] = ()) -> TransactionGraph:
-    nodes = {a for a, _ in edges} | {b for _, b in edges} | set(extra_nodes)
-    return TransactionGraph(nodes=frozenset(nodes), edges=edges)
+def coded(names, src, dst, weight) -> TransactionGraph:
+    return TransactionGraph(tuple(names), *(np.array(a, dtype=np.int64) for a in (src, dst)),
+                            np.array(weight))
 
 
 class TestConstruction:
     def test_build_graph_aggregates_pair_weights(self):
         log = make_log(tx("a", "b", 1), tx("a", "b", 2), tx("b", "a", 3))
         g = build_graph(log, until=at_day(10))
-        assert g.edges == {("a", "b"): 2, ("b", "a"): 1}
-        assert g.nodes == frozenset({"a", "b"})
+        assert edges_of(g) == {("a", "b"): 2, ("b", "a"): 1}
+        assert g.names == ("a", "b")
+
+    def test_build_graph_codes_sorted_names_and_keeps_first_transaction_order(self):
+        log = make_log(tx("c", "a", 1), tx("b", "c", 2), tx("c", "a", 3), tx("a", "b", 4))
+        g = build_graph(log)
+        assert g.names == ("a", "b", "c")
+        assert (g.src.tolist(), g.dst.tolist(), g.weight.tolist()) == ([2, 1, 0], [0, 2, 1],
+                                                                      [2, 1, 1])
 
     def test_build_graph_horizon_is_inclusive(self):
         log = make_log(tx("a", "b", 1), tx("a", "c", 5), tx("a", "d", 9))
         g = build_graph(log, until=at_day(5))
-        assert g.nodes == frozenset({"a", "b", "c"})
+        assert g.names == ("a", "b", "c")
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            TransactionGraph(nodes=frozenset({"a"}), edges={("a", "a"): 1})
+        with pytest.raises(ValueError, match="an edge is a self-loop"):
+            g_from({("a", "a"): 1})
 
     def test_rejects_nonpositive_weight(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="an edge weight is below 1"):
             g_from({("a", "b"): 0})
 
     def test_rejects_dangling_endpoint(self):
-        with pytest.raises(ValueError):
-            TransactionGraph(nodes=frozenset({"a"}), edges={("a", "b"): 1})
+        for src, dst in (([0], [1]), ([-1], [0])):
+            with pytest.raises(ValueError, match=r"an edge endpoint code is outside \[0, 1\)"):
+                coded(["a"], src, dst, [1])
+
+    @pytest.mark.parametrize("edges", [
+        {("a", "b"): 1.5},
+        {("a", "b"): 2.0},
+        {("a", "b"): True},
+        {("a", "b"): 1.5, ("a", "c"): 1, ("c", "b"): True},
+    ], ids=["fraction", "integral float", "bool", "mixed"])
+    def test_rejects_non_integer_weights(self, edges):
+        # pagerank used to truncate such weights, and degrees to sum them
+        with pytest.raises(ValueError, match="must be one-dimensional integer arrays"):
+            g_from(edges)
+
+    @pytest.mark.parametrize("names", [("b", "a"), ("a", "a")])
+    def test_rejects_unsorted_or_repeated_names(self, names):
+        with pytest.raises(ValueError, match="node names must be sorted and distinct"):
+            coded(names, [0], [1], [1])
+
+    def test_rejects_arrays_of_unequal_length(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            coded(["a", "b"], [0, 1], [1], [1])
+
+    def test_rejects_a_repeated_edge(self):
+        with pytest.raises(ValueError, match="an edge repeats"):
+            coded(["a", "b"], [0, 0], [1, 1], [1, 2])
 
     def test_adjacency_views_are_consistent(self):
         g = g_from({("a", "b"): 2, ("b", "a"): 1, ("b", "c"): 3})
-        out, into, both = (graph.adjacency(g, d) for d in ("out", "in", "both"))
-        assert out["a"] == {"b": 2}
-        assert into["a"] == {"b": 1}
-        assert both["a"] == {"b": 3}
-        assert both["b"] == {"a": 3, "c": 3}
-        assert set(out["b"]) | set(into["b"]) == {"a", "c"}
-
-    def test_adjacency_rejects_unknown_direction(self):
-        with pytest.raises(ValueError, match="unknown direction 'undirected'"):
-            graph.adjacency(g_from({("a", "b"): 1}), "undirected")
+        assert g.names == ("a", "b", "c")
+        a, b, c = 0, 1, 2
+        assert g.src.tolist() == [a, b, b] and g.dst.tolist() == [b, a, c]
+        assert g.weight.tolist() == [2, 1, 3]
+        assert degrees(g, "b") == DegreeRecord(in_weighted=2, out_weighted=4,
+                                                in_distinct=1, out_distinct=2)
+        # Louvain's first level: the undirected projection, both directions summed
+        lo, hi, w, selfw = community._collapse(g.src, g.dst, g.weight, np.zeros(3),
+                                               np.arange(3), 3)
+        assert (lo.tolist(), hi.tolist(), w.tolist(), selfw.tolist()) == (
+            [a, b], [b, c], [3.0, 3.0], [0.0, 0.0, 0.0])
 
 
 class TestEgoNetwork:
     def test_members_are_ego_plus_neighbors(self):
         g = g_from({("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1})
         ego = ego_network(g, "b")
-        assert ego.nodes == frozenset({"a", "b", "c"})
+        assert ego.names == ("a", "b", "c")
 
     def test_includes_neighbor_neighbor_edges(self):
         g = g_from({("u", "x"): 1, ("u", "y"): 1, ("x", "y"): 4, ("y", "z"): 1})
         ego = ego_network(g, "u")
-        assert ego.nodes == frozenset({"u", "x", "y"})
-        assert ego.edges == {("u", "x"): 1, ("u", "y"): 1, ("x", "y"): 4}
+        assert ego.names == ("u", "x", "y")
+        assert edges_of(ego) == {("u", "x"): 1, ("u", "y"): 1, ("x", "y"): 4}
 
     def test_direction_does_not_matter_for_membership(self):
         g = g_from({("x", "u"): 2})
         ego = ego_network(g, "u")
-        assert ego.nodes == frozenset({"u", "x"})
+        assert ego.names == ("u", "x")
 
     def test_unknown_user_raises(self):
         g = g_from({("a", "b"): 1})
@@ -102,8 +138,8 @@ class TestDensityAndDegrees:
         assert density(g) == pytest.approx(4 / 20)
 
     def test_density_degenerate(self):
-        assert density(TransactionGraph(nodes=frozenset(), edges={})) == 0.0
-        assert density(TransactionGraph(nodes=frozenset({"a"}), edges={})) == 0.0
+        assert density(g_from({})) == 0.0
+        assert density(g_from({}, ("a",))) == 0.0
 
     def test_degree_record(self):
         g = g_from({("a", "b"): 3, ("c", "a"): 2, ("d", "a"): 1})
@@ -116,11 +152,11 @@ class TestDensityAndDegrees:
 
 def dense_pagerank(g: TransactionGraph, damping: float = 0.85) -> dict[str, float]:
     """Independent linear-algebra solution of the same walk."""
-    order = sorted(g.nodes)
+    order = list(g.names)
     n = len(order)
     idx = {v: i for i, v in enumerate(order)}
     m = np.zeros((n, n))
-    succ = graph.adjacency(g)
+    succ = graph_reference.adjacency(order, edges_of(g))
     for v in order:
         out = succ[v]
         total = sum(out.values())
@@ -157,7 +193,7 @@ class TestPageRank:
                 a, b = rng.integers(0, n, size=2)
                 if a != b:
                     edges[(names[a], names[b])] = int(rng.integers(1, 9))
-            g = TransactionGraph(nodes=frozenset(names), edges=edges)
+            g = g_from(edges, names)
             got = pagerank(g, tol=1e-12, max_iter=5000)
             want = dense_pagerank(g)
             gap = max(abs(got[v] - want[v]) for v in names)
@@ -175,7 +211,7 @@ class TestPageRank:
         assert ranks["b"] > ranks["a"]
 
     def test_empty_graph(self):
-        assert pagerank(TransactionGraph(nodes=frozenset(), edges={})) == {}
+        assert pagerank(g_from({})) == {}
 
     def test_damping_validation(self):
         g = g_from({("a", "b"): 1})
@@ -200,7 +236,7 @@ class TestPageRank:
         # and the error carries its own last iterate, not the star's after it
         solo, path, star = ({"u": {}}, {"a": {"b": 1}, "b": {"c": 1}, "c": {}},
                             {"c": {"a": 1, "b": 2}, "a": {}, "b": {}})
-        lanes = [graph.RankLane.of(succ) for succ in (solo, path, star)]
+        lanes = [lane_of(succ) for succ in (solo, path, star)]
         with pytest.raises(PageRankError) as got:
             graph.pagerank_lanes(lanes, tol=1e-300, max_iter=4)
         with pytest.raises(PageRankError) as want:
@@ -224,11 +260,11 @@ class TestClosenessCentrality:
         assert closeness_centrality(g, "a") == pytest.approx((1 / 1) * (1 / 3))
 
     def test_isolated_node_is_zero(self):
-        g = g_from({("a", "b"): 1}, extra_nodes=("lonely",))
+        g = g_from({("a", "b"): 1}, ("lonely",))
         assert closeness_centrality(g, "lonely") == 0.0
 
     def test_singleton_graph_is_zero(self):
-        g = TransactionGraph(nodes=frozenset({"a"}), edges={})
+        g = g_from({}, ("a",))
         assert closeness_centrality(g, "a") == 0.0
 
     def test_direction_is_ignored(self):
@@ -275,9 +311,9 @@ class TestNodeMetrics:
 
     @pytest.mark.parametrize("name", GRAPHS)
     def test_matches_the_single_metric_functions(self, name):
-        g = g_from(self.GRAPHS[name], extra_nodes=("lonely",))
+        g = g_from(self.GRAPHS[name], ("lonely",))
         rank = pagerank(g)
-        for v in sorted(g.nodes):
+        for v in g.names:
             assert node_metrics(g, v) == (degrees(g, v), rank[v], closeness_centrality(g, v),
                                           clustering_coefficient(g, v))
 
@@ -288,6 +324,19 @@ class TestNodeMetrics:
         with pytest.raises(KeyError) as got:
             node_metrics(g, "z")
         assert str(got.value) == str(expected.value)
+
+
+def test_seed7_key_user_ego_metrics_equal_the_dict_reference(seed7_log):
+    hubs = detect_hubs(build_graph(seed7_log))
+    cutoffs = {u: seed7_log.first_activity[u] + timedelta(days=90) for u in sorted(hubs.ids)}
+    assert len(cutoffs) > 100
+    for (u, ego), (v, members, edges) in zip(graph.ego_networks(seed7_log, cutoffs),
+                                             graph_reference.ego_networks(seed7_log, cutoffs),
+                                             strict=True):
+        assert u == v and ego.names == tuple(sorted(members)) and edges_of(ego) == edges
+        deg, lane, closeness, clustering = graph.node_metrics_lane(ego, u)
+        want = graph_reference.node_metrics(members, edges, u)
+        assert (deg, lane.members, lane.edges.tolist(), closeness, clustering) == want
 
 
 class TestEdgeListWriter:

@@ -4,21 +4,24 @@ on seeded random directed multigraphs (skipped without networkx/scipy)."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 nx = pytest.importorskip("networkx")
 pytest.importorskip("scipy")  # networkx's pagerank runs on scipy
 
-from volnet import behavior, community, graph  # noqa: E402
-from volnet.graph import build_graph  # noqa: E402
+import numpy as np  # noqa: E402
 
-from conftest import at_day, make_log, tx  # noqa: E402
+from volnet import behavior, community, graph  # noqa: E402
+from volnet.graph import DegreeRecord, build_graph  # noqa: E402
+
+from conftest import at_day, edges_of, make_log, tx  # noqa: E402
 
 SEEDS = range(12)
 
 
-def random_graph(seed: int) -> graph.TransactionGraph:
+def random_rows(seed: int) -> list:
     """2-30 users; repeated pairs become edge weights, and the last fifth
     of the users never list, so PageRank meets dangling nodes."""
     rng = random.Random(seed)
@@ -29,38 +32,53 @@ def random_graph(seed: int) -> graph.TransactionGraph:
         lister = rng.choice(listers)
         collector = rng.choice([u for u in users if u != lister])
         rows.append(tx(lister, collector, day))
-    return build_graph(make_log(*rows), until=at_day(10_000))
+    return rows
+
+
+def random_graph(seed: int) -> graph.TransactionGraph:
+    return build_graph(make_log(*random_rows(seed)), until=at_day(10_000))
 
 
 def directed(g: graph.TransactionGraph):
     G = nx.DiGraph()
-    G.add_nodes_from(g.nodes)
-    G.add_weighted_edges_from((a, b, w) for (a, b), w in g.edges.items())
+    G.add_nodes_from(g.names)
+    G.add_weighted_edges_from((a, b, w) for (a, b), w in edges_of(g).items())
     return G
 
 
 def undirected(g: graph.TransactionGraph):
     """Weighted undirected projection: weights of both directions summed."""
     G = nx.Graph()
-    G.add_nodes_from(g.nodes)
-    for (a, b), w in g.edges.items():
+    G.add_nodes_from(g.names)
+    for (a, b), w in edges_of(g).items():
         previous = G.get_edge_data(a, b, {"weight": 0})["weight"]
         G.add_edge(a, b, weight=previous + w)
     return G
 
 
-def weighted(view) -> dict[str, dict[str, int]]:
-    """A networkx adjacency view as plain ``{node: {neighbour: weight}}``."""
-    return {v: {w: d["weight"] for w, d in nbrs.items()} for v, nbrs in view.items()}
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_adjacency_views(seed):
-    g = random_graph(seed)
-    G = directed(g)
-    assert graph.adjacency(g) == weighted(G.succ)
-    assert graph.adjacency(g, "in") == weighted(G.pred)
-    assert graph.adjacency(g, "both") == weighted(undirected(g).adj)
+    # networkx counts the transactions themselves; the arrays must hold the
+    # same out- and in-neighbours, and Louvain's first level the same
+    # undirected projection
+    rows = random_rows(seed)
+    G = nx.DiGraph()
+    for t in rows:
+        weight = G.get_edge_data(t.lister_id, t.collector_id, {"weight": 0})["weight"]
+        G.add_edge(t.lister_id, t.collector_id, weight=weight + 1)
+    g = build_graph(make_log(*rows), until=at_day(10_000))
+    assert g.names == tuple(sorted(G))
+    assert edges_of(g) == {(a, b): d["weight"] for a, b, d in G.edges(data=True)}
+    for v in G:
+        assert graph.degrees(g, v) == DegreeRecord(
+            in_weighted=G.in_degree(v, weight="weight"), out_weighted=G.out_degree(v, weight="weight"),
+            in_distinct=G.in_degree(v), out_distinct=G.out_degree(v))
+    n = len(g.names)
+    lo, hi, w, _ = community._collapse(g.src, g.dst, g.weight, np.zeros(n), np.arange(n), n)
+    both = Counter()
+    for a, b, d in G.edges(data=True):
+        both[min(a, b), max(a, b)] += d["weight"]
+    assert dict(zip(zip(np.array(g.names)[lo], np.array(g.names)[hi]), w.tolist())) == both
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -87,8 +105,8 @@ def test_weighted_pagerank(seed):
 def test_closeness_on_undirected_projection(seed):
     g = random_graph(seed)
     G = nx.Graph(undirected(g).edges())  # unweighted
-    G.add_nodes_from(g.nodes)
-    for v in sorted(g.nodes):
+    G.add_nodes_from(g.names)
+    for v in g.names:
         want = nx.closeness_centrality(G, u=v, wf_improved=True)
         assert graph.closeness_centrality(g, v) == pytest.approx(want, abs=1e-12)
 
@@ -97,9 +115,9 @@ def test_closeness_on_undirected_projection(seed):
 def test_clustering_on_undirected_projection(seed):
     g = random_graph(seed)
     G = nx.Graph(undirected(g).edges())  # unweighted
-    G.add_nodes_from(g.nodes)
+    G.add_nodes_from(g.names)
     want = nx.clustering(G)
-    for v in sorted(g.nodes):
+    for v in g.names:
         assert graph.clustering_coefficient(g, v) == pytest.approx(want[v], abs=1e-12)
 
 
@@ -107,7 +125,7 @@ def test_clustering_on_undirected_projection(seed):
 def test_modularity_on_weighted_projection(seed):
     g = random_graph(seed)
     rng = random.Random(1000 + seed)
-    nodes = sorted(g.nodes)
+    nodes = list(g.names)
     k = rng.randint(1, min(5, len(nodes)))
     assignment = {v: rng.randrange(k) for v in nodes}
     part = community.Partition(assignment=assignment, count=k, modularity=0.0)

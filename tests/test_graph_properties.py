@@ -9,9 +9,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from volnet.graph import PageRankError, RankLane, pagerank_lanes  # noqa: E402
+from volnet.graph import PageRankError, pagerank_lanes  # noqa: E402
 
 import graph_reference as ref  # noqa: E402
+from conftest import lane_of  # noqa: E402
 
 
 @st.composite
@@ -38,7 +39,7 @@ tol = st.sampled_from([1e-6, 1e-9, 1e-12])
 @given(st.lists(out_adjacency(), min_size=1, max_size=6), damping, tol)
 def test_every_lane_equals_its_dict_loop_bit_for_bit(graphs, d, t):
     # lanes of a block converge at different iterations and leave it then
-    lanes = [RankLane.of(succ) for succ in graphs]
+    lanes = [lane_of(succ) for succ in graphs]
     for lane, succ, got in zip(lanes, graphs, pagerank_lanes(lanes, d, t, max_iter=5000)):
         want = ref.pagerank(succ, d, t, max_iter=5000)
         assert lane.members == list(want)
@@ -51,7 +52,7 @@ def test_non_convergence_raises_the_first_unconverged_lanes_iterate(graphs, max_
     # a one-node lane converges at once (delta 0), and so can a graph that
     # starts at its fixed point; the error belongs to the first lane that
     # is still iterating, as in one dict loop per graph run in order
-    lanes = [RankLane.of({"only": {}})] + [RankLane.of(succ) for succ in graphs]
+    lanes = [lane_of({"only": {}})] + [lane_of(succ) for succ in graphs]
     want = None
     for succ in graphs:
         try:

@@ -58,6 +58,75 @@ class TestTimestamps:
         assert format_timestamp(parse_timestamp(text)) == text
 
 
+# RFC 3339 section 5.6, checked against literal values so that it means the
+# same on every Python (3.10's datetime.fromisoformat rejects a 1-digit
+# fraction; 3.11's accepts week dates and the basic format)
+UTC = timezone.utc
+ACCEPTED = {
+    "2021-12-31T23:59:59.5+00:00": datetime(2021, 12, 31, 23, 59, 59, 500000, UTC),
+    "2022-01-01T00:00:00.12Z": datetime(2022, 1, 1, 0, 0, 0, 120000, UTC),
+    "2022-01-01T00:00:00.123456z": datetime(2022, 1, 1, 0, 0, 0, 123456, UTC),
+    # past 6 digits a fraction is truncated to the microsecond, never rounded
+    "2022-01-01T00:00:00.1234569Z": datetime(2022, 1, 1, 0, 0, 0, 123456, UTC),
+    "2022-01-01T00:00:00.999999999Z": datetime(2022, 1, 1, 0, 0, 0, 999999, UTC),
+    "2022-01-01t01:00:00+02:00": datetime(2021, 12, 31, 23, 0, 0, 0, UTC),
+    "2022-01-01 01:00:00-05:30": datetime(2022, 1, 1, 6, 30, 0, 0, UTC),
+    "2022-01-01T00:00:00-00:00": datetime(2022, 1, 1, 0, 0, 0, 0, UTC),
+    "2024-02-29T23:59:59+23:59": datetime(2024, 2, 29, 0, 0, 59, 0, UTC),
+    " 2022-01-02T00:00:00Z\t": datetime(2022, 1, 2, 0, 0, 0, 0, UTC),
+}
+REJECTED = {
+    "2021-01-05T00:00+00:00": "not an RFC 3339",  # no seconds
+    "2021-W01-1T00:00:00+00:00": "not an RFC 3339",  # ISO week date
+    "20210105T000000+0000": "not an RFC 3339",  # ISO basic format
+    "2021-01-05T00:00:00+0000": "not an RFC 3339",  # offset without a colon
+    "2021-01-05T00:00:00+01": "not an RFC 3339",
+    "2021-01-05T00:00:00,5Z": "not an RFC 3339",  # comma fraction
+    "2021-01-05T00:00:00.Z": "not an RFC 3339",
+    "2021-01-05_00:00:00Z": "not an RFC 3339",
+    "2021-01-05T00:00:00+24:00": "not an RFC 3339",
+    "2021-01-05T00:00:00+01:60": "not an RFC 3339",
+    "2021-1-05T00:00:00Z": "not an RFC 3339",
+    "\u0662\u0660\u0662\u0661-01-05T00:00:00Z": "not an RFC 3339",  # non-ASCII digits
+    "2021-01-05": "not an RFC 3339",
+    "2021-02-29T00:00:00Z": r"not an RFC 3339 .*\(day is out of range for month\)",
+    "2021-01-05T24:00:00Z": r"\(hour must be in 0\.\.23\)",
+    "2021-12-31T23:59:60Z": r"\(second must be in 0\.\.59\)",  # a leap second
+    "2021-01-05T00:00:00": "timestamp without offset",
+    "0001-01-01T00:00:00+01:00": "timestamp out of range in UTC",
+    "": "not an RFC 3339",
+}
+
+
+class TestTimestampGrammar:
+    @pytest.mark.parametrize("text", ACCEPTED)
+    def test_accepted(self, text):
+        got = parse_timestamp(text)
+        assert got == ACCEPTED[text] and got.tzinfo == UTC
+
+    @pytest.mark.parametrize("text", REJECTED)
+    def test_rejected(self, text):
+        with pytest.raises(ValueError, match=REJECTED[text]):
+            parse_timestamp(text)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_lenient_and_strict_parses_report_the_rejected_rows(self, tmp_path, fmt):
+        good = "2030-01-01T00:00:00Z"
+        stamps = [*ACCEPTED, *(t for t in REJECTED if t)]
+        path = str(tmp_path / f"t.{fmt}")
+        ingest.write_rows(path, fmt, ingest.TRANSACTION_COLUMNS,
+                          [(f"i{i}", "a", "b", at, good) for i, at in enumerate(stamps)])
+        first = 2 if fmt == "csv" else 1
+        log, report = ingest.parse_transactions_with_report(path, fmt)
+        rejected = range(len(ACCEPTED), len(stamps))
+        assert [bad.line - first for bad in report.bad_rows] == list(rejected)
+        assert all(bad.reason.startswith(("not an RFC 3339", "timestamp")) for bad in report.bad_rows)
+        assert sorted(t.listed_at for t in transaction_rows(log)) == sorted(ACCEPTED.values())
+        lines = ", ".join(str(first + i) for i in rejected)
+        with pytest.raises(ParseError, match=rf"{len(rejected)} malformed row\(s\) at line\(s\) {lines}$"):
+            ingest.parse_transactions(path, fmt)
+
+
 class TestTransactionValidation:
     def test_self_transaction_rejected(self):
         with pytest.raises(ValueError, match="self-transaction for user 'a'"):
@@ -192,7 +261,7 @@ class TestParseErrors:
         log, report = ingest.parse_transactions_with_report(str(path), fmt)
         first = 2 if fmt == "csv" else 1
         assert [(bad.line - first, bad.reason) for bad in report.bad_rows] == [
-            (1, "Invalid isoformat string: 'bad'"), (3, "Invalid isoformat string: 'bad'"),
+            (1, "not an RFC 3339 timestamp: 'bad'"), (3, "not an RFC 3339 timestamp: 'bad'"),
             (4, f"timestamp without offset: {naive!r}"),
             (5, f"timestamp without offset: {naive!r}")]
         assert [t.item_id for t in transaction_rows(log)] == ["i1", "i3"]
