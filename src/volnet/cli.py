@@ -59,40 +59,39 @@ def _cmd_run(args: argparse.Namespace) -> int:
     """Run the pipeline through the subcommand's stage cap, then summarize
     each stage the run reached."""
     cfg = _config_from(args)
-    m1, m2, manifest = pipeline.run(cfg, through=args.through, lenient=args.lenient)
-    for kind, report in m1.reports.items():
+    result = pipeline.run(cfg, through=args.through, lenient=args.lenient)
+    for kind, report in result.reports.items():
         rejected = len(report.bad_rows)
         print(f"{kind}: {report.total_rows} rows, {report.total_rows - rejected} parsed, "
               f"{rejected} rejected")
-    if m1.partition is not None:
-        sizes = community.community_sizes(m1.partition)
-        print(f"{m1.partition.count} communities over {len(m1.net.names)} users, "
-              f"modularity {m1.partition.modularity:.4f}")
+    if result.partition is not None:
+        sizes = community.community_sizes(result.partition)
+        print(f"{result.partition.count} communities over {len(result.net.names)} users, "
+              f"modularity {result.partition.modularity:.4f}")
         for cid, size in sorted(sizes.items(), key=lambda kv: (-kv[1], kv[0]))[:10]:
             print(f"  community {cid}: {size} users")
-    if m1.scopes:
-        print(f"{len(m1.scopes['network'].users)} donors-ratio series ({cfg.interval}) -> "
-              + ", ".join(f"dr_series_{name}.csv" for name in m1.scopes))
-    for name, scope in m1.scopes.items():
+    if result.scopes:
+        print(f"{len(result.scopes['network'].users)} donors-ratio series ({cfg.interval}) -> "
+              + ", ".join(f"dr_series_{name}.csv" for name in result.scopes))
+    for name, scope in result.scopes.items():
         if scope.skipped:
             print(f"scope {name}: skipped ({scope.skipped})")
         elif scope.model is not None:
             counts = Counter(scope.labels[c].label for c in scope.model.assignment.values())
             mix = ", ".join(f"{lab}={counts[lab]}" for lab in sorted(counts))
             print(f"scope {name}: {len(scope.users)} users, chose k={scope.chosen_k}, {mix}")
-    if m2:
-        for name, table in m2.features.items():
-            print(f"scope {name}: {len(table.users)} feature vectors")
-        for (name, case), alg in sorted(m2.best.items()):
-            rows = [r for a, c, r in m2.eval_rows[name] if c == case and a == alg]
-            print(f"scope {name} case {case}: best {alg} "
-                  f"(accuracy {rows[0].mean_accuracy:.3f}, f1 {rows[0].mean_f1:.3f})")
-        for (name, case), ranked in sorted(m2.importances.items()):
-            top = ", ".join(f"{f}={v:.4f}" for f, v in ranked[:3])
-            print(f"scope {name} case {case}: top features {top}")
-    for w in m1.warnings + (m2.warnings if m2 else []):
+    for name, table in result.features.items():
+        print(f"scope {name}: {len(table.users)} feature vectors")
+    for (name, case), alg in sorted(result.best.items()):
+        rows = [r for a, c, r in result.eval_rows[name] if c == case and a == alg]
+        print(f"scope {name} case {case}: best {alg} "
+              f"(accuracy {rows[0].mean_accuracy:.3f}, f1 {rows[0].mean_f1:.3f})")
+    for (name, case), ranked in sorted(result.importances.items()):
+        top = ", ".join(f"{f}={v:.4f}" for f, v in ranked[:3])
+        print(f"scope {name} case {case}: top features {top}")
+    for w in result.warnings:
         print(f"  warning: {w}")
-    print(f"manifest: {manifest}")
+    print(f"manifest: {result.manifest}")
     return 0
 
 

@@ -1,18 +1,19 @@
 """End-to-end orchestration: data in, clustered archetypes and trained
 trend predictors out.
 
-The run is staged.  Method 1 runs ingest (and filter) → graph →
-communities → key users → behavior → cluster; Method 2 runs features →
-train → explain.  :func:`run` runs every stage up to a cap from
-:data:`STAGES`, which is how each data subcommand of the CLI runs, and
-writes one verified ``manifest.json``.  Each stage writes its own
-artifacts whatever the cap: communities ``partition.csv`` (and
-``edges.csv`` when the run stops there), behavior ``dr_series_<scope>.csv``
-for every scope, cluster the per-scope cluster files, and so on.  Any
-failure is re-raised as :class:`PipelineStageError` tagged with the stage
-name.  Analysis happens per *scope*: the whole network plus the largest
-communities.  With a fixed config and seed, every emitted artifact is
-byte-identical across reruns.
+:func:`run` is one staged run: ingest (and filter) → graph → communities
+→ key users → behavior → cluster, the paper's Method 1, then features →
+train → explain, its Method 2.  It stops after a cap from :data:`STAGES`,
+which is how each data subcommand of the CLI runs, writes one verified
+``manifest.json`` and returns one :class:`RunResult`, whose fields of
+later stages stay empty.  Each stage writes its own artifacts whatever
+the cap: communities ``partition.csv`` (and ``edges.csv`` when the run
+stops there), behavior ``dr_series_<scope>.csv`` for every scope, cluster
+the per-scope cluster files, and so on.  Any failure is re-raised as
+:class:`PipelineStageError` tagged with the stage name.  Analysis happens
+per *scope*: the whole network plus the largest communities.  With a
+fixed config and seed, every emitted artifact is byte-identical across
+reruns.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from typing import Mapping, Sequence
 
 from . import behavior, community, explain, featureset, graph, ingest, models, tscluster, viz
 
-METHOD1_STAGES = ("ingest", "communities", "behavior", "cluster")
-METHOD2_STAGES = ("features", "train", "explain")
-STAGES = METHOD1_STAGES + METHOD2_STAGES  # the stage caps, in run order
+# the stage caps, in run order: Method 1 through "cluster", then Method 2
+STAGES = ("ingest", "communities", "behavior", "cluster", "features", "train", "explain")
 
 
 class PipelineStageError(RuntimeError):
@@ -88,6 +88,9 @@ class PipelineConfig:
         unknown = set(self.models) - set(models.ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown model(s): {sorted(unknown)}")
+        repeated = sorted({m for m in self.models if self.models.count(m) > 1})
+        if repeated:
+            raise ValueError(f"duplicate model {repeated[0]!r} in models")
         if not self.models:
             raise ValueError("at least one model required")
         for name in ("hub_multiplier", "gamma"):
@@ -172,8 +175,8 @@ class ScopeResult:
 
 
 @dataclass
-class Method1Result:
-    """What Method 1 produced up to its stage cap; later stages' fields stay empty."""
+class RunResult:
+    """What a run produced up to its stage cap; later stages' fields stay empty."""
 
     log: ingest.TransactionLog | None = None
     reports: dict[str, ingest.ParseReport] = field(default_factory=dict)  # "transactions", "events"
@@ -181,18 +184,13 @@ class Method1Result:
     partition: community.Partition | None = None
     key_users: ingest.KeyUserSet | None = None
     scopes: dict[str, ScopeResult] = field(default_factory=dict)
+    features: dict[str, featureset.ScopeFeatures] = field(default_factory=dict)  # clustered scopes
+    eval_rows: dict[str, list[tuple[str, str, models.EvalReport]]] = field(default_factory=dict)
+    best: dict[tuple[str, str], str] = field(default_factory=dict)  # (scope, case) -> algorithm
+    importances: dict[tuple[str, str], list[tuple[str, float]]] = field(default_factory=dict)
     artifacts: dict[str, str] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
-
-
-@dataclass
-class Method2Result:
-    features: dict[str, featureset.ScopeFeatures]  # per clustered scope
-    eval_rows: dict[str, list[tuple[str, str, models.EvalReport]]]
-    best: dict[tuple[str, str], str]  # (scope, case) -> algorithm
-    importances: dict[tuple[str, str], list[tuple[str, float]]]
-    artifacts: dict[str, str]
-    warnings: list[str]
+    manifest: str = ""  # path of the run's manifest.json
 
 
 def _out_path(cfg: PipelineConfig, name: str) -> str:
@@ -206,18 +204,18 @@ def _emit(cfg: PipelineConfig, artifacts: dict[str, str], name: str, write,
     artifacts[name] = name
 
 
-def _read(cfg: PipelineConfig, kind: str, lenient: bool, m1: Method1Result):
+def _read(cfg: PipelineConfig, kind: str, lenient: bool, result: RunResult):
     """Parse the configured ``kind`` file ("transactions" or "events"); a
     lenient parse drops malformed rows, each as a warning."""
     path = getattr(cfg, kind)
     if lenient:
         parsed, report = getattr(ingest, f"parse_{kind}_with_report")(path, fmt=cfg.format)
-        m1.warnings += [f"ingest: dropped {path} line {bad.line}: {bad.reason}"
-                        for bad in report.bad_rows]
+        result.warnings += [f"ingest: dropped {path} line {bad.line}: {bad.reason}"
+                            for bad in report.bad_rows]
     else:
         parsed = getattr(ingest, f"parse_{kind}")(path, fmt=cfg.format)
         report = ingest.ParseReport(path, len(parsed))
-    m1.reports[kind] = report
+    result.reports[kind] = report
     return parsed
 
 
@@ -315,151 +313,10 @@ def _write_cluster_artifacts(cfg: PipelineConfig, scope: ScopeResult,
     })
 
 
-def run_method1(cfg: PipelineConfig, through: str = "cluster",
-                lenient: bool = False) -> Method1Result:
-    """Ingest through archetype labeling, stopping after the stage cap
-    ``through``; each stage writes its own artifacts.
-
-    ``lenient`` makes the ingest stage drop malformed rows, each as a
-    warning, instead of failing.  The event log is parsed here only when
-    ``through`` is "ingest"; longer runs parse it once, strictly, in the
-    features stage.
-    """
-    if through not in METHOD1_STAGES:
-        raise ValueError(f"unknown stage cap {through!r}")
-    os.makedirs(cfg.out, exist_ok=True)
-    m1 = Method1Result()
-
-    with _stage("ingest"):
-        if not cfg.transactions:
-            raise ValueError("no transactions path configured")
-        log = _read(cfg, "transactions", lenient, m1)
-        if len(log) == 0:
-            raise ValueError(f"{cfg.transactions} holds no transactions")
-        if through == "ingest" and cfg.events:
-            _read(cfg, "events", lenient, m1)
-    with _stage("filter"):
-        if cfg.min_transactions > 1:
-            log = ingest.filter_min_transactions(log, cfg.min_transactions)
-            if len(log) == 0:
-                raise ValueError("no transactions survive the minimum-count filter")
-    m1.log = log
-    if through == "ingest":
-        return m1
-
-    with _stage("graph"):
-        m1.net = graph.build_graph(log)
-    with _stage("communities"):
-        m1.partition = community.louvain(m1.net, seed=cfg.seed)
-        _emit(cfg, m1.artifacts, "partition.csv", community.write_partition_csv, m1.partition)
-        if through == "communities":
-            # only a run that stops here writes the edge list (~0.3 s, 1.5 MB at 200 heroes)
-            _emit(cfg, m1.artifacts, "edges.csv", graph.write_edges_csv, m1.net)
-            return m1
-
-    with _stage("key_users"):
-        m1.key_users = _key_users(cfg, log, m1.net)
-    with _stage("behavior"):
-        scope_users = _scope_users(cfg, m1.partition, m1.key_users)
-        cache = _series(cfg, log, scope_users["network"], m1.warnings)
-        for name, users in scope_users.items():
-            usable = tuple(u for u in users if u in cache)
-            m1.scopes[name] = ScopeResult(name=name, users=usable,
-                                          series={u: cache[u] for u in usable})
-            _emit(cfg, m1.artifacts, f"dr_series_{name}.csv", behavior.write_series_csv,
-                  [cache[u] for u in usable])
-    if through == "behavior":
-        return m1
-
-    with _stage("cluster"):
-        for scope in m1.scopes.values():
-            _cluster_scope(cfg, scope, m1.warnings)
-            if scope.model is not None:
-                _write_cluster_artifacts(cfg, scope, m1.artifacts)
-    return m1
-
-
 def _best_algorithm(rows: Sequence[tuple[str, str, models.EvalReport]], case: str) -> str:
     """Highest mean accuracy; exact ties prefer gbdt, then alphabetical."""
     candidates = [(r.mean_accuracy, alg) for alg, c, r in rows if c == case]
     return min(candidates, key=lambda t: (-t[0], t[1] != "gbdt", t[1]))[1]
-
-
-def run_method2(cfg: PipelineConfig, m1: Method1Result,
-                through: str = "explain") -> Method2Result:
-    """Feature assembly, cross-validated training, and attribution over a
-    clustered Method 1 result, stopping after the stage cap ``through``."""
-    if through not in METHOD2_STAGES:
-        raise ValueError(f"unknown stage cap {through!r}")
-    os.makedirs(cfg.out, exist_ok=True)
-    warnings_out: list[str] = []
-    artifacts: dict[str, str] = {}
-
-    with _stage("features"):
-        if not cfg.events:
-            raise ValueError("no events path configured (required for feature assembly)")
-        events = ingest.parse_events(cfg.events, fmt=cfg.format)
-        clustered = {name: scope for name, scope in m1.scopes.items()
-                     if scope.model is not None}
-        # features do not depend on the scope: assemble each user once
-        users = sorted({u for scope in clustered.values() for u in scope.users})
-        X = featureset.assemble_all(users, m1.log, events, t_months=cfg.cutoff_months)
-        row_of = {u: i for i, u in enumerate(users)}
-        tables: dict[str, featureset.ScopeFeatures] = {}
-        for name, scope in clustered.items():
-            tables[name] = featureset.label_scope(
-                scope.users, X[[row_of[u] for u in scope.users]], scope.model, scope.labels)
-            _emit(cfg, artifacts, f"features_{name}.csv", featureset.write_features_csv,
-                  tables[name])
-
-    result = Method2Result(features=tables, eval_rows={}, best={}, importances={},
-                           artifacts=artifacts, warnings=warnings_out)
-    if through == "features":
-        return result
-
-    with _stage("train"):
-        jobs = []  # (scope, case, X, y), in the order of the eval rows
-        for name, table in tables.items():
-            for case in featureset.CASES:
-                n = table.cases.count(case)
-                if n < 2 * cfg.cv_folds:
-                    warnings_out.append(
-                        f"train: scope {name} case {case} skipped "
-                        f"({n} samples < {2 * cfg.cv_folds})")
-                    continue
-                jobs.append((name, case, *table.rows(case)[:2]))
-        # one call per family fits every job's folds
-        reports = {alg: models.kfold_cv(alg, [(X, y) for _, _, X, y in jobs], k=cfg.cv_folds,
-                                         seed=cfg.seed, feature_names=featureset.FEATURE_NAMES)
-                   for alg in cfg.models}
-        for name in tables:
-            rows = [(alg, case, reports[alg][j]) for j, (scope, case, _, _) in enumerate(jobs)
-                    if scope == name for alg in cfg.models]
-            result.eval_rows[name] = rows
-            _emit(cfg, artifacts, f"eval_{name}.csv", models.write_eval_csv, rows)
-            for case in featureset.CASES:
-                if any(c == case for _, c, _ in rows):
-                    result.best[(name, case)] = _best_algorithm(rows, case)
-    if through == "train":
-        return result
-
-    with _stage("explain"):
-        for (name, case), alg in sorted(result.best.items()):
-            X, y, users = tables[name].rows(case)
-            model = models.train(alg, X, y, seed=cfg.seed,
-                                 feature_names=featureset.FEATURE_NAMES)
-            _emit(cfg, artifacts, f"model_{name}_{case}.json", models.save_model, model)
-            atts, ranked = explain.attribute_rows(
-                model, X, users, seed=cfg.seed, n_permutations=cfg.n_permutations,
-                max_rows=cfg.explain_rows)
-            _emit(cfg, artifacts, f"attributions_{name}_{case}.csv",
-                  explain.write_attribution_csv, atts)
-            result.importances[(name, case)] = ranked
-            _emit(cfg, artifacts, f"importance_{name}_{case}.csv",
-                  explain.write_importance_csv, ranked)
-            _emit(cfg, artifacts, f"importance_{name}_{case}.svg", viz.svg_importance_bars,
-                  ranked, title=f"Mean |attribution| — {name}, {case} ({alg})")
-    return result
 
 
 def write_manifest(cfg: PipelineConfig, artifacts: Mapping[str, str],
@@ -483,17 +340,134 @@ def write_manifest(cfg: PipelineConfig, artifacts: Mapping[str, str],
         return path
 
 
-def run(cfg: PipelineConfig, through: str = "explain", lenient: bool = False,
-        ) -> tuple[Method1Result, Method2Result | None, str]:
-    """Every stage up to and including ``through`` (one of :data:`STAGES`),
-    then the verified run manifest; ``lenient`` is passed to
-    :func:`run_method1`.  Method 2 is ``None`` when the cap stops within
-    Method 1."""
+def run(cfg: PipelineConfig, through: str = "explain", lenient: bool = False) -> RunResult:
+    """Every stage up to and including the cap ``through`` (one of
+    :data:`STAGES`), then the verified run manifest.
+
+    ``lenient`` makes the ingest stage drop malformed rows, each as a
+    warning, instead of failing.  The event log is parsed in ingest only
+    when ``through`` is "ingest"; longer runs parse it once, strictly, in
+    the features stage.
+    """
     if through not in STAGES:
         raise ValueError(f"unknown stage cap {through!r}")
-    m1 = run_method1(cfg, through if through in METHOD1_STAGES else "cluster", lenient)
-    m2 = run_method2(cfg, m1, through) if through in METHOD2_STAGES else None
-    done = [m for m in (m1, m2) if m is not None]
-    manifest = write_manifest(cfg, {k: v for m in done for k, v in m.artifacts.items()},
-                              [w for m in done for w in m.warnings])
-    return m1, m2, manifest
+    os.makedirs(cfg.out, exist_ok=True)
+    result = RunResult()
+    _run_stages(cfg, through, lenient, result)
+    result.manifest = write_manifest(cfg, result.artifacts, result.warnings)
+    return result
+
+
+def _run_stages(cfg: PipelineConfig, through: str, lenient: bool, result: RunResult) -> None:
+    """Fill ``result`` stage by stage, returning after the stage cap ``through``."""
+    artifacts = result.artifacts
+    with _stage("ingest"):
+        if not cfg.transactions:
+            raise ValueError("no transactions path configured")
+        log = _read(cfg, "transactions", lenient, result)
+        if len(log) == 0:
+            raise ValueError(f"{cfg.transactions} holds no transactions")
+        if through == "ingest" and cfg.events:
+            _read(cfg, "events", lenient, result)
+    with _stage("filter"):
+        if cfg.min_transactions > 1:
+            log = ingest.filter_min_transactions(log, cfg.min_transactions)
+            if len(log) == 0:
+                raise ValueError("no transactions survive the minimum-count filter")
+    result.log = log
+    if through == "ingest":
+        return
+
+    with _stage("graph"):
+        result.net = net = graph.build_graph(log)
+    with _stage("communities"):
+        result.partition = community.louvain(net, seed=cfg.seed)
+        _emit(cfg, artifacts, "partition.csv", community.write_partition_csv, result.partition)
+        if through == "communities":
+            # only a run that stops here writes the edge list (~0.3 s, 1.5 MB at 200 heroes)
+            _emit(cfg, artifacts, "edges.csv", graph.write_edges_csv, net)
+            return
+
+    with _stage("key_users"):
+        result.key_users = _key_users(cfg, log, net)
+    with _stage("behavior"):
+        scope_users = _scope_users(cfg, result.partition, result.key_users)
+        cache = _series(cfg, log, scope_users["network"], result.warnings)
+        for name, users in scope_users.items():
+            usable = tuple(u for u in users if u in cache)
+            result.scopes[name] = ScopeResult(name=name, users=usable,
+                                              series={u: cache[u] for u in usable})
+            _emit(cfg, artifacts, f"dr_series_{name}.csv", behavior.write_series_csv,
+                  [cache[u] for u in usable])
+    if through == "behavior":
+        return
+
+    with _stage("cluster"):
+        for scope in result.scopes.values():
+            _cluster_scope(cfg, scope, result.warnings)
+            if scope.model is not None:
+                _write_cluster_artifacts(cfg, scope, artifacts)
+    if through == "cluster":
+        return
+
+    with _stage("features"):
+        if not cfg.events:
+            raise ValueError("no events path configured (required for feature assembly)")
+        events = ingest.parse_events(cfg.events, fmt=cfg.format)
+        clustered = {name: scope for name, scope in result.scopes.items()
+                     if scope.model is not None}
+        # features do not depend on the scope: assemble each user once
+        users = sorted({u for scope in clustered.values() for u in scope.users})
+        X = featureset.assemble_all(users, log, events, t_months=cfg.cutoff_months)
+        row_of = {u: i for i, u in enumerate(users)}
+        tables = result.features
+        for name, scope in clustered.items():
+            tables[name] = featureset.label_scope(
+                scope.users, X[[row_of[u] for u in scope.users]], scope.model, scope.labels)
+            _emit(cfg, artifacts, f"features_{name}.csv", featureset.write_features_csv,
+                  tables[name])
+    if through == "features":
+        return
+
+    with _stage("train"):
+        jobs = []  # (scope, case, X, y), in the order of the eval rows
+        for name, table in tables.items():
+            for case in featureset.CASES:
+                n = table.cases.count(case)
+                if n < 2 * cfg.cv_folds:
+                    result.warnings.append(
+                        f"train: scope {name} case {case} skipped "
+                        f"({n} samples < {2 * cfg.cv_folds})")
+                    continue
+                jobs.append((name, case, *table.rows(case)[:2]))
+        # one call per family fits every job's folds
+        reports = {alg: models.kfold_cv(alg, [(X, y) for _, _, X, y in jobs], k=cfg.cv_folds,
+                                         seed=cfg.seed, feature_names=featureset.FEATURE_NAMES)
+                   for alg in cfg.models}
+        for name in tables:
+            rows = [(alg, case, reports[alg][j]) for j, (scope, case, _, _) in enumerate(jobs)
+                    if scope == name for alg in cfg.models]
+            result.eval_rows[name] = rows
+            _emit(cfg, artifacts, f"eval_{name}.csv", models.write_eval_csv, rows)
+            for case in featureset.CASES:
+                if any(c == case for _, c, _ in rows):
+                    result.best[(name, case)] = _best_algorithm(rows, case)
+    if through == "train":
+        return
+
+    with _stage("explain"):
+        for (name, case), alg in sorted(result.best.items()):
+            X, y, users = tables[name].rows(case)
+            model = models.train(alg, X, y, seed=cfg.seed,
+                                 feature_names=featureset.FEATURE_NAMES)
+            _emit(cfg, artifacts, f"model_{name}_{case}.json", models.save_model, model)
+            atts, ranked = explain.attribute_rows(
+                model, X, users, seed=cfg.seed, n_permutations=cfg.n_permutations,
+                max_rows=cfg.explain_rows)
+            _emit(cfg, artifacts, f"attributions_{name}_{case}.csv",
+                  explain.write_attribution_csv, atts)
+            result.importances[(name, case)] = ranked
+            _emit(cfg, artifacts, f"importance_{name}_{case}.csv",
+                  explain.write_importance_csv, ranked)
+            _emit(cfg, artifacts, f"importance_{name}_{case}.svg", viz.svg_importance_bars,
+                  ranked, title=f"Mean |attribution| — {name}, {case} ({alg})")

@@ -68,13 +68,10 @@ def fullscale(tmp_path_factory):
         transactions=paths["transactions"], events=paths["events"],
         out=str(base / "out"), seed=7)
     started = time.perf_counter()
-    m1 = pipeline.run_method1(cfg)
+    pipeline.run(cfg, through="cluster")  # Method 1, timed for gate 1
     m1_seconds = time.perf_counter() - started
-    m2 = pipeline.run_method2(cfg, m1)
-    manifest = pipeline.write_manifest(
-        cfg, {**m1.artifacts, **m2.artifacts}, m1.warnings + m2.warnings)
-    return SimpleNamespace(cfg=cfg, paths=paths, truth=truth, m1=m1, m2=m2,
-                           m1_seconds=m1_seconds, manifest=manifest)
+    return SimpleNamespace(cfg=cfg, paths=paths, truth=truth, result=pipeline.run(cfg),
+                           m1_seconds=m1_seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +79,7 @@ def fullscale(tmp_path_factory):
 
 def test_archetype_recovery_at_scale(fullscale, gate):
     with gate("1/7 archetype recovery at scale (chosen k, ARI, runtime)"):
-        scope = fullscale.m1.scopes["network"]
+        scope = fullscale.result.scopes["network"]
         assert scope.skipped is None
         assert set(scope.ch_scores) == set(range(4, 11))
         assert scope.chosen_k == 4
@@ -97,7 +94,7 @@ def test_archetype_recovery_at_scale(fullscale, gate):
 
 def test_centroid_labels_match_planted_templates(fullscale, gate):
     with gate("2/7 centroid labels map one-to-one onto planted archetypes"):
-        scope = fullscale.m1.scopes["network"]
+        scope = fullscale.result.scopes["network"]
         labels = {c: lab.label for c, lab in scope.labels.items()}
         assert sorted(labels) == list(range(4))
         assert sorted(labels.values()) == sorted(tscluster.ARCHETYPES)
@@ -114,13 +111,13 @@ def test_centroid_labels_match_planted_templates(fullscale, gate):
 def test_trend_prediction_accuracy_and_dominant_feature(fullscale, gate):
     with gate("3/7 trend prediction >= 0.85 per case; messages_count ranks first"):
         gbdt_reports = {case: report
-                        for alg, case, report in fullscale.m2.eval_rows["network"]
+                        for alg, case, report in fullscale.result.eval_rows["network"]
                         if alg == "gbdt"}
         assert set(gbdt_reports) == set(featureset.CASES)
         for report in gbdt_reports.values():
             assert report.mean_accuracy >= 0.85
         for case in featureset.CASES:
-            X, y, users = fullscale.m2.features["network"].rows(case)
+            X, y, users = fullscale.result.features["network"].rows(case)
             model = models.train("gbdt", X, y, seed=7,
                                  feature_names=featureset.FEATURE_NAMES)
             background = explain.background_sample(X, 100, seed=7)
@@ -284,7 +281,7 @@ def test_reference_oracle_equivalence(gate):
 def test_cross_cutting_invariants(fullscale, gate):
     with gate("5/7 invariants (ratio range, inertia, warping, attribution "
                "efficiency, fold stratification, cutoff, pagerank mass)"):
-        scope = fullscale.m1.scopes["network"]
+        scope = fullscale.result.scopes["network"]
 
         # every donors-ratio sample lies in [0, 1]
         for series in scope.series.values():
@@ -327,17 +324,17 @@ def test_cross_cutting_invariants(fullscale, gate):
         # appending strictly post-cutoff transactions leaves features alone
         events = ingest.parse_events(fullscale.paths["events"])
         probes = sorted(scope.users)[:5]
-        table = fullscale.m2.features["network"]
+        table = fullscale.result.features["network"]
         before = {u: table.X[i] for i, u in enumerate(table.users) if u in probes}
         future = [t for u in probes
                   for t in (tx(u, "drifter", 500), tx("drifter", u, 501))]
-        extended = transaction_log(list(transaction_rows(fullscale.m1.log)) + future)
+        extended = transaction_log(list(transaction_rows(fullscale.result.log)) + future)
         again = featureset.assemble_all(probes, extended, events, t_months=3)
         for u, row in zip(probes, again):
             assert np.array_equal(row, before[u])
 
         # pagerank is a probability distribution over the whole network
-        pr = graph.pagerank(fullscale.m1.net)
+        pr = graph.pagerank(fullscale.result.net)
         assert abs(sum(pr.values()) - 1.0) <= 1e-9
         assert all(v > 0 for v in pr.values())
 
@@ -376,7 +373,7 @@ def test_degenerate_inputs_fail_soft(tmp_path, gate):
         empty.write_text("item_id,lister_id,collector_id,listed_at,collected_at\n")
         cfg = pipeline.build_config(transactions=str(empty), out=str(tmp_path / "out"))
         with pytest.raises(pipeline.PipelineStageError) as err:
-            pipeline.run_method1(cfg)
+            pipeline.run(cfg, through="cluster")
         assert err.value.stage == "ingest"
         assert "holds no transactions" in str(err.value)
 

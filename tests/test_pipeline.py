@@ -32,7 +32,7 @@ def data_dir(tmp_path_factory, small_synth):
 
 @pytest.fixture(scope="module")
 def run(tmp_path_factory, data_dir):
-    """One full run over the synthetic dataset: (cfg, m1, m2, manifest path).
+    """One full run over the synthetic dataset: (cfg, result).
 
     The permutation and row counts are trimmed for speed; the network
     scope has 20 samples per case, exactly the floor for 10-fold CV,
@@ -42,8 +42,7 @@ def run(tmp_path_factory, data_dir):
     cfg = build_config(
         transactions=data_dir["transactions"], events=data_dir["events"],
         out=str(out), seed=11, n_permutations=120, explain_rows=6)
-    m1, m2, manifest = pipeline.run(cfg)
-    return cfg, m1, m2, manifest
+    return cfg, pipeline.run(cfg)
 
 
 def _read_lines(path: str) -> list[str]:
@@ -109,6 +108,7 @@ class TestConfig:
         {"seed": "-1"},
         {"min_span_days": "-1"},
         {"min_listing_weeks": "-1"},
+        {"models": "naive_bayes,naive_bayes"},
     ])
     def test_invalid_settings_rejected(self, overrides, tmp_path, capsys):
         with pytest.raises(ValueError):
@@ -173,6 +173,7 @@ class TestConfig:
         ("cv_folds = ten\n", "cv_folds must be int, got 'ten'"),
         ("gamma = x\n", "gamma must be float, got 'x'"),
         ("seed = 1\nseed = 2\n", "bad.cfg:2: duplicate config key 'seed'"),
+        ("models = gbdt,naive_bayes,gbdt\n", "duplicate model 'gbdt' in models"),
     ])
     def test_bad_config_value_names_its_key(self, text, message, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
@@ -198,12 +199,12 @@ class TestStageErrors:
     def test_missing_transactions_path(self, tmp_path):
         cfg = build_config(out=str(tmp_path / "out"))
         with pytest.raises(PipelineStageError, match=r"\[ingest\] no transactions path"):
-            pipeline.run_method1(cfg)
+            pipeline.run(cfg, through="cluster")
 
     def test_unreadable_transactions_file(self, tmp_path):
         cfg = build_config(transactions=str(tmp_path / "nope.csv"), out=str(tmp_path / "out"))
         with pytest.raises(PipelineStageError) as err:
-            pipeline.run_method1(cfg)
+            pipeline.run(cfg, through="cluster")
         assert err.value.stage == "ingest"
         assert str(err.value).startswith("[ingest] ")
 
@@ -211,7 +212,7 @@ class TestStageErrors:
         cfg = build_config(transactions=data_dir["transactions"],
                            min_transactions=10**6, out=str(tmp_path / "out"))
         with pytest.raises(PipelineStageError) as err:
-            pipeline.run_method1(cfg)
+            pipeline.run(cfg, through="cluster")
         assert err.value.stage == "filter"
         assert "no transactions survive" in str(err.value)
 
@@ -219,10 +220,67 @@ class TestStageErrors:
         cfg = build_config(transactions=data_dir["transactions"],
                            min_listing_weeks=500, out=str(tmp_path / "out"))
         with pytest.raises(PipelineStageError) as err:
-            pipeline.run_method1(cfg)
+            pipeline.run(cfg, through="cluster")
         assert err.value.stage == "key_users"
         assert "key-user set is empty after activity filtering" in str(err.value)
         assert "lower the thresholds" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# stage caps
+
+class TestStageCaps:
+    """``run`` stops after each cap of ``STAGES``, having written exactly the
+    artifacts its manifest declares and left the fields of later stages empty."""
+
+    # the result fields each stage fills (cluster fills each scope's model)
+    FILLS = {"ingest": ("log", "reports"), "communities": ("net", "partition"),
+             "behavior": ("key_users", "scopes"), "cluster": (), "features": ("features",),
+             "train": ("eval_rows", "best"), "explain": ("importances",)}
+
+    @pytest.fixture(scope="class")
+    def caps(self, tmp_path_factory, data_dir):
+        base = tmp_path_factory.mktemp("caps")
+        results = {}
+        for through in pipeline.STAGES:
+            cfg = build_config(
+                transactions=data_dir["transactions"], events=data_dir["events"],
+                out=str(base / through), seed=11, cv_folds=2, n_permutations=100,
+                explain_rows=2)
+            results[through] = pipeline.run(cfg, through=through)
+        return base, results
+
+    @pytest.mark.parametrize("through", pipeline.STAGES)
+    def test_cap_writes_exactly_its_own_artifacts(self, caps, through):
+        base, results = caps
+        result = results[through]
+        assert result.manifest == str(base / through / "manifest.json")
+        with open(result.manifest, encoding="utf-8") as fh:
+            assert json.load(fh)["artifacts"] == result.artifacts
+        assert sorted(os.listdir(base / through)) == sorted([*result.artifacts, "manifest.json"])
+        # each cap writes what the cap before it wrote, bar the edge list,
+        # which only a run that stops at communities writes
+        assert ("edges.csv" in result.artifacts) == (through == "communities")
+        i = pipeline.STAGES.index(through)
+        if i:
+            previous = set(results[pipeline.STAGES[i - 1]].artifacts) - {"edges.csv"}
+            assert previous < set(result.artifacts)
+        # the event log is parsed in ingest only when the run stops there
+        assert set(result.reports) == (
+            {"transactions", "events"} if through == "ingest" else {"transactions"})
+        reached = pipeline.STAGES[:i + 1]
+        for stage, names in self.FILLS.items():
+            for name in names:
+                value = getattr(result, name)
+                assert (value is not None and value != {}) == (stage in reached), name
+        clustered = [scope for scope in result.scopes.values() if scope.model is not None]
+        assert bool(clustered) == ("cluster" in reached)
+
+    def test_unknown_cap_rejected_before_any_write(self, data_dir, tmp_path):
+        cfg = build_config(transactions=data_dir["transactions"], out=str(tmp_path / "out"))
+        with pytest.raises(ValueError, match="unknown stage cap 'bogus'"):
+            pipeline.run(cfg, through="bogus")
+        assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -230,46 +288,46 @@ class TestStageErrors:
 
 class TestMethodOneRun:
     def test_scopes_are_network_plus_top_communities(self, run):
-        _, m1, _, _ = run
-        names = set(m1.scopes)
+        _, result = run
+        names = set(result.scopes)
         assert "network" in names
         assert len(names) == 3
         assert all(n.startswith("community_") for n in names - {"network"})
 
     def test_network_scope_covers_every_key_user(self, run, small_synth):
-        _, m1, _, _ = run
+        _, result = run
         _, _, truth = small_synth
-        scope = m1.scopes["network"]
+        scope = result.scopes["network"]
         assert set(scope.users) == set(truth)
         assert list(scope.users) == sorted(scope.users)
         assert set(scope.model.assignment) == set(truth)
 
     def test_network_scope_chooses_four_clusters(self, run):
-        _, m1, _, _ = run
-        scope = m1.scopes["network"]
+        _, result = run
+        scope = result.scopes["network"]
         assert scope.skipped is None
         assert scope.chosen_k == 4
         assert set(scope.ch_scores) == set(range(4, 11))
         assert scope.model.k == 4
 
     def test_all_four_archetypes_labelled(self, run):
-        _, m1, _, _ = run
-        scope = m1.scopes["network"]
+        _, result = run
+        scope = result.scopes["network"]
         assert set(scope.labels) == set(range(4))
         assert {lab.label for lab in scope.labels.values()} == set(tscluster.ARCHETYPES)
 
     def test_recovered_clusters_match_planted_archetypes(self, run, small_synth):
-        _, m1, _, _ = run
+        _, result = run
         _, _, truth = small_synth
-        scope = m1.scopes["network"]
+        scope = result.scopes["network"]
         found = dict(scope.model.assignment)
         planted = {u: t.archetype for u, t in truth.items()}
         ari = synthgen.adjusted_rand_index(planted, found)
         assert ari > 0.9
 
     def test_community_scopes_cluster_their_members(self, run):
-        _, m1, _, _ = run
-        for name, scope in m1.scopes.items():
+        _, result = run
+        for name, scope in result.scopes.items():
             if name == "network":
                 continue
             assert len(scope.users) == 20
@@ -277,27 +335,27 @@ class TestMethodOneRun:
             assert scope.chosen_k is not None
 
     def test_method1_artifacts_on_disk(self, run):
-        cfg, m1, _, _ = run
+        cfg, result = run
         for fname in ("partition.csv", "dr_series_network.csv", "clusters_network.csv",
                       "centroids_network.csv", "centroids_network.svg",
                       "cluster_model_network.json"):
-            assert fname in m1.artifacts
+            assert fname in result.artifacts
             full = os.path.join(cfg.out, fname)
             assert os.path.getsize(full) > 0
 
     def test_cluster_model_json_round_trips(self, run):
-        cfg, m1, _, _ = run
+        cfg, result = run
         with open(os.path.join(cfg.out, "cluster_model_network.json"), encoding="utf-8") as fh:
             payload = json.load(fh)
         model = tscluster.model_from_dict(payload["model"] if "model" in payload else payload)
-        scope = m1.scopes["network"]
+        scope = result.scopes["network"]
         assert model.k == scope.model.k
         assert model.assignment == scope.model.assignment
 
     def test_series_csv_lists_every_user_and_week(self, run):
-        cfg, m1, _, _ = run
+        cfg, result = run
         lines = _read_lines(os.path.join(cfg.out, "dr_series_network.csv"))
-        scope = m1.scopes["network"]
+        scope = result.scopes["network"]
         # header + one row per (user, week)
         assert len(lines) == 1 + len(scope.users) * 52
 
@@ -307,16 +365,16 @@ class TestMethodOneRun:
 
 class TestMethodTwoRun:
     def test_feature_vectors_per_scope(self, run):
-        _, m1, m2, _ = run
-        assert set(m2.features) == set(m1.scopes)
-        assert len(m2.features["network"].users) == 40
-        for name, table in m2.features.items():
-            assert table.users == m1.scopes[name].users
+        _, result = run
+        assert set(result.features) == set(result.scopes)
+        assert len(result.features["network"].users) == 40
+        for name, table in result.features.items():
+            assert table.users == result.scopes[name].users
             assert table.X.shape == (len(table.users), len(featureset.FEATURE_NAMES))
             assert len(table.y) == len(table.cases) == len(table.users)
 
     def test_features_assembled_once_and_shared_by_scopes(self, run, monkeypatch, tmp_path):
-        cfg, m1, _, _ = run
+        cfg, _ = run
         calls = []
         assemble_all = featureset.assemble_all
 
@@ -325,17 +383,17 @@ class TestMethodTwoRun:
             return assemble_all(calls[-1], *args, **kwargs)
 
         monkeypatch.setattr(featureset, "assemble_all", counting)
-        m2 = pipeline.run_method2(replace(cfg, out=str(tmp_path)), m1, through="features")
-        assert calls == [sorted(m1.scopes["network"].users)]
-        assert len(m2.features) == len(m1.scopes) > 1
-        network = m2.features["network"]
+        result = pipeline.run(replace(cfg, out=str(tmp_path)), through="features")
+        assert calls == [sorted(result.scopes["network"].users)]
+        assert len(result.features) == len(result.scopes) > 1
+        network = result.features["network"]
         row_of = {u: i for i, u in enumerate(network.users)}
-        for table in m2.features.values():
+        for table in result.features.values():
             assert np.array_equal(table.X, network.X[[row_of[u] for u in table.users]])
 
     def test_network_eval_covers_every_model_and_case(self, run):
-        cfg, _, m2, _ = run
-        rows = m2.eval_rows["network"]
+        cfg, result = run
+        rows = result.eval_rows["network"]
         assert len(rows) == len(cfg.models) * 2
         assert {alg for alg, _, _ in rows} == set(cfg.models)
         assert {case for _, case, _ in rows} == set(featureset.CASES)
@@ -344,32 +402,32 @@ class TestMethodTwoRun:
             assert len(report.fold_accuracy) == cfg.cv_folds
 
     def test_small_community_cases_are_skipped_with_warnings(self, run):
-        _, m1, m2, _ = run
-        community_scopes = sorted(set(m1.scopes) - {"network"})
+        _, result = run
+        community_scopes = sorted(set(result.scopes) - {"network"})
         for name in community_scopes:
-            assert m2.eval_rows[name] == []
-        skip = [w for w in m2.warnings if w.startswith("train: scope community_")]
+            assert result.eval_rows[name] == []
+        skip = [w for w in result.warnings if w.startswith("train: scope community_")]
         assert len(skip) == 4  # 2 communities x 2 cases
         assert all("(10 samples < 20)" in w for w in skip)
 
     def test_best_model_chosen_per_network_case(self, run):
-        _, _, m2, _ = run
-        assert set(m2.best) == {("network", "starting_high"), ("network", "starting_low")}
-        for alg in m2.best.values():
+        _, result = run
+        assert set(result.best) == {("network", "starting_high"), ("network", "starting_low")}
+        for alg in result.best.values():
             assert alg in models.ALGORITHMS
 
     def test_best_model_actually_has_top_accuracy(self, run):
-        _, _, m2, _ = run
-        for (scope, case), alg in m2.best.items():
-            case_rows = [(a, r) for a, c, r in m2.eval_rows[scope] if c == case]
+        _, result = run
+        for (scope, case), alg in result.best.items():
+            case_rows = [(a, r) for a, c, r in result.eval_rows[scope] if c == case]
             top = max(r.mean_accuracy for _, r in case_rows)
             chosen = next(r for a, r in case_rows if a == alg)
             assert chosen.mean_accuracy == top
 
     def test_importances_rank_all_features(self, run):
-        _, _, m2, _ = run
-        assert set(m2.importances) == set(m2.best)
-        for ranked in m2.importances.values():
+        _, result = run
+        assert set(result.importances) == set(result.best)
+        for ranked in result.importances.values():
             assert [f for f, _ in ranked] != []
             assert {f for f, _ in ranked} == set(featureset.FEATURE_NAMES)
             values = [v for _, v in ranked]
@@ -379,51 +437,51 @@ class TestMethodTwoRun:
     def test_planted_signal_feature_ranks_high(self, run):
         """The generator suppresses messages for trend-changing volunteers;
         the attribution ranking over the full network scope should notice."""
-        _, _, m2, _ = run
-        ranked = dict(m2.importances)
+        _, result = run
+        ranked = dict(result.importances)
         for case in ("starting_high", "starting_low"):
             order = [f for f, _ in ranked[("network", case)]]
             assert order.index("messages_count") < 5
 
     def test_feature_csvs_row_counts(self, run):
-        cfg, m1, _, _ = run
-        for name, scope in m1.scopes.items():
+        cfg, result = run
+        for name, scope in result.scopes.items():
             lines = _read_lines(os.path.join(cfg.out, f"features_{name}.csv"))
             assert len(lines) == 1 + len(scope.users)
 
     def test_eval_csvs(self, run):
-        cfg, m1, _, _ = run
+        cfg, result = run
         lines = _read_lines(os.path.join(cfg.out, "eval_network.csv"))
         assert len(lines) == 1 + len(cfg.models) * 2
-        for name in set(m1.scopes) - {"network"}:
+        for name in set(result.scopes) - {"network"}:
             assert _read_lines(os.path.join(cfg.out, f"eval_{name}.csv"))[1:] == []
 
     def test_saved_best_models_predict(self, run):
-        cfg, _, m2, _ = run
-        for (scope, case), alg in m2.best.items():
+        cfg, result = run
+        for (scope, case), alg in result.best.items():
             model = models.load_model(os.path.join(cfg.out, f"model_{scope}_{case}.json"))
             assert model.algorithm == alg
-            X, y, _ = m2.features[scope].rows(case)
+            X, y, _ = result.features[scope].rows(case)
             scores = model.scores(X)
             assert scores.shape == (len(y),)
             assert ((scores >= 0.0) & (scores <= 1.0)).all()
 
     def test_attribution_csv_long_format(self, run):
-        cfg, _, _, _ = run
+        cfg, _ = run
         lines = _read_lines(os.path.join(cfg.out, "attributions_network_starting_high.csv"))
         assert lines[0] == "user_id,feature,phi,std_err"
         # 6 explained rows x 15 features
         assert len(lines) == 1 + 6 * len(featureset.FEATURE_NAMES)
 
     def test_importance_csv_is_ranked(self, run):
-        cfg, _, _, _ = run
+        cfg, _ = run
         lines = _read_lines(os.path.join(cfg.out, "importance_network_starting_low.csv"))
         assert lines[0] == "feature,mean_abs_phi,rank"
         ranks = [int(line.split(",")[2]) for line in lines[1:]]
         assert ranks == list(range(1, len(featureset.FEATURE_NAMES) + 1))
 
     def test_svg_charts_are_svg(self, run):
-        cfg, _, _, _ = run
+        cfg, _ = run
         for fname in ("centroids_network.svg", "importance_network_starting_high.svg"):
             with open(os.path.join(cfg.out, fname), encoding="utf-8") as fh:
                 assert fh.read(100).startswith("<svg ")
@@ -434,8 +492,8 @@ class TestMethodTwoRun:
 
 class TestManifest:
     def test_manifest_declares_existing_artifacts(self, run):
-        cfg, _, _, manifest_path = run
-        with open(manifest_path, encoding="utf-8") as fh:
+        cfg, result = run
+        with open(result.manifest, encoding="utf-8") as fh:
             payload = json.load(fh)
         assert payload["version"] == 1
         assert payload["artifacts"]
@@ -444,8 +502,8 @@ class TestManifest:
             assert os.path.getsize(full) > 0
 
     def test_manifest_config_echo_omits_output_dir(self, run):
-        cfg, _, _, manifest_path = run
-        with open(manifest_path, encoding="utf-8") as fh:
+        cfg, result = run
+        with open(result.manifest, encoding="utf-8") as fh:
             payload = json.load(fh)
         assert "out" not in payload["config"]
         assert payload["config"]["seed"] == cfg.seed
@@ -508,10 +566,10 @@ class TestManifest:
             b'}\n')
 
     def test_manifest_records_warnings(self, run):
-        _, _, m2, manifest_path = run
-        with open(manifest_path, encoding="utf-8") as fh:
+        _, result = run
+        with open(result.manifest, encoding="utf-8") as fh:
             payload = json.load(fh)
-        for w in m2.warnings:
+        for w in result.warnings:
             assert w in payload["warnings"]
 
 
@@ -531,8 +589,8 @@ class TestIterationCapWarnings:
             return json.load(fh)["warnings"]
 
     def test_default_caps_do_not_fire(self, run, data_dir, tmp_path):
-        _, m1, _, _ = run
-        assert not [w for w in m1.warnings if "cap" in w]
+        _, result = run
+        assert not [w for w in result.warnings if "cap" in w]
         assert not [w for w in self._cluster(data_dir, tmp_path) if "cap" in w]
 
     @pytest.mark.parametrize("name, force, needle", [
