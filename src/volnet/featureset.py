@@ -4,16 +4,15 @@ Network features come from the user's ego network built over transactions
 up to the cutoff; raw features count the user's activity events up to the
 same cutoff, in one bincount over the event log's user and kind codes.
 Neither depends on the analysis scope, so a run assembles each key user's
-row once (:func:`assemble_all`).  It streams the ego networks, keeps each
-one's scalar metrics and PageRank lane, and ranks the lanes in blocks with
-:func:`graph.pagerank_lanes`.  The trend label and prediction case come
-from a scope's own clustering, so each scope selects its users' rows and
-attaches them (:func:`label_scope`).
+row once (:func:`assemble_all`).  It streams the ego networks and takes
+their features in blocks, each ranked by one :func:`graph.pagerank_lanes`
+call.  The trend label and prediction case come from a scope's own
+clustering, so each scope selects its users' rows and attaches them
+(:func:`label_scope`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import islice
@@ -21,8 +20,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import (RankLane, TransactionGraph, density, ego_networks, node_metrics_lane,
-                    pagerank_lanes)
+from .graph import (TransactionGraph, closeness_centrality, clustering_coefficient, degrees,
+                    density, ego_networks, pagerank_lanes)
 from .ingest import EVENT_KINDS, EventLog, TransactionLog, to_micros, write_rows
 from .tscluster import ArchetypeLabel, ClusterModel, case_and_trend
 
@@ -80,36 +79,22 @@ class ScopeFeatures:
         return self.X[keep], self.y[keep], [self.users[i] for i in keep]
 
 
-def _network_features(g: TransactionGraph, u: str) -> tuple[dict[str, float], RankLane]:
-    """:func:`extract_network_features` with ``"pagerank"`` left as NaN, and
-    the lane that ranks ``g``."""
-    deg, lane, closeness, clustering = node_metrics_lane(g, u)
-    flow = deg.in_weighted + deg.out_weighted
-    if flow == 0:
-        raise ValueError(f"user {u!r} has no transactions inside the ego network")
-    return {
-        "nodes_number": float(len(g.names)),
-        "edges_number": float(len(g.src)),
-        "density": density(g),
-        "pagerank": math.nan,
-        "closeness_centrality": closeness,
-        "clustering_coefficient": clustering,
-        "pickups_count": float(deg.in_weighted),
-        "percent_of_listing_items": deg.out_weighted / flow,
-    }, lane
-
-
-def _fill_pagerank(block: Sequence[tuple[str, dict[str, float], RankLane]]) -> None:
-    """Each ``(user, features, lane)``'s ``"pagerank"``, from one block."""
-    for (u, features, lane), ranks in zip(block, pagerank_lanes([lane for *_, lane in block])):
-        features["pagerank"] = lane.rank_of(u, ranks)
+def _network_rows(block: Sequence[tuple[str, TransactionGraph]]) -> list[list[float]]:
+    """The :data:`NETWORK_FEATURES` of each ``(user, ego network)`` of
+    ``block``, with PageRank from one :func:`graph.pagerank_lanes` call."""
+    degs = [degrees(g, u) for u, g in block]
+    for (u, _), deg in zip(block, degs):
+        if deg.in_weighted + deg.out_weighted == 0:
+            raise ValueError(f"user {u!r} has no transactions inside the ego network")
+    return [[float(len(g.names)), float(len(g.src)), density(g), ranks.item(g.code(u)),
+             closeness_centrality(g, u), clustering_coefficient(g, u), float(deg.in_weighted),
+             deg.out_weighted / (deg.in_weighted + deg.out_weighted)]
+            for (u, g), deg, ranks in zip(block, degs, pagerank_lanes([g for _, g in block]))]
 
 
 def extract_network_features(g: TransactionGraph, u: str) -> dict[str, float]:
     """Structural features of ``u`` within their (cutoff-limited) ego net ``g``."""
-    features, lane = _network_features(g, u)
-    _fill_pagerank([(u, features, lane)])
-    return features
+    return dict(zip(NETWORK_FEATURES, _network_rows([(u, g)])[0]))
 
 
 def _raw_features(events: EventLog, cutoffs: Mapping[str, datetime]) -> np.ndarray:
@@ -162,15 +147,12 @@ def assemble_all(
             raise KeyError(f"user {u!r} has no transactions")
         cutoffs[u] = log.first_activity[u] + timedelta(days=DAYS_PER_MONTH * t_months)
 
-    # each ego network is dropped once its lane and scalar features are taken
-    pending = ((u, *_network_features(ego, u)) for u, ego in ego_networks(log, cutoffs))
-    network: dict[str, dict[str, float]] = {}
-    while block := list(islice(pending, _PAGERANK_BLOCK)):
-        _fill_pagerank(block)
-        network.update((u, features) for u, features, _ in block)
+    egos = ego_networks(log, cutoffs)  # each ego network is dropped once its block is taken
+    network: dict[str, list[float]] = {}
+    while block := list(islice(egos, _PAGERANK_BLOCK)):
+        network.update(zip([u for u, _ in block], _network_rows(block)))
     raw = dict(zip(cutoffs, _raw_features(events, cutoffs).tolist()))
-    return np.array([[network[u][name] for name in NETWORK_FEATURES] + raw[u] for u in users],
-                    dtype=float)
+    return np.array([network[u] + raw[u] for u in users], dtype=float)
 
 
 def label_scope(

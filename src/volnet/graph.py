@@ -8,25 +8,24 @@ undirected, unweighted projection.
 A graph has one form, :class:`TransactionGraph`: the sorted node names,
 whose indices are the node codes, and three integer arrays that list the
 edges as (source, target, weight) codes.  Every algorithm reads those
-arrays: degrees and the hub rule are bincounts or masks, closeness is a
-frontier BFS, and Louvain (``community``) and :class:`RankLane` sort them.
-:func:`build_graph` keeps the pair codes of one ``np.unique`` over a log,
-in first-transaction order; :func:`ego_networks` sums them incrementally,
-one cutoff at a time, and shares one ego cut with :func:`ego_network`.
+arrays: degrees, ego cuts and the hub rule are bincounts or masks,
+closeness is a frontier BFS, and Louvain (``community``) and PageRank sort
+them.  One builder aggregates log rows into a graph, in first-transaction
+order: :func:`build_graph` over the rows up to a cutoff, and
+:func:`ego_networks` over each user's ego rows.
 
 PageRank has one kernel, :func:`pagerank_lanes`: one power iteration over
-a block of graphs, each a lane (:class:`RankLane`) whose ranks do not depend
-on the block.  :func:`pagerank` and :func:`node_metrics` are one-lane calls;
-feature assembly ranks its ego networks in blocks (:func:`node_metrics_lane`).
+a block of graphs, each a lane whose ranks do not depend on the block.
+:func:`pagerank` and :func:`node_metrics` are one-graph calls; feature
+assembly ranks its ego networks in blocks.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -91,12 +90,11 @@ class DegreeRecord:
     out_distinct: int
 
 
-def build_graph(log: TransactionLog, until: datetime | None = None) -> TransactionGraph:
-    """Aggregate transactions with ``collected_at <= until`` (all of them
-    by default) into a graph; edges follow their pair's first transaction."""
-    n = len(log) if until is None else log.count_until(until)
+def _graph_of_rows(log: TransactionLog, rows: slice | np.ndarray) -> TransactionGraph:
+    """The graph of the log's ``rows`` (in log order): one edge per ordered
+    pair, weighted by its row count, in the order of each pair's first row."""
     width = len(log.user_ids)
-    pairs, first, counts = np.unique(log.lister[:n].astype(np.int64) * width + log.collector[:n],
+    pairs, first, counts = np.unique(log.lister[rows].astype(np.int64) * width + log.collector[rows],
                                      return_index=True, return_counts=True)
     order = np.argsort(first)
     a, b = np.divmod(pairs[order], width)
@@ -107,28 +105,21 @@ def build_graph(log: TransactionLog, until: datetime | None = None) -> Transacti
                             counts[order])
 
 
-def _ego_cut(u: int, names: Sequence[str], succ: Mapping[int, Mapping[int, int]],
-             pred: Mapping[int, Mapping[int, int]]) -> TransactionGraph:
-    """The ego network of node ``u`` of the graph whose out- and
-    in-neighbours ``succ`` and ``pred`` hold, in codes of ``names`` (sorted):
-    its members are ``u`` and its neighbours, and its edges the members'
-    out-edges that stay inside the members, grouped by source and in
-    ``succ`` order within a source."""
-    members = sorted({u, *succ.get(u, ()), *pred.get(u, ())})
-    local = {c: i for i, c in enumerate(members)}
-    rows = [(i, j, w) for i, a in enumerate(members) for b, w in succ.get(a, {}).items()
-            if (j := local.get(b)) is not None]
-    src, dst, weight = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-    return TransactionGraph(tuple(names[c] for c in members), src, dst, weight)
+def build_graph(log: TransactionLog, until: datetime | None = None) -> TransactionGraph:
+    """Aggregate transactions with ``collected_at <= until`` (all of them
+    by default) into a graph; edges follow their pair's first transaction."""
+    return _graph_of_rows(log, slice(len(log) if until is None else log.count_until(until)))
 
 
 def ego_network(g: TransactionGraph, u: str) -> TransactionGraph:
     """Ego network of ``u``: nodes are {u} plus direct neighbors; edges are
-    every edge incident to ``u`` plus every edge between two neighbors."""
-    i, succ, pred = g.code(u), defaultdict(dict), defaultdict(dict)
-    for a, b, w in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()):
-        succ[a][b] = pred[b][a] = w
-    return _ego_cut(i, g.names, succ, pred)
+    every edge incident to ``u`` plus every edge between two neighbors, in
+    ``g``'s edge order."""
+    i, near = g.code(u), np.zeros(len(g.names), dtype=bool)
+    near[g.dst[g.src == i]] = near[g.src[g.dst == i]] = near[i] = True
+    keep, code = near[g.src] & near[g.dst], np.cumsum(near) - 1
+    return TransactionGraph(tuple(g.names[c] for c in np.flatnonzero(near).tolist()),
+                            code[g.src[keep]], code[g.dst[keep]], g.weight[keep])
 
 
 def ego_networks(log: TransactionLog,
@@ -137,27 +128,28 @@ def ego_networks(log: TransactionLog,
     order, over the transactions with ``collected_at`` up to that user's
     cutoff.
 
-    The adjacency grows in one pass over the log, keyed by each user's rank
-    among the log's sorted names, instead of a graph rebuilt per user, and
-    each ego network is cut only when its turn comes, so a caller holds one
-    at a time.  A user with no transaction by their cutoff gets an ego
-    network of just themselves.
+    Each ego network is the graph of the user's ego rows: the rows up to
+    the cutoff of the user and their neighbours (:attr:`TransactionLog.by_user`)
+    whose two users are both in the ego, so no graph of the whole log is
+    built, and a caller holds one ego network at a time.  A user with no
+    transaction by their cutoff gets an ego network of just themselves.
     """
-    names = sorted(log.user_ids)
-    rank = {u: i for i, u in enumerate(names)}
-    code = np.array([rank[u] for u in log.user_ids], dtype=np.int64)
-    lister, collector = code[log.lister], code[log.collector]
-    succ: dict[int, Counter[int]] = defaultdict(Counter)
-    pred: dict[int, Counter[int]] = defaultdict(Counter)
-    ptr = 0
+    offsets, rows = log.by_user
     for u in sorted(cutoffs, key=lambda u: (cutoffs[u], u)):
         n = log.count_until(cutoffs[u])
-        for a, b in zip(lister[ptr:n].tolist(), collector[ptr:n].tolist()):
-            succ[a][b] += 1
-            pred[b][a] += 1
-        ptr = n
-        yield u, (_ego_cut(rank[u], names, succ, pred) if u in rank
-                  else TransactionGraph((u,), *np.zeros((3, 0), dtype=np.int64)))
+        own = log.rows_of(u)
+        own = own[:np.searchsorted(own, n)]
+        if not len(own):
+            yield u, TransactionGraph((u,), *np.zeros((3, 0), dtype=np.int64))
+            continue
+        members = np.zeros(len(log.user_ids), dtype=bool)
+        members[log.lister[own]] = members[log.collector[own]] = True
+        near = np.concatenate([rows[offsets[c]:offsets[c + 1]]
+                               for c in np.flatnonzero(members).tolist()])
+        near = near[near < n]
+        inside = np.zeros(n, dtype=bool)  # a row inside the ego is near both its users
+        inside[near[members[log.lister[near]] & members[log.collector[near]]]] = True
+        yield u, _graph_of_rows(log, np.flatnonzero(inside))
 
 
 def density(g: TransactionGraph) -> float:
@@ -179,53 +171,37 @@ def degrees(g: TransactionGraph, v: str) -> DegreeRecord:
     )
 
 
-class RankLane(NamedTuple):
-    """One graph coded for :func:`pagerank_lanes`: its nodes in sorted
-    order, and its edges as ``(source, target, weight)`` rows of node
-    codes, grouped by source in node order and in the graph's edge order
-    within a source, the order in which the power iteration visits them."""
-
-    members: list[str]
-    edges: np.ndarray
-
-    @classmethod
-    def of(cls, g: TransactionGraph) -> RankLane:
-        order = np.argsort(g.src, kind="stable")
-        return cls(list(g.names), np.stack([g.src, g.dst, g.weight], axis=1)[order].astype(np.int64))
-
-    def rank_of(self, v: str, ranks: np.ndarray) -> float:
-        """``v``'s entry of this lane's :func:`pagerank_lanes` result."""
-        return ranks.item(self.members.index(v))
-
-
-def pagerank_lanes(lanes: Sequence[RankLane], damping: float = 0.85, tol: float = 1e-9,
+def pagerank_lanes(graphs: Sequence[TransactionGraph], damping: float = 0.85, tol: float = 1e-9,
                    max_iter: int = 500) -> list[np.ndarray]:
-    """Weighted PageRank of every lane (each with at least one node), in
-    sorted node order, from one power iteration over the block.
+    """Weighted PageRank of every graph (each with at least one node), in
+    its node order, from one power iteration over the block.
 
-    Lanes are the rows of arrays padded to the largest lane with zeros, and
-    each row sees the float operations of a one-graph loop in its order:
-    ``nxt`` starts from the teleport plus dangling term, ``np.add.at``
-    over the edges replays ``nxt[w] += share * weight`` edge by edge, and
-    the dangling mass and the L1 delta are left-to-right sums (``cumsum``
-    along the padded rows). A lane leaves the block once its delta drops
-    below ``tol``; if one is still in it after ``max_iter`` iterations, the
-    first such lane raises :class:`PageRankError` with its own last iterate."""
-    if not lanes:
+    Each graph is a lane: a row of arrays padded to the largest graph with
+    zeros, and each row sees the float operations of a one-graph loop in
+    its order: ``nxt`` starts from the teleport plus dangling term,
+    ``np.add.at`` over the edges, sorted stably by source, replays
+    ``nxt[w] += share * weight`` edge by edge, and the dangling mass and
+    the L1 delta are left-to-right sums (``cumsum`` along the padded rows).
+    A lane leaves the block once its delta drops below ``tol``; if one is
+    still in it after ``max_iter`` iterations, the first such lane raises
+    :class:`PageRankError` with its own last iterate."""
+    if not graphs:
         return []
-    sizes = np.array([len(lane.members) for lane in lanes])
+    sizes = np.array([len(g.names) for g in graphs])
     width = int(sizes.max())
-    live = np.arange(len(lanes))  # the lane of each row
-    edge_lane = np.repeat(live, [lane.edges.shape[0] for lane in lanes])
-    src, dst, weight = np.concatenate([lane.edges for lane in lanes]).T
-    weight = weight.astype(float)
+    live = np.arange(len(graphs))  # the lane of each row
+    edge_lane = np.repeat(live, [len(g.src) for g in graphs])
+    src, dst, weight = (np.concatenate([getattr(g, f) for g in graphs]).astype(np.int64)
+                        for f in ("src", "dst", "weight"))
     at = edge_lane * width  # each edge's row start in the flattened block
-    out_weight = np.bincount(at + src, weight, len(lanes) * width).reshape(-1, width)
+    order = np.argsort(at + src, kind="stable")
+    src, dst, weight = src[order], dst[order], weight[order].astype(float)
+    out_weight = np.bincount(at + src, weight, len(graphs) * width).reshape(-1, width)
     valid = np.arange(width) < sizes[:, None]
     dangling = valid & (out_weight == 0)
     rank = np.where(valid, 1.0 / sizes[:, None], 0.0)
-    delta = np.full(len(lanes), np.inf)
-    ranks: list = [None] * len(lanes)
+    delta = np.full(len(graphs), np.inf)
+    ranks: list = [None] * len(graphs)
     for _ in range(max_iter):
         dangling_mass = np.cumsum(np.where(dangling, rank, 0.0), axis=1)[:, -1]
         base = (1.0 - damping) / sizes + damping * dangling_mass / sizes
@@ -246,9 +222,8 @@ def pagerank_lanes(lanes: Sequence[RankLane], damping: float = 0.85, tol: float 
             src, dst, weight, at = src[on], dst[on], weight[on], edge_lane * width
             live, sizes, valid, dangling, out_weight, rank, delta = (
                 a[keep] for a in (live, sizes, valid, dangling, out_weight, rank, delta))
-    members = lanes[live[0]].members
-    raise PageRankError(max_iter, float(delta[0]),
-                        dict(zip(members, rank[0, :len(members)].tolist())))
+    names = graphs[live[0]].names
+    raise PageRankError(max_iter, float(delta[0]), dict(zip(names, rank[0, :len(names)].tolist())))
 
 
 def pagerank(
@@ -257,7 +232,7 @@ def pagerank(
     tol: float = 1e-9,
     max_iter: int = 500,
 ) -> dict[str, float]:
-    """Weighted PageRank by power iteration: :func:`pagerank_lanes` of one lane.
+    """Weighted PageRank by power iteration: :func:`pagerank_lanes` of one graph.
 
     The walk follows out-edges with probability proportional to edge
     weight; dangling mass is redistributed uniformly.  Converged when the
@@ -273,8 +248,7 @@ def pagerank(
         raise ValueError("damping must be in (0, 1)")
     if not g.names:
         return {}
-    lane = RankLane.of(g)
-    return dict(zip(lane.members, pagerank_lanes([lane], damping, tol, max_iter)[0].tolist()))
+    return dict(zip(g.names, pagerank_lanes([g], damping, tol, max_iter)[0].tolist()))
 
 
 def closeness_centrality(g: TransactionGraph, v: str) -> float:
@@ -309,19 +283,11 @@ def clustering_coefficient(g: TransactionGraph, v: str) -> float:
     return 2.0 * links / (k * (k - 1))
 
 
-def node_metrics_lane(g: TransactionGraph,
-                      v: str) -> tuple[DegreeRecord, RankLane, float, float]:
-    """:func:`node_metrics` with PageRank left as ``g``'s lane, so that a
-    caller can rank many graphs in one :func:`pagerank_lanes` block."""
-    return (degrees(g, v), RankLane.of(g), closeness_centrality(g, v),
-            clustering_coefficient(g, v))
-
-
 def node_metrics(g: TransactionGraph, v: str) -> tuple[DegreeRecord, float, float, float]:
     """:func:`degrees`, :func:`pagerank` (at its defaults),
     :func:`closeness_centrality` and :func:`clustering_coefficient` of ``v``."""
-    deg, lane, closeness, clustering = node_metrics_lane(g, v)
-    return deg, lane.rank_of(v, pagerank_lanes([lane])[0]), closeness, clustering
+    return (degrees(g, v), pagerank_lanes([g])[0].item(g.code(v)), closeness_centrality(g, v),
+            clustering_coefficient(g, v))
 
 
 def write_edges_csv(g: TransactionGraph, path: str) -> None:

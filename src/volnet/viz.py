@@ -23,15 +23,15 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 _MARGIN = 56
 
 
-def _frame(width: int, height: int, title: str) -> list[str]:
+def _header(width: int, height: int, title: str) -> list[str]:
+    """The opening tag of a ``width`` x ``height`` document, its white
+    background, and its title."""
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
-        f'<rect x="{_MARGIN}" y="28" width="{width - 2 * _MARGIN}" '
-        f'height="{height - 28 - _MARGIN}" fill="none" stroke="#333"/>',
     ]
 
 
@@ -61,7 +61,10 @@ def svg_line_chart(
     def sy(v: float) -> float:
         return 28 + plot_h * (1.0 - (v - lo) / (hi - lo))
 
-    parts = _frame(width, height, title)
+    # the legend sits below the plot, so the document is taller than ``height``
+    parts = _header(width, height + 30 + 14 * len(names), title)
+    parts.append(f'<rect x="{_MARGIN}" y="28" width="{plot_w}" height="{plot_h}" '
+                 f'fill="none" stroke="#333"/>')
     for tick in (lo, (lo + hi) / 2, hi):
         parts.append(f'<text x="{_MARGIN - 6}" y="{sy(tick) + 4:.1f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{tick:.2f}</text>')
@@ -81,9 +84,6 @@ def svg_line_chart(
         parts.append(f'<text x="{_MARGIN + 24}" y="{ly}" font-family="sans-serif" '
                      f'font-size="11">{escape(name)}</text>')
     parts.append("</svg>")
-    extra = 30 + 14 * len(names)
-    parts[0] = parts[0].replace(f'height="{height}"', f'height="{height + extra}"', 1)
-    parts[0] = parts[0].replace(f'0 0 {width} {height}', f'0 0 {width} {height + extra}', 1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
 
@@ -102,13 +102,7 @@ def svg_importance_bars(
     top = max(value for _, value in ranked) or 1.0
     label_w = 190
     bar_area = width - label_w - 80
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
-    ]
+    parts = _header(width, height, title)
     for i, (name, value) in enumerate(ranked):
         y = 40 + row_h * i
         bar = bar_area * (value / top)

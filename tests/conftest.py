@@ -8,7 +8,7 @@ from typing import Iterable, Mapping
 import numpy as np
 import pytest
 
-from volnet.graph import RankLane, TransactionGraph
+from volnet.graph import TransactionGraph
 from volnet.ingest import TransactionLog
 from volnet import synthgen
 
@@ -49,11 +49,6 @@ def edges_of(g: TransactionGraph) -> dict[tuple[str, str], int]:
     """``g``'s edges as ``{(source, target): weight}``, in its edge order."""
     return {(g.names[a], g.names[b]): w
             for a, b, w in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())}
-
-
-def lane_of(succ: Mapping[str, Mapping[str, int]]) -> RankLane:
-    """The PageRank lane of the graph whose out-adjacency is ``succ``, edges in its order."""
-    return RankLane.of(graph_of({(v, w): x for v in succ for w, x in succ[v].items()}, succ))
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@
 This is the single-user path ``volnet.featureset`` used to ship: each
 user's cutoff comes from a scan of the log, the graph is rebuilt from the
 log up to that cutoff, and the raw features filter the whole event log.
-``assemble_all`` must give the same rows from its one incremental pass, and
+``assemble_all`` must give the same rows from its streamed ego networks, and
 ``label_scope`` the same label and case.
 """
 

@@ -94,17 +94,13 @@ def clustering(both: Mapping[str, Mapping[str, int]], v: str) -> float:
 
 
 def node_metrics(nodes: Iterable[str], edges: Edges, v: str) -> tuple:
-    """``(degree record, lane members, lane rows, closeness, clustering)``
-    of ``v``, from one build each of the three adjacency views; the lane
-    rows are ``[source, target, weight]`` codes grouped by source in sorted
-    order and in adjacency order within a source."""
+    """``(degree record, pagerank, closeness, clustering)`` of ``v``, from
+    one build each of the three adjacency views; PageRank is :func:`pagerank`
+    over the out-adjacency, which keeps ``edges``' order within a source."""
     succ, pred, both = (adjacency(nodes, edges, d) for d in ("out", "in", "both"))
     deg = DegreeRecord(in_weighted=sum(pred[v].values()), out_weighted=sum(succ[v].values()),
                        in_distinct=len(pred[v]), out_distinct=len(succ[v]))
-    members = sorted(succ)
-    code = {w: i for i, w in enumerate(members)}
-    rows = [[i, code[w], weight] for i, x in enumerate(members) for w, weight in succ[x].items()]
-    return deg, members, rows, closeness(both, v), clustering(both, v)
+    return deg, pagerank(succ)[v], closeness(both, v), clustering(both, v)
 
 
 def pagerank(succ: Mapping[str, Mapping[str, int]], damping: float = 0.85,

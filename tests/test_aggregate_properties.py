@@ -186,9 +186,7 @@ def test_ego_metrics_equal_the_dict_reference(log, cut_days):
                                              graph_reference.ego_networks(log, cutoffs),
                                              strict=True):
         assert u == v and ego.names == tuple(sorted(members)) and edges_of(ego) == edges
-        deg, lane, closeness, clustering = graph.node_metrics_lane(ego, u)
-        want = graph_reference.node_metrics(members, edges, u)
-        assert (deg, lane.members, lane.edges.tolist(), closeness, clustering) == want
+        assert graph.node_metrics(ego, u) == graph_reference.node_metrics(members, edges, u)
 
 
 def event_logs(max_size=30, max_day=200):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 from volnet.graph import PageRankError, pagerank_lanes  # noqa: E402
 
 import graph_reference as ref  # noqa: E402
-from conftest import lane_of  # noqa: E402
+from conftest import graph_of  # noqa: E402
 
 
 @st.composite
@@ -31,19 +31,36 @@ def out_adjacency(draw):
     return succ
 
 
+def grouped(succ):
+    """``succ``'s graph, its edges grouped by source in ``succ``'s order."""
+    return graph_of({(v, w): x for v in succ for w, x in succ[v].items()}, succ)
+
+
+def interleaved(succ, data):
+    """``succ``'s graph, its sources' edges interleaved in a drawn order
+    that keeps each source's own order (as first-transaction order does)."""
+    turns = data.draw(st.permutations([v for v in succ for _ in succ[v]]))
+    targets = {v: iter(succ[v]) for v in succ}
+    return graph_of({(v, w): succ[v][w] for v in turns for w in [next(targets[v])]}, succ)
+
+
 damping = st.sampled_from([0.5, 0.85, 0.95])
 tol = st.sampled_from([1e-6, 1e-9, 1e-12])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(out_adjacency(), min_size=1, max_size=6), damping, tol)
-def test_every_lane_equals_its_dict_loop_bit_for_bit(graphs, d, t):
-    # lanes of a block converge at different iterations and leave it then
-    lanes = [lane_of(succ) for succ in graphs]
-    for lane, succ, got in zip(lanes, graphs, pagerank_lanes(lanes, d, t, max_iter=5000)):
+@given(st.lists(out_adjacency(), min_size=1, max_size=6), damping, tol, st.data())
+def test_every_lane_equals_its_dict_loop_bit_for_bit(graphs, d, t, data):
+    # lanes of a block converge at different iterations and leave it then;
+    # interleaving sources' edges changes no bit, as long as each source
+    # keeps its own order
+    block = [grouped(succ) for succ in graphs]
+    mixed = [interleaved(succ, data) for succ in graphs]
+    for g, succ, got, again in zip(block, graphs, pagerank_lanes(block, d, t, max_iter=5000),
+                                   pagerank_lanes(mixed, d, t, max_iter=5000)):
         want = ref.pagerank(succ, d, t, max_iter=5000)
-        assert lane.members == list(want)
-        assert got.tolist() == list(want.values())
+        assert g.names == tuple(want)
+        assert got.tolist() == list(want.values()) == again.tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -52,7 +69,7 @@ def test_non_convergence_raises_the_first_unconverged_lanes_iterate(graphs, max_
     # a one-node lane converges at once (delta 0), and so can a graph that
     # starts at its fixed point; the error belongs to the first lane that
     # is still iterating, as in one dict loop per graph run in order
-    lanes = [lane_of({"only": {}})] + [lane_of(succ) for succ in graphs]
+    lanes = [grouped({"only": {}})] + [grouped(succ) for succ in graphs]
     want = None
     for succ in graphs:
         try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -484,7 +485,12 @@ class TestMethodTwoRun:
         cfg, _ = run
         for fname in ("centroids_network.svg", "importance_network_starting_high.svg"):
             with open(os.path.join(cfg.out, fname), encoding="utf-8") as fh:
-                assert fh.read(100).startswith("<svg ")
+                text = fh.read()
+            assert text.startswith("<svg ")
+            # the white background covers the whole document, legend included
+            size = r'width="(\d+)" height="(\d+)"'
+            assert (re.search(r"<rect " + size, text).groups()
+                    == re.search(r"<svg [^>]*" + size, text).groups())
 
 
 # ---------------------------------------------------------------------------
