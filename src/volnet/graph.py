@@ -29,7 +29,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import TransactionLog, write_rows
+from .ingest import TransactionLog, _unique_codes, write_rows
 
 
 class PageRankError(RuntimeError):
@@ -71,7 +71,7 @@ class TransactionGraph:
             raise ValueError("an edge is a self-loop")
         if (weight < 1).any():
             raise ValueError("an edge weight is below 1")
-        if len(np.unique(src.astype(np.int64) * n + dst)) < len(src):
+        if len(_unique_codes(src.astype(np.int64) * n + dst)[0]) < len(src):
             raise ValueError("an edge repeats")
 
     def code(self, v: str) -> int:
@@ -94,11 +94,11 @@ def _graph_of_rows(log: TransactionLog, rows: slice | np.ndarray) -> Transaction
     """The graph of the log's ``rows`` (in log order): one edge per ordered
     pair, weighted by its row count, in the order of each pair's first row."""
     width = len(log.user_ids)
-    pairs, first, counts = np.unique(log.lister[rows].astype(np.int64) * width + log.collector[rows],
-                                     return_index=True, return_counts=True)
+    pairs, first, counts = _unique_codes(log.lister[rows].astype(np.int64) * width
+                                         + log.collector[rows])
     order = np.argsort(first)
     a, b = np.divmod(pairs[order], width)
-    by_name = sorted(np.unique(np.concatenate([a, b])).tolist(), key=log.user_ids.__getitem__)
+    by_name = sorted(_unique_codes(np.concatenate([a, b]))[0].tolist(), key=log.user_ids.__getitem__)
     code = np.zeros(width, dtype=np.int64)
     code[by_name] = np.arange(len(by_name))
     return TransactionGraph(tuple(log.user_ids[c] for c in by_name), code[a], code[b],
@@ -279,7 +279,7 @@ def clustering_coefficient(g: TransactionGraph, v: str) -> float:
         return 0.0
     inside = near[g.src] & near[g.dst]
     lo, hi = np.minimum(g.src, g.dst)[inside], np.maximum(g.src, g.dst)[inside]
-    links = len(np.unique(lo * len(g.names) + hi))  # each linked pair once
+    links = len(_unique_codes(lo * len(g.names) + hi)[0])  # each linked pair once
     return 2.0 * links / (k * (k - 1))
 
 

@@ -19,12 +19,19 @@ rules live in one place.  Every stage reads the arrays:
 row-index array, and first activity, the activity filters and the
 donors-ratio series slice it instead of scanning the log.
 
-A JSONL file is read column-first: ``_CHUNK_LINES`` lines at a time are
-decoded by one ``json.loads`` of a JSON array, and each column is built
-and converted as a whole.  A file with any line that is not one object of
-the log's keys and field types, or whose fields do not convert, is read
-again line by line, the way a CSV file is read, so that every rejected
-row gets its own line number and reason.
+Both formats are read column-first, ``_CHUNK_LINES`` rows at a time: a
+JSONL chunk is decoded by one ``json.loads`` of a JSON array, a CSV chunk
+by ``csv.reader`` and transposed, and each column is built and converted
+as a whole.  A chunk's distinct stamps are converted at once: those in
+the writers' canonical form ``YYYY-MM-DDTHH:MM:SSZ`` by one NumPy pass
+over their bytes (Hinnant's ``days_from_civil``), every other one by
+:func:`parse_timestamp`, the one grammar and the source of every stamp's
+error.  A file the column-first reader declines is read again line by
+line, so that every rejected row gets its own line number and reason:
+a CSV file with a header mismatch, a row of the wrong width, a blank row
+or a row over several lines, a JSONL file with any line that is not one
+object of the log's keys and field types, and a file of either format
+with a field that does not convert.
 
 This module owns the on-disk format of every table and JSON file the
 package writes: tables go through :func:`write_rows` and JSON files through
@@ -42,7 +49,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from functools import cache, cached_property
-from itertools import count, islice
+from itertools import chain, count, islice
 from typing import Iterable
 
 import numpy as np
@@ -96,8 +103,9 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def format_timestamp(dt: datetime) -> str:
-    """Canonical second-precision UTC rendering used by every writer."""
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """Canonical second-precision UTC rendering, ``YYYY-MM-DDTHH:MM:SSZ``
+    with a 4-digit year; the scalar reference of every writer."""
+    return dt.astimezone(timezone.utc).replace(microsecond=0, tzinfo=None).isoformat() + "Z"
 
 
 def to_micros(dt: datetime) -> int:
@@ -108,6 +116,94 @@ def to_micros(dt: datetime) -> int:
 def from_micros(us: int) -> datetime:
     """The aware UTC datetime ``us`` epoch microseconds after 1970-01-01."""
     return _EPOCH + timedelta(microseconds=int(us))
+
+
+# The canonical stamp ``YYYY-MM-DDTHH:MM:SSZ``: the places of its 14 digits,
+# which pair up as century, year, month, day, hour, minute and second, and
+# of its marks; and the days of each month of a common year.
+_CANON_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
+_CANON_MARKS = np.array([4, 7, 10, 13, 16, 19])
+_CANON_MARK_BYTES = np.frombuffer(b"--T::Z", dtype=np.uint8)
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_MIN_US, _MAX_US = (to_micros(d.replace(tzinfo=timezone.utc)) for d in (datetime.min, datetime.max))
+
+
+def _stamp_micros(texts: list[str], scalar) -> list[int]:
+    """Epoch microseconds of each of ``texts``, a chunk's distinct stamps.
+
+    The texts in the canonical form (20 ASCII bytes) are decoded at once
+    from one ``uint8`` view; one with digits and marks in their places, a
+    year from 1, a month 1-12, a day within its month, an hour up to 23 and
+    a minute and second up to 59 becomes microseconds through Hinnant's
+    ``days_from_civil``.  Every other text goes through ``scalar``, which
+    parses it by :func:`parse_timestamp` and so raises its error."""
+    at = [i for i, t in enumerate(texts) if len(t) == 20 and t.isascii()]
+    raw = np.frombuffer("".join([texts[i] for i in at]).encode("ascii"),
+                        dtype=np.uint8).reshape(-1, 20)
+    digits = raw[:, _CANON_DIGITS].astype(np.int64) - ord("0")
+    century, year, month, day, hour, minute, second = (digits.reshape(-1, 7, 2) @ [10, 1]).T
+    year += 100 * century
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    in_month = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
+    valid = (((digits >= 0) & (digits <= 9)).all(axis=1)
+             & (raw[:, _CANON_MARKS] == _CANON_MARK_BYTES).all(axis=1)
+             & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= in_month)
+             & (hour <= 23) & (minute <= 59) & (second <= 59))
+    year -= month <= 2  # days_from_civil: the year runs from March
+    era = year // 400
+    year_of_era = year - 400 * era
+    day_of_era = (365 * year_of_era + year_of_era // 4 - year_of_era // 100
+                  + (153 * ((month + 9) % 12) + 2) // 5 + day - 1)
+    days = 146097 * era + day_of_era - 719468  # 0000-03-01 to 1970-01-01
+    micros = np.zeros(len(texts), dtype=np.int64)
+    done = np.zeros(len(texts), dtype=bool)
+    rows = np.asarray(at, dtype=np.intp)[valid]
+    micros[rows] = (((days * 24 + hour) * 60 + minute) * 60 + second)[valid] * 1_000_000
+    done[rows] = True
+    for i in np.flatnonzero(~done).tolist():
+        micros[i] = scalar(texts[i])
+    return micros.tolist()
+
+
+def _format_micros(micros: np.ndarray) -> np.ndarray:
+    """The canonical text of each epoch-microsecond stamp, floored to the
+    second as :func:`format_timestamp` renders it: one NumPy pass of
+    Hinnant's ``civil_from_days``, the inverse of :func:`_stamp_micros`."""
+    outside = (micros < _MIN_US) | (micros > _MAX_US)
+    if outside.any():  # outside years 1-9999: the scalar writer's error
+        format_timestamp(from_micros(micros[outside][0]))
+    seconds = micros // 1_000_000
+    days, second = np.divmod(seconds, 86400)
+    era, day_of_era = np.divmod(days + 719468, 146097)  # from 0000-03-01
+    year_of_era = (day_of_era - day_of_era // 1460 + day_of_era // 36524
+                   - day_of_era // 146096) // 365
+    day_of_year = day_of_era - (365 * year_of_era + year_of_era // 4 - year_of_era // 100)
+    month_from_march = (5 * day_of_year + 2) // 153
+    day = day_of_year - (153 * month_from_march + 2) // 5 + 1
+    month = np.where(month_from_march < 10, month_from_march + 3, month_from_march - 9)
+    year = 400 * era + year_of_era + (month <= 2)
+    pairs = np.stack([year // 100, year % 100, month, day,
+                      second // 3600, second // 60 % 60, second % 60], axis=1)
+    raw = np.empty((len(micros), 20), dtype=np.uint8)
+    raw[:, _CANON_DIGITS] = np.stack([pairs // 10, pairs % 10], axis=2).reshape(-1, 14) + ord("0")
+    raw[:, _CANON_MARKS] = _CANON_MARK_BYTES
+    return raw.view("S20").ravel().astype("U20")
+
+
+def _unique_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_index=True, return_counts=True)`` of
+    non-negative integer codes, by one sort of ``code * n + row``: NumPy
+    hashes integers for a plain unique and merge-sorts them for the first
+    rows, both several times slower.  Codes whose key could pass ``2**63``
+    go through ``np.unique``."""
+    n = len(codes)
+    if n == 0 or (int(codes.max()) + 1) * n > 2**63:
+        return np.unique(codes, return_index=True, return_counts=True)
+    values, rows = np.divmod(np.sort(codes.astype(np.int64) * n + np.arange(n)), n)
+    new = np.ones(n, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    return values[starts], rows[starts], np.diff(starts, append=n)
 
 
 class _Columns:
@@ -124,8 +220,7 @@ class _Columns:
         users no row names are dropped."""
         order = np.argsort(columns[cls._ORDER], kind="stable")
         columns = {name: col[order] for name, col in columns.items()}
-        used, first = np.unique(np.stack([columns[c] for c in cls._USERS], axis=1).ravel(),
-                                return_index=True)
+        used, first, _ = _unique_codes(np.stack([columns[c] for c in cls._USERS], axis=1).ravel())
         by_first = used[np.argsort(first)]
         code = np.zeros(len(user_ids), dtype=np.int32)
         code[by_first] = np.arange(len(by_first), dtype=np.int32)
@@ -220,7 +315,9 @@ class TransactionLog(_Columns):
         ends = np.stack([self.lister, self.collector], axis=1).ravel()
         offsets = np.zeros(len(self.user_ids) + 1, dtype=np.int64)
         np.cumsum(np.bincount(ends, minlength=len(self.user_ids)), out=offsets[1:])
-        return offsets, (np.argsort(ends, kind="stable") // 2).astype(np.int32)
+        # codes in the smallest type that holds them: a stable radix sort up to 16 bits
+        order = np.argsort(ends.astype(np.min_scalar_type(len(self.user_ids))), kind="stable")
+        return offsets, (order // 2).astype(np.int32)
 
     def rows_of(self, u: str) -> np.ndarray:
         """Indices of ``u``'s rows in log order (empty for an unknown user)."""
@@ -382,19 +479,39 @@ def _number(text: str) -> float | None:
     return float(text) if text else None
 
 
-# Lines decoded at once by the column-first JSONL reader: enough to amortize
-# the decoder's call, few enough that a chunk's row dicts stay small.
+# Rows read at once by the column-first reader: enough to amortize the
+# decoder's call and the stamp kernel's, few enough that a chunk's rows and
+# stamp texts stay small.
 _CHUNK_LINES = 1024
 
 
-def _jsonl_columns(path: str, columns: tuple[str, ...], convert, helpers):
-    """The columns of a JSONL file, as ``convert`` turns them given the
-    column-wise form of each of ``helpers``; None if any line is not one
-    object of ``columns`` with fields :data:`_JSON_TEXT` and
-    :data:`_JSON_NUMBER` allow, or if a field does not convert."""
+def _csv_chunks(path: str, columns: tuple[str, ...]):
+    """Yield the fields of each chunk of a CSV file's data rows, column by
+    column; yield None and stop instead at a header other than ``columns``
+    or at a chunk with a row that is not one line of ``len(columns)``
+    fields, so that data row ``i`` is always line ``i + 2``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != columns:
+            yield None
+            return
+        lines = 1
+        while rows := list(islice(reader, _CHUNK_LINES)):
+            lines += len(rows)  # a blank row or a row over several lines reads more
+            if reader.line_num != lines or set(map(len, rows)) != {len(columns)}:
+                yield None
+                return
+            yield list(zip(*rows))
+
+
+def _jsonl_chunks(path: str, columns: tuple[str, ...]):
+    """Yield the field texts of each chunk of a JSONL file's lines, column
+    by column; yield None and stop instead at a chunk with a line that is
+    not one object of ``columns`` with fields :data:`_JSON_TEXT` and
+    :data:`_JSON_NUMBER` allow (or raise the ValueError, RecursionError or
+    KeyError that shows it)."""
     texts = [_JSON_NUMBER if c == "value" else _JSON_TEXT for c in columns]
-    helpers = [lambda col, f=f: list(map(f, col)) for f in helpers]
-    buffers = tuple([] for _ in columns)
     with open(path, encoding="utf-8") as fh:
         while pieces := list(islice(fh, _CHUNK_LINES)):
             # a piece holds one "\n", at its end (the file's last may hold
@@ -403,52 +520,80 @@ def _jsonl_columns(path: str, columns: tuple[str, ...], convert, helpers):
             text = "[" + ",".join(pieces) + "]"
             if not (text.startswith("[{") and text.endswith(("}]", "}\n]"))
                     and text.count("}\n,{") == len(pieces) - 1):
+                yield None
+                return
+            objs = json.loads(text)
+            if (len(objs) != len(pieces) or set(map(type, objs)) != {dict}
+                    or set(map(len, objs)) != {len(columns)}):
+                yield None
+                return
+            cols = [[o[c] for o in objs] for c in columns]  # KeyError: a wrong key
+            for i, (col, to_text) in enumerate(zip(cols, texts)):
+                if set(map(type, col)) != {str}:  # KeyError: a type the field may not hold
+                    cols[i] = [to_text[type(v)](v) for v in col]
+            yield cols
+
+
+def _column_first(chunks, width: int, convert):
+    """One list per column of the ``convert``-ed ``chunks``; None if the
+    reader declines the file or a field does not convert."""
+    buffers = tuple([] for _ in range(width))
+    try:
+        for cols in chunks:
+            if cols is None:
                 return None
-            try:
-                objs = json.loads(text)
-                if (len(objs) != len(pieces) or set(map(type, objs)) != {dict}
-                        or set(map(len, objs)) != {len(columns)}):
-                    return None
-                cols = [[o[c] for o in objs] for c in columns]  # KeyError: a wrong key
-                for i, (col, to_text) in enumerate(zip(cols, texts)):
-                    if set(map(type, col)) != {str}:  # KeyError: a type the field may not hold
-                        cols[i] = [to_text[type(v)](v) for v in col]
-                any(map(list.extend, buffers, convert(cols, *helpers)))
-            except (ValueError, KeyError, RecursionError):
-                return None
+            any(map(list.extend, buffers, convert(cols)))
+    except (ValueError, KeyError, RecursionError):
+        return None
     return buffers
 
 
 def _parse_with_report(path: str, fmt: str, columns: tuple[str, ...], convert, checked):
     """Build one list per column, as ``convert(fields, stamp, user, number)``
-    turns a row's fields (or, given column-wise helpers, a JSONL chunk's
+    turns a row's fields (or, given the helpers' column forms, a chunk's
     columns); ``checked`` (a log's row rules) then checks the columns at
-    once.  ``user`` gives each user id its code.
+    once.  ``stamp`` takes all of a row's (or a chunk's) stamp fields at
+    once, and ``user`` gives each user id its code.
 
-    Each distinct timestamp string is parsed once per call, through one
-    cache shared by all chunks of a file (a malformed one, which raises and
-    so is never cached, raises again on every row that holds it).  A JSONL
-    file the column-first reader declines is read line by line, and a row
-    that ``convert`` rejects there is reported with its reason, before any
-    of the row rules."""
-    stamp = cache(lambda text: to_micros(parse_timestamp(text)))
+    A chunk's distinct stamps go through :func:`_stamp_micros` in one call.
+    A stamp that is not canonical, and every stamp of a file read line by
+    line, is parsed once per call, through one cache shared by all chunks
+    of a file (a malformed one, which raises and so is never cached, raises
+    again on every row that holds it).  A file the column-first reader
+    declines is read line by line, and a row that ``convert`` rejects there
+    is reported with its reason, before any of the row rules."""
+    scalar = cache(lambda text: to_micros(parse_timestamp(text)))
     user = defaultdict(count().__next__)  # a new user id gets the next code
-    buffers = (_jsonl_columns(path, columns, convert, (stamp, user.__getitem__, _number))
-               if fmt == "jsonl" else None)
+
+    def stamp_columns(*cols):
+        texts = list(dict.fromkeys(chain.from_iterable(cols)))
+        micros = dict(zip(texts, _stamp_micros(texts, scalar)))
+        return (list(map(micros.__getitem__, col)) for col in cols)
+
+    chunks = {"csv": _csv_chunks, "jsonl": _jsonl_chunks}.get(fmt)  # else _iter_rows raises
+    buffers = None if chunks is None else _column_first(
+        chunks(path, columns), len(columns),
+        lambda cols: convert(cols, stamp_columns, lambda col: list(map(user.__getitem__, col)),
+                             lambda col: list(map(_number, col))))
     if buffers is not None:
         total = len(buffers[0])
-        lines, bad = range(1, total + 1), []
+        first = 2 if fmt == "csv" else 1
+        lines, bad = range(first, first + total), []
     else:
         user = defaultdict(count().__next__)  # forget the declined chunks' users
         buffers = tuple([] for _ in columns)
         lines = array("q")
         bad: list[RowError] = []
         total = 0
+
+        def row_stamps(*texts):
+            return map(scalar, texts)
+
         for line, values, reason in _iter_rows(path, fmt, columns):
             total += 1
             if values is not None:
                 try:
-                    values = convert(values, stamp, user.__getitem__, _number)
+                    values = convert(values, row_stamps, user.__getitem__, _number)
                 except ValueError as exc:
                     values, reason = None, str(exc)
             if values is None:
@@ -466,7 +611,7 @@ def parse_transactions_with_report(path: str, fmt: str = "csv") -> tuple[Transac
     """Parse a transaction file, collecting malformed rows instead of failing."""
     return _parse_with_report(
         path, fmt, TRANSACTION_COLUMNS,
-        lambda f, stamp, user, number: (f[0], user(f[1]), user(f[2]), stamp(f[3]), stamp(f[4])),
+        lambda f, stamp, user, number: (f[0], user(f[1]), user(f[2]), *stamp(f[3], f[4])),
         TransactionLog._checked)
 
 
@@ -483,7 +628,7 @@ def parse_events_with_report(path: str, fmt: str = "csv") -> tuple[EventLog, Par
     """Parse an activity-event file, collecting malformed rows instead of failing."""
     return _parse_with_report(
         path, fmt, EVENT_COLUMNS,
-        lambda f, stamp, user, number: (user(f[0]), f[1], stamp(f[2]), number(f[3])),
+        lambda f, stamp, user, number: (user(f[0]), f[1], *stamp(f[2]), number(f[3])),
         EventLog._checked)
 
 
@@ -519,8 +664,7 @@ def _stamp_texts(*stamps: np.ndarray) -> list[list[str]]:
     """Each epoch-microsecond column in the canonical text form; each
     distinct stamp is formatted once."""
     distinct, inverse = np.unique(np.concatenate(stamps), return_inverse=True)
-    text = np.array([format_timestamp(from_micros(us)) for us in distinct.tolist()],
-                    dtype=object)[inverse]
+    text = _format_micros(distinct)[inverse]
     return [part.tolist() for part in np.split(text, np.cumsum([len(s) for s in stamps[:-1]]))]
 
 
@@ -580,7 +724,7 @@ def select_active_key_users(
     if len(week):
         week -= week.min()
         n_weeks = int(week.max()) + 1
-        listed = np.unique(log_.lister.astype(np.int64) * n_weeks + week)
+        listed = _unique_codes(log_.lister.astype(np.int64) * n_weeks + week)[0]
         weeks = np.bincount(listed // n_weeks, minlength=len(log_.user_ids))
     active = (span >= min_span // MICROSECOND) & (weeks >= min_listing_weeks)
     retained = frozenset(u for u in key.ids

@@ -335,19 +335,19 @@ ROW = ('{"item_id": "%s", "lister_id": "a", "collector_id": "b", '
 LATER = "2022-01-02T00:00:00Z"
 
 
+def parse_both(monkeypatch, parse, path, fmt="jsonl"):
+    """``parse(path, fmt)``, whether the column-first reader took the file,
+    and ``parse(path, fmt)`` with that reader declining every file."""
+    entered, iter_rows = [], ingest._iter_rows
+    monkeypatch.setattr(ingest, "_iter_rows", lambda *a: entered.append(a) or iter_rows(*a))
+    got = parse(str(path), fmt)
+    monkeypatch.setattr(ingest, "_column_first", lambda *a: None)
+    return got, not entered, parse(str(path), fmt)
+
+
 class TestJsonlReader:
     """The column-first JSONL reader takes a file whole or declines it, and
     either way the log and the report are those of the per-line loop."""
-
-    @staticmethod
-    def parse_both(monkeypatch, parse, path):
-        """``parse(path)``, whether the column-first reader took the file, and
-        ``parse(path)`` with that reader declining every file."""
-        entered, iter_rows = [], ingest._iter_rows
-        monkeypatch.setattr(ingest, "_iter_rows", lambda *a: entered.append(a) or iter_rows(*a))
-        got = parse(str(path), "jsonl")
-        monkeypatch.setattr(ingest, "_jsonl_columns", lambda *a: None)
-        return got, not entered, parse(str(path), "jsonl")
 
     @pytest.mark.parametrize("text, whole, bad_lines", [
         # two objects on one line and one over two: as many objects as lines
@@ -375,7 +375,7 @@ class TestJsonlReader:
         monkeypatch.setattr(ingest, "_CHUNK_LINES", 4)
         path = tmp_path / "t.jsonl"
         path.write_bytes(text.encode("utf-8"))
-        got, took_whole, per_line = self.parse_both(
+        got, took_whole, per_line = parse_both(
             monkeypatch, ingest.parse_transactions_with_report, path)
         assert took_whole == whole
         assert got == per_line
@@ -389,7 +389,7 @@ class TestJsonlReader:
         path = tmp_path / "e.jsonl"
         path.write_text("".join('{"user_id": "u", "kind": "rating", "at": "2021-01-05T00:00:00Z", '
                                 '"value": %s}\n' % v for v in values))
-        (events, report), took_whole, per_line = self.parse_both(
+        (events, report), took_whole, per_line = parse_both(
             monkeypatch, ingest.parse_events_with_report, path)
         assert took_whole
         assert (events, report) == per_line
@@ -410,10 +410,51 @@ class TestJsonlReader:
         assert (log, report) == ingest_reference_log(path)
 
 
-def ingest_reference_log(path):
-    """The reference parser's log and report of a JSONL transaction file."""
-    rows, report = ingest_reference.parse_transactions_with_report(str(path), "jsonl")
+def ingest_reference_log(path, fmt="jsonl"):
+    """The reference parser's log and report of a transaction file."""
+    rows, report = ingest_reference.parse_transactions_with_report(str(path), fmt)
     return transaction_log(rows), report
+
+
+HEADER = ",".join(ingest.TRANSACTION_COLUMNS) + "\n"
+CSV_ROW = "%s,a,b,2022-01-01T00:00:00Z,%s\n"
+EARLIER = "2021-12-31T00:00:00Z"  # collected before listed: a row rule, not a field, fails
+
+
+class TestCsvReader:
+    """The column-first CSV reader takes a file whole or declines it, and
+    either way the log and the report are those of the per-line loop, whose
+    data rows count from line 2."""
+
+    @pytest.mark.parametrize("text, whole, bad_lines", [
+        (HEADER.replace(",", " , ") + CSV_ROW % ("i1", LATER) + CSV_ROW % ("i2", LATER), True, []),
+        ((HEADER + CSV_ROW % ("i1", LATER) + CSV_ROW % ("i2", LATER)).replace("\n", "\r\n"),
+         True, []),
+        # offsets, "t", "z", fractions and padding, in the second chunk of four rows
+        (HEADER + "".join(CSV_ROW % (f"i{k}", at) for k, at in enumerate(
+            [LATER, LATER, LATER, LATER, "2022-01-02T02:00:00+02:00", "2022-01-02t00:00:00z",
+             "2022-01-02T00:00:00.5Z", " 2022-01-02T00:00:00Z"])), True, []),
+        # a quoted field over two lines: rows count on, one line behind
+        (HEADER + CSV_ROW % ('"i\n1"', LATER) + CSV_ROW % ("i2", EARLIER), False, [3]),
+        (HEADER + CSV_ROW % ("i1", LATER) + "\n" + CSV_ROW % ("i2", EARLIER), False, [4]),
+        (HEADER + "i1,a,b\n" + CSV_ROW % ("i2", LATER), False, [2]),
+        (HEADER + "".join(CSV_ROW % (f"i{k}", "bad" if k == 4 else LATER) for k in range(6)),
+         False, [6]),
+        # rows that break only the row rules
+        (HEADER + "i1,a,a,2022-01-01T00:00:00Z,2022-01-02T00:00:00Z\n" + CSV_ROW % ("", LATER)
+         + CSV_ROW % ("i3", EARLIER), True, [2, 3, 4]),
+    ], ids=["padded-header", "crlf", "non-canonical-stamps", "multi-line-row", "blank-row",
+            "wrong-width", "bad-stamp-in-second-chunk", "row-rules"])
+    def test_transactions(self, tmp_path, monkeypatch, text, whole, bad_lines):
+        monkeypatch.setattr(ingest, "_CHUNK_LINES", 4)
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got, took_whole, per_line = parse_both(
+            monkeypatch, ingest.parse_transactions_with_report, path, "csv")
+        assert took_whole == whole
+        assert got == per_line
+        assert [bad.line for bad in got[1].bad_rows] == bad_lines
+        assert got == ingest_reference_log(path, "csv")
 
 
 class TestFilterMinTransactions:

@@ -1,13 +1,16 @@
-"""Write → parse round-trip properties of the CSV and JSONL formats, and
-the columnar parser against the per-row reference parser on random mixes
-of good and bad rows (skipped without Hypothesis)."""
+"""Write → parse round-trip properties of the CSV and JSONL formats, the
+columnar parser against the per-row reference parser on random mixes of
+good and bad rows, and the NumPy stamp kernel and formatter against the
+scalar grammar and writer (skipped without Hypothesis)."""
 
 from __future__ import annotations
 
 import csv
 import json
-from datetime import datetime, timedelta, timezone
+import re
+from datetime import date, datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -31,9 +34,10 @@ FORMATS = ("csv", "jsonl")
 
 # ids with the characters CSV must quote (comma, quote, spaces) and non-ASCII
 ids = st.text(alphabet='abcXYZ019_-., "é', min_size=1, max_size=6)
-# second-precision UTC instants: the writers render whole seconds
-instants = st.integers(min_value=0, max_value=4_000_000_000).map(
-    lambda s: datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(seconds=s))
+# second-precision UTC instants of years 1-9999 (the writers render whole
+# seconds), early enough that a transaction's wait stays within year 9999
+instants = st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 9, 1),
+                        timezones=st.just(timezone.utc)).map(lambda at: at.replace(microsecond=0))
 
 
 @st.composite
@@ -94,12 +98,15 @@ def stamp_at(us: int, minutes: int) -> str:
     return at.astimezone(timezone(timedelta(minutes=minutes))).isoformat()
 
 
-# offset, lower-case "z", padded and fractional-second stamps, and drawn ones ...
+# offset, lower-case "z", padded and fractional-second stamps, drawn ones
+# and drawn canonical ones ...
 good_stamps = st.one_of(
     st.sampled_from(["2022-01-01T00:00:00Z", "2022-01-01T00:00:00z", "2022-01-01T01:00:00+02:00",
                      "2021-12-31T23:59:59.5Z", "2022-01-01T00:00:00.123456-05:30",
                      " 2022-01-02T00:00:00Z "]),
-    st.builds(stamp_at, st.integers(-10**11, 10**11), offsets))
+    st.builds(stamp_at, st.integers(-10**11, 10**11), offsets),
+    st.integers(-10**5, 10**5).map(lambda s: ingest.format_timestamp(
+        datetime(2022, 1, 1, tzinfo=timezone.utc) + timedelta(seconds=s))))
 # ... and naive or malformed ones
 stamps = st.one_of(good_stamps, good_stamps,
                    st.sampled_from(["2022-01-01T00:00:00", "not-a-time", "", "7"]))
@@ -226,37 +233,123 @@ rule_values = st.one_of(
 rule_events = st.tuples(rule_ids, kinds, good_stamps, rule_values)
 
 
-def parse_whole(parse, path):
-    """``parse(path, "jsonl")`` in chunks of three lines; it fails if the file
-    is read line by line."""
+def parse_whole(parse, path, fmt):
+    """``parse(path, fmt)`` in chunks of three rows; it fails if the file is
+    read line by line."""
     def per_line(*args):
         raise AssertionError("the column-first reader declined the file")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "_CHUNK_LINES", 3)
         mp.setattr(ingest, "_iter_rows", per_line)
-        return parse(path, "jsonl")
+        return parse(path, fmt)
 
 
-@settings(max_examples=150, deadline=None)
-@given(drawn=st.lists(st.one_of(valid_rows, rule_rows), max_size=25))
-def test_jsonl_chunks_match_per_row_reference(scratch, drawn):
-    path = str(scratch / "whole.jsonl")
-    write_mix(path, "jsonl", ingest.TRANSACTION_COLUMNS, [("row", f) for f in drawn])
-    rows, expected = ingest_reference.parse_transactions_with_report(path, "jsonl")
-    log, report = parse_whole(ingest.parse_transactions_with_report, path)
+def check_whole_transactions(path, fmt, drawn):
+    write_mix(path, fmt, ingest.TRANSACTION_COLUMNS, [("row", f) for f in drawn])
+    rows, expected = ingest_reference.parse_transactions_with_report(path, fmt)
+    log, report = parse_whole(ingest.parse_transactions_with_report, path, fmt)
     assert transaction_rows(log) == rows
     assert report == expected
     assert log == transaction_log(rows)
 
 
-@settings(max_examples=150, deadline=None)
-@given(drawn=st.lists(st.one_of(valid_events, rule_events), max_size=25))
-def test_jsonl_event_chunks_match_per_row_reference(scratch, drawn):
-    path = str(scratch / "events_whole.jsonl")
-    write_mix(path, "jsonl", ingest.EVENT_COLUMNS, [("row", f) for f in drawn])
-    rows, expected = ingest_reference.parse_events_with_report(path, "jsonl")
-    events, report = parse_whole(ingest.parse_events_with_report, path)
+def check_whole_events(path, fmt, drawn):
+    write_mix(path, fmt, ingest.EVENT_COLUMNS, [("row", f) for f in drawn])
+    rows, expected = ingest_reference.parse_events_with_report(path, fmt)
+    events, report = parse_whole(ingest.parse_events_with_report, path, fmt)
     assert event_rows(events) == rows
     assert [repr(e.value) for e in event_rows(events)] == [repr(e.value) for e in rows]
     assert report == expected
     assert events == event_log(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=st.lists(st.one_of(valid_rows, rule_rows), max_size=25))
+def test_jsonl_chunks_match_per_row_reference(scratch, drawn):
+    check_whole_transactions(str(scratch / "whole.jsonl"), "jsonl", drawn)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=st.lists(st.one_of(valid_events, rule_events), max_size=25))
+def test_jsonl_event_chunks_match_per_row_reference(scratch, drawn):
+    check_whole_events(str(scratch / "events_whole.jsonl"), "jsonl", drawn)
+
+
+# --- the column-first CSV reader on files it must take whole -----------------
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=st.lists(st.one_of(valid_rows, rule_rows), max_size=25))
+def test_csv_chunks_match_per_row_reference(scratch, drawn):
+    check_whole_transactions(str(scratch / "whole.csv"), "csv", drawn)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=st.lists(st.one_of(valid_events, rule_events), max_size=25))
+def test_csv_event_chunks_match_per_row_reference(scratch, drawn):
+    check_whole_events(str(scratch / "events_whole.csv"), "csv", drawn)
+
+
+# --- the stamp kernel against the scalar grammar ----------------------------
+
+def two_digits(top: int):
+    return st.integers(0, top).map("{:02d}".format)
+
+
+# canonical-shaped stamps, each field drawn across its range and past it
+# (year 0000, Feb 29 of every kind of year, hour 24, minute and second 60)
+canonical_shaped = st.one_of(
+    st.builds("{}-{}-{}T{}:{}:{}Z".format, st.integers(0, 9999).map("{:04d}".format),
+              two_digits(13), two_digits(32), two_digits(25), two_digits(61), two_digits(61)),
+    st.builds("{}-02-29T{}:00:00Z".format, st.sampled_from(
+        ["0000", "0004", "0100", "0400", "1900", "2000", "2023", "2024", "9996", "9999"]),
+        two_digits(25)))
+# ... and near-canonical ones: another separator, offset or suffix, a
+# fraction, padding, one character changed (to a non-ASCII digit too), any text
+near_canonical = st.one_of(
+    st.tuples(canonical_shaped, st.sampled_from("t _/")).map(lambda p: p[0][:10] + p[1] + p[0][11:]),
+    st.tuples(canonical_shaped, st.sampled_from(
+        ["z", "+00:00", "-00:00", "+05:30", "-23:59", "+24:00", ".5Z", ".1234567Z", ".Z", ""])).map(
+        lambda p: p[0][:-1] + p[1]),
+    st.tuples(canonical_shaped, st.sampled_from([" ", "\t", "\n", "\u00a0"]), st.booleans()).map(
+        lambda p: p[1] + p[0] if p[2] else p[0] + p[1]),
+    st.tuples(canonical_shaped, st.integers(0, 19), st.sampled_from(
+        "0\u0662\uff12\U0001d7d0a-:TZ +")).map(lambda p: p[0][:p[1]] + p[2] + p[0][p[1] + 1:]),
+    st.text(max_size=22))
+CANONICAL = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
+REJECTED = -(2**63)  # no stamp of years 1-9999 lies there
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts=st.lists(st.one_of(canonical_shaped, near_canonical), unique=True, max_size=20))
+def test_stamp_kernel_matches_the_scalar_grammar(texts):
+    expected, sent = {}, []
+    for text in texts:
+        try:
+            expected[text] = ingest.to_micros(ingest.parse_timestamp(text))
+        except ValueError:
+            expected[text] = REJECTED
+
+    def scalar(text):
+        sent.append(text)
+        return expected[text]
+
+    assert ingest._stamp_micros(texts, scalar) == [expected[t] for t in texts]
+    # the kernel decodes every valid canonical stamp itself, and sends every
+    # other text, in order, to the scalar grammar and its error
+    assert sent == [t for t in texts if not (CANONICAL.fullmatch(t) and expected[t] != REJECTED)]
+
+
+# instants in the days around March 1 (the leap day too) and around a new year
+edge_micros = st.builds(
+    lambda year, day, us: ((date(year, 3, 1) - date(1970, 1, 1)).days + day) * 86_400_000_000 + us,
+    st.integers(2, 9998), st.sampled_from([-61, -60, -59, -2, -1, 0, 305, 306]),
+    st.integers(0, 86_400_000_000 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(micros=st.lists(st.one_of(st.integers(ingest._MIN_US, ingest._MAX_US), edge_micros),
+                       max_size=20))
+def test_stamp_formatter_matches_the_scalar_writer(micros):
+    # fractions of a second are floored, before 1970 too
+    assert ingest._format_micros(np.array(micros, dtype=np.int64)).tolist() == [
+        ingest.format_timestamp(ingest.from_micros(us)) for us in micros]

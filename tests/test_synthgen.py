@@ -276,11 +276,15 @@ class TestWriters:
         assert got == PINNED_SHA256[fmt]
 
     def test_csv_and_jsonl_of_a_seed_parse_alike(self, tmp_path, monkeypatch):
-        # the two parsers agree on real data, and the JSONL one reads it
-        # column-first, over more than one chunk
+        # the two parsers agree on real data, and both read it column-first,
+        # over more than one chunk, with every stamp canonical: none goes
+        # through the scalar grammar
         read_per_line, iter_rows = [], ingest._iter_rows
         monkeypatch.setattr(ingest, "_iter_rows", lambda path, fmt, cols: (
             read_per_line.append(fmt) or iter_rows(path, fmt, cols)))
+        scalar_parses, parse_timestamp = [], ingest.parse_timestamp
+        monkeypatch.setattr(ingest, "parse_timestamp", lambda text: (
+            scalar_parses.append(text) or parse_timestamp(text)))
         logs = {}
         for fmt in ("csv", "jsonl"):
             out = tmp_path / fmt
@@ -288,7 +292,8 @@ class TestWriters:
                              "--out", str(out)]) == 0
             logs[fmt] = (ingest.parse_transactions(str(out / f"transactions.{fmt}"), fmt),
                          ingest.parse_events(str(out / f"events.{fmt}"), fmt))
-        assert read_per_line == ["csv", "csv"]
+        assert read_per_line == []
+        assert scalar_parses == []
         assert len(logs["jsonl"][0]) > ingest._CHUNK_LINES
         assert logs["csv"] == logs["jsonl"]
 
