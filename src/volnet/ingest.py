@@ -19,19 +19,16 @@ rules live in one place.  Every stage reads the arrays:
 row-index array, and first activity, the activity filters and the
 donors-ratio series slice it instead of scanning the log.
 
-Both formats are read column-first, ``_CHUNK_LINES`` rows at a time: a
-JSONL chunk is decoded by one ``json.loads`` of a JSON array, a CSV chunk
-by ``csv.reader`` and transposed, and each column is built and converted
-as a whole.  A chunk's distinct stamps are converted at once: those in
-the writers' canonical form ``YYYY-MM-DDTHH:MM:SSZ`` by one NumPy pass
-over their bytes (Hinnant's ``days_from_civil``), every other one by
-:func:`parse_timestamp`, the one grammar and the source of every stamp's
-error.  A file the column-first reader declines is read again line by
-line, so that every rejected row gets its own line number and reason:
-a CSV file with a header mismatch, a row of the wrong width, a blank row
-or a row over several lines, a JSONL file with any line that is not one
-object of the log's keys and field types, and a file of either format
-with a field that does not convert.
+Both formats are read in one pass, ``_CHUNK_LINES`` rows at a time and
+column-first: a CSV chunk by one ``csv.reader`` over the file, a JSONL
+chunk by one ``json.loads`` of a JSON array.  A chunk's distinct stamps are
+converted at once: those in the writers' canonical form
+``YYYY-MM-DDTHH:MM:SSZ`` by one NumPy pass over their bytes (Hinnant's
+``days_from_civil``), every other one by :func:`parse_timestamp`, the one
+grammar and the source of every stamp's error.  A bad row costs only
+itself: it is dropped from its chunk and reported with its reason and the
+file line it starts on, and only a JSONL chunk with a line that is not one
+object of the log's keys and field types is read line by line.
 
 This module owns the on-disk format of every table and JSON file the
 package writes: tables go through :func:`write_rows` and JSON files through
@@ -44,12 +41,11 @@ import csv
 import json
 import logging
 import re
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from functools import cache, cached_property
-from itertools import chain, count, islice
+from itertools import accumulate, chain, count, islice
 from typing import Iterable
 
 import numpy as np
@@ -423,186 +419,189 @@ _JSON_TEXT = {str: str, type(None): lambda v: ""}
 _JSON_NUMBER = {**_JSON_TEXT, int: str, float: str}
 
 
-def _iter_rows(path: str, fmt: str, columns: tuple[str, ...]):
-    """Yield (line_number, values | None, reason) triples for each data row;
-    ``values`` holds the row's fields in ``columns`` order.  A JSONL value of
-    any other type than :data:`_JSON_TEXT` and :data:`_JSON_NUMBER` allow
-    rejects its row, and the reason spells it as JSON."""
-    if fmt == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != columns:
-                raise ParseError(path, (RowError(1, f"expected header {','.join(columns)}"),))
-            for line, row in enumerate(reader, 2):
-                if not row:
-                    continue
-                if len(row) != len(columns):
-                    yield line, None, f"expected {len(columns)} columns, got {len(row)}"
-                    continue
-                yield line, row, ""
-    elif fmt == "jsonl":
-        keys = set(columns)
-        texts = [_JSON_NUMBER if c == "value" else _JSON_TEXT for c in columns]
-        with open(path, encoding="utf-8") as fh:
-            for line, raw in enumerate(fh, 1):
-                try:
-                    obj = json.loads(raw)
-                except (ValueError, RecursionError) as exc:  # too long a number, too deep
-                    if raw.strip():  # a blank line is skipped, not reported
-                        yield line, None, f"invalid JSON: {getattr(exc, 'msg', exc)}"
-                    continue
-                if not isinstance(obj, dict) or obj.keys() != keys:
-                    yield line, None, f"expected keys {','.join(columns)}"
-                    continue
-                values = list(map(obj.__getitem__, columns))
-                try:
-                    fields = [text[type(v)](v) for text, v in zip(texts, values)]
-                except KeyError:
-                    name, v = next((c, v) for c, text, v in zip(columns, texts, values)
-                                   if type(v) not in text)
-                    kinds = "number, string or null" if name == "value" else "string or null"
-                    yield line, None, f"{name} must be a JSON {kinds}, got {json.dumps(v)}"
-                    continue
-                yield line, fields, ""
-    else:
-        raise ValueError(f"unknown format {fmt!r} (expected csv or jsonl)")
-
-
 def _without_bad_rows(parsed, report: ParseReport):
     if report.bad_rows:
         raise ParseError(report.path, report.bad_rows)
     return parsed
 
 
-def _number(text: str) -> float | None:
-    return float(text) if text else None
-
-
-# Rows read at once by the column-first reader: enough to amortize the
-# decoder's call and the stamp kernel's, few enough that a chunk's rows and
-# stamp texts stay small.
+# Rows read at once: enough to amortize the decoder's call and the stamp
+# kernel's, few enough that a chunk's rows and stamp texts stay small.
 _CHUNK_LINES = 1024
 
 
 def _csv_chunks(path: str, columns: tuple[str, ...]):
-    """Yield the fields of each chunk of a CSV file's data rows, column by
-    column; yield None and stop instead at a header other than ``columns``
-    or at a chunk with a row that is not one line of ``len(columns)``
-    fields, so that data row ``i`` is always line ``i + 2``."""
+    """Yield ``(lines, fields, bad)`` for each chunk of a CSV file's data
+    rows: the file line each row of ``len(columns)`` fields starts on, those
+    rows' fields column by column, and a :class:`RowError` for each row of
+    another width; a blank row is skipped.  A header other than ``columns``
+    raises :class:`ParseError` at line 1."""
+    width = len(columns)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != columns:
-            yield None
-            return
-        lines = 1
+            raise ParseError(path, (RowError(1, f"expected header {','.join(columns)}"),))
+        end = reader.line_num
         while rows := list(islice(reader, _CHUNK_LINES)):
-            lines += len(rows)  # a blank row or a row over several lines reads more
-            if reader.line_num != lines or set(map(len, rows)) != {len(columns)}:
-                yield None
-                return
-            yield list(zip(*rows))
+            lines = range(end + 1, end + 1 + len(rows))
+            if reader.line_num - end != len(rows):
+                # a quoted field spans lines: each line break it holds ("\n",
+                # "\r" or "\r\n", as the file's lines end) ends a line of its row
+                texts = ["".join(row) for row in rows[:-1]]
+                lines = list(accumulate((1 + t.count("\n") + t.count("\r") - t.count("\r\n")
+                                         for t in texts), initial=end + 1))
+            end = reader.line_num
+            bad = []
+            if set(map(len, rows)) != {width}:
+                bad = [RowError(line, f"expected {width} columns, got {len(row)}")
+                       for row, line in zip(rows, lines) if row and len(row) != width]
+                lines = [line for row, line in zip(rows, lines) if len(row) == width]
+                rows = [row for row in rows if len(row) == width]
+            yield lines, list(zip(*rows)) or [()] * width, bad
 
 
 def _jsonl_chunks(path: str, columns: tuple[str, ...]):
-    """Yield the field texts of each chunk of a JSONL file's lines, column
-    by column; yield None and stop instead at a chunk with a line that is
-    not one object of ``columns`` with fields :data:`_JSON_TEXT` and
-    :data:`_JSON_NUMBER` allow (or raise the ValueError, RecursionError or
-    KeyError that shows it)."""
-    texts = [_JSON_NUMBER if c == "value" else _JSON_TEXT for c in columns]
+    """Yield ``(lines, fields, bad)`` for each chunk of a JSONL file's
+    lines, as :func:`_csv_chunks` does: by :func:`_jsonl_columns`, or by
+    :func:`_jsonl_lines` if that declines the chunk."""
     with open(path, encoding="utf-8") as fh:
+        first = 1
         while pieces := list(islice(fh, _CHUNK_LINES)):
-            # a piece holds one "\n", at its end (the file's last may hold
-            # none), so no string spans two pieces and "}\n,{" occurs only
-            # where two join: the check passes iff every line is "{...}"
-            text = "[" + ",".join(pieces) + "]"
-            if not (text.startswith("[{") and text.endswith(("}]", "}\n]"))
-                    and text.count("}\n,{") == len(pieces) - 1):
-                yield None
-                return
-            objs = json.loads(text)
-            if (len(objs) != len(pieces) or set(map(type, objs)) != {dict}
-                    or set(map(len, objs)) != {len(columns)}):
-                yield None
-                return
-            cols = [[o[c] for o in objs] for c in columns]  # KeyError: a wrong key
-            for i, (col, to_text) in enumerate(zip(cols, texts)):
-                if set(map(type, col)) != {str}:  # KeyError: a type the field may not hold
-                    cols[i] = [to_text[type(v)](v) for v in col]
-            yield cols
+            lines = range(first, first + len(pieces))
+            first += len(pieces)
+            cols = _jsonl_columns(pieces, columns)
+            yield _jsonl_lines(pieces, lines, columns) if cols is None else (lines, cols, [])
 
 
-def _column_first(chunks, width: int, convert):
-    """One list per column of the ``convert``-ed ``chunks``; None if the
-    reader declines the file or a field does not convert."""
-    buffers = tuple([] for _ in range(width))
-    try:
-        for cols in chunks:
-            if cols is None:
-                return None
-            any(map(list.extend, buffers, convert(cols)))
-    except (ValueError, KeyError, RecursionError):
+def _jsonl_columns(pieces: list[str], columns: tuple[str, ...]) -> list[list[str]] | None:
+    """The field texts of a chunk of JSONL lines, column by column, decoded
+    by one ``json.loads`` of a JSON array; None if a line is not one object
+    of ``columns`` with fields :data:`_JSON_TEXT` and :data:`_JSON_NUMBER`
+    allow."""
+    # a piece holds one "\n", at its end (the file's last may hold none), so
+    # no string spans two pieces and "}\n,{" occurs only where two join: the
+    # check passes iff every line is "{...}"
+    text = "[" + ",".join(pieces) + "]"
+    if not (text.startswith("[{") and text.endswith(("}]", "}\n]"))
+            and text.count("}\n,{") == len(pieces) - 1):
         return None
-    return buffers
+    try:
+        objs = json.loads(text)
+        if (len(objs) != len(pieces) or set(map(type, objs)) != {dict}
+                or set(map(len, objs)) != {len(columns)}):
+            return None
+        cols = [[o[c] for o in objs] for c in columns]  # KeyError: a wrong key
+        texts = [_JSON_NUMBER if c == "value" else _JSON_TEXT for c in columns]
+        for i, (col, to_text) in enumerate(zip(cols, texts)):
+            if set(map(type, col)) != {str}:  # KeyError: a type the field may not hold
+                cols[i] = [to_text[type(v)](v) for v in col]
+    except (ValueError, RecursionError, KeyError):  # too long a number, too deep
+        return None
+    return cols
+
+
+def _jsonl_lines(pieces: list[str], lines: range, columns: tuple[str, ...]):
+    """``(lines, fields, bad)`` of a chunk of JSONL lines read one at a time,
+    ``pieces[i]`` being file line ``lines[i]``: a line that is one object of
+    ``columns`` with fields :data:`_JSON_TEXT` and :data:`_JSON_NUMBER` allow
+    is a row, a blank line is skipped, and any other line is a
+    :class:`RowError`, whose reason spells a value of a wrong type as JSON."""
+    keys, texts = set(columns), [_JSON_NUMBER if c == "value" else _JSON_TEXT for c in columns]
+    good, rows, bad = [], [], []
+    for line, raw in zip(lines, pieces):
+        try:
+            obj = json.loads(raw)
+        except (ValueError, RecursionError) as exc:  # too long a number, too deep
+            if raw.strip():  # a blank line is skipped, not reported
+                bad.append(RowError(line, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
+            continue
+        if not isinstance(obj, dict) or obj.keys() != keys:
+            bad.append(RowError(line, f"expected keys {','.join(columns)}"))
+            continue
+        values = list(map(obj.__getitem__, columns))
+        try:
+            rows.append([text[type(v)](v) for text, v in zip(texts, values)])
+        except KeyError:  # a type the field may not hold
+            name, v = next((c, v) for c, text, v in zip(columns, texts, values)
+                           if type(v) not in text)
+            kinds = "number, string or null" if name == "value" else "string or null"
+            bad.append(RowError(line, f"{name} must be a JSON {kinds}, got {json.dumps(v)}"))
+        else:
+            good.append(line)
+    return good, list(zip(*rows)) or [()] * len(columns), bad
 
 
 def _parse_with_report(path: str, fmt: str, columns: tuple[str, ...], convert, checked):
-    """Build one list per column, as ``convert(fields, stamp, user, number)``
-    turns a row's fields (or, given the helpers' column forms, a chunk's
-    columns); ``checked`` (a log's row rules) then checks the columns at
-    once.  ``stamp`` takes all of a row's (or a chunk's) stamp fields at
-    once, and ``user`` gives each user id its code.
+    """Parse a log file in one pass, chunk by chunk: ``convert(fields, stamp,
+    user, number)`` turns a chunk's columns of field text into one list per
+    log column (``stamp`` takes all its stamp columns at once, ``user`` codes
+    user ids and ``number`` reads event values), and ``checked``, a log's
+    row rules, then checks all of them at once.
 
-    A chunk's distinct stamps go through :func:`_stamp_micros` in one call.
-    A stamp that is not canonical, and every stamp of a file read line by
-    line, is parsed once per call, through one cache shared by all chunks
-    of a file (a malformed one, which raises and so is never cached, raises
-    again on every row that holds it).  A file the column-first reader
-    declines is read line by line, and a row that ``convert`` rejects there
-    is reported with its reason, before any of the row rules."""
-    scalar = cache(lambda text: to_micros(parse_timestamp(text)))
-    user = defaultdict(count().__next__)  # a new user id gets the next code
+    A stamp that is not canonical is parsed once per file, through one cache
+    that also keeps the grammar's error for each stamp it rejects.  A row
+    the reader rejects, or with a field that does not convert, is dropped
+    from its chunk and reported before any of the row rules, with the reason
+    of its first such field in column order."""
+    chunks = {"csv": _csv_chunks, "jsonl": _jsonl_chunks}.get(fmt)
+    if chunks is None:
+        raise ValueError(f"unknown format {fmt!r} (expected csv or jsonl)")
+    reasons: dict[str, str] = {}  # the grammar's error of each stamp it rejects
+    faults: dict[int, str] = {}  # a chunk's row: the reason of its first field that fails
 
-    def stamp_columns(*cols):
+    @cache
+    def scalar(text):
+        try:
+            return to_micros(parse_timestamp(text))
+        except ValueError as exc:
+            reasons[text] = str(exc)
+            return 0
+
+    def column(col, value_of, reason_of):
+        # the value of each text; a row whose text has a reason is a fault,
+        # unless a field before it was
+        if reason_of:
+            for i, text in enumerate(col):
+                if text in reason_of:
+                    faults.setdefault(i, reason_of[text])
+        return list(map(value_of.__getitem__, col))
+
+    def stamps(*cols):
         texts = list(dict.fromkeys(chain.from_iterable(cols)))
         micros = dict(zip(texts, _stamp_micros(texts, scalar)))
-        return (list(map(micros.__getitem__, col)) for col in cols)
+        failed = {t: reasons[t] for t in reasons.keys() & micros.keys()}
+        return [column(col, micros, failed) for col in cols]
 
-    chunks = {"csv": _csv_chunks, "jsonl": _jsonl_chunks}.get(fmt)  # else _iter_rows raises
-    buffers = None if chunks is None else _column_first(
-        chunks(path, columns), len(columns),
-        lambda cols: convert(cols, stamp_columns, lambda col: list(map(user.__getitem__, col)),
-                             lambda col: list(map(_number, col))))
-    if buffers is not None:
-        total = len(buffers[0])
-        first = 2 if fmt == "csv" else 1
-        lines, bad = range(first, first + total), []
-    else:
-        user = defaultdict(count().__next__)  # forget the declined chunks' users
-        buffers = tuple([] for _ in columns)
-        lines = array("q")
-        bad: list[RowError] = []
-        total = 0
+    def numbers(col):
+        value_of, failed = {}, {}
+        for text in dict.fromkeys(col):
+            try:
+                value_of[text] = float(text) if text else None
+            except ValueError as exc:
+                value_of[text], failed[text] = None, str(exc)
+        return column(col, value_of, failed)
 
-        def row_stamps(*texts):
-            return map(scalar, texts)
-
-        for line, values, reason in _iter_rows(path, fmt, columns):
-            total += 1
-            if values is not None:
-                try:
-                    values = convert(values, row_stamps, user.__getitem__, _number)
-                except ValueError as exc:
-                    values, reason = None, str(exc)
-            if values is None:
-                bad.append(RowError(line, reason))
-                continue
-            lines.append(line)
-            any(map(list.append, buffers, values))  # each field onto its column
+    user = defaultdict(count().__next__)  # a new user id gets the next code
+    buffers = tuple([] for _ in columns)
+    lines, bad, total = [], [], 0  # the lines of each chunk's kept rows
+    for chunk_lines, texts, rejected in chunks(path, columns):
+        total += len(chunk_lines) + len(rejected)
+        bad += rejected
+        faults.clear()
+        cols = convert(texts, stamps, lambda col: list(map(user.__getitem__, col)),
+                       numbers)
+        if faults:
+            bad += [RowError(chunk_lines[i], reason) for i, reason in faults.items()]
+            keep = [i for i in range(len(chunk_lines)) if i not in faults]
+            chunk_lines = [chunk_lines[i] for i in keep]
+            cols = [[col[i] for i in keep] for col in cols]
+        lines.append(chunk_lines)
+        any(map(list.extend, buffers, cols))  # each column onto its buffer
     parsed, invalid = checked(list(user), *buffers)
-    bad.extend(RowError(lines[i], reason) for i, reason in invalid)
+    if invalid:
+        line_of = list(chain.from_iterable(lines))
+        bad += [RowError(line_of[i], reason) for i, reason in invalid]
     bad.sort(key=lambda r: r.line)
     return parsed, ParseReport(path, total, tuple(bad))
 
@@ -662,9 +661,9 @@ def write_json(payload, path: str) -> None:
 
 def _stamp_texts(*stamps: np.ndarray) -> list[list[str]]:
     """Each epoch-microsecond column in the canonical text form; each
-    distinct stamp is formatted once."""
+    distinct stamp is formatted once, into one str its rows share."""
     distinct, inverse = np.unique(np.concatenate(stamps), return_inverse=True)
-    text = _format_micros(distinct)[inverse]
+    text = _format_micros(distinct).astype(object)[inverse]  # equal stamps share one str
     return [part.tolist() for part in np.split(text, np.cumsum([len(s) for s in stamps[:-1]]))]
 
 

@@ -142,8 +142,10 @@ def _iter_rows(path: str, fmt: str, columns: tuple[str, ...]):
             header = next(reader, None)
             if header is None or tuple(h.strip() for h in header) != columns:
                 raise ParseError(path, (RowError(1, f"expected header {','.join(columns)}"),))
-            for i, row in enumerate(reader):
-                line = i + 2
+            end = reader.line_num
+            for row in reader:
+                # a row starts on the file line after the one before it ends
+                line, end = end + 1, reader.line_num
                 if not row:
                     continue
                 if len(row) != len(columns):

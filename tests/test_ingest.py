@@ -214,6 +214,11 @@ class TestFileRoundTrips:
         back = ingest.parse_events(path, fmt=fmt)
         assert event_rows(back) == event_rows(events)
 
+    def test_equal_stamps_share_one_str(self):
+        listed, collected = ingest._stamp_texts(np.array([0, 5_000_000, 0]), np.array([0]))
+        assert listed == ["1970-01-01T00:00:00Z", "1970-01-01T00:00:05Z", "1970-01-01T00:00:00Z"]
+        assert listed[0] is listed[2] is collected[0]
+
     def test_canonical_write_is_byte_stable(self, tmp_path):
         log = make_log(tx("a", "b", 1), tx("b", "c", 2))
         p1, p2 = str(tmp_path / "one.csv"), str(tmp_path / "two.csv")
@@ -336,18 +341,19 @@ LATER = "2022-01-02T00:00:00Z"
 
 
 def parse_both(monkeypatch, parse, path, fmt="jsonl"):
-    """``parse(path, fmt)``, whether the column-first reader took the file,
-    and ``parse(path, fmt)`` with that reader declining every file."""
-    entered, iter_rows = [], ingest._iter_rows
-    monkeypatch.setattr(ingest, "_iter_rows", lambda *a: entered.append(a) or iter_rows(*a))
+    """``parse(path, fmt)``, whether no chunk of the file was read line by
+    line, and ``parse(path, fmt)`` with every JSONL chunk read line by line."""
+    entered, per_line = [], ingest._jsonl_lines
+    monkeypatch.setattr(ingest, "_jsonl_lines", lambda *a: entered.append(a) or per_line(*a))
     got = parse(str(path), fmt)
-    monkeypatch.setattr(ingest, "_column_first", lambda *a: None)
+    monkeypatch.setattr(ingest, "_jsonl_columns", lambda *a: None)
     return got, not entered, parse(str(path), fmt)
 
 
 class TestJsonlReader:
-    """The column-first JSONL reader takes a file whole or declines it, and
-    either way the log and the report are those of the per-line loop."""
+    """The JSONL reader decodes a chunk whole or reads it line by line, and
+    either way the log and the report are those of reading every chunk line
+    by line, and of the reference parser."""
 
     @pytest.mark.parametrize("text, whole, bad_lines", [
         # two objects on one line and one over two: as many objects as lines
@@ -358,8 +364,12 @@ class TestJsonlReader:
         (ROW % ("i\u2028x", LATER) + "\n" + ROW % ("i\x85y", LATER) + "\n", True, []),
         (ROW % ("i1", LATER) + "\n\n" + ROW % ("i2", LATER), False, []),
         ("\ufeff" + ROW % ("i1", LATER) + "\n" + ROW % ("i2", LATER) + "\n", False, [1]),
-        # a malformed stamp in the second chunk of four lines
-        ("\n".join(ROW % (f"i{k}", "bad" if k == 4 else LATER) for k in range(6)), False, [5]),
+        # a malformed stamp in the second chunk of four lines drops just its row
+        ("\n".join(ROW % (f"i{k}", "bad" if k == 4 else LATER) for k in range(6)), True, [5]),
+        # a broken line in the second of three chunks: only that chunk is
+        # read line by line, and the users and lines of the third count on
+        ("\n".join("{nope" if k == 5 else (ROW % (f"i{k}", LATER)).replace('"a"', f'"u{k}"')
+                   for k in range(10)), False, [6]),
         (ROW % ("i1", LATER) + "\n" + ROW.replace("}", ', "note": "x"}') % ("i2", LATER) + "\n",
          False, [2]),
         # four lines that each start with "{" and end with "}" hold four values,
@@ -370,7 +380,8 @@ class TestJsonlReader:
         (ROW.replace('"b"', '"a"') % ("i1", LATER) + "\n" + ROW % ("", LATER) + "\n"
          + ROW % ("i3", "2021-12-31T00:00:00Z") + "\n", True, [1, 2, 3]),
     ], ids=["merged-lines", "crlf", "unicode-line-separators", "blank-line", "bom",
-            "bad-stamp-in-second-chunk", "extra-key", "non-objects", "row-rules"])
+            "bad-stamp-in-second-chunk", "broken-line-in-second-chunk", "extra-key",
+            "non-objects", "row-rules"])
     def test_transactions(self, tmp_path, monkeypatch, text, whole, bad_lines):
         monkeypatch.setattr(ingest, "_CHUNK_LINES", 4)
         path = tmp_path / "t.jsonl"
@@ -422,37 +433,34 @@ EARLIER = "2021-12-31T00:00:00Z"  # collected before listed: a row rule, not a f
 
 
 class TestCsvReader:
-    """The column-first CSV reader takes a file whole or declines it, and
-    either way the log and the report are those of the per-line loop, whose
-    data rows count from line 2."""
+    """The CSV reader never reads a chunk line by line: it drops a bad row
+    from its chunk and numbers each row by the file line it starts on, and
+    its log and report are the reference parser's."""
 
-    @pytest.mark.parametrize("text, whole, bad_lines", [
-        (HEADER.replace(",", " , ") + CSV_ROW % ("i1", LATER) + CSV_ROW % ("i2", LATER), True, []),
-        ((HEADER + CSV_ROW % ("i1", LATER) + CSV_ROW % ("i2", LATER)).replace("\n", "\r\n"),
-         True, []),
+    @pytest.mark.parametrize("text, bad_lines", [
+        (HEADER.replace(",", " , ") + CSV_ROW % ("i1", LATER) + CSV_ROW % ("i2", LATER), []),
+        ((HEADER + CSV_ROW % ("i1", LATER) + CSV_ROW % ("i2", LATER)).replace("\n", "\r\n"), []),
         # offsets, "t", "z", fractions and padding, in the second chunk of four rows
         (HEADER + "".join(CSV_ROW % (f"i{k}", at) for k, at in enumerate(
             [LATER, LATER, LATER, LATER, "2022-01-02T02:00:00+02:00", "2022-01-02t00:00:00z",
-             "2022-01-02T00:00:00.5Z", " 2022-01-02T00:00:00Z"])), True, []),
-        # a quoted field over two lines: rows count on, one line behind
-        (HEADER + CSV_ROW % ('"i\n1"', LATER) + CSV_ROW % ("i2", EARLIER), False, [3]),
-        (HEADER + CSV_ROW % ("i1", LATER) + "\n" + CSV_ROW % ("i2", EARLIER), False, [4]),
-        (HEADER + "i1,a,b\n" + CSV_ROW % ("i2", LATER), False, [2]),
-        (HEADER + "".join(CSV_ROW % (f"i{k}", "bad" if k == 4 else LATER) for k in range(6)),
-         False, [6]),
+             "2022-01-02T00:00:00.5Z", " 2022-01-02T00:00:00Z"])), []),
+        # a quoted field over two lines: the next row starts on line 4
+        (HEADER + CSV_ROW % ('"i\n1"', LATER) + CSV_ROW % ("i2", EARLIER), [4]),
+        (HEADER + CSV_ROW % ("i1", LATER) + "\n" + CSV_ROW % ("i2", EARLIER), [4]),
+        (HEADER + "i1,a,b\n" + CSV_ROW % ("i2", LATER), [2]),
+        (HEADER + "".join(CSV_ROW % (f"i{k}", "bad" if k == 4 else LATER) for k in range(6)), [6]),
         # rows that break only the row rules
         (HEADER + "i1,a,a,2022-01-01T00:00:00Z,2022-01-02T00:00:00Z\n" + CSV_ROW % ("", LATER)
-         + CSV_ROW % ("i3", EARLIER), True, [2, 3, 4]),
+         + CSV_ROW % ("i3", EARLIER), [2, 3, 4]),
     ], ids=["padded-header", "crlf", "non-canonical-stamps", "multi-line-row", "blank-row",
             "wrong-width", "bad-stamp-in-second-chunk", "row-rules"])
-    def test_transactions(self, tmp_path, monkeypatch, text, whole, bad_lines):
+    def test_transactions(self, tmp_path, monkeypatch, text, bad_lines):
         monkeypatch.setattr(ingest, "_CHUNK_LINES", 4)
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode("utf-8"))
-        got, took_whole, per_line = parse_both(
+        got, took_whole, _ = parse_both(
             monkeypatch, ingest.parse_transactions_with_report, path, "csv")
-        assert took_whole == whole
-        assert got == per_line
+        assert took_whole
         assert [bad.line for bad in got[1].bad_rows] == bad_lines
         assert got == ingest_reference_log(path, "csv")
 

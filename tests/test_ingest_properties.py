@@ -140,12 +140,15 @@ non_strings = st.one_of(
 
 
 def entries(valid, fields_of_a_row, width):
-    """File entries of ``width`` columns: data rows, empty or blank lines, rows
-    of the wrong width or keys, non-object or broken JSON, null and non-string
-    values."""
+    """File entries of ``width`` columns: data rows, rows whose first field
+    holds a line break (a CSV row over several lines), empty or blank lines,
+    rows of the wrong width or keys, non-object or broken JSON, null and
+    non-string values."""
     return st.one_of(
         valid.map(lambda f: ("row", f)), valid.map(lambda f: ("row", f)),
         fields_of_a_row.map(lambda f: ("row", f)),
+        st.tuples(st.one_of(valid, fields_of_a_row), st.sampled_from(["\n", "\r\n", "\r", "\n\r"])
+                  ).map(lambda fb: ("row", (fb[0][0] + fb[1] + "x", *fb[0][1:]))),
         st.sampled_from(["\n", " \t\n"]).map(lambda text: ("blank", text)),
         st.integers(1, width + 1).map(lambda k: ("width", k)),
         st.sampled_from(["[1, 2]", "3", '"text"', "{nope", '{"item_id": "x"}']).map(
@@ -191,27 +194,40 @@ def write_mix(path: str, fmt: str, cols: tuple[str, ...], drawn) -> None:
                 fh.write(json.dumps(obj) + "\n")
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
+# each format in chunks of ``_CHUNK_LINES`` rows, and in chunks of three,
+# so that bad rows also fall in a middle chunk
+CHUNKINGS = pytest.mark.parametrize("fmt, chunk_lines", [
+    (fmt, chunk_lines) for chunk_lines in (ingest._CHUNK_LINES, 3) for fmt in FORMATS],
+    ids=[*FORMATS, *(f"{fmt}-chunks-of-3" for fmt in FORMATS)])
+
+
+def in_chunks(chunk_lines, parse, path, fmt):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_CHUNK_LINES", chunk_lines)
+        return parse(path, fmt)
+
+
+@CHUNKINGS
 @settings(max_examples=150, deadline=None)
 @given(drawn=st.lists(entries(valid_rows, fields_of_a_row, 5), max_size=25))
-def test_columnar_parse_matches_per_row_reference(scratch, fmt, drawn):
+def test_columnar_parse_matches_per_row_reference(scratch, fmt, chunk_lines, drawn):
     path = str(scratch / f"mix.{fmt}")
     write_mix(path, fmt, ingest.TRANSACTION_COLUMNS, drawn)
     rows, expected = ingest_reference.parse_transactions_with_report(path, fmt)
-    log, report = ingest.parse_transactions_with_report(path, fmt)
+    log, report = in_chunks(chunk_lines, ingest.parse_transactions_with_report, path, fmt)
     assert transaction_rows(log) == rows
     assert report == expected
     assert log == transaction_log(rows)
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
+@CHUNKINGS
 @settings(max_examples=150, deadline=None)
 @given(drawn=st.lists(entries(valid_events, event_fields, 4), max_size=25))
-def test_columnar_event_parse_matches_per_row_reference(scratch, fmt, drawn):
+def test_columnar_event_parse_matches_per_row_reference(scratch, fmt, chunk_lines, drawn):
     path = str(scratch / f"events_mix.{fmt}")
     write_mix(path, fmt, ingest.EVENT_COLUMNS, drawn)
     rows, expected = ingest_reference.parse_events_with_report(path, fmt)
-    events, report = ingest.parse_events_with_report(path, fmt)
+    events, report = in_chunks(chunk_lines, ingest.parse_events_with_report, path, fmt)
     assert event_rows(events) == rows
     # rating values come back bit for bit, not just equal as numbers
     assert [repr(e.value) for e in event_rows(events)] == [repr(e.value) for e in rows]
@@ -219,7 +235,7 @@ def test_columnar_event_parse_matches_per_row_reference(scratch, fmt, drawn):
     assert events == event_log(rows)
 
 
-# --- the column-first JSONL reader on files it must take whole ---------------
+# --- the JSONL reader on files it must decode chunk by chunk -----------------
 
 # ids that collide (self-transactions) or are empty, as "" or null
 rule_ids = st.sampled_from(["a", "b", "é x", 'q"r', "a,b", "", None])
@@ -234,13 +250,13 @@ rule_events = st.tuples(rule_ids, kinds, good_stamps, rule_values)
 
 
 def parse_whole(parse, path, fmt):
-    """``parse(path, fmt)`` in chunks of three rows; it fails if the file is
+    """``parse(path, fmt)`` in chunks of three rows; it fails if a chunk is
     read line by line."""
     def per_line(*args):
-        raise AssertionError("the column-first reader declined the file")
+        raise AssertionError("the JSONL reader declined a chunk")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "_CHUNK_LINES", 3)
-        mp.setattr(ingest, "_iter_rows", per_line)
+        mp.setattr(ingest, "_jsonl_lines", per_line)
         return parse(path, fmt)
 
 
@@ -275,7 +291,7 @@ def test_jsonl_event_chunks_match_per_row_reference(scratch, drawn):
     check_whole_events(str(scratch / "events_whole.jsonl"), "jsonl", drawn)
 
 
-# --- the column-first CSV reader on files it must take whole -----------------
+# --- the CSV reader in chunks of three, on rows that pass the reader ---------
 
 @settings(max_examples=150, deadline=None)
 @given(drawn=st.lists(st.one_of(valid_rows, rule_rows), max_size=25))

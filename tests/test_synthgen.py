@@ -277,11 +277,11 @@ class TestWriters:
 
     def test_csv_and_jsonl_of_a_seed_parse_alike(self, tmp_path, monkeypatch):
         # the two parsers agree on real data, and both read it column-first,
-        # over more than one chunk, with every stamp canonical: none goes
-        # through the scalar grammar
-        read_per_line, iter_rows = [], ingest._iter_rows
-        monkeypatch.setattr(ingest, "_iter_rows", lambda path, fmt, cols: (
-            read_per_line.append(fmt) or iter_rows(path, fmt, cols)))
+        # over more than one chunk, with no chunk read line by line and every
+        # stamp canonical: none goes through the scalar grammar
+        read_per_line, jsonl_lines = [], ingest._jsonl_lines
+        monkeypatch.setattr(ingest, "_jsonl_lines", lambda *args: (
+            read_per_line.append(args[1]) or jsonl_lines(*args)))
         scalar_parses, parse_timestamp = [], ingest.parse_timestamp
         monkeypatch.setattr(ingest, "parse_timestamp", lambda text: (
             scalar_parses.append(text) or parse_timestamp(text)))
