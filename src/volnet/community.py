@@ -93,7 +93,8 @@ def _local_moves(lo, hi, weight, selfw, m, resolution, rng) -> np.ndarray:
     by_end = np.argsort(ends, kind="stable")
     bounds = np.cumsum(np.bincount(ends, minlength=len(selfw)))[:-1]
     nbrs = [a.tolist() for a in np.split(np.concatenate([hi, lo])[by_end], bounds)]
-    wts = [a.tolist() for a in np.split(np.concatenate([weight, weight])[by_end], bounds)]
+    # integer counts as ints: a small one is CPython's shared int, not a new float
+    wts = [a.tolist() for a in np.split(np.tile(weight, 2).astype(np.int64)[by_end], bounds)]
     node2com = list(range(len(selfw)))
     k = [sum(ws) + 2.0 * s for ws, s in zip(wts, selfw.tolist())]
     sigma_tot = k.copy()

@@ -23,8 +23,8 @@ Both formats are read in one pass, ``_CHUNK_LINES`` rows at a time and
 column-first: a CSV chunk by one ``csv.reader`` over the file, a JSONL
 chunk by one ``json.loads`` of a JSON array.  A chunk's distinct stamps are
 converted at once: those in the writers' canonical form
-``YYYY-MM-DDTHH:MM:SSZ`` by one NumPy pass over their bytes (Hinnant's
-``days_from_civil``), every other one by :func:`parse_timestamp`, the one
+``YYYY-MM-DDTHH:MM:SSZ`` by NumPy's ISO 8601 codec (the writers render
+stamps by it too), every other one by :func:`parse_timestamp`, the one
 grammar and the source of every stamp's error.  A bad row costs only
 itself: it is dropped from its chunk and reported with its reason and the
 file line it starts on, and only a JSONL chunk with a line that is not one
@@ -42,10 +42,11 @@ import json
 import logging
 import re
 from collections import defaultdict
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from functools import cache, cached_property
-from itertools import accumulate, chain, count, islice
+from itertools import chain, count, islice
 from typing import Iterable
 
 import numpy as np
@@ -114,76 +115,52 @@ def from_micros(us: int) -> datetime:
     return _EPOCH + timedelta(microseconds=int(us))
 
 
-# The canonical stamp ``YYYY-MM-DDTHH:MM:SSZ``: the places of its 14 digits,
-# which pair up as century, year, month, day, hour, minute and second, and
-# of its marks; and the days of each month of a common year.
-_CANON_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
-_CANON_MARKS = np.array([4, 7, 10, 13, 16, 19])
-_CANON_MARK_BYTES = np.frombuffer(b"--T::Z", dtype=np.uint8)
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+# The canonical stamp ``YYYY-MM-DDTHH:MM:SSZ``: the lowest and the highest
+# byte of each place.  Its first 19 bytes are the ISO 8601 text that NumPy's
+# ``datetime64`` parser reads and ``np.datetime_as_string`` writes.
+_CANON_LOW, _CANON_HIGH = (np.frombuffer(s, dtype=np.uint8)
+                           for s in (b"0000-00-00T00:00:00Z", b"9999-99-99T99:99:99Z"))
 _MIN_US, _MAX_US = (to_micros(d.replace(tzinfo=timezone.utc)) for d in (datetime.min, datetime.max))
 
 
 def _stamp_micros(texts: list[str], scalar) -> list[int]:
     """Epoch microseconds of each of ``texts``, a chunk's distinct stamps.
 
-    The texts in the canonical form (20 ASCII bytes) are decoded at once
-    from one ``uint8`` view; one with digits and marks in their places, a
-    year from 1, a month 1-12, a day within its month, an hour up to 23 and
-    a minute and second up to 59 becomes microseconds through Hinnant's
-    ``days_from_civil``.  Every other text goes through ``scalar``, which
-    parses it by :func:`parse_timestamp` and so raises its error."""
+    The texts in the canonical form (20 ASCII bytes with digits and marks
+    in their places) are decoded at once by NumPy's ISO 8601 parser, which
+    checks the range of each field, the day within its month included; as
+    one out of range fails the whole batch, each is then decoded on its
+    own.  Every other text goes through ``scalar``, which parses it by
+    :func:`parse_timestamp` and so raises its error."""
     at = [i for i, t in enumerate(texts) if len(t) == 20 and t.isascii()]
     raw = np.frombuffer("".join([texts[i] for i in at]).encode("ascii"),
                         dtype=np.uint8).reshape(-1, 20)
-    digits = raw[:, _CANON_DIGITS].astype(np.int64) - ord("0")
-    century, year, month, day, hour, minute, second = (digits.reshape(-1, 7, 2) @ [10, 1]).T
-    year += 100 * century
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    in_month = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
-    valid = (((digits >= 0) & (digits <= 9)).all(axis=1)
-             & (raw[:, _CANON_MARKS] == _CANON_MARK_BYTES).all(axis=1)
-             & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= in_month)
-             & (hour <= 23) & (minute <= 59) & (second <= 59))
-    year -= month <= 2  # days_from_civil: the year runs from March
-    era = year // 400
-    year_of_era = year - 400 * era
-    day_of_era = (365 * year_of_era + year_of_era // 4 - year_of_era // 100
-                  + (153 * ((month + 9) % 12) + 2) // 5 + day - 1)
-    days = 146097 * era + day_of_era - 719468  # 0000-03-01 to 1970-01-01
-    micros = np.zeros(len(texts), dtype=np.int64)
-    done = np.zeros(len(texts), dtype=bool)
-    rows = np.asarray(at, dtype=np.intp)[valid]
-    micros[rows] = (((days * 24 + hour) * 60 + minute) * 60 + second)[valid] * 1_000_000
-    done[rows] = True
-    for i in np.flatnonzero(~done).tolist():
+    shaped = (((raw >= _CANON_LOW) & (raw <= _CANON_HIGH)).all(axis=1)
+              & (raw[:, :4] != ord("0")).any(axis=1))  # NumPy reads year 0000, datetime does not
+    rows = np.asarray(at, dtype=np.intp)[shaped]
+    isos = raw[shaped, :19].view("S19").ravel()
+    micros = np.full(len(texts), np.datetime64("NaT", "us"))  # NaT: not decoded
+    try:
+        # in the unit of the text (seconds): NumPy 2.4 crashes where a field
+        # out of range fails the cast of some 500 or more texts to another unit
+        micros[rows] = isos.astype("datetime64")
+    except ValueError:  # a field out of range
+        for i, iso in zip(rows.tolist(), isos.tolist()):
+            with suppress(ValueError):
+                micros[i] = np.datetime64(iso)
+    for i in np.flatnonzero(np.isnat(micros)).tolist():
         micros[i] = scalar(texts[i])
-    return micros.tolist()
+    return micros.view(np.int64).tolist()
 
 
 def _format_micros(micros: np.ndarray) -> np.ndarray:
     """The canonical text of each epoch-microsecond stamp, floored to the
-    second as :func:`format_timestamp` renders it: one NumPy pass of
-    Hinnant's ``civil_from_days``, the inverse of :func:`_stamp_micros`."""
+    second as :func:`format_timestamp` renders it, by
+    ``np.datetime_as_string``."""
     outside = (micros < _MIN_US) | (micros > _MAX_US)
     if outside.any():  # outside years 1-9999: the scalar writer's error
         format_timestamp(from_micros(micros[outside][0]))
-    seconds = micros // 1_000_000
-    days, second = np.divmod(seconds, 86400)
-    era, day_of_era = np.divmod(days + 719468, 146097)  # from 0000-03-01
-    year_of_era = (day_of_era - day_of_era // 1460 + day_of_era // 36524
-                   - day_of_era // 146096) // 365
-    day_of_year = day_of_era - (365 * year_of_era + year_of_era // 4 - year_of_era // 100)
-    month_from_march = (5 * day_of_year + 2) // 153
-    day = day_of_year - (153 * month_from_march + 2) // 5 + 1
-    month = np.where(month_from_march < 10, month_from_march + 3, month_from_march - 9)
-    year = 400 * era + year_of_era + (month <= 2)
-    pairs = np.stack([year // 100, year % 100, month, day,
-                      second // 3600, second // 60 % 60, second % 60], axis=1)
-    raw = np.empty((len(micros), 20), dtype=np.uint8)
-    raw[:, _CANON_DIGITS] = np.stack([pairs // 10, pairs % 10], axis=2).reshape(-1, 14) + ord("0")
-    raw[:, _CANON_MARKS] = _CANON_MARK_BYTES
-    return raw.view("S20").ravel().astype("U20")
+    return np.datetime_as_string(micros.astype("datetime64[us]"), unit="s").astype("U19") + "Z"
 
 
 def _unique_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -430,31 +407,52 @@ def _without_bad_rows(parsed, report: ParseReport):
 _CHUNK_LINES = 1024
 
 
+def _csv_records(reader):
+    """The rows of ``reader``, and in place of each row it cannot read (a
+    field longer than ``csv.field_size_limit()``) ``(reason, line)``: its
+    error and the file line the reader stopped on.  The reader goes on at
+    the next line, which may lie inside the row's quoted field."""
+    while True:
+        try:
+            yield from reader
+            return
+        except csv.Error as exc:
+            yield str(exc), reader.line_num
+
+
 def _csv_chunks(path: str, columns: tuple[str, ...]):
     """Yield ``(lines, fields, bad)`` for each chunk of a CSV file's data
     rows: the file line each row of ``len(columns)`` fields starts on, those
     rows' fields column by column, and a :class:`RowError` for each row of
-    another width; a blank row is skipped.  A header other than ``columns``
-    raises :class:`ParseError` at line 1."""
+    another width or that the reader cannot read; a blank row is skipped.  A
+    header other than ``columns`` raises :class:`ParseError` at line 1."""
     width = len(columns)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != columns:
+        records = _csv_records(reader)
+        header = next(records, None)
+        if not isinstance(header, list) or tuple(h.strip() for h in header) != columns:
             raise ParseError(path, (RowError(1, f"expected header {','.join(columns)}"),))
         end = reader.line_num
-        while rows := list(islice(reader, _CHUNK_LINES)):
+        while rows := list(islice(records, _CHUNK_LINES)):
             lines = range(end + 1, end + 1 + len(rows))
             if reader.line_num - end != len(rows):
-                # a quoted field spans lines: each line break it holds ("\n",
-                # "\r" or "\r\n", as the file's lines end) ends a line of its row
-                texts = ["".join(row) for row in rows[:-1]]
-                lines = list(accumulate((1 + t.count("\n") + t.count("\r") - t.count("\r\n")
-                                         for t in texts), initial=end + 1))
+                # a row spans lines: each line break a read row holds ("\n",
+                # "\r" or "\r\n", as the file's lines end) ends a line of it,
+                # and an unread row ends on the line the reader stopped on
+                lines = [end + 1]
+                for row in rows[:-1]:
+                    if isinstance(row, tuple):
+                        lines.append(row[1] + 1)
+                    else:
+                        text = "".join(row)
+                        lines.append(lines[-1] + 1 + text.count("\n") + text.count("\r")
+                                     - text.count("\r\n"))
             end = reader.line_num
             bad = []
-            if set(map(len, rows)) != {width}:
-                bad = [RowError(line, f"expected {width} columns, got {len(row)}")
+            if set(map(len, rows)) != {width}:  # an unread row's pair is never a row's width
+                bad = [RowError(line, row[0] if isinstance(row, tuple)
+                                else f"expected {width} columns, got {len(row)}")
                        for row, line in zip(rows, lines) if row and len(row) != width]
                 lines = [line for row, line in zip(rows, lines) if len(row) == width]
                 rows = [row for row in rows if len(row) == width]

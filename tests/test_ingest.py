@@ -1,5 +1,6 @@
 """Parsing, validation, canonical round-trips, and population filters."""
 
+import csv
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -463,6 +464,28 @@ class TestCsvReader:
         assert took_whole
         assert [bad.line for bad in got[1].bad_rows] == bad_lines
         assert got == ingest_reference_log(path, "csv")
+
+    def test_too_long_a_field_rejects_just_its_row(self, tmp_path, monkeypatch):
+        # a field longer than csv.field_size_limit() fails the row that holds
+        # it; the reader goes on at the next line, so where the field is
+        # quoted and its row spans lines the reader either stops on the
+        # row's last line (line 7) or reads the tail as a row of its own,
+        # which the width rule rejects (line 10: 'x",b,...' has 4 fields)
+        monkeypatch.setattr(ingest, "_CHUNK_LINES", 4)
+        long = "x" * 200_000
+        path = tmp_path / "t.csv"
+        path.write_text(HEADER + "".join(CSV_ROW % (f"i{k}", LATER) for k in (2, 3, 4))
+                        + CSV_ROW % (long, LATER) + CSV_ROW % (f'"i6\n{long}"', LATER)
+                        + CSV_ROW % ("i8", LATER) + f'i9,"{long}\nx",b,{LATER},{LATER}\n'
+                        + CSV_ROW % ("i11", LATER))
+        log, report = ingest.parse_transactions_with_report(str(path))
+        assert [t.item_id for t in transaction_rows(log)] == ["i2", "i3", "i4", "i8", "i11"]
+        too_long = f"field larger than field limit ({csv.field_size_limit()})"
+        assert [(bad.line, bad.reason) for bad in report.bad_rows] == [
+            (5, too_long), (6, too_long), (9, too_long), (10, "expected 5 columns, got 4")]
+        assert report.total_rows == 9
+        with pytest.raises(ParseError, match=r"at line\(s\) 5, 6, 9, 10$"):
+            ingest.parse_transactions(str(path))
 
 
 class TestFilterMinTransactions:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from volnet import ingest  # noqa: E402
@@ -337,6 +337,14 @@ REJECTED = -(2**63)  # no stamp of years 1-9999 lies there
 
 @settings(max_examples=400, deadline=None)
 @given(texts=st.lists(st.one_of(canonical_shaped, near_canonical), unique=True, max_size=20))
+# one field out of range fails NumPy's whole batch: only that text may reach the scalar
+@example(texts=["2021-01-05T00:00:00Z", "2023-02-29T00:00:00Z", "2000-02-29T23:59:59Z"])
+# NumPy reads year 0000, which datetime rejects
+@example(texts=["0000-01-01T00:00:00Z"])
+# a chunk's 2,048 distinct stamps, one out of range: NumPy 2.4 crashes where
+# one field fails a cast of some 500 or more texts to a set unit
+@example(texts=[ingest.format_timestamp(ingest.from_micros(s * 1_000_000)) for s in range(2047)]
+         + ["2023-02-29T00:00:00Z"])
 def test_stamp_kernel_matches_the_scalar_grammar(texts):
     expected, sent = {}, []
     for text in texts:
