@@ -51,27 +51,13 @@ def _interpolate(raw: list[float | None]) -> tuple[list[float], list[bool]]:
     defined = [i for i, v in enumerate(raw) if v is not None]
     if len(defined) < 2:
         raise SeriesError(f"only {len(defined)} defined point(s); need >= 2 to impute")
-    values: list[float] = []
-    mask: list[bool] = []
     first, last = defined[0], defined[-1]
-    nxt = 0
-    for i, v in enumerate(raw):
-        if v is not None:
-            values.append(v)
-            mask.append(False)
-            continue
-        mask.append(True)
-        if i < first:
-            values.append(raw[first])
-        elif i > last:
-            values.append(raw[last])
-        else:
-            while defined[nxt] < i:
-                nxt += 1
-            lo, hi = defined[nxt - 1], defined[nxt]
-            frac = (i - lo) / (hi - lo)
-            values.append(raw[lo] + frac * (raw[hi] - raw[lo]))
-    return values, mask
+    values = [raw[first]] * first + raw[first:last + 1] + [raw[last]] * (len(raw) - 1 - last)
+    for lo, hi in zip(defined, defined[1:]):
+        if hi > lo + 1:  # most pairs are adjacent: an empty range costs more than this test
+            for i in range(lo + 1, hi):
+                values[i] = raw[lo] + (i - lo) / (hi - lo) * (raw[hi] - raw[lo])
+    return values, [v is None for v in raw]
 
 
 def dr_series(

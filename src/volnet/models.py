@@ -25,9 +25,10 @@ margins are ``np.vecdot`` of rows and weights, not BLAS ``@``, and a forest
 adds its trees' votes one tree at a time.
 
 Trees (the decision tree, each forest tree, each boosting round) share one
-grower, ``_grow``, and one split search, ``_split_lanes``. Each split is a
-lane: a generator that grows its trees one after another in depth-first
-preorder and yields every node that may split. The shared lane driver,
+grower, ``_grow``, and one split search, ``_split_lanes``. The grower is one
+generator per tree with a stack of pending nodes, popped in depth-first
+preorder; it yields every node that may split. Each split is a lane: a
+generator that grows its trees one after another. The shared lane driver,
 ``_lanes.lockstep``, answers the pending node of every lane with one search
 padded over (lane, feature, row), and each lane keeps its own order: a
 forest lane draws each tree's bootstrap, then that tree's node feature
@@ -287,10 +288,11 @@ def _split_lanes(nodes, rule: _TreeRule) -> list:
 
 def _grow(W, rule: _TreeRule, rng=None, n_subsample=0, values=None):
     """Generator that grows one tree over all rows of the table ``W`` (the
-    ``d`` features' ranks, their values, then ``g`` and ``h``) in
-    depth-first preorder and returns it.
+    ``d`` features' ranks, their values, then ``g`` and ``h``) and returns it.
 
-    Every node that may split yields its search request (a node of
+    Pending nodes wait on a stack as empty dicts, filled in place when
+    popped; the right child is pushed first, so nodes pop in depth-first
+    preorder. Every node that may split yields its search request (a node of
     :func:`_split_lanes`) and is sent back its best cut or None. With
     ``rng``, each such node first draws a sorted subsample of
     ``n_subsample`` features (the random forest); ``values`` receives each
@@ -298,45 +300,35 @@ def _grow(W, rule: _TreeRule, rng=None, n_subsample=0, values=None):
     scoring routes there."""
     d = (W.shape[1] - 2) // 2
     stats = np.array([2 * d, 2 * d + 1])
-    all_cols = np.concatenate((np.arange(d), stats))
-
-    def cols():
-        if rng is None or n_subsample >= d:
-            return all_cols
-        features = rng.choice(d, size=n_subsample, replace=False)
-        features.sort()
-        return np.concatenate((features, stats))
-
+    cols = np.concatenate((np.arange(d), stats))
     n = W.shape[0]
-    return (yield from _grow_node(W, rule, cols, values, np.arange(n),
-                                  float(W[:, 2 * d].sum()), float(n), 0))
-
-
-def _grow_node(W, rule: _TreeRule, cols, values, idx, G, H, depth):
-    """The subtree of :func:`_grow` over the rows ``idx``, whose node asks
-    ``cols()`` for the columns it may cut. Not a closure that calls itself:
-    such a closure is a reference cycle, and it would keep each tree's table
-    alive until the next garbage collection."""
-    d = (W.shape[1] - 2) // 2
-    if rule.lam is None:
-        leaf, pure = G / H, G in (0.0, H)
-    else:
-        G, H = W[idx, 2 * d].sum(), W[idx, 2 * d + 1].sum()
-        leaf, pure = float(-G / (H + rule.lam)), False
-    best = None
-    if not (pure or depth >= rule.max_depth or idx.size < 2 * rule.min_leaf):
-        best = yield W, idx, cols(), G, H
-    if best is None:
-        if values is not None:
-            values[idx] = leaf
-        return {"leaf": leaf, "n": int(idx.size)}
-    _, j, thr, GL, HL = best
-    mask = W[idx, d + j] <= thr
-    return {"feature": j, "threshold": thr,
-            "left": (yield from _grow_node(W, rule, cols, values, idx[mask], GL, HL,
-                                           depth + 1)),
-            "right": (yield from _grow_node(W, rule, cols, values, idx[~mask], G - GL,
-                                            H - HL, depth + 1))}
+    tree: dict = {}
+    stack = [(tree, np.arange(n), float(W[:, 2 * d].sum()), float(n), 0)]
+    while stack:
+        node, idx, G, H, depth = stack.pop()
+        if rule.lam is None:
+            leaf, pure = G / H, G in (0.0, H)
+        else:
+            G, H = W[idx, 2 * d].sum(), W[idx, 2 * d + 1].sum()
+            leaf, pure = float(-G / (H + rule.lam)), False
+        best = None
+        if not (pure or depth >= rule.max_depth or idx.size < 2 * rule.min_leaf):
+            if rng is not None and n_subsample < d:
+                features = rng.choice(d, size=n_subsample, replace=False)
+                features.sort()
+                cols = np.concatenate((features, stats))
+            best = yield W, idx, cols, G, H
+        if best is None:
+            if values is not None:
+                values[idx] = leaf
+            node.update(leaf=leaf, n=int(idx.size))
+            continue
+        _, j, thr, GL, HL = best
+        mask = W[idx, d + j] <= thr
+        node.update(feature=j, threshold=thr, left={}, right={})
+        stack.append((node["right"], idx[~mask], G - GL, H - HL, depth + 1))
+        stack.append((node["left"], idx[mask], GL, HL, depth + 1))
+    return tree
 
 
 def _tree_scores(node: Mapping, X: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:

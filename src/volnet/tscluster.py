@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from ._lanes import lockstep
-from .behavior import DRSeries
 from .ingest import write_rows
 
 METRICS = ("euclidean", "dtw", "softdtw")
@@ -233,12 +232,9 @@ def soft_dtw(a, b, gamma: float = 1.0) -> float:
 
 
 def _as_matrix(data) -> tuple[list[str], np.ndarray]:
-    """Normalize input series to (sorted user list, value matrix); every
-    value must be finite."""
-    if isinstance(data, Mapping):
-        items = sorted((str(u), np.asarray(v, dtype=float)) for u, v in data.items())
-    else:
-        items = sorted((s.user, np.asarray(s.values, dtype=float)) for s in data)
+    """Normalize a mapping of user to series to (sorted user list, value
+    matrix); every value must be finite."""
+    items = sorted((str(u), np.asarray(v, dtype=float)) for u, v in data.items())
     if not items:
         raise ValueError("no series given")
     users = [u for u, _ in items]
@@ -405,7 +401,7 @@ def _check_fit(n: int, k: int, metric: str, max_iter: int, gamma: float) -> None
 
 
 def kmeans_ts(
-    data,
+    data: Mapping,
     k: int,
     metric: str = "euclidean",
     seed: int = 0,
@@ -435,7 +431,7 @@ def kmeans_ts(
     return lockstep([lane], lambda requests: _answer(requests, X, metric, gamma))[0]
 
 
-def calinski_harabasz(data, model: ClusterModel) -> float:
+def calinski_harabasz(data: Mapping, model: ClusterModel) -> float:
     """Variance-ratio criterion [B/(k-1)] / [W/(n-k)] of a fitted model.
 
     Each series is treated as a point in R^L with Euclidean geometry and
@@ -469,7 +465,7 @@ def _calinski_harabasz(users: list[str], X: np.ndarray, model: ClusterModel) -> 
 
 
 def ch_scan(
-    data,
+    data: Mapping,
     k_range: tuple[int, int] = (4, 10),
     metric: str = "euclidean",
     seed: int = 0,

@@ -86,6 +86,35 @@ def test_select_active_key_users_matches_oracle(log, key, span_days, min_weeks):
     assert got.origin == "predefined"
 
 
+def interpolate_reference(raw: list[float | None]) -> tuple[list[float], list[bool]]:
+    """``behavior._interpolate`` as it was before it became one loop over the
+    gaps, kept verbatim as the reference for every imputed value."""
+    defined = [i for i, v in enumerate(raw) if v is not None]
+    if len(defined) < 2:
+        raise SeriesError(f"only {len(defined)} defined point(s); need >= 2 to impute")
+    values: list[float] = []
+    mask: list[bool] = []
+    first, last = defined[0], defined[-1]
+    nxt = 0
+    for i, v in enumerate(raw):
+        if v is not None:
+            values.append(v)
+            mask.append(False)
+            continue
+        mask.append(True)
+        if i < first:
+            values.append(raw[first])
+        elif i > last:
+            values.append(raw[last])
+        else:
+            while defined[nxt] < i:
+                nxt += 1
+            lo, hi = defined[nxt - 1], defined[nxt]
+            frac = (i - lo) / (hi - lo)
+            values.append(raw[lo] + frac * (raw[hi] - raw[lo]))
+    return values, mask
+
+
 @settings(max_examples=100, deadline=None)
 @given(log=logs(max_day=120), interval=st.sampled_from(sorted(INTERVAL_DAYS)),
        windows=st.integers(1, 16), user=st.sampled_from(USERS))
@@ -111,7 +140,8 @@ def test_dr_series_matches_window_count_over_the_whole_log(log, interval, window
     assert s.t0 == t0
     assert s.imputed_mask == tuple(r is None for r in raw)
     assert all(0.0 <= v <= 1.0 for v in s.values)
-    assert [v for v, r in zip(s.values, raw) if r is not None] == [r for r in raw if r is not None]
+    # every value, the imputed ones too, bit for bit
+    assert list(s.values) == interpolate_reference(raw)[0]
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import warnings
 from functools import partial
@@ -592,6 +593,28 @@ class TestTreeLanesMatchReference:
         for seed in (0, 5):
             got = train(algorithm, X, y, hyperparams=hp, seed=seed)
             assert same_json(got.parameters, ref.TRAINERS[algorithm](X, y, full, seed))
+
+
+class TestTreeFitsLeaveNoCycles:
+    """Growing a tree makes no reference cycle, so each tree's table is
+    freed when its fit returns, not at the next garbage collection."""
+
+    @pytest.mark.parametrize("algorithm", ["decision_tree", "random_forest", "gbdt"])
+    def test_no_cyclic_garbage(self, algorithm):
+        X, y = separable(n_per=15, d=4, seed=3, gap=1.0)
+
+        def fit():
+            kfold_cv(algorithm, [(X, y)], k=3, seed=1, hyperparams=FAST[algorithm])
+            train(algorithm, X, y, hyperparams=FAST[algorithm], seed=1)
+
+        fit()  # first calls leave one-off objects behind
+        gc.collect()
+        gc.disable()
+        try:
+            fit()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestMetrics:

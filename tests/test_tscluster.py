@@ -9,7 +9,6 @@ import pytest
 
 from volnet import tscluster
 from volnet._lanes import lockstep
-from volnet.behavior import DRSeries
 from volnet.tscluster import (
     ARCHETYPES,
     METRICS,
@@ -34,7 +33,6 @@ from volnet.tscluster import (
 )
 
 import dtw_reference as ref
-from conftest import at_day
 
 
 class TestEuclidean:
@@ -183,18 +181,6 @@ class TestKMeans:
         model = kmeans_ts(data, k=2, seed=0)
         c_lo = model.assignment["lo0"]
         assert model.members(c_lo) == ["lo0", "lo1", "lo2"]
-
-    def test_series_objects_match_mapping_input(self):
-        data = two_blobs(n_per=4)
-        series = [
-            DRSeries(user=u, interval="weekly", t0=at_day(0),
-                     values=tuple(v), imputed_mask=tuple([False] * len(v)))
-            for u, v in data.items()
-        ]
-        m_map = kmeans_ts(data, k=2, seed=1)
-        m_series = kmeans_ts(series, k=2, seed=1)
-        assert m_map.assignment == m_series.assignment
-        assert np.allclose(m_map.centroids, m_series.centroids)
 
     def test_dtw_metric_groups_shifted_shapes(self):
         # Same bump at different offsets vs. flat lines: warping unites the
