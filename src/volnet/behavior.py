@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .graph import TransactionGraph
-from .ingest import MICROSECOND, KeyUserSet, TransactionLog, from_micros, write_rows
+from .ingest import MICROSECOND, TransactionLog, from_micros, write_rows
 
 INTERVAL_DAYS = {"weekly": 7, "monthly": 30}
 
@@ -100,7 +100,7 @@ def dr_series(
                     values=tuple(values), imputed_mask=tuple(mask))
 
 
-def detect_hubs(g: TransactionGraph, multiplier: float = 1.0) -> KeyUserSet:
+def detect_hubs(g: TransactionGraph, multiplier: float = 1.0) -> frozenset[str]:
     """Users whose distinct total degree exceeds ``multiplier`` times the
     network average.  Degree counts distinct in- plus out-neighbors, so the
     result is invariant under edge-weight scaling."""
@@ -113,8 +113,7 @@ def detect_hubs(g: TransactionGraph, multiplier: float = 1.0) -> KeyUserSet:
     # in-neighbor of its target
     degree = np.bincount(g.src, minlength=n) + np.bincount(g.dst, minlength=n)
     avg = int(degree.sum()) / n
-    hubs = frozenset(np.array(g.names, dtype=object)[degree > multiplier * avg].tolist())
-    return KeyUserSet(ids=hubs, origin="hub_rule")
+    return frozenset(np.array(g.names, dtype=object)[degree > multiplier * avg].tolist())
 
 
 def write_series_csv(series: Iterable[DRSeries], path: str) -> None:

@@ -1,9 +1,10 @@
 """Command-line entry point for the volunteer-network analysis pipeline.
 
-``synth`` writes a synthetic dataset and takes only ``--seed`` and
-``--out`` of the run flags.  Every other subcommand is a stage cap of
-:func:`volnet.pipeline.run`, from ``ingest`` to ``run-all``: it runs the
-stages up to its cap, writes their artifacts and a verified
+``synth`` writes a synthetic dataset; a flag it is not given keeps the
+default of :class:`volnet.synthgen.SynthConfig` (``--format``: of
+:func:`volnet.synthgen.write_dataset`).  Every other subcommand is a stage
+cap of :func:`volnet.pipeline.run`, from ``ingest`` to ``run-all``: it runs
+the stages up to its cap, writes their artifacts and a verified
 ``manifest.json``, and prints a summary of each stage it reached.  These
 take ``--config``, ``--seed`` and ``--out``; config-file keys are
 overridden by flags.  Exit status is 0 on success and 2 on any failure,
@@ -28,19 +29,13 @@ def _config_from(args: argparse.Namespace) -> pipeline.PipelineConfig:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    mix = {a: 0.25 for a in synthgen.ARCHETYPES}
-    config = synthgen.SynthConfig(
-        n_heroes=args.heroes,
-        archetype_mix=mix,
-        n_regulars_per_hero=args.regulars,
-        weeks=args.weeks,
-        community_count=args.communities,
-        noise_sd=args.noise,
-        feature_signal=dict(args.signal or [("messages_count", -1.2)]),
-        seed=args.seed,
-    )
+    knobs = {"n_heroes": args.heroes, "n_regulars_per_hero": args.regulars, "weeks": args.weeks,
+             "community_count": args.communities, "noise_sd": args.noise, "seed": args.seed,
+             "feature_signal": args.signal and dict(args.signal)}
+    config = synthgen.SynthConfig(**{k: v for k, v in knobs.items() if v is not None})
     log, events, truth = synthgen.generate(config)
-    paths = synthgen.write_dataset(args.out, log, events, truth, fmt=args.format)
+    paths = synthgen.write_dataset(args.out, log, events, truth,
+                                   **({"fmt": args.format} if args.format else {}))
     print(f"wrote {len(log)} transactions, {len(events)} events, "
           f"{len(truth)} heroes under {args.out}/")
     for kind, path in sorted(paths.items()):
@@ -103,18 +98,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with planted archetypes")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default="synth_out", help="output directory")
-    p.add_argument("--heroes", type=int, default=200)
-    p.add_argument("--regulars", type=int, default=8)
-    p.add_argument("--weeks", type=int, default=52)
-    p.add_argument("--communities", type=int, default=4)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p.add_argument("--heroes", type=int)
+    p.add_argument("--regulars", type=int)
+    p.add_argument("--weeks", type=int)
+    p.add_argument("--communities", type=int)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--format", choices=("csv", "jsonl"))
     p.add_argument("--signal", type=_parse_signal, action="append",
                    metavar="FEATURE=EFFECT",
-                   help="raw-feature effect on the 'changes' event rate "
-                        "(default messages_count=-1.2)")
+                   help="raw-feature effect on the 'changes' event rate (default "
+                        + ", ".join(f"{name}={effect}" for name, effect
+                                    in synthgen.SynthConfig().feature_signal.items()) + ")")
     p.set_defaults(func=_cmd_synth)
 
     # every data subcommand is one stage cap of the same staged run

@@ -47,8 +47,8 @@ RAW_FEATURES = (
 FEATURE_NAMES = NETWORK_FEATURES + RAW_FEATURES
 
 #: The raw feature that counts each kind of :data:`ingest.EVENT_KINDS`, in its order.
-_KIND_COUNTS = ("articles_count", "messages_count", "rating_count", "likes_count",
-                "stories_count", "comments_count")
+KIND_COUNTS = ("articles_count", "messages_count", "rating_count", "likes_count",
+               "stories_count", "comments_count")
 
 CASES = ("starting_high", "starting_low")
 LABELS = ("stable", "changes")
@@ -111,7 +111,7 @@ def _raw_features(events: EventLog, cutoffs: Mapping[str, datetime]) -> np.ndarr
     seen = (slot < n) & (events.at <= cut[slot])
     slot, kind = slot[seen], events.kind[seen]
     raw = np.zeros((n, len(RAW_FEATURES)))
-    raw[:, [RAW_FEATURES.index(name) for name in _KIND_COUNTS]] = np.bincount(
+    raw[:, [RAW_FEATURES.index(name) for name in KIND_COUNTS]] = np.bincount(
         slot * n_kinds + kind, minlength=n * n_kinds).reshape(n, n_kinds)
     rated = kind == EVENT_KINDS.index("rating")
     rating_sum = np.bincount(slot[rated], weights=events.value[seen][rated], minlength=n)

@@ -42,7 +42,6 @@ import json
 import logging
 import re
 from collections import defaultdict
-from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from functools import cache, cached_property
@@ -123,14 +122,33 @@ _CANON_LOW, _CANON_HIGH = (np.frombuffer(s, dtype=np.uint8)
 _MIN_US, _MAX_US = (to_micros(d.replace(tzinfo=timezone.utc)) for d in (datetime.min, datetime.max))
 
 
+def _cast_isos(isos: np.ndarray) -> np.ndarray:
+    # in the unit of the text (seconds): NumPy 2.4 crashes where a field
+    # out of range fails the cast of some 500 or more texts to another unit
+    return isos.astype("datetime64")
+
+
+def _decode_isos(isos: np.ndarray) -> np.ndarray:
+    """NumPy's ``datetime64`` of each ISO 8601 text, NaT where a field is
+    out of range: as one such text fails the cast of its whole batch, a
+    failed batch is split in halves until the bad texts stand alone."""
+    try:
+        return _cast_isos(isos)
+    except ValueError:
+        if len(isos) == 1:
+            return np.array(["NaT"], dtype="datetime64[s]")
+        half = len(isos) // 2
+        return np.concatenate([_decode_isos(isos[:half]), _decode_isos(isos[half:])])
+
+
 def _stamp_micros(texts: list[str], scalar) -> list[int]:
     """Epoch microseconds of each of ``texts``, a chunk's distinct stamps.
 
     The texts in the canonical form (20 ASCII bytes with digits and marks
-    in their places) are decoded at once by NumPy's ISO 8601 parser, which
-    checks the range of each field, the day within its month included; as
-    one out of range fails the whole batch, each is then decoded on its
-    own.  Every other text goes through ``scalar``, which parses it by
+    in their places) are decoded in batches by NumPy's ISO 8601 parser,
+    which checks the range of each field, the day within its month
+    included (:func:`_decode_isos`).  Every other text, and every one out
+    of range, goes through ``scalar``, which parses it by
     :func:`parse_timestamp` and so raises its error."""
     at = [i for i, t in enumerate(texts) if len(t) == 20 and t.isascii()]
     raw = np.frombuffer("".join([texts[i] for i in at]).encode("ascii"),
@@ -140,14 +158,7 @@ def _stamp_micros(texts: list[str], scalar) -> list[int]:
     rows = np.asarray(at, dtype=np.intp)[shaped]
     isos = raw[shaped, :19].view("S19").ravel()
     micros = np.full(len(texts), np.datetime64("NaT", "us"))  # NaT: not decoded
-    try:
-        # in the unit of the text (seconds): NumPy 2.4 crashes where a field
-        # out of range fails the cast of some 500 or more texts to another unit
-        micros[rows] = isos.astype("datetime64")
-    except ValueError:  # a field out of range
-        for i, iso in zip(rows.tolist(), isos.tolist()):
-            with suppress(ValueError):
-                micros[i] = np.datetime64(iso)
+    micros[rows] = _decode_isos(isos)
     for i in np.flatnonzero(np.isnat(micros)).tolist():
         micros[i] = scalar(texts[i])
     return micros.view(np.int64).tolist()
@@ -358,18 +369,6 @@ class EventLog(_Columns):
         return cls.from_columns(
             names, user=user[keep], kind=kinds[keep].astype(np.int8),
             at=np.asarray(at, dtype=np.int64)[keep], value=values[keep]), errors
-
-
-@dataclass(frozen=True)
-class KeyUserSet:
-    """The analysis population: predefined hero list or hub-rule detections."""
-
-    ids: frozenset[str]
-    origin: str  # "predefined" | "hub_rule"
-
-    def __post_init__(self):
-        if self.origin not in ("predefined", "hub_rule"):
-            raise ValueError(f"unknown key-user origin {self.origin!r}")
 
 
 @dataclass(frozen=True)
@@ -701,10 +700,10 @@ def filter_min_transactions(log_: TransactionLog, min_count: int) -> Transaction
 
 def select_active_key_users(
     log_: TransactionLog,
-    key: KeyUserSet,
+    key: frozenset[str],
     min_span: timedelta = timedelta(days=365),
     min_listing_weeks: int = 6,
-) -> KeyUserSet:
+) -> frozenset[str]:
     """Keep key users with a long enough activity span and enough listing weeks.
 
     A user passes when (a) the gap between their first and last transaction
@@ -724,8 +723,7 @@ def select_active_key_users(
         listed = _unique_codes(log_.lister.astype(np.int64) * n_weeks + week)[0]
         weeks = np.bincount(listed // n_weeks, minlength=len(log_.user_ids))
     active = (span >= min_span // MICROSECOND) & (weeks >= min_listing_weeks)
-    retained = frozenset(u for u in key.ids
-                         if (c := log_.code_of.get(u)) is not None and active[c])
+    retained = frozenset(u for u in key if (c := log_.code_of.get(u)) is not None and active[c])
     if not retained:
         log.warning("no key users passed the activity criteria")
-    return KeyUserSet(ids=retained, origin=key.origin)
+    return retained

@@ -12,13 +12,15 @@ sigmoid probability; the linear SVM emits a sigmoid-squashed margin
 
 Every family's fitter takes the ``(X, y)`` splits of every job, a list of
 lists, and decides how to batch them: ``kfold_cv`` hands it the training
-splits of the non-degenerate folds of each of its jobs, and ``train`` is its
-one-job, one-split call. Every split sees the float operations its own fit
-would, so each result is bit-identical to fitting it alone. The linear
-families and naive Bayes fit all jobs' splits in one call. The tree families
-run one lockstep per job: their lanes are padded to the largest pending
-node, so mixing jobs of different lengths costs more than it shares (the six
-gbdt jobs of a seed-7 run took 3.2 s in one lockstep, 2.0 s in six).
+splits of all folds of each of its jobs, and ``train`` is its one-job,
+one-split call. The fitter alone turns a split that lost a class into a
+constant predictor and fits the others; every split sees the float
+operations its own fit would, so each result is bit-identical to fitting it
+alone. The linear families and naive Bayes fit all jobs' splits in one call.
+The tree families run one lockstep per job: their lanes are padded to the
+largest pending node, so mixing jobs of different lengths costs more than it
+shares (the six gbdt jobs of a seed-7 run took 3.2 s in one lockstep, 2.0 s
+in six).
 
 A model's score of a row does not depend on the batch it is scored in:
 margins are ``np.vecdot`` of rows and weights, not BLAS ``@``, and a forest
@@ -546,12 +548,18 @@ def _score_gbdt(params, X):
     return _sigmoid(raw)
 
 
+def _fit_two_class(fit, splits, hp, seed) -> list[dict]:
+    """``fit``, a fitter over one list of splits, called with the splits that
+    hold both classes; a single-class split becomes a constant predictor."""
+    live = [split for split in splits if np.unique(split[1]).size > 1]
+    fits = iter(fit(live, hp, seed) if live else [])
+    return [next(fits) if np.unique(y).size > 1 else _constant_params(y) for _, y in splits]
+
+
 def _all_jobs_at_once(fit):
-    """A fitter over jobs from ``fit``, a fitter over one list of splits,
-    called once with every job's splits."""
+    """A fitter over jobs from ``fit``, called once with every job's splits."""
     def fit_jobs(jobs, hp, seed):
-        fits = iter(fit([split for splits in jobs for split in splits], hp, seed)
-                    if any(jobs) else [])
+        fits = iter(_fit_two_class(fit, [split for splits in jobs for split in splits], hp, seed))
         return [[next(fits) for _ in splits] for splits in jobs]
     return fit_jobs
 
@@ -560,11 +568,13 @@ def _job_by_job(fit):
     """A fitter over jobs from ``fit``, called for each job as its fits are
     consumed, so a caller can drop one job's models before the next job's
     are grown."""
-    return lambda jobs, hp, seed: (fit(splits, hp, seed) for splits in jobs)
+    return lambda jobs, hp, seed: (_fit_two_class(fit, splits, hp, seed) for splits in jobs)
 
 
 #: Each family's fitter: it takes each job's list of ``(X, y)`` splits and
 #: returns an iterable of each job's list of fitted parameters, in order.
+#: These adapters are the one place a split that lost a class becomes a
+#: constant predictor (``{"constant": label}``); the family fits the rest.
 _FITTERS = {
     "naive_bayes": _all_jobs_at_once(_fit_naive_bayes),
     "decision_tree": _job_by_job(_fit_decision_tree),
@@ -633,9 +643,7 @@ def train(
     if np.unique(y).size < 2:
         warnings.warn(f"single-class training data; {algorithm} degenerates to a "
                       "constant predictor", stacklevel=2)
-        params = _constant_params(y)
-    else:
-        [[params]] = _FITTERS[algorithm]([[(X, y)]], hp, seed)
+    [[params]] = _FITTERS[algorithm]([[(X, y)]], hp, seed)
     return TrainedClassifier(algorithm=algorithm, parameters=params,
                              hyperparams=hp, seed=seed, feature_names=names)
 
@@ -658,36 +666,40 @@ def metrics(y_true, y_pred) -> dict[str, float]:
         raise ValueError("empty input")
     if y_true.shape != y_pred.shape:
         raise ValueError("length mismatch")
-    tp = int(np.sum((y_true == 1) & (y_pred == 1)))
-    fp = int(np.sum((y_true == 0) & (y_pred == 1)))
-    fn = int(np.sum((y_true == 1) & (y_pred == 0)))
-    accuracy = float(np.mean(y_true == y_pred))
+    _, accuracy, f1 = _confusion(y_true, y_pred)
+    return {"accuracy": accuracy, "f1": f1}
+
+
+def _confusion(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[dict[str, int], float, float]:
+    """The tp/fp/tn/fn counts of 0/1 predictions, and the accuracy and F1
+    they give; ``(tp + tn) / n`` is ``np.mean(y_true == y_pred)`` to the
+    last bit, as a float sum of 0/1 values is exact."""
+    counts = {"tp": int(np.sum((y_true == 1) & (y_pred == 1))),
+              "fp": int(np.sum((y_true == 0) & (y_pred == 1))),
+              "tn": int(np.sum((y_true == 0) & (y_pred == 0))),
+              "fn": int(np.sum((y_true == 1) & (y_pred == 0)))}
+    tp, fp, fn = counts["tp"], counts["fp"], counts["fn"]
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = (2 * precision * recall / (precision + recall)
           if precision + recall else 0.0)
-    return {"accuracy": accuracy, "f1": f1}
+    return counts, (tp + counts["tn"]) / y_true.size, f1
 
 
 def stratified_folds(y, k: int, seed: int = 0) -> list[np.ndarray]:
     """Test-index folds with per-class round-robin dealing.
 
-    Each class's indices are shuffled with the seed and dealt to folds in
-    turn, so every fold's class counts are within 1 of an even split.
+    Each class's indices are shuffled with the seed, the classes in
+    ascending order, and the concatenation is dealt to folds in turn, so
+    every fold's class counts are within 1 of an even split and, as the
+    dealing runs on across classes, no fold is empty.
     """
     y = np.asarray(y, dtype=int).ravel()
     if not 2 <= k <= y.size:
         raise ValueError(f"k={k} outside [2, {y.size}]")
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    pos = 0  # runs on across classes so no fold stays empty when n >= k
-    for c in np.unique(y):
-        idx = np.flatnonzero(y == c)
-        rng.shuffle(idx)
-        for i in idx:
-            folds[pos % k].append(int(i))
-            pos += 1
-    return [np.sort(np.array(f, dtype=int)) for f in folds]
+    order = np.concatenate([rng.permutation(np.flatnonzero(y == c)) for c in np.unique(y)])
+    return [np.sort(order[f::k]) for f in range(k)]
 
 
 def kfold_cv(
@@ -722,44 +734,30 @@ def kfold_cv(
         raise ValueError("every job needs the same number of features")
     hp = _hyperparams(algorithm, hyperparams)
     names = [_feature_names(feature_names, X.shape[1]) for X, *_ in prepared]
-    live = [[f for f, (_, y_tr) in enumerate(splits) if np.unique(y_tr).size > 1]
-            for *_, splits in prepared]
-    fitted = iter(_FITTERS[algorithm]([[splits[f] for f in fs] for (*_, splits), fs
-                                       in zip(prepared, live)], hp, seed))
+    fitted = iter(_FITTERS[algorithm]([splits for *_, splits in prepared], hp, seed))
     # each job's report is made, and its models dropped, before the next
     # job's models are fitted (a forest job's 10 folds hold ~1,000 trees)
-    return [_report(algorithm, k, seed, hp, job_names, *job, dict(zip(fs, next(fitted))))
-            for job_names, job, fs in zip(names, prepared, live)]
+    return [_report(algorithm, k, seed, hp, job_names, X, y, folds, next(fitted))
+            for job_names, (X, y, folds, _) in zip(names, prepared)]
 
 
-def _report(algorithm, k, seed, hp, names, X, y, folds, splits, fitted) -> EvalReport:
-    """One job's report from its folds and the fitted parameters of its live
-    folds (degenerate folds stay constant predictors)."""
-    accs: list[float] = []
-    f1s: list[float] = []
-    confusion = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
-    scaler_stats: list = []
-    for fold_no, (test_idx, (_, y_tr)) in enumerate(zip(folds, splits)):
-        params = fitted[fold_no] if fold_no in fitted else _constant_params(y_tr)
+def _report(algorithm, k, seed, hp, names, X, y, folds, fitted) -> EvalReport:
+    """One job's report from its folds and each fold's fitted parameters; a
+    fold whose parameters are a constant predictor is degenerate."""
+    per_fold = []
+    for test_idx, params in zip(folds, fitted):
         model = TrainedClassifier(algorithm=algorithm, parameters=params, hyperparams=hp,
                                   seed=seed, feature_names=names)
-        scaler_stats.append(params.get("scaler"))
-        y_hat = predict_labels(model, X[test_idx])
-        y_tst = y[test_idx]
-        m = metrics(y_tst, y_hat)
-        accs.append(m["accuracy"])
-        f1s.append(m["f1"])
-        confusion["tp"] += int(np.sum((y_tst == 1) & (y_hat == 1)))
-        confusion["fp"] += int(np.sum((y_tst == 0) & (y_hat == 1)))
-        confusion["tn"] += int(np.sum((y_tst == 0) & (y_hat == 0)))
-        confusion["fn"] += int(np.sum((y_tst == 1) & (y_hat == 0)))
+        per_fold.append(_confusion(y[test_idx], predict_labels(model, X[test_idx])))
+    counts, accs, f1s = zip(*per_fold)
     return EvalReport(
         algorithm=algorithm, k=k, seed=seed,
         fold_accuracy=tuple(accs), fold_f1=tuple(f1s),
         mean_accuracy=float(np.mean(accs)), std_accuracy=float(np.std(accs)),
         mean_f1=float(np.mean(f1s)), std_f1=float(np.std(f1s)),
-        confusion=confusion, degenerate_folds=tuple(f for f in range(k) if f not in fitted),
-        fold_scaler_stats=tuple(scaler_stats),
+        confusion={key: sum(c[key] for c in counts) for key in counts[0]},
+        degenerate_folds=tuple(f for f, params in enumerate(fitted) if "constant" in params),
+        fold_scaler_stats=tuple(params.get("scaler") for params in fitted),
     )
 
 

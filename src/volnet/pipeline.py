@@ -182,7 +182,7 @@ class RunResult:
     reports: dict[str, ingest.ParseReport] = field(default_factory=dict)  # "transactions", "events"
     net: graph.TransactionGraph | None = None
     partition: community.Partition | None = None
-    key_users: ingest.KeyUserSet | None = None
+    key_users: frozenset[str] | None = None
     scopes: dict[str, ScopeResult] = field(default_factory=dict)
     features: dict[str, featureset.ScopeFeatures] = field(default_factory=dict)  # clustered scopes
     eval_rows: dict[str, list[tuple[str, str, models.EvalReport]]] = field(default_factory=dict)
@@ -220,32 +220,30 @@ def _read(cfg: PipelineConfig, kind: str, lenient: bool, result: RunResult):
 
 
 def _key_users(cfg: PipelineConfig, log: ingest.TransactionLog,
-               net: graph.TransactionGraph) -> ingest.KeyUserSet:
+               net: graph.TransactionGraph) -> frozenset[str]:
     """Hubs (or the configured id list) that pass the activity filter."""
     if cfg.key_users == "hub":
         key = behavior.detect_hubs(net, cfg.hub_multiplier)
     else:
         with open(cfg.key_users, encoding="utf-8") as fh:
-            ids = frozenset(line.strip() for line in fh if line.strip())
-        key = ingest.KeyUserSet(ids=ids, origin="predefined")
+            key = frozenset(line.strip() for line in fh if line.strip())
     active = ingest.select_active_key_users(
         log, key, min_span=timedelta(days=cfg.min_span_days),
         min_listing_weeks=cfg.min_listing_weeks)
-    if not active.ids:
+    if not active:
         raise ValueError("key-user set is empty after activity filtering — "
                          "nothing to analyze (lower the thresholds or check the data)")
     return active
 
 
 def _scope_users(cfg: PipelineConfig, part: community.Partition,
-                 key: ingest.KeyUserSet) -> dict[str, tuple[str, ...]]:
-    scopes: dict[str, tuple[str, ...]] = {"network": tuple(sorted(key.ids))}
+                 key: frozenset[str]) -> dict[str, tuple[str, ...]]:
+    scopes: dict[str, tuple[str, ...]] = {"network": tuple(sorted(key))}
     sizes = community.community_sizes(part)
     top = sorted(sizes, key=lambda c: (-sizes[c], c))[: cfg.top_communities]
     for cid in top:
-        members = tuple(sorted(
-            u for u in key.ids if part.assignment.get(u) == cid))
-        scopes[f"community_{cid}"] = members
+        scopes[f"community_{cid}"] = tuple(sorted(
+            u for u in key if part.assignment.get(u) == cid))
     return scopes
 
 

@@ -17,7 +17,9 @@ from typing import Mapping
 
 import numpy as np
 
+from .featureset import KIND_COUNTS
 from .ingest import (
+    EVENT_KINDS,
     MICROSECOND,
     EventLog,
     TransactionLog,
@@ -26,7 +28,7 @@ from .ingest import (
     write_rows,
     write_transactions,
 )
-from .tscluster import ARCHETYPES
+from .tscluster import ARCHETYPES, case_and_trend
 
 #: Start/end levels of each archetype's donors-ratio template; the trend
 #: breakpoint sits at week 12 (about three months in).
@@ -38,8 +40,8 @@ TEMPLATE_LEVELS = {
 }
 BREAK_WEEK = 12
 
-#: Archetypes whose donors ratio drifts across the horizon ("changes").
-CHANGING = ("FPD", "FAD")
+#: Archetypes whose donors ratio drifts ("changes", :func:`tscluster.case_and_trend`).
+CHANGING = tuple(a for a in ARCHETYPES if case_and_trend(a)[1] == "changes")
 
 #: Baseline mean event counts per user over the event window, by raw feature.
 _EVENT_BASE_RATES = {
@@ -50,14 +52,8 @@ _EVENT_BASE_RATES = {
     "stories_count": 2.0,
     "comments_count": 8.0,
 }
-_FEATURE_TO_KIND = {
-    "articles_count": "article",
-    "messages_count": "message",
-    "rating_count": "rating",
-    "likes_count": "like",
-    "stories_count": "story",
-    "comments_count": "comment",
-}
+#: The event kind each raw feature counts, as :mod:`featureset` pairs them.
+_FEATURE_TO_KIND = dict(zip(KIND_COUNTS, EVENT_KINDS))
 
 _SECOND_US = 1_000_000  # stamps are epoch microseconds
 _HOUR_US = 3600 * _SECOND_US

@@ -49,6 +49,8 @@ _CASE_AND_TREND = {
     "FAD": ("starting_low", "changes"),
     "SPD": ("starting_low", "stable"),
 }
+# label_archetypes' head and tail lengths, high level and stability band
+_HEAD, _TAIL, _HIGH, _STABLE_BAND = 3, 3, 0.5, 0.2
 
 
 @dataclass(frozen=True)
@@ -504,18 +506,12 @@ def best_k(scores: Mapping[int, float]) -> int:
     return best
 
 
-def label_archetypes(
-    model: ClusterModel,
-    head: int = 3,
-    tail: int = 3,
-    high_threshold: float = 0.5,
-    stability_band: float = 0.2,
-) -> dict[int, ArchetypeLabel]:
+def label_archetypes(model: ClusterModel) -> dict[int, ArchetypeLabel]:
     """Map each centroid to a trend archetype from its head and tail levels.
 
-    ``initial`` / ``final`` are means of the first ``head`` and last
-    ``tail`` points.  High means initial >= ``high_threshold``; stable
-    means |final - initial| < ``stability_band``.  High-and-falling is
+    ``initial`` / ``final`` are means of the first :data:`_HEAD` and last
+    :data:`_TAIL` points.  High means initial >= :data:`_HIGH`; stable
+    means |final - initial| < :data:`_STABLE_BAND`.  High-and-falling is
     FPD, low-and-rising is FAD, and stable trends are SAD (high) or SPD
     (low).  The two drifts that stay on one side (high-and-rising,
     low-and-falling) keep the stable label of their level.
@@ -523,12 +519,12 @@ def label_archetypes(
     out: dict[int, ArchetypeLabel] = {}
     for c in range(model.k):
         centroid = np.asarray(model.centroids[c], dtype=float)
-        if centroid.shape[0] < head + tail:
-            raise ValueError(f"centroid length {centroid.shape[0]} < head+tail={head + tail}")
-        initial = float(centroid[:head].mean())
-        final = float(centroid[-tail:].mean())
-        high = initial >= high_threshold
-        stable = abs(final - initial) < stability_band
+        if centroid.shape[0] < _HEAD + _TAIL:
+            raise ValueError(f"centroid length {centroid.shape[0]} < head+tail={_HEAD + _TAIL}")
+        initial = float(centroid[:_HEAD].mean())
+        final = float(centroid[-_TAIL:].mean())
+        high = initial >= _HIGH
+        stable = abs(final - initial) < _STABLE_BAND
         if stable:
             label = "SAD" if high else "SPD"
         elif high:

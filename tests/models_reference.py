@@ -4,9 +4,10 @@ These are the one-split Pegasos and logistic-regression loops that
 ``volnet.models`` ran once per fold before its fitters advanced all folds
 together; the recursive tree growers that fitted one decision tree, forest
 or boosted ensemble at a time from columns presorted once per fit; the old
-per-fold ``kfold_cv`` loop that called them; and the loop that built
-``shapley_mc``'s coalition rows one flip at a time.  The tests require the
-library to reproduce them exactly.
+per-fold ``kfold_cv`` loop that called them; the per-index loop that dealt
+``stratified_folds``; and the loop that built ``shapley_mc``'s coalition
+rows one flip at a time.  The tests require the library to reproduce them
+exactly.
 """
 
 from __future__ import annotations
@@ -216,6 +217,23 @@ def cv_fold_parameters(algorithm, X, y, k, seed, hyperparams=None):
     finally:
         models.predict_labels = real_predict
     return fitted
+
+
+def stratified_folds(y, k, seed=0):
+    """``models.stratified_folds`` as a per-index loop: each class's shuffled
+    indices are dealt to the folds in turn, the turn running on across
+    classes."""
+    y = np.asarray(y, dtype=int).ravel()
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    pos = 0
+    for c in np.unique(y):
+        idx = np.flatnonzero(y == c)
+        rng.shuffle(idx)
+        for i in idx:
+            folds[pos % k].append(int(i))
+            pos += 1
+    return [np.sort(np.array(f, dtype=int)) for f in folds]
 
 
 def shapley_mc(model, x, background, n_permutations=1000, seed=0):

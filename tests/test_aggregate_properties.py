@@ -19,7 +19,6 @@ import numpy as np  # noqa: E402
 
 from volnet import community, featureset, graph, ingest  # noqa: E402
 from volnet.behavior import INTERVAL_DAYS, SeriesError, dr_series  # noqa: E402
-from volnet.ingest import KeyUserSet  # noqa: E402
 
 import community_reference  # noqa: E402
 import graph_reference  # noqa: E402
@@ -79,11 +78,9 @@ def test_select_active_key_users_matches_oracle(log, key, span_days, min_weeks):
         weeks = {t.collected_at.isocalendar()[:2] for t in mine if t.lister_id == u}
         if span >= timedelta(days=span_days) and len(weeks) >= min_weeks:
             expected.add(u)
-    got = ingest.select_active_key_users(log, KeyUserSet(frozenset(key), "predefined"),
-                                         min_span=timedelta(days=span_days),
+    got = ingest.select_active_key_users(log, frozenset(key), min_span=timedelta(days=span_days),
                                          min_listing_weeks=min_weeks)
-    assert got.ids == expected
-    assert got.origin == "predefined"
+    assert got == expected
 
 
 def interpolate_reference(raw: list[float | None]) -> tuple[list[float], list[bool]]:

@@ -10,7 +10,6 @@ from conftest import at_day, make_log, tx
 from volnet import ingest
 from volnet.ingest import (
     EventLog,
-    KeyUserSet,
     ParseError,
     TransactionLog,
     filter_min_transactions,
@@ -126,6 +125,32 @@ class TestTimestampGrammar:
         lines = ", ".join(str(first + i) for i in rejected)
         with pytest.raises(ParseError, match=rf"{len(rejected)} malformed row\(s\) at line\(s\) {lines}$"):
             ingest.parse_transactions(path, fmt)
+
+    def test_a_bad_stamp_costs_a_rejected_batch_one_halving_per_level(self, monkeypatch):
+        # 2,048 distinct canonical stamps, one on a day February 2023 lacks:
+        # the failed batch is halved 11 times, two casts a level, 23 in all
+        start = to_micros(datetime(2023, 1, 1, tzinfo=UTC))
+        texts = [format_timestamp(ingest.from_micros(start + 60_000_000 * i)) for i in range(2048)]
+        bad = 1234
+        texts[bad] = "2023-02-29T00:00:00Z"
+        casts = []
+
+        def counted(isos):
+            casts.append(len(isos))
+            return cast(isos)
+
+        cast = ingest._cast_isos
+        monkeypatch.setattr(ingest, "_cast_isos", counted)
+        sent = []
+
+        def scalar(text):
+            sent.append(text)
+            return -1
+
+        got = ingest._stamp_micros(texts, scalar)
+        assert len(casts) <= 23
+        assert sent == [texts[bad]]
+        assert got == [-1 if i == bad else start + 60_000_000 * i for i in range(2048)]
 
 
 class TestTransactionValidation:
@@ -531,22 +556,21 @@ class TestActiveKeyUsers:
 
     def test_span_and_listing_weeks_both_required(self):
         log = make_log(*self._year_log("hero", weeks=8))
-        key = KeyUserSet(ids=frozenset({"hero"}), origin="predefined")
-        active = select_active_key_users(log, key)
-        assert active.ids == frozenset({"hero"})
+        key = frozenset({"hero"})
+        assert select_active_key_users(log, key) == frozenset({"hero"})
 
     def test_short_span_user_dropped(self):
         txs = [tx("u", "p", 7 * w, item=f"u-{w}") for w in range(10)]  # ~63 days
         log = make_log(*txs)
-        key = KeyUserSet(ids=frozenset({"u"}), origin="predefined")
-        assert select_active_key_users(log, key).ids == frozenset()
+        key = frozenset({"u"})
+        assert select_active_key_users(log, key) == frozenset()
 
     def test_too_few_listing_weeks_dropped(self):
         # long span but the user only ever collects
         txs = [tx("p", "u", 0, item="x0"), tx("p", "u", 370, item="x1")]
         log = make_log(*txs)
-        key = KeyUserSet(ids=frozenset({"u"}), origin="predefined")
-        assert select_active_key_users(log, key).ids == frozenset()
+        key = frozenset({"u"})
+        assert select_active_key_users(log, key) == frozenset()
 
     def test_listing_weeks_are_iso_weeks_across_a_year_end(self):
         # 2020-12-31 (Thursday) and 2021-01-03 (Sunday) are both in ISO
@@ -556,25 +580,20 @@ class TestActiveKeyUsers:
                 datetime(2021, 1, 4, tzinfo=timezone.utc)]
         assert [d.isocalendar()[:2] for d in days] == [(2020, 53), (2020, 53), (2021, 1)]
         log = make_log(*(Transaction(f"i{k}", "u", "p", d, d) for k, d in enumerate(days)))
-        key = KeyUserSet(ids=frozenset({"u"}), origin="predefined")
+        key = frozenset({"u"})
         for weeks, expected in ((2, {"u"}), (3, set())):
             active = select_active_key_users(log, key, min_span=timedelta(0),
                                              min_listing_weeks=weeks)
-            assert active.ids == expected
+            assert active == expected
         first_two = make_log(*(Transaction(f"i{k}", "u", "p", d, d)
                                for k, d in enumerate(days[:2])))
         assert select_active_key_users(first_two, key, min_span=timedelta(0),
-                                       min_listing_weeks=2).ids == frozenset()
+                                       min_listing_weeks=2) == frozenset()
 
     def test_empty_result_warns_but_does_not_raise(self, caplog):
         log = make_log(tx("a", "b", 1))
-        key = KeyUserSet(ids=frozenset({"a"}), origin="predefined")
+        key = frozenset({"a"})
         with caplog.at_level("WARNING"):
             active = select_active_key_users(log, key)
-        assert active.ids == frozenset()
+        assert active == frozenset()
         assert any("no key users" in rec.message for rec in caplog.records)
-
-    def test_origin_is_preserved(self):
-        log = make_log(*self._year_log("hero", weeks=8))
-        key = KeyUserSet(ids=frozenset({"hero"}), origin="predefined")
-        assert select_active_key_users(log, key).origin == "predefined"

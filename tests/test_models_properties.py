@@ -11,6 +11,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from volnet.models import stratified_folds  # noqa: E402
 
+import models_reference  # noqa: E402
+
 
 @st.composite
 def labels_and_k(draw):
@@ -37,3 +39,14 @@ def test_class_counts_within_one_of_an_even_split(case, seed):
         total = int(np.sum(y == c))
         for fold in folds:
             assert total // k <= int(np.sum(y[fold] == c)) <= -(-total // k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels_and_k(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_folds_equal_the_per_index_dealing(case, seed):
+    y, k = case
+    got = stratified_folds(y, k, seed)
+    want = models_reference.stratified_folds(y, k, seed)
+    assert len(got) == len(want) == k
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)

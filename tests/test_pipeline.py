@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from volnet import cli, featureset, models, pipeline, synthgen, tscluster
-from volnet.pipeline import PipelineConfig, PipelineStageError, build_config, load_config_file
+from volnet.pipeline import PipelineStageError, build_config, load_config_file
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from volnet import cli, ingest, synthgen
 from volnet.behavior import dr_series
-from volnet.ingest import KeyUserSet, select_active_key_users
+from volnet.ingest import select_active_key_users
 from volnet.synthgen import (
     BREAK_WEEK,
     CHANGING,
@@ -148,9 +148,7 @@ class TestGenerate:
 
     def test_heroes_pass_the_activity_filter(self, small_synth):
         log, _, truth = small_synth
-        key = KeyUserSet(ids=frozenset(truth), origin="predefined")
-        kept = select_active_key_users(log, key)
-        assert kept.ids == frozenset(truth)
+        assert select_active_key_users(log, frozenset(truth)) == frozenset(truth)
 
     def test_closing_transaction_to_first_regular(self):
         log, _, truth = generate(tiny_config())
@@ -274,6 +272,24 @@ class TestWriters:
         got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in PINNED_SHA256[fmt]}
         assert got == PINNED_SHA256[fmt]
+
+    @pytest.mark.parametrize("flags, config, write_kwargs", [
+        ([], SynthConfig(), {}),
+        (["--seed", "3", "--heroes", "9", "--regulars", "2", "--weeks", "10", "--communities", "3",
+          "--noise", "0.2", "--signal", "likes_count=0.5", "--signal", "rating_current=-1",
+          "--format", "jsonl"],
+         SynthConfig(seed=3, n_heroes=9, n_regulars_per_hero=2, weeks=10, community_count=3,
+                     noise_sd=0.2, feature_signal={"likes_count": 0.5, "rating_current": -1.0}),
+         {"fmt": "jsonl"}),
+    ])
+    def test_synth_flags_are_synth_config_knobs(self, tmp_path, flags, config, write_kwargs):
+        # a flag not given keeps SynthConfig's default, and write_dataset's format
+        assert cli.main(["synth", *flags, "--out", str(tmp_path / "cli")]) == 0
+        write_dataset(str(tmp_path / "api"), *generate(config), **write_kwargs)
+        names = sorted(p.name for p in (tmp_path / "api").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "cli").iterdir())
+        for name in names:
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
 
     def test_csv_and_jsonl_of_a_seed_parse_alike(self, tmp_path, monkeypatch):
         # the two parsers agree on real data, and both read it column-first,
