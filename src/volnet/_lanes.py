@@ -1,5 +1,5 @@
-"""The one lockstep driver: ``models`` grows each split's trees as a lane,
-and ``tscluster`` runs each k-means fit as one."""
+"""The lockstep driver: ``tscluster`` runs each k-means fit as a lane. (The
+tree families grow level by level in ``models`` and do not use it.)"""
 
 
 def lockstep(lanes, answer) -> list:

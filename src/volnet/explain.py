@@ -69,11 +69,9 @@ def shapley_mc(
     d = x.shape[0]
     rng = np.random.default_rng(seed)
 
-    picks = np.empty(n_permutations, dtype=int)
-    orders = np.empty((n_permutations, d), dtype=int)
-    for t in range(n_permutations):  # one (background row, order) pair per permutation
-        picks[t] = rng.integers(background.shape[0])
-        orders[t] = rng.permutation(d)
+    # one (background row, order) pair per permutation, each kind drawn at once
+    picks = rng.integers(background.shape[0], size=n_permutations)
+    orders = rng.permuted(np.tile(np.arange(d), (n_permutations, 1)), axis=1)
     perm = np.arange(n_permutations)[:, None]
     rank = np.empty_like(orders)
     rank[perm, orders] = np.arange(d)  # the step at which each feature flips

@@ -16,41 +16,36 @@ splits of all folds of each of its jobs, and ``train`` is its one-job,
 one-split call. The fitter alone turns a split that lost a class into a
 constant predictor and fits the others; every split sees the float
 operations its own fit would, so each result is bit-identical to fitting it
-alone. The linear families and naive Bayes fit all jobs' splits in one call.
-The tree families run one lockstep per job: their lanes are padded to the
-largest pending node, so mixing jobs of different lengths costs more than it
-shares (the six gbdt jobs of a seed-7 run took 3.2 s in one lockstep, 2.0 s
-in six).
+alone. The linear families and naive Bayes fit all jobs' splits in one call,
+the tree families one job at a time.
 
 A model's score of a row does not depend on the batch it is scored in:
 margins are ``np.vecdot`` of rows and weights, not BLAS ``@``, and a forest
 adds its trees' votes one tree at a time.
 
 Trees (the decision tree, each forest tree, each boosting round) share one
-grower, ``_grow``, and one split search, ``_split_lanes``. The grower is one
-generator per tree with a stack of pending nodes, popped in depth-first
-preorder; it yields every node that may split. Each split is a lane: a
-generator that grows its trees one after another. The shared lane driver,
-``_lanes.lockstep``, answers the pending node of every lane with one search
-padded over (lane, feature, row), and each lane keeps its own order: a
-forest lane draws each tree's bootstrap, then that tree's node feature
-subsamples, from its own ``default_rng(seed)``; a boosting lane finishes a
-round, updating its scores from the leaf value the grower wrote for each
-training row, before the next. A node stably sorts its candidate columns
-over its ascending rows, the order a sort of all rows sliced to the node
-gives; the keys are the values' dense ranks, ranked once per split, which
-are small integers that a stable argsort orders by radix sort. It scores its
-valid cuts from prefix sums of ``g`` and ``h``: Gini gain with ``g = y``,
-``h = 1`` for CART and the forest, the second-order gain with the logistic
-gradient and Hessian for boosting. The lowest threshold wins within a
-feature, and a later feature must beat it by more than 1e-12. A threshold is
-the midpoint of the two values around the cut, or the lower value where the
-midpoint rounds up to the upper one, so ``x <= threshold`` always separates
-them. A Gini child's class-1 count and size, exact integers, come from its
-parent's prefix sums, so its leaf ``G / H`` is its label mean; a boosting
-node sums its own ``g`` and ``h``.
+level-wise grower, ``_grow``. A call grows every tree of a job's splits (of
+one split, for a forest) one depth at a time, each depth one array pass over
+every node of every tree: the rows stay grouped by node in each feature's
+order, sorted once per split; ``_best_cuts`` scores every node's cuts, and
+one stable sort by child moves the rows of the nodes that cut to the next
+depth. A cut's left sums are a running sum per (split, feature) over the
+depth's rows, less the sum before its node. Gini gain takes ``g = y`` and
+``h = 1`` (CART, the forest), counts that add up exactly in any order;
+boosting takes the second-order gain of the logistic gradient and Hessian,
+and a node's totals are NumPy's pairwise sums over its rows in ascending
+order, so its leaf is what its own ``g[rows].sum()`` gives. The lowest
+threshold wins within a feature, and a later feature must beat it by more
+than 1e-12. A threshold is the midpoint of the two values around the cut, or
+the lower value where the midpoint rounds up to the upper one, so
+``x <= threshold`` always separates them. A forest split draws all its
+trees' bootstraps from its own ``default_rng(seed)`` at once, grows a row
+drawn w times once with weight w, and draws, depth by depth, one sorted
+feature subsample for every node that may split, in (tree, node) order. A
+boosting round updates each split's scores from the leaf value the grower
+wrote for each training row.
 
-The linear families fit folds in lockstep too. Pegasos splits share the step
+The linear families fit folds in lockstep. Pegasos splits share the step
 size 1/(lambda*t) at step t and draw one permutation per epoch from their
 own ``default_rng(seed)``; their margins are ``np.vecdot`` of row and
 weights (bit-equal to the 1-D dot product, which ``einsum`` and
@@ -71,7 +66,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._lanes import lockstep
 from .ingest import write_json, write_rows
 
 ALGORITHMS = (
@@ -206,10 +200,7 @@ def _second_order_gain(GL, HL, G, H, lam):
 @dataclass(frozen=True)
 class _TreeRule:
     """How a family grows its trees: the cut score, the depth and leaf-size
-    limits and the gain a cut must exceed. With ``lam`` (boosting) a node
-    sums its own ``g`` and ``h`` and its leaf is -G/(H+lam); without it the
-    totals are class-1 counts and sizes, a leaf is the class-1 fraction G/H,
-    and a pure node does not split."""
+    limits, the gain a cut must exceed and, for boosting, the leaves' L2."""
 
     gain: Callable
     max_depth: int
@@ -218,119 +209,142 @@ class _TreeRule:
     lam: float | None = None
 
 
-def _ranks(X):
-    """Each column's dense ranks: equal values share one, and ranks rise
-    with the value, so a stable sort by rank is a stable sort by value."""
-    order = np.argsort(X, axis=0, kind="stable")
-    sx = np.take_along_axis(X, order, axis=0)
-    steps = np.vstack((np.zeros((1, X.shape[1])), sx[1:] > sx[:-1]))
-    ranks = np.empty(X.shape)
-    np.put_along_axis(ranks, order, np.cumsum(steps, axis=0), axis=0)
-    return ranks
-
-
-def _split_lanes(nodes, rule: _TreeRule) -> list:
-    """Best cut of one node per lane, as (gain, feature, threshold, GL, HL)
-    with ``GL`` and ``HL`` the left child's sums, or None.
-
-    A node is ``(W, rows, cols, G, H)``: its tree's table (the ``d``
-    features' ranks, their values, then ``g`` and ``h``), its rows
-    ascending, the columns it reads (the ranks of the features it may cut,
-    then ``g`` and ``h``) and its totals. Lanes are padded to the longest
-    node with a rank above every rank; a valid cut lies between distinct
-    values and leaves ``min_leaf`` rows per side, and only valid cuts are
-    scored."""
-    L, C, M = len(nodes), nodes[0][2].size, max(node[1].size for node in nodes)
-    F = C - 2
-    if M < 2:
-        return [None] * L
-    # per lane: F rank rows, then g and h; prefix sums past a lane's rows
-    # reach the padding but are never read, as no valid cut lies there
-    pad = max(node[0].shape[0] for node in nodes)
-    P = np.full((L, C, M), float(pad))
-    sizes = np.empty((L, 1, 1), dtype=int)
-    for a, (W, rows, cols, _, _) in enumerate(nodes):
-        sizes[a] = rows.size
-        P[a, :, :rows.size] = W[rows[:, None], cols].T
-    # ranks below ``pad`` fit the smallest unsigned type, radix-sorted up to 16 bits
-    order = np.argsort(P[:, :F].astype(np.min_scalar_type(pad)), axis=2, kind="stable")
-    flat = order + np.arange(0, P.size, C * M).reshape(L, 1, 1)  # indices into P
-    keys = P.take(flat + np.arange(0, F * M, M).reshape(F, 1))  # sorted ranks
-    left = np.cumsum(P.take(flat + np.array([F * M, C * M - M]).reshape(2, 1, 1, 1)),
-                     axis=3)  # (g or h, lane, feature, cut)
-    left_n = np.arange(1, M)
-    ok = ((keys[..., :-1] < keys[..., 1:])
-          & ((left_n >= rule.min_leaf) & (sizes - left_n >= rule.min_leaf)))
-    cut = np.flatnonzero(ok)
-    at = cut + cut // (M - 1)  # the same cuts indexed over all M prefix sums
-    lane = cut // (F * (M - 1))
-    totals = np.array([node[3:] for node in nodes], dtype=float).T
-    scores = np.full(ok.size, -np.inf)
-    scores[cut] = rule.gain(left[0].take(at), left[1].take(at),
-                            totals[0].take(lane), totals[1].take(lane))
-    scores = scores.reshape(ok.shape)
-    out: list = [None] * L
-    for a, (tops, picks) in enumerate(zip(scores.max(axis=2).tolist(),
-                                          scores.argmax(axis=2).tolist())):
-        f = None  # first max = lowest threshold; a later feature must beat it by 1e-12
-        for c, top in enumerate(tops):
-            if top > rule.min_gain and (f is None or top > tops[f] + 1e-12):
-                f = c
-        if f is not None:
-            W, rows, cols, _, _ = nodes[a]
-            j, p = cols.item(f), picks[f]
-            x = j + (W.shape[1] - 2) // 2  # the feature's value column
-            lo = W.item(rows.item(order.item(a, f, p)), x)
-            hi = W.item(rows.item(order.item(a, f, p + 1)), x)
-            mid = (lo + hi) / 2.0  # can round up to ``hi`` when the two are adjacent floats
-            out[a] = (tops[f], j, mid if mid < hi else lo,
-                      left.item(0, a, f, p), left.item(1, a, f, p))
+def _node_sums(v, sizes):
+    """Each node's sums of its run of every row of ``v``, runs of ``sizes``:
+    one 2-D sum per distinct size, so each is ``v[rows].sum()``'s pairwise sum."""
+    out = np.empty((v.shape[0], sizes.size))
+    starts = np.cumsum(sizes) - sizes
+    for m in np.unique(sizes).tolist():
+        at = np.flatnonzero(sizes == m)
+        out[:, at] = v.take(starts[at, None] + np.arange(m), axis=1).sum(axis=2)
     return out
 
 
-def _grow(W, rule: _TreeRule, rng=None, n_subsample=0, values=None):
-    """Generator that grows one tree over all rows of the table ``W`` (the
-    ``d`` features' ranks, their values, then ``g`` and ``h``) and returns it.
+def _best_cuts(vals, ghv, sizes, lanes, G, H, rule: _TreeRule):
+    """Best cut of every node of a depth as (slot, position, gain), slot -1
+    where none is valid. Nodes are runs of ``sizes`` on the last axis, with
+    totals ``G``, ``H`` and nondecreasing ``lanes``; row ``i`` of ``vals`` and
+    ``ghv[:, i]`` hold each node's ``i``-th feature (slot) values, ``g`` and
+    ``h``, by value then row. Left sums run per (lane, slot) less their value
+    before the node; a left count is ``HL`` (Gini) or the rows'. A valid cut
+    splits distinct values and leaves ``min_leaf`` per side."""
+    K, M = vals.shape
+    starts = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    first = np.ones(sizes.size, dtype=bool)  # each lane's first node
+    first[1:] = lanes[1:] != lanes[:-1]
+    run = np.empty_like(ghv)
+    bounds = [*starts[first].tolist(), M]
+    for a, b in zip(bounds, bounds[1:]):
+        np.cumsum(ghv[..., a:b], axis=2, out=run[..., a:b])
+    before = run.take(starts - 1, axis=2)
+    before[..., first] = 0.0
+    GL, HL = run - before.take(seg, axis=2)
+    left_n, n = ((HL, H.take(seg)) if rule.lam is None
+                 else (np.arange(1, M + 1) - starts.take(seg), sizes.take(seg)))
+    ok = np.zeros((K, M), dtype=bool)
+    ok[:, :-1] = vals[:, :-1] < vals[:, 1:]
+    ok &= (left_n >= rule.min_leaf) & (n - left_n >= rule.min_leaf)
+    with np.errstate(divide="ignore", invalid="ignore"):  # kept only at valid cuts
+        scores = np.where(ok, rule.gain(GL, HL, G.take(seg), H.take(seg)), -np.inf)
+    tops = np.maximum.reduceat(scores, starts, axis=1)
+    picks = np.minimum.reduceat(np.where(scores == tops.take(seg, axis=1), np.arange(M), M),
+                                starts, axis=1)  # the first max: the lowest threshold
+    chosen, bar = np.empty(tops.shape, dtype=bool), np.full(sizes.size, rule.min_gain)
+    for top, beat, better in zip(tops, tops + 1e-12, chosen):  # later slots win by > 1e-12
+        np.greater(top, bar, out=better)
+        np.copyto(bar, beat, where=better)
+    slot = np.where(chosen.any(axis=0), K - 1 - chosen[::-1].argmax(axis=0), -1)
+    at = (slot, np.arange(sizes.size))
+    return slot, picks[at], tops[at]
 
-    Pending nodes wait on a stack as empty dicts, filled in place when
-    popped; the right child is pushed first, so nodes pop in depth-first
-    preorder. Every node that may split yields its search request (a node of
-    :func:`_split_lanes`) and is sent back its best cut or None. With
-    ``rng``, each such node first draws a sorted subsample of
-    ``n_subsample`` features (the random forest); ``values`` receives each
-    training row's leaf value, the rows a leaf received being the rows
-    scoring routes there."""
-    d = (W.shape[1] - 2) // 2
-    stats = np.array([2 * d, 2 * d + 1])
-    cols = np.concatenate((np.arange(d), stats))
-    n = W.shape[0]
-    tree: dict = {}
-    stack = [(tree, np.arange(n), float(W[:, 2 * d].sum()), float(n), 0)]
-    while stack:
-        node, idx, G, H, depth = stack.pop()
-        if rule.lam is None:
-            leaf, pure = G / H, G in (0.0, H)
+
+def _grow(XT, order, sizes, lanes, g, h, rule: _TreeRule, draw=None):
+    """Grow one tree per entry of ``sizes`` level by level; return the trees
+    and each grown row's leaf value.
+
+    A grown row (a column of ``XT``, with its ``g`` and ``h``) is one tree's
+    copy of a training row. ``order`` holds them by tree, trees of ``sizes``
+    rows in the order of their ``lanes``: its first ``d`` rows sort each
+    tree by a feature (ties by row), its last is ascending, and each depth
+    keeps this per node, children in place of their parent. With ``lam`` a
+    leaf is -G/(H+lam); without it G and H count class-1 rows and rows, a
+    leaf is G/H and a pure node does not split. The nodes that may split
+    search every feature, or the sorted subsets ``draw(m)`` gives those
+    ``m`` nodes (the random forest)."""
+    (d, N), gh = XT.shape, np.vstack((g, h))
+    varied = np.flatnonzero((XT != XT[:, :1]).any(axis=1))  # a constant feature has no cut
+    trees = [{} for _ in sizes.tolist()]
+    nodes, values, depth = trees, np.empty(N), 0
+    while nodes:
+        rows = order[d]
+        if rule.lam is None:  # counts: exact in any order
+            G, H = np.add.reduceat(gh.take(rows, axis=1), np.cumsum(sizes) - sizes, axis=1)
+            leaf, n, grow = G / H, H, (G != 0.0) & (G != H)
         else:
-            G, H = W[idx, 2 * d].sum(), W[idx, 2 * d + 1].sum()
-            leaf, pure = float(-G / (H + rule.lam)), False
-        best = None
-        if not (pure or depth >= rule.max_depth or idx.size < 2 * rule.min_leaf):
-            if rng is not None and n_subsample < d:
-                features = rng.choice(d, size=n_subsample, replace=False)
-                features.sort()
-                cols = np.concatenate((features, stats))
-            best = yield W, idx, cols, G, H
-        if best is None:
-            if values is not None:
-                values[idx] = leaf
-            node.update(leaf=leaf, n=int(idx.size))
-            continue
-        _, j, thr, GL, HL = best
-        mask = W[idx, d + j] <= thr
-        node.update(feature=j, threshold=thr, left={}, right={})
-        stack.append((node["right"], idx[~mask], G - GL, H - HL, depth + 1))
-        stack.append((node["left"], idx[mask], GL, HL, depth + 1))
-    return tree
+            G, H = _node_sums(gh.take(rows, axis=1), sizes)
+            leaf, n, grow = -G / (H + rule.lam), sizes, np.full(sizes.size, True)
+        grow &= (n >= 2 * rule.min_leaf) & (depth < rule.max_depth)
+        cut = np.zeros(sizes.size, dtype=bool)
+        if varied.size and grow.any():
+            at = np.flatnonzero(np.repeat(grow, sizes))
+            ssz = sizes[grow]
+            if draw is None:
+                feats, lay = varied[:, None], order[varied].take(at, axis=1)
+            else:
+                feats = draw(ssz.size)[np.repeat(np.arange(ssz.size), ssz)].T
+                lay = order.take(feats * order.shape[1] + at)
+            vals = XT.take(feats * N + lay)
+            slot, pos, _ = _best_cuts(vals, gh.take(lay, axis=1), ssz, lanes[grow],
+                                      G[grow], H[grow], rule)
+            cut[grow] = split = slot >= 0
+            slot, pos = slot[split], pos[split]
+            j = feats[slot, 0 if draw is None else pos]
+            lo, hi = vals[slot, pos], vals[slot, pos + 1]
+            mid = (lo + hi) / 2.0  # can round up to ``hi`` when the two are adjacent floats
+            thr = np.where(mid < hi, mid, lo)
+            moving = order.take(np.flatnonzero(np.repeat(cut, sizes)), axis=1)
+            seg = np.repeat(np.arange(j.size), sizes[cut])
+            child = 2 * seg + (XT.take(j[seg] * N + moving[d]) > thr[seg])
+            child_of = np.empty(N, dtype=np.min_scalar_type(2 * j.size))
+            child_of[moving[d]] = child
+            ranks = np.argsort(child_of.take(moving), axis=1, kind="stable")
+            order = moving.take(ranks + moving.shape[1] * np.arange(d + 1)[:, None])
+            cuts = iter(zip(j.tolist(), thr.tolist()))
+        stay = ~cut
+        values[rows[np.repeat(stay, sizes)]] = np.repeat(leaf[stay], sizes[stay])
+        children: list = []
+        for node, c, v, m in zip(nodes, cut.tolist(), leaf.tolist(), n.tolist()):
+            if c:
+                feature, threshold = next(cuts)
+                node.update(feature=feature, threshold=threshold, left={}, right={})
+                children += (node["left"], node["right"])
+            else:
+                node.update(leaf=v, n=int(m))
+        if children:
+            sizes, lanes = np.bincount(child, minlength=len(children)), np.repeat(lanes[cut], 2)
+        nodes, depth = children, depth + 1
+    return trees, values
+
+
+def _grown_rows(splits, counts=None):
+    """:func:`_grow`'s ``XT``, ``order``, sizes, lanes, ``g`` and ``h`` for
+    ``counts[a]`` (trees, rows), how often each tree draws each row of split
+    ``a`` (by default, one tree of all rows): a drawn row is grown once with
+    ``g = count * y`` and ``h = count``."""
+    counts = counts or [np.ones((1, y.size), dtype=int) for _, y in splits]
+    blocks, start, offset = [], 0, 0
+    for a, ((X, y), w) in enumerate(zip(splits, counts)):
+        drawn = w > 0
+        at = (np.cumsum(drawn) - 1 + start).astype(np.int32).reshape(w.shape)
+        presort = np.vstack((np.argsort(X, axis=0, kind="stable").T, np.arange(y.size)))
+        order = at[:, presort].transpose(1, 0, 2)[drawn[:, presort].transpose(1, 0, 2)]
+        blocks.append((np.nonzero(drawn)[1] + offset, order.reshape(presort.shape[0], -1),
+                       drawn.sum(axis=1), np.full(w.shape[0], a), (w * y)[drawn], w[drawn]))
+        start, offset = start + order.size // presort.shape[0], offset + y.size
+    src, order, sizes, lanes, g, h = (np.concatenate(part, axis=-1) for part in zip(*blocks))
+    return (np.vstack([X for X, _ in splits])[src].T.copy(), order, sizes, lanes,
+            g.astype(float), h.astype(float))
 
 
 def _tree_scores(node: Mapping, X: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
@@ -376,20 +390,9 @@ def _score_naive_bayes(params, X):
     return np.exp(joint[1] - np.logaddexp(joint[0], joint[1]))
 
 
-def _gini_table(X, y):
-    """The CART table: ranks and values of the features, ``g = y``, ``h = 1``."""
-    return np.column_stack((_ranks(X), X, y, np.ones(y.size)))
-
-
-def _gini_rule(hp) -> _TreeRule:
-    return _TreeRule(_gini_gain, hp["max_depth"], hp["min_samples_leaf"], -np.inf)
-
-
 def _fit_decision_tree(splits, hp, seed):
-    rule = _gini_rule(hp)
-    lanes = [_grow(_gini_table(X, y), rule) for X, y in splits]
-    trees = lockstep(lanes, lambda nodes: enumerate(_split_lanes(nodes, rule)))
-    return [{"tree": tree} for tree in trees]
+    rule = _TreeRule(_gini_gain, hp["max_depth"], hp["min_samples_leaf"], -np.inf)
+    return [{"tree": tree} for tree in _grow(*_grown_rows(splits), rule)[0]]
 
 
 def _score_decision_tree(params, X):
@@ -427,23 +430,25 @@ def _score_logistic_regression(params, X):
     return _sigmoid(np.vecdot(Z, np.asarray(params["weights"])) + params["bias"])
 
 
-def _forest_lane(X, y, hp, rule, rng):
-    """One split's forest: each tree draws its bootstrap and then its nodes'
-    feature subsamples from ``rng``, before the next tree draws."""
-    n, d = X.shape
-    n_subsample = max(1, int(np.sqrt(d)))
-    table = _gini_table(X, y)
-    trees = []
-    for _ in range(hp["n_trees"]):
-        sample = rng.integers(0, n, size=n)
-        trees.append((yield from _grow(table[sample], rule, rng, n_subsample)))
-    return {"trees": trees}
-
-
 def _fit_random_forest(splits, hp, seed):
-    rule = _gini_rule(hp)
-    return lockstep([_forest_lane(X, y, hp, rule, np.random.default_rng(seed))
-                     for X, y in splits], lambda nodes: enumerate(_split_lanes(nodes, rule)))
+    """Each split's trees, one grower call per split: a job's 1,000 trees in
+    one call would hold all their grown rows at once."""
+    n_trees, d = hp["n_trees"], splits[0][0].shape[1]
+    k = max(1, int(np.sqrt(d)))
+    rule = _TreeRule(_gini_gain, hp["max_depth"], hp["min_samples_leaf"], -np.inf)
+    fits = []
+    for X, y in splits:
+        rng = np.random.default_rng(seed)
+        sample = rng.integers(0, y.size, size=(n_trees, y.size))
+        sample += y.size * np.arange(n_trees)[:, None]
+        counts = np.bincount(sample.ravel(), minlength=sample.size).reshape(sample.shape)
+
+        def draw(m, rng=rng):
+            return np.sort(rng.permuted(np.tile(np.arange(d), (m, 1)), axis=1)[:, :k], axis=1)
+
+        trees, _ = _grow(*_grown_rows([(X, y)], [counts]), rule, draw if k < d else None)
+        fits.append({"trees": trees})
+    return fits
 
 
 def _score_random_forest(params, X):
@@ -513,32 +518,27 @@ def _score_linear_svm(params, X):
     return _sigmoid(np.vecdot(Z, np.asarray(params["weights"])))
 
 
-def _gbdt_lane(X, y, hp, rule):
-    """One split's boosted ensemble, one round's tree after another; each
-    round updates the training scores from the leaf values it grew."""
-    n = X.shape[0]
-    p_base = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
-    f0 = float(np.log(p_base / (1.0 - p_base)))
-    raw = np.full(n, f0)
-    lr = hp["learning_rate"]
-    features = np.column_stack((_ranks(X), X))
-    trees = []
-    loss_history = []
+def _fit_gbdt(splits, hp, seed):
+    """Each split's boosted ensemble: every round grows one tree per split,
+    then updates each split's scores from the leaf values it grew."""
+    lam, lr = hp["l2"], hp["learning_rate"]
+    rule = _TreeRule(partial(_second_order_gain, lam=lam), hp["max_depth"], 1, 1e-12, lam)
+    XT, order, sizes, lanes, y, _ = _grown_rows(splits)
+    ends = np.cumsum(sizes).tolist()
+    f0 = [float(np.log(p / (1.0 - p)))
+          for p in (float(np.clip(y.mean(), 1e-12, 1 - 1e-12)) for _, y in splits)]
+    raw = np.repeat(f0, sizes)
+    fits = [{"f0": f, "learning_rate": lr, "trees": [], "loss_history": []} for f in f0]
+    p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)
     for _ in range(hp["n_rounds"]):
-        p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)
-        table, values = np.column_stack((features, p - y, p * (1.0 - p))), np.empty(n)
-        trees.append((yield from _grow(table, rule, values=values)))
+        trees, values = _grow(XT, order, sizes, lanes, p - y, p * (1.0 - p), rule)
         raw = raw + lr * values
         p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)
-        loss_history.append(float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean()))
-    return {"f0": f0, "learning_rate": lr, "trees": trees, "loss_history": loss_history}
-
-
-def _fit_gbdt(splits, hp, seed):
-    lam = hp["l2"]
-    rule = _TreeRule(partial(_second_order_gain, lam=lam), hp["max_depth"], 1, 1e-12, lam)
-    return lockstep([_gbdt_lane(X, y, hp, rule) for X, y in splits],
-                    lambda nodes: enumerate(_split_lanes(nodes, rule)))
+        loss = -(y * np.log(p) + (1 - y) * np.log(1 - p))
+        for fit, tree, a, b in zip(fits, trees, [0, *ends], ends):
+            fit["trees"].append(tree)
+            fit["loss_history"].append(float(loss[a:b].mean()))
+    return fits
 
 
 def _score_gbdt(params, X):

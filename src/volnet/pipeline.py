@@ -437,7 +437,12 @@ def _run_stages(cfg: PipelineConfig, through: str, lenient: bool, result: RunRes
                         f"train: scope {name} case {case} skipped "
                         f"({n} samples < {2 * cfg.cv_folds})")
                     continue
-                jobs.append((name, case, *table.rows(case)[:2]))
+                X, y, _ = table.rows(case)
+                constant = [f for f, c in zip(featureset.FEATURE_NAMES, (X == X[0]).all(axis=0)) if c]
+                if constant:
+                    result.warnings.append(
+                        f"train: constant in scope {name} case {case}: {', '.join(constant)}")
+                jobs.append((name, case, X, y))
         # one call per family fits every job's folds
         reports = {alg: models.kfold_cv(alg, [(X, y) for _, _, X, y in jobs], k=cfg.cv_folds,
                                          seed=cfg.seed, feature_names=featureset.FEATURE_NAMES)

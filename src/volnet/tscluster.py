@@ -19,10 +19,9 @@ reached it, which ``_backtrack`` follows.  The scalar ``dtw``,
 A k-means fit is a lane: a generator that yields two kinds of request,
 the distances of every series to some centroids (each k-means++ pick and
 each assignment step) and the DBA alignments of cluster members to their
-own centroids, and returns its model.  The package's one lane driver,
-``_lanes.lockstep`` (which also grows the trees of ``models``), runs the
-lanes side by side, and ``_answer`` answers all pending requests of one
-kind with one kernel call (split between pairs where a call would pass
+own centroids, and returns its model.  The lane driver, ``_lanes.lockstep``,
+runs the lanes side by side, and ``_answer`` answers all pending requests of
+one kind with one kernel call (split between pairs where a call would pass
 ``_MAX_TABLE_BYTES``), so ``ch_scan`` fits every k of its range in the same
 calls; ``kmeans_ts`` is the one-lane call.  Each lane draws from its own
 ``default_rng(seed)``, so a fit does not depend on the lanes beside it.

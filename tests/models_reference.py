@@ -2,12 +2,13 @@
 
 These are the one-split Pegasos and logistic-regression loops that
 ``volnet.models`` ran once per fold before its fitters advanced all folds
-together; the recursive tree growers that fitted one decision tree, forest
-or boosted ensemble at a time from columns presorted once per fit; the old
-per-fold ``kfold_cv`` loop that called them; the per-index loop that dealt
-``stratified_folds``; and the loop that built ``shapley_mc``'s coalition
-rows one flip at a time.  The tests require the library to reproduce them
-exactly.
+together; the depth-first CART grower that fitted one decision tree at a
+time from columns presorted once per fit, each node from its own prefix
+sums; a level-wise grower that fits one forest or boosted ensemble at a
+time, node by node; the old per-fold ``kfold_cv`` loop that called them; the
+per-index loop that dealt ``stratified_folds``; and the loop that built
+``shapley_mc``'s coalition rows one flip at a time.  The tests require the
+library to reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -84,59 +85,110 @@ def _best_split(X, ords, features, g, h, G, H, gain, min_leaf, min_gain):
     return float(top), int(features[f]), float(mid if mid < hi else lo)
 
 
-def _branch(X, idx, ords, j, thr, grow, depth):
-    """Internal node cutting at X[:, j] <= thr, children built by ``grow``
-    from their rows (ascending) and their slices of the sorted orders."""
-    mask = X[idx, j] <= thr
-    go_left = np.zeros(X.shape[0], dtype=bool)
-    go_left[idx[mask]] = True
-    keep = go_left[ords]
-    d = ords.shape[0]
-    return {"feature": j, "threshold": thr,
-            "left": grow(idx[mask], ords[keep].reshape(d, -1), depth + 1),
-            "right": grow(idx[~mask], ords[~keep].reshape(d, -1), depth + 1)}
-
-
-def _fit_tree(X, y, max_depth, min_leaf, rng=None, n_subsample=0):
-    """CART over all rows of ``(X, y)``; with ``rng``, every node searches a
-    fresh subsample of ``n_subsample`` features (the random forest)."""
-    d = X.shape[1]
+def _fit_tree(X, y, max_depth, min_leaf):
+    """CART over all rows of ``(X, y)``, grown depth first, each node from
+    its own prefix sums."""
     g, h = y.astype(float), np.ones(y.size)
-    all_features = np.arange(d)
+    features = np.arange(X.shape[1])
 
     def grow(idx, ords, depth):
         p1 = float(y[idx].mean())
         if depth >= max_depth or idx.size < 2 * min_leaf or p1 in (0.0, 1.0):
             return {"leaf": p1, "n": int(idx.size)}
-        features = all_features
-        if rng is not None and n_subsample < d:
-            features = np.sort(rng.choice(d, size=n_subsample, replace=False))
         best = _best_split(X, ords, features, g, h, g[idx].sum(), h[idx].sum(),
                            models._gini_gain, min_leaf, -np.inf)
         if best is None:
             return {"leaf": p1, "n": int(idx.size)}
-        return _branch(X, idx, ords, best[1], best[2], grow, depth)
+        _, j, thr = best
+        mask = X[idx, j] <= thr
+        go_left = np.zeros(X.shape[0], dtype=bool)
+        go_left[idx[mask]] = True
+        keep = go_left[ords]
+        d = ords.shape[0]
+        return {"feature": j, "threshold": thr,
+                "left": grow(idx[mask], ords[keep].reshape(d, -1), depth + 1),
+                "right": grow(idx[~mask], ords[~keep].reshape(d, -1), depth + 1)}
 
     return grow(np.arange(y.size), np.argsort(X, axis=0, kind="stable").T, 0)
 
 
-def _fit_boost_tree(X, g, h, ords, max_depth, lam):
-    """Second-order regression tree; returns the tree and each training
-    row's leaf weight."""
-    features = np.arange(X.shape[1])
-    gain = partial(models._second_order_gain, lam=lam)
-    values = np.empty(X.shape[0])
+def grow_level_wise(tables, gain, max_depth, min_leaf, min_gain, lam=None, draw=None):
+    """Trees grown depth by depth, one node at a time, from ``tables`` of
+    ``(X, g, h)``, one per tree; returns the trees and each tree's
+    per-row leaf values.
 
-    def grow(idx, ords, depth):
-        G, H = g[idx].sum(), h[idx].sum()
-        best = None if depth >= max_depth else _best_split(
-            X, ords, features, g, h, G, H, gain, 1, 1e-12)
-        if best is None:
-            values[idx] = leaf = float(-G / (H + lam))
-            return {"leaf": leaf, "n": int(idx.size)}
-        return _branch(X, idx, ords, best[1], best[2], grow, depth)
-
-    return grow(np.arange(X.shape[0]), ords, 0), values
+    A node sums its ``g`` and ``h`` over its rows in ascending order. With
+    ``lam`` (boosting) its leaf is -G/(H+lam); without it ``g`` and ``h``
+    are class-1 and row counts, its leaf is G/H and a pure node does not
+    split. The nodes of a depth that may split, tree after tree, are
+    searched together: with ``draw``, ``draw(m)`` gives the sorted features
+    of each of those ``m`` nodes. For each feature, each node's rows are
+    sorted by value (ties by row) and put one node after the other; a cut's
+    left sums are the running sum over all of them less its value before
+    the node."""
+    trees = [{} for _ in tables]
+    values = [np.empty(len(g)) for _, g, _ in tables]
+    level = [(tree, t, np.arange(len(g))) for t, (tree, (_, g, _)) in
+             enumerate(zip(trees, tables))]
+    depth = 0
+    while level:
+        growing = []
+        for node, t, idx in level:
+            X, g, h = tables[t]
+            G, H = g[idx].sum(), h[idx].sum()
+            if lam is None:
+                leaf, pure = float(G / H), G in (0.0, H)
+            else:
+                leaf, pure = float(-G / (H + lam)), False
+            if pure or depth >= max_depth or idx.size < 2 * min_leaf:
+                node.update(leaf=leaf, n=int(idx.size))
+                values[t][idx] = leaf
+            else:
+                growing.append((node, t, idx, G, H, leaf))
+        d = tables[0][0].shape[1]
+        features = (draw(len(growing)) if draw is not None and growing
+                    else np.tile(np.arange(d), (len(growing), 1)))
+        left = {}  # (node, feature) -> the left sums of each cut, in sorted order
+        for j in range(d):
+            runs = [(s, idx[np.argsort(tables[t][0][idx, j], kind="stable")])
+                    for s, (_, t, idx, *_) in enumerate(growing) if j in features[s]]
+            if not runs:
+                continue
+            sums = np.cumsum(np.concatenate(
+                [np.vstack((tables[growing[s][1]][1][rows], tables[growing[s][1]][2][rows]))
+                 for s, rows in runs], axis=1), axis=1)
+            at = 0
+            for s, rows in runs:
+                before = sums[:, at - 1] if at else np.zeros(2)
+                left[s, j] = rows, sums[:, at:at + rows.size] - before[:, None]
+                at += rows.size
+        level = []
+        for s, (node, t, idx, G, H, leaf) in enumerate(growing):
+            X = tables[t][0]
+            best = None
+            for j in features[s]:  # the lowest threshold wins; a later feature by 1e-12
+                rows, (GL, HL) = left[s, j]
+                sv = X[rows, j]
+                n_left = HL if lam is None else np.arange(1, rows.size + 1)
+                n = H if lam is None else rows.size
+                ok = (sv[:-1] < sv[1:]) & (n_left[:-1] >= min_leaf) & (n - n_left[:-1] >= min_leaf)
+                if not ok.any():
+                    continue
+                scores = np.where(ok, gain(GL[:-1], HL[:-1], G, H), -np.inf)
+                p = int(np.argmax(scores))
+                if scores[p] > min_gain and (best is None or scores[p] > best[0] + 1e-12):
+                    mid = (sv[p] + sv[p + 1]) / 2.0
+                    best = (scores[p], int(j), float(mid if mid < sv[p + 1] else sv[p]))
+            if best is None:
+                node.update(leaf=leaf, n=int(idx.size))
+                values[t][idx] = leaf
+                continue
+            _, j, thr = best
+            mask = X[idx, j] <= thr
+            node.update(feature=j, threshold=thr, left={}, right={})
+            level += [(node["left"], t, idx[mask]), (node["right"], t, idx[~mask])]
+        depth += 1
+    return trees, values
 
 
 def train_decision_tree(X, y, hp, seed):
@@ -144,14 +196,19 @@ def train_decision_tree(X, y, hp, seed):
 
 
 def _train_random_forest(X, y, hp, seed):
+    """Every tree's bootstrap drawn at once, then the trees grown level by
+    level together, each depth drawing its nodes' feature subsamples."""
     rng = np.random.default_rng(seed)
     n, d = X.shape
-    n_subsample = max(1, int(np.sqrt(d)))
-    trees = []
-    for _ in range(hp["n_trees"]):
-        sample = rng.integers(0, n, size=n)
-        trees.append(_fit_tree(X[sample], y[sample], hp["max_depth"],
-                               hp["min_samples_leaf"], rng, n_subsample))
+    k = max(1, int(np.sqrt(d)))
+    samples = rng.integers(0, n, size=(hp["n_trees"], n))
+
+    def draw(m):
+        return np.sort(rng.permuted(np.tile(np.arange(d), (m, 1)), axis=1)[:, :k], axis=1)
+
+    trees, _ = grow_level_wise([(X[s], y[s].astype(float), np.ones(n)) for s in samples],
+                               models._gini_gain, hp["max_depth"], hp["min_samples_leaf"],
+                               -np.inf, draw=draw if k < d else None)
     return {"trees": trees}
 
 
@@ -161,12 +218,13 @@ def _train_gbdt(X, y, hp, seed):
     f0 = float(np.log(p_base / (1.0 - p_base)))
     raw = np.full(n, f0)
     lam, lr = hp["l2"], hp["learning_rate"]
-    ords = np.argsort(X, axis=0, kind="stable").T  # sorted once for all rounds
+    gain = partial(models._second_order_gain, lam=lam)
     trees = []
     loss_history = []
     for _ in range(hp["n_rounds"]):
         p = np.clip(models._sigmoid(raw), 1e-12, 1 - 1e-12)
-        tree, values = _fit_boost_tree(X, p - y, p * (1.0 - p), ords, hp["max_depth"], lam)
+        [tree], [values] = grow_level_wise([(X, p - y, p * (1.0 - p))], gain,
+                                           hp["max_depth"], 1, 1e-12, lam)
         trees.append(tree)
         raw = raw + lr * values
         p = np.clip(models._sigmoid(raw), 1e-12, 1 - 1e-12)
@@ -242,12 +300,10 @@ def shapley_mc(model, x, background, n_permutations=1000, seed=0):
     d = x.shape[0]
     rng = np.random.default_rng(seed)
     rows = np.empty((n_permutations * (d + 1), d))
-    orders = np.empty((n_permutations, d), dtype=int)
-    for t in range(n_permutations):
-        base_row = background[int(rng.integers(background.shape[0]))]
-        order = rng.permutation(d)
-        orders[t] = order
-        z = base_row.copy()
+    picks = rng.integers(background.shape[0], size=n_permutations)
+    orders = rng.permuted(np.tile(np.arange(d), (n_permutations, 1)), axis=1)
+    for t, order in enumerate(orders):
+        z = background[picks[t]].copy()
         block = t * (d + 1)
         rows[block] = z
         for step, j in enumerate(order):

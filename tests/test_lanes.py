@@ -1,5 +1,5 @@
-"""Tests for the lockstep lane driver shared by the tree growers and the
-k-means fits."""
+"""Tests for the lockstep lane driver, which runs ``tscluster``'s k-means
+fits side by side."""
 
 from __future__ import annotations
 

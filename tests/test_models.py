@@ -10,16 +10,15 @@ from functools import partial
 import numpy as np
 import pytest
 
-from volnet._lanes import lockstep
 from volnet.models import (
     _TreeRule,
+    _best_cuts,
     _eval_tree,
     _fit_linear_svm,
     _gini_gain,
     _grow,
-    _ranks,
+    _grown_rows,
     _second_order_gain,
-    _split_lanes,
     ALGORITHMS,
     DEFAULT_HYPERPARAMS,
     TrainedClassifier,
@@ -225,6 +224,13 @@ class TestDecisionTree:
         # No admissible cut: the root is a leaf at the class-1 prior.
         assert np.allclose(model.scores(X), y.mean())
 
+    @pytest.mark.parametrize("algorithm", ["decision_tree", "random_forest", "gbdt"])
+    def test_constant_features_leave_one_leaf(self, algorithm):
+        X, y = np.ones((6, 2)), np.array([0, 1] * 3)
+        trees = train(algorithm, X, y, hyperparams=FAST[algorithm]).parameters
+        for tree in trees.get("trees", [trees.get("tree")]):
+            assert set(tree) == {"leaf", "n"}
+
 
 class TestAdjacentFloatThreshold:
     # (a + b) / 2 rounds up to b for these two neighbouring floats.
@@ -267,51 +273,84 @@ def brute_force_split(X, rows, features, gain_of, min_leaf, min_gain):
     return gain, j, mid if mid < hi else lo
 
 
-def table(X, g, h):
-    """A tree table: the features' ranks and values, then ``g`` and ``h``."""
-    return np.column_stack((_ranks(X), X, g, h))
-
-
 def gini_of(labels):
     p = sum(labels) / len(labels)
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
+def depth_search(lanes, rule):
+    """:func:`_best_cuts` over every node of a depth of ``lanes``, each
+    ``(X, g, h, nodes)`` with ``nodes`` a list of (rows ascending, sorted
+    features); returns each node's (gain, feature, threshold) or None, its
+    (slot, position in the node) and its rows sorted for each slot, lane
+    after lane."""
+    vals, gs, hs, sizes, lane_of, G, H, runs = [], [], [], [], [], [], [], []
+    for a, (X, g, h, nodes) in enumerate(lanes):
+        for rows, features in nodes:
+            slots = [rows[np.lexsort((rows, X[rows, j]))] for j in features]  # by value, then row
+            vals.append([X[r, j] for r, j in zip(slots, features)])
+            gs.append([g[r] for r in slots])
+            hs.append([h[r] for r in slots])
+            sizes.append(rows.size)
+            lane_of.append(a)
+            G.append(g[rows].sum())
+            H.append(h[rows].sum())
+            runs.append((X, features, slots))
+    slot, pos, gain = _best_cuts(np.hstack(vals), np.stack((np.hstack(gs), np.hstack(hs))),
+                                 np.array(sizes), np.array(lane_of), np.array(G), np.array(H),
+                                 rule)
+    pos -= np.cumsum(sizes) - sizes  # each node's own position
+    out = []
+    for (X, features, slots), i, p, top in zip(runs, slot.tolist(), pos.tolist(), gain.tolist()):
+        if i < 0:
+            out.append(None)
+            continue
+        lo, hi = X[slots[i][p], features[i]], X[slots[i][p + 1], features[i]]
+        mid = (lo + hi) / 2
+        out.append((top, int(features[i]), mid if mid < hi else lo))
+    return out, list(zip(slot.tolist(), pos.tolist())), [slots for *_, slots in runs]
+
+
+def random_nodes(rng, n, d, n_features):
+    """Some rows of ``n`` dealt to 1-4 nodes, each with its sorted features."""
+    rows = np.flatnonzero(rng.random(n) < 0.8)
+    if rows.size == 0:
+        rows = np.arange(n)
+    deal = rng.integers(0, int(rng.integers(1, 5)), size=rows.size)
+    return [(rows[deal == c], np.sort(rng.choice(d, size=n_features, replace=False)))
+            for c in np.unique(deal)]
+
+
 class TestSplitSearchOracle:
-    """The lane split search against an exhaustive loop, every lane of a
-    batch checked on its own. Statistics are small dyadic numbers, so every
-    sum is exact and ties in gain are real."""
+    """The depth search against an exhaustive loop, every node of every
+    lane of a depth checked on its own. Statistics are small dyadic numbers,
+    so every sum is exact and ties in gain are real."""
 
     def random_lane(self, rng, d):
         n = int(rng.integers(2, 14))
         pool = rng.random(3)
         pool = np.concatenate([pool, np.nextafter(pool, 1.0)])  # adjacent floats too
-        X = rng.choice(pool, size=(n, d))  # few distinct values: repeats
-        rows = np.flatnonzero(rng.random(n) < 0.8)
-        if rows.size == 0:
-            rows = np.arange(n)
-        return X, rows
+        return rng.choice(pool, size=(n, d))  # few distinct values: repeats
 
-    def check(self, rng, stats, gain, gain_of, min_leaf, min_gain):
+    def check(self, rng, stats, rule, gain_of, weighted=False):
         d = int(rng.integers(1, 5))
         n_features = int(rng.integers(1, d + 1))
         lanes = []
         for _ in range(int(rng.integers(1, 6))):  # lanes of different sizes
-            X, rows = self.random_lane(rng, d)
+            X = self.random_lane(rng, d)
             g, h = stats(X.shape[0])
-            features = np.sort(rng.choice(d, size=n_features, replace=False))
-            lanes.append((X, rows, features, g, h))
-        rule = _TreeRule(gain, 6, min_leaf, min_gain)
-        got = _split_lanes([(table(X, g, h), rows, np.append(features, (2 * d, 2 * d + 1)),
-                             g[rows].sum(), h[rows].sum())
-                            for X, rows, features, g, h in lanes], rule)
-        for (X, rows, features, g, h), best in zip(lanes, got):
-            want = brute_force_split(X, rows.tolist(), features,
-                                     partial(gain_of, g, h), min_leaf, min_gain)
-            assert (best and best[:3]) == want
-            if best is not None:
-                left = rows[X[rows, best[1]] <= best[2]]
-                assert best[3:] == (g[left].sum(), h[left].sum())
+            lanes.append((X, g, h, random_nodes(rng, X.shape[0], d, n_features)))
+        got, _, _ = depth_search(lanes, rule)
+        want = []
+        for X, g, h, nodes in lanes:
+            if weighted:  # a Gini row of weight w stands for w rows: search them one by one
+                copies = np.repeat(np.arange(X.shape[0]), h.astype(int))
+                nodes = [(np.flatnonzero(np.isin(copies, rows)), f) for rows, f in nodes]
+                X, g, h = X[copies], (g[copies] > 0).astype(float), np.ones(copies.size)
+            for rows, features in nodes:
+                want.append(brute_force_split(X, rows.tolist(), features, partial(gain_of, g, h),
+                                              rule.min_leaf, rule.min_gain))
+        assert got == want
 
     def test_gini_gain(self):
         rng = np.random.default_rng(1)
@@ -325,7 +364,26 @@ class TestSplitSearchOracle:
             return gini_of(g[left + right]) - child
 
         for _ in range(200):
-            self.check(rng, stats, _gini_gain, gain_of, int(rng.integers(1, 4)), -np.inf)
+            rule = _TreeRule(_gini_gain, 6, int(rng.integers(1, 4)), -np.inf)
+            self.check(rng, stats, rule, gain_of)
+
+    def test_weighted_gini_gain_equals_repeated_rows(self):
+        # a bootstrap draws a row w times: the forest grows it once with
+        # g = w * y and h = w, and must cut as if it held w copies
+        rng = np.random.default_rng(4)
+
+        def stats(n):
+            w = rng.integers(1, 4, size=n).astype(float)
+            return rng.integers(0, 2, size=n) * w, w
+
+        def gain_of(g, h, left, right):
+            n = len(left) + len(right)
+            child = (len(left) * gini_of(g[left]) + len(right) * gini_of(g[right])) / n
+            return gini_of(g[left + right]) - child
+
+        for _ in range(200):
+            rule = _TreeRule(_gini_gain, 6, int(rng.integers(1, 5)), -np.inf)
+            self.check(rng, stats, rule, gain_of, weighted=True)
 
     def test_second_order_gain(self):
         rng = np.random.default_rng(2)
@@ -341,29 +399,42 @@ class TestSplitSearchOracle:
             return 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam))
 
         for _ in range(200):
-            self.check(rng, stats, partial(_second_order_gain, lam=lam), gain_of, 1, 1e-12)
+            rule = _TreeRule(partial(_second_order_gain, lam=lam), 6, 1, 1e-12, lam)
+            self.check(rng, stats, rule, gain_of)
 
     def test_prefix_sums_add_tied_rows_in_row_order(self):
         # With inexact statistics the order of addition shows in the last
-        # bits: tied values must be added in ascending row order, as a
-        # stable sort of all rows sliced to the node adds them.
+        # bits. A left sum is a running sum per (lane, slot) over the
+        # depth's nodes, each sorted by value and tied values by row, less
+        # the sum before the node; it restarts in each lane, so a lane's
+        # cuts do not depend on the lanes searched with it.
         rng = np.random.default_rng(3)
-        rule = _TreeRule(partial(_second_order_gain, lam=1.0), 6, 1, -np.inf)
+        rule = _TreeRule(partial(_second_order_gain, lam=1.0), 6, 1, -np.inf, 1.0)
         for _ in range(50):
             lanes = []
             for _ in range(int(rng.integers(1, 6))):
                 n = int(rng.integers(20, 60))
                 X = rng.integers(0, 3, size=(n, 2)).astype(float)  # many ties
                 g, h = rng.normal(size=n), rng.random(n) + 0.5
-                rows = np.flatnonzero(rng.random(n) < 0.9)
-                lanes.append((table(X, g, h), rows, np.array([0, 1, 4, 5]),
-                              g[rows].sum(), h[rows].sum()))
-            for (W, rows, _, _, _), best in zip(lanes, _split_lanes(lanes, rule)):
-                x, thr = W[:, 2 + best[1]], best[2]
-                ranked = rows[np.lexsort((rows, x[rows]))]  # by value, then row
-                n_left = int((x[rows] <= thr).sum())
-                assert best[3:] == (np.cumsum(W[ranked, 4])[n_left - 1],
-                                    np.cumsum(W[ranked, 5])[n_left - 1])
+                lanes.append((X, g, h, random_nodes(rng, n, 2, 2)))
+            got, cuts, slots = depth_search(lanes, rule)
+            alone = [depth_search([lane], rule)[0] for lane in lanes]
+            assert got == [best for bests in alone for best in bests]
+            node = 0
+            for X, g, h, nodes in lanes:
+                lane_slots = slots[node:node + len(nodes)]
+                for i in range(2):  # the lane's running sums of slot i
+                    grun = np.cumsum(np.concatenate([g[s[i]] for s in lane_slots]))
+                    hrun = np.cumsum(np.concatenate([h[s[i]] for s in lane_slots]))
+                    at = 0
+                    for c, (rows, _) in enumerate(nodes):
+                        best, (slot, p) = got[node + c], cuts[node + c]
+                        if best is not None and slot == i:
+                            GL = grun[at + p] - (grun[at - 1] if at else 0.0)
+                            HL = hrun[at + p] - (hrun[at - 1] if at else 0.0)
+                            assert best[0] == rule.gain(GL, HL, g[rows].sum(), h[rows].sum())
+                        at += rows.size
+                node += len(nodes)
 
 
 class TestNaiveBayes:
@@ -429,14 +500,14 @@ class TestGBDT:
         X = rng.integers(0, 4, size=(60, 3)).astype(float) / 3.0  # repeated values
         y = (X[:, 0] + rng.normal(0.0, 0.3, 60) > 0.5).astype(int)
         p = np.full(60, 0.5)
+        XT, order, sizes, lanes, _, _ = _grown_rows([(X, y)])
+        gain = partial(_second_order_gain, lam=1.0)
         for depth in (1, 3, 6):
-            rule = _TreeRule(partial(_second_order_gain, lam=1.0), depth, 1, 1e-12, 1.0)
-            values = np.empty(60)
-            tree, = lockstep([_grow(table(X, p - y, p * (1.0 - p)), rule, values=values)],
-                             lambda nodes: enumerate(_split_lanes(nodes, rule)))
+            rule = _TreeRule(gain, depth, 1, 1e-12, 1.0)
+            [tree], values = _grow(XT, order, sizes, lanes, p - y, p * (1.0 - p), rule)
             assert np.array_equal(values, _eval_tree(tree, X))
-            want, want_values = ref._fit_boost_tree(
-                X, p - y, p * (1.0 - p), np.argsort(X, axis=0, kind="stable").T, depth, 1.0)
+            [want], [want_values] = ref.grow_level_wise([(X, p - y, p * (1.0 - p))], gain,
+                                                        depth, 1, 1e-12, 1.0)
             assert tree == want and np.array_equal(values, want_values)
 
 
@@ -553,9 +624,10 @@ TREE_CASES = [
 
 
 class TestTreeLanesMatchReference:
-    """The lane-batched tree grower against the recursive per-fit growers in
-    ``models_reference`` (presorted columns, one fit at a time): the same
-    parameters down to the last bit, as their JSON text."""
+    """The level-wise tree grower, every split of a job at once, against the
+    per-fit growers in ``models_reference`` (CART depth first from its own
+    prefix sums, the forest and boosting level by level, one node at a
+    time): the same parameters down to the last bit, as their JSON text."""
 
     @pytest.mark.parametrize("algorithm, hp", TREE_CASES)
     @pytest.mark.parametrize("k", [2, 3, 10])

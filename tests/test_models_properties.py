@@ -1,4 +1,5 @@
-"""Property tests of the stratified folds (skipped without Hypothesis)."""
+"""Property tests of the stratified folds and the tree growers (skipped
+without Hypothesis)."""
 
 from __future__ import annotations
 
@@ -8,8 +9,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from volnet.models import stratified_folds  # noqa: E402
+from volnet.models import _eval_tree, _sigmoid, stratified_folds, train  # noqa: E402
 
 import models_reference  # noqa: E402
 
@@ -50,3 +52,72 @@ def test_folds_equal_the_per_index_dealing(case, seed):
     assert len(got) == len(want) == k
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@st.composite
+def small_tables(draw):
+    """A small table with repeated values and both labels."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    d = draw(st.integers(min_value=1, max_value=4))
+    values = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                       st.floats(min_value=-3, max_value=3, allow_nan=False))
+    X = draw(arrays(np.float64, (n, d), elements=values))
+    y = draw(arrays(np.int64, n, elements=st.integers(min_value=0, max_value=1)))
+    y[:2] = (0, 1)
+    return X, y
+
+
+def leaf_sizes(tree, X):
+    """Each leaf's ``n``, and the rows of ``X`` that ``_eval_tree`` routes
+    to it: the tree is scored with each leaf's value set to its number."""
+    leaves = []
+
+    def numbered(node):
+        if "leaf" in node:
+            leaves.append(node["n"])
+            return {"leaf": float(len(leaves) - 1)}
+        return dict(node, left=numbered(node["left"]), right=numbered(node["right"]))
+
+    routed = np.bincount(_eval_tree(numbered(tree), X).astype(int), minlength=len(leaves))
+    return leaves, routed.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tables(), st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=3))
+def test_decision_tree_leaves_hold_the_rows_routed_to_them(table, depth, min_leaf):
+    X, y = table
+    model = train("decision_tree", X, y, {"max_depth": depth, "min_samples_leaf": min_leaf})
+    n, routed = leaf_sizes(model.parameters["tree"], X)
+    assert n == routed
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tables(), st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_forest_leaves_hold_the_bootstrap_draws_routed_to_them(table, n_trees, min_leaf, seed):
+    # each tree's bootstrap is the first draw of the split's generator;
+    # a row drawn twice counts twice
+    X, y = table
+    model = train("random_forest", X, y,
+                  {"n_trees": n_trees, "max_depth": 4, "min_samples_leaf": min_leaf}, seed=seed)
+    samples = np.random.default_rng(seed).integers(0, y.size, size=(n_trees, y.size))
+    for tree, sample in zip(model.parameters["trees"], samples, strict=True):
+        n, routed = leaf_sizes(tree, X[sample])
+        assert n == routed
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tables(), st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=4),
+       st.sampled_from([0.0, 1.0]))
+def test_gbdt_rounds_update_by_the_scores_of_their_trees(table, rounds, depth, l2):
+    # every round adds to each row the leaf value its new tree routes it to,
+    # so its loss follows from scoring the trees, bit for bit
+    X, y = table
+    params = train("gbdt", X, y, {"n_rounds": rounds, "max_depth": depth, "l2": l2}).parameters
+    raw = np.full(y.size, params["f0"])
+    for tree, loss in zip(params["trees"], params["loss_history"], strict=True):
+        n, routed = leaf_sizes(tree, X)
+        assert n == routed
+        raw = raw + params["learning_rate"] * _eval_tree(tree, X)
+        p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)
+        assert loss == float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())

@@ -411,6 +411,21 @@ class TestMethodTwoRun:
         assert len(skip) == 4  # 2 communities x 2 cases
         assert all("(10 samples < 20)" in w for w in skip)
 
+    def test_features_constant_in_a_job_are_named(self, run):
+        # the synthetic network is bipartite, and each key user sits at the
+        # centre of its own ego network: its clustering and closeness are
+        # the same in every row
+        _, result = run
+        constant = [w for w in result.warnings if w.startswith("train: constant in ")]
+        assert [w.split(":")[1] for w in constant] == [
+            f" constant in scope network case {case}" for case in featureset.CASES]
+        for case, warning in zip(featureset.CASES, constant):
+            names = warning.split(": ")[-1].split(", ")
+            assert {"closeness_centrality", "clustering_coefficient"} <= set(names)
+            X = result.features["network"].rows(case)[0]
+            for j, name in enumerate(featureset.FEATURE_NAMES):
+                assert (name in names) == bool(np.all(X[:, j] == X[0, j]))
+
     def test_best_model_chosen_per_network_case(self, run):
         _, result = run
         assert set(result.best) == {("network", "starting_high"), ("network", "starting_low")}
