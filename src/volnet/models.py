@@ -10,14 +10,12 @@ posterior/leaf fractions; logistic regression and boosted trees emit a
 sigmoid probability; the linear SVM emits a sigmoid-squashed margin
 (monotone in the decision value, not calibrated).
 
-Every family's fitter takes the ``(X, y)`` splits of every job, a list of
-lists, and decides how to batch them: ``kfold_cv`` hands it the training
-splits of all folds of each of its jobs, and ``train`` is its one-job,
-one-split call. The fitter alone turns a split that lost a class into a
-constant predictor and fits the others; every split sees the float
+Every family's fitter takes the ``(X, y)`` training splits of one job:
+``kfold_cv`` hands it each job's folds in turn, and ``train`` one split.
+``_fit_two_class`` alone turns a split that lost a class into a constant
+predictor and has the family fit the others; every split sees the float
 operations its own fit would, so each result is bit-identical to fitting it
-alone. The linear families and naive Bayes fit all jobs' splits in one call,
-the tree families one job at a time.
+alone.
 
 A model's score of a row does not depend on the batch it is scored in:
 margins are ``np.vecdot`` of rows and weights, not BLAS ``@``, and a forest
@@ -45,13 +43,12 @@ feature subsample for every node that may split, in (tree, node) order. A
 boosting round updates each split's scores from the leaf value the grower
 wrote for each training row.
 
-The linear families fit folds in lockstep. Pegasos splits share the step
-size 1/(lambda*t) at step t and draw one permutation per epoch from their
-own ``default_rng(seed)``; their margins are ``np.vecdot`` of row and
-weights (bit-equal to the 1-D dot product, which ``einsum`` and
-``(z * w).sum()`` are not), and only splits inside the margin are written,
-so no ``+0`` is added over a ``-0.0``. Logistic-regression splits of one
-length descend as a stack of matrix-vector products.
+Both linear families are one Newton solver, ``_newton``, run split by split:
+damped Newton steps with Armijo backtracking until every gradient entry is
+below ``_NEWTON_TOL``, a fit that reaches ``_NEWTON_STEPS`` warning that it
+did. Logistic regression minimizes the mean log loss plus ``l2/2*||w||^2``
+with its bias unpenalized, and the linear SVM the mean squared hinge plus
+``l2/2*||w||^2`` with its bias an appended, penalized constant feature.
 """
 
 from __future__ import annotations
@@ -80,9 +77,9 @@ ALGORITHMS = (
 DEFAULT_HYPERPARAMS: dict[str, dict] = {
     "naive_bayes": {"var_floor": 1e-9},
     "decision_tree": {"max_depth": 6, "min_samples_leaf": 2},
-    "logistic_regression": {"l2": 1e-3, "epochs": 500, "learning_rate": 0.1},
+    "logistic_regression": {"l2": 1e-3},
     "random_forest": {"n_trees": 100, "max_depth": 6, "min_samples_leaf": 2},
-    "linear_svm": {"l2": 1e-3, "epochs": 500},
+    "linear_svm": {"l2": 1e-3},
     "gbdt": {"n_rounds": 100, "max_depth": 3, "learning_rate": 0.1, "l2": 1.0},
 }
 
@@ -399,30 +396,71 @@ def _score_decision_tree(params, X):
     return _eval_tree(params["tree"], X)
 
 
-def _fit_logistic_regression(splits, hp, seed):
-    """Full-batch gradient descent on the L2-penalized log loss, one fit per
-    ``(X, y)`` split, each z-scored by its own scaler; splits of one length
-    are stacked."""
-    lr, lam = hp["learning_rate"], hp["l2"]
-    scalers = [_fit_scaler(X) for X, _ in splits]
-    by_length: dict[int, list[int]] = {}
-    for f, (X, _) in enumerate(splits):
-        by_length.setdefault(X.shape[0], []).append(f)
-    fits: list = [None] * len(splits)
-    for n, group in by_length.items():
-        Z = np.stack([_apply_scaler(scalers[f], splits[f][0]) for f in group])
-        Zt = Z.transpose(0, 2, 1)
-        Y = np.stack([splits[f][1] for f in group])
-        W = np.zeros((len(group), Z.shape[2]))
-        B = np.zeros(len(group))
-        for _ in range(hp["epochs"]):
-            R = _sigmoid((Z @ W[:, :, None])[:, :, 0] + B[:, None]) - Y
-            grad_w = (Zt @ R[:, :, None])[:, :, 0] / n + lam * W
-            W -= lr * grad_w
-            B -= lr * R.mean(axis=1)
-        for f, w, b in zip(group, W, B):
-            fits[f] = {"weights": w.tolist(), "bias": float(b), "scaler": scalers[f]}
+_NEWTON_TOL = 1e-8  # a linear fit stops once every gradient entry is below this
+_NEWTON_STEPS = 50  # ... or after this many Newton steps, with a warning
+
+
+def _newton(Z, y, l2, loss, penalized):
+    """Minimize ``mean(loss(Z @ w, y)) + l2/2 * ||penalized * w||^2`` from
+    ``w = 0``, ``penalized`` a 0/1 mask; ``loss`` gives each row's value and
+    its first and second derivatives in the margin. Each step solves for the
+    Newton direction and halves it until the Armijo condition holds, or takes
+    it whole where the predicted decrease is below the objective's rounding.
+    Returns the weights and the steps taken, None if the gradient test did
+    not pass within ``_NEWTON_STEPS``."""
+    n, reg = Z.shape[0], l2 * penalized
+
+    def objective(w):
+        value, d1, d2 = loss(Z @ w, y)
+        return value.mean() + 0.5 * reg @ (w * w), d1, d2
+
+    w = np.zeros(Z.shape[1])
+    f, d1, d2 = objective(w)
+    for steps in range(_NEWTON_STEPS + 1):
+        grad = Z.T @ d1 / n + reg * w
+        if np.abs(grad).max() < _NEWTON_TOL:
+            return w, steps
+        if steps == _NEWTON_STEPS:
+            return w, None
+        step = np.linalg.solve((Z.T * d2) @ Z / n + np.diag(reg), -grad)
+        slope, t = grad @ step, 1.0
+        while True:
+            trial = objective(w + t * step)
+            if trial[0] <= f + 1e-4 * t * slope or -slope <= 1e-12 * f:
+                break
+            t /= 2.0
+        w, (f, d1, d2) = w + t * step, trial
+
+
+def _log_loss(m, y):
+    p = _sigmoid(m)
+    return np.logaddexp(0.0, m) - y * m, p - y, p * (1.0 - p)
+
+
+def _squared_hinge(m, y):
+    t = 2.0 * y - 1.0
+    slack = np.maximum(0.0, 1.0 - t * m)
+    return slack * slack, -2.0 * t * slack, 2.0 * (slack > 0.0)
+
+
+def _fit_linear(family, loss, bias_penalized, splits, l2):
+    """Each ``(X, y)`` split's ``(weights, scaler)`` from :func:`_newton` on
+    ``X`` z-scored by its own scaler, a constant 1 appended for the bias."""
+    fits = []
+    for X, y in splits:
+        scaler = _fit_scaler(X)
+        Z = np.hstack([_apply_scaler(scaler, X), np.ones((y.size, 1))])
+        w, steps = _newton(Z, y, l2, loss, np.append(np.ones(X.shape[1]), float(bias_penalized)))
+        if steps is None:
+            warnings.warn(f"{family} stopped at the Newton step cap ({_NEWTON_STEPS} steps)")
+        fits.append((w, scaler))
     return fits
+
+
+def _fit_logistic_regression(splits, hp, seed):
+    fits = _fit_linear("logistic_regression", _log_loss, False, splits, hp["l2"])
+    return [{"weights": w[:-1].tolist(), "bias": float(w[-1]), "scaler": scaler}
+            for w, scaler in fits]
 
 
 def _score_logistic_regression(params, X):
@@ -458,59 +496,9 @@ def _score_random_forest(params, X):
     return total / len(params["trees"])
 
 
-_SVM_CHUNK = 256  # Pegasos steps whose rows are gathered at once
-
-
 def _fit_linear_svm(splits, hp, seed):
-    """Hinge-loss SGD with 1/(lambda*t) steps, one fit per ``(X, y)`` split;
-    the intercept rides along as an augmented constant feature, so it
-    shares the light L2 penalty. The splits are the rows of one weight
-    array, longest first, so the splits still running are a prefix; each
-    step gathers their rows from one array of every split's rows, so no
-    buffer grows with the number of steps times splits."""
-    lam, epochs = hp["l2"], hp["epochs"]
-    order = sorted(range(len(splits)), key=lambda f: -splits[f][0].shape[0])
-    sizes = [splits[f][0].shape[0] for f in order]
-    starts = np.cumsum([0, *sizes[:-1]]).tolist()
-    # Every split's rows, in ``order``, times their +-1 target: only signs
-    # flip, so margins and updates equal the one-split loop's
-    # ``target * (z @ w)`` and ``eta * target * z`` bit for bit.
-    signed = np.empty((sum(sizes), splits[0][0].shape[1] + 1))
-    scalers: list = [None] * len(splits)
-    for f, start, n in zip(order, starts, sizes):
-        X, y = splits[f]
-        scalers[f] = _fit_scaler(X)
-        block = signed[start:start + n]
-        block[:, :-1] = _apply_scaler(scalers[f], X)
-        block[:, -1] = 1.0
-        block *= np.where(y == 1, 1.0, -1.0)[:, None]
-    ends = [epochs * n for n in sizes]  # non-increasing
-    rngs = [np.random.default_rng(seed) for _ in order]
-    pending = [np.empty(0, dtype=int) for _ in order]
-    W = np.zeros((len(order), signed.shape[1]))
-    at = np.empty((_SVM_CHUNK, len(order)), dtype=int)  # (step, split): rows of ``signed``
-    t = 0
-    while t < ends[0]:
-        m = sum(end > t for end in ends)  # active splits, a prefix of ``order``
-        size = min(_SVM_CHUNK, ends[m - 1] - t)
-        for a in range(m):
-            while pending[a].size < size:  # a new epoch starts within the chunk
-                epoch = starts[a] + rngs[a].permutation(sizes[a])
-                pending[a] = np.concatenate([pending[a], epoch])
-            at[:size, a] = pending[a][:size]
-            pending[a] = pending[a][size:]
-        Wa, r, step = W[:m], np.empty((m, W.shape[1])), np.empty((m, W.shape[1]))
-        for rows in at[:size, :m]:
-            t += 1
-            eta = 1.0 / (lam * t)
-            Wa *= 1.0 - eta * lam
-            hit = np.vecdot(signed.take(rows, axis=0, out=r), Wa) < 1.0
-            if hit.any():  # splits off the margin are not written, so -0.0 stays
-                np.add(Wa, np.multiply(r, eta, out=step), out=Wa, where=hit[:, None])
-    fits: list = [None] * len(splits)
-    for a, f in enumerate(order):
-        fits[f] = {"weights": W[a].tolist(), "scaler": scalers[f]}
-    return fits
+    return [{"weights": w.tolist(), "scaler": scaler}
+            for w, scaler in _fit_linear("linear_svm", _squared_hinge, True, splits, hp["l2"])]
 
 
 def _score_linear_svm(params, X):
@@ -548,40 +536,22 @@ def _score_gbdt(params, X):
     return _sigmoid(raw)
 
 
-def _fit_two_class(fit, splits, hp, seed) -> list[dict]:
-    """``fit``, a fitter over one list of splits, called with the splits that
-    hold both classes; a single-class split becomes a constant predictor."""
+def _fit_two_class(algorithm, splits, hp, seed) -> list[dict]:
+    """The family's fits of the ``splits`` that hold both classes; a
+    single-class split becomes a constant predictor (``{"constant": label}``)."""
     live = [split for split in splits if np.unique(split[1]).size > 1]
-    fits = iter(fit(live, hp, seed) if live else [])
+    fits = iter(_FITTERS[algorithm](live, hp, seed) if live else [])
     return [next(fits) if np.unique(y).size > 1 else _constant_params(y) for _, y in splits]
 
 
-def _all_jobs_at_once(fit):
-    """A fitter over jobs from ``fit``, called once with every job's splits."""
-    def fit_jobs(jobs, hp, seed):
-        fits = iter(_fit_two_class(fit, [split for splits in jobs for split in splits], hp, seed))
-        return [[next(fits) for _ in splits] for splits in jobs]
-    return fit_jobs
-
-
-def _job_by_job(fit):
-    """A fitter over jobs from ``fit``, called for each job as its fits are
-    consumed, so a caller can drop one job's models before the next job's
-    are grown."""
-    return lambda jobs, hp, seed: (_fit_two_class(fit, splits, hp, seed) for splits in jobs)
-
-
-#: Each family's fitter: it takes each job's list of ``(X, y)`` splits and
-#: returns an iterable of each job's list of fitted parameters, in order.
-#: These adapters are the one place a split that lost a class becomes a
-#: constant predictor (``{"constant": label}``); the family fits the rest.
+#: Each family's fitter: a list of fitted parameters, one per ``(X, y)`` split.
 _FITTERS = {
-    "naive_bayes": _all_jobs_at_once(_fit_naive_bayes),
-    "decision_tree": _job_by_job(_fit_decision_tree),
-    "logistic_regression": _all_jobs_at_once(_fit_logistic_regression),
-    "random_forest": _job_by_job(_fit_random_forest),
-    "linear_svm": _all_jobs_at_once(_fit_linear_svm),
-    "gbdt": _job_by_job(_fit_gbdt),
+    "naive_bayes": _fit_naive_bayes,
+    "decision_tree": _fit_decision_tree,
+    "logistic_regression": _fit_logistic_regression,
+    "random_forest": _fit_random_forest,
+    "linear_svm": _fit_linear_svm,
+    "gbdt": _fit_gbdt,
 }
 
 _SCORERS = {
@@ -594,15 +564,15 @@ _SCORERS = {
 }
 
 
-_COUNTS = ("n_trees", "n_rounds", "epochs", "max_depth", "min_samples_leaf")
+_COUNTS = ("n_trees", "n_rounds", "max_depth", "min_samples_leaf")
 
 
 def _hyperparams(algorithm: str, hyperparams: Mapping | None) -> dict:
     """The family's defaults updated with ``hyperparams``, range-checked.
 
-    Counts are ints >= 1 (not bools); ``linear_svm``'s ``l2`` is > 0 (its
-    step size is 1/(l2*t)), every other ``l2`` >= 0, and ``learning_rate``
-    and ``var_floor`` > 0."""
+    Counts are ints >= 1 (not bools); the linear families' ``l2`` is > 0
+    (at 0 the log loss of separable data has no minimizer), gbdt's ``l2`` >= 0,
+    and ``learning_rate`` and ``var_floor`` > 0."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r} (expected one of {ALGORITHMS})")
     hp = dict(DEFAULT_HYPERPARAMS[algorithm])
@@ -615,7 +585,7 @@ def _hyperparams(algorithm: str, hyperparams: Mapping | None) -> dict:
         if key in _COUNTS:
             ok, want = isinstance(value, numbers.Integral) and value >= 1, "an int >= 1"
         else:
-            positive = key != "l2" or algorithm == "linear_svm"
+            positive = key != "l2" or algorithm != "gbdt"
             ok = isinstance(value, numbers.Real) and math.isfinite(value) and (
                 value > 0 if positive else value >= 0)
             want = "a finite number " + ("> 0" if positive else ">= 0")
@@ -643,7 +613,7 @@ def train(
     if np.unique(y).size < 2:
         warnings.warn(f"single-class training data; {algorithm} degenerates to a "
                       "constant predictor", stacklevel=2)
-    [[params]] = _FITTERS[algorithm]([[(X, y)]], hp, seed)
+    [params] = _fit_two_class(algorithm, [(X, y)], hp, seed)
     return TrainedClassifier(algorithm=algorithm, parameters=params,
                              hyperparams=hp, seed=seed, feature_names=names)
 
@@ -716,9 +686,8 @@ def kfold_cv(
     Each job has its own folds, and every sample is tested exactly once.
     Folds whose training split lost a class are still evaluated (constant
     predictor) but flagged in ``degenerate_folds``. Scaler statistics of
-    standardizing families are kept per fold so leakage is auditable. The
-    family's fitter gets every job's splits at once (see the module
-    docstring); each report equals a one-job call's.
+    standardizing families are kept per fold so leakage is auditable. Jobs
+    are fitted one after another, so each report equals a one-job call's.
     """
     prepared = []
     for X, y in jobs:
@@ -734,11 +703,11 @@ def kfold_cv(
         raise ValueError("every job needs the same number of features")
     hp = _hyperparams(algorithm, hyperparams)
     names = [_feature_names(feature_names, X.shape[1]) for X, *_ in prepared]
-    fitted = iter(_FITTERS[algorithm]([splits for *_, splits in prepared], hp, seed))
     # each job's report is made, and its models dropped, before the next
     # job's models are fitted (a forest job's 10 folds hold ~1,000 trees)
-    return [_report(algorithm, k, seed, hp, job_names, X, y, folds, next(fitted))
-            for job_names, (X, y, folds, _) in zip(names, prepared)]
+    return [_report(algorithm, k, seed, hp, job_names, X, y, folds,
+                    _fit_two_class(algorithm, splits, hp, seed))
+            for job_names, (X, y, folds, splits) in zip(names, prepared)]
 
 
 def _report(algorithm, k, seed, hp, names, X, y, folds, fitted) -> EvalReport:

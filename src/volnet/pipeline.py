@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import timedelta
@@ -47,6 +48,16 @@ def _stage(name: str):
         raise
     except Exception as exc:
         raise PipelineStageError(name, str(exc)) from exc
+
+
+@contextmanager
+def _warnings_to(warnings_out: list[str], prefix: str):
+    """Record each warning raised inside, as ``prefix`` and its message: a
+    linear fit stopped at its Newton step cap, or a final fit on one class."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        yield
+    warnings_out += [f"{prefix}{w.message}" for w in caught]
 
 
 @dataclass(frozen=True)
@@ -428,8 +439,8 @@ def _run_stages(cfg: PipelineConfig, through: str, lenient: bool, result: RunRes
         return
 
     with _stage("train"):
-        jobs = []  # (scope, case, X, y), in the order of the eval rows
         for name, table in tables.items():
+            rows = result.eval_rows[name] = []
             for case in featureset.CASES:
                 n = table.cases.count(case)
                 if n < 2 * cfg.cv_folds:
@@ -442,27 +453,26 @@ def _run_stages(cfg: PipelineConfig, through: str, lenient: bool, result: RunRes
                 if constant:
                     result.warnings.append(
                         f"train: constant in scope {name} case {case}: {', '.join(constant)}")
-                jobs.append((name, case, X, y))
-        # one call per family fits every job's folds
-        reports = {alg: models.kfold_cv(alg, [(X, y) for _, _, X, y in jobs], k=cfg.cv_folds,
-                                         seed=cfg.seed, feature_names=featureset.FEATURE_NAMES)
-                   for alg in cfg.models}
-        for name in tables:
-            rows = [(alg, case, reports[alg][j]) for j, (scope, case, _, _) in enumerate(jobs)
-                    if scope == name for alg in cfg.models]
-            result.eval_rows[name] = rows
+                tag = f"train: scope {name} case {case}: "
+                for alg in cfg.models:
+                    with _warnings_to(result.warnings, tag):
+                        [report] = models.kfold_cv(alg, [(X, y)], k=cfg.cv_folds, seed=cfg.seed,
+                                                   feature_names=featureset.FEATURE_NAMES)
+                    if report.degenerate_folds:
+                        result.warnings.append(f"{tag}{alg} folds {list(report.degenerate_folds)} "
+                                               "trained on one class (constant predictor)")
+                    rows.append((alg, case, report))
+                result.best[(name, case)] = _best_algorithm(rows, case)
             _emit(cfg, artifacts, f"eval_{name}.csv", models.write_eval_csv, rows)
-            for case in featureset.CASES:
-                if any(c == case for _, c, _ in rows):
-                    result.best[(name, case)] = _best_algorithm(rows, case)
     if through == "train":
         return
 
     with _stage("explain"):
         for (name, case), alg in sorted(result.best.items()):
             X, y, users = tables[name].rows(case)
-            model = models.train(alg, X, y, seed=cfg.seed,
-                                 feature_names=featureset.FEATURE_NAMES)
+            with _warnings_to(result.warnings, f"explain: scope {name} case {case}: "):
+                model = models.train(alg, X, y, seed=cfg.seed,
+                                     feature_names=featureset.FEATURE_NAMES)
             _emit(cfg, artifacts, f"model_{name}_{case}.json", models.save_model, model)
             atts, ranked = explain.attribute_rows(
                 model, X, users, seed=cfg.seed, n_permutations=cfg.n_permutations,

@@ -1,14 +1,14 @@
 """Per-fit references for the differential tests of the fold-batched fitters.
 
-These are the one-split Pegasos and logistic-regression loops that
-``volnet.models`` ran once per fold before its fitters advanced all folds
-together; the depth-first CART grower that fitted one decision tree at a
+These are the depth-first CART grower that fitted one decision tree at a
 time from columns presorted once per fit, each node from its own prefix
 sums; a level-wise grower that fits one forest or boosted ensemble at a
-time, node by node; the old per-fold ``kfold_cv`` loop that called them; the
-per-index loop that dealt ``stratified_folds``; and the loop that built
-``shapley_mc``'s coalition rows one flip at a time.  The tests require the
-library to reproduce them exactly.
+time, node by node; the old per-fold ``kfold_cv`` loop that called them (and
+one-split ``models.train`` for the linear families); the objectives the
+linear families minimize, with their gradients; the per-index loop that
+dealt ``stratified_folds``; and the loop that built ``shapley_mc``'s
+coalition rows one flip at a time.  The tests require the library to
+reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -22,39 +22,28 @@ from volnet import models
 from volnet.explain import _check_inputs
 
 
-def train_logistic_regression(X, y, hp, seed):
-    scaler = models._fit_scaler(X)
-    Z = models._apply_scaler(scaler, X)
-    n, d = Z.shape
-    w = np.zeros(d)
-    b = 0.0
-    lr, lam = hp["learning_rate"], hp["l2"]
-    for _ in range(hp["epochs"]):
-        p = models._sigmoid(Z @ w + b)
-        grad_w = Z.T @ (p - y) / n + lam * w
-        grad_b = float((p - y).mean())
-        w -= lr * grad_w
-        b -= lr * grad_b
-    return {"weights": w.tolist(), "bias": b, "scaler": scaler}
+def linear_objective(algorithm, X, y, l2):
+    """The objective a linear family minimizes, as a function of its
+    parameter vector (weights, then bias), with its gradient; the scaler is
+    the one ``train`` fits."""
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    Z = np.hstack([(X - mean) / np.where(std < 1e-12, 1.0, std), np.ones((y.size, 1))])
+    penalized = np.ones(Z.shape[1])
+    if algorithm == "logistic_regression":
+        penalized[-1] = 0.0
 
+    def f(w):
+        m = Z @ w
+        if algorithm == "logistic_regression":
+            value, d1 = np.logaddexp(0.0, m) - y * m, np.exp(-np.logaddexp(0.0, -m)) - y
+        else:
+            t = 2.0 * y - 1.0
+            slack = np.maximum(0.0, 1.0 - t * m)
+            value, d1 = slack ** 2, -2.0 * t * slack
+        reg = l2 * penalized * w
+        return value.mean() + 0.5 * reg @ w, Z.T @ d1 / y.size + reg
 
-def train_linear_svm(X, y, hp, seed):
-    scaler = models._fit_scaler(X)
-    Z = np.hstack([models._apply_scaler(scaler, X), np.ones((X.shape[0], 1))])
-    target = np.where(y == 1, 1.0, -1.0)
-    rng = np.random.default_rng(seed)
-    n, d = Z.shape
-    lam = hp["l2"]
-    w = np.zeros(d)
-    t = 0
-    for _ in range(hp["epochs"]):
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (lam * t)
-            w *= 1.0 - eta * lam
-            if target[i] * (Z[i] @ w) < 1.0:
-                w += eta * target[i] * Z[i]
-    return {"weights": w.tolist(), "scaler": scaler}
+    return f
 
 
 def _best_split(X, ords, features, g, h, G, H, gain, min_leaf, min_gain):
@@ -232,9 +221,13 @@ def _train_gbdt(X, y, hp, seed):
     return {"f0": f0, "learning_rate": lr, "trees": trees, "loss_history": loss_history}
 
 
+def _train_linear(algorithm, X, y, hp, seed):
+    return models.train(algorithm, X, y, hyperparams=hp, seed=seed).parameters
+
+
 TRAINERS = {
-    "logistic_regression": train_logistic_regression,
-    "linear_svm": train_linear_svm,
+    "logistic_regression": partial(_train_linear, "logistic_regression"),
+    "linear_svm": partial(_train_linear, "linear_svm"),
     "decision_tree": train_decision_tree,
     "random_forest": _train_random_forest,
     "gbdt": _train_gbdt,

@@ -158,8 +158,7 @@ class TestMonteCarlo:
 class TestMonteCarloMatchesReference:
     """The rank-mask row builder against the flip-by-flip loop, exactly."""
 
-    FAST = {"logistic_regression": {"epochs": 30}, "random_forest": {"n_trees": 5},
-            "linear_svm": {"epochs": 5}, "gbdt": {"n_rounds": 5}}
+    FAST = {"random_forest": {"n_trees": 5}, "gbdt": {"n_rounds": 5}}
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("d", [1, 2, 5])

@@ -24,7 +24,7 @@ def fitted_case(draw):
     y = np.array([0, 1] * (n // 2) + [0] * (n % 2))
     algorithm = draw(st.sampled_from(["naive_bayes", "decision_tree", "logistic_regression",
                                       "gbdt"]))
-    hp = {"logistic_regression": {"epochs": 20}, "gbdt": {"n_rounds": 5}}.get(algorithm)
+    hp = {"gbdt": {"n_rounds": 5}}.get(algorithm)
     return train(algorithm, X, y, hyperparams=hp), X
 
 

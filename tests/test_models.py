@@ -10,15 +10,19 @@ from functools import partial
 import numpy as np
 import pytest
 
+from volnet import models
 from volnet.models import (
     _TreeRule,
     _best_cuts,
     _eval_tree,
-    _fit_linear_svm,
+    _NEWTON_TOL,
     _gini_gain,
     _grow,
     _grown_rows,
+    _log_loss,
+    _newton,
     _second_order_gain,
+    _squared_hinge,
     ALGORITHMS,
     DEFAULT_HYPERPARAMS,
     TrainedClassifier,
@@ -56,9 +60,9 @@ def xor_data(copies: int = 1):
 FAST = {
     "naive_bayes": {},
     "decision_tree": {},
-    "logistic_regression": {"epochs": 300},
+    "logistic_regression": {},
     "random_forest": {"n_trees": 30},
-    "linear_svm": {"epochs": 100},
+    "linear_svm": {},
     "gbdt": {"n_rounds": 30},
 }
 
@@ -77,18 +81,18 @@ class TestTrainValidation:
     @pytest.mark.parametrize("algorithm, key, value", [
         ("random_forest", "n_trees", 0),
         ("gbdt", "n_rounds", -3),
-        ("linear_svm", "epochs", 2.0),
         ("decision_tree", "max_depth", True),
         ("random_forest", "min_samples_leaf", 0),
         ("linear_svm", "l2", 0),
+        ("logistic_regression", "l2", 0),
         ("gbdt", "l2", -1),
-        ("logistic_regression", "learning_rate", 0.0),
         ("naive_bayes", "var_floor", -1e-9),
         ("gbdt", "learning_rate", float("inf")),
     ])
     def test_out_of_range_hyperparameter_names_family_and_key(self, algorithm, key, value):
-        # one case per rule: counts are ints >= 1 and not bools; linear_svm's
-        # l2 > 0, other l2 >= 0; learning_rate and var_floor > 0; all finite
+        # one case per rule: counts are ints >= 1 and not bools; the linear
+        # families' l2 > 0, gbdt's l2 >= 0; learning_rate and var_floor > 0;
+        # all finite
         X, y = separable(n_per=10)
         with pytest.raises(ValueError, match=f"{algorithm} hyperparameter {key} "):
             train(algorithm, X, y, hyperparams={key: value})
@@ -99,8 +103,7 @@ class TestTrainValidation:
         X, y = separable(n_per=10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for algorithm, hp in [("gbdt", {"l2": 0.0, "n_rounds": 1, "max_depth": 1}),
-                                  ("logistic_regression", {"l2": 0, "epochs": np.int64(2)}),
+            for algorithm, hp in [("gbdt", {"l2": 0.0, "n_rounds": np.int64(1), "max_depth": 1}),
                                   ("random_forest", {"n_trees": 1, "min_samples_leaf": 1})]:
                 kfold_cv(algorithm, [(X, y)], k=2, hyperparams=hp)
 
@@ -472,7 +475,7 @@ class TestRandomForest:
 class TestLinearSVM:
     def test_score_monotone_in_margin(self):
         X, y = separable(d=1, seed=9)
-        model = train("linear_svm", X, y, hyperparams={"epochs": 200})
+        model = train("linear_svm", X, y)
         s = model.scores(np.array([[-1.0], [1.5], [4.0]]))
         assert s[0] < s[1] < s[2]
         assert s[0] < 0.5 < s[2]
@@ -511,7 +514,7 @@ class TestGBDT:
             assert tree == want and np.array_equal(values, want_values)
 
 
-def lockstep_data(k: int, seed: int, degenerate: bool):
+def fold_data(k: int, seed: int, degenerate: bool):
     """Rows not divisible by ``k``, repeated values and a constant column;
     with ``degenerate`` a single positive, so one fold trains on one class."""
     rng = np.random.default_rng(seed)
@@ -534,79 +537,94 @@ def assert_same_parameters(got: dict, want: dict):
 
 
 class TestFoldFittersMatchReference:
-    """The fold-batched Pegasos and gradient-descent fitters against the
-    one-split loops in ``models_reference``, bit for bit."""
+    """``kfold_cv``'s fold fits of the linear families against one-split
+    ``train`` fits of each fold's training split, bit for bit."""
 
     @pytest.mark.parametrize("algorithm", ["linear_svm", "logistic_regression"])
     @pytest.mark.parametrize("k", range(2, 11))
     def test_cv_folds(self, algorithm, k):
         for degenerate in (False, True):
-            X, y = lockstep_data(k, seed=k, degenerate=degenerate)
-            for epochs in (1, 3, 17):
-                hp = {"epochs": epochs}
-                got = ref.cv_fold_parameters(algorithm, X, y, k, seed=k, hyperparams=hp)
-                want = ref.fold_parameters(algorithm, X, y, k, seed=k, hyperparams=hp)
-                assert len(got) == len(want) == k
-                for g, w in zip(got, want):
-                    assert_same_parameters(g, w)
+            X, y = fold_data(k, seed=k, degenerate=degenerate)
+            got = ref.cv_fold_parameters(algorithm, X, y, k, seed=k)
+            want = ref.fold_parameters(algorithm, X, y, k, seed=k)
+            assert len(got) == len(want) == k
+            for g, w in zip(got, want):
+                assert_same_parameters(g, w)
             if degenerate:
                 assert sum("constant" in w for w in want) == 1
 
     @pytest.mark.parametrize("algorithm", ["linear_svm", "logistic_regression"])
-    def test_default_epochs(self, algorithm):
-        X, y = separable(n_per=23, d=5, seed=31)
-        got = ref.cv_fold_parameters(algorithm, X, y, 10, seed=4)
-        want = ref.fold_parameters(algorithm, X, y, 10, seed=4)
-        for g, w in zip(got, want):
-            assert_same_parameters(g, w)
-
-    @pytest.mark.parametrize("algorithm", ["linear_svm", "logistic_regression"])
     def test_train_is_the_one_split_fit(self, algorithm):
-        X, y = lockstep_data(5, seed=8, degenerate=False)
-        for epochs in (1, 4, 40):
-            hp = dict(DEFAULT_HYPERPARAMS[algorithm], epochs=epochs)
-            got = train(algorithm, X, y, hyperparams={"epochs": epochs}, seed=3)
-            assert_same_parameters(got.parameters, ref.TRAINERS[algorithm](X, y, hp, 3))
-
-    def test_signed_zero_survives_a_step_off_the_margin(self):
-        # In the first split, step 1 writes a subnormal weight that step 2's
-        # shrink rounds to -0.0; at step 2 the first split's positive row
-        # stays outside the margin while the second split hits, and the
-        # first split must not get that row's +0.0 feature value added.
-        X = np.zeros((10, 2))
-        X[0] = (5e-324, -10.0)
-        X[9, 1] = 10.0
-        first = np.array([0] * 9 + [1])
-        second = np.array([0] * 5 + [1] + [0] * 4)
-        hp = dict(DEFAULT_HYPERPARAMS["linear_svm"], l2=1.0, epochs=1)
-        want = [ref.train_linear_svm(X, y, hp, 252) for y in (first, second)]
-        assert want[0]["weights"][0] == 0.0 and np.signbit(want[0]["weights"][0])
-        got = _fit_linear_svm([(X, first), (X, second)], hp, 252)
-        for g, w in zip(got, want):
-            assert_same_parameters(g, w)
-
-    @pytest.mark.parametrize("rows", [
-        [(5.0, 4.315894611749433), (1.8715500397864788, 0.1), (-0.54, 0.36), (1.3, 0.95),
-         (-0.7, -1.27), (-0.62, 0.04), (-2.33, -0.22), (-1.25, -0.73)],
-        [(5.0, 3.765249949328382), (1.6360217441586447, 0.64), (0.75, -0.96), (0.56, -0.29),
-         (0.3, -1.26), (0.83, 1.2), (0.64, 0.56), (-3.77, 0.26)],
-    ])
-    def test_margin_exactly_on_the_boundary(self, rows):
-        # Seed 220 visits rows 0 and 1 first, and the second step's margin
-        # ``Z[1] @ (Z[0] * 0.5)`` is exactly 1.0 as the 1-D dot product of
-        # NumPy's bundled OpenBLAS on x86-64 computes it, so it does not hit;
-        # ``einsum`` or ``(z * w).sum()`` land an ulp below, and hit.
-        X = np.array(rows)
-        y = np.array([0, 0, 1, 1, 1, 1, 0, 0])
-        hp = dict(DEFAULT_HYPERPARAMS["linear_svm"], l2=1.0, epochs=1)
-        got = train("linear_svm", X, y, hyperparams={"l2": 1.0, "epochs": 1}, seed=220)
-        assert_same_parameters(got.parameters, ref.train_linear_svm(X, y, hp, 220))
+        # the solver on the split's z-scored rows and a constant 1, whose
+        # weight is the bias (penalized for the SVM only); no seed enters
+        loss, bias_penalized = {"linear_svm": (_squared_hinge, True),
+                                "logistic_regression": (_log_loss, False)}[algorithm]
+        X, y = fold_data(5, seed=8, degenerate=False)
+        got = [train(algorithm, X, y, seed=seed).parameters for seed in (0, 3)]
+        assert_same_parameters(got[0], got[1])
+        Z = np.hstack([(X - got[0]["scaler"]["mean"]) / got[0]["scaler"]["std"],
+                       np.ones((y.size, 1))])
+        penalized = np.append(np.ones(X.shape[1]), float(bias_penalized))
+        w, steps = _newton(Z, y, DEFAULT_HYPERPARAMS[algorithm]["l2"], loss, penalized)
+        assert steps is not None
+        want = {"weights": w.tolist(), "scaler": got[0]["scaler"]}
+        if algorithm == "logistic_regression":
+            want.update(weights=w[:-1].tolist(), bias=float(w[-1]))
+        assert_same_parameters(got[0], want)
 
     def test_scaler_stats_match_the_fold_models(self):
-        X, y = lockstep_data(7, seed=1, degenerate=False)
-        report = kfold_cv("linear_svm", [(X, y)], k=7, seed=2, hyperparams={"epochs": 2})[0]
-        want = ref.fold_parameters("linear_svm", X, y, 7, seed=2, hyperparams={"epochs": 2})
+        X, y = fold_data(7, seed=1, degenerate=False)
+        report = kfold_cv("linear_svm", [(X, y)], k=7, seed=2)[0]
+        want = ref.fold_parameters("linear_svm", X, y, 7, seed=2)
         assert list(report.fold_scaler_stats) == [w["scaler"] for w in want]
+
+
+def linear_problem(seed: int):
+    """Rows of mixed scales with a constant column and repeated rows, labels
+    from a noisy (sometimes noiseless, so separable) linear rule."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(8, 120)), int(rng.integers(2, 16))
+    X = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e3], size=d)
+    X[:, int(rng.integers(d))] = 2.5
+    X = np.vstack([X, X[: n // 3]])
+    noise = rng.choice([0.0, 0.3, 2.0])
+    y = (X @ rng.normal(size=d) + noise * rng.normal(size=X.shape[0]) > 0).astype(int)
+    y[:2] = (0, 1)
+    return X, y
+
+
+def fitted_vector(params: dict) -> np.ndarray:
+    return np.array(params["weights"] + ([params["bias"]] if "bias" in params else []))
+
+
+class TestLinearObjectives:
+    """Each linear family's fit is the minimizer of its objective: as low as
+    scipy's L-BFGS-B reaches, and with every gradient entry below the
+    solver's tolerance."""
+
+    @pytest.mark.parametrize("algorithm", ["linear_svm", "logistic_regression"])
+    @pytest.mark.parametrize("l2", [1e-4, 1e-3, 1.0])
+    def test_objective_matches_scipy(self, algorithm, l2):
+        optimize = pytest.importorskip("scipy.optimize")
+        for seed in range(12):
+            X, y = linear_problem(seed)
+            f = ref.linear_objective(algorithm, X, y, l2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ours = f(fitted_vector(train(algorithm, X, y, hyperparams={"l2": l2}).parameters))
+            theirs = optimize.minimize(f, np.zeros(X.shape[1] + 1), jac=True, method="L-BFGS-B",
+                                       options={"ftol": 1e-15, "gtol": 1e-11, "maxiter": 50000})
+            assert ours[0] <= theirs.fun * (1.0 + 1e-10)
+            assert ours[0] == pytest.approx(theirs.fun, rel=1e-8)
+            assert np.abs(ours[1]).max() < _NEWTON_TOL
+
+    @pytest.mark.parametrize("algorithm", ["linear_svm", "logistic_regression"])
+    def test_a_fit_at_the_step_cap_warns(self, algorithm, monkeypatch):
+        monkeypatch.setattr(models, "_NEWTON_STEPS", 1)
+        X, y = linear_problem(3)
+        with pytest.warns(UserWarning, match=f"^{algorithm} stopped at the Newton step cap "
+                                             r"\(1 steps\)$"):
+            train(algorithm, X, y)
 
 
 def same_json(got, want) -> bool:
@@ -633,7 +651,7 @@ class TestTreeLanesMatchReference:
     @pytest.mark.parametrize("k", [2, 3, 10])
     def test_cv_folds(self, algorithm, hp, k):
         for degenerate in (False, True):
-            X, y = lockstep_data(k, seed=k + 20, degenerate=degenerate)
+            X, y = fold_data(k, seed=k + 20, degenerate=degenerate)
             got = ref.cv_fold_parameters(algorithm, X, y, k, seed=k, hyperparams=hp)
             want = ref.fold_parameters(algorithm, X, y, k, seed=k, hyperparams=hp)
             assert len(got) == len(want) == k
@@ -660,7 +678,7 @@ class TestTreeLanesMatchReference:
 
     @pytest.mark.parametrize("algorithm, hp", TREE_CASES)
     def test_train_is_the_one_lane_fit(self, algorithm, hp):
-        X, y = lockstep_data(4, seed=9, degenerate=False)
+        X, y = fold_data(4, seed=9, degenerate=False)
         full = dict(DEFAULT_HYPERPARAMS[algorithm], **hp)
         for seed in (0, 5):
             got = train(algorithm, X, y, hyperparams=hp, seed=seed)
@@ -772,8 +790,7 @@ class TestKFoldCV:
         X[0, 0] = 1000.0
         y = np.array([0, 1] * (n // 2))
         k, seed = 3, 5
-        report = kfold_cv("logistic_regression", [(X, y)], k=k, seed=seed,
-                          hyperparams={"epochs": 10})[0]
+        report = kfold_cv("logistic_regression", [(X, y)], k=k, seed=seed)[0]
         folds = stratified_folds(y, k, seed)
         holdout = next(i for i, f in enumerate(folds) if 0 in f)
         for fold_no, scaler in enumerate(report.fold_scaler_stats):
@@ -785,9 +802,9 @@ class TestKFoldCV:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_many_jobs_equal_one_call_per_job(self, algorithm):
-        # different lengths, two of one length (stacked together by
-        # logistic regression), and a job with a degenerate fold
-        jobs = [separable(n_per=9, d=4, seed=1), lockstep_data(3, seed=2, degenerate=True),
+        # different lengths, two of one length, and a job with a
+        # degenerate fold
+        jobs = [separable(n_per=9, d=4, seed=1), fold_data(3, seed=2, degenerate=True),
                 separable(n_per=12, d=4, seed=3), separable(n_per=9, d=4, seed=4)]
         hp = FAST[algorithm]
         with warnings.catch_warnings():
@@ -801,7 +818,7 @@ class TestKFoldCV:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_jobs_of_different_widths_are_rejected(self, algorithm):
-        # the linear fitters stack every job's splits into shared arrays
+        # one list of feature names serves every job
         jobs = [separable(n_per=9, d=4, seed=1), separable(n_per=9, d=3, seed=2)]
         with pytest.raises(ValueError, match="same number of features"):
             kfold_cv(algorithm, jobs, k=3, hyperparams=FAST[algorithm])

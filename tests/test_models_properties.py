@@ -1,5 +1,5 @@
-"""Property tests of the stratified folds and the tree growers (skipped
-without Hypothesis)."""
+"""Property tests of the stratified folds, the tree growers and the linear
+families' solver (skipped without Hypothesis)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from volnet.models import _eval_tree, _sigmoid, stratified_folds, train  # noqa: E402
+from volnet.models import (  # noqa: E402
+    _NEWTON_TOL, _eval_tree, _sigmoid, stratified_folds, train)
 
 import models_reference  # noqa: E402
 
@@ -121,3 +122,15 @@ def test_gbdt_rounds_update_by_the_scores_of_their_trees(table, rounds, depth, l
         raw = raw + params["learning_rate"] * _eval_tree(tree, X)
         p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)
         assert loss == float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tables(), st.sampled_from(["logistic_regression", "linear_svm"]),
+       st.sampled_from([1e-3, 1.0]))
+def test_linear_fits_stop_below_the_gradient_tolerance(table, algorithm, l2):
+    # tiny tables are separable: the penalty alone bounds the weights
+    X, y = table
+    params = train(algorithm, X, y, {"l2": l2}).parameters
+    w = np.array(params["weights"] + ([params["bias"]] if "bias" in params else []))
+    _, grad = models_reference.linear_objective(algorithm, X, y, l2)(w)
+    assert np.abs(grad).max() < _NEWTON_TOL

@@ -596,18 +596,23 @@ class TestManifest:
 
 class TestIterationCapWarnings:
     """A k-means fit that hits max_iter, or a DBA update that hits its inner
-    cap, leaves a ``cluster:`` line in the manifest warnings."""
+    cap, leaves a ``cluster:`` line in the manifest warnings; a linear fit
+    stopped at its Newton step cap leaves a ``train:`` line for a CV fit and
+    an ``explain:`` line for a final fit."""
 
-    def _cluster(self, data_dir, tmp_path) -> list[str]:
-        cfg_path = tmp_path / "warp.cfg"
-        cfg_path.write_text("metric = dtw\ninterval = monthly\n")
+    def _warnings(self, data_dir, tmp_path, command, config) -> list[str]:
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config)
         out = tmp_path / "out"
-        rc = cli.main(["cluster", "--transactions", data_dir["transactions"],
+        rc = cli.main([command, "--transactions", data_dir["transactions"],
                        "--events", data_dir["events"], "--config", str(cfg_path),
                        "--seed", "11", "--out", str(out)])
         assert rc == 0
         with open(out / "manifest.json", encoding="utf-8") as fh:
             return json.load(fh)["warnings"]
+
+    def _cluster(self, data_dir, tmp_path) -> list[str]:
+        return self._warnings(data_dir, tmp_path, "cluster", "metric = dtw\ninterval = monthly\n")
 
     def test_default_caps_do_not_fire(self, run, data_dir, tmp_path):
         _, result = run
@@ -627,6 +632,43 @@ class TestIterationCapWarnings:
         hits = [w for w in self._cluster(data_dir, tmp_path) if needle in w]
         assert hits
         assert all(w.startswith("cluster: scope ") for w in hits)
+
+    def test_forced_newton_cap_is_a_manifest_warning(self, data_dir, tmp_path, monkeypatch):
+        # every CV fold fit and final fit of both linear families stops at
+        # the cap: one line each, tagged with its stage, scope and case
+        monkeypatch.setattr(models, "_NEWTON_STEPS", 1)
+        families = ("linear_svm", "logistic_regression")
+        got = self._warnings(data_dir, tmp_path, "explain",
+                             f"models = {','.join(families)}\nexplain_rows = 2\n")
+        hits = [w for w in got if "Newton step cap" in w]
+        want = [f"train: scope network case {case}: {alg} stopped at the Newton step cap (1 steps)"
+                for case in featureset.CASES for alg in families for _ in range(10)]
+        assert [w for w in hits if w.startswith("train: ")] == want
+        final = [w for w in hits if w.startswith("explain: ")]
+        assert [w.split(": ")[1] for w in final] == [
+            f"scope network case {case}" for case in sorted(featureset.CASES)]
+        assert all(w.endswith(" stopped at the Newton step cap (1 steps)") for w in final)
+
+    def test_degenerate_folds_are_manifest_warnings(self, data_dir, tmp_path, monkeypatch):
+        # a job with one positive: the fold that tests it trains on one class
+        real = featureset.ScopeFeatures.rows
+        labels = {}
+
+        def one_positive(table, case=None):
+            X, y, users = real(table, case)
+            labels[case] = (np.arange(y.size) == 0).astype(int)
+            return X, labels[case], users
+
+        monkeypatch.setattr(featureset.ScopeFeatures, "rows", one_positive)
+        families = ("logistic_regression", "naive_bayes")
+        got = self._warnings(data_dir, tmp_path, "train", f"models = {','.join(families)}\n")
+        want = []
+        for case in featureset.CASES:
+            folds = models.stratified_folds(labels[case], 10, 11)
+            [fold] = [f for f, test_idx in enumerate(folds) if 0 in test_idx]
+            want += [f"train: scope network case {case}: {alg} folds [{fold}] trained on one "
+                     "class (constant predictor)" for alg in families]
+        assert [w for w in got if "trained on one class" in w] == want
 
 
 # ---------------------------------------------------------------------------
