@@ -1,5 +1,4 @@
-"""The lockstep driver: ``tscluster`` runs each k-means fit as a lane. (The
-tree families grow level by level in ``models`` and do not use it.)"""
+"""The lockstep driver: ``tscluster`` runs each k-means fit as a lane."""
 
 
 def lockstep(lanes, answer) -> list:

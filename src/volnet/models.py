@@ -10,8 +10,8 @@ posterior/leaf fractions; logistic regression and boosted trees emit a
 sigmoid probability; the linear SVM emits a sigmoid-squashed margin
 (monotone in the decision value, not calibrated).
 
-Every family's fitter takes the ``(X, y)`` training splits of one job:
-``kfold_cv`` hands it each job's folds in turn, and ``train`` one split.
+Every family's fitter takes a list of ``(X, y)`` training splits:
+``kfold_cv`` hands it the training splits of its folds, and ``train`` one.
 ``_fit_two_class`` alone turns a split that lost a class into a constant
 predictor and has the family fit the others; every split sees the float
 operations its own fit would, so each result is bit-identical to fitting it
@@ -22,7 +22,7 @@ margins are ``np.vecdot`` of rows and weights, not BLAS ``@``, and a forest
 adds its trees' votes one tree at a time.
 
 Trees (the decision tree, each forest tree, each boosting round) share one
-level-wise grower, ``_grow``. A call grows every tree of a job's splits (of
+level-wise grower, ``_grow``. A call grows every tree of a list of splits (of
 one split, for a forest) one depth at a time, each depth one array pass over
 every node of every tree: the rows stay grouped by node in each feature's
 order, sorted once per split; ``_best_cuts`` scores every node's cuts, and
@@ -469,7 +469,7 @@ def _score_logistic_regression(params, X):
 
 
 def _fit_random_forest(splits, hp, seed):
-    """Each split's trees, one grower call per split: a job's 1,000 trees in
+    """Each split's trees, one grower call per split: 10 folds' 1,000 trees in
     one call would hold all their grown rows at once."""
     n_trees, d = hp["n_trees"], splits[0][0].shape[1]
     k = max(1, int(np.sqrt(d)))
@@ -674,45 +674,30 @@ def stratified_folds(y, k: int, seed: int = 0) -> list[np.ndarray]:
 
 def kfold_cv(
     algorithm: str,
-    jobs: Sequence[tuple],
+    X,
+    y,
     k: int = 10,
     seed: int = 0,
     hyperparams: Mapping | None = None,
     feature_names: Sequence[str] | None = None,
-) -> list[EvalReport]:
-    """Stratified k-fold cross-validation of one model family on each
-    ``(X, y)`` job; one report per job, in order.
+) -> EvalReport:
+    """Stratified k-fold cross-validation of one model family on ``(X, y)``.
 
-    Each job has its own folds, and every sample is tested exactly once.
-    Folds whose training split lost a class are still evaluated (constant
-    predictor) but flagged in ``degenerate_folds``. Scaler statistics of
-    standardizing families are kept per fold so leakage is auditable. Jobs
-    are fitted one after another, so each report equals a one-job call's.
+    Every sample is tested exactly once. Folds whose training split lost a
+    class are still evaluated (constant predictor) but flagged in
+    ``degenerate_folds``. Scaler statistics of standardizing families are
+    kept per fold so leakage is auditable.
     """
-    prepared = []
-    for X, y in jobs:
-        X, y = _validate_xy(X, y)
-        folds = stratified_folds(y, k, seed)
-        splits = []
-        for test_idx in folds:
-            train_mask = np.ones(y.size, dtype=bool)
-            train_mask[test_idx] = False
-            splits.append((X[train_mask], y[train_mask]))
-        prepared.append((X, y, folds, splits))
-    if len({X.shape[1] for X, *_ in prepared}) > 1:
-        raise ValueError("every job needs the same number of features")
+    X, y = _validate_xy(X, y)
+    folds = stratified_folds(y, k, seed)
+    splits = []
+    for test_idx in folds:
+        train_mask = np.ones(y.size, dtype=bool)
+        train_mask[test_idx] = False
+        splits.append((X[train_mask], y[train_mask]))
     hp = _hyperparams(algorithm, hyperparams)
-    names = [_feature_names(feature_names, X.shape[1]) for X, *_ in prepared]
-    # each job's report is made, and its models dropped, before the next
-    # job's models are fitted (a forest job's 10 folds hold ~1,000 trees)
-    return [_report(algorithm, k, seed, hp, job_names, X, y, folds,
-                    _fit_two_class(algorithm, splits, hp, seed))
-            for job_names, (X, y, folds, splits) in zip(names, prepared)]
-
-
-def _report(algorithm, k, seed, hp, names, X, y, folds, fitted) -> EvalReport:
-    """One job's report from its folds and each fold's fitted parameters; a
-    fold whose parameters are a constant predictor is degenerate."""
+    names = _feature_names(feature_names, X.shape[1])
+    fitted = _fit_two_class(algorithm, splits, hp, seed)
     per_fold = []
     for test_idx, params in zip(folds, fitted):
         model = TrainedClassifier(algorithm=algorithm, parameters=params, hyperparams=hp,

@@ -77,7 +77,6 @@ class PipelineConfig:
     k_min: int = 4
     k_max: int = 10
     metric: str = "euclidean"
-    gamma: float = 1.0
     cutoff_months: int = 3
     models: tuple[str, ...] = models.ALGORITHMS
     cv_folds: int = 10
@@ -104,9 +103,8 @@ class PipelineConfig:
             raise ValueError(f"duplicate model {repeated[0]!r} in models")
         if not self.models:
             raise ValueError("at least one model required")
-        for name in ("hub_multiplier", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.hub_multiplier):
+            raise ValueError(f"hub_multiplier must be finite, got {self.hub_multiplier}")
         minimums = {
             "hub_multiplier": 1,
             "min_transactions": 1,
@@ -123,8 +121,6 @@ class PipelineConfig:
         for name, low in minimums.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
 
 
 # Config keys with their defaults; each value is parsed to its default's type.
@@ -284,7 +280,7 @@ def _cluster_scope(cfg: PipelineConfig, scope: ScopeResult,
         return
     data = {u: scope.series[u].values for u in scope.users}
     scope.ch_scores, fitted = tscluster.ch_scan(
-        data, (cfg.k_min, k_max_eff), metric=cfg.metric, seed=cfg.seed, gamma=cfg.gamma)
+        data, (cfg.k_min, k_max_eff), metric=cfg.metric, seed=cfg.seed)
     for k, fit in sorted(fitted.items()):
         if not fit.converged:
             warnings_out.append(f"cluster: scope {scope.name} k={k}: assignments still changing "
@@ -456,8 +452,8 @@ def _run_stages(cfg: PipelineConfig, through: str, lenient: bool, result: RunRes
                 tag = f"train: scope {name} case {case}: "
                 for alg in cfg.models:
                     with _warnings_to(result.warnings, tag):
-                        [report] = models.kfold_cv(alg, [(X, y)], k=cfg.cv_folds, seed=cfg.seed,
-                                                   feature_names=featureset.FEATURE_NAMES)
+                        report = models.kfold_cv(alg, X, y, k=cfg.cv_folds, seed=cfg.seed,
+                                                 feature_names=featureset.FEATURE_NAMES)
                     if report.degenerate_folds:
                         result.warnings.append(f"{tag}{alg} folds {list(report.degenerate_folds)} "
                                                "trained on one class (constant predictor)")

@@ -1,20 +1,19 @@
 """Time-series distances, K-means, cluster-count selection, and archetypes.
 
 Distances are kept in squared form: ``euclidean_sq`` is the sum of squared
-differences and the DTW variants accumulate squared pointwise costs, so
-the three metrics are directly comparable and argmin-equivalent to their
+differences and DTW accumulates squared pointwise costs, so the two
+metrics are directly comparable and argmin-equivalent to their
 square-rooted counterparts.
 
-DTW and soft-DTW share one kernel (``_warp``) that fills the warping
-tables of many (series, centroid) pairs at once: NumPy operations run
-over all pairs and one anti-diagonal of cells at a time, doing the same
-float operations in the same order as a cell-by-cell loop over one pair,
-so results do not depend on how pairs are batched.  Its tables are
-batch-last (``[d, i, pair]``), so every step works on contiguous blocks
-with the pairs as the long inner axis, and it holds three diagonals of
-costs; for alignments it also keeps one byte per cell, the step that
-reached it, which ``_backtrack`` follows.  The scalar ``dtw``,
-``dtw_path`` and ``soft_dtw`` are the same kernel on a single pair.
+One DTW kernel (``_warp``) fills the warping tables of many (series,
+centroid) pairs at once: NumPy operations run over all pairs and one
+anti-diagonal of cells at a time, doing the same float operations in the
+same order as a cell-by-cell loop over one pair, so results do not depend
+on how pairs are batched.  Its tables are batch-last (``[d, i, pair]``),
+so every step works on contiguous blocks with the pairs as the long inner
+axis, and it holds three diagonals of costs; for alignments it also keeps
+one byte per cell, the step that reached it, which ``_backtrack`` follows.
+The scalar ``dtw`` and ``dtw_path`` are the same kernel on a single pair.
 
 A k-means fit is a lane: a generator that yields two kinds of request,
 the distances of every series to some centroids (each k-means++ pick and
@@ -38,7 +37,7 @@ import numpy as np
 from ._lanes import lockstep
 from .ingest import write_rows
 
-METRICS = ("euclidean", "dtw", "softdtw")
+METRICS = ("euclidean", "dtw")
 ARCHETYPES = ("FPD", "SAD", "FAD", "SPD")
 
 # archetype -> (prediction case, trend): FPD and SAD start high, SAD and SPD stay stable
@@ -102,21 +101,19 @@ _DI = np.array([1, 1, 0, 0, 0])
 _DJ = np.array([1, 0, 1, 1, 0])
 
 
-def _warp(a: np.ndarray, b: np.ndarray, gamma: float | None = None,
-          keep: bool = False):
+def _warp(a: np.ndarray, b: np.ndarray, keep: bool = False):
     """Accumulated warping cost of every pair of rows of ``a`` and ``b``.
 
     ``a`` has shape (..., n) and ``b`` shape (..., m); their leading axes
     broadcast to the batch of pairs.  Cell (i, j) costs ``(a_i - b_j)**2``;
     the first row and column are cumulative sums, and every other cell adds
-    its cost to the minimum of its diagonal, up and left neighbours (the
-    soft minimum with temperature ``gamma`` when one is given).  Cells are
-    swept one anti-diagonal (i + j = d) at a time for all pairs at once,
+    its cost to the minimum of its diagonal, up and left neighbours.  Cells
+    are swept one anti-diagonal (i + j = d) at a time for all pairs at once,
     holding three diagonals; they are batch-last, ``[d, i, pair]``, so one
     step works on contiguous blocks with the pairs as the inner axis.
-    Returns the final cell of each pair.  With ``keep`` (hard DTW only) it
-    also returns the step into every cell, ``steps[i + j, i, pair]``, for
-    :func:`_backtrack`; a tie prefers the diagonal, then up, then left.
+    Returns the final cell of each pair.  With ``keep`` it also returns the
+    step into every cell, ``steps[i + j, i, pair]``, for :func:`_backtrack`;
+    a tie prefers the diagonal, then up, then left.
     """
     n, m = a.shape[-1], b.shape[-1]
     if n == 0 or m == 0:
@@ -131,8 +128,6 @@ def _warp(a: np.ndarray, b: np.ndarray, gamma: float | None = None,
         steps = np.empty((n + m - 1, n, pairs), dtype=np.int8)
         steps[0, 0] = _START
         wins = np.empty((n, pairs), dtype=bool)
-    if gamma is not None:  # each finished diagonal divided by -gamma, once
-        scaled = np.zeros((3, n, pairs))
     for d in range(n + m - 1):
         cur, prev, prev2 = diags[d % 3], diags[(d - 1) % 3], diags[(d - 2) % 3]
         if d < m:  # cell (0, d) of the first row
@@ -149,23 +144,15 @@ def _warp(a: np.ndarray, b: np.ndarray, gamma: float | None = None,
         if lo <= hi:
             c, low = cost[:hi + 1 - lo], least[:hi + 1 - lo]  # one row per cell
             np.square(np.subtract(a[lo:hi + 1], b_rev[m - 1 - d + lo:m - d + hi], out=c), out=c)
-            if gamma is None:
-                diag, up, left = prev2[lo - 1:hi], prev[lo - 1:hi], prev[lo:hi + 1]
-                np.minimum(diag, up, out=low)
-                if keep:  # 2 if left beats both, plus 1 if up beats the diagonal
-                    step, won = steps[d, lo:hi + 1], wins[:hi + 1 - lo]
-                    np.less(left, low, out=won)
-                    np.add(won, won, out=step, dtype=np.int8)
-                    np.add(step, np.less(up, diag, out=won), out=step)
-                np.minimum(low, left, out=low)
-                np.add(c, low, out=cur[lo:hi + 1])
-            else:
-                s1, s2 = scaled[(d - 1) % 3], scaled[(d - 2) % 3]
-                np.logaddexp(s2[lo - 1:hi], s1[lo - 1:hi], out=low)
-                np.logaddexp(low, s1[lo:hi + 1], out=low)
-                np.subtract(c, np.multiply(low, gamma, out=low), out=cur[lo:hi + 1])
-        if gamma is not None:
-            np.divide(cur, -gamma, out=scaled[d % 3])
+            diag, up, left = prev2[lo - 1:hi], prev[lo - 1:hi], prev[lo:hi + 1]
+            np.minimum(diag, up, out=low)
+            if keep:  # 2 if left beats both, plus 1 if up beats the diagonal
+                step, won = steps[d, lo:hi + 1], wins[:hi + 1 - lo]
+                np.less(left, low, out=won)
+                np.add(won, won, out=step, dtype=np.int8)
+                np.add(step, np.less(up, diag, out=won), out=step)
+            np.minimum(low, left, out=low)
+            np.add(c, low, out=cur[lo:hi + 1])
     final = diags[(n + m - 2) % 3][n - 1].reshape(batch).copy()
     return (final, steps.reshape((n + m - 1, n) + batch)) if keep else final
 
@@ -219,19 +206,6 @@ def dtw_path(a, b) -> tuple[float, list[tuple[int, int]]]:
     return float(cost[0]), list(zip(i.tolist(), j.tolist()))
 
 
-def soft_dtw(a, b, gamma: float = 1.0) -> float:
-    """Soft-DTW: the DTW recursion with min replaced by a soft minimum.
-
-    ``softmin(x) = -gamma * log(sum(exp(-x/gamma)))``, so the value can dip
-    below zero (even on identical series) and converges to :func:`dtw` as
-    ``gamma`` goes to 0.
-    """
-    if not 0 < gamma < np.inf:
-        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
-    a, b = _series_pair(a, b)
-    return float(_warp(a, b, gamma))
-
-
 def _as_matrix(data) -> tuple[list[str], np.ndarray]:
     """Normalize a mapping of user to series to (sorted user list, value
     matrix); every value must be finite."""
@@ -249,18 +223,18 @@ def _as_matrix(data) -> tuple[list[str], np.ndarray]:
     return users, X
 
 
-def _distances_to_centroids(X: np.ndarray, centroids: np.ndarray, metric: str, gamma: float) -> np.ndarray:
+def _distances_to_centroids(X: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
     if metric == "euclidean":
         return ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return _warp(X[:, None, :], centroids[None, :, :], gamma if metric == "softdtw" else None)
+    return _warp(X[:, None, :], centroids[None, :, :])
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator):
-    """Seeded k-means++ seeding, one distance request per pick; negative
-    soft-DTW weights are clipped to 0.  Returns the k centroids."""
+    """Seeded k-means++ seeding, one distance request per pick.  Returns
+    the k centroids."""
     n = X.shape[0]
     chosen = [int(rng.integers(n))]
-    d = np.maximum((yield "dist", X[chosen[-1:]])[:, 0], 0.0)
+    d = (yield "dist", X[chosen[-1:]])[:, 0]
     while len(chosen) < k:
         total = d.sum()
         if total <= 0.0:
@@ -269,7 +243,7 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator):
         else:
             nxt = int(rng.choice(n, p=d / total))
         chosen.append(nxt)
-        d = np.minimum(d, np.maximum((yield "dist", X[nxt:nxt + 1])[:, 0], 0.0))
+        d = np.minimum(d, (yield "dist", X[nxt:nxt + 1])[:, 0])
     return X[chosen].copy()
 
 
@@ -351,7 +325,7 @@ def _fit(users: list[str], X: np.ndarray, k: int, metric: str, seed: int, max_it
 _MAX_TABLE_BYTES = 1 << 21
 
 
-def _answer(requests: list, X: np.ndarray, metric: str, gamma: float):
+def _answer(requests: list, X: np.ndarray, metric: str):
     """Answer the pending requests of the fit lanes over the series ``X``:
     first every distance request, then every alignment request, each kind
     with as few kernel calls over all its pairs as ``_MAX_TABLE_BYTES``
@@ -365,7 +339,7 @@ def _answer(requests: list, X: np.ndarray, metric: str, gamma: float):
     if dist:  # a unit is a centroid: n pairs
         units = np.concatenate([requests[a][1] for a in dist])
         step = max(1, _MAX_TABLE_BYTES // (n * diagonals))
-        got = np.concatenate([_distances_to_centroids(X, units[lo:lo + step], metric, gamma)
+        got = np.concatenate([_distances_to_centroids(X, units[lo:lo + step], metric)
                               for lo in range(0, units.shape[0], step)], axis=1)
         ends = np.cumsum([requests[a][1].shape[0] for a in dist[:-1]])
         yield from zip(dist, np.split(got, ends, axis=1))
@@ -390,15 +364,13 @@ def _answer(requests: list, X: np.ndarray, metric: str, gamma: float):
             b, parts = b + 1, []
 
 
-def _check_fit(n: int, k: int, metric: str, max_iter: int, gamma: float) -> None:
+def _check_fit(n: int, k: int, metric: str, max_iter: int) -> None:
     if not 2 <= k <= n:
         raise ValueError(f"k={k} outside [2, {n}]")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r} (expected one of {METRICS})")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if metric == "softdtw" and not 0 < gamma < np.inf:
-        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
 
 
 def kmeans_ts(
@@ -407,29 +379,23 @@ def kmeans_ts(
     metric: str = "euclidean",
     seed: int = 0,
     max_iter: int = 100,
-    gamma: float = 1.0,
 ) -> ClusterModel:
     """Time-series K-means over equally long series.
 
     Initialization is seeded k-means++; the assignment step uses the chosen
     metric (ties toward the lower cluster id) and the update step is the
     pointwise mean for ``euclidean`` or DTW barycenter averaging (at most
-    30 iterations per cluster and sweep) for the warping metrics.  The fit
-    is the one-lane case of :func:`ch_scan`'s lockstep (see the module
-    docstring).  Stops when assignments stabilize or after ``max_iter``
-    sweeps (at least 1); the model's ``converged`` and ``dba_capped`` report
-    whether either cap was hit.  Deterministic for a fixed seed.
-
-    ``inertia`` is the metric-distance sum to assigned centroids; for
-    ``softdtw`` it can be negative (soft minima admit negative values).
-    ``softdtw`` assigns by soft-DTW but still updates centroids with
-    hard-DTW DBA, which does not minimise soft-DTW, so its
-    ``inertia_history`` can rise between sweeps.
+    30 iterations per cluster and sweep) for ``dtw``.  The fit is the
+    one-lane case of :func:`ch_scan`'s lockstep (see the module docstring).
+    Stops when assignments stabilize or after ``max_iter`` sweeps (at least
+    1); the model's ``converged`` and ``dba_capped`` report whether either
+    cap was hit.  ``inertia`` is the metric-distance sum to assigned
+    centroids.  Deterministic for a fixed seed.
     """
     users, X = _as_matrix(data)
-    _check_fit(X.shape[0], k, metric, max_iter, gamma)
+    _check_fit(X.shape[0], k, metric, max_iter)
     lane = _fit(users, X, k, metric, seed, max_iter)
-    return lockstep([lane], lambda requests: _answer(requests, X, metric, gamma))[0]
+    return lockstep([lane], lambda requests: _answer(requests, X, metric))[0]
 
 
 def calinski_harabasz(data: Mapping, model: ClusterModel) -> float:
@@ -471,7 +437,6 @@ def ch_scan(
     metric: str = "euclidean",
     seed: int = 0,
     max_iter: int = 100,
-    gamma: float = 1.0,
 ) -> tuple[dict[int, float], dict[int, ClusterModel]]:
     """Fit K-means for each k in the inclusive range; return the score and
     the fitted model of each k.
@@ -488,9 +453,9 @@ def ch_scan(
     users, X = _as_matrix(data)
     ks = range(k_min, k_max + 1)
     for k in ks:
-        _check_fit(X.shape[0], k, metric, max_iter, gamma)
+        _check_fit(X.shape[0], k, metric, max_iter)
     lanes = [_fit(users, X, k, metric, seed, max_iter) for k in ks]
-    fits = lockstep(lanes, lambda requests: _answer(requests, X, metric, gamma))
+    fits = lockstep(lanes, lambda requests: _answer(requests, X, metric))
     fitted = dict(zip(ks, fits))
     return {k: _calinski_harabasz(users, X, fitted[k]) for k in ks}, fitted
 

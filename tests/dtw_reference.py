@@ -1,11 +1,11 @@
 """Per-pair warping references for the differential tests.
 
-These are the cell-by-cell DTW table, path backtrack, soft-DTW loop and
-DBA update that ``volnet.tscluster`` used before its batched kernel; the
-tests require the kernel to reproduce them exactly.  ``kmeans_ts`` is the
-k-means loop that fitted one k at a time, seeding with ``kmeans_pp_init``
-and updating one cluster at a time, before the fits of a scan ran in
-lockstep and the DBA step was batched over all clusters of a sweep.
+These are the cell-by-cell DTW table, path backtrack and DBA update that
+``volnet.tscluster`` used before its batched kernel; the tests require the
+kernel to reproduce them exactly.  ``kmeans_ts`` is the k-means loop that
+fitted one k at a time, seeding with ``kmeans_pp_init`` and updating one
+cluster at a time, before the fits of a scan ran in lockstep and the DBA
+step was batched over all clusters of a sweep.
 ``dtw_brute`` is the exhaustive oracle over all alignment paths.
 """
 
@@ -60,27 +60,6 @@ def dtw_path(a, b) -> tuple[float, list[tuple[int, int]]]:
     return float(acc[-1, -1]), path
 
 
-def soft_dtw(a, b, gamma: float = 1.0) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    cost = (a[:, None] - b[None, :]) ** 2
-    n, m = cost.shape
-    acc = np.empty_like(cost)
-    acc[0, 0] = cost[0, 0]
-    for i in range(1, n):
-        acc[i, 0] = cost[i, 0] + acc[i - 1, 0]
-    for j in range(1, m):
-        acc[0, j] = cost[0, j] + acc[0, j - 1]
-    for i in range(1, n):
-        for j in range(1, m):
-            stacked = np.logaddexp(
-                np.logaddexp(-acc[i - 1, j - 1] / gamma, -acc[i - 1, j] / gamma),
-                -acc[i, j - 1] / gamma,
-            )
-            acc[i, j] = cost[i, j] - gamma * stacked
-    return float(acc[-1, -1])
-
-
 def dba_update(members: np.ndarray, init: np.ndarray,
                max_inner: int = 30) -> tuple[np.ndarray, int, bool]:
     """DBA of one cluster: the centroid, the iterations run, and whether it
@@ -101,12 +80,11 @@ def dba_update(members: np.ndarray, init: np.ndarray,
     return centroid, max_inner, False
 
 
-def kmeans_pp_init(X: np.ndarray, k: int, metric: str, gamma: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Seeded k-means++ seeding; negative soft-DTW weights are clipped to 0."""
+def kmeans_pp_init(X: np.ndarray, k: int, metric: str, rng: np.random.Generator) -> np.ndarray:
+    """Seeded k-means++ seeding."""
     n = X.shape[0]
     chosen = [int(rng.integers(n))]
-    d = np.maximum(_distances_to_centroids(X, X[chosen[-1:]], metric, gamma)[:, 0], 0.0)
+    d = _distances_to_centroids(X, X[chosen[-1:]], metric)[:, 0]
     while len(chosen) < k:
         total = d.sum()
         if total <= 0.0:
@@ -115,27 +93,26 @@ def kmeans_pp_init(X: np.ndarray, k: int, metric: str, gamma: float,
         else:
             nxt = int(rng.choice(n, p=d / total))
         chosen.append(nxt)
-        d = np.minimum(d, np.maximum(
-            _distances_to_centroids(X, X[nxt:nxt + 1], metric, gamma)[:, 0], 0.0))
+        d = np.minimum(d, _distances_to_centroids(X, X[nxt:nxt + 1], metric)[:, 0])
     return X[chosen].copy()
 
 
 def kmeans_ts(data, k: int, metric: str, seed: int = 0, max_iter: int = 100,
-              gamma: float = 1.0, max_inner: int = 30) -> tuple[ClusterModel, list[list[int]]]:
+              max_inner: int = 30) -> tuple[ClusterModel, list[list[int]]]:
     """K-means with one update per non-empty cluster and sweep: the member
-    mean for ``euclidean``, one :func:`dba_update` for the warping metrics;
+    mean for ``euclidean``, one :func:`dba_update` for ``dtw``;
     assignment distances are volnet's.  Also returns, per sweep with an
     update step, the DBA iterations each non-empty cluster ran."""
     users, X = _as_matrix(data)
     n = X.shape[0]
-    centroids = kmeans_pp_init(X, k, metric, gamma, np.random.default_rng(seed))
+    centroids = kmeans_pp_init(X, k, metric, np.random.default_rng(seed))
     history: list[float] = []
     rounds: list[list[int]] = []
     prev = None
     converged = False
     dba_capped = 0
     for sweep in range(max_iter):
-        dists = _distances_to_centroids(X, centroids, metric, gamma)
+        dists = _distances_to_centroids(X, centroids, metric)
         assign = dists.argmin(axis=1)
         history.append(float(dists[np.arange(n), assign].sum()))
         if prev is not None and np.array_equal(assign, prev):

@@ -264,7 +264,7 @@ def cv_fold_parameters(algorithm, X, y, k, seed, hyperparams=None):
 
     models.predict_labels = capture
     try:
-        models.kfold_cv(algorithm, [(X, y)], k=k, seed=seed, hyperparams=hyperparams)
+        models.kfold_cv(algorithm, X, y, k=k, seed=seed, hyperparams=hyperparams)
     finally:
         models.predict_labels = real_predict
     return fitted

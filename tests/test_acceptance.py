@@ -386,7 +386,7 @@ def test_degenerate_inputs_fail_soft(tmp_path, gate):
         assert np.allclose(constant.scores(X), 1.0)
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("ignore")
-            report = models.kfold_cv("naive_bayes", [(X, ones)], k=3, seed=1)[0]
+            report = models.kfold_cv("naive_bayes", X, ones, k=3, seed=1)
         assert report.mean_accuracy == 1.0
         assert report.degenerate_folds  # flagged, not crashed
 

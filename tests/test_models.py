@@ -97,7 +97,7 @@ class TestTrainValidation:
         with pytest.raises(ValueError, match=f"{algorithm} hyperparameter {key} "):
             train(algorithm, X, y, hyperparams={key: value})
         with pytest.raises(ValueError, match=f"{algorithm} hyperparameter {key} "):
-            kfold_cv(algorithm, [(X, y)], hyperparams={key: value})
+            kfold_cv(algorithm, X, y, hyperparams={key: value})
 
     def test_in_range_hyperparameter_edges_are_accepted(self):
         X, y = separable(n_per=10)
@@ -105,7 +105,7 @@ class TestTrainValidation:
             warnings.simplefilter("error")
             for algorithm, hp in [("gbdt", {"l2": 0.0, "n_rounds": np.int64(1), "max_depth": 1}),
                                   ("random_forest", {"n_trees": 1, "min_samples_leaf": 1})]:
-                kfold_cv(algorithm, [(X, y)], k=2, hyperparams=hp)
+                kfold_cv(algorithm, X, y, k=2, hyperparams=hp)
 
     def test_shape_and_label_checks(self):
         X, y = separable()
@@ -123,7 +123,7 @@ class TestTrainValidation:
             train(algorithm, X, [0.5, 0.7, 1.0, 1.2])
         X, y = separable(n_per=10)
         with pytest.raises(ValueError, match="labels"):
-            kfold_cv(algorithm, [(X, y + 0.25)], k=2, hyperparams=FAST[algorithm])
+            kfold_cv(algorithm, X, y + 0.25, k=2, hyperparams=FAST[algorithm])
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -133,7 +133,7 @@ class TestTrainValidation:
         with pytest.raises(ValueError, match="finite"):
             train(algorithm, X, y, hyperparams=FAST[algorithm])
         with pytest.raises(ValueError, match="finite"):
-            kfold_cv(algorithm, [(X, y)], k=2, hyperparams=FAST[algorithm])
+            kfold_cv(algorithm, X, y, k=2, hyperparams=FAST[algorithm])
 
     def test_float_and_bool_labels_of_zero_and_one_are_accepted(self):
         X, y = separable(n_per=10)
@@ -492,8 +492,7 @@ class TestGBDT:
 
     def test_cv_on_separable_data(self):
         X, y = separable(n_per=25, seed=8)
-        report = kfold_cv("gbdt", [(X, y)], k=5, seed=0,
-                          hyperparams={"n_rounds": 30})[0]
+        report = kfold_cv("gbdt", X, y, k=5, seed=0, hyperparams={"n_rounds": 30})
         assert report.mean_accuracy >= 0.95
 
     def test_round_update_matches_scoring_the_new_tree(self):
@@ -574,7 +573,7 @@ class TestFoldFittersMatchReference:
 
     def test_scaler_stats_match_the_fold_models(self):
         X, y = fold_data(7, seed=1, degenerate=False)
-        report = kfold_cv("linear_svm", [(X, y)], k=7, seed=2)[0]
+        report = kfold_cv("linear_svm", X, y, k=7, seed=2)
         want = ref.fold_parameters("linear_svm", X, y, 7, seed=2)
         assert list(report.fold_scaler_stats) == [w["scaler"] for w in want]
 
@@ -694,7 +693,7 @@ class TestTreeFitsLeaveNoCycles:
         X, y = separable(n_per=15, d=4, seed=3, gap=1.0)
 
         def fit():
-            kfold_cv(algorithm, [(X, y)], k=3, seed=1, hyperparams=FAST[algorithm])
+            kfold_cv(algorithm, X, y, k=3, seed=1, hyperparams=FAST[algorithm])
             train(algorithm, X, y, hyperparams=FAST[algorithm], seed=1)
 
         fit()  # first calls leave one-off objects behind
@@ -762,7 +761,7 @@ class TestStratifiedFolds:
 class TestKFoldCV:
     def test_every_sample_tested_once(self):
         X, y = separable(n_per=15, seed=4)
-        report = kfold_cv("decision_tree", [(X, y)], k=6, seed=1)[0]
+        report = kfold_cv("decision_tree", X, y, k=6, seed=1)
         assert sum(report.confusion.values()) == 30
         assert report.k == 6
         assert len(report.fold_accuracy) == 6
@@ -771,15 +770,21 @@ class TestKFoldCV:
         rng = np.random.default_rng(21)
         X = rng.normal(size=(40, 4))
         y = np.array([0, 1] * 20)  # labels carry no signal about X
-        report = kfold_cv("decision_tree", [(X, y)], k=5, seed=0)[0]
+        report = kfold_cv("decision_tree", X, y, k=5, seed=0)
         assert 0.3 <= report.mean_accuracy <= 0.7
 
     def test_degenerate_fold_flagged_not_fatal(self):
         X = np.arange(18, dtype=float).reshape(9, 2)
         y = np.array([0] * 8 + [1])
-        report = kfold_cv("naive_bayes", [(X, y)], k=3, seed=0)[0]
+        report = kfold_cv("naive_bayes", X, y, k=3, seed=0)
         assert len(report.degenerate_folds) == 1
         assert len(report.fold_accuracy) == 3
+        X, y = fold_data(3, seed=2, degenerate=True)  # a single positive
+        for algorithm in ALGORITHMS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                report = kfold_cv(algorithm, X, y, k=3, seed=5, hyperparams=FAST[algorithm])
+            assert len(report.degenerate_folds) == 1
 
     def test_scalers_fitted_per_training_fold(self):
         # Row 0 carries a huge outlier in feature 0. The scaler of the fold
@@ -790,7 +795,7 @@ class TestKFoldCV:
         X[0, 0] = 1000.0
         y = np.array([0, 1] * (n // 2))
         k, seed = 3, 5
-        report = kfold_cv("logistic_regression", [(X, y)], k=k, seed=seed)[0]
+        report = kfold_cv("logistic_regression", X, y, k=k, seed=seed)
         folds = stratified_folds(y, k, seed)
         holdout = next(i for i, f in enumerate(folds) if 0 in f)
         for fold_no, scaler in enumerate(report.fold_scaler_stats):
@@ -800,32 +805,9 @@ class TestKFoldCV:
             else:
                 assert mean0 > 50.0
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_many_jobs_equal_one_call_per_job(self, algorithm):
-        # different lengths, two of one length, and a job with a
-        # degenerate fold
-        jobs = [separable(n_per=9, d=4, seed=1), fold_data(3, seed=2, degenerate=True),
-                separable(n_per=12, d=4, seed=3), separable(n_per=9, d=4, seed=4)]
-        hp = FAST[algorithm]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            together = kfold_cv(algorithm, jobs, k=3, seed=5, hyperparams=hp)
-            alone = [kfold_cv(algorithm, [job], k=3, seed=5, hyperparams=hp)[0]
-                     for job in jobs]
-        assert together == alone
-        assert [len(r.degenerate_folds) for r in together] == [0, 1, 0, 0]
-        assert kfold_cv(algorithm, [], k=3, hyperparams=hp) == []
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_jobs_of_different_widths_are_rejected(self, algorithm):
-        # one list of feature names serves every job
-        jobs = [separable(n_per=9, d=4, seed=1), separable(n_per=9, d=3, seed=2)]
-        with pytest.raises(ValueError, match="same number of features"):
-            kfold_cv(algorithm, jobs, k=3, hyperparams=FAST[algorithm])
-
     def test_mean_matches_folds(self):
         X, y = separable(n_per=10, seed=12)
-        report = kfold_cv("naive_bayes", [(X, y)], k=4, seed=2)[0]
+        report = kfold_cv("naive_bayes", X, y, k=4, seed=2)
         assert report.mean_accuracy == pytest.approx(np.mean(report.fold_accuracy))
         assert report.std_f1 == pytest.approx(np.std(report.fold_f1))
 
@@ -889,7 +871,7 @@ class TestPersistence:
 class TestEvalCsv:
     def test_format(self, tmp_path):
         X, y = separable(n_per=10)
-        report = kfold_cv("naive_bayes", [(X, y)], k=4, seed=0)[0]
+        report = kfold_cv("naive_bayes", X, y, k=4, seed=0)
         path = tmp_path / "eval.csv"
         write_eval_csv([("naive_bayes", "starting_high", report)], str(path))
         assert path.read_bytes() == (

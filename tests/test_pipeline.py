@@ -97,10 +97,8 @@ class TestConfig:
         {"explain_rows": "0"},
         {"hub_multiplier": "0.5"},
         {"min_transactions": "0"},
-        {"gamma": "-1.0"},
-        {"gamma": "0"},
-        {"gamma": "inf", "metric": "softdtw"},
-        {"gamma": "nan", "metric": "softdtw"},
+        {"metric": "softdtw"},
+        {"gamma": "1.0"},
         {"hub_multiplier": "nan"},
         {"hub_multiplier": "inf"},
         {"horizon_days": "6"},
@@ -123,18 +121,16 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("gamma", "inf"), ("gamma", "nan"),
-                                            ("hub_multiplier", "nan"), ("hub_multiplier", "inf")])
+    @pytest.mark.parametrize("key, value", [("hub_multiplier", "nan"), ("hub_multiplier", "inf")])
     def test_non_finite_floats_rejected_by_name(self, key, value):
-        # before, gamma = inf failed softdtw clustering with NaN probabilities and
-        # hub_multiplier = nan selected no hubs, reported as an empty key-user set
+        # before, hub_multiplier = nan selected no hubs, reported as an empty key-user set
         with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
-            build_config(metric="softdtw", **{key: value})
+            build_config(**{key: value})
 
     @pytest.mark.parametrize("overrides", [
         {"cv_folds": "2", "cutoff_months": "1", "top_communities": "0",
          "n_permutations": "100", "explain_rows": "1", "hub_multiplier": "1",
-         "min_transactions": "1", "gamma": "0.001", "horizon_days": "7",
+         "min_transactions": "1", "horizon_days": "7",
          "seed": "0", "min_span_days": "0", "min_listing_weeks": "0"},
         {"metric": "dtw", "interval": "monthly", "horizon_days": "30", "format": "jsonl"},
     ])
@@ -172,7 +168,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("text, message", [
         ("cv_folds = ten\n", "cv_folds must be int, got 'ten'"),
-        ("gamma = x\n", "gamma must be float, got 'x'"),
+        ("hub_multiplier = x\n", "hub_multiplier must be float, got 'x'"),
         ("seed = 1\nseed = 2\n", "bad.cfg:2: duplicate config key 'seed'"),
         ("models = gbdt,naive_bayes,gbdt\n", "duplicate model 'gbdt' in models"),
     ])
@@ -560,7 +556,6 @@ class TestManifest:
             b'    "events": "",\n'
             b'    "explain_rows": 40,\n'
             b'    "format": "csv",\n'
-            b'    "gamma": 1.0,\n'
             b'    "horizon_days": 365,\n'
             b'    "hub_multiplier": 1.0,\n'
             b'    "interval": "weekly",\n'

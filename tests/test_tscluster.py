@@ -27,7 +27,6 @@ from volnet.tscluster import (
     label_archetypes,
     model_from_dict,
     model_to_dict,
-    soft_dtw,
     write_centroid_csv,
     write_cluster_csv,
 )
@@ -93,35 +92,6 @@ class TestDTW:
         assert sum((a[i] - b[j]) ** 2 for i, j in path) == pytest.approx(cost)
 
 
-class TestSoftDTW:
-    def test_at_most_zero_on_self(self):
-        x = [0.1, 0.7, 0.4]
-        assert soft_dtw(x, x) <= 0.0
-
-    def test_below_hard_dtw(self):
-        a, b = [0.0, 1.0, 0.5], [0.2, 0.9, 0.4]
-        assert soft_dtw(a, b, gamma=1.0) <= dtw(a, b)
-
-    def test_converges_to_dtw_as_gamma_shrinks(self):
-        a, b = [0.0, 1.0, 3.0], [1.0, 2.0, 2.5]
-        gaps = [abs(soft_dtw(a, b, gamma=g) - dtw(a, b)) for g in (1.0, 0.1, 0.001)]
-        assert gaps[-1] < 0.01
-        assert gaps[0] > gaps[-1]
-
-    def test_symmetric(self):
-        a, b = [0.3, 0.1, 0.9], [0.5, 0.5]
-        assert soft_dtw(a, b) == pytest.approx(soft_dtw(b, a))
-
-    def test_nonpositive_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            soft_dtw([1.0], [1.0], gamma=0.0)
-
-    @pytest.mark.parametrize("gamma", [float("inf"), float("nan")])
-    def test_non_finite_gamma_rejected(self, gamma):
-        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
-            soft_dtw([1.0], [1.0], gamma=gamma)
-
-
 def two_blobs(n_per: int = 6, length: int = 10, seed: int = 5) -> dict[str, list[float]]:
     rng = np.random.default_rng(seed)
     data: dict[str, list[float]] = {}
@@ -132,11 +102,6 @@ def two_blobs(n_per: int = 6, length: int = 10, seed: int = 5) -> dict[str, list
 
 
 class TestKMeans:
-    @pytest.mark.parametrize("gamma", [0.0, float("inf"), float("nan")])
-    def test_softdtw_rejects_a_gamma_that_is_not_finite_and_positive(self, gamma):
-        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
-            kmeans_ts(two_blobs(), k=2, metric="softdtw", gamma=gamma)
-
     @pytest.mark.parametrize("metric", ["euclidean", "dtw"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_a_non_finite_value_is_rejected_naming_the_user(self, metric, value):
@@ -420,7 +385,7 @@ class TestWriters:
 def dba_update(X, assign, centroids, max_inner: int = 30) -> int:
     """The DBA step of one sweep, run alone through the lockstep driver."""
     lane = _dba_update(X, assign, centroids, max_inner)
-    return lockstep([lane], lambda requests: tscluster._answer(requests, X, "dtw", 1.0))[0]
+    return lockstep([lane], lambda requests: tscluster._answer(requests, X, "dtw"))[0]
 
 
 def random_series(rng: np.random.Generator, shape, tied: bool) -> np.ndarray:
@@ -440,7 +405,7 @@ class TestWarpKernelMatchesReference:
             X = random_series(rng, (int(rng.integers(1, 21)), length), tied)
             C = random_series(rng, (int(rng.integers(1, 6)), length), tied)
             want = np.array([[ref.dtw(x, c) for c in C] for x in X])
-            assert np.array_equal(_distances_to_centroids(X, C, "dtw", 1.0), want)
+            assert np.array_equal(_distances_to_centroids(X, C, "dtw"), want)
 
     def test_dba_centroids(self, tied):
         rng = np.random.default_rng(202 + tied)
@@ -485,20 +450,6 @@ class TestWarpKernelMatchesReference:
             assert dtw_path(a, b) == ref.dtw_path(a, b)
             assert dtw(a, b) == ref.dtw(a, b)
 
-    def test_soft_dtw_within_1e12(self, tied):
-        rng = np.random.default_rng(404 + tied)
-        for _ in range(30):
-            gamma = float(rng.choice([1.0, 0.3, 0.01]))
-            a = random_series(rng, int(rng.integers(1, 16)), tied)
-            b = random_series(rng, int(rng.integers(1, 16)), tied)
-            assert abs(soft_dtw(a, b, gamma) - ref.soft_dtw(a, b, gamma)) <= 1e-12
-            length = int(rng.integers(1, 16))
-            X = random_series(rng, (int(rng.integers(1, 21)), length), tied)
-            C = random_series(rng, (int(rng.integers(1, 6)), length), tied)
-            want = np.array([[ref.soft_dtw(x, c, gamma) for c in C] for x in X])
-            got = _distances_to_centroids(X, C, "softdtw", gamma)
-            assert np.max(np.abs(got - want)) <= 1e-12
-
 
 class TestIterationCaps:
     def test_settled_fit_reports_no_cap(self):
@@ -541,15 +492,33 @@ def random_panel(seed: int) -> dict[str, np.ndarray]:
     return {f"u{i:02d}": row for i, row in enumerate(X)}
 
 
+def repeated_panel() -> dict[str, np.ndarray]:
+    """Three distinct series of 10 points, each repeated 10 times: k-means++
+    runs out of positive mass after three picks, so every k > 3 leaves a
+    cluster empty."""
+    X = random_series(np.random.default_rng(0), (3, 10), tied=False)
+    return {f"u{i:02d}": X[i % 3] for i in range(30)}
+
+
+def has_empty_cluster(model: ClusterModel) -> bool:
+    return len(set(model.assignment.values())) < model.k
+
+
+def assert_same_fit(got: ClusterModel, want: ClusterModel) -> None:
+    assert np.array_equal(got.centroids, want.centroids)
+    assert got.inertia_history == want.inertia_history
+    assert got.assignment == want.assignment
+    assert (got.converged, got.dba_capped) == (want.converged, want.dba_capped)
+
+
 class TestBatchedDBAFits:
     """Fits with the batched DBA step against the cluster-by-cluster loop."""
 
-    # (metric, seed, k, max_iter, DBA inner cap): multi-sweep fits, softdtw
-    # fits with empty clusters, one stopped at max_iter, and two whose DBA
-    # updates hit a lowered inner cap
+    # (metric, seed, k, max_iter, DBA inner cap): multi-sweep fits, one
+    # stopped at max_iter, and two whose DBA updates hit a lowered inner cap
     @pytest.mark.parametrize("metric, seed, k, max_iter, max_inner", [
-        ("dtw", 20, 3, 100, 30), ("dtw", 3, 5, 100, 30), ("softdtw", 46, 7, 100, 30),
-        ("softdtw", 5, 7, 8, 30), ("dtw", 20, 3, 100, 2), ("softdtw", 0, 5, 100, 2),
+        ("dtw", 20, 3, 100, 30), ("dtw", 3, 5, 100, 30), ("dtw", 1, 5, 3, 30),
+        ("dtw", 20, 3, 100, 2), ("dtw", 0, 5, 100, 2),
     ])
     def test_fit_equals_per_cluster_loop(self, monkeypatch, metric, seed, k, max_iter,
                                          max_inner):
@@ -559,10 +528,14 @@ class TestBatchedDBAFits:
         data = random_panel(seed)
         got = kmeans_ts(data, k, metric=metric, seed=seed, max_iter=max_iter)
         want, _ = ref.kmeans_ts(data, k, metric, seed, max_iter, max_inner=max_inner)
-        assert np.array_equal(got.centroids, want.centroids)
-        assert got.inertia_history == want.inertia_history
-        assert got.assignment == want.assignment
-        assert (got.converged, got.dba_capped) == (want.converged, want.dba_capped)
+        assert_same_fit(got, want)
+
+    def test_fit_with_an_empty_cluster_equals_per_cluster_loop(self):
+        data = repeated_panel()
+        got = kmeans_ts(data, 5, metric="dtw", seed=0)
+        want, _ = ref.kmeans_ts(data, 5, "dtw", 0)
+        assert has_empty_cluster(got)
+        assert_same_fit(got, want)
 
     def test_one_backtrack_per_iteration_of_the_slowest_cluster(self, monkeypatch):
         data = random_panel(3)
@@ -580,13 +553,6 @@ class TestBatchedDBAFits:
         assert max(calls) == len(data)  # the first iteration aligns every series
 
 
-def assert_same_fit(got: ClusterModel, want: ClusterModel) -> None:
-    assert np.array_equal(got.centroids, want.centroids)
-    assert got.inertia_history == want.inertia_history
-    assert got.assignment == want.assignment
-    assert (got.converged, got.dba_capped) == (want.converged, want.dba_capped)
-
-
 class TestLockstepScan:
     """The fits of a scan, run as lanes in lockstep, against one k at a time."""
 
@@ -594,8 +560,8 @@ class TestLockstepScan:
     @pytest.mark.parametrize("metric, seed, k_range, max_iter, max_inner, reaches", [
         ("dtw", 3, (2, 7), 100, 30, None),
         ("dtw", 20, (2, 6), 100, 2, "inner cap"),
-        ("softdtw", 46, (4, 8), 100, 30, "empty cluster"),
-        ("softdtw", 5, (4, 8), 8, 30, "max_iter"),
+        ("dtw", 1, (4, 8), 3, 30, "max_iter"),
+        ("dtw", 0, (4, 8), 3, 30, "max_iter"),
         ("euclidean", 7, (2, 8), 100, 30, None),
         ("euclidean", 8, (2, 8), 2, 30, "max_iter"),
     ])
@@ -613,10 +579,19 @@ class TestLockstepScan:
             assert scores[k] == calinski_harabasz(data, want)
         reached = {
             "inner cap": any(m.dba_capped for m in fitted.values()),
-            "empty cluster": any(len(set(m.assignment.values())) < m.k for m in fitted.values()),
             "max_iter": any(not m.converged for m in fitted.values()),
         }
         assert reached.get(reaches, True)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_every_k_with_an_empty_cluster_equals_its_reference_fit(self, metric):
+        data = repeated_panel()
+        scores, fitted = ch_scan(data, (4, 6), metric=metric, seed=0)
+        for k, got in fitted.items():
+            want, _ = ref.kmeans_ts(data, k, metric, 0)
+            assert has_empty_cluster(got)
+            assert_same_fit(got, want)
+            assert scores[k] == calinski_harabasz(data, want)
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_a_lower_table_cap_changes_nothing(self, monkeypatch, metric):
