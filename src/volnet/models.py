@@ -22,26 +22,26 @@ margins are ``np.vecdot`` of rows and weights, not BLAS ``@``, and a forest
 adds its trees' votes one tree at a time.
 
 Trees (the decision tree, each forest tree, each boosting round) share one
-level-wise grower, ``_grow``. A call grows every tree of a list of splits (of
-one split, for a forest) one depth at a time, each depth one array pass over
-every node of every tree: the rows stay grouped by node in each feature's
-order, sorted once per split; ``_best_cuts`` scores every node's cuts, and
-one stable sort by child moves the rows of the nodes that cut to the next
-depth. A cut's left sums are a running sum per (split, feature) over the
-depth's rows, less the sum before its node. Gini gain takes ``g = y`` and
-``h = 1`` (CART, the forest), counts that add up exactly in any order;
-boosting takes the second-order gain of the logistic gradient and Hessian,
-and a node's totals are NumPy's pairwise sums over its rows in ascending
-order, so its leaf is what its own ``g[rows].sum()`` gives. The lowest
-threshold wins within a feature, and a later feature must beat it by more
-than 1e-12. A threshold is the midpoint of the two values around the cut, or
-the lower value where the midpoint rounds up to the upper one, so
-``x <= threshold`` always separates them. A forest split draws all its
-trees' bootstraps from its own ``default_rng(seed)`` at once, grows a row
-drawn w times once with weight w, and draws, depth by depth, one sorted
-feature subsample for every node that may split, in (tree, node) order. A
-boosting round updates each split's scores from the leaf value the grower
-wrote for each training row.
+level-wise grower, ``_grow``, an exact histogram split search (XGBoost's
+``hist`` with one bin per distinct value). A call grows every tree of a list
+of splits (of one split, for a forest) one depth at a time, each depth one
+array pass over every node of every tree. Each feature is coded once per
+call by its values' ranks, and rows are never reordered, only relabelled
+with their node. One ``bincount`` per statistic over (node, feature, value)
+keys gives each node's per-value sums, rows added in row order; a cut's left
+sums are a running sum per split over the present values, less its value
+before the (node, feature). Gini gain takes ``g = y`` and ``h = 1`` (CART,
+the forest), counts that add up exactly in any order; boosting takes the
+second-order gain of the logistic gradient and Hessian, and a node's totals
+add its rows left to right in row order. The lowest threshold wins within a
+feature, and a later feature must beat it by more than 1e-12. A threshold is
+the midpoint of the node's two values around the cut, or the lower value
+where the midpoint rounds up to the upper one, so ``x <= threshold`` always
+separates them. A forest split draws all its trees' bootstraps from its own
+``default_rng(seed)`` at once, grows a row drawn w times once with weight w,
+and draws, depth by depth, one sorted feature subsample for every node that
+may split, in (tree, node) order. A boosting round updates each split's
+scores from the leaf value the grower wrote for each training row.
 
 Both linear families are one Newton solver, ``_newton``, run split by split:
 damped Newton steps with Armijo backtracking until every gradient entry is
@@ -197,7 +197,8 @@ def _second_order_gain(GL, HL, G, H, lam):
 @dataclass(frozen=True)
 class _TreeRule:
     """How a family grows its trees: the cut score, the depth and leaf-size
-    limits, the gain a cut must exceed and, for boosting, the leaves' L2."""
+    limits, the gain a cut must exceed and, for boosting, the leaves' L2.
+    ``min_leaf`` counts ``h`` for Gini and rows (one per cut side) for boosting."""
 
     gain: Callable
     max_depth: int
@@ -206,142 +207,140 @@ class _TreeRule:
     lam: float | None = None
 
 
-def _node_sums(v, sizes):
-    """Each node's sums of its run of every row of ``v``, runs of ``sizes``:
-    one 2-D sum per distinct size, so each is ``v[rows].sum()``'s pairwise sum."""
-    out = np.empty((v.shape[0], sizes.size))
-    starts = np.cumsum(sizes) - sizes
-    for m in np.unique(sizes).tolist():
-        at = np.flatnonzero(sizes == m)
-        out[:, at] = v.take(starts[at, None] + np.arange(m), axis=1).sum(axis=2)
-    return out
-
-
-def _best_cuts(vals, ghv, sizes, lanes, G, H, rule: _TreeRule):
-    """Best cut of every node of a depth as (slot, position, gain), slot -1
-    where none is valid. Nodes are runs of ``sizes`` on the last axis, with
-    totals ``G``, ``H`` and nondecreasing ``lanes``; row ``i`` of ``vals`` and
-    ``ghv[:, i]`` hold each node's ``i``-th feature (slot) values, ``g`` and
-    ``h``, by value then row. Left sums run per (lane, slot) less their value
-    before the node; a left count is ``HL`` (Gini) or the rows'. A valid cut
-    splits distinct values and leaves ``min_leaf`` per side."""
-    K, M = vals.shape
-    starts = np.cumsum(sizes) - sizes
-    seg = np.repeat(np.arange(sizes.size), sizes)
-    first = np.ones(sizes.size, dtype=bool)  # each lane's first node
-    first[1:] = lanes[1:] != lanes[:-1]
-    run = np.empty_like(ghv)
-    bounds = [*starts[first].tolist(), M]
-    for a, b in zip(bounds, bounds[1:]):
-        np.cumsum(ghv[..., a:b], axis=2, out=run[..., a:b])
-    before = run.take(starts - 1, axis=2)
-    before[..., first] = 0.0
-    GL, HL = run - before.take(seg, axis=2)
-    left_n, n = ((HL, H.take(seg)) if rule.lam is None
-                 else (np.arange(1, M + 1) - starts.take(seg), sizes.take(seg)))
-    ok = np.zeros((K, M), dtype=bool)
-    ok[:, :-1] = vals[:, :-1] < vals[:, 1:]
-    ok &= (left_n >= rule.min_leaf) & (n - left_n >= rule.min_leaf)
-    with np.errstate(divide="ignore", invalid="ignore"):  # kept only at valid cuts
-        scores = np.where(ok, rule.gain(GL, HL, G.take(seg), H.take(seg)), -np.inf)
-    tops = np.maximum.reduceat(scores, starts, axis=1)
-    picks = np.minimum.reduceat(np.where(scores == tops.take(seg, axis=1), np.arange(M), M),
-                                starts, axis=1)  # the first max: the lowest threshold
-    chosen, bar = np.empty(tops.shape, dtype=bool), np.full(sizes.size, rule.min_gain)
-    for top, beat, better in zip(tops, tops + 1e-12, chosen):  # later slots win by > 1e-12
-        np.greater(top, bar, out=better)
-        np.copyto(bar, beat, where=better)
-    slot = np.where(chosen.any(axis=0), K - 1 - chosen[::-1].argmax(axis=0), -1)
-    at = (slot, np.arange(sizes.size))
-    return slot, picks[at], tops[at]
-
-
-def _grow(XT, order, sizes, lanes, g, h, rule: _TreeRule, draw=None):
+def _grow(bins, levels, edges, sizes, lanes, g, h, rule: _TreeRule, draw=None):
     """Grow one tree per entry of ``sizes`` level by level; return the trees
     and each grown row's leaf value.
 
-    A grown row (a column of ``XT``, with its ``g`` and ``h``) is one tree's
-    copy of a training row. ``order`` holds them by tree, trees of ``sizes``
-    rows in the order of their ``lanes``: its first ``d`` rows sort each
-    tree by a feature (ties by row), its last is ascending, and each depth
-    keeps this per node, children in place of their parent. With ``lam`` a
-    leaf is -G/(H+lam); without it G and H count class-1 rows and rows, a
-    leaf is G/H and a pure node does not split. The nodes that may split
-    search every feature, or the sorted subsets ``draw(m)`` gives those
-    ``m`` nodes (the random forest)."""
-    (d, N), gh = XT.shape, np.vstack((g, h))
-    varied = np.flatnonzero((XT != XT[:, :1]).any(axis=1))  # a constant feature has no cut
+    A grown row (a column of ``bins``, with its ``g`` and ``h``) is one
+    tree's copy of a training row; trees of ``sizes`` rows follow each other
+    in the order of their ``lanes``. Rows are never reordered: each depth
+    keeps the rows still growing and each one's node, and a node's totals
+    add its rows in row order. With ``lam`` a leaf is -G/(H+lam); without it
+    G and H count class-1 rows and rows, a leaf is G/H and a pure node does
+    not split. The nodes that may split search every feature, or the sorted
+    subsets ``draw(m)`` gives those ``m`` nodes (the random forest)."""
+    (d, N), B = bins.shape, int(edges[-1])
+    gh = np.vstack((g, h))
     trees = [{} for _ in sizes.tolist()]
     nodes, values, depth = trees, np.empty(N), 0
+    rows, node = np.arange(N), np.repeat(np.arange(sizes.size), sizes)
     while nodes:
-        rows = order[d]
-        if rule.lam is None:  # counts: exact in any order
-            G, H = np.add.reduceat(gh.take(rows, axis=1), np.cumsum(sizes) - sizes, axis=1)
+        G, H = (np.bincount(node, w, len(nodes)) for w in gh.take(rows, axis=1))
+        if rule.lam is None:
             leaf, n, grow = G / H, H, (G != 0.0) & (G != H)
-        else:
-            G, H = _node_sums(gh.take(rows, axis=1), sizes)
-            leaf, n, grow = -G / (H + rule.lam), sizes, np.full(sizes.size, True)
+        else:  # every node may split
+            leaf, n, grow = -G / (H + rule.lam), np.bincount(node, minlength=len(nodes)), True
         grow &= (n >= 2 * rule.min_leaf) & (depth < rule.max_depth)
-        cut = np.zeros(sizes.size, dtype=bool)
-        if varied.size and grow.any():
-            at = np.flatnonzero(np.repeat(grow, sizes))
-            ssz = sizes[grow]
-            if draw is None:
-                feats, lay = varied[:, None], order[varied].take(at, axis=1)
-            else:
-                feats = draw(ssz.size)[np.repeat(np.arange(ssz.size), ssz)].T
-                lay = order.take(feats * order.shape[1] + at)
-            vals = XT.take(feats * N + lay)
-            slot, pos, _ = _best_cuts(vals, gh.take(lay, axis=1), ssz, lanes[grow],
-                                      G[grow], H[grow], rule)
+        cut = np.zeros(len(nodes), dtype=bool)
+        if grow.any():
+            live, m = grow[node], int(np.count_nonzero(grow))
+            r, s = rows[live], (np.cumsum(grow) - 1)[node[live]]  # each row's searched node
+            if draw is None:  # node s, value b of ``levels``: key s * B + b
+                K, size = d, m * B
+                feats, shift = np.arange(m * d) % d, np.arange(m * d) // d * B
+                keys = bins.take(r, axis=1) + s * B
+            else:  # the drawn features' values, node by node
+                drawn = draw(m)
+                K, feats = drawn.shape[1], drawn.ravel()
+                span = edges[feats + 1] - edges[feats]
+                shift, size = np.cumsum(span) - span - edges[feats], int(span.sum())
+                keys = bins.take(drawn[s].T * N + r) + shift.reshape(m, K)[s].T
+            pos, pick, _, slot = _best_cuts(keys, gh.take(r, axis=1), shift + edges[feats], size,
+                                            lanes[grow], G[grow], H[grow], rule)
             cut[grow] = split = slot >= 0
-            slot, pos = slot[split], pos[split]
-            j = feats[slot, 0 if draw is None else pos]
-            lo, hi = vals[slot, pos], vals[slot, pos + 1]
-            mid = (lo + hi) / 2.0  # can round up to ``hi`` when the two are adjacent floats
-            thr = np.where(mid < hi, mid, lo)
-            moving = order.take(np.flatnonzero(np.repeat(cut, sizes)), axis=1)
-            seg = np.repeat(np.arange(j.size), sizes[cut])
-            child = 2 * seg + (XT.take(j[seg] * N + moving[d]) > thr[seg])
-            child_of = np.empty(N, dtype=np.min_scalar_type(2 * j.size))
-            child_of[moving[d]] = child
-            ranks = np.argsort(child_of.take(moving), axis=1, kind="stable")
-            order = moving.take(ranks + moving.shape[1] * np.arange(d + 1)[:, None])
+            block = np.flatnonzero(split) * K + slot[split]
+            at = pick[block]  # the cut's value; the next present one opens the right side
+            j, lo, hi = feats[block], pos[at] - shift[block], pos[at + 1] - shift[block]
+            mid = (levels[lo] + levels[hi]) / 2.0  # can round up to ``hi`` when the two are adjacent floats
+            thr = np.where(mid < levels[hi], mid, levels[lo])
             cuts = iter(zip(j.tolist(), thr.tolist()))
-        stay = ~cut
-        values[rows[np.repeat(stay, sizes)]] = np.repeat(leaf[stay], sizes[stay])
+        stay = ~cut[node]
+        values[rows[stay]] = leaf[node[stay]]
+        rows, parent = rows[~stay], (np.cumsum(cut) - 1)[node[~stay]]
+        if rows.size:  # the left child takes values up to the cut's
+            node = 2 * parent + (bins.take(j[parent] * N + rows) > lo[parent])
         children: list = []
-        for node, c, v, m in zip(nodes, cut.tolist(), leaf.tolist(), n.tolist()):
+        for tree_node, c, v, count in zip(nodes, cut.tolist(), leaf.tolist(), n.tolist()):
             if c:
                 feature, threshold = next(cuts)
-                node.update(feature=feature, threshold=threshold, left={}, right={})
-                children += (node["left"], node["right"])
+                tree_node.update(feature=feature, threshold=threshold, left={}, right={})
+                children += (tree_node["left"], tree_node["right"])
             else:
-                node.update(leaf=v, n=int(m))
-        if children:
-            sizes, lanes = np.bincount(child, minlength=len(children)), np.repeat(lanes[cut], 2)
-        nodes, depth = children, depth + 1
+                tree_node.update(leaf=v, n=int(count))
+        lanes, nodes, depth = np.repeat(lanes[cut], 2), children, depth + 1
     return trees, values
 
 
+def _best_cuts(keys, gh, starts, size, lanes, G, H, rule: _TreeRule):
+    """The present keys, each (node, slot) block's best cut as an index into
+    them (the next opens the right side) and best gain, and each node's slot
+    (-1 for none). Row ``i`` of ``keys`` holds each grown row's key (of
+    ``size``) in slot ``i``, a block's keys from ``starts`` on, blocks in
+    (node, slot) order; ``gh`` holds the rows' ``g`` and ``h``, ``G`` and
+    ``H`` the nodes' totals. A cut's left sums are a running sum per lane
+    (``lanes`` nondecreasing) over the present keys' sums, less its value
+    before the block. The lowest valid cut wins within a block, and a later
+    slot by more than 1e-12."""
+    K, flat = keys.shape[0], keys.ravel()
+    if size > 4 * flat.size:  # mostly absent keys: sort them rather than count every one
+        pos, flat = np.unique(flat, return_inverse=True)
+        sums = np.vstack([np.bincount(flat, w, pos.size) for w in np.tile(gh, K)])
+    else:
+        sums = np.vstack([np.bincount(flat, w, size) for w in np.tile(gh, K)])
+        pos = np.flatnonzero(sums[1] != 0.0)  # the present keys (h > 0): every block holds one
+        sums = sums.take(pos, axis=1)
+    first = np.searchsorted(pos, starts)
+    block = np.repeat(np.arange(starts.size), np.diff(first, append=pos.size))
+    fresh = (np.flatnonzero(lanes[1:] != lanes[:-1]) + 1) * K  # each later lane's first block
+    run = np.empty_like(sums)
+    bounds = [0, *first[fresh].tolist(), pos.size]
+    for a, b in zip(bounds, bounds[1:]):
+        np.cumsum(sums[:, a:b], axis=1, out=run[:, a:b])
+    before = run.take(first - 1, axis=1)
+    before[:, 0] = before[:, fresh] = 0.0
+    GL, HL = run - before.take(block, axis=1)
+    G, H = G.take(block // K), H.take(block // K)
+    ok = np.ones(pos.size, dtype=bool)
+    ok[first - 1] = False  # a block's last value leaves no row on the right
+    if rule.lam is None:
+        ok &= (HL >= rule.min_leaf) & (H - HL >= rule.min_leaf)
+    with np.errstate(divide="ignore", invalid="ignore"):  # kept only at valid cuts
+        scores = np.where(ok, rule.gain(GL, HL, G, H), -np.inf)
+    tops = np.maximum.reduceat(scores, first)
+    pick = np.minimum.reduceat(np.where(scores == tops.take(block), np.arange(pos.size), pos.size),
+                               first)  # the first max: the lowest value
+    slot, tops = [], tops.reshape(-1, K)
+    for row in tops.tolist():
+        best, bar = -1, rule.min_gain
+        for i, top in enumerate(row):  # a later slot wins by more than 1e-12
+            if top > bar:
+                best, bar = i, top + 1e-12
+        slot.append(best)
+    return pos, pick, tops, np.array(slot)
+
+
 def _grown_rows(splits, counts=None):
-    """:func:`_grow`'s ``XT``, ``order``, sizes, lanes, ``g`` and ``h`` for
-    ``counts[a]`` (trees, rows), how often each tree draws each row of split
-    ``a`` (by default, one tree of all rows): a drawn row is grown once with
-    ``g = count * y`` and ``h = count``."""
+    """:func:`_grow`'s ``bins``, ``levels``, ``edges``, sizes, lanes, ``g`` and
+    ``h`` for ``counts[a]`` (trees, rows), how often each tree draws each row
+    of split ``a`` (by default, one tree of all rows): a drawn row is grown
+    once with ``g = count * y`` and ``h = count``. Each feature is coded once
+    over the stacked splits: ``levels`` holds every feature's sorted distinct
+    values, feature ``j``'s from ``edges[j]``, and ``bins[j, r]`` is the
+    index in ``levels`` of grown row ``r``'s value of feature ``j``."""
     counts = counts or [np.ones((1, y.size), dtype=int) for _, y in splits]
-    blocks, start, offset = [], 0, 0
-    for a, ((X, y), w) in enumerate(zip(splits, counts)):
+    coded = [np.unique(column, return_inverse=True)
+             for column in np.vstack([X for X, _ in splits]).T]
+    edges = np.cumsum([0, *(lv.size for lv, _ in coded)])
+    blocks, offset = [], 0
+    for a, ((_, y), w) in enumerate(zip(splits, counts)):
         drawn = w > 0
-        at = (np.cumsum(drawn) - 1 + start).astype(np.int32).reshape(w.shape)
-        presort = np.vstack((np.argsort(X, axis=0, kind="stable").T, np.arange(y.size)))
-        order = at[:, presort].transpose(1, 0, 2)[drawn[:, presort].transpose(1, 0, 2)]
-        blocks.append((np.nonzero(drawn)[1] + offset, order.reshape(presort.shape[0], -1),
-                       drawn.sum(axis=1), np.full(w.shape[0], a), (w * y)[drawn], w[drawn]))
-        start, offset = start + order.size // presort.shape[0], offset + y.size
-    src, order, sizes, lanes, g, h = (np.concatenate(part, axis=-1) for part in zip(*blocks))
-    return (np.vstack([X for X, _ in splits])[src].T.copy(), order, sizes, lanes,
-            g.astype(float), h.astype(float))
+        blocks.append((np.nonzero(drawn)[1] + offset, drawn.sum(axis=1), np.full(w.shape[0], a),
+                       (w * y)[drawn], w[drawn]))
+        offset += y.size
+    src, sizes, lanes, g, h = (np.concatenate(part) for part in zip(*blocks))
+    bins = (np.vstack([inv for _, inv in coded]) + edges[:-1, None]).take(src, axis=1)
+    return (bins.astype(np.min_scalar_type(edges[-1])), np.concatenate([lv for lv, _ in coded]),
+            edges, sizes, lanes, g.astype(float), h.astype(float))
 
 
 def _tree_scores(node: Mapping, X: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
@@ -511,7 +510,7 @@ def _fit_gbdt(splits, hp, seed):
     then updates each split's scores from the leaf values it grew."""
     lam, lr = hp["l2"], hp["learning_rate"]
     rule = _TreeRule(partial(_second_order_gain, lam=lam), hp["max_depth"], 1, 1e-12, lam)
-    XT, order, sizes, lanes, y, _ = _grown_rows(splits)
+    bins, levels, edges, sizes, lanes, y, _ = _grown_rows(splits)
     ends = np.cumsum(sizes).tolist()
     f0 = [float(np.log(p / (1.0 - p)))
           for p in (float(np.clip(y.mean(), 1e-12, 1 - 1e-12)) for _, y in splits)]
@@ -519,7 +518,7 @@ def _fit_gbdt(splits, hp, seed):
     fits = [{"f0": f, "learning_rate": lr, "trees": [], "loss_history": []} for f in f0]
     p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)
     for _ in range(hp["n_rounds"]):
-        trees, values = _grow(XT, order, sizes, lanes, p - y, p * (1.0 - p), rule)
+        trees, values = _grow(bins, levels, edges, sizes, lanes, p - y, p * (1.0 - p), rule)
         raw = raw + lr * values
         p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)
         loss = -(y * np.log(p) + (1 - y) * np.log(1 - p))

@@ -3,12 +3,14 @@
 These are the depth-first CART grower that fitted one decision tree at a
 time from columns presorted once per fit, each node from its own prefix
 sums; a level-wise grower that fits one forest or boosted ensemble at a
-time, node by node; the old per-fold ``kfold_cv`` loop that called them (and
-one-split ``models.train`` for the linear families); the objectives the
-linear families minimize, with their gradients; the per-index loop that
-dealt ``stratified_folds``; and the loop that built ``shapley_mc``'s
-coalition rows one flip at a time.  The tests require the library to
-reproduce them exactly.
+time, node by node, adding each node's sums in the order the histogram
+search adds them (rows in row order, one running sum per depth over its
+nodes' features' values); the old per-fold ``kfold_cv`` loop that called
+them (and one-split ``models.train`` for the linear families); the
+objectives the linear families minimize, with their gradients; the
+per-index loop that dealt ``stratified_folds``; and the loop that built
+``shapley_mc``'s coalition rows one flip at a time.  The tests require the
+library to reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -101,20 +103,22 @@ def _fit_tree(X, y, max_depth, min_leaf):
     return grow(np.arange(y.size), np.argsort(X, axis=0, kind="stable").T, 0)
 
 
-def grow_level_wise(tables, gain, max_depth, min_leaf, min_gain, lam=None, draw=None):
+def grow_level_wise(tables, gain, max_depth, min_leaf, min_gain, lam=None, draw=None, gains=None):
     """Trees grown depth by depth, one node at a time, from ``tables`` of
     ``(X, g, h)``, one per tree; returns the trees and each tree's
     per-row leaf values.
 
-    A node sums its ``g`` and ``h`` over its rows in ascending order. With
-    ``lam`` (boosting) its leaf is -G/(H+lam); without it ``g`` and ``h``
-    are class-1 and row counts, its leaf is G/H and a pure node does not
-    split. The nodes of a depth that may split, tree after tree, are
-    searched together: with ``draw``, ``draw(m)`` gives the sorted features
-    of each of those ``m`` nodes. For each feature, each node's rows are
-    sorted by value (ties by row) and put one node after the other; a cut's
-    left sums are the running sum over all of them less its value before
-    the node."""
+    A node's totals add its rows' ``g`` and ``h`` left to right in row
+    order. With ``lam`` (boosting) its leaf is -G/(H+lam) and a side's size
+    counts rows; without it ``g`` and ``h`` are class-1 and row counts, the
+    size is ``h``, its leaf is G/H and a pure node does not split. The nodes
+    of a depth that may split, tree after tree, are searched together: with
+    ``draw``, ``draw(m)`` gives the sorted features of each of those ``m``
+    nodes. Each (node, feature) sums each of its distinct values' rows in
+    row order, values ascending; a cut's left sums are one running sum over
+    the depth's (node, feature, value) sums, less its value before the
+    (node, feature). ``gains``, if given, collects each cut's gain, depth by
+    depth."""
     trees = [{} for _ in tables]
     values = [np.empty(len(g)) for _, g, _ in tables]
     level = [(tree, t, np.arange(len(g))) for t, (tree, (_, g, _)) in
@@ -124,56 +128,55 @@ def grow_level_wise(tables, gain, max_depth, min_leaf, min_gain, lam=None, draw=
         growing = []
         for node, t, idx in level:
             X, g, h = tables[t]
-            G, H = g[idx].sum(), h[idx].sum()
+            G, H = np.cumsum(g[idx])[-1], np.cumsum(h[idx])[-1]  # not pairwise ``.sum()``
             if lam is None:
-                leaf, pure = float(G / H), G in (0.0, H)
+                leaf, pure, n = float(G / H), G in (0.0, H), H
             else:
-                leaf, pure = float(-G / (H + lam)), False
-            if pure or depth >= max_depth or idx.size < 2 * min_leaf:
-                node.update(leaf=leaf, n=int(idx.size))
+                leaf, pure, n = float(-G / (H + lam)), False, idx.size
+            if pure or depth >= max_depth or n < 2 * min_leaf:
+                node.update(leaf=leaf, n=int(n))
                 values[t][idx] = leaf
             else:
-                growing.append((node, t, idx, G, H, leaf))
+                growing.append((node, t, idx, G, H, n, leaf))
         d = tables[0][0].shape[1]
         features = (draw(len(growing)) if draw is not None and growing
                     else np.tile(np.arange(d), (len(growing), 1)))
-        left = {}  # (node, feature) -> the left sums of each cut, in sorted order
-        for j in range(d):
-            runs = [(s, idx[np.argsort(tables[t][0][idx, j], kind="stable")])
-                    for s, (_, t, idx, *_) in enumerate(growing) if j in features[s]]
-            if not runs:
+        blocks = []  # (node, feature, its distinct values, their g, h and size sums)
+        for s, (_, t, idx, *_) in enumerate(growing):
+            X, g, h = tables[t]
+            size = h if lam is None else np.ones(len(g))
+            for j in features[s]:
+                distinct, value = np.unique(X[idx, j], return_inverse=True)
+                sums = np.zeros((3, distinct.size))
+                for out, v in zip(sums, (g, h, size)):
+                    np.add.at(out, value, v[idx])  # one row after another
+                blocks.append((s, j, distinct, sums))
+        run = np.cumsum(np.hstack([sums for *_, sums in blocks]), axis=1) if blocks else None
+        best = [None] * len(growing)
+        at = 0
+        for s, j, distinct, sums in blocks:  # the lowest threshold wins; a later feature by 1e-12
+            before = run[:, at - 1] if at else np.zeros(3)
+            GL, HL, left_n = run[:, at:at + distinct.size - 1] - before[:, None]
+            at += distinct.size
+            _, _, _, G, H, n, _ = growing[s]
+            ok = (left_n >= min_leaf) & (n - left_n >= min_leaf)
+            if not ok.any():
                 continue
-            sums = np.cumsum(np.concatenate(
-                [np.vstack((tables[growing[s][1]][1][rows], tables[growing[s][1]][2][rows]))
-                 for s, rows in runs], axis=1), axis=1)
-            at = 0
-            for s, rows in runs:
-                before = sums[:, at - 1] if at else np.zeros(2)
-                left[s, j] = rows, sums[:, at:at + rows.size] - before[:, None]
-                at += rows.size
+            scores = np.where(ok, gain(GL, HL, G, H), -np.inf)
+            p = int(np.argmax(scores))
+            if scores[p] > min_gain and (best[s] is None or scores[p] > best[s][0] + 1e-12):
+                mid = (distinct[p] + distinct[p + 1]) / 2.0
+                best[s] = (scores[p], int(j), float(mid if mid < distinct[p + 1] else distinct[p]))
         level = []
-        for s, (node, t, idx, G, H, leaf) in enumerate(growing):
-            X = tables[t][0]
-            best = None
-            for j in features[s]:  # the lowest threshold wins; a later feature by 1e-12
-                rows, (GL, HL) = left[s, j]
-                sv = X[rows, j]
-                n_left = HL if lam is None else np.arange(1, rows.size + 1)
-                n = H if lam is None else rows.size
-                ok = (sv[:-1] < sv[1:]) & (n_left[:-1] >= min_leaf) & (n - n_left[:-1] >= min_leaf)
-                if not ok.any():
-                    continue
-                scores = np.where(ok, gain(GL[:-1], HL[:-1], G, H), -np.inf)
-                p = int(np.argmax(scores))
-                if scores[p] > min_gain and (best is None or scores[p] > best[0] + 1e-12):
-                    mid = (sv[p] + sv[p + 1]) / 2.0
-                    best = (scores[p], int(j), float(mid if mid < sv[p + 1] else sv[p]))
-            if best is None:
-                node.update(leaf=leaf, n=int(idx.size))
+        for (node, t, idx, _, _, n, leaf), top in zip(growing, best):
+            if top is None:
+                node.update(leaf=leaf, n=int(n))
                 values[t][idx] = leaf
                 continue
-            _, j, thr = best
-            mask = X[idx, j] <= thr
+            top_gain, j, thr = top
+            if gains is not None:
+                gains.append(float(top_gain))
+            mask = tables[t][0][idx, j] <= thr
             node.update(feature=j, threshold=thr, left={}, right={})
             level += [(node["left"], t, idx[mask]), (node["right"], t, idx[~mask])]
         depth += 1

@@ -13,7 +13,6 @@ import pytest
 from volnet import models
 from volnet.models import (
     _TreeRule,
-    _best_cuts,
     _eval_tree,
     _NEWTON_TOL,
     _gini_gain,
@@ -281,53 +280,22 @@ def gini_of(labels):
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
-def depth_search(lanes, rule):
-    """:func:`_best_cuts` over every node of a depth of ``lanes``, each
-    ``(X, g, h, nodes)`` with ``nodes`` a list of (rows ascending, sorted
-    features); returns each node's (gain, feature, threshold) or None, its
-    (slot, position in the node) and its rows sorted for each slot, lane
-    after lane."""
-    vals, gs, hs, sizes, lane_of, G, H, runs = [], [], [], [], [], [], [], []
-    for a, (X, g, h, nodes) in enumerate(lanes):
-        for rows, features in nodes:
-            slots = [rows[np.lexsort((rows, X[rows, j]))] for j in features]  # by value, then row
-            vals.append([X[r, j] for r, j in zip(slots, features)])
-            gs.append([g[r] for r in slots])
-            hs.append([h[r] for r in slots])
-            sizes.append(rows.size)
-            lane_of.append(a)
-            G.append(g[rows].sum())
-            H.append(h[rows].sum())
-            runs.append((X, features, slots))
-    slot, pos, gain = _best_cuts(np.hstack(vals), np.stack((np.hstack(gs), np.hstack(hs))),
-                                 np.array(sizes), np.array(lane_of), np.array(G), np.array(H),
-                                 rule)
-    pos -= np.cumsum(sizes) - sizes  # each node's own position
-    out = []
-    for (X, features, slots), i, p, top in zip(runs, slot.tolist(), pos.tolist(), gain.tolist()):
-        if i < 0:
-            out.append(None)
-            continue
-        lo, hi = X[slots[i][p], features[i]], X[slots[i][p + 1], features[i]]
-        mid = (lo + hi) / 2
-        out.append((top, int(features[i]), mid if mid < hi else lo))
-    return out, list(zip(slot.tolist(), pos.tolist())), [slots for *_, slots in runs]
-
-
-def random_nodes(rng, n, d, n_features):
-    """Some rows of ``n`` dealt to 1-4 nodes, each with its sorted features."""
-    rows = np.flatnonzero(rng.random(n) < 0.8)
-    if rows.size == 0:
-        rows = np.arange(n)
-    deal = rng.integers(0, int(rng.integers(1, 5)), size=rows.size)
-    return [(rows[deal == c], np.sort(rng.choice(d, size=n_features, replace=False)))
-            for c in np.unique(deal)]
+def grow_lanes(lanes, rule, draw=None):
+    """:func:`_grow` over ``lanes`` of ``(X, g, h)``, one tree each, grown
+    together; returns the trees and each lane's leaf values."""
+    bins, levels, edges, sizes, tree_lanes, _, _ = _grown_rows(
+        [(X, np.zeros(len(g))) for X, g, _ in lanes])
+    g, h = (np.concatenate([lane[i] for lane in lanes]) for i in (1, 2))
+    trees, values = _grow(bins, levels, edges, sizes, tree_lanes, g, h, rule, draw)
+    return trees, np.split(values, np.cumsum(sizes)[:-1])
 
 
 class TestSplitSearchOracle:
-    """The depth search against an exhaustive loop, every node of every
-    lane of a depth checked on its own. Statistics are small dyadic numbers,
-    so every sum is exact and ties in gain are real."""
+    """Every node of trees grown together, lanes of different sizes, against
+    an exhaustive search of its own rows: an internal node holds the best
+    cut, and a leaf that could split has none. Every depth is checked, with
+    every feature searched and with a drawn subset per node. Statistics are
+    small dyadic numbers, so every sum is exact and ties in gain are real."""
 
     def random_lane(self, rng, d):
         n = int(rng.integers(2, 14))
@@ -337,23 +305,56 @@ class TestSplitSearchOracle:
 
     def check(self, rng, stats, rule, gain_of, weighted=False):
         d = int(rng.integers(1, 5))
-        n_features = int(rng.integers(1, d + 1))
+        k = int(rng.integers(1, d + 1))
         lanes = []
-        for _ in range(int(rng.integers(1, 6))):  # lanes of different sizes
+        for _ in range(int(rng.integers(1, 6))):
             X = self.random_lane(rng, d)
-            g, h = stats(X.shape[0])
-            lanes.append((X, g, h, random_nodes(rng, X.shape[0], d, n_features)))
-        got, _, _ = depth_search(lanes, rule)
-        want = []
-        for X, g, h, nodes in lanes:
-            if weighted:  # a Gini row of weight w stands for w rows: search them one by one
-                copies = np.repeat(np.arange(X.shape[0]), h.astype(int))
-                nodes = [(np.flatnonzero(np.isin(copies, rows)), f) for rows, f in nodes]
-                X, g, h = X[copies], (g[copies] > 0).astype(float), np.ones(copies.size)
-            for rows, features in nodes:
-                want.append(brute_force_split(X, rows.tolist(), features, partial(gain_of, g, h),
-                                              rule.min_leaf, rule.min_gain))
-        assert got == want
+            lanes.append((X, *stats(X.shape[0])))
+        for drawing in (False, True):
+            draws = []
+
+            def draw(m):
+                draws.append(np.sort([rng.choice(d, size=k, replace=False) for _ in range(m)],
+                                     axis=1))
+                return draws[-1]
+
+            trees, _ = grow_lanes(lanes, rule, draw if drawing else None)
+            if weighted:  # a Gini row of weight w stands for w rows: the repeated rows' trees
+                copies = [np.repeat(np.arange(len(h)), h.astype(int)) for _, _, h in lanes]
+                repeated = [(X[c], (g[c] > 0).astype(float), np.ones(c.size))
+                            for (X, g, _), c in zip(lanes, copies)]
+                replay = iter(draws)
+                assert grow_lanes(repeated, rule, (lambda m: next(replay)) if drawing else None
+                                  )[0] == trees
+                lanes_searched = repeated
+            else:
+                lanes_searched = lanes
+            self.check_nodes(trees, lanes_searched, rule, gain_of, iter(draws) if drawing else None)
+
+    def check_nodes(self, trees, lanes, rule, gain_of, draws):
+        level = [(tree, lane, np.arange(len(lane[1]))) for tree, lane in zip(trees, lanes)]
+        depth = 0
+        while level:
+            may_split = []
+            for node, (X, g, h), rows in level:
+                G, H = sum(g[rows]), sum(h[rows])
+                n = H if rule.lam is None else rows.size
+                pure = rule.lam is None and G in (0.0, H)
+                may_split.append(not pure and n >= 2 * rule.min_leaf and depth < rule.max_depth)
+            drawn = iter(next(draws)) if draws is not None and any(may_split) else None
+            children = []
+            for (node, (X, g, h), rows), searched in zip(level, may_split):
+                features = next(drawn) if drawn is not None and searched else range(X.shape[1])
+                want = (brute_force_split(X, rows.tolist(), features, partial(gain_of, g, h),
+                                          rule.min_leaf, rule.min_gain) if searched else None)
+                if want is None:
+                    assert "leaf" in node
+                    continue
+                assert (node["feature"], node["threshold"]) == want[1:]
+                left = X[rows, node["feature"]] <= node["threshold"]
+                children += [(node["left"], (X, g, h), rows[left]),
+                             (node["right"], (X, g, h), rows[~left])]
+            level, depth = children, depth + 1
 
     def test_gini_gain(self):
         rng = np.random.default_rng(1)
@@ -367,7 +368,7 @@ class TestSplitSearchOracle:
             return gini_of(g[left + right]) - child
 
         for _ in range(200):
-            rule = _TreeRule(_gini_gain, 6, int(rng.integers(1, 4)), -np.inf)
+            rule = _TreeRule(_gini_gain, int(rng.integers(1, 5)), int(rng.integers(1, 4)), -np.inf)
             self.check(rng, stats, rule, gain_of)
 
     def test_weighted_gini_gain_equals_repeated_rows(self):
@@ -385,7 +386,7 @@ class TestSplitSearchOracle:
             return gini_of(g[left + right]) - child
 
         for _ in range(200):
-            rule = _TreeRule(_gini_gain, 6, int(rng.integers(1, 5)), -np.inf)
+            rule = _TreeRule(_gini_gain, int(rng.integers(1, 5)), int(rng.integers(1, 5)), -np.inf)
             self.check(rng, stats, rule, gain_of, weighted=True)
 
     def test_second_order_gain(self):
@@ -402,15 +403,29 @@ class TestSplitSearchOracle:
             return 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam))
 
         for _ in range(200):
-            rule = _TreeRule(partial(_second_order_gain, lam=lam), 6, 1, 1e-12, lam)
+            rule = _TreeRule(partial(_second_order_gain, lam=lam), int(rng.integers(1, 5)), 1,
+                             1e-12, lam)
             self.check(rng, stats, rule, gain_of)
 
-    def test_prefix_sums_add_tied_rows_in_row_order(self):
+    def test_sums_follow_the_sum_rule_lane_by_lane(self, monkeypatch):
         # With inexact statistics the order of addition shows in the last
-        # bits. A left sum is a running sum per (lane, slot) over the
-        # depth's nodes, each sorted by value and tied values by row, less
-        # the sum before the node; it restarts in each lane, so a lane's
-        # cuts do not depend on the lanes searched with it.
+        # bits of each cut's gain. A node's totals and each of its values'
+        # sums add its rows in row order; a cut's left sums are a running
+        # sum per lane over the depth's (node, feature, value) sums, less
+        # its value before the (node, feature). The sum restarts in each
+        # lane, so a lane's tree and gains do not depend on the lanes grown
+        # with it. A key space with mostly absent keys is sorted, not
+        # counted, and must give the same sums.
+        gains, search = [], models._best_cuts
+
+        def spy(keys, gh, starts, size, *rest):
+            found = pos, pick, tops, slot = search(keys, gh, starts, size, *rest)
+            sorted_keys = search(keys, gh, starts, 4 * keys.size + 1, *rest)
+            assert all(np.array_equal(a, b) for a, b in zip(found, sorted_keys))
+            gains.extend(tops[slot >= 0, slot[slot >= 0]].tolist())
+            return found
+
+        monkeypatch.setattr(models, "_best_cuts", spy)
         rng = np.random.default_rng(3)
         rule = _TreeRule(partial(_second_order_gain, lam=1.0), 6, 1, -np.inf, 1.0)
         for _ in range(50):
@@ -418,26 +433,21 @@ class TestSplitSearchOracle:
             for _ in range(int(rng.integers(1, 6))):
                 n = int(rng.integers(20, 60))
                 X = rng.integers(0, 3, size=(n, 2)).astype(float)  # many ties
-                g, h = rng.normal(size=n), rng.random(n) + 0.5
-                lanes.append((X, g, h, random_nodes(rng, n, 2, 2)))
-            got, cuts, slots = depth_search(lanes, rule)
-            alone = [depth_search([lane], rule)[0] for lane in lanes]
-            assert got == [best for bests in alone for best in bests]
-            node = 0
-            for X, g, h, nodes in lanes:
-                lane_slots = slots[node:node + len(nodes)]
-                for i in range(2):  # the lane's running sums of slot i
-                    grun = np.cumsum(np.concatenate([g[s[i]] for s in lane_slots]))
-                    hrun = np.cumsum(np.concatenate([h[s[i]] for s in lane_slots]))
-                    at = 0
-                    for c, (rows, _) in enumerate(nodes):
-                        best, (slot, p) = got[node + c], cuts[node + c]
-                        if best is not None and slot == i:
-                            GL = grun[at + p] - (grun[at - 1] if at else 0.0)
-                            HL = hrun[at + p] - (hrun[at - 1] if at else 0.0)
-                            assert best[0] == rule.gain(GL, HL, g[rows].sum(), h[rows].sum())
-                        at += rows.size
-                node += len(nodes)
+                lanes.append((X, rng.normal(size=n), rng.random(n) + 0.5))
+            gains.clear()
+            trees, values = grow_lanes(lanes, rule)
+            together, every_lane = sorted(gains), []
+            for lane, tree, lane_values in zip(lanes, trees, values):
+                gains.clear()
+                [alone], [alone_values] = grow_lanes([lane], rule)
+                assert same_json(alone, tree) and np.array_equal(alone_values, lane_values)
+                want_gains = []
+                [want], [want_values] = ref.grow_level_wise([lane], rule.gain, 6, 1, -np.inf, 1.0,
+                                                            gains=want_gains)
+                assert same_json(want, tree) and np.array_equal(want_values, lane_values)
+                assert gains == want_gains
+                every_lane += gains
+            assert together == sorted(every_lane)
 
 
 class TestNaiveBayes:
@@ -502,11 +512,11 @@ class TestGBDT:
         X = rng.integers(0, 4, size=(60, 3)).astype(float) / 3.0  # repeated values
         y = (X[:, 0] + rng.normal(0.0, 0.3, 60) > 0.5).astype(int)
         p = np.full(60, 0.5)
-        XT, order, sizes, lanes, _, _ = _grown_rows([(X, y)])
+        bins, levels, edges, sizes, lanes, _, _ = _grown_rows([(X, y)])
         gain = partial(_second_order_gain, lam=1.0)
         for depth in (1, 3, 6):
             rule = _TreeRule(gain, depth, 1, 1e-12, 1.0)
-            [tree], values = _grow(XT, order, sizes, lanes, p - y, p * (1.0 - p), rule)
+            [tree], values = _grow(bins, levels, edges, sizes, lanes, p - y, p * (1.0 - p), rule)
             assert np.array_equal(values, _eval_tree(tree, X))
             [want], [want_values] = ref.grow_level_wise([(X, p - y, p * (1.0 - p))], gain,
                                                         depth, 1, 1e-12, 1.0)
@@ -641,10 +651,11 @@ TREE_CASES = [
 
 
 class TestTreeLanesMatchReference:
-    """The level-wise tree grower, every split of a job at once, against the
+    """The histogram tree grower, every split of a job at once, against the
     per-fit growers in ``models_reference`` (CART depth first from its own
-    prefix sums, the forest and boosting level by level, one node at a
-    time): the same parameters down to the last bit, as their JSON text."""
+    prefix sums over presorted columns; the forest and boosting level by
+    level, one node at a time, under the grower's sum rule): the same
+    parameters down to the last bit, as their JSON text."""
 
     @pytest.mark.parametrize("algorithm, hp", TREE_CASES)
     @pytest.mark.parametrize("k", [2, 3, 10])
@@ -668,7 +679,7 @@ class TestTreeLanesMatchReference:
     @pytest.mark.parametrize("algorithm, hp", [("decision_tree", {}), ("gbdt", {"n_rounds": 3}),
                                                ("random_forest", {"n_trees": 2})])
     def test_ranks_wider_than_a_byte(self, algorithm, hp):
-        # over 255 distinct values the sort keys are 16-bit
+        # over 255 distinct values a feature's bins are wider than a byte
         rng = np.random.default_rng(8)
         X = np.column_stack((rng.normal(size=600), rng.integers(0, 3, 600)))
         y = (X[:, 0] + rng.normal(0.0, 0.5, 600) > 0).astype(int)
