@@ -56,8 +56,8 @@ def _first_seen(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return np.argsort(np.argsort(first))[inverse], len(first)
 
 
-def _phase_q(lo, hi, w, selfw, node2com, m, resolution) -> float:
-    """Objective on the current (possibly aggregated) level: one term per
+def _phase_q(lo, hi, w, selfw, node2com, m) -> float:
+    """Modularity on the current (possibly aggregated) level: one term per
     community, added left to right in order of first appearance."""
     com, count = _first_seen(node2com)
     k = np.bincount(lo, w, len(com)) + np.bincount(hi, w, len(com)) + 2.0 * selfw
@@ -65,7 +65,7 @@ def _phase_q(lo, hi, w, selfw, node2com, m, resolution) -> float:
     intra = np.bincount(com, selfw, count) + np.bincount(com[lo[inside]], w[inside], count)
     # Python's float ** (libm pow) can differ from NumPy's square in the last bit
     spread = np.array([x ** 2 for x in (np.bincount(com, k, count) / (2.0 * m)).tolist()])
-    return float(np.cumsum(intra / m - resolution * spread)[-1])
+    return float(np.cumsum(intra / m - spread)[-1])
 
 
 def _first_level(g: TransactionGraph):
@@ -83,10 +83,10 @@ def modularity(g: TransactionGraph, p: Partition) -> float:
     level, m = _first_level(g)
     if m == 0.0:
         return 0.0
-    return _phase_q(*level, np.array([p.assignment[v] for v in g.names]), m, 1.0)
+    return _phase_q(*level, np.array([p.assignment[v] for v in g.names]), m)
 
 
-def _local_moves(lo, hi, weight, selfw, m, resolution, rng) -> np.ndarray:
+def _local_moves(lo, hi, weight, selfw, m, rng) -> np.ndarray:
     """One local-move phase over the level's per-node neighbour lists;
     returns the final node -> community map."""
     ends = np.concatenate([lo, hi])
@@ -110,11 +110,11 @@ def _local_moves(lo, hi, weight, selfw, m, resolution, rng) -> np.ndarray:
             for j, w in zip(nbrs[i], wts[i]):
                 links[node2com[j]] = links.get(node2com[j], 0.0) + w
             sigma_tot[old] -= k[i]
-            best_com, best_gain = old, links.get(old, 0.0) - resolution * sigma_tot[old] * k[i] / (2.0 * m)
+            best_com, best_gain = old, links.get(old, 0.0) - sigma_tot[old] * k[i] / (2.0 * m)
             for c in sorted(links):
                 if c == old:
                     continue
-                gain = links[c] - resolution * sigma_tot[c] * k[i] / (2.0 * m)
+                gain = links[c] - sigma_tot[c] * k[i] / (2.0 * m)
                 if gain > best_gain + 1e-12 or (abs(gain - best_gain) <= 1e-12 and c < best_com):
                     best_com, best_gain = c, gain
             node2com[i] = best_com
@@ -124,17 +124,14 @@ def _local_moves(lo, hi, weight, selfw, m, resolution, rng) -> np.ndarray:
     return np.array(node2com)
 
 
-def louvain(g: TransactionGraph, seed: int = 0, resolution: float = 1.0) -> Partition:
-    """Two-phase Louvain; deterministic for a fixed (graph, seed, resolution).
+def louvain(g: TransactionGraph, seed: int = 0) -> Partition:
+    """Two-phase Louvain maximizing standard modularity; deterministic for a
+    fixed (graph, seed).
 
     Node visit order is shuffled with the seeded RNG once per sweep;
     equal-gain moves break toward the lowest community id.  Phases repeat
-    until the objective gain drops below 1e-7.  For ``resolution`` != 1 the
-    optimizer targets the scaled objective but the reported ``modularity``
-    field is always standard Q.  ``resolution`` must be finite and > 0.
+    until the modularity gain drops below 1e-7.
     """
-    if not 0 < resolution < float("inf"):
-        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     n = len(g.names)
     if n == 0:
         return Partition(assignment={}, count=0, modularity=0.0)
@@ -149,8 +146,8 @@ def louvain(g: TransactionGraph, seed: int = 0, resolution: float = 1.0) -> Part
     history: list[float] = []
     prev_q = -1.0
     while True:
-        node2com = _local_moves(*level, m, resolution, rng)
-        q = _phase_q(*level, node2com, m, resolution)
+        node2com = _local_moves(*level, m, rng)
+        q = _phase_q(*level, node2com, m)
         history.append(q)
         coms, remap = np.unique(node2com, return_inverse=True)  # dense by id
         level = _collapse(*level, remap, len(coms))
@@ -164,7 +161,7 @@ def louvain(g: TransactionGraph, seed: int = 0, resolution: float = 1.0) -> Part
     return Partition(
         assignment=dict(zip(g.names, com.tolist())),
         count=count,
-        modularity=_phase_q(*base, com, m, 1.0),
+        modularity=_phase_q(*base, com, m),
         phase_modularity=tuple(history),
     )
 

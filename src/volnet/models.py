@@ -54,8 +54,6 @@ with its bias unpenalized, and the linear SVM the mean squared hinge plus
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -74,7 +72,8 @@ ALGORITHMS = (
     "gbdt",
 )
 
-DEFAULT_HYPERPARAMS: dict[str, dict] = {
+#: Each family's hyperparameters; a model's JSON records the values it was fit with.
+HYPERPARAMS: dict[str, dict] = {
     "naive_bayes": {"var_floor": 1e-9},
     "decision_tree": {"max_depth": 6, "min_samples_leaf": 2},
     "logistic_regression": {"l2": 1e-3},
@@ -563,41 +562,17 @@ _SCORERS = {
 }
 
 
-_COUNTS = ("n_trees", "n_rounds", "max_depth", "min_samples_leaf")
-
-
-def _hyperparams(algorithm: str, hyperparams: Mapping | None) -> dict:
-    """The family's defaults updated with ``hyperparams``, range-checked.
-
-    Counts are ints >= 1 (not bools); the linear families' ``l2`` is > 0
-    (at 0 the log loss of separable data has no minimizer), gbdt's ``l2`` >= 0,
-    and ``learning_rate`` and ``var_floor`` > 0."""
+def _hyperparams(algorithm: str) -> dict:
+    """A copy of the family's ``HYPERPARAMS`` entry."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r} (expected one of {ALGORITHMS})")
-    hp = dict(DEFAULT_HYPERPARAMS[algorithm])
-    if hyperparams:
-        unknown = set(hyperparams) - set(hp)
-        if unknown:
-            raise ValueError(f"unknown hyperparameter(s) for {algorithm}: {sorted(unknown)}")
-        hp.update(hyperparams)
-    for key, value in hp.items():
-        if key in _COUNTS:
-            ok, want = isinstance(value, numbers.Integral) and value >= 1, "an int >= 1"
-        else:
-            positive = key != "l2" or algorithm != "gbdt"
-            ok = isinstance(value, numbers.Real) and math.isfinite(value) and (
-                value > 0 if positive else value >= 0)
-            want = "a finite number " + ("> 0" if positive else ">= 0")
-        if isinstance(value, bool) or not ok:
-            raise ValueError(f"{algorithm} hyperparameter {key} must be {want}, got {value!r}")
-    return hp
+    return dict(HYPERPARAMS[algorithm])
 
 
 def train(
     algorithm: str,
     X,
     y,
-    hyperparams: Mapping | None = None,
     seed: int = 0,
     feature_names: Sequence[str] | None = None,
 ) -> TrainedClassifier:
@@ -606,7 +581,7 @@ def train(
     A single-class ``y`` yields a constant predictor (with a warning)
     instead of failing, so degenerate folds stay survivable.
     """
-    hp = _hyperparams(algorithm, hyperparams)
+    hp = _hyperparams(algorithm)
     X, y = _validate_xy(X, y)
     names = _feature_names(feature_names, X.shape[1])
     if np.unique(y).size < 2:
@@ -677,7 +652,6 @@ def kfold_cv(
     y,
     k: int = 10,
     seed: int = 0,
-    hyperparams: Mapping | None = None,
     feature_names: Sequence[str] | None = None,
 ) -> EvalReport:
     """Stratified k-fold cross-validation of one model family on ``(X, y)``.
@@ -694,7 +668,7 @@ def kfold_cv(
         train_mask = np.ones(y.size, dtype=bool)
         train_mask[test_idx] = False
         splits.append((X[train_mask], y[train_mask]))
-    hp = _hyperparams(algorithm, hyperparams)
+    hp = _hyperparams(algorithm)
     names = _feature_names(feature_names, X.shape[1])
     fitted = _fit_two_class(algorithm, splits, hp, seed)
     per_fold = []

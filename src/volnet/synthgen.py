@@ -69,8 +69,6 @@ class SynthConfig:
     """Knobs for one synthetic dataset; fully determined by ``seed``."""
 
     n_heroes: int = 200
-    archetype_mix: Mapping[str, float] = field(
-        default_factory=lambda: {a: 0.25 for a in ARCHETYPES})
     n_regulars_per_hero: int = 8
     weeks: int = 52
     community_count: int = 4
@@ -80,8 +78,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_heroes < 1:
-            raise ValueError("n_heroes must be >= 1")
+        if self.n_heroes < len(ARCHETYPES):
+            raise ValueError(f"n_heroes must be >= {len(ARCHETYPES)} (one hero per archetype), "
+                             f"got {self.n_heroes}")
         if self.weeks < 8:
             raise ValueError("weeks must be >= 8")
         if self.community_count < 1:
@@ -92,14 +91,6 @@ class SynthConfig:
             raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        unknown = set(self.archetype_mix) - set(ARCHETYPES)
-        if unknown:
-            raise ValueError(f"unknown archetype(s) in mix: {sorted(unknown)}")
-        total = sum(self.archetype_mix.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"archetype mix sums to {total}, expected 1")
-        if any(p < 0 for p in self.archetype_mix.values()):
-            raise ValueError("archetype proportions must be non-negative")
         bad = set(self.feature_signal) - set(_EVENT_BASE_RATES) - {"rating_current"}
         if bad:
             raise ValueError(f"feature_signal refers to unknown raw feature(s): {sorted(bad)}")
@@ -116,24 +107,6 @@ class PlantedTruth:
     community: int
 
 
-def _allocate_counts(config: SynthConfig) -> dict[str, int]:
-    """Largest-remainder apportionment of heroes over archetypes."""
-    quotas = {a: config.archetype_mix.get(a, 0.0) * config.n_heroes for a in ARCHETYPES}
-    counts = {a: int(math.floor(q)) for a, q in quotas.items()}
-    leftover = config.n_heroes - sum(counts.values())
-    by_remainder = sorted(
-        ARCHETYPES, key=lambda a: (-(quotas[a] - counts[a]), ARCHETYPES.index(a)))
-    for a in by_remainder[:leftover]:
-        counts[a] += 1
-    infeasible = [a for a in ARCHETYPES
-                  if config.archetype_mix.get(a, 0.0) > 0 and counts[a] == 0]
-    if infeasible:
-        raise ValueError(
-            f"infeasible mix: nonzero proportion but zero heroes for {infeasible} "
-            f"(n_heroes={config.n_heroes})")
-    return counts
-
-
 def template_dr(archetype: str, week: int, weeks: int) -> float:
     """Noise-free donors-ratio template value for one week."""
     start, end = TEMPLATE_LEVELS[archetype]
@@ -146,7 +119,8 @@ def template_dr(archetype: str, week: int, weeks: int) -> float:
 def generate(config: SynthConfig) -> tuple[TransactionLog, EventLog, dict[str, PlantedTruth]]:
     """Build one synthetic dataset.
 
-    Heroes get archetypes by largest-remainder apportionment and home
+    Heroes split equally over ``ARCHETYPES`` in order, the first
+    ``n_heroes % 4`` archetypes taking one hero more, and get home
     communities round-robin; each hero contributes ``n_regulars_per_hero``
     regulars to the home community's shared pool. Week by week a hero
     makes 6-12 transactions whose listing share follows the archetype
@@ -159,12 +133,9 @@ def generate(config: SynthConfig) -> tuple[TransactionLog, EventLog, dict[str, P
     and packed once (:meth:`TransactionLog.pack`, :meth:`EventLog.pack`).
     Deterministic per seed.
     """
-    counts = _allocate_counts(config)
     rng = np.random.default_rng(config.seed)
-
-    archetype_of: list[str] = []
-    for a in ARCHETYPES:
-        archetype_of.extend([a] * counts[a])
+    share, extra = divmod(config.n_heroes, len(ARCHETYPES))
+    archetype_of = [a for i, a in enumerate(ARCHETYPES) for _ in range(share + (i < extra))]
 
     heroes = [f"hero{idx:04d}" for idx in range(config.n_heroes)]
     community_of = {h: idx % config.community_count for idx, h in enumerate(heroes)}

@@ -18,8 +18,8 @@ The scalar ``dtw`` and ``dtw_path`` are the same kernel on a single pair.
 A k-means fit is a lane: a generator that yields two kinds of request,
 the distances of every series to some centroids (each k-means++ pick and
 each assignment step) and the DBA alignments of cluster members to their
-own centroids, and returns its model.  The lane driver, ``_lanes.lockstep``,
-runs the lanes side by side, and ``_answer`` answers all pending requests of
+own centroids, and returns its model.  The lane driver, ``lockstep``, runs
+the lanes side by side, and ``_answer`` answers all pending requests of
 one kind with one kernel call (split between pairs where a call would pass
 ``_MAX_TABLE_BYTES``), so ``ch_scan`` fits every k of its range in the same
 calls; ``kmeans_ts`` is the one-lane call.  Each lane draws from its own
@@ -34,7 +34,6 @@ from typing import Mapping
 
 import numpy as np
 
-from ._lanes import lockstep
 from .ingest import write_rows
 
 METRICS = ("euclidean", "dtw")
@@ -49,6 +48,8 @@ _CASE_AND_TREND = {
 }
 # label_archetypes' head and tail lengths, high level and stability band
 _HEAD, _TAIL, _HIGH, _STABLE_BAND = 3, 3, 0.5, 0.2
+# a fit whose assignments still change after this many sweeps stops unconverged
+_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class ClusterModel:
     seed: int
     inertia_history: tuple[float, ...] = field(default=())
     # Fit diagnostics, not serialized: whether assignments stabilized within
-    # max_iter sweeps, and how many DBA updates stopped at their inner cap.
+    # _MAX_SWEEPS sweeps, and how many DBA updates stopped at their inner cap.
     converged: bool = True
     dba_capped: int = 0
 
@@ -278,7 +279,34 @@ def _dba_update(X: np.ndarray, assign: np.ndarray, centroids: np.ndarray,
     return int(moving.size)
 
 
-def _fit(users: list[str], X: np.ndarray, k: int, metric: str, seed: int, max_iter: int):
+def lockstep(lanes, answer) -> list:
+    """Run a list of generator ``lanes`` side by side; return their results
+    in lane order.
+
+    A lane yields requests and is sent their replies.  Every step hands the
+    pending requests, in lane order, to ``answer``, which yields
+    ``(position, reply)`` once for each, in any order, so that one batched
+    kernel call can serve them all.  A lane advances as soon as its reply
+    arrives, and its next request waits for the next step."""
+    out: list = [None] * len(lanes)
+    pending: dict = {}
+
+    def advance(a: int, reply) -> None:
+        try:
+            pending[a] = lanes[a].send(reply)
+        except StopIteration as stop:
+            out[a] = stop.value
+
+    for a in range(len(lanes)):
+        advance(a, None)
+    while pending:
+        asked = sorted(pending)
+        for position, reply in answer([pending.pop(a) for a in asked]):
+            advance(asked[position], reply)
+    return out
+
+
+def _fit(users: list[str], X: np.ndarray, k: int, metric: str, seed: int):
     """One k-means fit as a lane of :func:`lockstep`: it yields distance
     and alignment requests and returns its :class:`ClusterModel`."""
     n = X.shape[0]
@@ -288,7 +316,7 @@ def _fit(users: list[str], X: np.ndarray, k: int, metric: str, seed: int, max_it
     assign = np.zeros(n, dtype=int)
     converged = False
     dba_capped = 0
-    for sweep in range(max_iter):
+    for sweep in range(_MAX_SWEEPS):
         dists = yield "dist", centroids
         assign = dists.argmin(axis=1)
         history.append(float(dists[np.arange(n), assign].sum()))
@@ -296,7 +324,7 @@ def _fit(users: list[str], X: np.ndarray, k: int, metric: str, seed: int, max_it
             converged = True
             break
         prev = assign
-        if sweep == max_iter - 1:
+        if sweep == _MAX_SWEEPS - 1:
             break
         if metric != "euclidean":
             dba_capped += yield from _dba_update(X, assign, centroids)
@@ -364,13 +392,11 @@ def _answer(requests: list, X: np.ndarray, metric: str):
             b, parts = b + 1, []
 
 
-def _check_fit(n: int, k: int, metric: str, max_iter: int) -> None:
+def _check_fit(n: int, k: int, metric: str) -> None:
     if not 2 <= k <= n:
         raise ValueError(f"k={k} outside [2, {n}]")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r} (expected one of {METRICS})")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
 
 def kmeans_ts(
@@ -378,7 +404,6 @@ def kmeans_ts(
     k: int,
     metric: str = "euclidean",
     seed: int = 0,
-    max_iter: int = 100,
 ) -> ClusterModel:
     """Time-series K-means over equally long series.
 
@@ -387,14 +412,14 @@ def kmeans_ts(
     pointwise mean for ``euclidean`` or DTW barycenter averaging (at most
     30 iterations per cluster and sweep) for ``dtw``.  The fit is the
     one-lane case of :func:`ch_scan`'s lockstep (see the module docstring).
-    Stops when assignments stabilize or after ``max_iter`` sweeps (at least
-    1); the model's ``converged`` and ``dba_capped`` report whether either
+    Stops when assignments stabilize or after ``_MAX_SWEEPS`` (100) sweeps;
+    the model's ``converged`` and ``dba_capped`` report whether either
     cap was hit.  ``inertia`` is the metric-distance sum to assigned
     centroids.  Deterministic for a fixed seed.
     """
     users, X = _as_matrix(data)
-    _check_fit(X.shape[0], k, metric, max_iter)
-    lane = _fit(users, X, k, metric, seed, max_iter)
+    _check_fit(X.shape[0], k, metric)
+    lane = _fit(users, X, k, metric, seed)
     return lockstep([lane], lambda requests: _answer(requests, X, metric))[0]
 
 
@@ -436,7 +461,6 @@ def ch_scan(
     k_range: tuple[int, int] = (4, 10),
     metric: str = "euclidean",
     seed: int = 0,
-    max_iter: int = 100,
 ) -> tuple[dict[int, float], dict[int, ClusterModel]]:
     """Fit K-means for each k in the inclusive range; return the score and
     the fitted model of each k.
@@ -453,8 +477,8 @@ def ch_scan(
     users, X = _as_matrix(data)
     ks = range(k_min, k_max + 1)
     for k in ks:
-        _check_fit(X.shape[0], k, metric, max_iter)
-    lanes = [_fit(users, X, k, metric, seed, max_iter) for k in ks]
+        _check_fit(X.shape[0], k, metric)
+    lanes = [_fit(users, X, k, metric, seed) for k in ks]
     fits = lockstep(lanes, lambda requests: _answer(requests, X, metric))
     fitted = dict(zip(ks, fits))
     return {k: _calinski_harabasz(users, X, fitted[k]) for k in ks}, fitted

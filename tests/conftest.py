@@ -10,7 +10,7 @@ import pytest
 
 from volnet.graph import TransactionGraph
 from volnet.ingest import TransactionLog
-from volnet import synthgen
+from volnet import models, synthgen
 
 from ingest_reference import Transaction, transaction_log
 
@@ -43,6 +43,12 @@ def graph_of(edges: Mapping[tuple[str, str], object],
     return TransactionGraph(names, np.array([code[a] for a, _ in edges], dtype=np.int64),
                             np.array([code[b] for _, b in edges], dtype=np.int64),
                             np.array(weights) if weights else np.zeros(0, dtype=np.int64))
+
+
+def set_hyperparams(monkeypatch, algorithm: str, **values) -> None:
+    """Fit ``algorithm`` with ``values`` over its ``models.HYPERPARAMS``
+    entry until ``monkeypatch`` undoes its changes."""
+    monkeypatch.setitem(models.HYPERPARAMS, algorithm, {**models.HYPERPARAMS[algorithm], **values})
 
 
 def edges_of(g: TransactionGraph) -> dict[tuple[str, str], int]:

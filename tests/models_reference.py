@@ -225,7 +225,8 @@ def _train_gbdt(X, y, hp, seed):
 
 
 def _train_linear(algorithm, X, y, hp, seed):
-    return models.train(algorithm, X, y, hyperparams=hp, seed=seed).parameters
+    assert hp == models.HYPERPARAMS[algorithm]  # ``train`` reads the table itself
+    return models.train(algorithm, X, y, seed=seed).parameters
 
 
 TRAINERS = {
@@ -237,11 +238,12 @@ TRAINERS = {
 }
 
 
-def fold_parameters(algorithm, X, y, k, seed, hyperparams=None):
+def fold_parameters(algorithm, X, y, k, seed):
     """Each fold's parameters as the per-fold loop fitted them: the
-    reference trainer on the fold's training split, or the constant
-    predictor when that split lost a class."""
-    hp = dict(models.DEFAULT_HYPERPARAMS[algorithm], **(hyperparams or {}))
+    reference trainer, with the family's ``models.HYPERPARAMS``, on the
+    fold's training split, or the constant predictor when that split lost
+    a class."""
+    hp = models.HYPERPARAMS[algorithm]
     out = []
     for test_idx in models.stratified_folds(y, k, seed):
         mask = np.ones(y.size, dtype=bool)
@@ -254,7 +256,7 @@ def fold_parameters(algorithm, X, y, k, seed, hyperparams=None):
     return out
 
 
-def cv_fold_parameters(algorithm, X, y, k, seed, hyperparams=None):
+def cv_fold_parameters(algorithm, X, y, k, seed):
     """The fold models' parameters as ``models.kfold_cv`` fits them (the
     fold models are captured from its calls to ``models.predict_labels``,
     one per fold in fold order)."""
@@ -267,7 +269,7 @@ def cv_fold_parameters(algorithm, X, y, k, seed, hyperparams=None):
 
     models.predict_labels = capture
     try:
-        models.kfold_cv(algorithm, X, y, k=k, seed=seed, hyperparams=hyperparams)
+        models.kfold_cv(algorithm, X, y, k=k, seed=seed)
     finally:
         models.predict_labels = real_predict
     return fitted

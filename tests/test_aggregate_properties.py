@@ -191,13 +191,11 @@ def test_louvain_is_seeded_and_reports_its_own_modularity(log, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(log=logs(max_size=60), seed=st.integers(0, 50),
-       resolution=st.sampled_from([0.5, 1.0, 2.0]), data=st.data())
-def test_louvain_equals_the_dict_reference_bit_for_bit(log, seed, resolution, data):
+@given(log=logs(max_size=60), seed=st.integers(0, 50), data=st.data())
+def test_louvain_equals_the_dict_reference_bit_for_bit(log, seed, data):
     g = graph.build_graph(log, at_day(10_000))
     edges = edges_of(g)
-    assert community.louvain(g, seed, resolution) == community_reference.louvain(
-        g.names, edges, seed, resolution)
+    assert community.louvain(g, seed) == community_reference.louvain(g.names, edges, seed)
     labels = data.draw(st.lists(st.integers(-3, 3), min_size=len(g.names),
                                 max_size=len(g.names)))
     p = community.Partition(dict(zip(g.names, labels)), len(set(labels)), 0.0)

@@ -18,6 +18,7 @@ from volnet.explain import (
 from volnet.models import ALGORITHMS, train
 
 import models_reference as ref
+from conftest import set_hyperparams
 from explain_reference import shapley_exact
 
 
@@ -58,9 +59,10 @@ class TestExact:
             assert att.per_feature[name] == pytest.approx(want[i], abs=1e-9)
         assert att.user == "u"
 
-    def test_efficiency(self):
+    def test_efficiency(self, monkeypatch):
         X, y = separable()
-        model = train("gbdt", X, y, hyperparams={"n_rounds": 20})
+        set_hyperparams(monkeypatch, "gbdt", n_rounds=20)
+        model = train("gbdt", X, y)
         att = shapley_exact(model, X[5], X[:15])
         total = sum(att.per_feature.values())
         assert att.base_value + total == pytest.approx(att.prediction, abs=1e-9)
@@ -112,9 +114,10 @@ class TestExact:
 
 
 class TestMonteCarlo:
-    def test_close_to_exact_on_a_real_model(self):
+    def test_close_to_exact_on_a_real_model(self, monkeypatch):
         X, y = separable(seed=5)
-        model = train("gbdt", X, y, hyperparams={"n_rounds": 20})
+        set_hyperparams(monkeypatch, "gbdt", n_rounds=20)
+        model = train("gbdt", X, y)
         x, background = X[3], X
         exact = shapley_exact(model, x, background)
         mc = shapley_mc(model, x, background, n_permutations=2000, seed=0)
@@ -138,9 +141,10 @@ class TestMonteCarlo:
         assert a1.per_feature == a2.per_feature
         assert a1.std_err == a2.std_err
 
-    def test_standard_errors_shrink_with_more_permutations(self):
+    def test_standard_errors_shrink_with_more_permutations(self, monkeypatch):
         X, y = separable(seed=7)
-        model = train("random_forest", X, y, hyperparams={"n_trees": 20})
+        set_hyperparams(monkeypatch, "random_forest", n_trees=20)
+        model = train("random_forest", X, y)
         x, background = X[4], X
         few = shapley_mc(model, x, background, n_permutations=100, seed=1)
         many = shapley_mc(model, x, background, n_permutations=1600, seed=1)
@@ -158,13 +162,13 @@ class TestMonteCarlo:
 class TestMonteCarloMatchesReference:
     """The rank-mask row builder against the flip-by-flip loop, exactly."""
 
-    FAST = {"random_forest": {"n_trees": 5}, "gbdt": {"n_rounds": 5}}
-
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("d", [1, 2, 5])
-    def test_every_family(self, algorithm, d):
+    def test_every_family(self, algorithm, d, monkeypatch):
         X, y = separable(n_per=12, d=d, seed=d)
-        model = train(algorithm, X, y, hyperparams=self.FAST.get(algorithm), seed=1)
+        set_hyperparams(monkeypatch, "random_forest", n_trees=5)
+        set_hyperparams(monkeypatch, "gbdt", n_rounds=5)
+        model = train(algorithm, X, y, seed=1)
         att = shapley_mc(model, X[3], X[::2], n_permutations=120, seed=d)
         phi, std_err, base_value, prediction = ref.shapley_mc(
             model, X[3], X[::2], n_permutations=120, seed=d)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st  # noqa: E402
 from volnet.explain import shapley_mc  # noqa: E402
 from volnet.models import train  # noqa: E402
 
+from conftest import set_hyperparams  # noqa: E402
+
 values = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
 
 
@@ -24,8 +26,9 @@ def fitted_case(draw):
     y = np.array([0, 1] * (n // 2) + [0] * (n % 2))
     algorithm = draw(st.sampled_from(["naive_bayes", "decision_tree", "logistic_regression",
                                       "gbdt"]))
-    hp = {"gbdt": {"n_rounds": 5}}.get(algorithm)
-    return train(algorithm, X, y, hyperparams=hp), X
+    with pytest.MonkeyPatch.context() as mp:
+        set_hyperparams(mp, "gbdt", n_rounds=5)
+        return train(algorithm, X, y), X
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,11 +1,11 @@
-"""Tests for the lockstep lane driver, which runs ``tscluster``'s k-means
+"""Tests for ``tscluster.lockstep``, the lane driver that runs its k-means
 fits side by side."""
 
 from __future__ import annotations
 
 import pytest
 
-from volnet._lanes import lockstep
+from volnet.tscluster import lockstep
 
 
 def asker(name: str, steps: int, log: list | None = None):

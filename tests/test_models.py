@@ -23,7 +23,7 @@ from volnet.models import (
     _second_order_gain,
     _squared_hinge,
     ALGORITHMS,
-    DEFAULT_HYPERPARAMS,
+    HYPERPARAMS,
     TrainedClassifier,
     kfold_cv,
     load_model,
@@ -37,6 +37,7 @@ from volnet.models import (
 )
 
 import models_reference as ref
+from conftest import set_hyperparams
 
 
 def separable(n_per: int = 20, d: int = 3, seed: int = 0, gap: float = 3.0):
@@ -56,14 +57,11 @@ def xor_data(copies: int = 1):
     return X, y
 
 
-FAST = {
-    "naive_bayes": {},
-    "decision_tree": {},
-    "logistic_regression": {},
-    "random_forest": {"n_trees": 30},
-    "linear_svm": {},
-    "gbdt": {"n_rounds": 30},
-}
+@pytest.fixture
+def fast(monkeypatch):
+    """Fewer forest trees and boosting rounds."""
+    set_hyperparams(monkeypatch, "random_forest", n_trees=30)
+    set_hyperparams(monkeypatch, "gbdt", n_rounds=30)
 
 
 class TestTrainValidation:
@@ -72,39 +70,14 @@ class TestTrainValidation:
         with pytest.raises(ValueError):
             train("perceptron", X, y)
 
-    def test_unknown_hyperparameter(self):
-        X, y = separable()
-        with pytest.raises(ValueError):
-            train("decision_tree", X, y, hyperparams={"depth": 3})
-
-    @pytest.mark.parametrize("algorithm, key, value", [
-        ("random_forest", "n_trees", 0),
-        ("gbdt", "n_rounds", -3),
-        ("decision_tree", "max_depth", True),
-        ("random_forest", "min_samples_leaf", 0),
-        ("linear_svm", "l2", 0),
-        ("logistic_regression", "l2", 0),
-        ("gbdt", "l2", -1),
-        ("naive_bayes", "var_floor", -1e-9),
-        ("gbdt", "learning_rate", float("inf")),
-    ])
-    def test_out_of_range_hyperparameter_names_family_and_key(self, algorithm, key, value):
-        # one case per rule: counts are ints >= 1 and not bools; the linear
-        # families' l2 > 0, gbdt's l2 >= 0; learning_rate and var_floor > 0;
-        # all finite
+    def test_in_range_hyperparameter_edges_are_accepted(self, monkeypatch):
         X, y = separable(n_per=10)
-        with pytest.raises(ValueError, match=f"{algorithm} hyperparameter {key} "):
-            train(algorithm, X, y, hyperparams={key: value})
-        with pytest.raises(ValueError, match=f"{algorithm} hyperparameter {key} "):
-            kfold_cv(algorithm, X, y, hyperparams={key: value})
-
-    def test_in_range_hyperparameter_edges_are_accepted(self):
-        X, y = separable(n_per=10)
+        set_hyperparams(monkeypatch, "gbdt", l2=0.0, n_rounds=1, max_depth=1)
+        set_hyperparams(monkeypatch, "random_forest", n_trees=1, min_samples_leaf=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for algorithm, hp in [("gbdt", {"l2": 0.0, "n_rounds": np.int64(1), "max_depth": 1}),
-                                  ("random_forest", {"n_trees": 1, "min_samples_leaf": 1})]:
-                kfold_cv(algorithm, X, y, k=2, hyperparams=hp)
+            for algorithm in ("gbdt", "random_forest"):
+                kfold_cv(algorithm, X, y, k=2)
 
     def test_shape_and_label_checks(self):
         X, y = separable()
@@ -115,6 +88,7 @@ class TestTrainValidation:
         with pytest.raises(ValueError):
             train("decision_tree", X[:1], y[:1])
 
+    @pytest.mark.usefixtures("fast")
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_fractional_labels_are_rejected_not_truncated(self, algorithm):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -122,17 +96,18 @@ class TestTrainValidation:
             train(algorithm, X, [0.5, 0.7, 1.0, 1.2])
         X, y = separable(n_per=10)
         with pytest.raises(ValueError, match="labels"):
-            kfold_cv(algorithm, X, y + 0.25, k=2, hyperparams=FAST[algorithm])
+            kfold_cv(algorithm, X, y + 0.25, k=2)
 
+    @pytest.mark.usefixtures("fast")
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_are_rejected(self, algorithm, bad):
         X, y = separable(n_per=10)
         X[3, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            train(algorithm, X, y, hyperparams=FAST[algorithm])
+            train(algorithm, X, y)
         with pytest.raises(ValueError, match="finite"):
-            kfold_cv(algorithm, X, y, k=2, hyperparams=FAST[algorithm])
+            kfold_cv(algorithm, X, y, k=2)
 
     def test_float_and_bool_labels_of_zero_and_one_are_accepted(self):
         X, y = separable(n_per=10)
@@ -165,37 +140,41 @@ class TestTrainValidation:
 
 
 class TestAllFamilies:
+    @pytest.mark.usefixtures("fast")
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_fits_separable_data(self, algorithm):
         X, y = separable(seed=3)
-        model = train(algorithm, X, y, hyperparams=FAST[algorithm], seed=0)
+        model = train(algorithm, X, y, seed=0)
         acc = metrics(y, predict_labels(model, X))["accuracy"]
         assert acc >= 0.95, f"{algorithm}: training accuracy {acc}"
 
+    @pytest.mark.usefixtures("fast")
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_scores_are_probabilities(self, algorithm):
         X, y = separable(seed=5)
-        model = train(algorithm, X, y, hyperparams=FAST[algorithm], seed=0)
+        model = train(algorithm, X, y, seed=0)
         s = model.scores(X)
         assert np.all(s >= 0.0) and np.all(s <= 1.0)
 
+    @pytest.mark.usefixtures("fast")
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_deterministic_for_fixed_seed(self, algorithm):
         X, y = separable(seed=7)
         probe = np.random.default_rng(1).normal(1.5, 1.0, size=(10, X.shape[1]))
-        s1 = train(algorithm, X, y, hyperparams=FAST[algorithm], seed=4).scores(probe)
-        s2 = train(algorithm, X, y, hyperparams=FAST[algorithm], seed=4).scores(probe)
+        s1 = train(algorithm, X, y, seed=4).scores(probe)
+        s2 = train(algorithm, X, y, seed=4).scores(probe)
         assert np.array_equal(s1, s2)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_a_rows_score_does_not_depend_on_its_batch(self, algorithm):
+    def test_a_rows_score_does_not_depend_on_its_batch(self, algorithm, monkeypatch):
         # BLAS ``@`` and a pairwise mean over one row gave other bits for a
         # row scored alone than inside a batch, and by its position in it
         rng = np.random.default_rng(17)
         X = rng.normal(size=(200, 15))
         y = (X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(0.0, 0.5, 200) > 0).astype(int)
-        hp = {"random_forest": {"n_trees": 40}, "gbdt": {"n_rounds": 20}}.get(algorithm)
-        model = train(algorithm, X, y, hyperparams=hp, seed=1)
+        set_hyperparams(monkeypatch, "random_forest", n_trees=40)
+        set_hyperparams(monkeypatch, "gbdt", n_rounds=20)
+        model = train(algorithm, X, y, seed=1)
         B = rng.normal(0.0, 1.5, size=(4800, 15))
         batch = model.scores(B)
         for i in (0, 1, 7, 2399, 4798, 4799):
@@ -206,30 +185,31 @@ class TestAllFamilies:
 
 
 class TestDecisionTree:
-    def test_solves_xor_at_depth_two(self):
+    def test_solves_xor_at_depth_two(self, monkeypatch):
         X, y = xor_data()
-        model = train("decision_tree", X, y,
-                      hyperparams={"max_depth": 2, "min_samples_leaf": 1})
+        set_hyperparams(monkeypatch, "decision_tree", max_depth=2, min_samples_leaf=1)
+        model = train("decision_tree", X, y)
         assert list(predict_labels(model, X)) == list(y)
 
-    def test_stump_cannot_solve_xor(self):
+    def test_stump_cannot_solve_xor(self, monkeypatch):
         X, y = xor_data()
-        model = train("decision_tree", X, y,
-                      hyperparams={"max_depth": 1, "min_samples_leaf": 1})
+        set_hyperparams(monkeypatch, "decision_tree", max_depth=1, min_samples_leaf=1)
+        model = train("decision_tree", X, y)
         acc = metrics(y, predict_labels(model, X))["accuracy"]
         assert acc == 0.5
 
-    def test_min_leaf_blocks_all_splits(self):
+    def test_min_leaf_blocks_all_splits(self, monkeypatch):
         X, y = separable(n_per=5)
-        model = train("decision_tree", X, y,
-                      hyperparams={"max_depth": 6, "min_samples_leaf": 6})
+        set_hyperparams(monkeypatch, "decision_tree", max_depth=6, min_samples_leaf=6)
+        model = train("decision_tree", X, y)
         # No admissible cut: the root is a leaf at the class-1 prior.
         assert np.allclose(model.scores(X), y.mean())
 
+    @pytest.mark.usefixtures("fast")
     @pytest.mark.parametrize("algorithm", ["decision_tree", "random_forest", "gbdt"])
     def test_constant_features_leave_one_leaf(self, algorithm):
         X, y = np.ones((6, 2)), np.array([0, 1] * 3)
-        trees = train(algorithm, X, y, hyperparams=FAST[algorithm]).parameters
+        trees = train(algorithm, X, y).parameters
         for tree in trees.get("trees", [trees.get("tree")]):
             assert set(tree) == {"leaf", "n"}
 
@@ -239,14 +219,15 @@ class TestAdjacentFloatThreshold:
     LO, HI = 0.324332134658142, 0.32433213465814204
 
     @pytest.mark.parametrize("algorithm", ["decision_tree", "gbdt"])
-    def test_cut_separates_neighbouring_values(self, algorithm):
+    def test_cut_separates_neighbouring_values(self, algorithm, monkeypatch):
         assert (self.LO + self.HI) / 2 == self.HI
         X = np.array([[self.LO], [self.HI]])
         y = np.array([0, 1])
-        hp = {"min_samples_leaf": 1} if algorithm == "decision_tree" else {"n_rounds": 10}
+        set_hyperparams(monkeypatch, "decision_tree", min_samples_leaf=1)
+        set_hyperparams(monkeypatch, "gbdt", n_rounds=10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = train(algorithm, X, y, hyperparams=hp)
+            model = train(algorithm, X, y)
         assert list(predict_labels(model, X)) == [0, 1]
 
 
@@ -470,13 +451,14 @@ class TestLogisticRegression:
 
 
 class TestRandomForest:
-    def test_not_much_worse_than_single_tree(self):
+    def test_not_much_worse_than_single_tree(self, monkeypatch):
         rng = np.random.default_rng(11)
         X, y = separable(n_per=60, d=4, seed=11, gap=1.2)
         X += rng.normal(0, 0.6, size=X.shape)  # extra noise
         X_tr, y_tr, X_te, y_te = X[:80], y[:80], X[80:], y[80:]
         tree = train("decision_tree", X_tr, y_tr)
-        forest = train("random_forest", X_tr, y_tr, hyperparams={"n_trees": 50}, seed=0)
+        set_hyperparams(monkeypatch, "random_forest", n_trees=50)
+        forest = train("random_forest", X_tr, y_tr, seed=0)
         acc_tree = metrics(y_te, predict_labels(tree, X_te))["accuracy"]
         acc_forest = metrics(y_te, predict_labels(forest, X_te))["accuracy"]
         assert acc_forest >= acc_tree - 0.05
@@ -492,17 +474,19 @@ class TestLinearSVM:
 
 
 class TestGBDT:
-    def test_loss_history_never_increases(self):
+    def test_loss_history_never_increases(self, monkeypatch):
         X, y = separable(seed=6)
-        model = train("gbdt", X, y, hyperparams={"n_rounds": 40})
+        set_hyperparams(monkeypatch, "gbdt", n_rounds=40)
+        model = train("gbdt", X, y)
         losses = model.parameters["loss_history"]
         assert len(losses) == 40
         for earlier, later in zip(losses, losses[1:]):
             assert later <= earlier + 1e-9
 
-    def test_cv_on_separable_data(self):
+    def test_cv_on_separable_data(self, monkeypatch):
         X, y = separable(n_per=25, seed=8)
-        report = kfold_cv("gbdt", X, y, k=5, seed=0, hyperparams={"n_rounds": 30})
+        set_hyperparams(monkeypatch, "gbdt", n_rounds=30)
+        report = kfold_cv("gbdt", X, y, k=5, seed=0)
         assert report.mean_accuracy >= 0.95
 
     def test_round_update_matches_scoring_the_new_tree(self):
@@ -574,7 +558,7 @@ class TestFoldFittersMatchReference:
         Z = np.hstack([(X - got[0]["scaler"]["mean"]) / got[0]["scaler"]["std"],
                        np.ones((y.size, 1))])
         penalized = np.append(np.ones(X.shape[1]), float(bias_penalized))
-        w, steps = _newton(Z, y, DEFAULT_HYPERPARAMS[algorithm]["l2"], loss, penalized)
+        w, steps = _newton(Z, y, HYPERPARAMS[algorithm]["l2"], loss, penalized)
         assert steps is not None
         want = {"weights": w.tolist(), "scaler": got[0]["scaler"]}
         if algorithm == "logistic_regression":
@@ -613,14 +597,15 @@ class TestLinearObjectives:
 
     @pytest.mark.parametrize("algorithm", ["linear_svm", "logistic_regression"])
     @pytest.mark.parametrize("l2", [1e-4, 1e-3, 1.0])
-    def test_objective_matches_scipy(self, algorithm, l2):
+    def test_objective_matches_scipy(self, algorithm, l2, monkeypatch):
         optimize = pytest.importorskip("scipy.optimize")
+        set_hyperparams(monkeypatch, algorithm, l2=l2)
         for seed in range(12):
             X, y = linear_problem(seed)
             f = ref.linear_objective(algorithm, X, y, l2)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                ours = f(fitted_vector(train(algorithm, X, y, hyperparams={"l2": l2}).parameters))
+                ours = f(fitted_vector(train(algorithm, X, y).parameters))
             theirs = optimize.minimize(f, np.zeros(X.shape[1] + 1), jac=True, method="L-BFGS-B",
                                        options={"ftol": 1e-15, "gtol": 1e-11, "maxiter": 50000})
             assert ours[0] <= theirs.fun * (1.0 + 1e-10)
@@ -659,11 +644,12 @@ class TestTreeLanesMatchReference:
 
     @pytest.mark.parametrize("algorithm, hp", TREE_CASES)
     @pytest.mark.parametrize("k", [2, 3, 10])
-    def test_cv_folds(self, algorithm, hp, k):
+    def test_cv_folds(self, algorithm, hp, k, monkeypatch):
+        set_hyperparams(monkeypatch, algorithm, **hp)
         for degenerate in (False, True):
             X, y = fold_data(k, seed=k + 20, degenerate=degenerate)
-            got = ref.cv_fold_parameters(algorithm, X, y, k, seed=k, hyperparams=hp)
-            want = ref.fold_parameters(algorithm, X, y, k, seed=k, hyperparams=hp)
+            got = ref.cv_fold_parameters(algorithm, X, y, k, seed=k)
+            want = ref.fold_parameters(algorithm, X, y, k, seed=k)
             assert len(got) == len(want) == k
             assert same_json(got, want)
             if degenerate:
@@ -678,34 +664,37 @@ class TestTreeLanesMatchReference:
 
     @pytest.mark.parametrize("algorithm, hp", [("decision_tree", {}), ("gbdt", {"n_rounds": 3}),
                                                ("random_forest", {"n_trees": 2})])
-    def test_ranks_wider_than_a_byte(self, algorithm, hp):
+    def test_ranks_wider_than_a_byte(self, algorithm, hp, monkeypatch):
         # over 255 distinct values a feature's bins are wider than a byte
         rng = np.random.default_rng(8)
         X = np.column_stack((rng.normal(size=600), rng.integers(0, 3, 600)))
         y = (X[:, 0] + rng.normal(0.0, 0.5, 600) > 0).astype(int)
-        got = ref.cv_fold_parameters(algorithm, X, y, 2, seed=1, hyperparams=hp)
-        assert same_json(got, ref.fold_parameters(algorithm, X, y, 2, seed=1, hyperparams=hp))
+        set_hyperparams(monkeypatch, algorithm, **hp)
+        got = ref.cv_fold_parameters(algorithm, X, y, 2, seed=1)
+        assert same_json(got, ref.fold_parameters(algorithm, X, y, 2, seed=1))
 
     @pytest.mark.parametrize("algorithm, hp", TREE_CASES)
-    def test_train_is_the_one_lane_fit(self, algorithm, hp):
+    def test_train_is_the_one_lane_fit(self, algorithm, hp, monkeypatch):
         X, y = fold_data(4, seed=9, degenerate=False)
-        full = dict(DEFAULT_HYPERPARAMS[algorithm], **hp)
+        set_hyperparams(monkeypatch, algorithm, **hp)
         for seed in (0, 5):
-            got = train(algorithm, X, y, hyperparams=hp, seed=seed)
-            assert same_json(got.parameters, ref.TRAINERS[algorithm](X, y, full, seed))
+            got = train(algorithm, X, y, seed=seed)
+            assert got.hyperparams == HYPERPARAMS[algorithm]
+            assert same_json(got.parameters, ref.TRAINERS[algorithm](X, y, got.hyperparams, seed))
 
 
 class TestTreeFitsLeaveNoCycles:
     """Growing a tree makes no reference cycle, so each tree's table is
     freed when its fit returns, not at the next garbage collection."""
 
+    @pytest.mark.usefixtures("fast")
     @pytest.mark.parametrize("algorithm", ["decision_tree", "random_forest", "gbdt"])
     def test_no_cyclic_garbage(self, algorithm):
         X, y = separable(n_per=15, d=4, seed=3, gap=1.0)
 
         def fit():
-            kfold_cv(algorithm, X, y, k=3, seed=1, hyperparams=FAST[algorithm])
-            train(algorithm, X, y, hyperparams=FAST[algorithm], seed=1)
+            kfold_cv(algorithm, X, y, k=3, seed=1)
+            train(algorithm, X, y, seed=1)
 
         fit()  # first calls leave one-off objects behind
         gc.collect()
@@ -784,6 +773,7 @@ class TestKFoldCV:
         report = kfold_cv("decision_tree", X, y, k=5, seed=0)
         assert 0.3 <= report.mean_accuracy <= 0.7
 
+    @pytest.mark.usefixtures("fast")
     def test_degenerate_fold_flagged_not_fatal(self):
         X = np.arange(18, dtype=float).reshape(9, 2)
         y = np.array([0] * 8 + [1])
@@ -794,7 +784,7 @@ class TestKFoldCV:
         for algorithm in ALGORITHMS:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                report = kfold_cv(algorithm, X, y, k=3, seed=5, hyperparams=FAST[algorithm])
+                report = kfold_cv(algorithm, X, y, k=3, seed=5)
             assert len(report.degenerate_folds) == 1
 
     def test_scalers_fitted_per_training_fold(self):
@@ -824,10 +814,11 @@ class TestKFoldCV:
 
 
 class TestPersistence:
+    @pytest.mark.usefixtures("fast")
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_round_trip_preserves_scores(self, algorithm, tmp_path):
         X, y = separable(seed=13)
-        model = train(algorithm, X, y, hyperparams=FAST[algorithm], seed=3,
+        model = train(algorithm, X, y, seed=3,
                       feature_names=("alpha", "beta", "gamma"))
         path = tmp_path / "model.json"
         save_model(model, str(path))
@@ -872,11 +863,12 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_model(str(path))
 
-    def test_hyperparameter_defaults_are_recorded(self):
+    def test_hyperparameter_defaults_are_recorded(self, monkeypatch):
         X, y = separable()
-        model = train("gbdt", X, y, hyperparams={"n_rounds": 5})
-        assert model.hyperparams["n_rounds"] == 5
-        assert model.hyperparams["max_depth"] == DEFAULT_HYPERPARAMS["gbdt"]["max_depth"]
+        set_hyperparams(monkeypatch, "gbdt", n_rounds=5)
+        model = train("gbdt", X, y)
+        assert model.hyperparams == dict(HYPERPARAMS["gbdt"]) and model.hyperparams["n_rounds"] == 5
+        assert model.hyperparams is not HYPERPARAMS["gbdt"]
 
 
 class TestEvalCsv:

@@ -15,6 +15,7 @@ from volnet.models import (  # noqa: E402
     _NEWTON_TOL, _eval_tree, _sigmoid, stratified_folds, train)
 
 import models_reference  # noqa: E402
+from conftest import set_hyperparams  # noqa: E402
 
 
 @st.composite
@@ -87,7 +88,9 @@ def leaf_sizes(tree, X):
 @given(small_tables(), st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=3))
 def test_decision_tree_leaves_hold_the_rows_routed_to_them(table, depth, min_leaf):
     X, y = table
-    model = train("decision_tree", X, y, {"max_depth": depth, "min_samples_leaf": min_leaf})
+    with pytest.MonkeyPatch.context() as mp:
+        set_hyperparams(mp, "decision_tree", max_depth=depth, min_samples_leaf=min_leaf)
+        model = train("decision_tree", X, y)
     n, routed = leaf_sizes(model.parameters["tree"], X)
     assert n == routed
 
@@ -99,8 +102,9 @@ def test_forest_leaves_hold_the_bootstrap_draws_routed_to_them(table, n_trees, m
     # each tree's bootstrap is the first draw of the split's generator;
     # a row drawn twice counts twice
     X, y = table
-    model = train("random_forest", X, y,
-                  {"n_trees": n_trees, "max_depth": 4, "min_samples_leaf": min_leaf}, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        set_hyperparams(mp, "random_forest", n_trees=n_trees, max_depth=4, min_samples_leaf=min_leaf)
+        model = train("random_forest", X, y, seed=seed)
     samples = np.random.default_rng(seed).integers(0, y.size, size=(n_trees, y.size))
     for tree, sample in zip(model.parameters["trees"], samples, strict=True):
         n, routed = leaf_sizes(tree, X[sample])
@@ -114,7 +118,9 @@ def test_gbdt_rounds_update_by_the_scores_of_their_trees(table, rounds, depth, l
     # every round adds to each row the leaf value its new tree routes it to,
     # so its loss follows from scoring the trees, bit for bit
     X, y = table
-    params = train("gbdt", X, y, {"n_rounds": rounds, "max_depth": depth, "l2": l2}).parameters
+    with pytest.MonkeyPatch.context() as mp:
+        set_hyperparams(mp, "gbdt", n_rounds=rounds, max_depth=depth, l2=l2)
+        params = train("gbdt", X, y).parameters
     raw = np.full(y.size, params["f0"])
     for tree, loss in zip(params["trees"], params["loss_history"], strict=True):
         n, routed = leaf_sizes(tree, X)
@@ -130,7 +136,9 @@ def test_gbdt_rounds_update_by_the_scores_of_their_trees(table, rounds, depth, l
 def test_linear_fits_stop_below_the_gradient_tolerance(table, algorithm, l2):
     # tiny tables are separable: the penalty alone bounds the weights
     X, y = table
-    params = train(algorithm, X, y, {"l2": l2}).parameters
+    with pytest.MonkeyPatch.context() as mp:
+        set_hyperparams(mp, algorithm, l2=l2)
+        params = train(algorithm, X, y).parameters
     w = np.array(params["weights"] + ([params["bias"]] if "bias" in params else []))
     _, grad = models_reference.linear_objective(algorithm, X, y, l2)(w)
     assert np.abs(grad).max() < _NEWTON_TOL

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -152,6 +152,17 @@ class TestConfig:
         cfg = build_config(mapping)
         assert cfg.seed == 7 and cfg.metric == "dtw"
         assert cfg.models == ("gbdt", "linear_svm")
+
+    def test_readme_config_block_builds_the_defaults(self, tmp_path):
+        # README's "Keys and defaults" block names every key at its default
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            block = fh.read().split("Keys and defaults", 1)[1].split("```\n")[1]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        mapping = load_config_file(str(path))
+        assert sorted(mapping) == sorted(f.name for f in fields(pipeline.PipelineConfig))
+        assert build_config(mapping) == pipeline.PipelineConfig()
 
     def test_config_file_missing_equals_names_line(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -590,7 +601,7 @@ class TestManifest:
 
 
 class TestIterationCapWarnings:
-    """A k-means fit that hits max_iter, or a DBA update that hits its inner
+    """A k-means fit that hits its sweep cap, or a DBA update that hits its inner
     cap, leaves a ``cluster:`` line in the manifest warnings; a linear fit
     stopped at its Newton step cap leaves a ``train:`` line for a CV fit and
     an ``explain:`` line for a final fit."""
@@ -615,15 +626,18 @@ class TestIterationCapWarnings:
         assert not [w for w in self._cluster(data_dir, tmp_path) if "cap" in w]
 
     @pytest.mark.parametrize("name, force, needle", [
-        ("ch_scan", {"max_iter": 1}, "sweeps (max_iter cap)"),
-        ("ch_scan", {"max_iter": 2}, "sweeps (max_iter cap)"),
+        ("ch_scan", {"_MAX_SWEEPS": 1}, "sweeps (max_iter cap)"),
+        ("ch_scan", {"_MAX_SWEEPS": 2}, "sweeps (max_iter cap)"),
         ("_dba_update", {"max_inner": 1}, "stopped at the inner-iteration cap"),
     ])
     def test_forced_cap_is_a_manifest_warning(self, data_dir, tmp_path, monkeypatch,
                                               name, force, needle):
-        real = getattr(tscluster, name)
-        monkeypatch.setattr(tscluster, name,
-                            lambda *args, **kwargs: real(*args, **{**kwargs, **force}))
+        if name == "ch_scan":  # the scan's fits stop at a lowered sweep cap
+            monkeypatch.setattr(tscluster, "_MAX_SWEEPS", force["_MAX_SWEEPS"])
+        else:
+            real = getattr(tscluster, name)
+            monkeypatch.setattr(tscluster, name,
+                                lambda *args, **kwargs: real(*args, **{**kwargs, **force}))
         hits = [w for w in self._cluster(data_dir, tmp_path) if needle in w]
         assert hits
         assert all(w.startswith("cluster: scope ") for w in hits)

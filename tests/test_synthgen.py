@@ -22,6 +22,7 @@ from volnet.synthgen import (
     write_dataset,
     write_truth_csv,
 )
+from volnet.tscluster import ARCHETYPES
 
 from ingest_reference import event_rows, transaction_rows
 
@@ -30,7 +31,6 @@ class TestConfig:
     def test_defaults_are_valid(self):
         cfg = SynthConfig()
         assert cfg.n_heroes == 200
-        assert sum(cfg.archetype_mix.values()) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("kwargs", [
         {"n_heroes": 0},
@@ -38,9 +38,9 @@ class TestConfig:
         {"community_count": 0},
         {"n_regulars_per_hero": 0},
         {"noise_sd": -0.1},
-        {"archetype_mix": {"FPD": 0.7, "SAD": 0.2}},
-        {"archetype_mix": {"FPD": 0.5, "XXX": 0.5}},
-        {"archetype_mix": {"FPD": 1.5, "SAD": -0.5}},
+        {"n_heroes": 3},  # fewer heroes than archetypes
+        {"noise_sd": float("nan")},
+        {"feature_signal": {"likes_count": 1000.0}},  # exp overflows
         {"feature_signal": {"unknown_count": 1.0}},
         {"seed": -1},
     ])
@@ -71,19 +71,27 @@ class TestConfig:
         assert cfg.feature_signal["rating_current"] == -2.0
 
 
+def planted_counts(n_heroes: int) -> Counter:
+    truth = generate(SynthConfig(n_heroes=n_heroes, weeks=8, n_regulars_per_hero=1))[2]
+    return Counter(t.archetype for t in truth.values())
+
+
 class TestAllocation:
+    """Heroes split equally over the archetypes; the first ``n % 4`` in
+    ``ARCHETYPES`` order take one more (largest remainder, ties in order)."""
+
     def test_largest_remainder_with_ties(self):
-        cfg = SynthConfig(n_heroes=10)
-        counts = synthgen._allocate_counts(cfg)
-        assert counts == {"FPD": 3, "SAD": 3, "FAD": 2, "SPD": 2}
-        assert sum(counts.values()) == 10
+        for n_heroes in range(4, 10):
+            share, extra = divmod(n_heroes, 4)
+            assert planted_counts(n_heroes) == {a: share + (i < extra)
+                                                for i, a in enumerate(ARCHETYPES)}
+        assert planted_counts(10) == {"FPD": 3, "SAD": 3, "FAD": 2, "SPD": 2}
 
     def test_exact_split(self):
-        counts = synthgen._allocate_counts(SynthConfig(n_heroes=8))
-        assert counts == {a: 2 for a in TEMPLATE_LEVELS}
+        assert planted_counts(8) == {a: 2 for a in TEMPLATE_LEVELS}
 
     def test_infeasible_mix_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_heroes must be >= 4"):
             generate(SynthConfig(n_heroes=3))
 
 
@@ -178,15 +186,14 @@ class TestGenerate:
         assert 0.03 <= frac_cross <= 0.20
 
     def test_noise_free_series_tracks_the_template(self):
-        cfg = SynthConfig(n_heroes=2, archetype_mix={"SAD": 1.0}, weeks=52,
-                          community_count=1, noise_sd=0.0, seed=7)
+        cfg = SynthConfig(n_heroes=4, weeks=52, community_count=1, noise_sd=0.0, seed=7)
         log, _, truth = generate(cfg)
-        for hero in truth:
-            series = dr_series(hero, log)
-            assert not any(series.imputed_mask)
-            for value in series.values:
-                # round(dr * n) / n for n in 6..12 stays within 1/12 of dr
-                assert abs(value - 0.85) <= 0.5 / 6 + 1e-9
+        [hero] = [hero for hero, t in truth.items() if t.archetype == "SAD"]
+        series = dr_series(hero, log)
+        assert not any(series.imputed_mask)
+        for value in series.values:
+            # round(dr * n) / n for n in 6..12 stays within 1/12 of dr
+            assert abs(value - 0.85) <= 0.5 / 6 + 1e-9
 
     def test_events_sit_inside_the_cutoff_window(self):
         log, events, truth = generate(tiny_config())

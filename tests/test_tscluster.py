@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from volnet import tscluster
-from volnet._lanes import lockstep
 from volnet.tscluster import (
     ARCHETYPES,
     METRICS,
@@ -25,6 +24,7 @@ from volnet.tscluster import (
     euclidean_sq,
     kmeans_ts,
     label_archetypes,
+    lockstep,
     model_from_dict,
     model_to_dict,
     write_centroid_csv,
@@ -457,22 +457,11 @@ class TestIterationCaps:
         assert model.converged
         assert model.dba_capped == 0
 
-    def test_max_iter_cap_is_reported(self):
-        model = kmeans_ts(two_blobs(n_per=10, seed=2), k=4, seed=3, max_iter=1)
+    def test_max_iter_cap_is_reported(self, monkeypatch):
+        monkeypatch.setattr(tscluster, "_MAX_SWEEPS", 1)
+        model = kmeans_ts(two_blobs(n_per=10, seed=2), k=4, seed=3)
         assert not model.converged
         assert len(model.inertia_history) == 1
-
-    @pytest.mark.parametrize("metric", ["euclidean", "dtw"])
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_max_iter_below_one_is_rejected_before_fitting(self, monkeypatch, metric, max_iter):
-        def no_fit(*args):
-            raise AssertionError("fitting started")
-
-        monkeypatch.setattr(tscluster, "lockstep", no_fit)
-        with pytest.raises(ValueError, match="max_iter must be >= 1"):
-            kmeans_ts(two_blobs(), k=2, metric=metric, max_iter=max_iter)
-        with pytest.raises(ValueError, match="max_iter must be >= 1"):
-            ch_scan(two_blobs(), (2, 4), metric=metric, max_iter=max_iter)
 
     def test_dba_inner_cap_is_reported(self, monkeypatch):
         monkeypatch.setattr(tscluster, "_dba_update",
@@ -514,20 +503,22 @@ def assert_same_fit(got: ClusterModel, want: ClusterModel) -> None:
 class TestBatchedDBAFits:
     """Fits with the batched DBA step against the cluster-by-cluster loop."""
 
-    # (metric, seed, k, max_iter, DBA inner cap): multi-sweep fits, one
-    # stopped at max_iter, and two whose DBA updates hit a lowered inner cap
-    @pytest.mark.parametrize("metric, seed, k, max_iter, max_inner", [
+    # (metric, seed, k, sweep cap, DBA inner cap): multi-sweep fits, one
+    # stopped at a lowered sweep cap, and two whose DBA updates hit a lowered
+    # inner cap
+    @pytest.mark.parametrize("metric, seed, k, sweeps, max_inner", [
         ("dtw", 20, 3, 100, 30), ("dtw", 3, 5, 100, 30), ("dtw", 1, 5, 3, 30),
         ("dtw", 20, 3, 100, 2), ("dtw", 0, 5, 100, 2),
     ])
-    def test_fit_equals_per_cluster_loop(self, monkeypatch, metric, seed, k, max_iter,
+    def test_fit_equals_per_cluster_loop(self, monkeypatch, metric, seed, k, sweeps,
                                          max_inner):
+        monkeypatch.setattr(tscluster, "_MAX_SWEEPS", sweeps)
         monkeypatch.setattr(tscluster, "_dba_update",
                             lambda X, assign, centroids: _dba_update(X, assign, centroids,
                                                                      max_inner=max_inner))
         data = random_panel(seed)
-        got = kmeans_ts(data, k, metric=metric, seed=seed, max_iter=max_iter)
-        want, _ = ref.kmeans_ts(data, k, metric, seed, max_iter, max_inner=max_inner)
+        got = kmeans_ts(data, k, metric=metric, seed=seed)
+        want, _ = ref.kmeans_ts(data, k, metric, seed, sweeps, max_inner=max_inner)
         assert_same_fit(got, want)
 
     def test_fit_with_an_empty_cluster_equals_per_cluster_loop(self):
@@ -556,8 +547,9 @@ class TestBatchedDBAFits:
 class TestLockstepScan:
     """The fits of a scan, run as lanes in lockstep, against one k at a time."""
 
-    # (metric, seed, k range, max_iter, DBA inner cap, what the scan reaches)
-    @pytest.mark.parametrize("metric, seed, k_range, max_iter, max_inner, reaches", [
+    # (metric, seed, k range, sweep cap, DBA inner cap, what the scan reaches;
+    # "max_iter" is the sweep cap)
+    @pytest.mark.parametrize("metric, seed, k_range, sweeps, max_inner, reaches", [
         ("dtw", 3, (2, 7), 100, 30, None),
         ("dtw", 20, (2, 6), 100, 2, "inner cap"),
         ("dtw", 1, (4, 8), 3, 30, "max_iter"),
@@ -566,15 +558,16 @@ class TestLockstepScan:
         ("euclidean", 8, (2, 8), 2, 30, "max_iter"),
     ])
     def test_each_k_equals_its_reference_fit(self, monkeypatch, metric, seed, k_range,
-                                             max_iter, max_inner, reaches):
+                                             sweeps, max_inner, reaches):
+        monkeypatch.setattr(tscluster, "_MAX_SWEEPS", sweeps)
         monkeypatch.setattr(tscluster, "_dba_update",
                             lambda X, assign, centroids: _dba_update(X, assign, centroids,
                                                                      max_inner=max_inner))
         data = random_panel(seed)
-        scores, fitted = ch_scan(data, k_range, metric=metric, seed=seed, max_iter=max_iter)
+        scores, fitted = ch_scan(data, k_range, metric=metric, seed=seed)
         assert sorted(fitted) == list(range(k_range[0], k_range[1] + 1))
         for k, got in fitted.items():
-            want, _ = ref.kmeans_ts(data, k, metric, seed, max_iter, max_inner=max_inner)
+            want, _ = ref.kmeans_ts(data, k, metric, seed, sweeps, max_inner=max_inner)
             assert_same_fit(got, want)
             assert scores[k] == calinski_harabasz(data, want)
         reached = {
