@@ -34,10 +34,16 @@ test -s "$RUNNER_TEMP/communities/partition.csv"
 test -s "$RUNNER_TEMP/communities/edges.csv"
 test -s "$RUNNER_TEMP/communities/manifest.json"
 diff -r "$RUNNER_TEMP/communities" "$RUNNER_TEMP/communities-again"
-# the behavior cap: the donors-ratio series of every scope
+# the behavior cap: the donors-ratio series of every scope, and a summary
+# that names exactly the series files the manifest lists
 volnet behavior --transactions "$RUNNER_TEMP/synth/transactions.csv" \
-  --out "$RUNNER_TEMP/behavior"
+  --out "$RUNNER_TEMP/behavior" | tee "$RUNNER_TEMP/behavior.out"
 test -s "$RUNNER_TEMP/behavior/dr_series_network.csv"
+listed=$(grep -o '"dr_series_[^"]*\.csv":' "$RUNNER_TEMP/behavior/manifest.json" | tr -d '":' | sort)
+summary=$(grep -F "donors-ratio series" "$RUNNER_TEMP/behavior.out" \
+  | grep -o 'dr_series_[^ ,]*\.csv' | sort)
+test -n "$listed"
+test "$summary" = "$listed"
 # the warping k-means path: monthly DTW clustering
 printf 'metric = dtw\ninterval = monthly\n' > "$RUNNER_TEMP/dtw.conf"
 volnet cluster --config "$RUNNER_TEMP/dtw.conf" \

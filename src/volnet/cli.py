@@ -67,7 +67,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  community {cid}: {size} users")
     if result.scopes:
         print(f"{len(result.scopes['network'].users)} donors-ratio series ({cfg.interval}) -> "
-              + ", ".join(f"dr_series_{name}.csv" for name in result.scopes))
+              + ", ".join(a for a in result.artifacts if a.startswith("dr_series_")))
     for name, scope in result.scopes.items():
         if scope.skipped:
             print(f"scope {name}: skipped ({scope.skipped})")

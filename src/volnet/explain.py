@@ -20,6 +20,8 @@ from .ingest import write_rows
 from .models import TrainedClassifier
 
 MIN_PERMUTATIONS = 100
+# the most rows of ``X`` the value function averages over
+_BACKGROUND_ROWS = 100
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ def shapley_mc(
     model: TrainedClassifier,
     x,
     background,
-    n_permutations: int = 1000,
+    n_permutations: int,
     seed: int = 0,
     user: str = "",
 ) -> Attribution:
@@ -124,10 +126,10 @@ def _seeded_rows(n: int, size: int, seed: int) -> np.ndarray:
     return np.sort(np.random.default_rng(seed).choice(n, size=size, replace=False))
 
 
-def background_sample(X, size: int = 100, seed: int = 0) -> np.ndarray:
-    """Seeded background subsample (at most ``size`` rows) for the value function."""
+def background_sample(X, seed: int = 0) -> np.ndarray:
+    """Seeded background subsample of at most ``_BACKGROUND_ROWS`` rows."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return X[_seeded_rows(X.shape[0], size, seed)]
+    return X[_seeded_rows(X.shape[0], _BACKGROUND_ROWS, seed)]
 
 
 def attribute_rows(

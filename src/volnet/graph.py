@@ -31,6 +31,10 @@ import numpy as np
 
 from .ingest import TransactionLog, _unique_codes, write_rows
 
+_DAMPING = 0.85  # Brin & Page (1998)
+_TOL = 1e-9
+_MAX_ITER = 500
+
 
 class PageRankError(RuntimeError):
     """Power iteration did not converge; ``last`` holds the final iterate."""
@@ -105,10 +109,10 @@ def _graph_of_rows(log: TransactionLog, rows: slice | np.ndarray) -> Transaction
                             counts[order])
 
 
-def build_graph(log: TransactionLog, until: datetime | None = None) -> TransactionGraph:
-    """Aggregate transactions with ``collected_at <= until`` (all of them
-    by default) into a graph; edges follow their pair's first transaction."""
-    return _graph_of_rows(log, slice(len(log) if until is None else log.count_until(until)))
+def build_graph(log: TransactionLog) -> TransactionGraph:
+    """Aggregate every transaction into a graph; edges follow their pair's
+    first transaction."""
+    return _graph_of_rows(log, slice(len(log)))
 
 
 def ego_network(g: TransactionGraph, u: str) -> TransactionGraph:
@@ -171,8 +175,7 @@ def degrees(g: TransactionGraph, v: str) -> DegreeRecord:
     )
 
 
-def pagerank_lanes(graphs: Sequence[TransactionGraph], damping: float = 0.85, tol: float = 1e-9,
-                   max_iter: int = 500) -> list[np.ndarray]:
+def pagerank_lanes(graphs: Sequence[TransactionGraph]) -> list[np.ndarray]:
     """Weighted PageRank of every graph (each with at least one node), in
     its node order, from one power iteration over the block.
 
@@ -182,8 +185,8 @@ def pagerank_lanes(graphs: Sequence[TransactionGraph], damping: float = 0.85, to
     ``np.add.at`` over the edges, sorted stably by source, replays
     ``nxt[w] += share * weight`` edge by edge, and the dangling mass and
     the L1 delta are left-to-right sums (``cumsum`` along the padded rows).
-    A lane leaves the block once its delta drops below ``tol``; if one is
-    still in it after ``max_iter`` iterations, the first such lane raises
+    A lane leaves the block once its delta drops below ``_TOL``; if one is
+    still in it after ``_MAX_ITER`` iterations, the first such lane raises
     :class:`PageRankError` with its own last iterate."""
     if not graphs:
         return []
@@ -202,15 +205,15 @@ def pagerank_lanes(graphs: Sequence[TransactionGraph], damping: float = 0.85, to
     rank = np.where(valid, 1.0 / sizes[:, None], 0.0)
     delta = np.full(len(graphs), np.inf)
     ranks: list = [None] * len(graphs)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         dangling_mass = np.cumsum(np.where(dangling, rank, 0.0), axis=1)[:, -1]
-        base = (1.0 - damping) / sizes + damping * dangling_mass / sizes
+        base = (1.0 - _DAMPING) / sizes + _DAMPING * dangling_mass / sizes
         nxt = np.where(valid, base[:, None], 0.0)
-        share = damping * rank.take(at + src) / out_weight.take(at + src)
+        share = _DAMPING * rank.take(at + src) / out_weight.take(at + src)
         np.add.at(nxt.reshape(-1), at + dst, share * weight)
         delta = np.cumsum(np.abs(nxt - rank), axis=1)[:, -1]
         rank = nxt
-        done = delta < tol
+        done = delta < _TOL
         if done.any():
             for row in np.flatnonzero(done).tolist():
                 ranks[live[row]] = rank[row, :sizes[row]].copy()
@@ -223,32 +226,25 @@ def pagerank_lanes(graphs: Sequence[TransactionGraph], damping: float = 0.85, to
             live, sizes, valid, dangling, out_weight, rank, delta = (
                 a[keep] for a in (live, sizes, valid, dangling, out_weight, rank, delta))
     names = graphs[live[0]].names
-    raise PageRankError(max_iter, float(delta[0]), dict(zip(names, rank[0, :len(names)].tolist())))
+    raise PageRankError(_MAX_ITER, float(delta[0]), dict(zip(names, rank[0, :len(names)].tolist())))
 
 
-def pagerank(
-    g: TransactionGraph,
-    damping: float = 0.85,
-    tol: float = 1e-9,
-    max_iter: int = 500,
-) -> dict[str, float]:
+def pagerank(g: TransactionGraph) -> dict[str, float]:
     """Weighted PageRank by power iteration: :func:`pagerank_lanes` of one graph.
 
     The walk follows out-edges with probability proportional to edge
     weight; dangling mass is redistributed uniformly.  Converged when the
-    L1 change between iterates drops below ``tol``.
+    L1 change between iterates drops below ``_TOL``.
 
     Raises
     ------
     PageRankError
-        If ``max_iter`` iterations pass without convergence; the exception
+        If ``_MAX_ITER`` iterations pass without convergence; the exception
         carries the last iterate.
     """
-    if not 0.0 < damping < 1.0:
-        raise ValueError("damping must be in (0, 1)")
     if not g.names:
         return {}
-    return dict(zip(g.names, pagerank_lanes([g], damping, tol, max_iter)[0].tolist()))
+    return dict(zip(g.names, pagerank_lanes([g])[0].tolist()))
 
 
 def closeness_centrality(g: TransactionGraph, v: str) -> float:
@@ -284,8 +280,8 @@ def clustering_coefficient(g: TransactionGraph, v: str) -> float:
 
 
 def node_metrics(g: TransactionGraph, v: str) -> tuple[DegreeRecord, float, float, float]:
-    """:func:`degrees`, :func:`pagerank` (at its defaults),
-    :func:`closeness_centrality` and :func:`clustering_coefficient` of ``v``."""
+    """:func:`degrees`, :func:`pagerank`, :func:`closeness_centrality` and
+    :func:`clustering_coefficient` of ``v``."""
     return (degrees(g, v), pagerank_lanes([g])[0].item(g.code(v)), closeness_centrality(g, v),
             clustering_coefficient(g, v))
 

@@ -284,10 +284,6 @@ class TransactionLog(_Columns):
             listed_at=listed[keep], collected_at=collected[keep]), errors
 
     @cached_property
-    def users(self) -> frozenset[str]:
-        return frozenset(self.user_ids)
-
-    @cached_property
     def code_of(self) -> dict[str, int]:
         """Each user id's code."""
         return {u: c for c, u in enumerate(self.user_ids)}

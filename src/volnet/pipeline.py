@@ -302,7 +302,7 @@ def _write_cluster_artifacts(cfg: PipelineConfig, scope: ScopeResult,
     curves = {f"cluster {c} ({labels[c].label})": list(model.centroids[c])
               for c in range(model.k)}
     _emit(cfg, artifacts, f"centroids_{scope.name}.svg", viz.svg_line_chart, curves,
-          title=f"Donors-ratio centroids — {scope.name}", y_range=(0.0, 1.0))
+          title=f"Donors-ratio centroids — {scope.name}")
     _emit(cfg, artifacts, f"cluster_model_{scope.name}.json", ingest.write_json, {
         "version": 1,
         "scope": scope.name,

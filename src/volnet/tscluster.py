@@ -50,6 +50,8 @@ _CASE_AND_TREND = {
 _HEAD, _TAIL, _HIGH, _STABLE_BAND = 3, 3, 0.5, 0.2
 # a fit whose assignments still change after this many sweeps stops unconverged
 _MAX_SWEEPS = 100
+# a DBA update whose centroid still moves after this many steps stops there
+_MAX_DBA_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -248,10 +250,9 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator):
     return X[chosen].copy()
 
 
-def _dba_update(X: np.ndarray, assign: np.ndarray, centroids: np.ndarray,
-                max_inner: int = 30):
+def _dba_update(X: np.ndarray, assign: np.ndarray, centroids: np.ndarray):
     """DTW barycenter averaging of every non-empty cluster, in place; returns
-    how many clusters stopped at ``max_inner`` iterations before their
+    how many clusters stopped at ``_MAX_DBA_STEPS`` iterations before their
     largest change fell below 1e-8.  An empty cluster keeps its centroid.
     Each iteration requests the alignment of the members of every cluster
     still moving to their own centroid; paths come back pair-major with
@@ -262,7 +263,7 @@ def _dba_update(X: np.ndarray, assign: np.ndarray, centroids: np.ndarray,
     # the non-empty clusters; np.unique would page in NumPy's sort kernels,
     # ~0.8 MB of peak RSS that a clustering run otherwise never touches
     moving = np.flatnonzero(np.bincount(assign, minlength=k))
-    for _ in range(max_inner):
+    for _ in range(_MAX_DBA_STEPS):
         if moving.size == 0:
             break
         rows = np.flatnonzero(np.isin(assign, moving))

@@ -21,6 +21,8 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f")
 
 _MARGIN = 56
+# every chart's width, and a line chart's height above its legend
+_WIDTH, _HEIGHT = 720, 400
 
 
 def _header(width: int, height: int, title: str) -> list[str]:
@@ -39,18 +41,12 @@ def svg_line_chart(
     series: Mapping[str, Sequence[float]],
     path: str,
     title: str = "",
-    width: int = 720,
-    height: int = 400,
-    y_range: tuple[float, float] | None = None,
 ) -> None:
-    """One polyline per named series, sharing x = point index."""
+    """One polyline per named series of values in [0, 1], sharing x = point index."""
     if not series:
         raise ValueError("no series to plot")
     names = list(series)
-    all_vals = [v for vals in series.values() for v in vals]
-    lo, hi = y_range if y_range is not None else (min(all_vals), max(all_vals))
-    if hi <= lo:
-        hi = lo + 1.0
+    width, height = _WIDTH, _HEIGHT
     n_max = max(len(vals) for vals in series.values())
     plot_w = width - 2 * _MARGIN
     plot_h = height - 28 - _MARGIN
@@ -59,13 +55,13 @@ def svg_line_chart(
         return _MARGIN + (plot_w * i / max(n - 1, 1))
 
     def sy(v: float) -> float:
-        return 28 + plot_h * (1.0 - (v - lo) / (hi - lo))
+        return 28 + plot_h * (1.0 - v)
 
     # the legend sits below the plot, so the document is taller than ``height``
     parts = _header(width, height + 30 + 14 * len(names), title)
     parts.append(f'<rect x="{_MARGIN}" y="28" width="{plot_w}" height="{plot_h}" '
                  f'fill="none" stroke="#333"/>')
-    for tick in (lo, (lo + hi) / 2, hi):
+    for tick in (0.0, 0.5, 1.0):
         parts.append(f'<text x="{_MARGIN - 6}" y="{sy(tick) + 4:.1f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{tick:.2f}</text>')
     parts.append(f'<text x="{_MARGIN}" y="{height - _MARGIN + 16}" '
@@ -92,12 +88,11 @@ def svg_importance_bars(
     ranked: Sequence[tuple[str, float]],
     path: str,
     title: str = "",
-    width: int = 720,
 ) -> None:
     """Horizontal bar chart of (name, value) pairs, drawn top to bottom."""
     if not ranked:
         raise ValueError("no importance values to plot")
-    row_h = 22
+    width, row_h = _WIDTH, 22
     height = 40 + row_h * len(ranked) + 20
     top = max(value for _, value in ranked) or 1.0
     label_w = 190

@@ -20,7 +20,7 @@ from volnet.graph import build_graph, ego_network
 from volnet.ingest import EventLog, TransactionLog
 from volnet.tscluster import ArchetypeLabel, ClusterModel, case_and_trend
 
-from ingest_reference import event_rows, transaction_rows
+from ingest_reference import event_rows, transaction_log, transaction_rows
 
 _KIND_TO_COUNT = {
     "article": "articles_count",
@@ -64,6 +64,7 @@ def assemble(
     at their cutoff, and their ``(case, label)``."""
     case, label = case_and_trend(labels[model.assignment[u]].label)
     cutoff = cutoff_time(log, u, t_months)
-    features = extract_network_features(ego_network(build_graph(log, until=cutoff), u), u)
+    seen = transaction_log(t for t in transaction_rows(log) if t.collected_at <= cutoff)
+    features = extract_network_features(ego_network(build_graph(seen), u), u)
     features.update(extract_raw_features(events, u, cutoff))
     return np.array([features[name] for name in FEATURE_NAMES]), (case, label)

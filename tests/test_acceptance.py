@@ -120,7 +120,7 @@ def test_trend_prediction_accuracy_and_dominant_feature(fullscale, gate):
             X, y, users = fullscale.result.features["network"].rows(case)
             model = models.train("gbdt", X, y, seed=7,
                                  feature_names=featureset.FEATURE_NAMES)
-            background = explain.background_sample(X, 100, seed=7)
+            background = explain.background_sample(X, seed=7)
             rng = np.random.default_rng(7)
             keep = np.sort(rng.choice(X.shape[0], size=40, replace=False))
             atts = [explain.shapley_mc(model, X[i], background,

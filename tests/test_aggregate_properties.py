@@ -23,7 +23,8 @@ from volnet.behavior import INTERVAL_DAYS, SeriesError, dr_series  # noqa: E402
 import community_reference  # noqa: E402
 import graph_reference  # noqa: E402
 from conftest import at_day, edges_of, make_log, tx  # noqa: E402
-from ingest_reference import ActivityEvent, event_log, transaction_rows  # noqa: E402
+from ingest_reference import (ActivityEvent, event_log, transaction_log,  # noqa: E402
+                              transaction_rows)
 
 USERS = "abcdefg"
 PAIRS = [(a, b) for a in USERS for b in USERS if a != b]
@@ -49,7 +50,7 @@ def test_by_user_holds_each_users_rows_in_log_order(log):
     offsets, rows = log.by_user
     view = transaction_rows(log)
     assert len(offsets) == len(log.user_ids) + 1
-    assert set(log.user_ids) == log.users == {u for t in view for u in (t.lister_id, t.collector_id)}
+    assert set(log.user_ids) == {u for t in view for u in (t.lister_id, t.collector_id)}
     for c, u in enumerate(log.user_ids):
         assert [view[i] for i in rows[offsets[c]:offsets[c + 1]]] == rows_of(log, u)
         assert [view[i] for i in log.rows_of(u)] == rows_of(log, u)
@@ -156,7 +157,7 @@ def test_ego_networks_match_per_cutoff_graphs_and_oracle(log, cut_days):
         ego = egos[u]
         assert ego.names == tuple(sorted(members))
         assert edges_of(ego) == dict(weights)
-        g = graph.build_graph(log, cutoff)
+        g = graph.build_graph(transaction_log(seen))
         if u in g.names:
             single = graph.ego_network(g, u)
             assert single.names == ego.names
@@ -168,7 +169,7 @@ def test_ego_networks_match_per_cutoff_graphs_and_oracle(log, cut_days):
 @settings(max_examples=100, deadline=None)
 @given(log=logs(max_size=60), seed=st.integers(0, 50))
 def test_louvain_is_seeded_and_reports_its_own_modularity(log, seed):
-    g = graph.build_graph(log, at_day(10_000))
+    g = graph.build_graph(log)
     p = community.louvain(g, seed=seed)
     assert community.louvain(g, seed=seed) == p
     assert p.modularity == community.modularity(g, p)
@@ -193,7 +194,7 @@ def test_louvain_is_seeded_and_reports_its_own_modularity(log, seed):
 @settings(max_examples=100, deadline=None)
 @given(log=logs(max_size=60), seed=st.integers(0, 50), data=st.data())
 def test_louvain_equals_the_dict_reference_bit_for_bit(log, seed, data):
-    g = graph.build_graph(log, at_day(10_000))
+    g = graph.build_graph(log)
     edges = edges_of(g)
     assert community.louvain(g, seed) == community_reference.louvain(g.names, edges, seed)
     labels = data.draw(st.lists(st.integers(-3, 3), min_size=len(g.names),
@@ -225,7 +226,7 @@ def event_logs(max_size=30, max_day=200):
 @settings(max_examples=100, deadline=None)
 @given(log=logs(max_day=200), events=event_logs(), t_months=st.integers(1, 3), data=st.data())
 def test_feature_rows_do_not_depend_on_who_else_is_assembled(log, events, t_months, data):
-    users = sorted(log.users)
+    users = sorted(log.user_ids)
     subset = data.draw(st.lists(st.sampled_from(users), unique=True) if users else st.just([]))
     everyone = featureset.assemble_all(users, log, events, t_months=t_months)
     some = featureset.assemble_all(subset, log, events, t_months=t_months)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from volnet import explain
 from volnet.explain import (
     Attribution,
     attribute_rows,
@@ -248,25 +249,28 @@ class TestImportance:
 
 
 class TestBackgroundSample:
-    def test_small_input_copied_whole(self):
+    def test_small_input_copied_whole(self, monkeypatch):
+        monkeypatch.setattr(explain, "_BACKGROUND_ROWS", 10)
         X = np.arange(6, dtype=float).reshape(3, 2)
-        out = background_sample(X, size=10)
+        out = background_sample(X)
         assert np.array_equal(out, X)
         out[0, 0] = 99.0
         assert X[0, 0] == 0.0  # original untouched
 
-    def test_subsample_size_and_membership(self):
+    def test_subsample_size_and_membership(self, monkeypatch):
+        monkeypatch.setattr(explain, "_BACKGROUND_ROWS", 8)
         rng = np.random.default_rng(0)
         X = rng.normal(size=(50, 2))
-        out = background_sample(X, size=8, seed=4)
+        out = background_sample(X, seed=4)
         assert out.shape == (8, 2)
         rows = {tuple(r) for r in X}
         assert all(tuple(r) in rows for r in out)
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
+        monkeypatch.setattr(explain, "_BACKGROUND_ROWS", 5)
         X = np.random.default_rng(1).normal(size=(30, 3))
-        a = background_sample(X, size=5, seed=7)
-        b = background_sample(X, size=5, seed=7)
+        a = background_sample(X, seed=7)
+        b = background_sample(X, seed=7)
         assert np.array_equal(a, b)
 
 

@@ -95,7 +95,7 @@ class TestCutoff:
 class TestNetworkFeatures:
     def test_pure_donor_star(self):
         log = make_log(*(tx("u", p, d) for d, p in enumerate("abcd", start=1)))
-        g = build_graph(log, until=at_day(100))
+        g = build_graph(log)
         got = extract_network_features(ego_network(g, "u"), "u")
         assert got["nodes_number"] == 5.0
         assert got["edges_number"] == 4.0
@@ -106,7 +106,7 @@ class TestNetworkFeatures:
 
     def test_triangle_clustering_is_one(self):
         log = make_log(tx("u", "a", 1), tx("b", "u", 2), tx("a", "b", 3))
-        g = build_graph(log, until=at_day(100))
+        g = build_graph(log)
         got = extract_network_features(ego_network(g, "u"), "u")
         assert got["clustering_coefficient"] == pytest.approx(1.0)
         assert got["percent_of_listing_items"] == pytest.approx(0.5)
@@ -115,7 +115,7 @@ class TestNetworkFeatures:
     def test_mixed_roles(self):
         log = make_log(tx("u", "a", 1), tx("u", "b", 2), tx("u", "a", 3),
                        tx("c", "u", 4))
-        g = build_graph(log, until=at_day(100))
+        g = build_graph(log)
         got = extract_network_features(ego_network(g, "u"), "u")
         assert got["pickups_count"] == 1.0
         assert got["percent_of_listing_items"] == pytest.approx(0.75)
@@ -123,7 +123,7 @@ class TestNetworkFeatures:
     def test_pagerank_is_within_ego_network(self):
         log = make_log(tx("u", "a", 1), tx("a", "b", 2), tx("b", "z", 3),
                        tx("z", "q", 4))
-        g = build_graph(log, until=at_day(100))
+        g = build_graph(log)
         ego = ego_network(g, "u")
         got = extract_network_features(ego, "u")
         assert got["pagerank"] == pytest.approx(graph.pagerank(ego)["u"])

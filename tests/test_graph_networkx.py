@@ -16,7 +16,7 @@ import numpy as np  # noqa: E402
 from volnet import behavior, community, graph  # noqa: E402
 from volnet.graph import DegreeRecord, build_graph  # noqa: E402
 
-from conftest import at_day, edges_of, make_log, tx  # noqa: E402
+from conftest import edges_of, make_log, tx  # noqa: E402
 
 SEEDS = range(12)
 
@@ -36,7 +36,7 @@ def random_rows(seed: int) -> list:
 
 
 def random_graph(seed: int) -> graph.TransactionGraph:
-    return build_graph(make_log(*random_rows(seed)), until=at_day(10_000))
+    return build_graph(make_log(*random_rows(seed)))
 
 
 def directed(g: graph.TransactionGraph):
@@ -66,7 +66,7 @@ def test_adjacency_views(seed):
     for t in rows:
         weight = G.get_edge_data(t.lister_id, t.collector_id, {"weight": 0})["weight"]
         G.add_edge(t.lister_id, t.collector_id, weight=weight + 1)
-    g = build_graph(make_log(*rows), until=at_day(10_000))
+    g = build_graph(make_log(*rows))
     assert g.names == tuple(sorted(G))
     assert edges_of(g) == {(a, b): d["weight"] for a, b, d in G.edges(data=True)}
     for v in G:

@@ -9,6 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from volnet import graph  # noqa: E402
 from volnet.graph import PageRankError, pagerank_lanes  # noqa: E402
 
 import graph_reference as ref  # noqa: E402
@@ -56,8 +57,11 @@ def test_every_lane_equals_its_dict_loop_bit_for_bit(graphs, d, t, data):
     # keeps its own order
     block = [grouped(succ) for succ in graphs]
     mixed = [interleaved(succ, data) for succ in graphs]
-    for g, succ, got, again in zip(block, graphs, pagerank_lanes(block, d, t, max_iter=5000),
-                                   pagerank_lanes(mixed, d, t, max_iter=5000)):
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in (("_DAMPING", d), ("_TOL", t), ("_MAX_ITER", 5000)):
+            patch.setattr(graph, name, value)
+        ranked = zip(pagerank_lanes(block), pagerank_lanes(mixed))
+    for g, succ, (got, again) in zip(block, graphs, ranked):
         want = ref.pagerank(succ, d, t, max_iter=5000)
         assert g.names == tuple(want)
         assert got.tolist() == list(want.values()) == again.tolist()
@@ -77,10 +81,13 @@ def test_non_convergence_raises_the_first_unconverged_lanes_iterate(graphs, max_
         except PageRankError as exc:
             want = exc
             break
-    if want is None:
-        pagerank_lanes(lanes, tol=1e-300, max_iter=max_iter)
-        return
-    with pytest.raises(PageRankError) as got:
-        pagerank_lanes(lanes, tol=1e-300, max_iter=max_iter)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_TOL", 1e-300)
+        patch.setattr(graph, "_MAX_ITER", max_iter)
+        if want is None:
+            pagerank_lanes(lanes)
+            return
+        with pytest.raises(PageRankError) as got:
+            pagerank_lanes(lanes)
     assert (got.value.iterations, got.value.delta) == (want.iterations, want.delta)
     assert list(got.value.last.items()) == list(want.last.items())

@@ -8,6 +8,7 @@ once per module and inspected by many tests.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import re
@@ -16,7 +17,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from volnet import cli, featureset, models, pipeline, synthgen, tscluster
+from volnet import cli, featureset, graph, models, pipeline, synthgen, tscluster
 from volnet.pipeline import PipelineStageError, build_config, load_config_file
 
 
@@ -164,6 +165,17 @@ class TestConfig:
         assert sorted(mapping) == sorted(f.name for f in fields(pipeline.PipelineConfig))
         assert build_config(mapping) == pipeline.PipelineConfig()
 
+    def test_readme_fixed_constants_name_module_attributes(self):
+        # every `module.NAME` README's "Fixed constants" list names is
+        # an attribute of that volnet module
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            section = fh.read().split("## Fixed constants", 1)[1].split("\n## ", 1)[0]
+        named = re.findall(r"`(\w+)\.(\w+)`", section)
+        assert ("graph", "_DAMPING") in named
+        for module, name in named:
+            assert hasattr(importlib.import_module(f"volnet.{module}"), name), f"{module}.{name}"
+
     def test_config_file_missing_equals_names_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed = 1\njust some words\n")
@@ -232,6 +244,15 @@ class TestStageErrors:
         assert err.value.stage == "key_users"
         assert "key-user set is empty after activity filtering" in str(err.value)
         assert "lower the thresholds" in str(err.value)
+
+    def test_unconverged_ego_pagerank_is_a_features_error(self, data_dir, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(graph, "_MAX_ITER", 1)
+        cfg = build_config(transactions=data_dir["transactions"], events=data_dir["events"],
+                           out=str(tmp_path / "out"))
+        with pytest.raises(PipelineStageError,
+                           match=r"^\[features\] pagerank did not converge in 1 iterations"):
+            pipeline.run(cfg, through="features")
 
 
 # ---------------------------------------------------------------------------
@@ -625,19 +646,16 @@ class TestIterationCapWarnings:
         assert not [w for w in result.warnings if "cap" in w]
         assert not [w for w in self._cluster(data_dir, tmp_path) if "cap" in w]
 
+    # (the function that stops at the cap, the lowered cap, the warning text)
     @pytest.mark.parametrize("name, force, needle", [
         ("ch_scan", {"_MAX_SWEEPS": 1}, "sweeps (max_iter cap)"),
         ("ch_scan", {"_MAX_SWEEPS": 2}, "sweeps (max_iter cap)"),
-        ("_dba_update", {"max_inner": 1}, "stopped at the inner-iteration cap"),
+        ("_dba_update", {"_MAX_DBA_STEPS": 1}, "stopped at the inner-iteration cap"),
     ])
     def test_forced_cap_is_a_manifest_warning(self, data_dir, tmp_path, monkeypatch,
                                               name, force, needle):
-        if name == "ch_scan":  # the scan's fits stop at a lowered sweep cap
-            monkeypatch.setattr(tscluster, "_MAX_SWEEPS", force["_MAX_SWEEPS"])
-        else:
-            real = getattr(tscluster, name)
-            monkeypatch.setattr(tscluster, name,
-                                lambda *args, **kwargs: real(*args, **{**kwargs, **force}))
+        for constant, value in force.items():
+            monkeypatch.setattr(tscluster, constant, value)
         hits = [w for w in self._cluster(data_dir, tmp_path) if needle in w]
         assert hits
         assert all(w.startswith("cluster: scope ") for w in hits)

@@ -382,10 +382,13 @@ class TestWriters:
             b"1,0,1.000000\r\n1,1,0.000000\r\n")
 
 
-def dba_update(X, assign, centroids, max_inner: int = 30) -> int:
-    """The DBA step of one sweep, run alone through the lockstep driver."""
-    lane = _dba_update(X, assign, centroids, max_inner)
-    return lockstep([lane], lambda requests: tscluster._answer(requests, X, "dtw"))[0]
+def dba_update(X, assign, centroids, max_inner: int = tscluster._MAX_DBA_STEPS) -> int:
+    """The DBA step of one sweep, run alone through the lockstep driver
+    with ``tscluster._MAX_DBA_STEPS`` set to ``max_inner``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tscluster, "_MAX_DBA_STEPS", max_inner)
+        lane = _dba_update(X, assign, centroids)
+        return lockstep([lane], lambda requests: tscluster._answer(requests, X, "dtw"))[0]
 
 
 def random_series(rng: np.random.Generator, shape, tied: bool) -> np.ndarray:
@@ -464,9 +467,7 @@ class TestIterationCaps:
         assert len(model.inertia_history) == 1
 
     def test_dba_inner_cap_is_reported(self, monkeypatch):
-        monkeypatch.setattr(tscluster, "_dba_update",
-                            lambda X, assign, centroids: _dba_update(X, assign, centroids,
-                                                                     max_inner=1))
+        monkeypatch.setattr(tscluster, "_MAX_DBA_STEPS", 1)
         model = kmeans_ts(two_blobs(), k=2, metric="dtw", seed=0)
         assert model.dba_capped > 0
         members = np.array(list(two_blobs().values()))
@@ -513,9 +514,7 @@ class TestBatchedDBAFits:
     def test_fit_equals_per_cluster_loop(self, monkeypatch, metric, seed, k, sweeps,
                                          max_inner):
         monkeypatch.setattr(tscluster, "_MAX_SWEEPS", sweeps)
-        monkeypatch.setattr(tscluster, "_dba_update",
-                            lambda X, assign, centroids: _dba_update(X, assign, centroids,
-                                                                     max_inner=max_inner))
+        monkeypatch.setattr(tscluster, "_MAX_DBA_STEPS", max_inner)
         data = random_panel(seed)
         got = kmeans_ts(data, k, metric=metric, seed=seed)
         want, _ = ref.kmeans_ts(data, k, metric, seed, sweeps, max_inner=max_inner)
@@ -560,9 +559,7 @@ class TestLockstepScan:
     def test_each_k_equals_its_reference_fit(self, monkeypatch, metric, seed, k_range,
                                              sweeps, max_inner, reaches):
         monkeypatch.setattr(tscluster, "_MAX_SWEEPS", sweeps)
-        monkeypatch.setattr(tscluster, "_dba_update",
-                            lambda X, assign, centroids: _dba_update(X, assign, centroids,
-                                                                     max_inner=max_inner))
+        monkeypatch.setattr(tscluster, "_MAX_DBA_STEPS", max_inner)
         data = random_panel(seed)
         scores, fitted = ch_scan(data, k_range, metric=metric, seed=seed)
         assert sorted(fitted) == list(range(k_range[0], k_range[1] + 1))
