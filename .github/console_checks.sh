@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end checks of the volnet command line: synth, every stage cap,
-# byte-identical reruns, the JSONL parser and lenient ingest.
+# byte-identical reruns, README's config block, the JSONL parser and
+# lenient ingest.
 #
 #   .github/console_checks.sh                      # the installed console script
 #   VOLNET="python3 -m volnet.cli" PYTHONPATH=src .github/console_checks.sh
@@ -44,6 +45,16 @@ summary=$(grep -F "donors-ratio series" "$RUNNER_TEMP/behavior.out" \
   | grep -o 'dr_series_[^ ,]*\.csv' | sort)
 test -n "$listed"
 test "$summary" = "$listed"
+# README's config block (the first fenced block under "## Config file")
+# sets every key to its default: a behavior run from it writes the
+# no-config run's bytes, manifest.json included
+awk '/^## Config file/ { section = 1 }
+     section && /^```/ { if (inside) exit; inside = 1; next }
+     inside' "$(dirname "$0")/../README.md" > "$RUNNER_TEMP/readme.conf"
+grep -q '^metric = ' "$RUNNER_TEMP/readme.conf"
+volnet behavior --config "$RUNNER_TEMP/readme.conf" \
+  --transactions "$RUNNER_TEMP/synth/transactions.csv" --out "$RUNNER_TEMP/behavior-readme" > /dev/null
+diff -r "$RUNNER_TEMP/behavior" "$RUNNER_TEMP/behavior-readme"
 # the warping k-means path: monthly DTW clustering
 printf 'metric = dtw\ninterval = monthly\n' > "$RUNNER_TEMP/dtw.conf"
 volnet cluster --config "$RUNNER_TEMP/dtw.conf" \

@@ -63,8 +63,8 @@ def _interpolate(raw: list[float | None]) -> tuple[list[float], list[bool]]:
 def dr_series(
     u: str,
     log: TransactionLog,
-    interval: str = "weekly",
-    horizon: timedelta = timedelta(days=365),
+    interval: str,
+    horizon: timedelta,
 ) -> DRSeries:
     """Sample the DR of ``u`` on windows tiling [t0, t0 + horizon).
 
@@ -100,7 +100,7 @@ def dr_series(
                     values=tuple(values), imputed_mask=tuple(mask))
 
 
-def detect_hubs(g: TransactionGraph, multiplier: float = 1.0) -> frozenset[str]:
+def detect_hubs(g: TransactionGraph, multiplier: float) -> frozenset[str]:
     """Users whose distinct total degree exceeds ``multiplier`` times the
     network average.  Degree counts distinct in- plus out-neighbors, so the
     result is invariant under edge-weight scaling."""

@@ -137,8 +137,9 @@ def attribute_rows(
     X,
     users: Sequence[str],
     seed: int = 0,
-    n_permutations: int = 300,
-    max_rows: int = 40,
+    *,
+    n_permutations: int,
+    max_rows: int,
 ) -> tuple[list[Attribution], list[tuple[str, float]]]:
     """Attributions of up to ``max_rows`` rows of ``X`` and their importance ranking.
 

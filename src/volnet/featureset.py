@@ -125,7 +125,7 @@ def assemble_all(
     users: Iterable[str],
     log: TransactionLog,
     events: EventLog,
-    t_months: int = 3,
+    t_months: int,
 ) -> np.ndarray:
     """Feature matrix of ``users`` at their cutoffs: row ``i`` is ``users[i]``,
     columns follow :data:`FEATURE_NAMES`.

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
@@ -49,8 +48,6 @@ from itertools import chain, count, islice
 from typing import Iterable
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 EVENT_KINDS = ("article", "message", "rating", "like", "story", "comment")
 
@@ -599,7 +596,7 @@ def _parse_with_report(path: str, fmt: str, columns: tuple[str, ...], convert, c
     return parsed, ParseReport(path, total, tuple(bad))
 
 
-def parse_transactions_with_report(path: str, fmt: str = "csv") -> tuple[TransactionLog, ParseReport]:
+def parse_transactions_with_report(path: str, fmt: str) -> tuple[TransactionLog, ParseReport]:
     """Parse a transaction file, collecting malformed rows instead of failing."""
     return _parse_with_report(
         path, fmt, TRANSACTION_COLUMNS,
@@ -607,7 +604,7 @@ def parse_transactions_with_report(path: str, fmt: str = "csv") -> tuple[Transac
         TransactionLog._checked)
 
 
-def parse_transactions(path: str, fmt: str = "csv") -> TransactionLog:
+def parse_transactions(path: str, fmt: str) -> TransactionLog:
     """Parse transactions; any malformed row raises :class:`ParseError`.
 
     Use :func:`parse_transactions_with_report` to keep the good rows and
@@ -616,7 +613,7 @@ def parse_transactions(path: str, fmt: str = "csv") -> TransactionLog:
     return _without_bad_rows(*parse_transactions_with_report(path, fmt))
 
 
-def parse_events_with_report(path: str, fmt: str = "csv") -> tuple[EventLog, ParseReport]:
+def parse_events_with_report(path: str, fmt: str) -> tuple[EventLog, ParseReport]:
     """Parse an activity-event file, collecting malformed rows instead of failing."""
     return _parse_with_report(
         path, fmt, EVENT_COLUMNS,
@@ -624,7 +621,7 @@ def parse_events_with_report(path: str, fmt: str = "csv") -> tuple[EventLog, Par
         EventLog._checked)
 
 
-def parse_events(path: str, fmt: str = "csv") -> EventLog:
+def parse_events(path: str, fmt: str) -> EventLog:
     """Parse activity events; mirrors :func:`parse_transactions` semantics."""
     return _without_bad_rows(*parse_events_with_report(path, fmt))
 
@@ -697,8 +694,8 @@ def filter_min_transactions(log_: TransactionLog, min_count: int) -> Transaction
 def select_active_key_users(
     log_: TransactionLog,
     key: frozenset[str],
-    min_span: timedelta = timedelta(days=365),
-    min_listing_weeks: int = 6,
+    min_span: timedelta,
+    min_listing_weeks: int,
 ) -> frozenset[str]:
     """Keep key users with a long enough activity span and enough listing weeks.
 
@@ -719,7 +716,4 @@ def select_active_key_users(
         listed = _unique_codes(log_.lister.astype(np.int64) * n_weeks + week)[0]
         weeks = np.bincount(listed // n_weeks, minlength=len(log_.user_ids))
     active = (span >= min_span // MICROSECOND) & (weeks >= min_listing_weeks)
-    retained = frozenset(u for u in key if (c := log_.code_of.get(u)) is not None and active[c])
-    if not retained:
-        log.warning("no key users passed the activity criteria")
-    return retained
+    return frozenset(u for u in key if (c := log_.code_of.get(u)) is not None and active[c])

@@ -650,7 +650,7 @@ def kfold_cv(
     algorithm: str,
     X,
     y,
-    k: int = 10,
+    k: int,
     seed: int = 0,
     feature_names: Sequence[str] | None = None,
 ) -> EvalReport:

@@ -60,7 +60,7 @@ _HOUR_US = 3600 * _SECOND_US
 _DAY_US = 24 * _HOUR_US
 _EPOCH_US = to_micros(datetime(2021, 1, 1, tzinfo=timezone.utc))
 _EVENT_WINDOW_DAYS = 84  # all events land well inside a 3-month cutoff
-_CLOSING_DAY = 372  # guarantees every hero spans >= 365 days of activity
+_CLOSING_DAY = 372  # every hero spans the default min_span_days of PipelineConfig
 _MAX_EXPONENT = math.log(np.finfo(float).max)  # the largest x whose exp(x) is finite
 
 

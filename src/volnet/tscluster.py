@@ -403,7 +403,7 @@ def _check_fit(n: int, k: int, metric: str) -> None:
 def kmeans_ts(
     data: Mapping,
     k: int,
-    metric: str = "euclidean",
+    metric: str,
     seed: int = 0,
 ) -> ClusterModel:
     """Time-series K-means over equally long series.
@@ -411,11 +411,11 @@ def kmeans_ts(
     Initialization is seeded k-means++; the assignment step uses the chosen
     metric (ties toward the lower cluster id) and the update step is the
     pointwise mean for ``euclidean`` or DTW barycenter averaging (at most
-    30 iterations per cluster and sweep) for ``dtw``.  The fit is the
-    one-lane case of :func:`ch_scan`'s lockstep (see the module docstring).
-    Stops when assignments stabilize or after ``_MAX_SWEEPS`` (100) sweeps;
-    the model's ``converged`` and ``dba_capped`` report whether either
-    cap was hit.  ``inertia`` is the metric-distance sum to assigned
+    ``_MAX_DBA_STEPS`` iterations per cluster and sweep) for ``dtw``.  The
+    fit is the one-lane case of :func:`ch_scan`'s lockstep (see the module
+    docstring).  Stops when assignments stabilize or after ``_MAX_SWEEPS``
+    sweeps; the model's ``converged`` and ``dba_capped`` report whether
+    either cap was hit.  ``inertia`` is the metric-distance sum to assigned
     centroids.  Deterministic for a fixed seed.
     """
     users, X = _as_matrix(data)
@@ -459,8 +459,8 @@ def _calinski_harabasz(users: list[str], X: np.ndarray, model: ClusterModel) -> 
 
 def ch_scan(
     data: Mapping,
-    k_range: tuple[int, int] = (4, 10),
-    metric: str = "euclidean",
+    k_range: tuple[int, int],
+    metric: str,
     seed: int = 0,
 ) -> tuple[dict[int, float], dict[int, ClusterModel]]:
     """Fit K-means for each k in the inclusive range; return the score and
@@ -470,7 +470,7 @@ def ch_scan(
     ``default_rng(seed)``, so each k's model equals its :func:`kmeans_ts`
     fit.  Each step answers the distance requests of all lanes with one
     kernel call, and their alignment requests with one more, each split
-    between pairs at ``_MAX_TABLE_BYTES`` (2 MiB), which bounds memory and
+    between pairs at ``_MAX_TABLE_BYTES``, which bounds memory and
     changes no result.  Every argument is checked before any fit starts."""
     k_min, k_max = k_range
     if k_min > k_max or k_min < 2:

@@ -10,11 +10,14 @@ import pytest
 
 from volnet.graph import TransactionGraph
 from volnet.ingest import TransactionLog
-from volnet import models, synthgen
+from volnet import models, pipeline, synthgen
 
 from ingest_reference import Transaction, transaction_log
 
 EPOCH = datetime(2022, 1, 1, tzinfo=timezone.utc)
+
+# a run's default settings: a test that means "the default" reads it here
+DEFAULTS = pipeline.PipelineConfig()
 
 
 def at_day(day: float, hour: float = 0.0) -> datetime:

@@ -261,7 +261,7 @@ def test_reference_oracle_equivalence(gate):
                            rng.normal(0.8, 0.03, size=(12, 6)),
                            rng.normal(0.45, 0.03, size=(12, 6))])
         data = {f"u{i}": blobs[i] for i in range(blobs.shape[0])}
-        fitted = tscluster.kmeans_ts(data, k=3, seed=2)
+        fitted = tscluster.kmeans_ts(data, k=3, metric="euclidean", seed=2)
         score = tscluster.calinski_harabasz(data, fitted)
         order = sorted(data)
         Xb = np.array([data[u] for u in order])
@@ -322,14 +322,15 @@ def test_cross_cutting_invariants(fullscale, gate):
             assert len(fold) - ones in (3, 4)
 
         # appending strictly post-cutoff transactions leaves features alone
-        events = ingest.parse_events(fullscale.paths["events"])
+        events = ingest.parse_events(fullscale.paths["events"], fullscale.cfg.format)
         probes = sorted(scope.users)[:5]
         table = fullscale.result.features["network"]
         before = {u: table.X[i] for i, u in enumerate(table.users) if u in probes}
         future = [t for u in probes
                   for t in (tx(u, "drifter", 500), tx("drifter", u, 501))]
         extended = transaction_log(list(transaction_rows(fullscale.result.log)) + future)
-        again = featureset.assemble_all(probes, extended, events, t_months=3)
+        again = featureset.assemble_all(probes, extended, events,
+                                       t_months=fullscale.cfg.cutoff_months)
         for u, row in zip(probes, again):
             assert np.array_equal(row, before[u])
 
@@ -393,13 +394,14 @@ def test_degenerate_inputs_fail_soft(tmp_path, gate):
         # all-identical series cluster without dividing by zero; 0.5 keeps
         # the mean exact, so the zero-dispersion sentinel fires
         flat = {f"u{i}": [0.5, 0.5, 0.5, 0.5] for i in range(6)}
-        fitted = tscluster.kmeans_ts(flat, k=2, seed=0)
+        fitted = tscluster.kmeans_ts(flat, k=2, metric="euclidean", seed=0)
         assert set(fitted.assignment.values()) == {0}
         assert tscluster.calinski_harabasz(flat, fitted) == float("inf")
-        assert tscluster.best_k(tscluster.ch_scan(flat, (2, 4), seed=0)[0]) == 2
+        assert tscluster.best_k(tscluster.ch_scan(flat, (2, 4), "euclidean", seed=0)[0]) == 2
         # a value whose mean rounds (0.4) still scores finite, never NaN
         off = {f"u{i}": [0.4, 0.4, 0.4, 0.4] for i in range(6)}
-        score = tscluster.calinski_harabasz(off, tscluster.kmeans_ts(off, k=2, seed=0))
+        score = tscluster.calinski_harabasz(
+            off, tscluster.kmeans_ts(off, k=2, metric="euclidean", seed=0))
         assert np.isfinite(score) and score >= 0.0
 
         # isolated nodes get the documented zero-valued metrics

@@ -19,6 +19,8 @@ from volnet.graph import TransactionGraph
 from conftest import at_day, graph_of, make_log, tx
 from ingest_reference import Transaction
 
+YEAR = timedelta(days=365)
+
 
 class TestDonorsRatio:
     """The ratio of one window, read from ``dr_series``: ``u`` trades on
@@ -27,7 +29,7 @@ class TestDonorsRatio:
 
     @staticmethod
     def first_window(*transactions) -> tuple[float, bool]:
-        s = dr_series("u", make_log(*transactions, tx("u", "z", 30)))
+        s = dr_series("u", make_log(*transactions, tx("u", "z", 30)), "weekly", YEAR)
         return s.values[0], s.imputed_mask[0]
 
     def test_pure_donor_is_one(self):
@@ -44,12 +46,12 @@ class TestDonorsRatio:
     def test_window_is_half_open(self):
         # monthly windows from day 1: the day-31 pickup opens window 1
         log = make_log(tx("u", "a", 1), tx("b", "u", 31))
-        s = dr_series("u", log, interval="monthly")
+        s = dr_series("u", log, "monthly", YEAR)
         assert s.values[:2] == (1.0, 0.0)
 
     def test_no_activity_is_none(self):
         # an empty window has no ratio of its own: it is imputed and flagged
-        s = dr_series("u", make_log(tx("u", "a", 0), tx("b", "u", 14)))
+        s = dr_series("u", make_log(tx("u", "a", 0), tx("b", "u", 14)), "weekly", YEAR)
         assert s.values[:3] == pytest.approx((1.0, 0.5, 0.0))
         assert s.imputed_mask[:3] == (False, True, False)
 
@@ -59,7 +61,7 @@ class TestDonorsRatio:
     def test_invalid_window_raises(self):
         log = make_log(tx("u", "a", 1), tx("u", "b", 9))
         with pytest.raises(ValueError):
-            dr_series("u", log, horizon=timedelta(days=6))
+            dr_series("u", log, "weekly", timedelta(days=6))
 
 
 class TestInterpolation:
@@ -83,14 +85,14 @@ class TestInterpolation:
 class TestDRSeries:
     def test_weekly_series_has_52_points(self):
         log = make_log(tx("u", "a", 0), tx("v", "u", 28))
-        s = dr_series("u", log)
+        s = dr_series("u", log, "weekly", YEAR)
         assert len(s) == 52
         assert s.interval == "weekly"
         assert s.t0 == at_day(0)
 
     def test_values_and_imputation(self):
         log = make_log(tx("u", "a", 0), tx("v", "u", 28))
-        s = dr_series("u", log)
+        s = dr_series("u", log, "weekly", YEAR)
         assert s.values[:5] == pytest.approx((1.0, 0.75, 0.5, 0.25, 0.0))
         assert s.values[5:] == pytest.approx(tuple([0.0] * 47))
         assert s.imputed_mask[0] is False and s.imputed_mask[4] is False
@@ -99,7 +101,7 @@ class TestDRSeries:
     def test_week_attribution_by_collected_at(self):
         # Collected exactly at t0 + 7d lands in window 1, not window 0.
         log = make_log(tx("u", "a", 0), tx("v", "u", 7))
-        s = dr_series("u", log)
+        s = dr_series("u", log, "weekly", YEAR)
         assert s.values[0] == 1.0
         assert s.values[1] == 0.0
 
@@ -111,47 +113,47 @@ class TestDRSeries:
         log = make_log(tx("u", "a", 0), tx("v", "u", 7),
                        Transaction("edge", "u", "b", before_edge, before_edge),
                        tx("u", "a", 21), tx("v", "u", 28), tx("u", "b", 28))
-        s = dr_series("u", log, horizon=timedelta(days=28))
+        s = dr_series("u", log, "weekly", timedelta(days=28))
         assert s.values == (1.0, 0.5, 0.75, 1.0)
         assert s.imputed_mask == (False, False, True, False)
 
     def test_mixed_week_ratio(self):
         log = make_log(tx("u", "a", 0), tx("u", "b", 0, hour=5),
                        tx("c", "u", 0, hour=9), tx("u", "a", 7))
-        s = dr_series("u", log)
+        s = dr_series("u", log, "weekly", YEAR)
         assert s.values[0] == pytest.approx(2 / 3)
 
     def test_monthly_series_has_12_points(self):
         log = make_log(tx("u", "a", 0), tx("v", "u", 45))
-        s = dr_series("u", log, interval="monthly")
+        s = dr_series("u", log, "monthly", YEAR)
         assert len(s) == 12
         assert s.values[0] == 1.0
         assert s.values[1] == 0.0
 
     def test_custom_horizon(self):
         log = make_log(tx("u", "a", 0), tx("v", "u", 8))
-        s = dr_series("u", log, horizon=timedelta(days=21))
+        s = dr_series("u", log, "weekly", timedelta(days=21))
         assert len(s) == 3
 
     def test_activity_beyond_horizon_ignored(self):
         log = make_log(tx("u", "a", 0), tx("u", "b", 8), tx("v", "u", 400))
-        s = dr_series("u", log)
+        s = dr_series("u", log, "weekly", YEAR)
         assert set(s.values) == {1.0}
 
     def test_single_active_window_raises(self):
         log = make_log(tx("u", "a", 0), tx("u", "b", 0, hour=3))
         with pytest.raises(SeriesError):
-            dr_series("u", log)
+            dr_series("u", log, "weekly", YEAR)
 
     def test_unknown_user_raises(self):
         log = make_log(tx("a", "b", 1))
         with pytest.raises(SeriesError):
-            dr_series("nobody", log)
+            dr_series("nobody", log, "weekly", YEAR)
 
     def test_unknown_interval_raises(self):
         log = make_log(tx("u", "a", 0), tx("u", "b", 8))
         with pytest.raises(ValueError):
-            dr_series("u", log, interval="daily")
+            dr_series("u", log, "daily", YEAR)
 
     def test_validation_of_fields(self):
         with pytest.raises(ValueError):
@@ -170,10 +172,10 @@ class TestHubRule:
         return graph_of(edges, nodes)
 
     def test_star_center_detected(self):
-        assert detect_hubs(self.star()) == frozenset({"hub"})
+        assert detect_hubs(self.star(), 1.0) == frozenset({"hub"})
 
     def test_weight_scaling_is_irrelevant(self):
-        assert detect_hubs(self.star(1)) == detect_hubs(self.star(7))
+        assert detect_hubs(self.star(1), 1.0) == detect_hubs(self.star(7), 1.0)
 
     def test_multiplier_tightens_threshold(self):
         # avg distinct degree is 8/5; the center (4) fails 3 * avg.
@@ -182,7 +184,7 @@ class TestHubRule:
     def test_strict_inequality(self):
         # Symmetric pair: both degrees equal the average, so no hubs.
         g = graph_of({("a", "b"): 1}, frozenset({"a", "b"}))
-        assert detect_hubs(g) == frozenset()
+        assert detect_hubs(g, 1.0) == frozenset()
 
     def test_multiplier_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -196,13 +198,13 @@ class TestHubRule:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            detect_hubs(graph_of({}, frozenset()))
+            detect_hubs(graph_of({}, frozenset()), 1.0)
 
     def test_counts_distinct_not_weighted_degree(self):
         # "v" trades heavily with one partner; "w" lightly with three.
         edges = {("v", "x"): 30, ("w", "x"): 1, ("w", "y"): 1, ("w", "z"): 1}
         g = graph_of(edges, frozenset({"v", "w", "x", "y", "z"}))
-        found = detect_hubs(g)
+        found = detect_hubs(g, 1.0)
         assert "w" in found and "v" not in found
 
 

@@ -211,7 +211,8 @@ class TestImportance:
         model = LinearStub([4.0, 0.2, -0.1])
         rng = np.random.default_rng(4)
         X = rng.normal(size=(6, 3))
-        atts, ranked = attribute_rows(model, X, list("abcdef"), seed=0, n_permutations=200)
+        atts, ranked = attribute_rows(model, X, list("abcdef"), seed=0, n_permutations=200,
+                                      max_rows=6)
         assert [att.user for att in atts] == list("abcdef")
         assert ranked[0][0] == "f0"
         assert len(ranked) == 3
@@ -237,7 +238,8 @@ class TestImportance:
         # -1 used to fail inside NumPy with "negative dimensions are not allowed"
         X = np.random.default_rng(1).normal(size=(5, 2))
         with pytest.raises(ValueError, match=f"max_rows must be >= 1, got {max_rows}"):
-            attribute_rows(LinearStub([1.0, -1.0]), X, list("abcde"), max_rows=max_rows)
+            attribute_rows(LinearStub([1.0, -1.0]), X, list("abcde"), n_permutations=100,
+                           max_rows=max_rows)
 
     @pytest.mark.parametrize("n_users", [19, 21])
     def test_one_user_per_row_is_required(self, n_users):
@@ -245,7 +247,7 @@ class TestImportance:
         X = np.random.default_rng(1).normal(size=(20, 2))
         users = [f"u{i}" for i in range(n_users)]
         with pytest.raises(ValueError, match=f"{n_users} users for 20 rows"):
-            attribute_rows(LinearStub([1.0, -1.0]), X, users, n_permutations=10)
+            attribute_rows(LinearStub([1.0, -1.0]), X, users, n_permutations=10, max_rows=20)
 
 
 class TestBackgroundSample:

@@ -262,11 +262,11 @@ class TestAssemble:
         log, events, truth = small_synth
         users = sorted(truth)[:10]
         model, labels = hand_cluster({u: 0 for u in users}, {0: "FAD"})
-        X = assemble_all(users, log, events)
+        X = assemble_all(users, log, events, t_months=3)
         table = label_scope(users, X, model, labels)
         assert X.shape == (len(users), len(FEATURE_NAMES))
         for i, u in enumerate(users):
-            row, (case, label) = assemble(u, log, events, model, labels)
+            row, (case, label) = assemble(u, log, events, model, labels, t_months=3)
             assert table.users[i] == u
             assert np.array_equal(X[i], row)
             assert (LABELS[table.y[i]], table.cases[i]) == (label, case)
@@ -274,20 +274,20 @@ class TestAssemble:
     def test_pagerank_blocks_do_not_change_the_rows(self, small_synth, monkeypatch):
         log, events, truth = small_synth
         users = sorted(truth)
-        whole = assemble_all(users, log, events)
+        whole = assemble_all(users, log, events, t_months=3)
         monkeypatch.setattr(featureset, "_PAGERANK_BLOCK", 3)  # 40 users: a short last block
-        assert np.array_equal(assemble_all(users, log, events), whole)
+        assert np.array_equal(assemble_all(users, log, events, t_months=3), whole)
 
     def test_no_users_gives_empty_matrix(self):
         log, events = hand_scene()
-        assert assemble_all([], log, events).shape == (0, len(FEATURE_NAMES))
+        assert assemble_all([], log, events, t_months=3).shape == (0, len(FEATURE_NAMES))
 
     def test_repeated_user_gets_a_row_at_each_position(self):
         log = make_log(tx("u", "a", 0), tx("b", "u", 3), tx("a", "b", 5))
-        X = assemble_all(["u", "a", "u"], log, events_from())
+        X = assemble_all(["u", "a", "u"], log, events_from(), t_months=3)
         assert X.shape == (3, len(FEATURE_NAMES))
         assert np.array_equal(X[0], X[2])
-        assert np.array_equal(X[1], assemble_all(["a"], log, events_from())[0])
+        assert np.array_equal(X[1], assemble_all(["a"], log, events_from(), t_months=3)[0])
 
 
 class TestFeatureMatrix:

@@ -25,7 +25,7 @@ from volnet.graph import (
 )
 
 import graph_reference
-from conftest import at_day, edges_of, graph_of as g_from, make_log, tx
+from conftest import DEFAULTS, at_day, edges_of, graph_of as g_from, make_log, tx
 
 
 def coded(names, src, dst, weight) -> TransactionGraph:
@@ -329,7 +329,7 @@ class TestNodeMetrics:
 
 
 def test_seed7_key_user_ego_metrics_equal_the_dict_reference(seed7_log):
-    hubs = detect_hubs(build_graph(seed7_log))
+    hubs = detect_hubs(build_graph(seed7_log), DEFAULTS.hub_multiplier)
     cutoffs = {u: seed7_log.first_activity[u] + timedelta(days=90) for u in sorted(hubs)}
     assert len(cutoffs) > 100
     for (u, ego), (v, members, edges) in zip(graph.ego_networks(seed7_log, cutoffs),

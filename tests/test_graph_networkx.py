@@ -88,7 +88,7 @@ def test_hubs_exceed_mean_total_degree(seed):
     degree = {v: G.in_degree(v) + G.out_degree(v) for v in G}
     mean = sum(degree.values()) / len(degree)
     want = frozenset(v for v, d in degree.items() if d > mean)
-    assert behavior.detect_hubs(g) == want
+    assert behavior.detect_hubs(g, 1.0) == want
 
 
 @pytest.mark.parametrize("seed", SEEDS)

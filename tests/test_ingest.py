@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from conftest import at_day, make_log, tx
+from conftest import DEFAULTS, at_day, make_log, tx
 from volnet import ingest
 from volnet.ingest import (
     EventLog,
@@ -262,7 +262,7 @@ class TestParseErrors:
             "i2,a,a,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z\n"
             "i3,a,b,not-a-time,2022-01-01T01:00:00Z\n")
         with pytest.raises(ParseError) as err:
-            ingest.parse_transactions(str(path))
+            ingest.parse_transactions(str(path), "csv")
         lines = {bad.line for bad in err.value.bad_rows}
         assert lines == {3, 4}
 
@@ -272,7 +272,7 @@ class TestParseErrors:
             "item_id,lister_id,collector_id,listed_at,collected_at\n"
             "i1,a,b,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z\n"
             "i2,a,a,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z\n")
-        log, report = ingest.parse_transactions_with_report(str(path))
+        log, report = ingest.parse_transactions_with_report(str(path), "csv")
         assert len(log) == 1
         assert [bad.line for bad in report.bad_rows] == [3]
 
@@ -351,12 +351,12 @@ class TestParseErrors:
         path = tmp_path / "t.csv"
         path.write_text("item_id,lister_id,collector_id,listed_at\n")
         with pytest.raises(ParseError):
-            ingest.parse_transactions(str(path))
+            ingest.parse_transactions(str(path), "csv")
 
     def test_empty_file_yields_empty_log(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("item_id,lister_id,collector_id,listed_at,collected_at\n")
-        log = ingest.parse_transactions(str(path))
+        log = ingest.parse_transactions(str(path), "csv")
         assert len(log) == 0
         assert frozenset(log.user_ids) == frozenset()
 
@@ -503,14 +503,14 @@ class TestCsvReader:
                         + CSV_ROW % (long, LATER) + CSV_ROW % (f'"i6\n{long}"', LATER)
                         + CSV_ROW % ("i8", LATER) + f'i9,"{long}\nx",b,{LATER},{LATER}\n'
                         + CSV_ROW % ("i11", LATER))
-        log, report = ingest.parse_transactions_with_report(str(path))
+        log, report = ingest.parse_transactions_with_report(str(path), "csv")
         assert [t.item_id for t in transaction_rows(log)] == ["i2", "i3", "i4", "i8", "i11"]
         too_long = f"field larger than field limit ({csv.field_size_limit()})"
         assert [(bad.line, bad.reason) for bad in report.bad_rows] == [
             (5, too_long), (6, too_long), (9, too_long), (10, "expected 5 columns, got 4")]
         assert report.total_rows == 9
         with pytest.raises(ParseError, match=r"at line\(s\) 5, 6, 9, 10$"):
-            ingest.parse_transactions(str(path))
+            ingest.parse_transactions(str(path), "csv")
 
 
 class TestFilterMinTransactions:
@@ -549,6 +549,12 @@ class TestFilterMinTransactions:
 
 
 class TestActiveKeyUsers:
+    @staticmethod
+    def active(log, key):
+        """The users of ``key`` that pass a run's default activity criteria."""
+        return select_active_key_users(log, key, timedelta(days=DEFAULTS.min_span_days),
+                                       DEFAULTS.min_listing_weeks)
+
     def _year_log(self, user: str, weeks: int):
         txs = [tx(user, "p", 7 * w, item=f"{user}-{w}") for w in range(weeks)]
         txs.append(tx("p", user, 370, item=f"{user}-tail"))
@@ -557,20 +563,20 @@ class TestActiveKeyUsers:
     def test_span_and_listing_weeks_both_required(self):
         log = make_log(*self._year_log("hero", weeks=8))
         key = frozenset({"hero"})
-        assert select_active_key_users(log, key) == frozenset({"hero"})
+        assert self.active(log, key) == frozenset({"hero"})
 
     def test_short_span_user_dropped(self):
         txs = [tx("u", "p", 7 * w, item=f"u-{w}") for w in range(10)]  # ~63 days
         log = make_log(*txs)
         key = frozenset({"u"})
-        assert select_active_key_users(log, key) == frozenset()
+        assert self.active(log, key) == frozenset()
 
     def test_too_few_listing_weeks_dropped(self):
         # long span but the user only ever collects
         txs = [tx("p", "u", 0, item="x0"), tx("p", "u", 370, item="x1")]
         log = make_log(*txs)
         key = frozenset({"u"})
-        assert select_active_key_users(log, key) == frozenset()
+        assert self.active(log, key) == frozenset()
 
     def test_listing_weeks_are_iso_weeks_across_a_year_end(self):
         # 2020-12-31 (Thursday) and 2021-01-03 (Sunday) are both in ISO
@@ -590,10 +596,6 @@ class TestActiveKeyUsers:
         assert select_active_key_users(first_two, key, min_span=timedelta(0),
                                        min_listing_weeks=2) == frozenset()
 
-    def test_empty_result_warns_but_does_not_raise(self, caplog):
+    def test_empty_result_does_not_raise(self):
         log = make_log(tx("a", "b", 1))
-        key = frozenset({"a"})
-        with caplog.at_level("WARNING"):
-            active = select_active_key_users(log, key)
-        assert active == frozenset()
-        assert any("no key users" in rec.message for rec in caplog.records)
+        assert self.active(log, frozenset({"a"})) == frozenset()

@@ -25,7 +25,7 @@ tracer = traced.Tracer()
 traced.install(tracer)
 day0 = 1_640_995_200_000_000  # 2022-01-01 in epoch microseconds
 log = TransactionLog.pack(["i0"], ["a"], ["b"], [day0], [day0 + 86_400_000_000])
-featureset.assemble_all(["a", "b"], log, EventLog.pack([], [], [], []))
+featureset.assemble_all(["a", "b"], log, EventLog.pack([], [], [], []), t_months=3)
 assert tracer.counts["featureset.vectors"] == 2, dict(tracer.counts)
 assert tracer.seconds["featureset.assemble_all_s"] > 0, dict(tracer.seconds)
 """

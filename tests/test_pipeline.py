@@ -9,6 +9,7 @@ once per module and inspected by many tests.
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
 import os
 import re
@@ -17,7 +18,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from volnet import cli, featureset, graph, models, pipeline, synthgen, tscluster
+from volnet import (behavior, cli, explain, featureset, graph, ingest, models, pipeline,
+                    synthgen, tscluster)
 from volnet.pipeline import PipelineStageError, build_config, load_config_file
 
 
@@ -164,6 +166,27 @@ class TestConfig:
         mapping = load_config_file(str(path))
         assert sorted(mapping) == sorted(f.name for f in fields(pipeline.PipelineConfig))
         assert build_config(mapping) == pipeline.PipelineConfig()
+
+    def test_stage_parameters_filled_from_the_config_have_no_default(self):
+        # PipelineConfig owns each of these defaults; a stage function that
+        # kept its own copy would go stale when the config's changed
+        filled = [
+            (ingest.parse_transactions, "fmt"), (ingest.parse_transactions_with_report, "fmt"),
+            (ingest.parse_events, "fmt"), (ingest.parse_events_with_report, "fmt"),
+            (behavior.detect_hubs, "multiplier"),
+            (ingest.select_active_key_users, "min_span"),
+            (ingest.select_active_key_users, "min_listing_weeks"),
+            (behavior.dr_series, "interval"), (behavior.dr_series, "horizon"),
+            (tscluster.ch_scan, "k_range"), (tscluster.ch_scan, "metric"),
+            (tscluster.kmeans_ts, "metric"),  # ch_scan's one-lane case
+            (featureset.assemble_all, "t_months"),
+            (models.kfold_cv, "k"),
+            (explain.attribute_rows, "n_permutations"), (explain.attribute_rows, "max_rows"),
+        ]
+        defaulted = [f"{fn.__module__}.{fn.__name__}({name}=)" for fn, name in filled
+                     if inspect.signature(fn).parameters[name].default
+                     is not inspect.Parameter.empty]
+        assert defaulted == []
 
     def test_readme_fixed_constants_name_module_attributes(self):
         # every `module.NAME` README's "Fixed constants" list names is

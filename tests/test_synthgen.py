@@ -24,6 +24,7 @@ from volnet.synthgen import (
 )
 from volnet.tscluster import ARCHETYPES
 
+from conftest import DEFAULTS
 from ingest_reference import event_rows, transaction_rows
 
 
@@ -156,7 +157,10 @@ class TestGenerate:
 
     def test_heroes_pass_the_activity_filter(self, small_synth):
         log, _, truth = small_synth
-        assert select_active_key_users(log, frozenset(truth)) == frozenset(truth)
+        active = select_active_key_users(log, frozenset(truth),
+                                         timedelta(days=DEFAULTS.min_span_days),
+                                         DEFAULTS.min_listing_weeks)
+        assert active == frozenset(truth)
 
     def test_closing_transaction_to_first_regular(self):
         log, _, truth = generate(tiny_config())
@@ -189,7 +193,7 @@ class TestGenerate:
         cfg = SynthConfig(n_heroes=4, weeks=52, community_count=1, noise_sd=0.0, seed=7)
         log, _, truth = generate(cfg)
         [hero] = [hero for hero, t in truth.items() if t.archetype == "SAD"]
-        series = dr_series(hero, log)
+        series = dr_series(hero, log, DEFAULTS.interval, timedelta(days=DEFAULTS.horizon_days))
         assert not any(series.imputed_mask)
         for value in series.values:
             # round(dr * n) / n for n in 6..12 stays within 1/12 of dr

@@ -115,7 +115,7 @@ class TestKMeans:
 
     def test_separates_two_blobs(self):
         data = two_blobs()
-        model = kmeans_ts(data, k=2, seed=0)
+        model = kmeans_ts(data, k=2, metric="euclidean", seed=0)
         lo = {model.assignment[f"lo{i}"] for i in range(6)}
         hi = {model.assignment[f"hi{i}"] for i in range(6)}
         assert len(lo) == 1 and len(hi) == 1 and lo != hi
@@ -123,27 +123,27 @@ class TestKMeans:
 
     def test_deterministic_for_fixed_seed(self):
         data = two_blobs()
-        m1 = kmeans_ts(data, k=3, seed=9)
-        m2 = kmeans_ts(data, k=3, seed=9)
+        m1 = kmeans_ts(data, k=3, metric="euclidean", seed=9)
+        m2 = kmeans_ts(data, k=3, metric="euclidean", seed=9)
         assert m1.assignment == m2.assignment
         assert np.array_equal(m1.centroids, m2.centroids)
         assert m1.inertia_history == m2.inertia_history
 
     def test_euclidean_inertia_never_increases(self):
         data = two_blobs(n_per=10, seed=2)
-        model = kmeans_ts(data, k=4, seed=3)
+        model = kmeans_ts(data, k=4, metric="euclidean", seed=3)
         for earlier, later in zip(model.inertia_history, model.inertia_history[1:]):
             assert later <= earlier + 1e-9
 
     def test_identical_points_collapse_to_lowest_cluster(self):
         data = {"a": [0.5, 0.5], "b": [0.5, 0.5]}
-        model = kmeans_ts(data, k=2, seed=0)
+        model = kmeans_ts(data, k=2, metric="euclidean", seed=0)
         assert model.assignment == {"a": 0, "b": 0}
         assert model.centroids.shape == (2, 2)
 
     def test_members_listing(self):
         data = two_blobs(n_per=3)
-        model = kmeans_ts(data, k=2, seed=0)
+        model = kmeans_ts(data, k=2, metric="euclidean", seed=0)
         c_lo = model.assignment["lo0"]
         assert model.members(c_lo) == ["lo0", "lo1", "lo2"]
 
@@ -166,9 +166,9 @@ class TestKMeans:
     def test_k_bounds_validated(self):
         data = two_blobs(n_per=2)
         with pytest.raises(ValueError):
-            kmeans_ts(data, k=1)
+            kmeans_ts(data, k=1, metric="euclidean")
         with pytest.raises(ValueError):
-            kmeans_ts(data, k=5)
+            kmeans_ts(data, k=5, metric="euclidean")
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
@@ -176,7 +176,7 @@ class TestKMeans:
 
     def test_ragged_series_rejected(self):
         with pytest.raises(ValueError):
-            kmeans_ts({"a": [1.0, 2.0], "b": [1.0]}, k=2)
+            kmeans_ts({"a": [1.0, 2.0], "b": [1.0]}, k=2, metric="euclidean")
 
 
 def hand_model(assignment: dict[str, int], k: int) -> ClusterModel:
@@ -219,20 +219,20 @@ def four_level_groups(n_per: int = 5, length: int = 8, seed: int = 13) -> dict[s
 class TestKSelection:
     def test_finds_four_planted_groups(self):
         data = four_level_groups()
-        assert best_k(ch_scan(data, k_range=(2, 8), seed=0)[0]) == 4
+        assert best_k(ch_scan(data, k_range=(2, 8), metric="euclidean", seed=0)[0]) == 4
 
     def test_scan_covers_full_range(self):
         data = four_level_groups()
-        scores, _ = ch_scan(data, k_range=(2, 6), seed=0)
+        scores, _ = ch_scan(data, k_range=(2, 6), metric="euclidean", seed=0)
         assert sorted(scores) == [2, 3, 4, 5, 6]
         assert all(np.isfinite(v) or v == float("inf") for v in scores.values())
 
     def test_scan_returns_the_model_it_scored(self):
         data = four_level_groups()
-        scores, fitted = ch_scan(data, k_range=(2, 4), seed=5)
+        scores, fitted = ch_scan(data, k_range=(2, 4), metric="euclidean", seed=5)
         assert sorted(fitted) == [2, 3, 4]
         for k, model in fitted.items():
-            again = kmeans_ts(data, k, seed=5)
+            again = kmeans_ts(data, k, metric="euclidean", seed=5)
             assert model.assignment == again.assignment
             assert np.array_equal(model.centroids, again.centroids)
             assert calinski_harabasz(data, model) == scores[k]
@@ -242,7 +242,7 @@ class TestKSelection:
         as_matrix = tscluster._as_matrix
         monkeypatch.setattr(tscluster, "_as_matrix",
                             lambda data: calls.append(1) or as_matrix(data))
-        ch_scan(four_level_groups(), k_range=(2, 6), seed=0)
+        ch_scan(four_level_groups(), k_range=(2, 6), metric="euclidean", seed=0)
         assert len(calls) == 1
 
     def test_best_k_ties_go_to_smallest(self):
@@ -251,13 +251,13 @@ class TestKSelection:
 
     def test_all_degenerate_ties_resolve_to_smallest_k(self):
         data = {f"u{i}": [0.5, 0.5] for i in range(6)}
-        assert best_k(ch_scan(data, k_range=(2, 4), seed=0)[0]) == 2
+        assert best_k(ch_scan(data, k_range=(2, 4), metric="euclidean", seed=0)[0]) == 2
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
-            ch_scan(four_level_groups(), k_range=(5, 3))
+            ch_scan(four_level_groups(), k_range=(5, 3), metric="euclidean")
         with pytest.raises(ValueError):
-            ch_scan(four_level_groups(), k_range=(1, 3))
+            ch_scan(four_level_groups(), k_range=(1, 3), metric="euclidean")
 
 
 def model_with_centroids(rows: list[list[float]]) -> ClusterModel:
@@ -345,7 +345,7 @@ class TestSplitCases:
 
 class TestSerialization:
     def test_round_trip_through_json(self):
-        model = kmeans_ts(two_blobs(), k=2, seed=6)
+        model = kmeans_ts(two_blobs(), k=2, metric="euclidean", seed=6)
         payload = json.loads(json.dumps(model_to_dict(model)))
         back = model_from_dict(payload)
         assert back.k == model.k
@@ -357,7 +357,7 @@ class TestSerialization:
         assert back.inertia_history == pytest.approx(model.inertia_history)
 
     def test_unsupported_version_rejected(self):
-        payload = model_to_dict(kmeans_ts(two_blobs(), k=2, seed=6))
+        payload = model_to_dict(kmeans_ts(two_blobs(), k=2, metric="euclidean", seed=6))
         payload["version"] = 99
         with pytest.raises(ValueError):
             model_from_dict(payload)
@@ -462,7 +462,7 @@ class TestIterationCaps:
 
     def test_max_iter_cap_is_reported(self, monkeypatch):
         monkeypatch.setattr(tscluster, "_MAX_SWEEPS", 1)
-        model = kmeans_ts(two_blobs(n_per=10, seed=2), k=4, seed=3)
+        model = kmeans_ts(two_blobs(n_per=10, seed=2), k=4, metric="euclidean", seed=3)
         assert not model.converged
         assert len(model.inertia_history) == 1
 
